@@ -70,7 +70,9 @@ def _candidates_with_charpoly(
     """Box-search order elements whose regular matrix has charpoly chi.
 
     The trace is a linear form in the coordinates, so one coordinate is
-    solved from it and only the rest are enumerated.
+    solved from it and only the rest are enumerated, in shells of
+    increasing sup-norm: when more than ``limit`` elements match, the ones
+    kept are those whose enumerated coordinates are smallest.
     """
     from .matgroups import box_elements_with_trace
 

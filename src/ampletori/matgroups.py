@@ -19,6 +19,7 @@ from . import linalg
 from .errors import UnsupportedError
 from .etale import Coords, EtaleAlgebra
 from .linalg import Mat
+from .places import automorphism_count, galois_group_small
 from .units import fraction_is_s_unit_rational, matrix_is_s_integral
 
 
@@ -103,6 +104,24 @@ def identity_automorphism(e: EtaleAlgebra) -> AutomorphismDatum:
     )
 
 
+def _sup_norm_shells(d: int, bound: int):
+    """Integer d-tuples of sup-norm at most bound, shell by shell.
+
+    Shell r holds the tuples of sup-norm exactly r. Within a shell, a tuple
+    is filed under its first coordinate of absolute value r, so each point
+    of the box comes exactly once.
+    """
+    yield (0,) * d
+    for r in range(1, bound + 1):
+        inner = range(-r + 1, r)
+        full = range(-r, r + 1)
+        for i in range(d):
+            for head in itertools.product(inner, repeat=i):
+                for c in (-r, r):
+                    for tail in itertools.product(full, repeat=d - i - 1):
+                        yield head + (c,) + tail
+
+
 def box_elements_with_trace(
     e: EtaleAlgebra,
     target_trace: Fraction,
@@ -113,9 +132,11 @@ def box_elements_with_trace(
 
     The trace is a linear form with a nonzero coefficient at the coordinate
     of 1, so that coordinate is solved for instead of enumerated: the box
-    costs (2B+1)^(n-1) candidates. When target_trace_sq is given, the
-    quadratic form trace(u^2) (a Gram matrix evaluation) filters the
-    survivors before anything expensive runs.
+    costs (2B+1)^(n-1) candidates. The other n-1 coordinates are walked in
+    shells of increasing sup-norm 0, 1, ..., B, so a consumer that stops
+    early has seen every candidate of smaller sup-norm in them. When
+    target_trace_sq is given, the quadratic form trace(u^2) (a Gram matrix
+    evaluation) filters the survivors before anything expensive runs.
     """
     n = e.n
     basis = [tuple(Fraction(int(i == j)) for i in range(n)) for j in range(n)]
@@ -138,7 +159,7 @@ def box_elements_with_trace(
         tgt = int(target_trace)
         g_int = [[int(x) for x in row] for row in gram] if gram is not None else None
         tgt_sq = int(target_trace_sq) if target_trace_sq is not None else None
-        for tup in itertools.product(range(-coord_bound, coord_bound + 1), repeat=n - 1):
+        for tup in _sup_norm_shells(n - 1, coord_bound):
             partial = sum(c * tf[i] for c, i in zip(tup, others))
             num = tgt - partial
             ck, rem = divmod(num, tk)
@@ -159,7 +180,7 @@ def box_elements_with_trace(
                     continue
             yield tuple(Fraction(c) for c in coords_i)
         return
-    for tup in itertools.product(range(-coord_bound, coord_bound + 1), repeat=n - 1):
+    for tup in _sup_norm_shells(n - 1, coord_bound):
         partial = sum(c * trace_form[i] for c, i in zip(tup, others))
         ck = (target_trace - partial) / trace_form[k]
         if ck.denominator != 1 or abs(ck) > coord_bound:
@@ -179,16 +200,33 @@ def box_elements_with_trace(
 
 
 _AUTOMORPHISM_CACHE: dict = {}
+AUTOMORPHISM_COORD_BOUND = 50  # fallback end of the automorphism root search
 
 
-def enumerate_automorphisms(e: EtaleAlgebra, coord_bound: int = 50) -> list[AutomorphismDatum]:
+def field_automorphism_count(e: EtaleAlgebra) -> int | None:
+    """|Aut(K)| for the single field factor K, or None past degree 4."""
+    f = e.factors[0]
+    if f.degree > 4:
+        return None
+    return automorphism_count(galois_group_small(f))
+
+
+def enumerate_automorphisms(
+    e: EtaleAlgebra, coord_bound: int = AUTOMORPHISM_COORD_BOUND
+) -> list[AutomorphismDatum]:
     """All automorphisms of the order of a field factor, by root search.
 
     An automorphism is determined by the image of x (a root of f in O);
-    candidate roots are found exhaustively in the coordinate box, using the
-    linear trace condition to solve one coordinate and the trace-of-square
-    form as a second filter. Single-factor only. Results are cached per
-    (factors, basis, box) since the search is deterministic.
+    candidate roots come from the coordinate box in shells of increasing
+    sup-norm, using the linear trace condition to solve one coordinate and
+    the trace-of-square form as a second filter. Each root found is turned
+    into an automorphism and verified exactly. The walk stops once it holds
+    |Aut(K)| verified automorphisms (|N_G(H)/H| from the Galois tag): f has
+    no further root in K, so the result is complete. coord_bound only ends
+    the walk when that count is not reached (a root outside O or beyond the
+    bound, or no tag past degree 4); :func:`field_automorphism_count` tells
+    the caller whether the result fell short. Single-factor only. Results
+    are cached per (factors, basis, box) since the search is deterministic.
     """
     if e.num_factors != 1:
         raise UnsupportedError("automorphism enumeration needs a single field factor")
@@ -197,21 +235,20 @@ def enumerate_automorphisms(e: EtaleAlgebra, coord_bound: int = 50) -> list[Auto
         return list(_AUTOMORPHISM_CACHE[cache_key])
     f = e.factors[0]
     n = e.n
+    expected = field_automorphism_count(e)
     x = e.generator(0)
     target_trace = e.trace(x)
     target_trace_sq = e.trace(e.mul(x, x))
-    roots = []
-    for cand in box_elements_with_trace(e, target_trace, coord_bound, target_trace_sq):
-        # f(cand) = 0 exactly
+    out = []
+    for r in box_elements_with_trace(e, target_trace, coord_bound, target_trace_sq):
+        # f(r) = 0 exactly
         acc = e.zero()
         for c in reversed(f.coeffs):
-            acc = e.add(e.mul(acc, cand), tuple(c * x for x in e.one()))
-        if all(v == 0 for v in acc):
-            roots.append(cand)
-    out = []
-    # each root r of f in O induces x ↦ r; express basis images through the
-    # power-basis coordinates of the root's powers
-    for r in roots:
+            acc = e.add(e.mul(acc, r), tuple(c * x for x in e.one()))
+        if any(v != 0 for v in acc):
+            continue
+        # the root r induces x ↦ r; express basis images through the
+        # power-basis coordinates of the root's powers
         powers = [e.one()]
         for _ in range(n - 1):
             powers.append(e.mul(powers[-1], r))
@@ -226,6 +263,8 @@ def enumerate_automorphisms(e: EtaleAlgebra, coord_bound: int = 50) -> list[Auto
         sigma = AutomorphismDatum(tuple(images))
         if _check_automorphism(e, sigma)[0]:
             out.append(sigma)
+            if len(out) == expected:
+                break
     out.sort(key=lambda s: s.images)
     _AUTOMORPHISM_CACHE[cache_key] = list(out)
     return out

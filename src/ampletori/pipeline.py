@@ -11,7 +11,8 @@ For a block request the certificate is computed for the full torus of E in
 GL_n: that is the torus of the Levi of the parabolic fixing the last column,
 which is the group the block construction extends by unipotents. Its block
 generators are diag(π(u), N(u)^{-1}), so the emitted set needs no separate
-handling for the central torsion.
+handling for the central torsion; an automorphism matrix m enters the same
+way, as diag(m, det(m)^{-1}).
 """
 
 from __future__ import annotations
@@ -27,12 +28,13 @@ from .errors import AmpleToriError, InputError, UnsupportedError
 from .etale import EtaleAlgebra
 from .linalg import Mat
 from .matgroups import (
+    AUTOMORPHISM_COORD_BOUND,
     GeneratorSet,
     automorphism_matrix,
     block_diag,
-    block_embed,
     elementary_matrix,
     enumerate_automorphisms,
+    field_automorphism_count,
     group_sanity,
     identity_automorphism,
     verify_normalization,
@@ -79,9 +81,12 @@ class PipelineRequest:
         if isinstance(places_data, str):
             places = PlaceSet.parse(places_data)
         elif isinstance(places_data, dict):
+            primes = places_data.get("primes", [])
+            if not isinstance(primes, list):
+                raise InputError("primes must be an array", f"{path}.places.primes")
             places = PlaceSet(
                 bool(places_data.get("infty", True)),
-                tuple(int(p) for p in places_data.get("primes", [])),
+                tuple(_as_int(p, f"{path}.places.primes[{i}]") for i, p in enumerate(primes)),
             )
         else:
             raise InputError("places must be a string or object", f"{path}.places")
@@ -89,13 +94,19 @@ class PipelineRequest:
         if block is not None:
             if not isinstance(block, dict) or "n" not in block:
                 raise InputError("unipotent_block needs an 'n'", f"{path}.unipotent_block")
-            block = {"n": int(block["n"]), "pattern": block.get("pattern", LAST_COLUMN)}
+            block = {
+                "n": _as_int(block["n"], f"{path}.unipotent_block.n"),
+                "pattern": block.get("pattern", LAST_COLUMN),
+            }
         unit_source = data.get("unit_source", {"search": {"coord_bound": 3}})
-        cap = int(
-            data.get(
-                "precision_cap", os.environ.get("CMA_PRECISION_CAP", DEFAULT_PRECISION_CAP)
+        _check_unit_source(unit_source, f"{path}.unit_source")
+        if "precision_cap" in data:
+            cap = _as_int(data["precision_cap"], f"{path}.precision_cap")
+        else:
+            cap = _as_int(
+                os.environ.get("CMA_PRECISION_CAP", DEFAULT_PRECISION_CAP),
+                "CMA_PRECISION_CAP",
             )
-        )
         return PipelineRequest(algebra, ambient, places, block, unit_source, cap)
 
     def to_json(self) -> dict:
@@ -109,6 +120,29 @@ class PipelineRequest:
         if self.unipotent_block is not None:
             out["unipotent_block"] = self.unipotent_block
         return out
+
+
+def _as_int(value, path: str) -> int:
+    """An integer from JSON (or an environment string), else an InputError."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise InputError(f"expected an integer, got {value!r}", path)
+    try:
+        return int(value)
+    except ValueError:
+        raise InputError(f"expected an integer, got {value!r}", path) from None
+
+
+def _check_unit_source(src, path: str):
+    """{"provided": ...} (checked when read) or {"search": {"coord_bound": k}}."""
+    if not isinstance(src, dict):
+        raise InputError("unit_source must be an object", path)
+    if "provided" in src:
+        return
+    params = src.get("search", {})
+    if not isinstance(params, dict):
+        raise InputError("unit_source.search must be an object", f"{path}.search")
+    if "coord_bound" in params:
+        _as_int(params["coord_bound"], f"{path}.search.coord_bound")
 
 
 @dataclass
@@ -159,12 +193,23 @@ def _resolve_units(req: PipelineRequest) -> UnitSystem:
 
 
 def _normalizer_matrices(e: EtaleAlgebra, ambient: str, full_system: UnitSystem):
-    """Automorphism matrices, det-corrected into SL by a norm−(−1) unit."""
+    """Automorphism matrices, det-corrected into SL by a norm−(−1) unit.
+
+    A root search that ends short of |Aut(K)| automorphisms adds a caveat.
+    """
     out = []
     caveats = []
     if e.num_factors != 1:
         return out, caveats
-    autos = enumerate_automorphisms(e)
+    autos = enumerate_automorphisms(e, AUTOMORPHISM_COORD_BOUND)
+    expected = field_automorphism_count(e)
+    if expected is not None and len(autos) < expected:
+        caveats.append(
+            "automorphisms: the root search exhausted "
+            f"coord_bound={AUTOMORPHISM_COORD_BOUND} having found {len(autos)} of "
+            f"the {expected} automorphisms of the field; the normalizer "
+            "generators may be incomplete"
+        )
     fixer = None
     for u in full_system.free_generators:
         if e.norm(u) == -1:
@@ -262,7 +307,8 @@ def run_pipeline(req: PipelineRequest) -> CmaReport:
         normals, ncaveats = _normalizer_matrices(e, GL, system)
         caveats.extend(ncaveats)
         for i, m in enumerate(normals):
-            gens.normalizer_gens.append(block_embed(m, block["n"]))
+            # like the torus gens, the last entry puts det m = -1 back into SL
+            gens.normalizer_gens.append(block_diag(m, 1 / linalg.mat_det(m)))
             gens.provenance[f"normalizer:{i}"] = {"kind": "automorphism"}
         for i in range(1, e.n + 1):
             gens.unipotent_gens.append(elementary_matrix(block["n"], i, block["n"]))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .errors import UnsupportedError
+from .errors import InputError, UnsupportedError
 from .etale import EtaleAlgebra
 from .linalg import Vec
 from .places import (
@@ -33,6 +33,7 @@ from .places import (
     galois_group_small,
     orbits_of,
 )
+from .polynomials import is_prime
 
 SL = "SL"
 GL = "GL"
@@ -58,6 +59,9 @@ class PlaceSet:
             raise UnsupportedError(
                 "S must contain the real place for SL_n/GL_n over Q"
             )
+        for p in self.finite_primes:
+            if not is_prime(p):
+                raise InputError(f"finite place {p} is not a prime", "places")
         object.__setattr__(
             self, "finite_primes", tuple(sorted(set(self.finite_primes)))
         )
@@ -68,8 +72,6 @@ class PlaceSet:
     @staticmethod
     def parse(text: str) -> "PlaceSet":
         """Parse "inf,5,7"-style place lists."""
-        from .errors import InputError
-
         inf = False
         primes = []
         for token in text.split(","):

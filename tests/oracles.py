@@ -9,6 +9,7 @@ irreducibility over F_p by exhaustive trial division. Desk-scale and exact.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from ampletori.polynomials import (
@@ -131,3 +132,86 @@ def oracle_norm_five_box(bound: int):
             if a * a + b * b == 5:
                 out.add((Fraction(a), Fraction(b)))
     return out
+
+
+def _det(m) -> Fraction:
+    """Laplace expansion along the first row."""
+    if len(m) == 1:
+        return m[0][0]
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j]
+    )
+
+
+def _ints(v) -> list[int]:
+    assert all(Fraction(c).denominator == 1 for c in v)
+    return [int(c) for c in v]
+
+
+def oracle_automorphisms(e, coord_bound: int):
+    """Order automorphisms of a field factor by a lexicographic full-box walk.
+
+    Arithmetic runs on a multiplication table of the order basis built once.
+    Every vector of the box whose coordinate at 1 is fixed by trace(r) =
+    trace(x) and with trace(r^2) = trace(x^2) is tested as a root of f; a
+    root r gives x ↦ r, kept when the basis images are integral with
+    determinant ±1. No shell order and no early stop.
+    """
+    n = e.n
+    unit = [tuple(Fraction(int(i == j)) for i in range(n)) for j in range(n)]
+    # an order has integral structure constants, so plain ints suffice
+    table = [[_ints(e.mul(unit[i], unit[j])) for j in range(n)] for i in range(n)]
+
+    def mul(u, v):
+        out = [0] * n
+        for i in range(n):
+            if u[i]:
+                for j in range(n):
+                    if v[j]:
+                        for k in range(n):
+                            out[k] += u[i] * v[j] * table[i][j][k]
+        return out
+
+    trace_form = _ints([e.trace(b) for b in unit])
+
+    def trace(u):
+        return sum(c * t for c, t in zip(u, trace_form))
+
+    x = e.generator(0)
+    target, target_sq = trace(x), trace(mul(x, x))  # integers, as f is monic integral
+    one = _ints(e.one())
+    k = next(i for i in range(n) if trace_form[i] != 0)
+    others = [i for i in range(n) if i != k]
+    found = []
+    for tup in itertools.product(range(-coord_bound, coord_bound + 1), repeat=n - 1):
+        partial = sum(c * trace_form[i] for c, i in zip(tup, others))
+        ck, rem = divmod(target - partial, trace_form[k])
+        if rem or abs(ck) > coord_bound:
+            continue
+        r = [0] * n
+        for c, i in zip(tup, others):
+            r[i] = c
+        r[k] = ck
+        if trace(mul(r, r)) != target_sq:
+            continue
+        acc = [0] * n
+        for c in reversed(e.factors[0].coeffs):
+            acc = [a + c * o for a, o in zip(mul(acc, r), one)]
+        if any(acc):
+            continue
+        powers = [one]
+        for _ in range(n - 1):
+            powers.append(mul(powers[-1], r))
+        images = tuple(
+            tuple(
+                Fraction(sum(e.order_basis[j][p] * powers[p][i] for p in range(n)))
+                for i in range(n)
+            )
+            for j in range(n)
+        )
+        integral = all(v.denominator == 1 for img in images for v in img)
+        if integral and abs(_det([list(img) for img in images])) == 1:
+            found.append(images)
+    return sorted(found)

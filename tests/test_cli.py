@@ -153,6 +153,7 @@ def test_verify_paper_cli(capsys):
         ["local-rank", "--algebra", "{g}", "--place", "xyz"],
         ["units", "verify", "--algebra", "{g}"],  # missing --system
         ["units", "search", "--algebra", "{g}", "--norms", "abc"],
+        ["check-ample", "--algebra", "{g}", "--places", "inf,4"],  # not a prime
     ],
 )
 def test_error_taxonomy_is_total(argv, gauss_file, capsys):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ampletori import linalg
+from ampletori import linalg, matgroups
 from ampletori.etale import EtaleAlgebra
 from ampletori.matgroups import (
     AutomorphismDatum,
@@ -11,6 +11,7 @@ from ampletori.matgroups import (
     block_embed,
     elementary_matrix,
     enumerate_automorphisms,
+    field_automorphism_count,
     group_sanity,
     identity_automorphism,
     is_unipotent,
@@ -18,6 +19,7 @@ from ampletori.matgroups import (
     verify_semidirect,
 )
 from ampletori.polynomials import QPoly
+from oracles import oracle_automorphisms
 
 CUBIC = EtaleAlgebra([QPoly([-1, 1, 0, 1])])
 GAUSS = EtaleAlgebra([QPoly([1, 0, 1])])
@@ -50,6 +52,43 @@ def test_enumerate_automorphisms():
     assert len(enumerate_automorphisms(CUBIC)) == 1  # trivial automorphism group
     quartic_autos = enumerate_automorphisms(QUARTIC)
     assert len(quartic_autos) == 4  # V4: the field is Galois over Q
+
+
+@pytest.mark.parametrize(
+    "coeffs, basis",
+    [
+        ([-3, 0, 1], None),  # C2
+        ([1, -3, 0, 1], None),  # C3
+        ([-1, -1, 0, 1], None),  # S3
+        ([5, 0, -5, 0, 1], None),  # C4
+        ([1, -16, 20, -8, 1], None),  # V4, ex 5.2: root coordinates up to 8
+        ([-2, 0, 0, 0, 1], None),  # D4
+        ([12, 8, 0, 0, 1], None),  # A4
+        ([1, -1, 1, 0, 1], None),  # S4
+        ([1, 0, 1], [[1, 0], [0, 2]]),  # Z[2i]: x is not in the order
+    ],
+)
+def test_shell_walk_matches_lexicographic_oracle(coeffs, basis):
+    e = EtaleAlgebra([QPoly(coeffs)], basis)
+    found = [s.images for s in enumerate_automorphisms(e, coord_bound=10)]
+    assert found == oracle_automorphisms(e, 10)
+
+
+def test_root_search_stops_at_the_galois_count(monkeypatch):
+    walked = []
+    walk = matgroups.box_elements_with_trace
+
+    def counting_walk(*args):
+        for cand in walk(*args):
+            walked.append(cand)
+            yield cand
+
+    monkeypatch.setattr(matgroups, "_AUTOMORPHISM_CACHE", {})
+    monkeypatch.setattr(matgroups, "box_elements_with_trace", counting_walk)
+    assert field_automorphism_count(QUARTIC) == 4
+    assert len(enumerate_automorphisms(QUARTIC, coord_bound=50)) == 4
+    # the last root sits in shell 8 of the free coordinates, far inside the box
+    assert max(abs(c) for c in walked[-1][1:]) == 8
 
 
 def test_automorphism_functoriality_v4():

@@ -3,7 +3,7 @@ import shutil
 
 import pytest
 
-from ampletori import serialize
+from ampletori import linalg, serialize
 from ampletori.errors import InputError, UnsupportedError
 from ampletori.matgroups import group_sanity
 from ampletori.pipeline import (
@@ -97,6 +97,52 @@ def test_malformed_inputs_carry_json_paths():
     assert "factors" in err.value.path
     with pytest.raises(InputError):
         PipelineRequest.from_json({"algebra": {"factors": [["-1", "1", "0", "1"]]}, "places": 7})
+
+
+@pytest.mark.parametrize(
+    "field, value, path",
+    [
+        ("places", {"primes": ["x"]}, "request.places.primes[0]"),
+        (
+            "unit_source",
+            {"search": {"coord_bound": "abc"}},
+            "request.unit_source.search.coord_bound",
+        ),
+        ("precision_cap", "hi", "request.precision_cap"),
+        ("unipotent_block", {"n": "x"}, "request.unipotent_block.n"),
+        ("unit_source", [1], "request.unit_source"),
+    ],
+)
+def test_malformed_request_fields_are_input_errors(field, value, path):
+    with pytest.raises(InputError) as err:
+        PipelineRequest.from_json({**CUBIC_REQ, field: value})
+    assert err.value.path == path
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_real_quadratic_block_keeps_normalizer_in_sl(d):
+    # x ↦ -x has det -1; its block generator is diag(m, -1), not diag(m, 1)
+    req = {
+        **CUBIC_REQ,
+        "algebra": {"factors": [[str(-d), "0", "1"]]},
+        "unipotent_block": {"n": 3, "pattern": "last-column"},
+    }
+    report = run_pipeline(PipelineRequest.from_json(req))
+    assert report.sanity["all_pass"]["pass"]
+    normals = report.generators.normalizer_gens
+    assert normals == [linalg.matrix([[1, 0, 0], [0, -1, 0], [0, 0, -1]])]
+
+
+def test_incomplete_automorphism_search_is_a_caveat():
+    # in Z[2i] the root search for x ↦ ±x finds nothing: x = i is not in the order
+    algebra = {"factors": [["1", "0", "1"]], "order_basis": [["1", "0"], ["0", "2"]]}
+    report = run_pipeline(PipelineRequest.from_json({**GAUSS_REQ, "algebra": algebra}))
+    assert report.verdict == "S-ample"
+    assert report.generators.normalizer_gens == []
+    assert (
+        "automorphisms: the root search exhausted coord_bound=50 having found 0 of "
+        "the 2 automorphisms of the field; the normalizer generators may be incomplete"
+    ) in report.caveats
 
 
 def test_verify_paper_examples_all_pass():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from ampletori.errors import RamifiedPlaceError, UnsupportedError
+from ampletori.errors import InputError, RamifiedPlaceError, UnsupportedError
 from ampletori.etale import EtaleAlgebra
 from ampletori.places import INF, regular_action, standard_tag
 from ampletori.polynomials import QPoly, discriminant, is_prime
@@ -195,6 +195,13 @@ def test_place_set_requires_infty():
     with pytest.raises(UnsupportedError):
         PlaceSet(False, (5,))
     assert PlaceSet.parse("inf,5,3").finite_primes == (3, 5)
+
+
+@pytest.mark.parametrize("text", ["inf,4", "inf,-5", "inf,1", "inf,9"])
+def test_place_set_rejects_non_primes(text):
+    with pytest.raises(InputError) as err:
+        PlaceSet.parse(text)
+    assert err.value.path == "places"
 
 
 def test_ramified_place_in_s_errors():
