@@ -15,7 +15,7 @@ from pathlib import Path
 
 from . import serialize
 from .errors import AmpleToriError, InputError
-from .pipeline import PipelineRequest, run_pipeline, verify_paper_examples
+from .pipeline import PipelineRequest, positive_int, run_pipeline, verify_paper_examples
 from .places import INF
 from .torus import (
     VERDICT_AMPLE,
@@ -58,9 +58,12 @@ def _load_algebra(path: str):
 
 
 def _precision_cap(args) -> int:
-    if getattr(args, "precision_cap", None):
-        return args.precision_cap
-    return int(os.environ.get("CMA_PRECISION_CAP", DEFAULT_PRECISION_CAP))
+    """--precision-cap, else CMA_PRECISION_CAP, else the default; at least 1."""
+    if args.precision_cap is not None:
+        return positive_int(args.precision_cap, "--precision-cap")
+    return positive_int(
+        os.environ.get("CMA_PRECISION_CAP", DEFAULT_PRECISION_CAP), "CMA_PRECISION_CAP"
+    )
 
 
 def _emit(payload, as_json: bool, text_lines) -> None:
@@ -74,8 +77,8 @@ def _emit(payload, as_json: bool, text_lines) -> None:
 def _cmd_construct(args) -> int:
     data = _load_json(args.request)
     req = PipelineRequest.from_json(data)
-    if args.precision_cap:
-        req.precision_cap = args.precision_cap
+    if args.precision_cap is not None:
+        req.precision_cap = _precision_cap(args)
     report = run_pipeline(req)
     lines = [f"verdict: {report.verdict}"]
     if report.generators is not None:
@@ -170,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="run the full pipeline from a request file")
     p.add_argument("request")
-    p.add_argument("--precision-cap", type=int, default=0)
+    p.add_argument("--precision-cap", type=int)
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("check-ample", help="decide S-ampleness for an algebra")
@@ -192,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-primes", default="")
     p.add_argument("--norms", default="", help="comma-separated norm targets")
     p.add_argument("--system", help="unit system JSON (verify)")
-    p.add_argument("--precision-cap", type=int, default=0)
+    p.add_argument("--precision-cap", type=int)
     p.set_defaults(func=_cmd_units)
 
     p = sub.add_parser("verify-paper", help="reproduce the canned examples")

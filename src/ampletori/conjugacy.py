@@ -208,10 +208,8 @@ def _search_one_convention(e, tgt_units, tgt_autos, auto_mats, candidates, coeff
         for t in tgt_units[1:]:
             vec = tuple(x for row in t for x in row)
             try:
-                coeffs = _solve_rectangular(flat_mat, vec)
+                coeffs = linalg.solve(flat_mat, vec)
             except linalg.SingularMatrixError:
-                coeffs = None
-            if coeffs is None:
                 ok = False
                 break
             elem = e.zero()
@@ -249,24 +247,6 @@ def _search_one_convention(e, tgt_units, tgt_autos, auto_mats, candidates, coeff
             ):
                 return p, units, [s for s, _ in combo]
     return None
-
-
-def _solve_rectangular(mat: Mat, rhs):
-    """Solve mat·x = rhs (tall system) exactly, or None if inconsistent."""
-    nrows = len(mat)
-    ncols = len(mat[0])
-    aug = tuple(tuple(list(mat[i]) + [rhs[i]]) for i in range(nrows))
-    reduced, pivots = linalg.rref(aug)
-    if ncols in pivots:
-        return None  # inconsistent
-    sol = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        sol[c] = reduced[r][ncols]
-    # verify (handles rank-deficient unconstrained coordinates)
-    for i in range(nrows):
-        if sum(mat[i][j] * sol[j] for j in range(ncols)) != rhs[i]:
-            return None
-    return tuple(sol)
 
 
 def _discovered_basis(e: EtaleAlgebra, p: Mat) -> Mat:

@@ -93,9 +93,6 @@ class EtaleAlgebra:
             power[self.offsets[k] + 1] = Fraction(1)
         return self.from_power(tuple(power))
 
-    def from_rational(self, c) -> Coords:
-        return tuple(Fraction(c) * x for x in self.one())
-
     def element(self, coords: Iterable) -> "AlgebraElement":
         return AlgebraElement(self, tuple(Fraction(c) for c in coords))
 
@@ -298,24 +295,3 @@ class AlgebraElement:
 
     def __repr__(self):
         return f"AlgebraElement({list(self.coords)})"
-
-
-# module-level aliases matching the operation names used throughout
-def regular_rep(e: EtaleAlgebra, a: Coords) -> Mat:
-    return e.regular_rep(a)
-
-
-def norm(e: EtaleAlgebra, a: Coords) -> Fraction:
-    return e.norm(a)
-
-
-def trace(e: EtaleAlgebra, a: Coords) -> Fraction:
-    return e.trace(a)
-
-
-def is_order(e: EtaleAlgebra) -> tuple[bool, dict | None]:
-    return e.is_order()
-
-
-def element_is_integral(e: EtaleAlgebra, a: Coords) -> bool:
-    return e.element_is_integral(a)

@@ -81,9 +81,6 @@ class RationalInterval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def midpoint(self) -> Fraction:
-        return (self.lo + self.hi) / 2
-
     def round_outward(self, bits: int) -> "RationalInterval":
         """Widen to dyadic endpoints with denominator 2^bits (controls blowup)."""
         scale = 1 << bits
@@ -96,12 +93,6 @@ class RationalInterval:
 
 
 ZERO = RationalInterval(Fraction(0), Fraction(0))
-
-
-def interval_sum(terms) -> RationalInterval:
-    lo = sum((t.lo for t in terms), Fraction(0))
-    hi = sum((t.hi for t in terms), Fraction(0))
-    return RationalInterval(lo, hi)
 
 
 def eval_poly_interval(coeffs, x: RationalInterval) -> RationalInterval:

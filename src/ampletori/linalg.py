@@ -2,10 +2,17 @@
 
 Matrices are immutable tuples of tuples of Fraction; vectors are tuples.
 Everything here is exact; no floating point is ever used.
+
+Elimination is integer-first and has one core, `_echelon`: a fraction-free
+(Bareiss) row echelon form of integer rows. A rational matrix enters it with
+each row scaled by the lcm of its denominators; `rref`, `rank`, `mat_det`,
+`int_det`, `mat_inv`, `solve` and the kernel and row-space helpers read their
+answers off its result, and Fractions appear only in those answers.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -48,10 +55,6 @@ def mat_sub(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_neg(a: Mat) -> Mat:
-    return tuple(tuple(-x for x in row) for row in a)
-
-
 def mat_scale(a: Mat, c) -> Mat:
     c = frac(c)
     return tuple(tuple(c * x for x in row) for row in a)
@@ -88,111 +91,127 @@ def mat_pow(a: Mat, k: int) -> Mat:
     return result
 
 
-def mat_eq(a: Mat, b: Mat) -> bool:
-    return a == b
-
-
 def mat_trace(a: Mat) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), Fraction(0))
 
 
-def _gauss(rows: list[list[Fraction]], ncols: int):
-    """In-place fraction Gaussian elimination; returns pivot column list."""
-    pivots = []
-    r = 0
+def _integer_rows(a) -> tuple[list[list[int]], int]:
+    """Row i of a rational matrix times the lcm d_i of its denominators; Π d_i."""
+    rows, scale = [], 1
+    for row in a:
+        d = math.lcm(*[x.denominator for x in row])
+        rows.append([x.numerator * (d // x.denominator) for x in row])
+        scale *= d
+    return rows, scale
+
+
+def _echelon(m: list[list[int]], ncols: int) -> tuple[list[int], int]:
+    """Fraction-free (Bareiss) row echelon form of integer rows, in place.
+
+    Returns the pivot columns and the sign of the row permutation. After the
+    k-th pivot every entry below it is a (k+1)-minor of the row-permuted
+    input, so each division by the previous pivot is exact, and the last
+    pivot of a nonsingular square matrix is the sign times its determinant.
+    """
+    nrows = len(m)
+    pivots: list[int] = []
+    sign = prev = 1
     for c in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
+        r = len(pivots)
+        if r == nrows:
             break
-    return pivots
+        if not m[r][c]:
+            swap = next((i for i in range(r + 1, nrows) if m[i][c]), None)
+            if swap is None:
+                continue
+            m[r], m[swap] = m[swap], m[r]
+            sign = -sign
+        top = m[r]
+        p = top[c]
+        right = range(c + 1, ncols)
+        for row in m[r + 1:]:
+            f = row[c]
+            for j in right:
+                row[j] = (row[j] * p - f * top[j]) // prev
+            row[c] = 0
+        prev = p
+        pivots.append(c)
+    return pivots, sign
+
+
+def _det(m: list[list[int]]) -> int:
+    """Determinant of square integer rows: the last pivot of the echelon."""
+    n = len(m)
+    if n == 0:
+        return 1
+    pivots, sign = _echelon(m, n)
+    return sign * m[n - 1][n - 1] if len(pivots) == n else 0
 
 
 def rref(a: Mat) -> tuple[Mat, list[int]]:
+    """Reduced row echelon form and its pivot columns.
+
+    The integer echelon's rank rows are back-substituted to d·RREF in
+    integers, d being the last pivot; Fractions appear only in the result.
+    """
     if not a:
         return (), []
-    rows = [list(row) for row in a]
-    pivots = _gauss(rows, len(a[0]))
-    return tuple(tuple(row) for row in rows), pivots
+    ncols = len(a[0])
+    m, _ = _integer_rows(a)
+    pivots, _ = _echelon(m, ncols)
+    r = len(pivots)
+    d = m[r - 1][pivots[-1]] if r else 1
+    scaled: list[list[int]] = [[]] * r  # d·RREF, filled bottom up
+    for k in range(r - 1, -1, -1):
+        row = m[k]
+        acc = [d * x for x in row]
+        for l in range(k + 1, r):
+            f, lower = row[pivots[l]], scaled[l]
+            if f:
+                for j in range(pivots[l], ncols):
+                    acc[j] -= f * lower[j]
+        p = row[pivots[k]]
+        scaled[k] = [x // p for x in acc]
+    zero = Fraction(0)
+    reduced = [tuple(Fraction(x, d) if x else zero for x in row) for row in scaled]
+    reduced += [(zero,) * ncols] * (len(m) - r)
+    return tuple(reduced), pivots
 
 
 def rank(a: Mat) -> int:
-    return len(rref(a)[1])
+    m, _ = _integer_rows(a)
+    return len(_echelon(m, len(m[0]) if m else 0)[0])
 
 
 def mat_det(a: Mat) -> Fraction:
-    n = len(a)
-    if n == 0:
-        return Fraction(1)
-    rows = [list(row) for row in a]
-    det = Fraction(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            det = -det
-        det *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                factor = rows[i][c] * inv
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[c])]
-    return det
+    m, scale = _integer_rows(a)
+    return Fraction(_det(m), scale)
 
 
 def int_det(a: Sequence[Sequence[int]]) -> int:
-    """Fraction-free Bareiss determinant for integer matrices (fast path)."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [list(map(int, row)) for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * pivot - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = pivot
-    return sign * m[n - 1][n - 1]
+    """Determinant of an integer matrix, without Fractions."""
+    return _det([list(map(int, row)) for row in a])
 
 
 def mat_inv(a: Mat) -> Mat:
     n = len(a)
-    rows = [list(a[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    pivots = _gauss(rows, n)
-    if len(pivots) != n:
+    reduced, pivots = rref(tuple(tuple(row) + unit for row, unit in zip(a, identity(n))))
+    if pivots != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    return tuple(tuple(row[n:]) for row in rows)
+    return tuple(row[n:] for row in reduced)
 
 
 def solve(a: Mat, b: Vec) -> Vec:
-    """Solve a·x = b for square invertible a."""
-    n = len(a)
-    rows = [list(a[i]) + [b[i]] for i in range(n)]
-    pivots = _gauss(rows, n)
-    if len(pivots) != n:
-        raise SingularMatrixError("matrix is singular")
-    return tuple(row[n] for row in rows)
+    """The unique x with a·x = b, for square or tall a.
+
+    Raises SingularMatrixError when there is no unique solution: a has
+    rank below its column count, or b is outside its column space.
+    """
+    ncols = len(a[0]) if a else 0
+    reduced, pivots = rref(tuple(tuple(row) + (y,) for row, y in zip(a, b)))
+    if pivots != list(range(ncols)):
+        raise SingularMatrixError("system has no unique solution")
+    return tuple(row[ncols] for row in reduced[:ncols])
 
 
 def kernel_basis(a: Mat) -> list[Vec]:
@@ -213,8 +232,6 @@ def kernel_basis(a: Mat) -> list[Vec]:
 
 
 def row_space_basis(rows: Sequence[Vec]) -> list[Vec]:
-    if not rows:
-        return []
     reduced, pivots = rref(tuple(rows))
     return [reduced[i] for i in range(len(pivots))]
 

@@ -101,9 +101,9 @@ class PipelineRequest:
         unit_source = data.get("unit_source", {"search": {"coord_bound": 3}})
         _check_unit_source(unit_source, f"{path}.unit_source")
         if "precision_cap" in data:
-            cap = _as_int(data["precision_cap"], f"{path}.precision_cap")
+            cap = positive_int(data["precision_cap"], f"{path}.precision_cap")
         else:
-            cap = _as_int(
+            cap = positive_int(
                 os.environ.get("CMA_PRECISION_CAP", DEFAULT_PRECISION_CAP),
                 "CMA_PRECISION_CAP",
             )
@@ -132,6 +132,14 @@ def _as_int(value, path: str) -> int:
         raise InputError(f"expected an integer, got {value!r}", path) from None
 
 
+def positive_int(value, path: str) -> int:
+    """An integer ≥ 1 (a precision cap or a box bound), else an InputError."""
+    n = _as_int(value, path)
+    if n < 1:
+        raise InputError(f"expected an integer >= 1, got {n}", path)
+    return n
+
+
 def _check_unit_source(src, path: str):
     """{"provided": ...} (checked when read) or {"search": {"coord_bound": k}}."""
     if not isinstance(src, dict):
@@ -142,7 +150,7 @@ def _check_unit_source(src, path: str):
     if not isinstance(params, dict):
         raise InputError("unit_source.search must be an object", f"{path}.search")
     if "coord_bound" in params:
-        _as_int(params["coord_bound"], f"{path}.search.coord_bound")
+        positive_int(params["coord_bound"], f"{path}.search.coord_bound")
 
 
 @dataclass

@@ -37,16 +37,6 @@ def perm_compose(a: Perm, b: Perm) -> Perm:
     return tuple(a[b[i]] for i in range(len(a)))
 
 
-def perm_order(a: Perm) -> int:
-    n = len(a)
-    k, p = 1, a
-    ident = tuple(range(n))
-    while p != ident:
-        p = perm_compose(p, a)
-        k += 1
-    return k
-
-
 def cycle_type(a: Perm) -> tuple[int, ...]:
     """Cycle lengths, sorted ascending (fixed points included)."""
     seen = [False] * len(a)

@@ -167,10 +167,6 @@ class QPoly:
         return fp_strip(out)
 
 
-def x_poly() -> QPoly:
-    return QPoly([0, 1])
-
-
 def poly_gcd(f: QPoly, g: QPoly) -> QPoly:
     """Monic gcd over Q; gcd(f, 0) = monic(f)."""
     a, b = f, g
@@ -268,17 +264,6 @@ def sturm_count_real_roots(f: QPoly) -> int:
     g = squarefree_part(f)
     seq = sturm_sequence(g)
     return _sign_changes_at_infinity(seq, False) - _sign_changes_at_infinity(seq, True)
-
-
-def sturm_count_in_interval(f: QPoly, lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots in (lo, hi]; f is made squarefree internally."""
-    if f.is_zero():
-        raise ZeroPolynomialError("zero polynomial is rejected")
-    g = squarefree_part(f)
-    seq = sturm_sequence(g)
-    v_lo = _sign_changes([p(lo) for p in seq])
-    v_hi = _sign_changes([p(hi) for p in seq])
-    return v_lo - v_hi
 
 
 def root_bound(f: QPoly) -> Fraction:
@@ -586,37 +571,6 @@ def factor_mod_p(f: QPoly | Sequence[int], p: int) -> list[tuple[FpPoly, int]]:
             result.extend((fp_monic(g, p), mult) for g in irreducibles)
     result.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return result
-
-
-def fp_is_irreducible(f: FpPoly, p: int) -> bool:
-    """Rabin irreducibility test over F_p."""
-    n = len(f) - 1
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    x = [0, 1]
-    h = fp_pow_mod(x, p**n, f, p)
-    if fp_sub(h, x, p):
-        return False
-    for q in sorted({q for q in _prime_factors(n)}):
-        h = fp_pow_mod(x, p ** (n // q), f, p)
-        if len(fp_gcd(fp_sub(h, x, p), f, p)) - 1 != 0:
-            return False
-    return True
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.append(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -163,3 +163,48 @@ def test_error_taxonomy_is_total(argv, gauss_file, capsys):
     assert code == 1
     err = json.loads(capsys.readouterr().out)
     assert "error" in err and "message" in err["error"] and "module" in err["error"]
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("a rejected input must not reach the computation")
+
+
+CAPS_BELOW_ONE = [
+    (["--precision-cap", "-5"], None, "--precision-cap"),
+    (["--precision-cap", "0"], None, "--precision-cap"),
+    ([], "-5", "CMA_PRECISION_CAP"),
+]
+
+
+@pytest.mark.parametrize("flags, env, path", CAPS_BELOW_ONE)
+def test_construct_precision_cap_below_one_is_input_error(
+    flags, env, path, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr("ampletori.cli.run_pipeline", _refuse)
+    if env is not None:
+        monkeypatch.setenv("CMA_PRECISION_CAP", env)
+    reqfile = tmp_path / "request.json"
+    reqfile.write_text(json.dumps({"algebra": CUBIC_ALGEBRA, "places": "inf"}))
+    assert main(["--json", "construct", str(reqfile), *flags]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["path"] == path
+
+
+@pytest.mark.parametrize("flags, env, path", CAPS_BELOW_ONE)
+def test_units_verify_precision_cap_below_one_is_input_error(
+    flags, env, path, gauss_file, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr("ampletori.cli.verify_unit_system", _refuse)
+    if env is not None:
+        monkeypatch.setenv("CMA_PRECISION_CAP", env)
+    sysfile = tmp_path / "system.json"
+    sysfile.write_text(json.dumps({
+        "torsion": {"element": ["0", "1"], "order": 4},
+        "free": [["4/5", "3/5"]],
+        "s_primes": [5],
+    }))
+    code = main([
+        "--json", "units", "verify", "--algebra", gauss_file,
+        "--system", str(sysfile), "--s-primes", "5", *flags,
+    ])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["error"]["path"] == path

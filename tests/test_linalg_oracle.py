@@ -1,0 +1,156 @@
+"""Differential tests of the exact elimination core against sympy.Matrix.
+
+sympy is a test-only oracle (the `test` extra in pyproject.toml); the
+library never imports it. Every case is seeded and compared exactly.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+import sympy
+
+from ampletori import linalg
+from ampletori.errors import SingularMatrixError
+
+DENOMINATORS = (1, 1, 1, 2, 3, 5, 12)
+SQUARE = [(n, n) for n in range(1, 6)]
+TALL = [(4, 1), (5, 2), (6, 3), (6, 4)]
+WIDE = [(1, 4), (2, 5), (3, 6)]
+KINDS = ("full", "low-rank", "zero-row", "zero-column")
+EMPTY = [(), ((),), ((), (), ())]
+
+
+def _entry(rng):
+    return Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS))
+
+
+def _random_matrix(rng, rows, cols, kind):
+    """Mixed denominators and signs; `low-rank` has rank below min(rows, cols)."""
+    if kind == "low-rank":
+        k = rng.randint(0, min(rows, cols) - 1)
+        left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(rows)]
+        right = [[_entry(rng) for _ in range(cols)] for _ in range(k)]
+        m = [
+            [sum((row[t] * right[t][j] for t in range(k)), Fraction(0)) / rng.choice(DENOMINATORS)
+             for j in range(cols)]
+            for row in left
+        ]
+    else:
+        m = [[_entry(rng) for _ in range(cols)] for _ in range(rows)]
+    if kind == "zero-row":
+        m[rng.randrange(rows)] = [0] * cols
+    elif kind == "zero-column":
+        c = rng.randrange(cols)
+        for row in m:
+            row[c] = 0
+    return linalg.matrix(m)
+
+
+def _cases(shapes, seed):
+    rng = random.Random(seed)
+    return [
+        _random_matrix(rng, rows, cols, kind)
+        for rows, cols in shapes
+        for kind in KINDS
+        for _ in range(3)
+    ]
+
+
+def _sym(a):
+    ncols = len(a[0]) if a else 0
+    return sympy.Matrix(
+        len(a), ncols, [sympy.Rational(x.numerator, x.denominator) for row in a for x in row]
+    )
+
+
+def _q(x) -> Fraction:
+    x = sympy.Rational(x)
+    return Fraction(int(x.p), int(x.q))
+
+
+def _from_sym(s):
+    return tuple(tuple(_q(s[i, j]) for j in range(s.cols)) for i in range(s.rows))
+
+
+@pytest.mark.parametrize("a", _cases(SQUARE + TALL + WIDE, 11) + EMPTY)
+def test_rref_and_rank_match_sympy(a):
+    reduced, pivots = linalg.rref(a)
+    expected, expected_pivots = _sym(a).rref()
+    assert pivots == list(expected_pivots)
+    assert reduced == _from_sym(expected)
+    assert all(isinstance(x, Fraction) for row in reduced for x in row)
+    assert linalg.rank(a) == _sym(a).rank()
+
+
+@pytest.mark.parametrize("a", _cases(SQUARE, 12) + [()])
+def test_det_and_inverse_match_sympy(a):
+    s = _sym(a)
+    det = _q(s.det())
+    assert linalg.mat_det(a) == det
+    if det == 0:
+        with pytest.raises(SingularMatrixError):
+            linalg.mat_inv(a)
+    else:
+        assert linalg.mat_inv(a) == _from_sym(s.inv())
+
+
+def test_int_det_matches_sympy():
+    rng = random.Random(13)
+    for n in range(7):
+        for rank in range(n + 1):
+            if rank == n:
+                a = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
+            else:  # the product of n×rank and rank×n factors
+                left = [[rng.randint(-4, 4) for _ in range(rank)] for _ in range(n)]
+                right = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rank)]
+                a = [
+                    [sum(left[i][t] * right[t][j] for t in range(rank)) for j in range(n)]
+                    for i in range(n)
+                ]
+            assert linalg.int_det(a) == sympy.Matrix(n, n, [x for row in a for x in row]).det()
+
+
+@pytest.mark.parametrize("a", _cases(SQUARE + TALL + WIDE, 14) + EMPTY)
+def test_kernel_matches_sympy_nullspace(a):
+    kernel = linalg.kernel_basis(a)
+    ncols = len(a[0]) if a else 0
+    expected = _sym(a).nullspace() if a else []
+    assert len(kernel) == len(expected)
+    for v in kernel:
+        assert all(x == 0 for x in linalg.mat_vec(a, v))
+    if kernel:
+        ours = _sym(kernel)
+        theirs = sympy.Matrix.hstack(*expected).T
+        assert ours.rank() == len(kernel)
+        assert sympy.Matrix.vstack(ours, theirs).rank() == len(kernel)
+    assert all(len(v) == ncols for v in kernel)
+
+
+@pytest.mark.parametrize("a", _cases(SQUARE + TALL, 15))
+def test_solve_square_and_tall(a):
+    rng = random.Random(repr(a))
+    ncols = len(a[0])
+    x = linalg.vector([_entry(rng) for _ in range(ncols)])
+    b = linalg.mat_vec(a, x)
+    noise = linalg.vector([_entry(rng) for _ in range(len(a))])
+    if linalg.rank(a) < ncols:
+        # singular: no unique solution, whether b is consistent or not
+        for rhs in (b, noise):
+            with pytest.raises(SingularMatrixError):
+                linalg.solve(a, rhs)
+        return
+    assert linalg.solve(a, b) == x
+    augmented = _sym(tuple(row + (y,) for row, y in zip(a, noise)))
+    if augmented.rank() > ncols:
+        with pytest.raises(SingularMatrixError):  # inconsistent tall system
+            linalg.solve(a, noise)
+    else:
+        assert linalg.mat_vec(a, linalg.solve(a, noise)) == noise
+
+
+def test_solve_inconsistent_tall_system_raises():
+    a = linalg.matrix([[1, 0], [0, 1], [1, 1]])
+    assert linalg.solve(a, linalg.vector([2, 3, 5])) == (2, 3)
+    with pytest.raises(SingularMatrixError):
+        linalg.solve(a, linalg.vector([2, 3, 6]))

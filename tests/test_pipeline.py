@@ -111,12 +111,24 @@ def test_malformed_inputs_carry_json_paths():
         ("precision_cap", "hi", "request.precision_cap"),
         ("unipotent_block", {"n": "x"}, "request.unipotent_block.n"),
         ("unit_source", [1], "request.unit_source"),
+        ("precision_cap", -5, "request.precision_cap"),
+        ("precision_cap", 0, "request.precision_cap"),
+        ("unit_source", {"search": {"coord_bound": 0}}, "request.unit_source.search.coord_bound"),
+        ("unit_source", {"search": {"coord_bound": -2}}, "request.unit_source.search.coord_bound"),
     ],
 )
 def test_malformed_request_fields_are_input_errors(field, value, path):
     with pytest.raises(InputError) as err:
         PipelineRequest.from_json({**CUBIC_REQ, field: value})
     assert err.value.path == path
+
+
+@pytest.mark.parametrize("value", ["-5", "0"])
+def test_env_precision_cap_below_one_is_input_error(value, monkeypatch):
+    monkeypatch.setenv("CMA_PRECISION_CAP", value)
+    with pytest.raises(InputError) as err:
+        PipelineRequest.from_json(CUBIC_REQ)
+    assert err.value.path == "CMA_PRECISION_CAP"
 
 
 @pytest.mark.parametrize("d", [2, 3])
