@@ -23,6 +23,7 @@ from .torus import (
     VERDICT_UNDECIDABLE,
     PlaceSet,
     build_torus,
+    finite_place,
     is_s_ample,
     local_rank,
 )
@@ -119,12 +120,17 @@ def _cmd_local_rank(args) -> int:
 
 def _cmd_units(args) -> int:
     e = _load_algebra(args.algebra)
-    s_primes = tuple(int(p) for p in args.s_primes.split(",") if p.strip()) if args.s_primes else ()
+    s_primes = tuple(
+        finite_place(positive_int(p, "--s-primes"), "--s-primes")
+        for p in args.s_primes.split(",")
+        if p.strip()
+    )
     if args.action == "search":
+        bound = positive_int(args.bound, "--bound")
         targets = None
         if args.norms:
             targets = {serialize.parse_frac(t) for t in args.norms.split(",")}
-        found = search_units(e, args.bound, s_primes, targets)
+        found = search_units(e, bound, s_primes, targets)
         payload = {"count": len(found), "elements": [serialize.vector_to_json(u) for u in found]}
         _emit(payload, args.json, [str(payload["elements"])])
         return EXIT_OK

@@ -59,6 +59,10 @@ class EtaleAlgebra:
         except SingularMatrixError:
             raise SingularMatrixError("order basis matrix is singular") from None
         self._mult_table: list[list[Coords]] | None = None
+        power = [Fraction(0)] * self.n
+        for off in self.offsets:
+            power[off] = Fraction(1)
+        self._one = self.from_power(tuple(power))
 
     # -- coordinates ---------------------------------------------------------
     def to_power(self, coords: Coords) -> Coords:
@@ -78,10 +82,7 @@ class EtaleAlgebra:
         return tuple(Fraction(0) for _ in range(self.n))
 
     def one(self) -> Coords:
-        power = [Fraction(0)] * self.n
-        for k, off in enumerate(self.offsets):
-            power[off] = Fraction(1)
-        return self.from_power(tuple(power))
+        return self._one
 
     def generator(self, k: int = 0) -> Coords:
         """The image of x in factor k, as an element of E (zero elsewhere)."""

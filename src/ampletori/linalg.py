@@ -77,20 +77,6 @@ def transpose(a: Mat) -> Mat:
     return tuple(tuple(col) for col in zip(*a))
 
 
-def mat_pow(a: Mat, k: int) -> Mat:
-    n = len(a)
-    if k < 0:
-        return mat_pow(mat_inv(a), -k)
-    result = identity(n)
-    base = a
-    while k:
-        if k & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return result
-
-
 def mat_trace(a: Mat) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), Fraction(0))
 

@@ -136,67 +136,46 @@ def box_elements_with_trace(
     shells of increasing sup-norm 0, 1, ..., B, so a consumer that stops
     early has seen every candidate of smaller sup-norm in them. When
     target_trace_sq is given, the quadratic form trace(u^2) (a Gram matrix
-    evaluation) filters the survivors before anything expensive runs.
+    evaluation) filters the survivors before anything expensive runs. The
+    basis must be an order (else NotAnOrderError): every element of an
+    order has integer traces, so the walk runs in plain ints and a
+    non-integer target yields nothing.
     """
+    e.require_order()
+    if Fraction(target_trace).denominator != 1 or (
+        target_trace_sq is not None and Fraction(target_trace_sq).denominator != 1
+    ):
+        return
     n = e.n
     basis = [tuple(Fraction(int(i == j)) for i in range(n)) for j in range(n)]
-    trace_form = [e.trace(b) for b in basis]
-    k = next(i for i in range(n) if trace_form[i] != 0)  # trace(1) = n > 0
+    tf = [int(e.trace(b)) for b in basis]
+    k = next(i for i in range(n) if tf[i] != 0)  # trace(1) = n > 0
     others = [i for i in range(n) if i != k]
-    gram = None
+    tk = tf[k]
+    tgt = int(target_trace)
+    g_int = tgt_sq = None
     if target_trace_sq is not None:
-        gram = [[e.trace(e.mul(basis[i], basis[j])) for j in range(n)] for i in range(n)]
-    integral = (
-        all(t.denominator == 1 for t in trace_form)
-        and Fraction(target_trace).denominator == 1
-        and (gram is None or all(x.denominator == 1 for row in gram for x in row))
-        and (target_trace_sq is None or Fraction(target_trace_sq).denominator == 1)
-    )
-    if integral:
-        # plain-int inner loop; Fractions only materialize for survivors
-        tf = [int(t) for t in trace_form]
-        tk = tf[k]
-        tgt = int(target_trace)
-        g_int = [[int(x) for x in row] for row in gram] if gram is not None else None
-        tgt_sq = int(target_trace_sq) if target_trace_sq is not None else None
-        for tup in _sup_norm_shells(n - 1, coord_bound):
-            partial = sum(c * tf[i] for c, i in zip(tup, others))
-            num = tgt - partial
-            ck, rem = divmod(num, tk)
-            if rem or abs(ck) > coord_bound:
-                continue
-            coords_i = [0] * n
-            for c, i in zip(tup, others):
-                coords_i[i] = c
-            coords_i[k] = ck
-            if g_int is not None:
-                q = 0
-                for i in range(n):
-                    ci = coords_i[i]
-                    if ci:
-                        row = g_int[i]
-                        q += ci * sum(row[j] * coords_i[j] for j in range(n))
-                if q != tgt_sq:
-                    continue
-            yield tuple(Fraction(c) for c in coords_i)
-        return
+        g_int = [[int(e.trace(e.mul(basis[i], basis[j]))) for j in range(n)] for i in range(n)]
+        tgt_sq = int(target_trace_sq)
     for tup in _sup_norm_shells(n - 1, coord_bound):
-        partial = sum(c * trace_form[i] for c, i in zip(tup, others))
-        ck = (target_trace - partial) / trace_form[k]
-        if ck.denominator != 1 or abs(ck) > coord_bound:
+        partial = sum(c * tf[i] for c, i in zip(tup, others))
+        ck, rem = divmod(tgt - partial, tk)
+        if rem or abs(ck) > coord_bound:
             continue
-        coords = [Fraction(0)] * n
+        coords_i = [0] * n
         for c, i in zip(tup, others):
-            coords[i] = Fraction(c)
-        coords[k] = ck
-        if gram is not None:
-            q = sum(
-                coords[i] * sum(gram[i][j] * coords[j] for j in range(n))
-                for i in range(n)
-            )
-            if q != target_trace_sq:
+            coords_i[i] = c
+        coords_i[k] = ck
+        if g_int is not None:
+            q = 0
+            for i in range(n):
+                ci = coords_i[i]
+                if ci:
+                    row = g_int[i]
+                    q += ci * sum(row[j] * coords_i[j] for j in range(n))
+            if q != tgt_sq:
                 continue
-        yield tuple(coords)
+        yield tuple(Fraction(c) for c in coords_i)
 
 
 _AUTOMORPHISM_CACHE: dict = {}

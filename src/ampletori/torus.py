@@ -43,6 +43,13 @@ VERDICT_NOT_AMPLE = "not-S-ample"
 VERDICT_UNDECIDABLE = "undecidable"
 
 
+def finite_place(p: int, path: str) -> int:
+    """p itself when it is a prime, else an InputError at path."""
+    if not is_prime(p):
+        raise InputError(f"finite place {p} is not a prime", path)
+    return p
+
+
 @dataclass(frozen=True)
 class PlaceSet:
     """The set S of places: the real place plus finitely many primes.
@@ -60,8 +67,7 @@ class PlaceSet:
                 "S must contain the real place for SL_n/GL_n over Q"
             )
         for p in self.finite_primes:
-            if not is_prime(p):
-                raise InputError(f"finite place {p} is not a prime", "places")
+            finite_place(p, "places")
         object.__setattr__(
             self, "finite_primes", tuple(sorted(set(self.finite_primes)))
         )

@@ -12,6 +12,7 @@ IndependenceUndecided, which is distinct from a disproof.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -428,13 +429,27 @@ class DependenceWitness:
 
 
 def _is_torsion(e: EtaleAlgebra, u: Coords) -> int | None:
+    """The order of u if it is a root of unity of order ≤ 12, else None.
+
+    A power of a root of unity has |trace| ≤ n, so one past that ends it.
+    """
     one = e.one()
     acc = u
     for m in range(1, max(TORSION_ORDER_CANDIDATES) + 1):
         if acc == one:
             return m
+        if abs(e.trace(acc)) > e.n:
+            return None
         acc = e.mul(acc, u)
     return None
+
+
+def _precision_ladder(precision_cap: int) -> list[int]:
+    """The PRECISION_LADDER steps below the cap, then the cap itself."""
+    ladder = [b for b in PRECISION_LADDER if b <= precision_cap]
+    if not ladder or ladder[-1] != precision_cap:
+        ladder.append(precision_cap)
+    return ladder
 
 
 def _relation_search(
@@ -480,9 +495,7 @@ def verify_unit_system(
             f"torsion generator has order {order}, claimed {sys.torsion_order}"
         )
 
-    ladder = [b for b in PRECISION_LADDER if b <= precision_cap]
-    if not ladder or ladder[-1] != precision_cap:
-        ladder.append(precision_cap)
+    ladder = _precision_ladder(precision_cap)
     caveats = [
         "independence certified at the stated rank; fundamentality "
         "(that the generators span the full unit group) is not proven"
@@ -527,8 +540,12 @@ def search_units(
     """All elements with integer coordinates in the box whose norm is a target.
 
     Exhaustive within [−B, B]^n; results are sorted canonically (coordinate
-    1-norm, then lexicographic). The budget caps the candidate count.
+    1-norm, then lexicographic). The budget caps the candidate count. The
+    basis must be an order (else NotAnOrderError): its structure constants
+    are integers, so the walk runs in plain ints, and a non-integer target
+    matches nothing.
     """
+    e.require_order()
     n = e.n
     total = (2 * coord_bound + 1) ** n
     if total > budget:
@@ -538,49 +555,53 @@ def search_units(
     if norm_targets is None:
         norm_targets = default_norm_targets(s_primes)
     targets = {Fraction(t) for t in norm_targets}
+    int_targets = {int(t) for t in targets if t.denominator == 1}
 
     table = e.mult_table()
-    integral_table = all(
-        c.denominator == 1 for row in table for vec in row for c in vec
-    )
+    # tmats[i][r][c] = coordinate r of b_i * b_c
+    tmats = [
+        [[int(table[i][c][r]) for c in range(n)] for r in range(n)]
+        for i in range(n)
+    ]
+    coords = [0] * n
     out: list[Coords] = []
-    if integral_table:
-        # tmats[i][r][c] = coordinate r of b_i * b_c
-        tmats = [
-            [[int(table[i][c][r]) for c in range(n)] for r in range(n)]
-            for i in range(n)
-        ]
-        int_targets = {int(t) for t in targets if t.denominator == 1}
-        coords = [0] * n
 
-        def rec(i, acc):
-            if i == n:
-                if linalg.int_det(acc) in int_targets:
-                    out.append(tuple(Fraction(c) for c in coords))
-                return
-            ti = tmats[i]
-            for c in range(-coord_bound, coord_bound + 1):
-                coords[i] = c
-                if c == 0:
-                    rec(i + 1, acc)
-                else:
-                    nxt = [
-                        [acc[r][cc] + c * ti[r][cc] for cc in range(n)]
-                        for r in range(n)
-                    ]
-                    rec(i + 1, nxt)
+    def rec(i, acc):
+        if i == n:
+            if linalg.int_det(acc) in int_targets:
+                out.append(tuple(Fraction(c) for c in coords))
+            return
+        ti = tmats[i]
+        for c in range(-coord_bound, coord_bound + 1):
+            coords[i] = c
+            if c == 0:
+                rec(i + 1, acc)
+            else:
+                nxt = [
+                    [acc[r][cc] + c * ti[r][cc] for cc in range(n)]
+                    for r in range(n)
+                ]
+                rec(i + 1, nxt)
 
-        rec(0, [[0] * n for _ in range(n)])
-        out = [c for c in out if any(x != 0 for x in c)]
-    else:
-        for tup in itertools.product(range(-coord_bound, coord_bound + 1), repeat=n):
-            if all(c == 0 for c in tup):
-                continue
-            cand = tuple(Fraction(c) for c in tup)
-            if e.norm(cand) in targets:
-                out.append(cand)
+    rec(0, [[0] * n for _ in range(n)])
+    out = [c for c in out if any(x != 0 for x in c)]
     out.sort(key=lambda c: (sum(abs(x) for x in c), c))
     return out
+
+
+def _require_one_field(e: EtaleAlgebra) -> None:
+    if e.num_factors != 1:
+        raise UnsupportedError("torsion generator is computed for a single field factor")
+
+
+def _torsion_generator(orders) -> tuple[Coords, int]:
+    """The canonical unit of largest order among (unit, order or None) pairs."""
+    found = [(u, m) for u, m in orders if m is not None]
+    if not found:  # pragma: no cover - only if 1 has a coordinate outside the box
+        raise BudgetExceededError("no torsion unit found in the box")
+    best_order = max(m for _, m in found)
+    gen = min((u for u, m in found if m == best_order), key=_canonical_key)
+    return gen, best_order
 
 
 def torsion_units(e: EtaleAlgebra, coord_bound: int = 3, budget: int = 10**6):
@@ -590,19 +611,9 @@ def torsion_units(e: EtaleAlgebra, coord_bound: int = 3, budget: int = 10**6):
     powering. Single-factor algebras only (the torsion of a product of fields
     is not cyclic).
     """
-    if e.num_factors != 1:
-        raise UnsupportedError("torsion generator is computed for a single field factor")
-    found: list[tuple[Coords, int]] = []
-    for u in search_units(e, coord_bound, (), {Fraction(1), Fraction(-1)}, budget):
-        m = _is_torsion(e, u)
-        if m is not None:
-            found.append((u, m))
-    if not found:  # pragma: no cover - ±1 is always in any box ≥ 1
-        raise BudgetExceededError("no torsion unit found in the box")
-    best_order = max(m for _, m in found)
-    candidates = [u for u, m in found if m == best_order]
-    gen = min(candidates, key=_canonical_key)
-    return gen, best_order
+    _require_one_field(e)
+    units = search_units(e, coord_bound, (), {Fraction(1), Fraction(-1)}, budget)
+    return _torsion_generator((u, _is_torsion(e, u)) for u in units)
 
 
 def _canonical_key(coords: Coords):
@@ -638,11 +649,11 @@ def canonical_unit(
 # ---------------------------------------------------------------------------
 
 
-def _interval_mat_inv(mat: list[list[RationalInterval]]):
+def _interval_mat_inv(
+    mat: list[list[RationalInterval]], det: RationalInterval
+) -> list[list[RationalInterval]]:
+    """Interval inverse by cofactors; det is mat's certified determinant."""
     n = len(mat)
-    det = _interval_det(mat)
-    if not det.excludes_zero():
-        return None
     inv_det = RationalInterval(
         min(1 / det.lo, 1 / det.hi), max(1 / det.lo, 1 / det.hi)
     )
@@ -666,8 +677,8 @@ def _interval_mat_inv(mat: list[list[RationalInterval]]):
 def _express_from_rows(
     e: EtaleAlgebra,
     basis: list[Coords],
-    basis_rows,
-    columns,
+    cols: tuple[int, ...],
+    minv: list[list[RationalInterval]],
     u: Coords,
     u_row,
     torsion_gen: Coords,
@@ -676,19 +687,11 @@ def _express_from_rows(
 ):
     """Try u = torsion^k · (∏ basis^{a_i})^{1/d}; returns (a, d, k) verified.
 
-    Candidate exponents come from inverting a certified log minor; the final
+    Candidate exponents are u's log row on the basis's certified minor
+    columns cols times minv, the interval inverse of that minor; the final
     identity is verified by exact multiplication, so interval error can only
     cause a miss (caller escalates precision), never a wrong answer.
     """
-    base_emb = LogEmbedding(list(columns), list(basis_rows), 0)
-    found = find_certified_minor(base_emb)
-    if found is None:
-        return None
-    cols, _ = found
-    m = [[row[j] for j in cols] for row in basis_rows]
-    minv = _interval_mat_inv(m)
-    if minv is None:
-        return None
     r = len(basis)
     evec = []
     for i in range(r):
@@ -760,15 +763,20 @@ def assemble_unit_system(
     precision_cap: int = DEFAULT_PRECISION_CAP,
     budget: int = 10**6,
 ) -> UnitSystem:
-    """Search the box, pick a certified independent system, saturate it.
+    """Search the box once, pick a certified independent system, saturate it.
 
-    Saturation reduces every box unit against the chosen basis (exponents
-    recovered from certified logs and confirmed exactly); when a unit
-    generates a strictly larger lattice the basis is enlarged by an exact
-    Hermite-form step, so the final system generates every unit in the box.
+    The order (one field factor) is searched once. Its finite-order units of
+    sup-norm ≤ min(B, 3) give the torsion generator, as in torsion_units;
+    the rest form the free pool, log-embedded once per precision step.
+    Saturation reduces every pool unit against the basis through one
+    certified minor inverse per round and step (exponents from certified
+    logs, confirmed exactly); a unit generating a strictly larger lattice
+    enlarges the basis by an exact Hermite-form step, so the final system
+    generates every unit in the pool.
     """
-    torsion_gen, torsion_order = torsion_units(e, min(coord_bound, 3), budget)
-    pool = search_units(e, coord_bound, s_primes, default_norm_targets(s_primes), budget)
+    _require_one_field(e)
+    found = search_units(e, coord_bound, s_primes, default_norm_targets(s_primes), budget)
+    pool = found
     if s_primes:
         # saturate by pairwise ratios that are S-integral both ways
         extra = []
@@ -785,13 +793,20 @@ def assemble_unit_system(
                 seen.add(ratio)
         pool = sorted(set(pool) | set(extra), key=lambda c: (sum(abs(x) for x in c), c))
 
-    free_pool = [u for u in pool if _is_torsion(e, u) is None]
+    orders = {u: _is_torsion(e, u) for u in pool}
+    torsion_box = min(coord_bound, 3)
+    torsion_gen, torsion_order = _torsion_generator(
+        (u, orders[u]) for u in found if max(abs(c) for c in u) <= torsion_box
+    )
+    free_pool = [u for u in pool if orders[u] is None]
     target_rank = s_unit_rank(e, s_primes)
 
-    ladder = [b for b in PRECISION_LADDER if b <= precision_cap] or [precision_cap]
+    ladder = _precision_ladder(precision_cap)
+    # the free pool's log rows, built once per precision step of this call
+    pool_emb = functools.cache(lambda bits: build_log_embedding(e, free_pool, s_primes, bits))
     basis_idx: list[int] = []
     for bits in ladder:
-        emb_all = build_log_embedding(e, free_pool, s_primes, bits)
+        emb_all = pool_emb(bits)
         basis_idx = []
         for idx in range(len(free_pool)):
             if len(basis_idx) == target_rank:
@@ -812,22 +827,19 @@ def assemble_unit_system(
     for _round in range(8):
         changed = False
         for bits in ladder:
-            emb_all = build_log_embedding(e, basis + free_pool, s_primes, bits)
-            basis_rows = emb_all.rows[: len(basis)]
-            pending = []
-            for pi, u in enumerate(free_pool):
+            basis_emb = build_log_embedding(e, basis, s_primes, bits)
+            minor = find_certified_minor(basis_emb)
+            if minor is None:
+                continue
+            cols, det = minor
+            minv = _interval_mat_inv([[row[j] for j in cols] for row in basis_emb.rows], det)
+            pending = False
+            for u, u_row in zip(free_pool, pool_emb(bits).rows):
                 got = _express_from_rows(
-                    e,
-                    basis,
-                    basis_rows,
-                    emb_all.columns,
-                    u,
-                    emb_all.rows[len(basis) + pi],
-                    torsion_gen,
-                    torsion_order,
+                    e, basis, cols, minv, u, u_row, torsion_gen, torsion_order
                 )
                 if got is None:
-                    pending.append(u)
+                    pending = True
                     continue
                 nums, d, _k = got
                 if d > 1:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from ampletori import linalg
 from ampletori.polynomials import (
     FpPoly,
     QPoly,
@@ -215,3 +216,18 @@ def oracle_automorphisms(e, coord_bound: int):
         if integral and abs(_det([list(img) for img in images])) == 1:
             found.append(images)
     return sorted(found)
+
+
+def oracle_torsion_order(e, u, max_order: int = 12):
+    """Order of u by plain powering of its regular matrix, or None past max_order.
+
+    u^m = 1 exactly when pi(u)^m is the identity; no trace bound, no early stop.
+    """
+    m = e.regular_rep(u)
+    ident = linalg.identity(e.n)
+    acc = m
+    for k in range(1, max_order + 1):
+        if acc == ident:
+            return k
+        acc = linalg.mat_mul(acc, m)
+    return None

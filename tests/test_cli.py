@@ -208,3 +208,27 @@ def test_units_verify_precision_cap_below_one_is_input_error(
     ])
     assert code == 1
     assert json.loads(capsys.readouterr().out)["error"]["path"] == path
+
+
+@pytest.mark.parametrize(
+    "flags, path",
+    [
+        (["--s-primes", "x"], "--s-primes"),
+        (["--s-primes", "4"], "--s-primes"),
+        (["--s-primes", "5,0"], "--s-primes"),
+        (["--bound", "0"], "--bound"),
+        (["--bound", "-1"], "--bound"),
+    ],
+)
+def test_units_search_flags_are_validated(flags, path, gauss_file, monkeypatch, capsys):
+    monkeypatch.setattr("ampletori.cli.search_units", _refuse)
+    assert main(["--json", "units", "search", "--algebra", gauss_file, *flags]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["path"] == path
+
+
+def test_units_search_on_a_non_order_is_an_error(tmp_path, capsys):
+    p = tmp_path / "half.json"
+    p.write_text(json.dumps({"factors": [["1", "0", "1"]], "order_basis": [["1", "0"], ["0", "1/2"]]}))
+    assert main(["--json", "units", "search", "--algebra", str(p)]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["module"] == "etale" and err["message"].startswith("basis is not an order")

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ampletori import linalg, matgroups
+from ampletori.errors import NotAnOrderError
 from ampletori.etale import EtaleAlgebra
 from ampletori.matgroups import (
     AutomorphismDatum,
@@ -200,3 +201,21 @@ def test_normalization_holds_for_torus_elements():
     for e, u in [(GAUSS, (Fraction(0), Fraction(1))), (CUBIC, (Fraction(0), Fraction(1), Fraction(0)))]:
         ok, sigma = verify_normalization(e, e.regular_rep(u))
         assert ok and sigma.images == identity_automorphism(e).images
+
+
+def test_automorphism_search_requires_an_order(monkeypatch):
+    monkeypatch.setattr(matgroups, "_AUTOMORPHISM_CACHE", {})
+    half = EtaleAlgebra([QPoly([1, 0, 1])], [[1, 0], [0, Fraction(1, 2)]])
+    with pytest.raises(NotAnOrderError):
+        enumerate_automorphisms(half)
+    with pytest.raises(NotAnOrderError):
+        list(matgroups.box_elements_with_trace(half, Fraction(0), 3))
+
+
+def test_non_integer_trace_target_yields_nothing():
+    assert list(matgroups.box_elements_with_trace(GAUSS, Fraction(1, 2), 3)) == []
+    assert list(matgroups.box_elements_with_trace(GAUSS, Fraction(0), 3, Fraction(1, 3))) == []
+    assert list(matgroups.box_elements_with_trace(GAUSS, Fraction(0), 1, Fraction(-2))) == [
+        (Fraction(0), Fraction(-1)),
+        (Fraction(0), Fraction(1)),
+    ]

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from ampletori.errors import BudgetExceededError, UnsupportedError
+from ampletori import units
+from ampletori.errors import BudgetExceededError, NotAnOrderError, UnsupportedError
 from ampletori.etale import EtaleAlgebra
 from ampletori.places import signature
 from ampletori.polynomials import QPoly
@@ -12,7 +13,9 @@ from ampletori.units import (
     UnitSystem,
     assemble_unit_system,
     build_log_embedding,
+    _is_torsion,
     canonical_unit,
+    default_norm_targets,
     dirichlet_rank,
     find_certified_minor,
     matrix_is_s_integral,
@@ -23,7 +26,7 @@ from ampletori.units import (
     verify_unit_system,
 )
 
-from oracles import oracle_norm_five_box
+from oracles import oracle_norm_five_box, oracle_torsion_order
 
 CUBIC = EtaleAlgebra([QPoly([-1, 1, 0, 1])])
 GAUSS = EtaleAlgebra([QPoly([1, 0, 1])])
@@ -243,3 +246,95 @@ def test_dirichlet_consistency_with_certified_rank():
         sysx = assemble_unit_system(e, s, bound, budget=2 * 10**5)
         cert = verify_unit_system(sysx)
         assert cert.rank == expected == s_unit_rank(e, s)
+
+
+# cyclotomic and unit fields: mu_4, mu_6, mu_8, mu_10, mu_12, and mu_2 only
+TORSION_FIELDS = [
+    EtaleAlgebra([QPoly(c)])
+    for c in ([1, 0, 1], [1, 1, 1], [1, 0, 0, 0, 1], [1, 1, 1, 1, 1], [1, 0, -1, 0, 1], [-1, 1, 0, 1])
+]
+NON_ORDER = EtaleAlgebra([QPoly([1, 0, 1])], [[1, 0], [0, Fraction(1, 2)]])
+
+
+@pytest.mark.parametrize("e", TORSION_FIELDS + [SQRT2, QUARTIC], ids=repr)
+def test_is_torsion_matches_powering_oracle(e):
+    # every pool element of an S-unit search, non-units of norm ±5, ±25 included
+    pool = search_units(e, 2, (), default_norm_targets((5,)))
+    assert pool
+    for u in pool:
+        assert _is_torsion(e, u) == oracle_torsion_order(e, u)
+
+
+@pytest.mark.parametrize("bound", [1, 4])
+@pytest.mark.parametrize("e", TORSION_FIELDS, ids=repr)
+def test_assembled_torsion_equals_torsion_units(e, bound):
+    system = assemble_unit_system(e, (), bound)
+    assert (system.torsion_generator, system.torsion_order) == torsion_units(e, min(bound, 3))
+
+
+def test_assemble_searches_once_and_inverts_once_per_round(monkeypatch):
+    calls = {"search": 0, "inverse": 0}
+    sizes = []
+    search, inverse, embed = units.search_units, units._interval_mat_inv, units.build_log_embedding
+
+    def counting_search(*args, **kwargs):
+        calls["search"] += 1
+        return search(*args, **kwargs)
+
+    def counting_inverse(*args, **kwargs):
+        calls["inverse"] += 1
+        return inverse(*args, **kwargs)
+
+    def sizing_embed(e, elements, *args, **kwargs):
+        sizes.append(len(elements))
+        return embed(e, elements, *args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("torsion comes from the pool search")
+
+    monkeypatch.setattr(units, "search_units", counting_search)
+    monkeypatch.setattr(units, "_interval_mat_inv", counting_inverse)
+    monkeypatch.setattr(units, "build_log_embedding", sizing_embed)
+    monkeypatch.setattr(units, "torsion_units", refuse)
+    system = assemble_unit_system(GAUSS, (13, 29), 6)
+    assert system.rank == 4 == s_unit_rank(GAUSS, (13, 29))
+    assert calls["search"] == 1
+    # the free pool is embedded once; each saturation round and precision
+    # step embeds only the basis and inverts one minor of it
+    pool_size, *basis_sizes = sizes
+    assert pool_size > system.rank
+    assert basis_sizes and all(n == system.rank for n in basis_sizes)
+    assert calls["inverse"] == len(basis_sizes) < pool_size
+
+
+def test_assembly_climbs_to_the_precision_cap(monkeypatch):
+    # with certification blocked below 100 bits, a cap of 100 must still be
+    # tried: assembly and verification share one ladder, [64, 100]
+    minor = units.find_certified_minor
+    tried = set()
+
+    def late_minor(emb):
+        tried.add(emb.precision)
+        return minor(emb) if emb.precision >= 100 else None
+
+    monkeypatch.setattr(units, "find_certified_minor", late_minor)
+    system = assemble_unit_system(SQRT2, (), 3, precision_cap=100)
+    assert system.free_generators == [(Fraction(1), Fraction(1))]
+    assert tried == {64, 100}
+    assert verify_unit_system(system, 100).precision_bits == 100
+
+
+def test_searches_require_an_order():
+    with pytest.raises(NotAnOrderError):
+        search_units(NON_ORDER, 2, (), {Fraction(1)})
+    with pytest.raises(NotAnOrderError):
+        torsion_units(NON_ORDER)
+    with pytest.raises(NotAnOrderError):
+        assemble_unit_system(NON_ORDER, (), 2)
+
+
+def test_non_integer_norm_target_matches_nothing():
+    assert search_units(GAUSS, 2, (), {Fraction(1, 2)}) == []
+    assert search_units(GAUSS, 2, (), {Fraction(1, 2), Fraction(1)}) == search_units(
+        GAUSS, 2, (), {Fraction(1)}
+    )
