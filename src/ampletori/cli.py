@@ -223,12 +223,16 @@ def main(argv=None) -> int:
         else:
             print(f"error at {exc.path}: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except AmpleToriError as exc:
-        payload = {"error": {"message": str(exc), "module": exc.module}}
+    except Exception as exc:  # anything outside the taxonomy is an internal error
+        if isinstance(exc, AmpleToriError):
+            module, message = exc.module, str(exc)
+        else:
+            module, message = "internal", f"{type(exc).__name__}: {exc}"
+        payload = {"error": {"message": message, "module": module}}
         if args.json:
             sys.stdout.write(serialize.dumps(payload))
         else:
-            print(f"error [{exc.module}]: {exc}", file=sys.stderr)
+            print(f"error [{module}]: {message}", file=sys.stderr)
         return EXIT_ERROR
 
 

@@ -250,21 +250,22 @@ def intersect_row_spaces(a_rows: Sequence[Vec], b_rows: Sequence[Vec]) -> list[V
 def charpoly(a: Mat) -> list[Fraction]:
     """Characteristic polynomial det(tI − a), ascending coefficients, monic.
 
-    Faddeev–LeVerrier recursion; exact over Fraction.
+    Berkowitz's division-free algorithm (Inf. Proc. Lett. 18, 1984) on the
+    integer matrix d·a, d the lcm of the denominators of a; the coefficient
+    of t^k is then divided by d^(n−k).
     """
     n = len(a)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    m = identity(n)
-    c = Fraction(1)
-    for k in range(1, n + 1):
-        m = mat_mul(a, m)
-        c = -mat_trace(m) / k
-        coeffs[n - k] = c
-        m = tuple(
-            tuple(m[i][j] + (c if i == j else 0) for j in range(n)) for i in range(n)
-        )
-    return coeffs
+    d = math.lcm(*[x.denominator for row in a for x in row])
+    m = [[x.numerator * (d // x.denominator) for x in row] for row in a]
+    poly = [1]  # descending coefficients for the leading r×r block of m
+    for r in range(n):
+        col, row = [m[i][r] for i in range(r)], m[r][:r]
+        toep = [1, -m[r][r]]  # 1, −m_rr, −row·col, −row·M·col, …, M the r×r block
+        for _ in range(r):
+            toep.append(-sum(x * y for x, y in zip(row, col)))
+            col = [sum(x * y for x, y in zip(m[i], col)) for i in range(r)]
+        poly = [sum(toep[i - j] * poly[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
+    return [Fraction(c, d ** (n - k)) for k, c in enumerate(reversed(poly))]
 
 
 def is_integer_matrix(a: Mat) -> bool:

@@ -543,7 +543,11 @@ def search_units(
     1-norm, then lexicographic). The budget caps the candidate count. The
     basis must be an order (else NotAnOrderError): its structure constants
     are integers, so the walk runs in plain ints, and a non-integer target
-    matches nothing.
+    matches nothing. N(Σ x_i b_i) = det(Σ x_i T_i) has degree ≤ n in each
+    coordinate, so it is tabulated by forward differences from its values
+    at the m^n corner points {−B, …, −B+m−1}^n, m = min(n+1, 2B+1): those
+    are the only determinants taken, and every box point is then stepped
+    by integer additions and tested.
     """
     e.require_order()
     n = e.n
@@ -563,27 +567,40 @@ def search_units(
         [[int(table[i][c][r]) for c in range(n)] for r in range(n)]
         for i in range(n)
     ]
+    m = min(n + 1, 2 * coord_bound + 1)
+    span = range(-coord_bound, coord_bound + 1)
+    corner = [
+        linalg.int_det(
+            [[sum(x * t[r][c] for x, t in zip(pt, tmats)) for c in range(n)] for r in range(n)]
+        )
+        for pt in itertools.product(range(-coord_bound, m - coord_bound), repeat=n)
+    ]
     coords = [0] * n
     out: list[Coords] = []
 
-    def rec(i, acc):
-        if i == n:
-            if linalg.int_det(acc) in int_targets:
-                out.append(tuple(Fraction(c) for c in coords))
+    def rec(i, values):
+        # values: the norm on the corner of axes i.., axis i major
+        size = m ** (n - 1 - i)
+        d = [values[j * size:(j + 1) * size] for j in range(m)]
+        for k in range(1, m):  # d[j] becomes the j-th forward difference along axis i
+            for j in range(m - 1, k - 1, -1):
+                d[j] = [a - b for a, b in zip(d[j], d[j - 1])]
+        if i == n - 1:
+            d = [v[0] for v in d]
+            for c in span:
+                if d[0] in int_targets:
+                    coords[i] = c
+                    out.append(tuple(Fraction(x) for x in coords))
+                for k in range(m - 1):
+                    d[k] += d[k + 1]
             return
-        ti = tmats[i]
-        for c in range(-coord_bound, coord_bound + 1):
+        for c in span:
             coords[i] = c
-            if c == 0:
-                rec(i + 1, acc)
-            else:
-                nxt = [
-                    [acc[r][cc] + c * ti[r][cc] for cc in range(n)]
-                    for r in range(n)
-                ]
-                rec(i + 1, nxt)
+            rec(i + 1, d[0])
+            for k in range(m - 1):
+                d[k] = [a + b for a, b in zip(d[k], d[k + 1])]
 
-    rec(0, [[0] * n for _ in range(n)])
+    rec(0, corner)
     out = [c for c in out if any(x != 0 for x in c)]
     out.sort(key=lambda c: (sum(abs(x) for x in c), c))
     return out

@@ -218,6 +218,24 @@ def oracle_automorphisms(e, coord_bound: int):
     return sorted(found)
 
 
+def oracle_unit_search(e, coord_bound: int, targets):
+    """Nonzero box vectors whose norm is a target, by a lexicographic full-box walk.
+
+    The norm of x is the Laplace determinant of Σ x_i T_i, T_i the regular
+    matrix of the i-th order basis element; one determinant per box point,
+    no differences. Sorted lexicographically.
+    """
+    n = e.n
+    unit = [tuple(Fraction(int(i == j)) for i in range(n)) for j in range(n)]
+    tmats = [[_ints(e.mul(b, unit[c])) for c in range(n)] for b in unit]  # tmats[i][c][r]
+    found = []
+    for x in itertools.product(range(-coord_bound, coord_bound + 1), repeat=n):
+        m = [[sum(xi * t[c][r] for xi, t in zip(x, tmats)) for c in range(n)] for r in range(n)]
+        if any(x) and _det(m) in targets:
+            found.append(tuple(Fraction(xi) for xi in x))
+    return found
+
+
 def oracle_torsion_order(e, u, max_order: int = 12):
     """Order of u by plain powering of its regular matrix, or None past max_order.
 

@@ -232,3 +232,32 @@ def test_units_search_on_a_non_order_is_an_error(tmp_path, capsys):
     assert main(["--json", "units", "search", "--algebra", str(p)]) == 1
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["module"] == "etale" and err["message"].startswith("basis is not an order")
+
+
+@pytest.mark.parametrize("as_json", [True, False])
+def test_unexpected_exception_is_an_internal_error(as_json, tmp_path, monkeypatch, capsys):
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("ampletori.cli.run_pipeline", boom)
+    reqfile = tmp_path / "request.json"
+    reqfile.write_text(json.dumps({"algebra": CUBIC_ALGEBRA, "places": "inf"}))
+    assert main(["--json"] * as_json + ["construct", str(reqfile)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if as_json:
+        err = json.loads(captured.out)["error"]
+        assert err == {"message": "RuntimeError: boom", "module": "internal"}
+    else:
+        assert captured.err == "error [internal]: RuntimeError: boom\n"
+
+
+def test_keyboard_interrupt_is_not_swallowed(tmp_path, monkeypatch):
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("ampletori.cli.run_pipeline", interrupt)
+    reqfile = tmp_path / "request.json"
+    reqfile.write_text(json.dumps({"algebra": CUBIC_ALGEBRA, "places": "inf"}))
+    with pytest.raises(KeyboardInterrupt):
+        main(["construct", str(reqfile)])

@@ -111,6 +111,15 @@ def test_int_det_matches_sympy():
             assert linalg.int_det(a) == sympy.Matrix(n, n, [x for row in a for x in row]).det()
 
 
+@pytest.mark.parametrize("a", _cases(SQUARE, 16) + [()])
+def test_charpoly_matches_sympy(a):
+    # rational, singular (low-rank, zero row or column), 1×1 to 5×5 and 0×0
+    coeffs = linalg.charpoly(a)
+    expected = [_q(c) for c in reversed(_sym(a).charpoly().all_coeffs())]
+    assert coeffs == expected
+    assert all(isinstance(c, Fraction) for c in coeffs)
+
+
 @pytest.mark.parametrize("a", _cases(SQUARE + TALL + WIDE, 14) + EMPTY)
 def test_kernel_matches_sympy_nullspace(a):
     kernel = linalg.kernel_basis(a)

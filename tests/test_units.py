@@ -26,7 +26,7 @@ from ampletori.units import (
     verify_unit_system,
 )
 
-from oracles import oracle_norm_five_box, oracle_torsion_order
+from oracles import oracle_norm_five_box, oracle_torsion_order, oracle_unit_search
 
 CUBIC = EtaleAlgebra([QPoly([-1, 1, 0, 1])])
 GAUSS = EtaleAlgebra([QPoly([1, 0, 1])])
@@ -338,3 +338,41 @@ def test_non_integer_norm_target_matches_nothing():
     assert search_units(GAUSS, 2, (), {Fraction(1, 2), Fraction(1)}) == search_units(
         GAUSS, 2, (), {Fraction(1)}
     )
+
+
+# degrees 1 to 4, the order {1, 2x} of x^2+1, and two-factor algebras
+SEARCH_ALGEBRAS = [
+    EtaleAlgebra([QPoly([-3, 1])]),
+    GAUSS,
+    EtaleAlgebra([QPoly([1, 0, 1])], [[1, 0], [0, 2]]),
+    CUBIC,
+    QUARTIC,
+    EtaleAlgebra([QPoly([1, 0, 0, 0, 1])]),
+    EtaleAlgebra([QPoly([-1, 1]), QPoly([1, 0, 1])]),
+    EtaleAlgebra([QPoly([-2, 0, 1]), QPoly([1, 0, 1])]),
+]
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 4])
+@pytest.mark.parametrize("e", SEARCH_ALGEBRAS, ids=repr)
+def test_search_units_matches_full_box_oracle(e, bound):
+    # the corner is the whole box (2B+1 ≤ n+1) at bound 1 for n ≥ 2 and at
+    # bound 2 for n = 4; targets are the S-unit norms for S = {5} and 0,
+    # the norm of the zero divisors
+    targets = default_norm_targets((5,)) | {Fraction(0)}
+    found = search_units(e, bound, (5,), targets)
+    assert sorted(found) == oracle_unit_search(e, bound, targets)
+
+
+@pytest.mark.parametrize("e, bound", [(QUARTIC, 1), (QUARTIC, 9), (GAUSS, 6)], ids=str)
+def test_search_units_takes_one_determinant_per_corner_point(e, bound, monkeypatch):
+    calls = []
+    det = units.linalg.int_det
+
+    def counting_det(a):
+        calls.append(a)
+        return det(a)
+
+    monkeypatch.setattr(units.linalg, "int_det", counting_det)
+    search_units(e, bound)
+    assert len(calls) == min(e.n + 1, 2 * bound + 1) ** e.n
