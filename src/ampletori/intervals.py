@@ -3,8 +3,9 @@
 Used for sign determination of real algebraic quantities (log embeddings of
 units). Every operation returns an interval guaranteed to contain the true
 value; enclosures only ever widen, never shrink, so a sign verdict is a
-certificate. Logarithms come from the atanh series with an explicit tail
-bound — no floating point anywhere.
+certificate. Logarithms come from an atanh series summed in fixed point on
+Python integers, with a proven error bound, and have dyadic endpoints (an
+integer over a power of two) — no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -103,53 +104,105 @@ def eval_poly_interval(coeffs, x: RationalInterval) -> RationalInterval:
     return acc
 
 
-def _atanh_series(z: Fraction, bits: int) -> RationalInterval:
-    """Enclosure of atanh(z) for |z| ≤ 1/2 with tail error below 2^-bits."""
-    assert abs(z) <= Fraction(1, 2)
-    z2 = z * z
-    term = z
-    total = Fraction(0)
-    k = 0
-    tol = Fraction(1, 1 << (bits + 2))
-    while True:
-        total += term / (2 * k + 1)
-        term *= z2
+def _dyadic(lo: int, hi: int, p: int, shift: int = 0) -> RationalInterval:
+    """[lo, hi]·2^-(p+shift) widened outward onto the grid 2^-p."""
+    return RationalInterval(Fraction(lo >> shift, 1 << p), Fraction(-(-hi >> shift), 1 << p))
+
+
+def _atanh_fixed(num: int, den: int, q: int, stop: int) -> tuple[int, int]:
+    """(total, err) with |atanh(num/den)·2^q − total| ≤ err, for 0 ≤ num/den ≤ 1/2.
+
+    Sums the series in fixed point on the grid 2^-q until the odd power of
+    z falls to `stop` (in units of 2^-q) or below.
+    """
+    x = (num << q) // den  # z = (x + δ)·2^-q with 0 ≤ δ < 1, and x ≤ 2^(q-1)
+    y = (x * x) >> q  # (x·2^-q)² ∈ [y, y + 1)·2^-q, at most 1/4
+    total, t, k = 0, x, 0
+    while t > stop:
+        total += t // (2 * k + 1)
+        t = (t * y) >> q
         k += 1
-        # remaining tail: sum_{j>=k} |z|^(2j+1)/(2j+1) <= |term|/(1-z^2)
-        tail = abs(term) / (1 - z2)
-        if tail < tol:
-            break
-    return RationalInterval(total - tail, total + tail).round_outward(bits + 1)
+    # The bound, in units of 2^-q. Let X_j = (x·2^-q)^(2j+1)·2^q, so
+    # X_0 = t_0 = x and atanh(x·2^-q)·2^q = Σ_j X_j/(2j+1).
+    # - Powers: 0 ≤ X_j − t_j < 2 for every j. By induction, as
+    #   t_{j+1} = ⌊t_j·y·2^-q⌋ > t_j·y·2^-q − 1 and X_{j+1} = X_j·(x·2^-q)²,
+    #   X_{j+1} − t_{j+1} < (X_j − t_j)·1/4 + t_j·2^-q + 1 < 1/2 + 1/2 + 1.
+    # - Terms: each summed ⌊t_j/(2j+1)⌋ is below X_j/(2j+1) by less than
+    #   2/(2j+1) + 1 ≤ 5/3 (by 0 at j = 0), so the k of them by less than 2k.
+    # - Tail: Σ_{j≥k} X_j/(2j+1) ≤ X_k/(1 − 1/4) < (4/3)·(t + 2).
+    # - Rounding z to x: atanh is increasing with atanh′ = 1/(1 − s²) ≤ 4/3
+    #   on [0, 1/2], so 0 ≤ atanh(z)·2^q − atanh(x·2^-q)·2^q < 4/3.
+    # Hence 0 ≤ atanh(z)·2^q − total < 2k + (4/3)·(t + 3) ≤ err.
+    return total, 2 * k + (4 * t + 14) // 3
 
 
-@lru_cache(maxsize=None)
+def _atanh_grid(num: int, den: int, p: int) -> tuple[int, int]:
+    """Integers lo ≤ hi ≤ lo + 2 with lo·2^-p ≤ atanh(num/den) ≤ hi·2^-p.
+
+    Needs den > 0 and |num/den| ≤ 1/2. The series runs on the grid 2^-q,
+    q = p + g, and stops once the odd power is at most 2^(g-3). The powers
+    fall as t_k ≤ 2^(q-1-2k), so it sums k ≤ (p + 3)/2 terms and
+    2·err ≤ 4k + 2^g/3 + 10 ≤ 2^g (as 2^g > 32p): [total ± err] is at most
+    one step 2^-p wide, two once rounded outward.
+    """
+    if 2 * abs(num) > den:
+        raise ValueError("atanh series needs |z| <= 1/2")
+    if num == 0:
+        return 0, 0
+    g = p.bit_length() + 5
+    total, err = _atanh_fixed(abs(num), den, p + g, 1 << (g - 3))
+    lo, hi = (total - err) >> g, -(-(total + err) >> g)
+    return (lo, hi) if num > 0 else (-hi, -lo)
+
+
+def _atanh_series(z: Fraction, bits: int) -> RationalInterval:
+    """Enclosure of atanh(z) for |z| ≤ 1/2, at most 2^-bits wide."""
+    p = bits + 1
+    return _dyadic(*_atanh_grid(z.numerator, z.denominator, p), p)
+
+
+@lru_cache(maxsize=32)
 def log2_interval(bits: int) -> RationalInterval:
-    # ln 2 = 2 atanh(1/3)
-    return _atanh_series(Fraction(1, 3), bits + 2).scale(2).round_outward(bits)
+    """ln 2 = 2 atanh(1/3) on the grid 2^-bits, at most 2^(1-bits) wide."""
+    return _atanh_series(Fraction(1, 3), bits).scale(2)
+
+
+def _on_grid(x: Fraction, p: int) -> int:
+    """x·2^p for x a multiple of 2^-p."""
+    return x.numerator << (p + 1 - x.denominator.bit_length())
 
 
 @lru_cache(maxsize=4096)
 def log_fraction(q: Fraction, bits: int = 64) -> RationalInterval:
-    """Certified enclosure of ln(q) for rational q > 0, error below 2^-bits."""
+    """Certified enclosure of ln(q) for rational q > 0, at most 2^(1-bits) wide.
+
+    q = 2^e·m with m in [2/3, 4/3), and ln q = e·ln 2 + 2 atanh(z) with
+    z = (m−1)/(m+1), |z| ≤ 1/5. Both parts are summed on the grid 2^-p,
+    p = bits + 4 + bit_length(|e|), where ln 2 and atanh(z) are each at
+    most two steps wide. The sum is at most 2|e| + 4 < 2^(p-bits) steps wide,
+    so rounded outward to the grid 2^-bits it is at most two of those.
+    """
     q = Fraction(q)
     if q <= 0:
         raise ValueError("log of a non-positive rational")
-    # normalize q = 2^e * m with m in [1/2, 1)
-    e = 0
-    m = q
-    while m >= 1:
-        m /= 2
-        e += 1
-    while m < Fraction(1, 2):
-        m *= 2
-        e -= 1
-    if m == Fraction(1, 2) and e != 0:
-        m, e = Fraction(1), e - 1  # keep z small for exact powers of two
-    # ln q = e ln2 + 2 atanh((m-1)/(m+1)), with |(m-1)/(m+1)| <= 1/3
-    z = (m - 1) / (m + 1)
-    part = _atanh_series(z, bits + 4).scale(2)
-    ln2 = log2_interval(bits + 4)
-    return (ln2.scale(e) + part).round_outward(bits)
+    a, b = q.numerator, q.denominator
+    e = a.bit_length() - b.bit_length()  # 2^(e-1) < q < 2^(e+1)
+    if e >= 0:
+        b <<= e
+    else:
+        a <<= -e
+    # m = a/b lies in (1/2, 2)
+    if 3 * a < 2 * b:
+        a, e = 2 * a, e - 1
+    elif 3 * a >= 4 * b:
+        b, e = 2 * b, e + 1
+    p = bits + 4 + abs(e).bit_length()
+    ln2 = log2_interval(p)
+    l_lo, l_hi = _on_grid(ln2.lo, p), _on_grid(ln2.hi, p)
+    if e < 0:
+        l_lo, l_hi = l_hi, l_lo
+    s_lo, s_hi = _atanh_grid(a - b, a + b, p)
+    return _dyadic(e * l_lo + 2 * s_lo, e * l_hi + 2 * s_hi, bits, p - bits)
 
 
 def log_interval(x: RationalInterval, bits: int = 64) -> RationalInterval:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ampletori
 from ampletori.cli import main
 
 GAUSS_ALGEBRA = {"factors": [["1", "0", "1"]], "order_basis": None}
@@ -261,3 +266,14 @@ def test_keyboard_interrupt_is_not_swallowed(tmp_path, monkeypatch):
     reqfile.write_text(json.dumps({"algebra": CUBIC_ALGEBRA, "places": "inf"}))
     with pytest.raises(KeyboardInterrupt):
         main(["construct", str(reqfile)])
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(ampletori.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ampletori", "--help"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "verify-paper" in proc.stdout

@@ -7,6 +7,7 @@ import pytest
 from ampletori.intervals import (
     RationalInterval,
     eval_poly_interval,
+    log2_interval,
     log_fraction,
     log_interval,
 )
@@ -45,6 +46,15 @@ def test_log_fraction_against_float_oracle():
         assert iv.width <= Fraction(1, 2**62)  # outward rounding costs 2 ulps
         ref = math.log(float(q))
         assert float(iv.lo) - 1e-12 <= ref <= float(iv.hi) + 1e-12
+
+
+def test_log_fraction_is_exact_at_one():
+    assert log_fraction(Fraction(1), 64) == RationalInterval(Fraction(0), Fraction(0))
+
+
+def test_interval_caches_are_bounded():
+    assert log_fraction.cache_info().maxsize is not None
+    assert log2_interval.cache_info().maxsize is not None
 
 
 def test_log_is_additive_within_enclosures():

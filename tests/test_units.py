@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ampletori import units
+from ampletori import pipeline, units
 from ampletori.errors import BudgetExceededError, NotAnOrderError, UnsupportedError
 from ampletori.etale import EtaleAlgebra
 from ampletori.places import signature
@@ -376,3 +376,22 @@ def test_search_units_takes_one_determinant_per_corner_point(e, bound, monkeypat
     monkeypatch.setattr(units.linalg, "int_det", counting_det)
     search_units(e, bound)
     assert len(calls) == min(e.n + 1, 2 * bound + 1) ** e.n
+
+
+# What verify_unit_system certifies for the assembled unit systems of examples
+# 5.1–5.4, recorded from the Fraction-series logarithms: tighter log
+# enclosures must not change which minor certifies or at which precision.
+PAPER_UNIT_CERTIFICATES = {
+    "ex51": (("real(0.0)",), 64),
+    "ex52": (("real(0.0)", "real(0.1)", "real(0.2)"), 64),
+    "ex53": (("real(0.0)",), 64),
+    "ex54": (("complex(0.0)", "v(5/0.0)"), 64),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAPER_UNIT_CERTIFICATES))
+def test_paper_unit_certificates_keep_their_minor_and_precision(name):
+    golden = pipeline._load_golden(pipeline.corpus_dir(), f"{name}.json")
+    req = pipeline.PipelineRequest.from_json(golden["request"])
+    cert = verify_unit_system(pipeline._resolve_units(req), req.precision_cap)
+    assert (cert.minor_columns, cert.precision_bits) == PAPER_UNIT_CERTIFICATES[name]
