@@ -7,6 +7,11 @@ Elements are coordinate vectors in the order basis, so integrality of an
 element is integrality of its coordinates. The regular representation sends
 an element to the matrix of multiplication-by-it in the order basis; all the
 explicit matrices downstream come from this map.
+
+The ring operations run on Python integers: the structure constants are
+kept once as integers over their common denominator D (1 for an order),
+each operand is scaled to integers over the lcm of its own denominators,
+and `Fraction`s are made only for the entries returned.
 """
 
 from __future__ import annotations
@@ -16,10 +21,25 @@ from typing import Iterable, Sequence
 
 from . import linalg
 from .errors import NotAnOrderError, SingularMatrixError
-from .linalg import Mat, Vec
+from .linalg import Mat, Vec, _integer_form
 from .polynomials import QPoly, is_irreducible_q
 
 Coords = Vec
+
+
+def _integer_columns(a: Mat) -> tuple[list[list[int]], int]:
+    """(cols, d): d the lcm of the square a's denominators, column j of a = cols[j]/d."""
+    flat, d = _integer_form([x for col in zip(*a) for x in col])
+    n = len(a)
+    return [flat[i : i + n] for i in range(0, n * n, n)], d
+
+
+def _vec_mat(v: Coords, mat: tuple[list[list[int]], int]) -> Coords:
+    """v·a for mat = _integer_columns(a)."""
+    cols, d = mat
+    v, dv = _integer_form(v)
+    d *= dv
+    return tuple(Fraction(sum(x * y for x, y in zip(v, col)), d) for col in cols)
 
 
 class EtaleAlgebra:
@@ -55,10 +75,12 @@ class EtaleAlgebra:
             if len(self.order_basis) != self.n or len(self.order_basis[0]) != self.n:
                 raise ValueError("order basis must be n x n")
         try:
-            self._basis_inv = linalg.mat_inv(self.order_basis)
+            self._inv_int = _integer_columns(linalg.mat_inv(self.order_basis))
         except SingularMatrixError:
             raise SingularMatrixError("order basis matrix is singular") from None
+        self._basis_int = _integer_columns(self.order_basis)
         self._mult_table: list[list[Coords]] | None = None
+        self._int_table = None
         power = [Fraction(0)] * self.n
         for off in self.offsets:
             power[off] = Fraction(1)
@@ -67,16 +89,10 @@ class EtaleAlgebra:
     # -- coordinates ---------------------------------------------------------
     def to_power(self, coords: Coords) -> Coords:
         """Order-basis coordinates -> concatenated power-basis coordinates."""
-        b = self.order_basis
-        return tuple(
-            sum(coords[i] * b[i][j] for i in range(self.n)) for j in range(self.n)
-        )
+        return _vec_mat(coords, self._basis_int)
 
     def from_power(self, power: Coords) -> Coords:
-        b = self._basis_inv
-        return tuple(
-            sum(power[i] * b[i][j] for i in range(self.n)) for j in range(self.n)
-        )
+        return _vec_mat(power, self._inv_int)
 
     def zero(self) -> Coords:
         return tuple(Fraction(0) for _ in range(self.n))
@@ -113,19 +129,19 @@ class EtaleAlgebra:
         return tuple(out)
 
     def mul(self, a: Coords, b: Coords) -> Coords:
-        table = self.mult_table()
-        out = [Fraction(0)] * self.n
-        for i, ai in enumerate(a):
+        table, _, den = self._int_structure()
+        a, da = _integer_form(a)
+        b, db = _integer_form(b)
+        out = [0] * self.n
+        for ai, row in zip(a, table):
             if ai:
-                row = table[i]
-                for j, bj in enumerate(b):
+                for bj, pairs in zip(b, row):
                     if bj:
                         c = ai * bj
-                        t = row[j]
-                        for k in range(self.n):
-                            if t[k]:
-                                out[k] += c * t[k]
-        return tuple(out)
+                        for k, t in pairs:
+                            out[k] += c * t
+        den *= da * db
+        return tuple(Fraction(x, den) for x in out)
 
     def add(self, a: Coords, b: Coords) -> Coords:
         return tuple(x + y for x, y in zip(a, b))
@@ -146,6 +162,21 @@ class EtaleAlgebra:
             self._mult_table = table
         return self._mult_table
 
+    def _int_structure(self):
+        """(T, tr, D): D the lcm of the table's denominators, T[i][j] the
+        sparse (k, D·c_k) pairs of b_i·b_j, and tr[i] = D·Tr(b_i)."""
+        if self._int_table is None:
+            n = self.n
+            flat, den = _integer_form([c for row in self.mult_table() for t in row for c in t])
+            cells = [flat[s : s + n] for s in range(0, n**3, n)]  # b_i·b_j at i·n + j
+            table = [
+                [[(k, c) for k, c in enumerate(cells[i * n + j]) if c] for j in range(n)]
+                for i in range(n)
+            ]
+            tr = [sum(cells[i * n + j][j] for j in range(n)) for i in range(n)]
+            self._int_table = (table, tr, den)
+        return self._int_table
+
     def power(self, a: Coords, k: int) -> Coords:
         if k < 0:
             return self.power(self.inverse(a), -k)
@@ -163,26 +194,31 @@ class EtaleAlgebra:
         return linalg.solve(m, self.one())
 
     # -- the regular representation ------------------------------------------
+    def _int_rep(self, a: Coords) -> tuple[list[list[int]], int]:
+        """(M, d) with M an integer matrix and M/d the regular representation of a."""
+        table, _, den = self._int_structure()
+        a, da = _integer_form(a)
+        m = [[0] * self.n for _ in range(self.n)]
+        for ai, row in zip(a, table):
+            if ai:
+                for j, pairs in enumerate(row):
+                    for k, t in pairs:
+                        m[k][j] += ai * t
+        return m, da * den
+
     def regular_rep(self, a: Coords) -> Mat:
         """Matrix of multiplication-by-a: column j holds coords of a·b_j."""
-        table = self.mult_table()
-        cols = []
-        for j in range(self.n):
-            col = [Fraction(0)] * self.n
-            for i, ai in enumerate(a):
-                if ai:
-                    t = table[i][j]
-                    for k in range(self.n):
-                        if t[k]:
-                            col[k] += ai * t[k]
-            cols.append(col)
-        return tuple(tuple(cols[j][i] for j in range(self.n)) for i in range(self.n))
+        m, den = self._int_rep(a)
+        return tuple(tuple(Fraction(x, den) for x in row) for row in m)
 
     def norm(self, a: Coords) -> Fraction:
-        return linalg.mat_det(self.regular_rep(a))
+        m, den = self._int_rep(a)
+        return Fraction(linalg.int_det(m), den**self.n)
 
     def trace(self, a: Coords) -> Fraction:
-        return linalg.mat_trace(self.regular_rep(a))
+        _, tr, den = self._int_structure()
+        a, da = _integer_form(a)
+        return Fraction(sum(x * t for x, t in zip(a, tr)), da * den)
 
     def charpoly(self, a: Coords) -> QPoly:
         return QPoly(linalg.charpoly(self.regular_rep(a)))

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .linalg import _integer_form
+
 
 @dataclass(frozen=True)
 class RationalInterval:
@@ -93,15 +95,24 @@ class RationalInterval:
         return f"[{self.lo}, {self.hi}]"
 
 
-ZERO = RationalInterval(Fraction(0), Fraction(0))
-
-
 def eval_poly_interval(coeffs, x: RationalInterval) -> RationalInterval:
-    """Horner evaluation of a polynomial (ascending Fraction coeffs) at x."""
-    acc = ZERO
+    """Horner evaluation of a polynomial (ascending Fraction coeffs) at x.
+
+    Interval Horner on integer numerators: x = [p, r]/q, the coefficients
+    over their lcm e, and the accumulator over e·q^k after k steps. The
+    shared denominator is positive, so min and max pick the same products
+    as rational interval arithmetic would, and the endpoints are equal.
+    """
+    (p, r), q = _integer_form((x.lo, x.hi))
+    coeffs, e = _integer_form(coeffs)
+    lo = hi = 0
+    qk = 1
     for c in reversed(coeffs):
-        acc = acc * x + RationalInterval.point(c)
-    return acc
+        qk *= q
+        t = c * qk
+        products = (lo * p, lo * r, hi * p, hi * r)
+        lo, hi = min(products) + t, max(products) + t
+    return RationalInterval(Fraction(lo, e * qk), Fraction(hi, e * qk))
 
 
 def _dyadic(lo: int, hi: int, p: int, shift: int = 0) -> RationalInterval:

@@ -81,12 +81,18 @@ def mat_trace(a: Mat) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), Fraction(0))
 
 
+def _integer_form(v) -> tuple[list[int], int]:
+    """(ints, d) with d the lcm of the denominators of the rationals v and v = ints/d."""
+    d = math.lcm(*[x.denominator for x in v])
+    return [x.numerator * (d // x.denominator) for x in v], d
+
+
 def _integer_rows(a) -> tuple[list[list[int]], int]:
     """Row i of a rational matrix times the lcm d_i of its denominators; Π d_i."""
     rows, scale = [], 1
     for row in a:
-        d = math.lcm(*[x.denominator for x in row])
-        rows.append([x.numerator * (d // x.denominator) for x in row])
+        ints, d = _integer_form(row)
+        rows.append(ints)
         scale *= d
     return rows, scale
 

@@ -34,6 +34,7 @@ PRECISION_LADDER = (64, 128, 256)
 DEFAULT_PRECISION_CAP = 256
 RELATION_EXPONENT_BOUND = 8
 TORSION_ORDER_CANDIDATES = (1, 2, 3, 4, 5, 6, 8, 10, 12)  # phi(m) <= 4
+CACHED_POLYNOMIALS = 256  # bound of the root and real-split caches
 
 
 # ---------------------------------------------------------------------------
@@ -213,39 +214,37 @@ class LogEmbedding:
         return LogEmbedding(self.columns, [self.rows[i] for i in row_indices], self.precision)
 
 
-class _RootCache:
-    def __init__(self):
-        self._isolated: dict = {}
-        self._refined: dict = {}
+class _PolynomialLRU(dict):
+    """Per-polynomial values, keeping the CACHED_POLYNOMIALS most recently used."""
 
-    def refined_roots(self, f: QPoly, bits: int):
-        key = f.coeffs
-        if key not in self._isolated:
-            self._isolated[key] = isolate_real_roots(f)
-        roots = []
-        width = Fraction(1, 1 << bits)
-        for idx, iso in enumerate(self._isolated[key]):
-            rkey = (key, idx)
-            cur = self._refined.get(rkey, iso)
-            if cur[1] - cur[0] > width:
-                cur = refine_root(f, cur[0], cur[1], width)
-                self._refined[rkey] = cur
-            roots.append(cur)
-        return roots
+    def store(self, key, value):
+        self.pop(key, None)
+        self[key] = value
+        if len(self) > CACHED_POLYNOMIALS:
+            del self[next(iter(self))]
+        return value
 
 
-_ROOTS = _RootCache()
-_SPLITS: dict = {}
+_ROOTS = _PolynomialLRU()  # f.coeffs -> isolating intervals of its real roots
+_SPLITS = _PolynomialLRU()  # f.coeffs -> (bits, certified real quadratic split)
+
+
+def _refined_roots(f: QPoly, bits: int):
+    roots = _ROOTS.get(f.coeffs)
+    if roots is None:
+        roots = isolate_real_roots(f)
+    width = Fraction(1, 1 << bits)
+    roots = [r if r[1] - r[0] <= width else refine_root(f, r[0], r[1], width) for r in roots]
+    return _ROOTS.store(f.coeffs, roots)
 
 
 def _real_split_cached(f: QPoly, bits: int):
     from .realsplit import real_quadratic_split
 
-    key = f.coeffs
-    cached = _SPLITS.get(key)
+    cached = _SPLITS.get(f.coeffs)
     if cached is None or cached[0] < bits:
-        _SPLITS[key] = (bits, real_quadratic_split(f, bits))
-    return _SPLITS[key][1]
+        cached = (bits, real_quadratic_split(f, bits))
+    return _SPLITS.store(f.coeffs, cached)[1]
 
 
 def _complex_log_value(
@@ -275,7 +274,7 @@ def _real_log_value(
     comp = e.factor_component(u, k)
     attempt_bits = bits
     while True:
-        lo, hi = _ROOTS.refined_roots(f, attempt_bits)[root_idx]
+        lo, hi = _refined_roots(f, attempt_bits)[root_idx]
         val = eval_poly_interval(comp.coeffs, RationalInterval(lo, hi))
         if val.excludes_zero():
             return log_interval(abs(val), bits)
@@ -611,11 +610,14 @@ def _require_one_field(e: EtaleAlgebra) -> None:
         raise UnsupportedError("torsion generator is computed for a single field factor")
 
 
-def _torsion_generator(orders) -> tuple[Coords, int]:
-    """The canonical unit of largest order among (unit, order or None) pairs."""
+def _torsion_generator(orders, coord_bound: int) -> tuple[Coords, int]:
+    """The canonical unit of largest order among (unit, order or None) pairs
+    from the box of sup-norm ≤ coord_bound, which may hold no torsion."""
     found = [(u, m) for u, m in orders if m is not None]
-    if not found:  # pragma: no cover - only if 1 has a coordinate outside the box
-        raise BudgetExceededError("no torsion unit found in the box")
+    if not found:
+        raise BudgetExceededError(
+            f"no torsion unit found in the box of sup-norm <= {coord_bound}"
+        )
     best_order = max(m for _, m in found)
     gen = min((u for u, m in found if m == best_order), key=_canonical_key)
     return gen, best_order
@@ -630,7 +632,7 @@ def torsion_units(e: EtaleAlgebra, coord_bound: int = 3, budget: int = 10**6):
     """
     _require_one_field(e)
     units = search_units(e, coord_bound, (), {Fraction(1), Fraction(-1)}, budget)
-    return _torsion_generator((u, _is_torsion(e, u)) for u in units)
+    return _torsion_generator(((u, _is_torsion(e, u)) for u in units), coord_bound)
 
 
 def _canonical_key(coords: Coords):
@@ -782,9 +784,9 @@ def assemble_unit_system(
 ) -> UnitSystem:
     """Search the box once, pick a certified independent system, saturate it.
 
-    The order (one field factor) is searched once. Its finite-order units of
-    sup-norm ≤ min(B, 3) give the torsion generator, as in torsion_units;
-    the rest form the free pool, log-embedded once per precision step.
+    The order (one field factor) is searched once. Its finite-order units in
+    the box give the torsion generator, as in torsion_units; the rest form
+    the free pool, log-embedded once per precision step.
     Saturation reduces every pool unit against the basis through one
     certified minor inverse per round and step (exponents from certified
     logs, confirmed exactly); a unit generating a strictly larger lattice
@@ -811,9 +813,8 @@ def assemble_unit_system(
         pool = sorted(set(pool) | set(extra), key=lambda c: (sum(abs(x) for x in c), c))
 
     orders = {u: _is_torsion(e, u) for u in pool}
-    torsion_box = min(coord_bound, 3)
     torsion_gen, torsion_order = _torsion_generator(
-        (u, orders[u]) for u in found if max(abs(c) for c in u) <= torsion_box
+        ((u, orders[u]) for u in found), coord_bound
     )
     free_pool = [u for u in pool if orders[u] is None]
     target_rank = s_unit_rank(e, s_primes)

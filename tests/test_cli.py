@@ -268,12 +268,49 @@ def test_keyboard_interrupt_is_not_swallowed(tmp_path, monkeypatch):
         main(["construct", str(reqfile)])
 
 
-def test_python_dash_m_runs_the_cli():
+def _run_cli_in_fresh_process(*argv):
     src = str(Path(ampletori.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "ampletori", "--help"], capture_output=True, text=True, env=env
+    return subprocess.run(
+        [sys.executable, "-m", "ampletori", *argv], capture_output=True, text=True, env=env
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _run_cli_in_fresh_process("--help")
     assert proc.returncode == 0, proc.stderr
     assert "verify-paper" in proc.stdout
+
+
+def test_construct_is_byte_identical_after_unrelated_runs(tmp_path, monkeypatch, capsys):
+    from ampletori import units
+
+    def request(name, factors, places):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({
+            "algebra": {"factors": [factors], "order_basis": None},
+            "ambient": "SL",
+            "places": places,
+            "unit_source": {"search": {"coord_bound": 3}},
+        }))
+        return str(path)
+
+    target = request("totally-real-cubic", ["1", "-3", "0", "1"], "inf")
+    unrelated = [
+        request("gauss", ["1", "0", "1"], "inf,5"),
+        request("sqrt2", ["-2", "0", "1"], "inf,7"),
+        request("cubic", ["-1", "1", "0", "1"], "inf"),
+    ]
+    fresh = _run_cli_in_fresh_process("--json", "construct", target)
+    assert fresh.returncode == 0, fresh.stderr
+    # with the root and split caches bounded at one polynomial, each
+    # unrelated run evicts what the target run cached, and the rerun misses
+    for bound in (units.CACHED_POLYNOMIALS, 1):
+        monkeypatch.setattr(units, "CACHED_POLYNOMIALS", bound)
+        main(["--json", "construct", target])
+        for path in unrelated:
+            main(["--json", "construct", path])
+        capsys.readouterr()
+        main(["--json", "construct", target])
+        assert capsys.readouterr().out == fresh.stdout

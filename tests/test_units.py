@@ -395,3 +395,35 @@ def test_paper_unit_certificates_keep_their_minor_and_precision(name):
     req = pipeline.PipelineRequest.from_json(golden["request"])
     cert = verify_unit_system(pipeline._resolve_units(req), req.precision_cap)
     assert (cert.minor_columns, cert.precision_bits) == PAPER_UNIT_CERTIFICATES[name]
+
+
+SHIFTED_SQRT2 = EtaleAlgebra([QPoly([-2, 0, 1])], [[1, 5], [0, 1]])  # 1 = (1, -5)
+
+
+def test_torsion_is_taken_from_the_whole_box():
+    assert SHIFTED_SQRT2.is_order() == (True, None)
+    system = assemble_unit_system(SHIFTED_SQRT2, (), 6)
+    assert (system.torsion_generator, system.torsion_order) == ((Fraction(-1), Fraction(5)), 2)
+    assert system.free_generators == [(Fraction(1), Fraction(-4))]  # 1 + x
+    assert torsion_units(SHIFTED_SQRT2, 6) == ((Fraction(-1), Fraction(5)), 2)
+
+
+def test_a_box_without_torsion_names_its_bound():
+    # ±1 = ±(1, -5) lie outside the box of sup-norm 3
+    with pytest.raises(BudgetExceededError, match="sup-norm <= 3"):
+        assemble_unit_system(SHIFTED_SQRT2, (), 3)
+    with pytest.raises(BudgetExceededError, match="sup-norm <= 3"):
+        torsion_units(SHIFTED_SQRT2, 3)
+
+
+def test_root_cache_keeps_the_most_recently_used_polynomials(monkeypatch):
+    monkeypatch.setattr(units, "CACHED_POLYNOMIALS", 2)
+    monkeypatch.setattr(units, "_ROOTS", units._PolynomialLRU())
+    f, g, h = QPoly([-2, 0, 1]), QPoly([-3, 0, 1]), QPoly([-1, -1, 1])
+    first = units._refined_roots(f, 64)
+    units._refined_roots(g, 64)
+    assert units._refined_roots(f, 64) == first  # f is now the most recent
+    units._refined_roots(h, 64)
+    assert list(units._ROOTS) == [f.coeffs, h.coeffs]
+    assert units._refined_roots(g, 64) == units._refined_roots(g, 64)
+    assert len(units._ROOTS) == 2
