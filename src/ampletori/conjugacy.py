@@ -2,11 +2,12 @@
 
 Published generator matrices depend on an unstated Z-basis of the order.
 Rather than enumerate conjugators blindly, this module identifies which
-order elements the target matrices represent (by characteristic polynomial,
-through a box search), propagates the algebra map through a primitive
-element, and then looks for a unimodular integer point in the resulting
-intertwiner space — a rational solution space of dimension at most n, which
-is searched within a bounded coefficient box.
+order element the first target matrix represents (by characteristic
+polynomial, through a box search), and then looks for a unimodular integer
+point in the resulting intertwiner space — a rational solution space of
+dimension at most n, which is searched within a bounded coefficient box.
+That element is primitive, so one intertwining condition fixes the algebra
+map, and every other unit target is read off through the conjugator found.
 """
 
 from __future__ import annotations
@@ -19,7 +20,15 @@ from fractions import Fraction
 from . import linalg
 from .etale import Coords, EtaleAlgebra
 from .linalg import Mat
-from .matgroups import AutomorphismDatum, automorphism_matrix, enumerate_automorphisms
+from .matgroups import (
+    AutomorphismDatum,
+    automorphism_matrix,
+    box_elements_with_trace,
+    enumerate_automorphisms,
+)
+
+UNIT_BOX = 12  # sup-norm box of the order elements matched to the first unit target
+COEFF_BOX = 20  # coefficient box of the unimodular point in the intertwiner space
 
 
 @dataclass
@@ -35,33 +44,11 @@ def _charpoly_of(m: Mat) -> tuple[Fraction, ...]:
     return tuple(linalg.charpoly(m))
 
 
-def _matrix_powers(m: Mat, k: int) -> list[Mat]:
-    out = [linalg.identity(len(m))]
-    for _ in range(k - 1):
-        out.append(linalg.mat_mul(out[-1], m))
-    return out
-
-
-def _element_powers(e: EtaleAlgebra, u: Coords, k: int) -> list[Coords]:
-    out = [e.one()]
-    for _ in range(k - 1):
-        out.append(e.mul(out[-1], u))
-    return out
-
-
 def _is_primitive(e: EtaleAlgebra, u: Coords) -> bool:
-    rows = _element_powers(e, u, e.n)
-    return linalg.rank(tuple(rows)) == e.n
-
-
-def _express_in_powers(e: EtaleAlgebra, u: Coords, target: Coords):
-    """Coefficients q with target = Σ q_k u^k, or None."""
-    powers = _element_powers(e, u, e.n)
-    mat = linalg.transpose(tuple(powers))
-    try:
-        return linalg.solve(mat, target)
-    except linalg.SingularMatrixError:
-        return None
+    powers = [e.one()]
+    for _ in range(e.n - 1):
+        powers.append(e.mul(powers[-1], u))
+    return linalg.rank(tuple(powers)) == e.n
 
 
 def _candidates_with_charpoly(
@@ -74,8 +61,6 @@ def _candidates_with_charpoly(
     increasing sup-norm: when more than ``limit`` elements match, the ones
     kept are those whose enumerated coordinates are smallest.
     """
-    from .matgroups import box_elements_with_trace
-
     n = e.n
     # Newton's identities: trace = -a_{n-1}, trace of squares = a_{n-1}^2 - 2 a_{n-2}
     target_trace = -chi[n - 1]
@@ -94,31 +79,24 @@ def _intertwiner_space(conditions: list[tuple[Mat, Mat]], n: int) -> list[Mat]:
     """Basis of {P : P·A = B·P for every (A, B) condition}."""
     rows = []
     for a, b in conditions:
-        # (P·A − B·P)[i][j] = Σ_k P[i][k]A[k][j] − B[i][k]P[k][j]
+        # d·(P·A − B·P)[i][j] = Σ_k d·A[k][j]·P[i][k] − d·B[i][k]·P[k][j], with
+        # d > 0 clearing the denominators of A and B: the row space is the same
+        ints, _ = linalg._integer_form([x for m in (a, b) for row in m for x in row])
+        da, db = ints[: n * n], ints[n * n :]
         for i in range(n):
             for j in range(n):
-                row = [Fraction(0)] * (n * n)
+                row = [0] * (n * n)
                 for k in range(n):
-                    row[i * n + k] += a[k][j]
-                    row[k * n + j] -= b[i][k]
-                rows.append(tuple(row))
-    kernel = linalg.kernel_basis(tuple(rows))
-    mats = []
-    for v in kernel:
-        mats.append(tuple(tuple(v[i * n + j] for j in range(n)) for i in range(n)))
-    return mats
+                    row[i * n + k] += da[k * n + j]
+                    row[k * n + j] -= db[i * n + k]
+                rows.append(row)
+    return [tuple(v[i * n : i * n + n] for i in range(n)) for v in linalg.kernel_basis(rows)]
 
 
 def _primitive_integer_matrix(m: Mat) -> Mat:
-    den = math.lcm(*[x.denominator for row in m for x in row])
-    scaled = [[int(x * den) for x in row] for row in m]
-    g = 0
-    for row in scaled:
-        for x in row:
-            g = math.gcd(g, abs(x))
-    if g > 1:
-        scaled = [[x // g for x in row] for row in scaled]
-    return tuple(tuple(Fraction(x) for x in row) for row in scaled)
+    ints, _ = linalg._integer_form([x for row in m for x in row])
+    g, n = math.gcd(*ints) or 1, len(m[0])
+    return tuple(tuple(Fraction(x // g) for x in ints[i * n : i * n + n]) for i in range(len(m)))
 
 
 def _unimodular_point(space: list[Mat], coeff_box: int) -> Mat | None:
@@ -145,17 +123,15 @@ def _unimodular_point(space: list[Mat], coeff_box: int) -> Mat | None:
 
 
 def find_simultaneous_conjugator(
-    e: EtaleAlgebra,
-    unit_targets: list[Mat],
-    auto_targets: list[Mat],
-    unit_box: int = 12,
-    coeff_box: int = 20,
+    e: EtaleAlgebra, unit_targets: list[Mat], auto_targets: list[Mat]
 ) -> ConjugacyResult | None:
     """P ∈ GL_n(Z) conjugating the regular representation onto the targets.
 
     Searches both the targets as given and their transposes (the two matrix
     conventions for a regular representation). Returns None when no
-    unimodular intertwiner exists within the bounded search.
+    unimodular intertwiner exists within the bounded search: candidates for
+    the first unit target within sup-norm UNIT_BOX, and unimodular points
+    within coefficient box COEFF_BOX of the intertwiner space.
     """
     autos = enumerate_automorphisms(e)
     auto_mats = [(s, automorphism_matrix(e, s)) for s in autos]
@@ -163,15 +139,13 @@ def find_simultaneous_conjugator(
         return None
     # charpoly is transposition-invariant, so the candidate pool is shared
     chi0 = _charpoly_of(unit_targets[0])
-    candidates = _candidates_with_charpoly(e, chi0, unit_box)
+    candidates = _candidates_with_charpoly(e, chi0, UNIT_BOX)
     for transposed in (False, True):
         tgt_units = [
             linalg.transpose(t) if transposed else t for t in unit_targets
         ]
         tgt_autos = [linalg.transpose(t) if transposed else t for t in auto_targets]
-        result = _search_one_convention(
-            e, tgt_units, tgt_autos, auto_mats, candidates, coeff_box
-        )
+        result = _search_one_convention(e, tgt_units, tgt_autos, auto_mats, candidates)
         if result is not None:
             p, units, sigmas = result
             basis = _discovered_basis(e, p)
@@ -179,74 +153,45 @@ def find_simultaneous_conjugator(
     return None
 
 
-def _search_one_convention(e, tgt_units, tgt_autos, auto_mats, candidates, coeff_box):
-    n = e.n
-    # the first target must generate an n-dimensional algebra for the
-    # primitive-element propagation to determine the map
-    t_powers = _matrix_powers(tgt_units[0], n)
-    flat = tuple(tuple(x for row in m for x in row) for m in t_powers)
-    if linalg.rank(flat) != n:
-        return None
+def _search_one_convention(e, tgt_units, tgt_autos, auto_mats, candidates):
+    # assign our automorphisms to the automorphism targets by charpoly
+    assignments = []
+    for t in tgt_autos:
+        chi_t = _charpoly_of(t)
+        assignments.append([(s, a) for s, a in auto_mats if _charpoly_of(a) == chi_t])
     for u0 in candidates:
+        # u0 primitive: P·π(u0) = T_0·P gives P·π(g(u0)) = g(T_0)·P for every
+        # polynomial g, so this one condition fixes the algebra map
         if not _is_primitive(e, u0):
             continue
-        q = _express_in_powers(e, u0, e.generator(0))
-        if q is None:
-            continue
-        # psi(x) = q(T_0): the image of the algebra generator
-        psi_x = linalg.zero_matrix(n, n)
-        for coeff, power in zip(q, t_powers):
-            if coeff:
-                psi_x = linalg.mat_add(psi_x, linalg.mat_scale(power, coeff))
-        # remaining unit targets must be psi of integral units
-        units = [u0]
-        ok = True
-        psi_x_powers = _matrix_powers(psi_x, n)
-        flat_mat = linalg.transpose(
-            tuple(tuple(x for row in m for x in row) for m in psi_x_powers)
-        )
-        for t in tgt_units[1:]:
-            vec = tuple(x for row in t for x in row)
-            try:
-                coeffs = linalg.solve(flat_mat, vec)
-            except linalg.SingularMatrixError:
-                ok = False
-                break
-            elem = e.zero()
-            xel = e.generator(0)
-            xp = _element_powers(e, xel, n)
-            for c, pw in zip(coeffs, xp):
-                if c:
-                    elem = e.add(elem, tuple(c * y for y in pw))
-            if not e.element_is_integral(elem):
-                ok = False
-                break
-            units.append(elem)
-        if not ok:
-            continue
-        # assign our automorphisms to the automorphism targets by charpoly
-        assignments = []
-        for t in tgt_autos:
-            chi_t = _charpoly_of(t)
-            matches = [
-                (s, a) for s, a in auto_mats if _charpoly_of(a) == chi_t
-            ]
-            assignments.append(matches)
-        for combo in itertools.product(*assignments) if tgt_autos else [()]:
-            conditions = [(e.regular_rep(units[i]), tgt_units[i]) for i in range(len(units))]
-            conditions.append((e.regular_rep(e.generator(0)), psi_x))
-            for (sigma, amat), t in zip(combo, tgt_autos):
-                conditions.append((amat, t))
-            space = _intertwiner_space(conditions, n)
-            p = _unimodular_point(space, coeff_box)
+        unit_condition = (e.regular_rep(u0), tgt_units[0])
+        for combo in itertools.product(*assignments):
+            conditions = [unit_condition] + [(a, t) for (_, a), t in zip(combo, tgt_autos)]
+            space = _intertwiner_space(conditions, e.n)
+            p = _unimodular_point(space, COEFF_BOX)
             if p is None:
                 continue
             pinv = linalg.mat_inv(p)
-            if all(
+            if not all(
                 linalg.mat_mul(linalg.mat_mul(p, a), pinv) == b for a, b in conditions
             ):
-                return p, units, [s for s, _ in combo]
+                continue
+            units = _read_off_units(e, p, pinv, tgt_units[1:])
+            if units is not None:
+                return p, [u0] + units, [s for s, _ in combo]
     return None
+
+
+def _read_off_units(e: EtaleAlgebra, p: Mat, pinv: Mat, targets: list[Mat]):
+    """Order elements c with π(c) = P⁻¹·T·P for each target T, or None."""
+    units = []
+    for t in targets:
+        m = linalg.mat_mul(linalg.mat_mul(pinv, t), p)
+        c = linalg.mat_vec(m, e.one())  # column of 1: the coordinates of c·1
+        if not linalg.is_integer_matrix(m) or e.regular_rep(c) != m:
+            return None
+        units.append(c)
+    return units
 
 
 def _discovered_basis(e: EtaleAlgebra, p: Mat) -> Mat:

@@ -600,24 +600,30 @@ def _divisors(n: int) -> list[int]:
 
 
 def rational_roots(f: QPoly) -> list[Fraction]:
-    """All rational roots of f (with f integral after clearing denominators)."""
+    """All rational roots of f, without factoring its coefficients.
+
+    A root p/q in lowest terms has q | a, the leading coefficient of f made
+    integral, so two such fractions differ by at least 1/a². An isolating
+    interval narrowed below 1/(2a²) holds at most one of them: the fraction
+    of denominator <= |a| nearest to its end. Most polynomials without such
+    a root are told apart first: modulo a prime l not dividing a, p/q is a
+    root of f too, so f has none when it has no root modulo l.
+    """
     if f.is_zero():
         raise ZeroPolynomialError("zero polynomial")
     den = math.lcm(*[c.denominator for c in f.coeffs])
-    coeffs = [int(c * den) for c in f.coeffs]
-    while coeffs and coeffs[0] == 0:
-        coeffs = coeffs[1:]
-    roots = set()
-    if len(coeffs) != len(f.coeffs):
-        roots.add(Fraction(0))
-    if not coeffs:
-        return sorted(roots)
-    a0, an = coeffs[0], coeffs[-1]
-    for pnum in _divisors(a0):
-        for qden in _divisors(an):
-            for cand in (Fraction(pnum, qden), Fraction(-pnum, qden)):
-                if f(cand) == 0:
-                    roots.add(cand)
+    ints = [int(c * den) for c in f.coeffs]
+    a = abs(ints[-1])
+    for ell in (2, 3, 5, 7, 11, 13):
+        if a % ell and all(sum(c * x**i for i, c in enumerate(ints)) % ell for x in range(ell)):
+            return []
+    width = Fraction(1, 2 * a * a)
+    roots = []
+    for lo, hi in isolate_real_roots(f):
+        lo, hi = refine_root(f, lo, hi, width)
+        cand = hi.limit_denominator(a)
+        if lo < cand <= hi and f(cand) == 0:
+            roots.append(cand)
     return sorted(roots)
 
 

@@ -77,6 +77,8 @@ def algebra_from_json(data, path="algebra") -> EtaleAlgebra:
         raise InputError("algebra needs a 'factors' array", path)
     from .polynomials import QPoly
 
+    if not isinstance(data["factors"], list):
+        raise InputError("factors must be an array", f"{path}.factors")
     factors = [
         QPoly(poly_from_json(f, f"{path}.factors[{i}]"))
         for i, f in enumerate(data["factors"])
@@ -114,7 +116,7 @@ def unit_system_from_json(e: EtaleAlgebra, data, path="units") -> UnitSystem:
             ],
             tuple(int(p) for p in data.get("s_primes", [])),
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad unit system: {exc}", path)
 
 

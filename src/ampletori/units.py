@@ -225,26 +225,32 @@ class _PolynomialLRU(dict):
         return value
 
 
-_ROOTS = _PolynomialLRU()  # f.coeffs -> isolating intervals of its real roots
-_SPLITS = _PolynomialLRU()  # f.coeffs -> (bits, certified real quadratic split)
+_ROOTS = _PolynomialLRU()  # f.coeffs -> (isolating intervals, {bits: refined intervals})
+_SPLITS = _PolynomialLRU()  # f.coeffs -> {bits: certified real quadratic split}
 
 
 def _refined_roots(f: QPoly, bits: int):
-    roots = _ROOTS.get(f.coeffs)
-    if roots is None:
-        roots = isolate_real_roots(f)
-    width = Fraction(1, 1 << bits)
-    roots = [r if r[1] - r[0] <= width else refine_root(f, r[0], r[1], width) for r in roots]
-    return _ROOTS.store(f.coeffs, roots)
+    """f's real roots in intervals of width <= 2^-bits, the same whatever ran before.
+
+    Each width is bisected from the isolating intervals, not from a narrower
+    result of an earlier call, so the answer is a fresh process's.
+    """
+    isolating, refined = _ROOTS.store(f.coeffs, _ROOTS.get(f.coeffs) or (isolate_real_roots(f), {}))
+    if bits not in refined:
+        width = Fraction(1, 1 << bits)
+        refined[bits] = [
+            r if r[1] - r[0] <= width else refine_root(f, r[0], r[1], width) for r in isolating
+        ]
+    return refined[bits]
 
 
 def _real_split_cached(f: QPoly, bits: int):
     from .realsplit import real_quadratic_split
 
-    cached = _SPLITS.get(f.coeffs)
-    if cached is None or cached[0] < bits:
-        cached = (bits, real_quadratic_split(f, bits))
-    return _SPLITS.store(f.coeffs, cached)[1]
+    splits = _SPLITS.store(f.coeffs, _SPLITS.get(f.coeffs, {}))
+    if bits not in splits:
+        splits[bits] = real_quadratic_split(f, bits)
+    return splits[bits]
 
 
 def _complex_log_value(

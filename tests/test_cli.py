@@ -170,6 +170,16 @@ def test_error_taxonomy_is_total(argv, gauss_file, capsys):
     assert "error" in err and "message" in err["error"] and "module" in err["error"]
 
 
+@pytest.mark.parametrize("factors", [2, None, True, 1.5])
+def test_non_array_factors_are_an_input_error(factors, tmp_path, capsys):
+    reqfile = tmp_path / "request.json"
+    request = {"schema": "cma/1", "algebra": {"factors": factors}, "ambient": "SL", "places": "inf"}
+    reqfile.write_text(json.dumps(request))
+    assert main(["--json", "construct", str(reqfile)]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["message"], err["path"]) == ("factors must be an array", "request.algebra.factors")
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("a rejected input must not reach the computation")
 

@@ -5,6 +5,7 @@ import pytest
 
 from ampletori import linalg, serialize
 from ampletori.errors import InputError, UnsupportedError
+from ampletori.conjugacy import find_simultaneous_conjugator
 from ampletori.matgroups import group_sanity
 from ampletori.pipeline import (
     PipelineRequest,
@@ -175,3 +176,56 @@ def test_corrupted_golden_fails_with_diff(tmp_path):
     assert not row51["pass"]
     assert "differ" in row51["detail"] or "!=" in row51["detail"]
     assert all(r["pass"] for r in rows if r["example"] != "5.1")
+
+
+def _corpus_with_ex52(tmp_path, edit):
+    for name in ("ex51.json", "ex52.json", "ex53.json", "ex54.json"):
+        shutil.copy(corpus_dir() / name, tmp_path / name)
+    data = json.loads((tmp_path / "ex52.json").read_text())
+    edit(data["imported"])
+    (tmp_path / "ex52.json").write_text(json.dumps(data))
+    return {r["example"]: r for r in verify_paper_examples(tmp_path)}
+
+
+def test_ex52_in_the_column_convention_needs_no_transpose(tmp_path):
+    def transpose_all(imported):
+        for kind in ("torus", "torsion", "normalizer"):
+            imported[kind] = [[list(col) for col in zip(*m)] for m in imported[kind]]
+
+    rows = _corpus_with_ex52(tmp_path, transpose_all)
+    assert rows["5.2"]["pass"] and rows["5.2"]["detail"] == "conjugator found"
+    assert not any("transposed" in c for c in rows["5.2"]["caveats"])
+
+
+def test_an_altered_imported_normalizer_fails_only_its_row(tmp_path):
+    def alter(imported):
+        imported["normalizer"][0][1][0] = "-15"
+
+    rows = _corpus_with_ex52(tmp_path, alter)
+    assert [e for e, r in rows.items() if not r["pass"]] == ["5.2"]
+    assert rows["5.2"]["detail"] == "imported matrices fail sanity: ['normalizer', 'all_pass']"
+
+
+def test_without_a_conjugator_the_caveat_names_both_bounds(monkeypatch):
+    monkeypatch.setattr("ampletori.conjugacy.find_simultaneous_conjugator", lambda *a: None)
+    row = next(r for r in verify_paper_examples() if r["example"] == "5.2")
+    assert row["pass"] and row["detail"] == "weaker certificate"
+    assert (
+        "no GL_4(Z) conjugator found within the bounded search (unit_box=12, coeff_box=20); "
+        "imported matrices verified by sanity checks and characteristic polynomials only"
+    ) in row["caveats"]
+
+
+def test_ex52_conjugator_is_pinned():
+    golden = json.loads((corpus_dir() / "ex52.json").read_text())
+    units = [serialize.matrix_from_json(m) for m in golden["imported"]["torus"]]
+    autos = [serialize.matrix_from_json(m) for m in golden["imported"]["normalizer"]]
+    e = PipelineRequest.from_json(golden["request"]).algebra
+    found = find_simultaneous_conjugator(e, units, autos)
+    assert found.transposed
+    assert serialize.matrix_to_json(found.conjugator) == [
+        ["-1", "-2", "-4", "-6"], ["0", "1", "4", "16"], ["0", "2", "7", "26"], ["0", "4", "12", "41"]
+    ]
+    assert [serialize.vector_to_json(u) for u in found.unit_elements] == [
+        ["-2", "1", "0", "0"], ["-1", "9", "-6", "1"], ["0", "5", "-5", "1"]
+    ]

@@ -158,6 +158,38 @@ def test_rational_roots():
     assert rational_roots(QPoly([6, -5, 1])) == [2, 3]
 
 
+def test_rational_roots_with_huge_coefficients_need_no_divisors():
+    # trial division up to sqrt(2e16) took seconds here; the root search
+    # works from isolating intervals instead
+    big = 20477502388745870
+    assert rational_roots(QPoly([0, big, 1])) == [-big, 0]
+    p, q = 1000000007, 998244353  # (x - p)(3x - q)
+    assert rational_roots(QPoly([p * q, -q - 3 * p, 3])) == [Fraction(q, 3), p]
+    assert not is_irreducible_q(QPoly([0, big, 1]))
+    assert is_irreducible_q(QPoly([big, 0, 1]))
+    # a root modulo every prime, yet no rational root
+    assert rational_roots(QPoly([-2, 0, 1]) * QPoly([-3, 0, 1]) * QPoly([-6, 0, 1])) == []
+
+
+def _sympy_rational_roots(coeffs):
+    import sympy
+
+    x = sympy.Symbol("x")
+    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], x)
+    return sorted(Fraction(int(r.p), int(r.q)) for r in sympy.roots(poly, filter="Q"))
+
+
+def test_rational_roots_match_sympy():
+    rng = random.Random(20261018)
+    for _ in range(150):
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
+        coeffs.append(Fraction(rng.choice([-3, -1, 1, 2, 6])))
+        for _ in range(rng.randint(0, 2)):  # times (x - r): a rational root, maybe repeated
+            r = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+            coeffs = [a - r * b for a, b in zip([Fraction(0)] + coeffs, coeffs + [Fraction(0)])]
+        assert rational_roots(QPoly(coeffs)) == _sympy_rational_roots(coeffs), coeffs
+
+
 def test_irreducibility_degree_four():
     assert is_irreducible_q(QUARTIC)
     assert is_irreducible_q(GAUSS)

@@ -45,6 +45,15 @@ def test_unit_system_round_trip():
     assert back.torsion_order == 4 and back.s_primes == (5,)
 
 
+@pytest.mark.parametrize("order, s_primes", [("x", []), (2, ["a"])])
+def test_unit_system_with_a_non_integer_field_is_an_input_error(order, s_primes):
+    e = EtaleAlgebra([QPoly([-2, 0, 1])])
+    data = {"torsion": {"element": ["-1", "0"], "order": order}, "free": [], "s_primes": s_primes}
+    with pytest.raises(InputError, match="bad unit system") as err:
+        serialize.unit_system_from_json(e, data, "units")
+    assert err.value.path == "units"
+
+
 def test_place_profile_schema():
     f = QPoly([1, 0, 1])
     prof = decomposition_profile(f, galois_group_small(f), 5)

@@ -427,3 +427,21 @@ def test_root_cache_keeps_the_most_recently_used_polynomials(monkeypatch):
     assert list(units._ROOTS) == [f.coeffs, h.coeffs]
     assert units._refined_roots(g, 64) == units._refined_roots(g, 64)
     assert len(units._ROOTS) == 2
+
+
+def test_refined_roots_do_not_depend_on_earlier_precisions(monkeypatch):
+    monkeypatch.setattr(units, "_ROOTS", units._PolynomialLRU())
+    f = QPoly([1, -3, 0, 1])  # x^3 - 3x + 1
+    fresh = units._refined_roots(f, 64)
+    assert all(hi - lo <= Fraction(1, 1 << 64) for lo, hi in fresh)
+    units._refined_roots(f, 256)
+    assert units._refined_roots(f, 64) == fresh
+
+
+def test_real_split_does_not_depend_on_earlier_precisions(monkeypatch):
+    monkeypatch.setattr(units, "_SPLITS", units._PolynomialLRU())
+    f = QPoly([1, -1, 1, 0, 1])  # x^4 + x^2 - x + 1, two complex pairs
+    fresh = units._real_split_cached(f, 64)
+    units._real_split_cached(f, 256)
+    again = units._real_split_cached(f, 64)
+    assert (again.real_roots, again.quadratics) == (fresh.real_roots, fresh.quadratics)
