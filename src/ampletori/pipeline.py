@@ -123,10 +123,8 @@ class PipelineRequest:
 
 def _as_int(value, path: str) -> int:
     """An integer from JSON (or an environment string), else an InputError."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise InputError(f"expected an integer, got {value!r}", path)
     try:
-        return int(value)
+        return serialize.int_from_json(value)
     except ValueError:
         raise InputError(f"expected an integer, got {value!r}", path) from None
 
@@ -188,7 +186,7 @@ def _resolve_units(req: PipelineRequest) -> UnitSystem:
     src = req.unit_source
     if "provided" in src:
         return serialize.unit_system_from_json(
-            req.algebra, src["provided"], "unit_source.provided"
+            req.algebra, src["provided"], "request.unit_source.provided"
         )
     params = src.get("search", {})
     return assemble_unit_system(

@@ -103,18 +103,25 @@ def unit_system_to_json(sys: UnitSystem) -> dict:
     }
 
 
+def int_from_json(value) -> int:
+    """A JSON integer or integer string; 2.5 or true is a ValueError, not truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def unit_system_from_json(e: EtaleAlgebra, data, path="units") -> UnitSystem:
     try:
         torsion = data["torsion"]
         return UnitSystem(
             e,
             vector_from_json(torsion["element"], f"{path}.torsion.element"),
-            int(torsion["order"]),
+            int_from_json(torsion["order"]),
             [
                 vector_from_json(g, f"{path}.free[{i}]")
                 for i, g in enumerate(data["free"])
             ],
-            tuple(int(p) for p in data.get("s_primes", [])),
+            tuple(int_from_json(p) for p in data.get("s_primes", [])),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad unit system: {exc}", path)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -436,14 +437,16 @@ class DependenceWitness:
 def _is_torsion(e: EtaleAlgebra, u: Coords) -> int | None:
     """The order of u if it is a root of unity of order ≤ 12, else None.
 
-    A power of a root of unity has |trace| ≤ n, so one past that ends it.
+    A power of a root of unity is an algebraic integer with |trace| ≤ n, so
+    the first power whose trace is not an integer, or is past n, ends it.
     """
     one = e.one()
     acc = u
     for m in range(1, max(TORSION_ORDER_CANDIDATES) + 1):
         if acc == one:
             return m
-        if abs(e.trace(acc)) > e.n:
+        tr = e.trace(acc)
+        if tr.denominator != 1 or abs(tr) > e.n:
             return None
         acc = e.mul(acc, u)
     return None
@@ -551,8 +554,12 @@ def search_units(
     matches nothing. N(Σ x_i b_i) = det(Σ x_i T_i) has degree ≤ n in each
     coordinate, so it is tabulated by forward differences from its values
     at the m^n corner points {−B, …, −B+m−1}^n, m = min(n+1, 2B+1): those
-    are the only determinants taken, and every box point is then stepped
-    by integer additions and tested.
+    are the only determinants taken. They are turned once into the mixed
+    forward differences of the corner along every axis; every box point is
+    then stepped by integer additions, each last-axis row summed whole and
+    tested against the targets at once. The differences are exact integers
+    and the order of differencing does not matter, so this finds exactly the
+    box points that differencing each slice anew would.
     """
     e.require_order()
     n = e.n
@@ -580,30 +587,36 @@ def search_units(
         )
         for pt in itertools.product(range(-coord_bound, m - coord_bound), repeat=n)
     ]
+    # mixed forward differences along every axis, taken once: entry
+    # (j_0, …, j_{n-1}) becomes Δ_0^{j_0} ⋯ Δ_{n-1}^{j_{n-1}} N at the corner origin
+    for stride in (m**a for a in range(n)):
+        for k in range(1, m):
+            for t in reversed(range(len(corner))):  # so corner[t − stride] is still old
+                if t // stride % m >= k:
+                    corner[t] -= corner[t - stride]
     coords = [0] * n
     out: list[Coords] = []
 
     def rec(i, values):
-        # values: the norm on the corner of axes i.., axis i major
-        size = m ** (n - 1 - i)
-        d = [values[j * size:(j + 1) * size] for j in range(m)]
-        for k in range(1, m):  # d[j] becomes the j-th forward difference along axis i
-            for j in range(m - 1, k - 1, -1):
-                d[j] = [a - b for a, b in zip(d[j], d[j - 1])]
+        # values: the mixed differences on the corner of axes i.., axis i major
         if i == n - 1:
-            d = [v[0] for v in d]
-            for c in span:
-                if d[0] in int_targets:
-                    coords[i] = c
-                    out.append(tuple(Fraction(x) for x in coords))
-                for k in range(m - 1):
-                    d[k] += d[k + 1]
+            row = [values[-1]] * (len(span) - m + 1)  # the constant (m−1)-th difference
+            for v in values[-2::-1]:
+                row = itertools.accumulate(row, initial=v)
+            row = list(row)
+            if not int_targets.isdisjoint(row):
+                for c, v in zip(span, row):
+                    if v in int_targets:
+                        coords[i] = c
+                        out.append(tuple(Fraction(x) for x in coords))
             return
+        size = m ** (n - 1 - i)
+        d = [values[j * size : (j + 1) * size] for j in range(m)]
         for c in span:
             coords[i] = c
             rec(i + 1, d[0])
             for k in range(m - 1):
-                d[k] = [a + b for a, b in zip(d[k], d[k + 1])]
+                d[k] = list(map(operator.add, d[k], d[k + 1]))
 
     rec(0, corner)
     out = [c for c in out if any(x != 0 for x in c)]
@@ -791,38 +804,48 @@ def assemble_unit_system(
     """Search the box once, pick a certified independent system, saturate it.
 
     The order (one field factor) is searched once. Its finite-order units in
-    the box give the torsion generator, as in torsion_units; the rest form
-    the free pool, log-embedded once per precision step.
+    the box give the torsion generator t, as in torsion_units; of the rest,
+    the first in canonical order of each class {t^k·u, t^k·u⁻¹} forms the
+    free pool, log-embedded once per precision step. A later class member
+    has the representative's log row up to sign, so the greedy choice never
+    takes it, and it reduces against a basis with the same denominator
+    whenever the representative does; canonical_unit already works modulo
+    torsion and inversion. Dropping it changes no emitted generator.
     Saturation reduces every pool unit against the basis through one
     certified minor inverse per round and step (exponents from certified
     logs, confirmed exactly); a unit generating a strictly larger lattice
     enlarges the basis by an exact Hermite-form step, so the final system
-    generates every unit in the pool.
+    with t generates every unit in the pool, class members included.
     """
     _require_one_field(e)
     found = search_units(e, coord_bound, s_primes, default_norm_targets(s_primes), budget)
     pool = found
     if s_primes:
         # saturate by pairwise ratios that are S-integral both ways
-        extra = []
         seen = set(pool)
-        for a, b in itertools.permutations(pool, 2):
-            ratio = e.mul(a, e.inverse(b))
+        pairs = zip(pool, [e.inverse(b) for b in pool])
+        for (a, _), (_, b_inv) in itertools.permutations(pairs, 2):
+            ratio = e.mul(a, b_inv)
             if ratio in seen:
                 continue
             m = e.regular_rep(ratio)
             if matrix_is_s_integral(m, s_primes) and fraction_is_s_unit_rational(
                 linalg.mat_det(m), s_primes
             ):
-                extra.append(ratio)
                 seen.add(ratio)
-        pool = sorted(set(pool) | set(extra), key=lambda c: (sum(abs(x) for x in c), c))
+        pool = sorted(seen, key=lambda c: (sum(abs(x) for x in c), c))
 
-    orders = {u: _is_torsion(e, u) for u in pool}
     torsion_gen, torsion_order = _torsion_generator(
-        ((u, orders[u]) for u in found), coord_bound
+        ((u, _is_torsion(e, u)) for u in found), coord_bound
     )
-    free_pool = [u for u in pool if orders[u] is None]
+    # the first pool element of each class {t^k·u, t^k·u⁻¹}: the rest of a
+    # class repeat its log row up to sign and its saturation answer
+    torsion = [e.power(torsion_gen, k) for k in range(torsion_order)]
+    free_pool, covered = [], set()
+    for u in pool:
+        if u not in covered and _is_torsion(e, u) is None:
+            free_pool.append(u)
+            covered.update(e.mul(z, w) for w in (u, e.inverse(u)) for z in torsion)
     target_rank = s_unit_rank(e, s_primes)
 
     ladder = _precision_ladder(precision_cap)

@@ -124,6 +124,20 @@ def test_malformed_request_fields_are_input_errors(field, value, path):
     assert err.value.path == path
 
 
+@pytest.mark.parametrize(
+    "provided",
+    [
+        {"torsion": {"element": ["-1", "0", "0"], "order": 2.5}, "free": []},
+        {"torsion": {"element": ["-1", "0", "0"]}, "free": []},
+    ],
+)
+def test_provided_unit_system_errors_carry_the_request_path(provided):
+    req = PipelineRequest.from_json({**CUBIC_REQ, "unit_source": {"provided": provided}})
+    with pytest.raises(InputError, match="bad unit system") as err:
+        run_pipeline(req)
+    assert err.value.path == "request.unit_source.provided"
+
+
 @pytest.mark.parametrize("value", ["-5", "0"])
 def test_env_precision_cap_below_one_is_input_error(value, monkeypatch):
     monkeypatch.setenv("CMA_PRECISION_CAP", value)

@@ -45,13 +45,23 @@ def test_unit_system_round_trip():
     assert back.torsion_order == 4 and back.s_primes == (5,)
 
 
-@pytest.mark.parametrize("order, s_primes", [("x", []), (2, ["a"])])
+@pytest.mark.parametrize(
+    "order, s_primes",
+    [("x", []), (2, ["a"]), (2.5, []), (True, []), (2.0, []), (2, [5.5]), ({"n": 2}, [])],
+)
 def test_unit_system_with_a_non_integer_field_is_an_input_error(order, s_primes):
     e = EtaleAlgebra([QPoly([-2, 0, 1])])
     data = {"torsion": {"element": ["-1", "0"], "order": order}, "free": [], "s_primes": s_primes}
     with pytest.raises(InputError, match="bad unit system") as err:
         serialize.unit_system_from_json(e, data, "units")
     assert err.value.path == "units"
+
+
+def test_unit_system_reads_integer_strings():
+    e = EtaleAlgebra([QPoly([-2, 0, 1])])
+    data = {"torsion": {"element": ["-1", "0"], "order": "2"}, "free": [], "s_primes": ["5"]}
+    back = serialize.unit_system_from_json(e, data)
+    assert (back.torsion_order, back.s_primes) == (2, (5,))
 
 
 def test_place_profile_schema():

@@ -265,6 +265,17 @@ def test_is_torsion_matches_powering_oracle(e):
         assert _is_torsion(e, u) == oracle_torsion_order(e, u)
 
 
+def test_is_torsion_matches_powering_oracle_on_pairwise_ratios():
+    # the S-ratio pool of assembly: units such as i = (2+3i)/(3-2i) and
+    # non-integral S-units such as (5+12i)/13 = (3+2i)/(3-2i)
+    found = search_units(GAUSS, 6, (13,))
+    ratios = {GAUSS.mul(a, GAUSS.inverse(b)) for a in found for b in found if a != b}
+    assert (Fraction(5, 13), Fraction(12, 13)) in ratios
+    assert {oracle_torsion_order(GAUSS, u) for u in ratios} == {None, 2, 4}
+    for u in ratios:
+        assert _is_torsion(GAUSS, u) == oracle_torsion_order(GAUSS, u)
+
+
 @pytest.mark.parametrize("bound", [1, 4])
 @pytest.mark.parametrize("e", TORSION_FIELDS, ids=repr)
 def test_assembled_torsion_equals_torsion_units(e, bound):
@@ -272,21 +283,66 @@ def test_assembled_torsion_equals_torsion_units(e, bound):
     assert (system.torsion_generator, system.torsion_order) == torsion_units(e, min(bound, 3))
 
 
+# assemble_unit_system's (torsion generator, order, free generators), recorded
+# before the free pool was cut to one element per unit class: the cut must not
+# change an emitted generator.
+ASSEMBLY_PINS = [
+    ([1, 0, 1], (13, 17), 6, ("0", "1"), 4, [("4", "1"), ("4", "-1"), ("3", "2"), ("3", "-2")]),
+    ([-1, -1, 0, 1], (), 3, ("-1", "0", "0"), 2, [("0", "1", "0")]),
+    (
+        [5, 0, -5, 0, 1], (), 3, ("-1", "0", "0", "0"), 2,
+        [("3", "0", "-1", "0"), ("2", "1", "0", "0"), ("1", "1", "0", "0")],
+    ),
+    ([1, 1, 2, 0, 1], (), 3, ("-1", "0", "0", "0"), 2, [("1", "0", "1", "0")]),
+]
+
+
+@pytest.mark.parametrize("f, s, bound, torsion, order, free", ASSEMBLY_PINS, ids=str)
+def test_assembled_generators_are_pinned(f, s, bound, torsion, order, free):
+    system = assemble_unit_system(EtaleAlgebra([QPoly(f)]), s, bound)
+
+    def as_fractions(v):
+        return tuple(Fraction(x) for x in v)
+
+    assert system.torsion_generator == as_fractions(torsion)
+    assert system.torsion_order == order
+    assert system.free_generators == [as_fractions(g) for g in free]
+
+
+def _unit_classes(e, elements, box_bound=1):
+    """The classes {z·u, z·u⁻¹ : z a root of unity} of the elements of infinite order.
+
+    Brute force: the roots of unity are the elements of a small box of finite
+    order by plain powering, and each class is spelled out in full.
+    """
+    roots = [
+        z for z in oracle_unit_search(e, box_bound, {Fraction(1), Fraction(-1)})
+        if oracle_torsion_order(e, z) is not None
+    ]
+    return {
+        u: frozenset(e.mul(z, w) for z in roots for w in (u, e.inverse(u)))
+        for u in elements
+        if oracle_torsion_order(e, u) is None
+    }
+
+
 def test_assemble_searches_once_and_inverts_once_per_round(monkeypatch):
     calls = {"search": 0, "inverse": 0}
-    sizes = []
+    embedded = []
+    found = []
     search, inverse, embed = units.search_units, units._interval_mat_inv, units.build_log_embedding
 
     def counting_search(*args, **kwargs):
         calls["search"] += 1
-        return search(*args, **kwargs)
+        found.extend(search(*args, **kwargs))
+        return found
 
     def counting_inverse(*args, **kwargs):
         calls["inverse"] += 1
         return inverse(*args, **kwargs)
 
-    def sizing_embed(e, elements, *args, **kwargs):
-        sizes.append(len(elements))
+    def recording_embed(e, elements, *args, **kwargs):
+        embedded.append(list(elements))
         return embed(e, elements, *args, **kwargs)
 
     def refuse(*args, **kwargs):
@@ -294,17 +350,22 @@ def test_assemble_searches_once_and_inverts_once_per_round(monkeypatch):
 
     monkeypatch.setattr(units, "search_units", counting_search)
     monkeypatch.setattr(units, "_interval_mat_inv", counting_inverse)
-    monkeypatch.setattr(units, "build_log_embedding", sizing_embed)
+    monkeypatch.setattr(units, "build_log_embedding", recording_embed)
     monkeypatch.setattr(units, "torsion_units", refuse)
     system = assemble_unit_system(GAUSS, (13, 29), 6)
     assert system.rank == 4 == s_unit_rank(GAUSS, (13, 29))
     assert calls["search"] == 1
-    # the free pool is embedded once; each saturation round and precision
-    # step embeds only the basis and inverts one minor of it
-    pool_size, *basis_sizes = sizes
-    assert pool_size > system.rank
-    assert basis_sizes and all(n == system.rank for n in basis_sizes)
-    assert calls["inverse"] == len(basis_sizes) < pool_size
+    # the free pool is embedded once, one row per unit class of the box units
+    # and their pairwise ratios (every ratio a/b = a·conj(b)/N(b) is an S-unit
+    # here); each saturation round and precision step embeds only the basis
+    # and inverts one minor of it
+    pool_rows, *basis_rows = embedded
+    ratios = {GAUSS.mul(a, GAUSS.inverse(b)) for a in found for b in found if a != b}
+    classes = _unit_classes(GAUSS, set(found) | ratios)
+    assert len(pool_rows) == len(set(classes.values())) > system.rank
+    assert {classes[u] for u in pool_rows} == set(classes.values())
+    assert basis_rows and all(len(rows) == system.rank for rows in basis_rows)
+    assert calls["inverse"] == len(basis_rows) < len(pool_rows)
 
 
 def test_assembly_climbs_to_the_precision_cap(monkeypatch):
