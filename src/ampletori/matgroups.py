@@ -20,7 +20,7 @@ from .errors import UnsupportedError
 from .etale import Coords, EtaleAlgebra
 from .linalg import Mat
 from .places import automorphism_count, galois_group_small
-from .units import fraction_is_s_unit_rational, matrix_is_s_integral
+from .units import _PolynomialLRU, fraction_is_s_unit_rational, matrix_is_s_integral
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,8 @@ def box_elements_with_trace(
         yield tuple(Fraction(c) for c in coords_i)
 
 
-_AUTOMORPHISM_CACHE: dict = {}
+# (factors, basis, box) -> automorphisms; bounded like the per-polynomial caches
+_AUTOMORPHISM_CACHE = _PolynomialLRU()
 AUTOMORPHISM_COORD_BOUND = 50  # fallback end of the automorphism root search
 
 
@@ -211,7 +212,7 @@ def enumerate_automorphisms(
         raise UnsupportedError("automorphism enumeration needs a single field factor")
     cache_key = (tuple(f.coeffs for f in e.factors), e.order_basis, coord_bound)
     if cache_key in _AUTOMORPHISM_CACHE:
-        return list(_AUTOMORPHISM_CACHE[cache_key])
+        return list(_AUTOMORPHISM_CACHE.store(cache_key, _AUTOMORPHISM_CACHE[cache_key]))
     f = e.factors[0]
     n = e.n
     expected = field_automorphism_count(e)
@@ -245,7 +246,7 @@ def enumerate_automorphisms(
             if len(out) == expected:
                 break
     out.sort(key=lambda s: s.images)
-    _AUTOMORPHISM_CACHE[cache_key] = list(out)
+    _AUTOMORPHISM_CACHE.store(cache_key, list(out))
     return out
 
 

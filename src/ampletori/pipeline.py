@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import importlib.resources
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import conjugacy, linalg, serialize
@@ -50,7 +50,9 @@ from .torus import (
 from .units import (
     DEFAULT_PRECISION_CAP,
     DependenceWitness,
+    UnitCertificate,
     UnitSystem,
+    _PolynomialLRU,
     assemble_unit_system,
     norm_one_subgroup,
     verify_unit_system,
@@ -182,18 +184,39 @@ class CmaReport:
         return out
 
 
-def _resolve_units(req: PipelineRequest) -> UnitSystem:
-    src = req.unit_source
+def _certify(system: UnitSystem, precision_cap: int) -> tuple[UnitSystem, UnitCertificate]:
+    ucert = verify_unit_system(system, precision_cap)
+    if isinstance(ucert, DependenceWitness):
+        raise AmpleToriError(f"unit system is dependent: {ucert.describe()}")
+    return system, ucert
+
+
+# (factor coefficients, order basis, S-primes, coord_bound, precision cap) ->
+# (searched UnitSystem, its UnitCertificate): both are functions of the key
+_UNIT_GROUPS = _PolynomialLRU()
+
+
+def _verified_units(req: PipelineRequest) -> tuple[UnitSystem, UnitCertificate]:
+    """The request's certified unit system; a searched one is computed once.
+
+    The memo hands out copies bound to req.algebra, so a caller that edits a
+    report leaves it intact. A provided system is never memoized, nor is a
+    dependent system or an error, which propagate.
+    """
+    e, src, cap = req.algebra, req.unit_source, req.precision_cap
     if "provided" in src:
-        return serialize.unit_system_from_json(
-            req.algebra, src["provided"], "request.unit_source.provided"
-        )
-    params = src.get("search", {})
-    return assemble_unit_system(
-        req.algebra,
-        s_primes=req.places.finite_primes,
-        coord_bound=int(params.get("coord_bound", 3)),
-        precision_cap=req.precision_cap,
+        path = "request.unit_source.provided"
+        return _certify(serialize.unit_system_from_json(e, src["provided"], path), cap)
+    s_primes = req.places.finite_primes
+    coord_bound = int(src.get("search", {}).get("coord_bound", 3))
+    key = (tuple(f.coeffs for f in e.factors), e.order_basis, s_primes, coord_bound, cap)
+    group = _UNIT_GROUPS.get(key)
+    if group is None:
+        group = _certify(assemble_unit_system(e, s_primes, coord_bound, cap), cap)
+    system, ucert = _UNIT_GROUPS.store(key, group)
+    return (
+        replace(system, algebra=e, free_generators=list(system.free_generators)),
+        replace(ucert, caveats=list(ucert.caveats)),
     )
 
 
@@ -278,10 +301,7 @@ def run_pipeline(req: PipelineRequest) -> CmaReport:
     if cert.verdict != VERDICT_AMPLE:
         return CmaReport(cert, None, None, caveats, None, None)
 
-    system = _resolve_units(req)
-    ucert = verify_unit_system(system, req.precision_cap)
-    if isinstance(ucert, DependenceWitness):
-        raise AmpleToriError(f"unit system is dependent: {ucert.describe()}")
+    system, ucert = _verified_units(req)
     caveats.extend(ucert.caveats)
 
     gens = GeneratorSet(

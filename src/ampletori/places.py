@@ -11,6 +11,7 @@ cycle type. Ramified primes are a hard error — the artifact never guesses.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -337,8 +338,12 @@ class PlaceProfile:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=256)
 def signature(f: QPoly) -> Signature:
-    """(r1, r2) of the field Q[x]/(f); r1 is the Sturm real-root count."""
+    """(r1, r2) of the field Q[x]/(f); r1 is the Sturm real-root count.
+
+    Cached per polynomial (QPoly hashes its coefficients); a Signature is frozen.
+    """
     r1 = sturm_count_real_roots(f)
     if (f.degree - r1) % 2 != 0:
         raise AssertionError("deg - r1 must be even; upstream Sturm bug")

@@ -35,7 +35,7 @@ PRECISION_LADDER = (64, 128, 256)
 DEFAULT_PRECISION_CAP = 256
 RELATION_EXPONENT_BOUND = 8
 TORSION_ORDER_CANDIDATES = (1, 2, 3, 4, 5, 6, 8, 10, 12)  # phi(m) <= 4
-CACHED_POLYNOMIALS = 256  # bound of the root and real-split caches
+CACHED_POLYNOMIALS = 256  # bound of every _PolynomialLRU
 
 
 # ---------------------------------------------------------------------------
@@ -221,13 +221,20 @@ class _PolynomialLRU(dict):
     def store(self, key, value):
         self.pop(key, None)
         self[key] = value
-        if len(self) > CACHED_POLYNOMIALS:
+        while len(self) > CACHED_POLYNOMIALS:
             del self[next(iter(self))]
         return value
 
 
 _ROOTS = _PolynomialLRU()  # f.coeffs -> (isolating intervals, {bits: refined intervals})
 _SPLITS = _PolynomialLRU()  # f.coeffs -> {bits: certified real quadratic split}
+_PRIME_PLACES = _PolynomialLRU()  # (f.coeffs, p) -> PrimePlaces, with its ideal-power HNFs
+
+
+def _prime_places(f: QPoly, p: int) -> PrimePlaces:
+    """PrimePlaces(f, p), built once; its power bases are the same whenever computed."""
+    key = (f.coeffs, p)
+    return _PRIME_PLACES.store(key, _PRIME_PLACES.get(key) or PrimePlaces(f, p))
 
 
 def _refined_roots(f: QPoly, bits: int):
@@ -310,7 +317,7 @@ def build_log_embedding(
     places_by_key: dict[tuple[int, int], PrimePlaces] = {}
     for p in s_primes:
         for k, f in enumerate(e.factors):
-            pp = PrimePlaces(f, p)
+            pp = _prime_places(f, p)
             places_by_key[(k, p)] = pp
             for j in range(pp.count):
                 columns.append(
@@ -815,7 +822,9 @@ def assemble_unit_system(
     certified minor inverse per round and step (exponents from certified
     logs, confirmed exactly); a unit generating a strictly larger lattice
     enlarges the basis by an exact Hermite-form step, so the final system
-    with t generates every unit in the pool, class members included.
+    with t generates every unit in the pool, class members included. The
+    basis's log rows are the pool's own rows until the first enlargement:
+    the same elements at the same precision, so the same minor and inverse.
     """
     _require_one_field(e)
     found = search_units(e, coord_bound, s_primes, default_norm_targets(s_primes), budget)
@@ -851,7 +860,7 @@ def assemble_unit_system(
     ladder = _precision_ladder(precision_cap)
     # the free pool's log rows, built once per precision step of this call
     pool_emb = functools.cache(lambda bits: build_log_embedding(e, free_pool, s_primes, bits))
-    basis_idx: list[int] = []
+    basis_idx: list[int] | None = []  # the basis's pool rows; None once enlarged
     for bits in ladder:
         emb_all = pool_emb(bits)
         basis_idx = []
@@ -874,7 +883,10 @@ def assemble_unit_system(
     for _round in range(8):
         changed = False
         for bits in ladder:
-            basis_emb = build_log_embedding(e, basis, s_primes, bits)
+            if basis_idx is None:
+                basis_emb = build_log_embedding(e, basis, s_primes, bits)
+            else:
+                basis_emb = pool_emb(bits).subset(basis_idx)
             minor = find_certified_minor(basis_emb)
             if minor is None:
                 continue
@@ -891,6 +903,7 @@ def assemble_unit_system(
                 nums, d, _k = got
                 if d > 1:
                     basis = _enlarge_basis(e, basis, u, nums, d)
+                    basis_idx = None
                     changed = True
                     break
             else:

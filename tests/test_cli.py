@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import ampletori
+from ampletori import pipeline, units
 from ampletori.cli import main
 
 GAUSS_ALGEBRA = {"factors": [["1", "0", "1"]], "order_basis": None}
@@ -294,8 +295,6 @@ def test_python_dash_m_runs_the_cli():
 
 
 def test_construct_is_byte_identical_after_unrelated_runs(tmp_path, monkeypatch, capsys):
-    from ampletori import units
-
     def request(name, factors, places):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({
@@ -314,13 +313,43 @@ def test_construct_is_byte_identical_after_unrelated_runs(tmp_path, monkeypatch,
     ]
     fresh = _run_cli_in_fresh_process("--json", "construct", target)
     assert fresh.returncode == 0, fresh.stderr
-    # with the root and split caches bounded at one polynomial, each
-    # unrelated run evicts what the target run cached, and the rerun misses
+    # with the per-polynomial caches and the unit-group memo bounded at one
+    # entry, each unrelated run evicts what the target run cached, and the
+    # rerun misses; at the full bound the rerun takes its unit group from the memo
     for bound in (units.CACHED_POLYNOMIALS, 1):
         monkeypatch.setattr(units, "CACHED_POLYNOMIALS", bound)
         main(["--json", "construct", target])
+        target_units = next(reversed(pipeline._UNIT_GROUPS))
         for path in unrelated:
             main(["--json", "construct", path])
+        assert (target_units in pipeline._UNIT_GROUPS) == (bound > 1)
         capsys.readouterr()
         main(["--json", "construct", target])
         assert capsys.readouterr().out == fresh.stdout
+
+
+def test_construct_from_the_unit_group_memo_matches_fresh_processes(
+    tmp_path, monkeypatch, capsys
+):
+    # SL emits the norm-one subgroup, GL the whole group: one memo entry serves both
+    paths = {}
+    for ambient in ("SL", "GL"):
+        paths[ambient] = tmp_path / f"gauss-{ambient}.json"
+        paths[ambient].write_text(json.dumps({
+            "algebra": GAUSS_ALGEBRA, "ambient": ambient, "places": "inf,13",
+        }))
+    fresh = {}
+    for ambient, path in paths.items():
+        proc = _run_cli_in_fresh_process("--json", "construct", str(path))
+        assert proc.returncode == 0, proc.stderr
+        fresh[ambient] = proc.stdout
+    assemblies = []
+    assemble = pipeline.assemble_unit_system
+    monkeypatch.setattr(pipeline, "_UNIT_GROUPS", units._PolynomialLRU())
+    monkeypatch.setattr(
+        pipeline, "assemble_unit_system", lambda *a, **k: assemblies.append(a) or assemble(*a, **k)
+    )
+    for ambient in ("SL", "GL", "SL"):
+        main(["--json", "construct", str(paths[ambient])])
+        assert capsys.readouterr().out == fresh[ambient]
+    assert len(assemblies) == 1 == len(pipeline._UNIT_GROUPS)

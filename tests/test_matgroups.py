@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ampletori import linalg, matgroups
+from ampletori import linalg, matgroups, units
 from ampletori.errors import NotAnOrderError
 from ampletori.etale import EtaleAlgebra
 from ampletori.matgroups import (
@@ -84,12 +84,23 @@ def test_root_search_stops_at_the_galois_count(monkeypatch):
             walked.append(cand)
             yield cand
 
-    monkeypatch.setattr(matgroups, "_AUTOMORPHISM_CACHE", {})
+    monkeypatch.setattr(matgroups, "_AUTOMORPHISM_CACHE", units._PolynomialLRU())
     monkeypatch.setattr(matgroups, "box_elements_with_trace", counting_walk)
     assert field_automorphism_count(QUARTIC) == 4
     assert len(enumerate_automorphisms(QUARTIC, coord_bound=50)) == 4
     # the last root sits in shell 8 of the free coordinates, far inside the box
     assert max(abs(c) for c in walked[-1][1:]) == 8
+
+
+def test_automorphism_cache_is_bounded_and_history_free(monkeypatch):
+    monkeypatch.setattr(units, "CACHED_POLYNOMIALS", 1)
+    monkeypatch.setattr(matgroups, "_AUTOMORPHISM_CACHE", units._PolynomialLRU())
+    first = {e: enumerate_automorphisms(e, 10) for e in (GAUSS, CUBIC)}
+    assert len(matgroups._AUTOMORPHISM_CACHE) == 1  # CUBIC evicted GAUSS
+    for e in (GAUSS, CUBIC, GAUSS):
+        assert enumerate_automorphisms(e, 10) == first[e]
+        assert len(matgroups._AUTOMORPHISM_CACHE) == 1
+        assert list(matgroups._AUTOMORPHISM_CACHE)[0][0] == tuple(f.coeffs for f in e.factors)
 
 
 def test_automorphism_functoriality_v4():
@@ -204,7 +215,7 @@ def test_normalization_holds_for_torus_elements():
 
 
 def test_automorphism_search_requires_an_order(monkeypatch):
-    monkeypatch.setattr(matgroups, "_AUTOMORPHISM_CACHE", {})
+    monkeypatch.setattr(matgroups, "_AUTOMORPHISM_CACHE", units._PolynomialLRU())
     half = EtaleAlgebra([QPoly([1, 0, 1])], [[1, 0], [0, Fraction(1, 2)]])
     with pytest.raises(NotAnOrderError):
         enumerate_automorphisms(half)

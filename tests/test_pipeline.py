@@ -1,10 +1,11 @@
 import json
 import shutil
+from fractions import Fraction
 
 import pytest
 
-from ampletori import linalg, serialize
-from ampletori.errors import InputError, UnsupportedError
+from ampletori import linalg, pipeline, serialize, units
+from ampletori.errors import BudgetExceededError, InputError, UnsupportedError
 from ampletori.conjugacy import find_simultaneous_conjugator
 from ampletori.matgroups import group_sanity
 from ampletori.pipeline import (
@@ -243,3 +244,57 @@ def test_ex52_conjugator_is_pinned():
     assert [serialize.vector_to_json(u) for u in found.unit_elements] == [
         ["-2", "1", "0", "0"], ["-1", "9", "-6", "1"], ["0", "5", "-5", "1"]
     ]
+
+
+GAUSS_GL_REQ = {**GAUSS_REQ, "ambient": "GL"}
+
+
+@pytest.fixture
+def fresh_unit_memo(monkeypatch):
+    monkeypatch.setattr(pipeline, "_UNIT_GROUPS", units._PolynomialLRU())
+    return pipeline._UNIT_GROUPS
+
+
+def test_editing_a_report_leaves_the_unit_memo_intact(fresh_unit_memo):
+    # under GL the report's unit system is the memoized group itself, copied
+    first = run_pipeline(PipelineRequest.from_json(GAUSS_GL_REQ))
+    expected = serialize.dumps(first.to_json())
+    caveats = list(first.unit_certificate.caveats)
+    first.unit_system.free_generators.clear()
+    first.unit_certificate.caveats.append("edited")
+    for req in (GAUSS_GL_REQ, GAUSS_REQ, GAUSS_GL_REQ):
+        again = run_pipeline(PipelineRequest.from_json(req))
+        assert again.unit_certificate.caveats == caveats
+        assert again.unit_system.algebra is not first.unit_system.algebra
+    assert serialize.dumps(again.to_json()) == expected
+    assert len(fresh_unit_memo) == 1
+
+
+def test_provided_units_and_errors_are_not_memoized(fresh_unit_memo):
+    searched = run_pipeline(PipelineRequest.from_json(GAUSS_GL_REQ))
+    provided = {
+        **GAUSS_GL_REQ,
+        "unit_source": {
+            "provided": {
+                "torsion": {"element": ["0", "1"], "order": 4},
+                "free": [["3", "4"], ["2", "-1"]],  # (2+i)^2 and 2-i
+                "s_primes": [5],
+            }
+        },
+    }
+    report = run_pipeline(PipelineRequest.from_json(provided))
+    assert report.unit_system.free_generators == [
+        (Fraction(3), Fraction(4)), (Fraction(2), Fraction(-1))
+    ]
+    assert report.unit_system.free_generators != searched.unit_system.free_generators
+    # ±1 = ±(1, -5) lie outside the box of sup-norm 3: no torsion, an error
+    no_torsion = {
+        "algebra": {"factors": [["-2", "0", "1"]], "order_basis": [["1", "5"], ["0", "1"]]},
+        "ambient": "SL",
+        "places": "inf",
+        "unit_source": {"search": {"coord_bound": 3}},
+    }
+    for _ in range(2):
+        with pytest.raises(BudgetExceededError, match="sup-norm <= 3"):
+            run_pipeline(PipelineRequest.from_json(no_torsion))
+    assert len(fresh_unit_memo) == 1

@@ -326,46 +326,92 @@ def _unit_classes(e, elements, box_bound=1):
     }
 
 
+def _record_assembly(monkeypatch):
+    """Patch assembly's embedding, inverse and enlargement to log their calls.
+
+    Embeddings log ("embed", elements); an inverse logs ("inverse", id of the
+    matrix); an enlargement logs ("enlarge",); every _express_from_rows call
+    logs ("express", id of the inverse it reduces against).
+    """
+    events = []
+    embed, inverse = units.build_log_embedding, units._interval_mat_inv
+    express, enlarge = units._express_from_rows, units._enlarge_basis
+    kept = []  # the inverses stay alive, so their ids stay distinct
+
+    def recording_embed(e, elements, *args, **kwargs):
+        events.append(("embed", list(elements)))
+        return embed(e, elements, *args, **kwargs)
+
+    def recording_inverse(*args, **kwargs):
+        kept.append(inverse(*args, **kwargs))
+        events.append(("inverse", id(kept[-1])))
+        return kept[-1]
+
+    def recording_express(e, basis, cols, minv, *args, **kwargs):
+        events.append(("express", id(minv)))
+        return express(e, basis, cols, minv, *args, **kwargs)
+
+    def recording_enlarge(*args, **kwargs):
+        events.append(("enlarge",))
+        return enlarge(*args, **kwargs)
+
+    monkeypatch.setattr(units, "build_log_embedding", recording_embed)
+    monkeypatch.setattr(units, "_interval_mat_inv", recording_inverse)
+    monkeypatch.setattr(units, "_express_from_rows", recording_express)
+    monkeypatch.setattr(units, "_enlarge_basis", recording_enlarge)
+    return events
+
+
+def _rounds(events):
+    """The inverses that pool units were reduced against, in order of use."""
+    return list(dict.fromkeys(ev[1] for ev in events if ev[0] == "express"))
+
+
 def test_assemble_searches_once_and_inverts_once_per_round(monkeypatch):
-    calls = {"search": 0, "inverse": 0}
-    embedded = []
+    calls = {"search": 0}
     found = []
-    search, inverse, embed = units.search_units, units._interval_mat_inv, units.build_log_embedding
+    search = units.search_units
 
     def counting_search(*args, **kwargs):
         calls["search"] += 1
         found.extend(search(*args, **kwargs))
         return found
 
-    def counting_inverse(*args, **kwargs):
-        calls["inverse"] += 1
-        return inverse(*args, **kwargs)
-
-    def recording_embed(e, elements, *args, **kwargs):
-        embedded.append(list(elements))
-        return embed(e, elements, *args, **kwargs)
-
     def refuse(*args, **kwargs):
         raise AssertionError("torsion comes from the pool search")
 
     monkeypatch.setattr(units, "search_units", counting_search)
-    monkeypatch.setattr(units, "_interval_mat_inv", counting_inverse)
-    monkeypatch.setattr(units, "build_log_embedding", recording_embed)
     monkeypatch.setattr(units, "torsion_units", refuse)
+    events = _record_assembly(monkeypatch)
     system = assemble_unit_system(GAUSS, (13, 29), 6)
     assert system.rank == 4 == s_unit_rank(GAUSS, (13, 29))
     assert calls["search"] == 1
     # the free pool is embedded once, one row per unit class of the box units
     # and their pairwise ratios (every ratio a/b = a·conj(b)/N(b) is an S-unit
-    # here); each saturation round and precision step embeds only the basis
-    # and inverts one minor of it
-    pool_rows, *basis_rows = embedded
+    # here); the basis is never enlarged, so its rows are read from the pool's
+    # and it is not embedded again; the one round and precision step inverts
+    # one minor
+    [pool_rows] = [ev[1] for ev in events if ev[0] == "embed"]
     ratios = {GAUSS.mul(a, GAUSS.inverse(b)) for a in found for b in found if a != b}
     classes = _unit_classes(GAUSS, set(found) | ratios)
     assert len(pool_rows) == len(set(classes.values())) > system.rank
     assert {classes[u] for u in pool_rows} == set(classes.values())
-    assert basis_rows and all(len(rows) == system.rank for rows in basis_rows)
-    assert calls["inverse"] == len(basis_rows) < len(pool_rows)
+    inverses = [ev[1] for ev in events if ev[0] == "inverse"]
+    assert inverses == _rounds(events) and len(inverses) == 1
+    assert ("enlarge",) not in events
+
+
+def test_assembly_embeds_the_basis_only_after_an_enlargement(monkeypatch):
+    events = _record_assembly(monkeypatch)
+    system = assemble_unit_system(EtaleAlgebra([QPoly([5, 0, -5, 0, 1])]), (), 3)
+    assert system.rank == 3
+    kinds = [ev[0] for ev in events if ev[0] != "express"]
+    # the pool, one round against the pool's rows, an enlargement, then a
+    # round against the re-embedded basis
+    assert kinds == ["embed", "inverse", "enlarge", "embed", "inverse"]
+    pool, basis = (ev[1] for ev in events if ev[0] == "embed")
+    assert len(pool) > len(basis) == system.rank
+    assert [ev[1] for ev in events if ev[0] == "inverse"] == _rounds(events)
 
 
 def test_assembly_climbs_to_the_precision_cap(monkeypatch):
@@ -454,7 +500,7 @@ PAPER_UNIT_CERTIFICATES = {
 def test_paper_unit_certificates_keep_their_minor_and_precision(name):
     golden = pipeline._load_golden(pipeline.corpus_dir(), f"{name}.json")
     req = pipeline.PipelineRequest.from_json(golden["request"])
-    cert = verify_unit_system(pipeline._resolve_units(req), req.precision_cap)
+    _, cert = pipeline._verified_units(req)
     assert (cert.minor_columns, cert.precision_bits) == PAPER_UNIT_CERTIFICATES[name]
 
 
