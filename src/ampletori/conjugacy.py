@@ -2,10 +2,11 @@
 
 Published generator matrices depend on an unstated Z-basis of the order.
 Rather than enumerate conjugators blindly, this module identifies which
-order element the first target matrix represents (by characteristic
-polynomial, through a box search), and then looks for a unimodular integer
-point in the resulting intertwiner space — a rational solution space of
-dimension at most n, which is searched within a bounded coefficient box.
+order element the first target matrix represents (every order element with
+its characteristic polynomial, found exactly), and then looks for a
+unimodular integer point in the resulting intertwiner space — a rational
+solution space of dimension at most n, which is searched within a bounded
+coefficient box.
 That element is primitive, so one intertwining condition fixes the algebra
 map, and every other unit target is read off through the conjugator found.
 """
@@ -20,14 +21,9 @@ from fractions import Fraction
 from . import linalg
 from .etale import Coords, EtaleAlgebra
 from .linalg import Mat
-from .matgroups import (
-    AutomorphismDatum,
-    automorphism_matrix,
-    box_elements_with_trace,
-    enumerate_automorphisms,
-)
+from .matgroups import AutomorphismDatum, automorphism_matrix, enumerate_automorphisms
+from .polynomials import QPoly
 
-UNIT_BOX = 12  # sup-norm box of the order elements matched to the first unit target
 COEFF_BOX = 20  # coefficient box of the unimodular point in the intertwiner space
 
 
@@ -51,28 +47,17 @@ def _is_primitive(e: EtaleAlgebra, u: Coords) -> bool:
     return linalg.rank(tuple(powers)) == e.n
 
 
-def _candidates_with_charpoly(
-    e: EtaleAlgebra, chi: tuple[Fraction, ...], box: int, limit: int = 12
-) -> list[Coords]:
-    """Box-search order elements whose regular matrix has charpoly chi.
+def order_elements_with_charpoly(e: EtaleAlgebra, chi: Mat) -> list[Coords]:
+    """Every order element whose regular matrix has the charpoly of chi.
 
-    The trace is a linear form in the coordinates, so one coordinate is
-    solved from it and only the rest are enumerated, in shells of
-    increasing sup-norm: when more than ``limit`` elements match, the ones
-    kept are those whose enumerated coordinates are smallest.
+    Smallest first, by 1-norm and then coordinates. An order element has an
+    integral charpoly, so a non-integral one has none.
     """
-    n = e.n
-    # Newton's identities: trace = -a_{n-1}, trace of squares = a_{n-1}^2 - 2 a_{n-2}
-    target_trace = -chi[n - 1]
-    target_trace_sq = chi[n - 1] ** 2 - 2 * chi[n - 2] if n >= 2 else target_trace**2
-    found = []
-    for cand in box_elements_with_trace(e, target_trace, box, target_trace_sq):
-        if tuple(linalg.charpoly(e.regular_rep(cand))) == chi:
-            found.append(cand)
-            if len(found) >= limit:
-                break
-    found.sort(key=lambda c: (sum(abs(x) for x in c), c))
-    return found
+    cp = QPoly(linalg.charpoly(chi))
+    if not cp.is_integral():
+        return []
+    found = [b for b in e.elements_with_charpoly(cp) if all(c.denominator == 1 for c in b)]
+    return sorted(found, key=lambda c: (sum(abs(x) for x in c), c))
 
 
 def _intertwiner_space(conditions: list[tuple[Mat, Mat]], n: int) -> list[Mat]:
@@ -128,18 +113,17 @@ def find_simultaneous_conjugator(
     """P ∈ GL_n(Z) conjugating the regular representation onto the targets.
 
     Searches both the targets as given and their transposes (the two matrix
-    conventions for a regular representation). Returns None when no
-    unimodular intertwiner exists within the bounded search: candidates for
-    the first unit target within sup-norm UNIT_BOX, and unimodular points
-    within coefficient box COEFF_BOX of the intertwiner space.
+    conventions for a regular representation). Every order element with the
+    first unit target's charpoly is tried; None means that no unimodular
+    point within coefficient box COEFF_BOX of any intertwiner space was
+    found.
     """
     autos = enumerate_automorphisms(e)
     auto_mats = [(s, automorphism_matrix(e, s)) for s in autos]
     if not unit_targets:
         return None
     # charpoly is transposition-invariant, so the candidate pool is shared
-    chi0 = _charpoly_of(unit_targets[0])
-    candidates = _candidates_with_charpoly(e, chi0, UNIT_BOX)
+    candidates = order_elements_with_charpoly(e, unit_targets[0])
     for transposed in (False, True):
         tgt_units = [
             linalg.transpose(t) if transposed else t for t in unit_targets

@@ -30,12 +30,6 @@ class CompositeModulusError(AmpleToriError):
     module = "polynomials"
 
 
-class IrreducibilityUndecidedError(AmpleToriError):
-    """Irreducibility over Q could not be certified for this degree."""
-
-    module = "polynomials"
-
-
 class SingularMatrixError(AmpleToriError):
     module = "linalg"
 

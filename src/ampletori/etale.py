@@ -16,13 +16,24 @@ and `Fraction`s are made only for the entries returned.
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
-from .errors import NotAnOrderError, SingularMatrixError
+from .errors import NotAnOrderError, SingularMatrixError, UnsupportedError
 from .linalg import Mat, Vec, _integer_form
-from .polynomials import QPoly, is_irreducible_q
+from .polynomials import (
+    QPoly,
+    _linear_product,
+    _symmetric_residue,
+    discriminant,
+    is_irreducible_q,
+    padic_roots,
+    split_prime,
+    squarefree_part,
+)
 
 Coords = Vec
 
@@ -222,6 +233,58 @@ class EtaleAlgebra:
 
     def charpoly(self, a: Coords) -> QPoly:
         return QPoly(linalg.charpoly(self.regular_rep(a)))
+
+    def elements_with_charpoly(self, g: QPoly) -> list[Coords]:
+        """Every β in the field K = Q[x]/(f) whose characteristic polynomial is g.
+
+        g is monic integral of degree n, so β is integral, and D·β = H(x)
+        with H ∈ Z[x] of degree < n for D = |disc f| (O_K ⊂ Z[x]/f′(x), and
+        D/f′(x) ∈ Z[x]). g is g₀^m for β's minimal polynomial g₀. At
+        p = split_prime(f, ·), with p ∤ disc g₀, f has n simple roots rᵢ in
+        Z_p, and β's images yᵢ = H(rᵢ)/D are the roots of g with their
+        multiplicities; H is the Lagrange interpolant of D·yᵢ at the rᵢ. Over
+        C the same sum bounds H's coefficients: D/f′(αᵢ) = ±∏_{j≠i} f′(αⱼ),
+        so |H_k| ≤ M = n·B_g·F^(n−1)·(1 + B_f)^(n−1), with B_f, B_g Cauchy
+        root bounds of f, g and F = Σ k·|f_k|·B_f^(k−1) ≥ |f′(αᵢ)|. Every
+        arrangement of the yᵢ is interpolated modulo p^k > 2M, read in
+        (−p^k/2, p^k/2], and kept when it is within M and charpoly(β) = g
+        holds exactly (Acciaro–Klüners, Math. Comp. 68, 1999). Sorted
+        order-basis coordinates; single field factor only.
+        """
+        if self.num_factors != 1:
+            raise UnsupportedError("elements_with_charpoly needs a single field factor")
+        f, n = self.factors[0], self.n
+        if g.degree != n or not g.is_monic() or not g.is_integral():
+            raise ValueError(f"{g!r} is not monic integral of degree {n}")
+        g0 = squarefree_part(g)
+        m, rem = divmod(n, g0.degree)
+        if rem or g0**m != g:
+            return []  # a field element's charpoly is a power of its minimal polynomial
+        p = split_prime(f) if g0 == f else split_prime(f, discriminant(g0))
+        bf, bg = (1 + max(abs(int(c)) for c in h.coeffs[:-1]) for h in (f, g))
+        fprime = sum(k * abs(int(c)) * bf ** (k - 1) for k, c in enumerate(f.coeffs) if k)
+        bound, q = n * bg * fprime ** (n - 1) * (1 + bf) ** (n - 1), p
+        while q <= 2 * bound:
+            q *= p
+        roots = padic_roots(f, p, q)
+        targets = roots if g0 == f else padic_roots(g0, p, q)
+        if len(targets) < g0.degree:
+            return []  # g₀ does not split at p, but every conjugate of β lies in Z_p
+        d = abs(discriminant(f))
+        lagrange = []  # D·∏_{j≠i} (x − r_j)/(r_i − r_j) mod q
+        for i, ri in enumerate(roots):
+            others = roots[:i] + roots[i + 1 :]
+            scale = d * pow(math.prod(ri - rj for rj in others), -1, q)
+            lagrange.append([a * scale % q for a in _linear_product(others, q)])
+        out = []
+        for ys in sorted(set(itertools.permutations(targets * m))):
+            h = [_symmetric_residue(sum(y * b[k] for y, b in zip(ys, lagrange)), q) for k in range(n)]
+            if max(map(abs, h)) > bound:
+                continue
+            beta = self.from_power(tuple(Fraction(c, d) for c in h))
+            if self.charpoly(beta) == g:
+                out.append(beta)
+        return sorted(out)
 
     def element_is_integral(self, a: Coords) -> bool:
         """True iff π(a) is an integer matrix (coordinate integrality for orders)."""

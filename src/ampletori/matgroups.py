@@ -19,7 +19,6 @@ from . import linalg
 from .errors import UnsupportedError
 from .etale import Coords, EtaleAlgebra
 from .linalg import Mat
-from .places import automorphism_count, galois_group_small
 from .units import _PolynomialLRU, fraction_is_s_unit_rational, matrix_is_s_integral
 
 
@@ -104,131 +103,31 @@ def identity_automorphism(e: EtaleAlgebra) -> AutomorphismDatum:
     )
 
 
-def _sup_norm_shells(d: int, bound: int):
-    """Integer d-tuples of sup-norm at most bound, shell by shell.
-
-    Shell r holds the tuples of sup-norm exactly r. Within a shell, a tuple
-    is filed under its first coordinate of absolute value r, so each point
-    of the box comes exactly once.
-    """
-    yield (0,) * d
-    for r in range(1, bound + 1):
-        inner = range(-r + 1, r)
-        full = range(-r, r + 1)
-        for i in range(d):
-            for head in itertools.product(inner, repeat=i):
-                for c in (-r, r):
-                    for tail in itertools.product(full, repeat=d - i - 1):
-                        yield head + (c,) + tail
-
-
-def box_elements_with_trace(
-    e: EtaleAlgebra,
-    target_trace: Fraction,
-    coord_bound: int,
-    target_trace_sq: Fraction | None = None,
-):
-    """Integer coordinate vectors in the box with the given trace.
-
-    The trace is a linear form with a nonzero coefficient at the coordinate
-    of 1, so that coordinate is solved for instead of enumerated: the box
-    costs (2B+1)^(n-1) candidates. The other n-1 coordinates are walked in
-    shells of increasing sup-norm 0, 1, ..., B, so a consumer that stops
-    early has seen every candidate of smaller sup-norm in them. When
-    target_trace_sq is given, the quadratic form trace(u^2) (a Gram matrix
-    evaluation) filters the survivors before anything expensive runs. The
-    basis must be an order (else NotAnOrderError): every element of an
-    order has integer traces, so the walk runs in plain ints and a
-    non-integer target yields nothing.
-    """
-    e.require_order()
-    if Fraction(target_trace).denominator != 1 or (
-        target_trace_sq is not None and Fraction(target_trace_sq).denominator != 1
-    ):
-        return
-    n = e.n
-    basis = [tuple(Fraction(int(i == j)) for i in range(n)) for j in range(n)]
-    tf = [int(e.trace(b)) for b in basis]
-    k = next(i for i in range(n) if tf[i] != 0)  # trace(1) = n > 0
-    others = [i for i in range(n) if i != k]
-    tk = tf[k]
-    tgt = int(target_trace)
-    g_int = tgt_sq = None
-    if target_trace_sq is not None:
-        g_int = [[int(e.trace(e.mul(basis[i], basis[j]))) for j in range(n)] for i in range(n)]
-        tgt_sq = int(target_trace_sq)
-    for tup in _sup_norm_shells(n - 1, coord_bound):
-        partial = sum(c * tf[i] for c, i in zip(tup, others))
-        ck, rem = divmod(tgt - partial, tk)
-        if rem or abs(ck) > coord_bound:
-            continue
-        coords_i = [0] * n
-        for c, i in zip(tup, others):
-            coords_i[i] = c
-        coords_i[k] = ck
-        if g_int is not None:
-            q = 0
-            for i in range(n):
-                ci = coords_i[i]
-                if ci:
-                    row = g_int[i]
-                    q += ci * sum(row[j] * coords_i[j] for j in range(n))
-            if q != tgt_sq:
-                continue
-        yield tuple(Fraction(c) for c in coords_i)
-
-
-# (factors, basis, box) -> automorphisms; bounded like the per-polynomial caches
+# (factors, basis) -> automorphisms; bounded like the per-polynomial caches
 _AUTOMORPHISM_CACHE = _PolynomialLRU()
-AUTOMORPHISM_COORD_BOUND = 50  # fallback end of the automorphism root search
 
 
-def field_automorphism_count(e: EtaleAlgebra) -> int | None:
-    """|Aut(K)| for the single field factor K, or None past degree 4."""
-    f = e.factors[0]
-    if f.degree > 4:
-        return None
-    return automorphism_count(galois_group_small(f))
+def enumerate_automorphisms(e: EtaleAlgebra) -> list[AutomorphismDatum]:
+    """All automorphisms of the order of a field factor.
 
-
-def enumerate_automorphisms(
-    e: EtaleAlgebra, coord_bound: int = AUTOMORPHISM_COORD_BOUND
-) -> list[AutomorphismDatum]:
-    """All automorphisms of the order of a field factor, by root search.
-
-    An automorphism is determined by the image of x (a root of f in O);
-    candidate roots come from the coordinate box in shells of increasing
-    sup-norm, using the linear trace condition to solve one coordinate and
-    the trace-of-square form as a second filter. Each root found is turned
-    into an automorphism and verified exactly. The walk stops once it holds
-    |Aut(K)| verified automorphisms (|N_G(H)/H| from the Galois tag): f has
-    no further root in K, so the result is complete. coord_bound only ends
-    the walk when that count is not reached (a root outside O or beyond the
-    bound, or no tag past degree 4); :func:`field_automorphism_count` tells
-    the caller whether the result fell short. Single-factor only. Results
-    are cached per (factors, basis, box) since the search is deterministic.
+    An automorphism is determined by the image of x, a root of f in K, and
+    :meth:`EtaleAlgebra.elements_with_charpoly` returns every such root. A
+    root r need not lie in the order (in Z[2i], x does not): the map x ↦ r
+    is kept when its basis images pass the exact automorphism check on the
+    order. Single-factor only; the basis must be an order (else
+    NotAnOrderError). Results are cached per (factors, basis).
     """
     if e.num_factors != 1:
         raise UnsupportedError("automorphism enumeration needs a single field factor")
-    cache_key = (tuple(f.coeffs for f in e.factors), e.order_basis, coord_bound)
+    cache_key = (tuple(f.coeffs for f in e.factors), e.order_basis)
     if cache_key in _AUTOMORPHISM_CACHE:
         return list(_AUTOMORPHISM_CACHE.store(cache_key, _AUTOMORPHISM_CACHE[cache_key]))
-    f = e.factors[0]
+    e.require_order()
     n = e.n
-    expected = field_automorphism_count(e)
-    x = e.generator(0)
-    target_trace = e.trace(x)
-    target_trace_sq = e.trace(e.mul(x, x))
     out = []
-    for r in box_elements_with_trace(e, target_trace, coord_bound, target_trace_sq):
-        # f(r) = 0 exactly
-        acc = e.zero()
-        for c in reversed(f.coeffs):
-            acc = e.add(e.mul(acc, r), tuple(c * x for x in e.one()))
-        if any(v != 0 for v in acc):
-            continue
-        # the root r induces x ↦ r; express basis images through the
-        # power-basis coordinates of the root's powers
+    for r in e.elements_with_charpoly(e.factors[0]):
+        # x ↦ r: express basis images through the power-basis coordinates
+        # of the root's powers
         powers = [e.one()]
         for _ in range(n - 1):
             powers.append(e.mul(powers[-1], r))
@@ -243,8 +142,6 @@ def enumerate_automorphisms(
         sigma = AutomorphismDatum(tuple(images))
         if _check_automorphism(e, sigma)[0]:
             out.append(sigma)
-            if len(out) == expected:
-                break
     out.sort(key=lambda s: s.images)
     _AUTOMORPHISM_CACHE.store(cache_key, list(out))
     return out

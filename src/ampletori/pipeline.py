@@ -27,13 +27,11 @@ from .errors import AmpleToriError, InputError, UnsupportedError
 from .etale import EtaleAlgebra
 from .linalg import Mat
 from .matgroups import (
-    AUTOMORPHISM_COORD_BOUND,
     GeneratorSet,
     automorphism_matrix,
     block_diag,
     elementary_matrix,
     enumerate_automorphisms,
-    field_automorphism_count,
     group_sanity,
     identity_automorphism,
     verify_normalization,
@@ -221,23 +219,12 @@ def _verified_units(req: PipelineRequest) -> tuple[UnitSystem, UnitCertificate]:
 
 
 def _normalizer_matrices(e: EtaleAlgebra, ambient: str, full_system: UnitSystem):
-    """Automorphism matrices, det-corrected into SL by a norm−(−1) unit.
-
-    A root search that ends short of |Aut(K)| automorphisms adds a caveat.
-    """
+    """Automorphism matrices, det-corrected into SL by a norm−(−1) unit."""
     out = []
     caveats = []
     if e.num_factors != 1:
         return out, caveats
-    autos = enumerate_automorphisms(e, AUTOMORPHISM_COORD_BOUND)
-    expected = field_automorphism_count(e)
-    if expected is not None and len(autos) < expected:
-        caveats.append(
-            "automorphisms: the root search exhausted "
-            f"coord_bound={AUTOMORPHISM_COORD_BOUND} having found {len(autos)} of "
-            f"the {expected} automorphisms of the field; the normalizer "
-            "generators may be incomplete"
-        )
+    autos = enumerate_automorphisms(e)
     fixer = None
     for u in full_system.free_generators:
         if e.norm(u) == -1:
@@ -466,12 +453,13 @@ def _check_imported(req, report, imported: dict, problems: list, caveats: list) 
     found = conjugacy.find_simultaneous_conjugator(e, units, autos)
     if found is None:
         caveats.append(
-            f"no GL_{e.n}(Z) conjugator found within the bounded search (unit_box="
-            f"{conjugacy.UNIT_BOX}, coeff_box={conjugacy.COEFF_BOX}); imported "
-            "matrices verified by sanity checks and characteristic polynomials only"
+            f"conjugacy: no GL_{e.n}(Z) conjugator found; every order element with the "
+            "first unit target's characteristic polynomial was tried, unimodular points "
+            f"searched within coeff_box={conjugacy.COEFF_BOX}; imported matrices "
+            "verified by sanity checks and characteristic polynomials only"
         )
         for t in units:
-            if not conjugacy._candidates_with_charpoly(e, tuple(linalg.charpoly(t)), 10, limit=1):
+            if not conjugacy.order_elements_with_charpoly(e, t):
                 problems.append("an imported matrix has a charpoly matching no order unit")
         return "weaker certificate"
     basis_algebra = EtaleAlgebra(e.factors, found.discovered_basis, check_irreducible=False)

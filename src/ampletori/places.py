@@ -413,23 +413,6 @@ def galois_group_small(f: QPoly) -> GaloisTag:
     return standard_tag("D4")
 
 
-def automorphism_count(tag: GaloisTag) -> int:
-    """|Aut(K)| for K = Q[x]/(f) with Galois tag ``tag``: |N_G(H)/H|.
-
-    H is the stabilizer of the root at index 0; |N_G(H)/H| is the number of
-    roots of f that lie in K, hence the number of automorphisms of K. g
-    normalizes H exactly when the cosets gH and Hg coincide.
-    """
-    stabilizer = [h for h in tag.elements if h[0] == 0]
-    normalizer = [
-        g
-        for g in tag.elements
-        if {perm_compose(g, h) for h in stabilizer}
-        == {perm_compose(h, g) for h in stabilizer}
-    ]
-    return len(normalizer) // len(stabilizer)
-
-
 def _is_square_rational(q: Fraction) -> bool:
     q = Fraction(q)
     return q >= 0 and is_square_integer(q.numerator) and is_square_integer(q.denominator)

@@ -9,18 +9,15 @@ is meaningless for it, never handled by convention.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import (
-    CompositeModulusError,
-    IrreducibilityUndecidedError,
-    NonMonicError,
-    ZeroPolynomialError,
-)
+from .errors import CompositeModulusError, NonMonicError, ZeroPolynomialError
 
 Coeffs = tuple[Fraction, ...]
 
@@ -586,19 +583,6 @@ def is_square_integer(n: int) -> bool:
     return r * r == n
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def rational_roots(f: QPoly) -> list[Fraction]:
     """All rational roots of f, without factoring its coefficients.
 
@@ -627,97 +611,108 @@ def rational_roots(f: QPoly) -> list[Fraction]:
     return sorted(roots)
 
 
-def is_irreducible_q(f: QPoly) -> bool:
-    """Decide irreducibility over Q for monic integral f of degree ≤ 4.
+# ---------------------------------------------------------------------------
+# p-adic roots at a split prime, and irreducibility over Q
+# ---------------------------------------------------------------------------
 
-    Degrees 5+ are certified via the factor-degree-pattern intersection over
-    several good primes; if no certificate is found the call raises rather
-    than guessing.
+
+@functools.lru_cache(maxsize=256)
+def split_prime(f: QPoly, avoid: int = 1) -> int:
+    """The smallest prime p ∤ disc(f)·avoid modulo which f splits into linear factors.
+
+    f is monic integral and squarefree, so f mod p is squarefree and it
+    splits exactly when x^p ≡ x modulo (f, p). Such primes exist and have
+    density 1/|Gal(f)| (Chebotarev), so the search grows with the Galois group.
+    """
+    disc, coeffs = discriminant(f), [int(c) for c in f.coeffs]
+    if not disc:
+        raise ValueError(f"{f!r} is not squarefree")
+    p = 1
+    while True:
+        p += 1
+        if not disc * avoid % p or not is_prime(p):
+            continue
+        fp = [c % p for c in coeffs]
+        if fp_pow_mod([0, 1], p, fp, p) == fp_mod([0, 1], fp, p):
+            return p
+
+
+def padic_roots(f: QPoly, p: int, q: int) -> list[int]:
+    """The roots of monic integral f modulo q = p^k above its roots modulo p.
+
+    Every root modulo p must be simple (p ∤ disc f): Newton's iteration,
+    doubling the precision at each step, lifts each to the unique root of f
+    in Z_p above it (Hensel). Ordered by residue modulo p.
+    """
+    c = [int(a) for a in f.coeffs]
+    dc = [i * a for i, a in enumerate(c)][1:]
+
+    def value(poly, x, m):
+        acc = 0
+        for a in reversed(poly):
+            acc = (acc * x + a) % m
+        return acc
+
+    out = []
+    for g, _ in factor_mod_p(f, p):
+        if len(g) != 2:
+            continue
+        r, m = -g[0] % p, p
+        while m < q:
+            m = min(m * m, q)
+            r = (r - value(c, r, m) * pow(value(dc, r, m), -1, m)) % m
+        out.append(r)
+    return sorted(out, key=lambda r: r % p)
+
+
+def _linear_product(roots: Iterable[int], q: int) -> list[int]:
+    """∏ (x − r) over the roots, ascending coefficients modulo q."""
+    h = [1]
+    for r in roots:
+        h = [(a - r * b) % q for a, b in zip([0] + h, h + [0])]
+    return h
+
+
+def _symmetric_residue(a: int, q: int) -> int:
+    """The representative of a mod q in (−q/2, q/2]."""
+    a %= q
+    return a - q if 2 * a > q else a
+
+
+@functools.lru_cache(maxsize=256)
+def is_irreducible_q(f: QPoly) -> bool:
+    """Decide irreducibility over Q for monic integral f, in every degree.
+
+    A squarefree f has n distinct roots in Z_p at p = split_prime(f), and a
+    monic factor of degree m ≤ n/2 over Z is the product of m of them. Its
+    coefficients are at most C(m, j)·‖f‖₂ < 2^n·‖f‖₂ (Mignotte), so the
+    roots are lifted to p^k > 2^(n+1)·‖f‖₂, and the product of every subset
+    of at most n/2 of them, read in (−p^k/2, p^k/2], is tried as a factor
+    (Zassenhaus recombination; Cohen, GTM 138, §3.5). Below degree 4 a
+    rational root is the only possible factor, so that decides alone.
     """
     if f.is_zero() or f.degree < 1:
         return False
     if not f.is_monic() or not f.is_integral():
         raise NonMonicError("irreducibility test expects a monic integral polynomial")
-    d = f.degree
-    if d == 1:
-        return True
+    n = f.degree
     if poly_gcd(f, f.derivative()).degree > 0:
         return False
-    if rational_roots(f):
-        return False
-    if d in (2, 3):
-        return True
-    if d == 4:
-        return not _has_integer_quadratic_factor(f)
-    return _certify_irreducible_mod_p(f)
-
-
-def _has_integer_quadratic_factor(f: QPoly) -> bool:
-    """Search x^4+c3x^3+c2x^2+c1x+c0 = (x^2+ax+b)(x^2+cx+d) over Z."""
-    c0, c1, c2, c3 = (int(f.coeffs[i]) for i in range(4))
-    if c0 == 0:
-        return True
-    for b in _signed_divisors(c0):
-        if c0 % b != 0:
-            continue
-        dd = c0 // b
-        # a+c = c3, b+d+ac = c2, ad+bc = c1
-        # From a+c=c3: c = c3-a; substitute: a(c3-a) = c2-b-dd
-        # and a*dd + b*(c3-a) = c1 -> a(dd-b) = c1 - b*c3
-        if b == dd:
-            # a(c3-a) = c2-2b and b(a+c)=bc3=c1 must hold
-            if b * c3 != c1:
-                continue
-            # solve a^2 - c3 a + (c2-2b) = 0 over Z
-            disc = c3 * c3 - 4 * (c2 - 2 * b)
-            if disc < 0 or not is_square_integer(disc):
-                continue
-            r = math.isqrt(disc)
-            for a in {(c3 + r) // 2, (c3 - r) // 2}:
-                c = c3 - a
-                if (
-                    a + c == c3
-                    and b + dd + a * c == c2
-                    and a * dd + b * c == c1
-                ):
-                    return True
-        else:
-            num = c1 - b * c3
-            den = dd - b
-            if num % den != 0:
-                continue
-            a = num // den
-            c = c3 - a
-            if b + dd + a * c == c2 and a * dd + b * c == c1:
-                return True
-    return False
-
-
-def _signed_divisors(n: int) -> list[int]:
-    ds = _divisors(n)
-    return sorted(set(ds) | {-d for d in ds})
-
-
-def _certify_irreducible_mod_p(f: QPoly, tries: int = 12) -> bool:
-    disc = discriminant(f)
-    n = f.degree
-    possible = set(range(n + 1))
-    used = 0
-    p = 2
-    while used < tries:
-        if is_prime(p) and disc % p != 0:
-            used += 1
-            degs = [len(g) - 1 for g, m in factor_mod_p(f, p) for _ in range(m)]
-            if len(degs) == 1:
-                return True
-            sums = {0}
-            for dgi in degs:
-                sums |= {s + dgi for s in sums}
-            possible &= sums
-            if not (possible - {0, n}):
-                return True
-        p += 1
-    raise IrreducibilityUndecidedError(
-        f"cannot certify irreducibility of degree-{n} polynomial; "
-        "full decision is only implemented for degree <= 4"
-    )
+    if n <= 3:  # a proper factor would include a linear one
+        return n == 1 or not rational_roots(f)
+    p = split_prime(f)
+    bound, q = 2 ** (n + 1) * (math.isqrt(sum(int(c) ** 2 for c in f.coeffs)) + 1), p
+    while q <= bound:
+        q *= p
+    c, roots = [int(a) for a in f.coeffs], padic_roots(f, p, q)
+    for size in range(1, n // 2 + 1):
+        for subset in itertools.combinations(roots, size):
+            h = [_symmetric_residue(a, q) for a in _linear_product(subset, q)]
+            rem = c[:]
+            for k in range(n - size, -1, -1):  # f mod the monic h, over Z
+                lead = rem[k + size]
+                for j, a in enumerate(h):
+                    rem[k + j] -= lead * a
+            if not any(rem):
+                return False
+    return True

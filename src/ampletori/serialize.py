@@ -16,7 +16,7 @@ from .etale import EtaleAlgebra
 from .linalg import Mat
 from .matgroups import GeneratorSet
 from .places import PlaceProfile
-from .torus import AmpleCertificate, SubmoduleWitness
+from .torus import AmpleCertificate, SubmoduleWitness, require_supported_degrees
 from .units import UnitSystem
 
 SCHEMA = "cma/1"
@@ -83,6 +83,7 @@ def algebra_from_json(data, path="algebra") -> EtaleAlgebra:
         QPoly(poly_from_json(f, f"{path}.factors[{i}]"))
         for i, f in enumerate(data["factors"])
     ]
+    require_supported_degrees(factors)
     basis = None
     if data.get("order_basis") is not None:
         basis = matrix_from_json(data["order_basis"], f"{path}.order_basis")

@@ -174,6 +174,16 @@ def _zero_sum_basis(n: int) -> tuple[Vec, ...]:
     return tuple(basis)
 
 
+def require_supported_degrees(factors) -> None:
+    """Refuse factors of degree > 4, past which no Galois tag is computed.
+
+    Request parsing calls this before the algebra is built, because the
+    irreducibility test's split-prime search grows with |Gal(f)|, up to n!.
+    """
+    if any(f.degree > 4 for f in factors):
+        raise UnsupportedError("factors of degree > 4 are not supported")
+
+
 def build_torus(e: EtaleAlgebra, ambient: str) -> TorusDatum:
     """TorusDatum for the maximal torus π(E^×) ∩ ambient.
 
@@ -181,11 +191,8 @@ def build_torus(e: EtaleAlgebra, ambient: str) -> TorusDatum:
     (degree ≤ 4). For SL the module is the zero-sum subspace.
     """
     e.require_order()
-    tags = []
-    for f in e.factors:
-        if f.degree > 4:
-            raise UnsupportedError("factors of degree > 4 are not supported")
-        tags.append(galois_group_small(f))
+    require_supported_degrees(e.factors)
+    tags = [galois_group_small(f) for f in e.factors]
     n = e.n
     if ambient == GL:
         module = tuple(linalg.identity(n))
@@ -412,11 +419,8 @@ def is_s_ample(t: TorusDatum, s: PlaceSet) -> AmpleCertificate:
     local_ranks: dict[str, int] = {}
     profiles_ok = t.algebra is not None
     if profiles_ok:
-        try:
-            for place in s.places():
-                local_ranks[_place_str(place)] = local_rank(t, place)
-        except UnsupportedError:
-            profiles_ok = False
+        for place in s.places():
+            local_ranks[_place_str(place)] = local_rank(t, place)
 
     submodules: list[SubmoduleWitness] = []
     if decomposition is None:

@@ -10,9 +10,11 @@ irreducibility over F_p by exhaustive trial division. Desk-scale and exact.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from ampletori import linalg
+from ampletori.places import perm_compose
 from ampletori.polynomials import (
     FpPoly,
     QPoly,
@@ -155,10 +157,12 @@ def oracle_automorphisms(e, coord_bound: int):
     """Order automorphisms of a field factor by a lexicographic full-box walk.
 
     Arithmetic runs on a multiplication table of the order basis built once.
-    Every vector of the box whose coordinate at 1 is fixed by trace(r) =
-    trace(x) and with trace(r^2) = trace(x^2) is tested as a root of f; a
-    root r gives x ↦ r, kept when the basis images are integral with
-    determinant ±1. No shell order and no early stop.
+    The image r of x is searched in (1/N)·O, N the denominator of x's order
+    coordinates, as r = v/N for every integer v of the box whose coordinate
+    at 1 is fixed by trace(v) = N·trace(x) and with trace(v^2) =
+    N^2·trace(x^2). v is tested against N^n·f(v/N) = 0; a root r gives
+    x ↦ r, kept when the basis images are integral with determinant ±1. No
+    shell order and no early stop.
     """
     n = e.n
     unit = [tuple(Fraction(int(i == j)) for i in range(n)) for j in range(n)]
@@ -181,7 +185,9 @@ def oracle_automorphisms(e, coord_bound: int):
         return sum(c * t for c, t in zip(u, trace_form))
 
     x = e.generator(0)
-    target, target_sq = trace(x), trace(mul(x, x))  # integers, as f is monic integral
+    den = math.lcm(*[c.denominator for c in x])
+    x = _ints([c * den for c in x])
+    target, target_sq = trace(x), trace(mul(x, x))
     one = _ints(e.one())
     k = next(i for i in range(n) if trace_form[i] != 0)
     others = [i for i in range(n) if i != k]
@@ -191,23 +197,23 @@ def oracle_automorphisms(e, coord_bound: int):
         ck, rem = divmod(target - partial, trace_form[k])
         if rem or abs(ck) > coord_bound:
             continue
-        r = [0] * n
+        v = [0] * n
         for c, i in zip(tup, others):
-            r[i] = c
-        r[k] = ck
-        if trace(mul(r, r)) != target_sq:
+            v[i] = c
+        v[k] = ck
+        if trace(mul(v, v)) != target_sq:
             continue
         acc = [0] * n
-        for c in reversed(e.factors[0].coeffs):
-            acc = [a + c * o for a, o in zip(mul(acc, r), one)]
+        for j, c in enumerate(reversed(e.factors[0].coeffs)):
+            acc = [a + int(c) * den**j * o for a, o in zip(mul(acc, v), one)]
         if any(acc):
             continue
         powers = [one]
         for _ in range(n - 1):
-            powers.append(mul(powers[-1], r))
+            powers.append(mul(powers[-1], v))
         images = tuple(
             tuple(
-                Fraction(sum(e.order_basis[j][p] * powers[p][i] for p in range(n)))
+                sum(e.order_basis[j][p] * Fraction(powers[p][i], den**p) for p in range(n))
                 for i in range(n)
             )
             for j in range(n)
@@ -249,3 +255,20 @@ def oracle_torsion_order(e, u, max_order: int = 12):
             return k
         acc = linalg.mat_mul(acc, m)
     return None
+
+
+def oracle_automorphism_count(tag) -> int:
+    """|Aut(K)| for K = Q[x]/(f) with Galois tag ``tag``: |N_G(H)/H|.
+
+    H is the stabilizer of the root at index 0; |N_G(H)/H| is the number of
+    roots of f that lie in K, hence the number of automorphisms of K. g
+    normalizes H exactly when the cosets gH and Hg coincide.
+    """
+    stabilizer = [h for h in tag.elements if h[0] == 0]
+    normalizer = [
+        g
+        for g in tag.elements
+        if {perm_compose(g, h) for h in stabilizer}
+        == {perm_compose(h, g) for h in stabilizer}
+    ]
+    return len(normalizer) // len(stabilizer)

@@ -181,6 +181,25 @@ def test_non_array_factors_are_an_input_error(factors, tmp_path, capsys):
     assert (err["message"], err["path"]) == ("factors must be an array", "request.algebra.factors")
 
 
+@pytest.mark.parametrize(
+    "factor",
+    [
+        ["-1", "-1", "0", "0", "0", "1"],  # x⁵ − x − 1, irreducible
+        ["-1", "-1", "-1", "0", "0", "1"],  # (x²+1)(x³−x−1)
+        ["-1", "-1"] + ["0"] * 8 + ["1"],  # x¹⁰ − x − 1: a split prime is out of reach
+    ],
+    ids=["irreducible-quintic", "reducible-quintic", "degree-ten"],
+)
+def test_factors_past_degree_four_are_refused_before_the_algebra_is_built(factor, tmp_path):
+    reqfile = tmp_path / "request.json"
+    request = {"schema": "cma/1", "algebra": {"factors": [factor]}, "ambient": "SL", "places": "inf"}
+    reqfile.write_text(json.dumps(request))
+    proc = _run_cli_in_fresh_process("--json", "construct", str(reqfile), timeout=60)
+    assert proc.returncode == 1 and "Traceback" not in proc.stderr
+    err = json.loads(proc.stdout)["error"]
+    assert (err["module"], err["message"]) == ("ampletori", "factors of degree > 4 are not supported")
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("a rejected input must not reach the computation")
 
@@ -279,12 +298,16 @@ def test_keyboard_interrupt_is_not_swallowed(tmp_path, monkeypatch):
         main(["construct", str(reqfile)])
 
 
-def _run_cli_in_fresh_process(*argv):
+def _run_cli_in_fresh_process(*argv, timeout=None):
     src = str(Path(ampletori.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
-        [sys.executable, "-m", "ampletori", *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-m", "ampletori", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
     )
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ampletori import linalg
+from ampletori.errors import UnsupportedError
 from ampletori.etale import EtaleAlgebra
 from ampletori.polynomials import QPoly
 
@@ -125,3 +126,53 @@ def test_rejects_singular_basis():
 
     with pytest.raises(SingularMatrixError):
         EtaleAlgebra([QPoly([1, 0, 1])], [[1, 0], [2, 0]])
+
+
+def test_elements_with_charpoly_examples():
+    i, one_plus_i = (Fraction(0), Fraction(1)), (Fraction(1), Fraction(1))
+    assert GAUSS.elements_with_charpoly(QPoly([1, 0, 1])) == sorted([i, GAUSS.neg(i)])
+    assert GAUSS.elements_with_charpoly(QPoly([2, -2, 1])) == [(1, -1), one_plus_i]
+    assert GAUSS.elements_with_charpoly(QPoly([9, -6, 1])) == [(3, 0)]  # (x − 3)²
+    # (x − 1)(x − 2) is squarefree and reducible: no field element has it
+    assert GAUSS.elements_with_charpoly(QPoly([2, -3, 1])) == []
+    # x² + 3 splits in Q(√−3), not in Q(i)
+    assert GAUSS.elements_with_charpoly(QPoly([3, 0, 1])) == []
+    z2i = EtaleAlgebra([QPoly([1, 0, 1])], [[1, 0], [0, 2]])
+    assert z2i.elements_with_charpoly(QPoly([1, 0, 1])) == [
+        (0, Fraction(-1, 2)),
+        (0, Fraction(1, 2)),
+    ]
+
+
+def test_elements_with_charpoly_rejects_bad_input():
+    with pytest.raises(ValueError):
+        GAUSS.elements_with_charpoly(QPoly([Fraction(1, 2), 0, 1]))
+    with pytest.raises(ValueError):
+        GAUSS.elements_with_charpoly(QPoly([1, 0, 0, 1]))
+    with pytest.raises(UnsupportedError):
+        PRODUCT.elements_with_charpoly(QPoly([1, 0, 0, 0, 1]))
+
+
+@pytest.mark.parametrize(
+    "coeffs, basis",
+    [
+        ([-3, 0, 1], None),
+        ([-1, -1, 0, 1], None),
+        ([1, -16, 20, -8, 1], None),  # V4
+        ([-2, 0, 0, 0, 1], None),  # D4
+        ([1, -1, 1, 0, 1], None),  # S4
+        ([1, 0, 1], [[1, 0], [0, 2]]),  # Z[2i]
+    ],
+)
+def test_elements_with_charpoly_find_every_box_element(coeffs, basis):
+    # each sampled order element is among those returned for its charpoly,
+    # and everything returned has that charpoly
+    e = EtaleAlgebra([QPoly(coeffs)], basis)
+    rng = random.Random(sum(coeffs))
+    for _ in range(12):
+        beta = tuple(Fraction(rng.randint(-3, 3)) for _ in range(e.n))
+        g = e.charpoly(beta)
+        found = e.elements_with_charpoly(g)
+        assert beta in found
+        assert all(e.charpoly(b) == g for b in found)
+        assert len(found) <= e.n

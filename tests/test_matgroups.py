@@ -12,7 +12,6 @@ from ampletori.matgroups import (
     block_embed,
     elementary_matrix,
     enumerate_automorphisms,
-    field_automorphism_count,
     group_sanity,
     identity_automorphism,
     is_unipotent,
@@ -69,36 +68,29 @@ def test_enumerate_automorphisms():
         ([1, 0, 1], [[1, 0], [0, 2]]),  # Z[2i]: x is not in the order
     ],
 )
-def test_shell_walk_matches_lexicographic_oracle(coeffs, basis):
+def test_automorphisms_match_the_box_oracle(coeffs, basis):
     e = EtaleAlgebra([QPoly(coeffs)], basis)
-    found = [s.images for s in enumerate_automorphisms(e, coord_bound=10)]
+    found = [s.images for s in enumerate_automorphisms(e)]
     assert found == oracle_automorphisms(e, 10)
 
 
-def test_root_search_stops_at_the_galois_count(monkeypatch):
-    walked = []
-    walk = matgroups.box_elements_with_trace
-
-    def counting_walk(*args):
-        for cand in walk(*args):
-            walked.append(cand)
-            yield cand
-
-    monkeypatch.setattr(matgroups, "_AUTOMORPHISM_CACHE", units._PolynomialLRU())
-    monkeypatch.setattr(matgroups, "box_elements_with_trace", counting_walk)
-    assert field_automorphism_count(QUARTIC) == 4
-    assert len(enumerate_automorphisms(QUARTIC, coord_bound=50)) == 4
-    # the last root sits in shell 8 of the free coordinates, far inside the box
-    assert max(abs(c) for c in walked[-1][1:]) == 8
+def test_z2i_automorphisms_include_conjugation():
+    # x = i is not in the order Z[2i], but x ↦ −x maps the basis {1, 2i} to {1, −2i}
+    e = EtaleAlgebra([QPoly([1, 0, 1])], [[1, 0], [0, 2]])
+    autos = enumerate_automorphisms(e)
+    assert [automorphism_matrix(e, s) for s in autos] == [
+        linalg.matrix([[1, 0], [0, -1]]),
+        linalg.identity(2),
+    ]
 
 
 def test_automorphism_cache_is_bounded_and_history_free(monkeypatch):
     monkeypatch.setattr(units, "CACHED_POLYNOMIALS", 1)
     monkeypatch.setattr(matgroups, "_AUTOMORPHISM_CACHE", units._PolynomialLRU())
-    first = {e: enumerate_automorphisms(e, 10) for e in (GAUSS, CUBIC)}
+    first = {e: enumerate_automorphisms(e) for e in (GAUSS, CUBIC)}
     assert len(matgroups._AUTOMORPHISM_CACHE) == 1  # CUBIC evicted GAUSS
     for e in (GAUSS, CUBIC, GAUSS):
-        assert enumerate_automorphisms(e, 10) == first[e]
+        assert enumerate_automorphisms(e) == first[e]
         assert len(matgroups._AUTOMORPHISM_CACHE) == 1
         assert list(matgroups._AUTOMORPHISM_CACHE)[0][0] == tuple(f.coeffs for f in e.factors)
 
@@ -219,14 +211,3 @@ def test_automorphism_search_requires_an_order(monkeypatch):
     half = EtaleAlgebra([QPoly([1, 0, 1])], [[1, 0], [0, Fraction(1, 2)]])
     with pytest.raises(NotAnOrderError):
         enumerate_automorphisms(half)
-    with pytest.raises(NotAnOrderError):
-        list(matgroups.box_elements_with_trace(half, Fraction(0), 3))
-
-
-def test_non_integer_trace_target_yields_nothing():
-    assert list(matgroups.box_elements_with_trace(GAUSS, Fraction(1, 2), 3)) == []
-    assert list(matgroups.box_elements_with_trace(GAUSS, Fraction(0), 3, Fraction(1, 3))) == []
-    assert list(matgroups.box_elements_with_trace(GAUSS, Fraction(0), 1, Fraction(-2))) == [
-        (Fraction(0), Fraction(-1)),
-        (Fraction(0), Fraction(1)),
-    ]

@@ -6,7 +6,7 @@ import pytest
 
 from ampletori import linalg, pipeline, serialize, units
 from ampletori.errors import BudgetExceededError, InputError, UnsupportedError
-from ampletori.conjugacy import find_simultaneous_conjugator
+from ampletori.conjugacy import find_simultaneous_conjugator, order_elements_with_charpoly
 from ampletori.matgroups import group_sanity
 from ampletori.pipeline import (
     PipelineRequest,
@@ -161,16 +161,28 @@ def test_real_quadratic_block_keeps_normalizer_in_sl(d):
     assert normals == [linalg.matrix([[1, 0, 0], [0, -1, 0], [0, 0, -1]])]
 
 
-def test_incomplete_automorphism_search_is_a_caveat():
-    # in Z[2i] the root search for x ↦ ±x finds nothing: x = i is not in the order
-    algebra = {"factors": [["1", "0", "1"]], "order_basis": [["1", "0"], ["0", "2"]]}
-    report = run_pipeline(PipelineRequest.from_json({**GAUSS_REQ, "algebra": algebra}))
+Z2I = {"factors": [["1", "0", "1"]], "order_basis": [["1", "0"], ["0", "2"]]}
+
+
+def test_z2i_conjugation_needs_a_norm_minus_one_unit_in_sl():
+    # x ↦ −x is an automorphism of Z[2i] with determinant −1, and no S-unit
+    # of Z[2i][1/5] has norm −1 (a² + 4b² > 0), so SL gets no normalizer
+    report = run_pipeline(PipelineRequest.from_json({**GAUSS_REQ, "algebra": Z2I}))
     assert report.verdict == "S-ample"
     assert report.generators.normalizer_gens == []
     assert (
-        "automorphisms: the root search exhausted coord_bound=50 having found 0 of "
-        "the 2 automorphisms of the field; the normalizer generators may be incomplete"
+        "an order automorphism has determinant -1 and no unit of norm -1 exists to "
+        "correct it: the normalizer meets SL only in the torus, so no normalizer "
+        "generator is emitted"
     ) in report.caveats
+    assert not any("root search" in c for c in report.caveats)
+
+
+def test_z2i_conjugation_is_a_normalizer_generator_in_gl():
+    req = {**GAUSS_REQ, "algebra": Z2I, "ambient": "GL"}
+    report = run_pipeline(PipelineRequest.from_json(req))
+    assert report.sanity["all_pass"]["pass"]
+    assert report.generators.normalizer_gens == [linalg.matrix([[1, 0], [0, -1]])]
 
 
 def test_verify_paper_examples_all_pass():
@@ -221,13 +233,15 @@ def test_an_altered_imported_normalizer_fails_only_its_row(tmp_path):
     assert rows["5.2"]["detail"] == "imported matrices fail sanity: ['normalizer', 'all_pass']"
 
 
-def test_without_a_conjugator_the_caveat_names_both_bounds(monkeypatch):
+def test_without_a_conjugator_the_caveat_names_its_stage_and_bound(monkeypatch):
     monkeypatch.setattr("ampletori.conjugacy.find_simultaneous_conjugator", lambda *a: None)
     row = next(r for r in verify_paper_examples() if r["example"] == "5.2")
     assert row["pass"] and row["detail"] == "weaker certificate"
     assert (
-        "no GL_4(Z) conjugator found within the bounded search (unit_box=12, coeff_box=20); "
-        "imported matrices verified by sanity checks and characteristic polynomials only"
+        "conjugacy: no GL_4(Z) conjugator found; every order element with the first unit "
+        "target's characteristic polynomial was tried, unimodular points searched within "
+        "coeff_box=20; imported matrices verified by sanity checks and characteristic "
+        "polynomials only"
     ) in row["caveats"]
 
 
@@ -244,6 +258,15 @@ def test_ex52_conjugator_is_pinned():
     assert [serialize.vector_to_json(u) for u in found.unit_elements] == [
         ["-2", "1", "0", "0"], ["-1", "9", "-6", "1"], ["0", "5", "-5", "1"]
     ]
+
+
+def test_conjugator_candidates_are_the_order_elements_with_the_charpoly():
+    z2i = PipelineRequest.from_json({**GAUSS_REQ, "algebra": Z2I}).algebra
+    rotation = linalg.matrix([[0, -1], [1, 0]])  # charpoly x² + 1: ±i, not in Z[2i]
+    assert order_elements_with_charpoly(z2i, rotation) == []
+    two_i = z2i.regular_rep((Fraction(0), Fraction(1)))  # charpoly x² + 4
+    assert order_elements_with_charpoly(z2i, two_i) == [(0, -1), (0, 1)]
+    assert order_elements_with_charpoly(z2i, linalg.matrix([[Fraction(1, 2), 0], [0, 2]])) == []
 
 
 GAUSS_GL_REQ = {**GAUSS_REQ, "ambient": "GL"}

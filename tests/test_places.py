@@ -5,7 +5,6 @@ import pytest
 from ampletori.errors import NoSuchElementError, RamifiedPlaceError, UnsupportedError
 from ampletori.places import (
     INF,
-    automorphism_count,
     cycle_type,
     decomposition_profile,
     frobenius_cycle_type,
@@ -169,18 +168,3 @@ def test_regular_action_is_faithful_and_transitive():
     tag = regular_action(standard_tag("S3"))
     assert tag.degree == 6 and tag.order == 6
     assert orbits_of(list(tag.elements), 6) == (tuple(range(6)),)
-
-
-@pytest.mark.parametrize(
-    "name, count",
-    [
-        ("C1", 1), ("C2", 2), ("C3", 3), ("S3", 1), ("C4", 4),
-        ("V4", 4), ("D4", 2), ("A4", 1), ("S4", 1),
-    ],
-)
-def test_automorphism_count(name, count):
-    # |N_G(H)/H| equals the number of points H fixes, for a transitive action
-    tag = standard_tag(name)
-    stabilizer = [g for g in tag.elements if g[0] == 0]
-    fixed = [i for i in range(tag.degree) if all(g[i] == i for g in stabilizer)]
-    assert automorphism_count(tag) == len(fixed) == count

@@ -185,6 +185,20 @@ def test_not_multiplicity_free_is_undecidable():
     assert replay_certificate(cert) == VERDICT_UNDECIDABLE
 
 
+def test_without_an_algebra_local_ranks_are_undecidable():
+    # S3 on its 3 roots: the zero-sum module is the standard rep once, so
+    # only the missing place profiles keep condition (iii) from running
+    t = TorusDatum(SL, (standard_tag("S3"),), _zero_sum_basis(3), None)
+    assert decompose_module(t).multiplicity_free and global_rank(t) == 0
+    cert = is_s_ample(t, PlaceSet(True, (5,)))
+    assert cert.verdict == VERDICT_UNDECIDABLE
+    assert cert.local_ranks == {}
+    assert cert.condition_iii == {
+        "status": "not-evaluated",
+        "reason": "no defining algebra; local ranks unavailable",
+    }
+
+
 def test_multi_factor_fails_condition_i_not_undecidable():
     cert = is_s_ample(build_torus(QQ, SL), PlaceSet(True, ()))
     assert cert.verdict == VERDICT_NOT_AMPLE
