@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import _integer_form
-
 
 @dataclass(frozen=True)
 class RationalInterval:
@@ -84,35 +82,8 @@ class RationalInterval:
     def width(self) -> Fraction:
         return self.hi - self.lo
 
-    def round_outward(self, bits: int) -> "RationalInterval":
-        """Widen to dyadic endpoints with denominator 2^bits (controls blowup)."""
-        scale = 1 << bits
-        lo = Fraction((self.lo * scale).__floor__(), scale)
-        hi = Fraction(-((-self.hi * scale).__floor__()), scale)
-        return RationalInterval(lo, hi)
-
     def __repr__(self):
         return f"[{self.lo}, {self.hi}]"
-
-
-def eval_poly_interval(coeffs, x: RationalInterval) -> RationalInterval:
-    """Horner evaluation of a polynomial (ascending Fraction coeffs) at x.
-
-    Interval Horner on integer numerators: x = [p, r]/q, the coefficients
-    over their lcm e, and the accumulator over e·q^k after k steps. The
-    shared denominator is positive, so min and max pick the same products
-    as rational interval arithmetic would, and the endpoints are equal.
-    """
-    (p, r), q = _integer_form((x.lo, x.hi))
-    coeffs, e = _integer_form(coeffs)
-    lo = hi = 0
-    qk = 1
-    for c in reversed(coeffs):
-        qk *= q
-        t = c * qk
-        products = (lo * p, lo * r, hi * p, hi * r)
-        lo, hi = min(products) + t, max(products) + t
-    return RationalInterval(Fraction(lo, e * qk), Fraction(hi, e * qk))
 
 
 def _dyadic(lo: int, hi: int, p: int, shift: int = 0) -> RationalInterval:

@@ -1,253 +1,185 @@
-"""Certified factorization of a squarefree polynomial over R.
+"""Certified root disks of a monic integral polynomial: the archimedean
+places of the log embedding.
 
-Produces interval enclosures for the coefficients (a_j, b_j) of the monic
-real quadratic factors x² + a_j x + b_j (one per complex-conjugate root
-pair), alongside the isolated real roots. This is what makes log|σ(u)|
-computable at every complex place: |g(β)|² = Res(x² + ax + b, g) has the
-closed form r1²·b − r1·r0·a + r0² for g ≡ r1·x + r0 mod the quadratic,
-which evaluates in interval arithmetic.
+`root_disks` approximates every complex root by Durand–Kerner (Weierstrass)
+iteration on Gaussian fixed-point integers and certifies the result with
+Smith's inclusion theorem (B. T. Smith, J. ACM 17, 1970): for distinct
+centres z_1..z_n of a monic f of degree n, the disks
 
-The quadratic coefficients are located as follows: the real numbers
-−a_j = β_j + conj(β_j) are real roots of the root-sums polynomial
-S(z) = Res_y(f(y), f(z − y)), which is computed exactly by Lagrange
-interpolation of resultant values. Candidate (a, b) assignments are solved
-from the coefficient identities and accepted only when the interval product
-of all candidate factors encloses f exactly; the intervals are refined until
-a single assignment survives, so a wrong assignment can never be certified.
+    |z − z_i| ≤ n·|f(z_i) / ∏_{j≠i} (z_i − z_j)|
+
+cover the roots, and a union of m of them that meets no other disk holds
+exactly m roots. So n pairwise disjoint disks hold one root each. The
+centres are closed under conjugation. A disk centred on the real axis is
+its own mirror image, so its one root is real. An upper disk and its mirror
+hold a conjugate pair. `abs_square_on_disk` then encloses |A(α)|² for the
+root α in a disk. Everything is integer arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AmpleToriError
 from .intervals import RationalInterval
-from .polynomials import QPoly, isolate_real_roots, refine_root, squarefree_part
+from .linalg import _integer_form
+from .polynomials import QPoly
+
+DOUBLINGS = 6  # working-precision doublings before root_disks gives up
+STEPS = 100  # Weierstrass sweeps per working precision at most
 
 
 class RealSplitError(AmpleToriError):
     module = "realsplit"
 
 
-def _lagrange_interpolate(points: list[tuple[Fraction, Fraction]]) -> QPoly:
-    total = QPoly([])
-    for i, (xi, yi) in enumerate(points):
-        num = QPoly([yi])
-        den = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if i == j:
+@dataclass(frozen=True)
+class RootDisk:
+    """The closed disk |z − (re + i·im)·2^-shift| ≤ radius·2^-shift."""
+
+    re: int
+    im: int
+    radius: int
+    shift: int
+
+
+def _ceil_sqrt(n: int) -> int:
+    r = math.isqrt(n)
+    return r if r * r == n else r + 1
+
+
+def _horner_exact(coeffs: list[int], x: int, y: int, p: int) -> tuple[int, int]:
+    """f(z)·2^(np) for z = (x + iy)·2^-p and f = Σ coeffs[k]·z^k of degree n."""
+    ax, ay = coeffs[-1], 0
+    for t, c in enumerate(reversed(coeffs[:-1]), 1):
+        ax, ay = ax * x - ay * y + (c << (t * p)), ax * y + ay * x
+    return ax, ay
+
+
+def _weierstrass(coeffs: list[int], zs: list[tuple[int, int]], p: int) -> None:
+    """Gauss–Seidel Weierstrass sweeps on the centres zs, in units of 2^-p.
+
+    Stops once no correction exceeds 16 units, or after STEPS sweeps.
+    """
+    n, one = len(zs), 1 << p
+    for _ in range(STEPS):
+        largest = 0
+        for i, (x, y) in enumerate(zs):
+            fx, fy = one, 0
+            for c in reversed(coeffs[:-1]):
+                fx, fy = ((fx * x - fy * y) >> p) + (c << p), (fx * y + fy * x) >> p
+            dx, dy = one, 0
+            for j, (u, v) in enumerate(zs):
+                if j != i:
+                    u, v = x - u, y - v
+                    dx, dy = (dx * u - dy * v) >> p, (dx * v + dy * u) >> p
+            den = dx * dx + dy * dy
+            if den == 0:  # coincident centres: step off by one unit
+                zs[i] = (x + 1, y + 1)
+                largest = one
                 continue
-            num = num * QPoly([-xj, 1])
-            den *= xi - xj
-        total = total + num * (1 / den)
-    return total
+            wx = ((fx * dx + fy * dy) << p) // den
+            wy = ((fy * dx - fx * dy) << p) // den
+            zs[i] = (x - wx, y - wy)
+            largest = max(largest, abs(wx), abs(wy))
+        if largest <= 16:
+            return
 
 
-def root_sums_polynomial(f: QPoly) -> QPoly:
-    """S(z) = Res_y(f(y), f(z−y)): roots are all sums of pairs of roots of f."""
-    from .polynomials import resultant
-
-    n = f.degree
-    deg = n * n
-    points = []
-    z0 = Fraction(0)
-    while len(points) <= deg:
-        shifted = _compose_linear(f, z0)
-        points.append((z0, resultant(f, shifted)))
-        z0 += 1
-    return _lagrange_interpolate(points)
-
-
-def _compose_linear(f: QPoly, z0: Fraction) -> QPoly:
-    """f(z0 − y) as a polynomial in y."""
-    acc = QPoly([])
-    base = QPoly([z0, -1])
-    power = QPoly([1])
-    for c in f.coeffs:
-        acc = acc + power * c
-        power = power * base
-    return acc
-
-
-def sqrt_interval(iv: RationalInterval, bits: int = 64) -> RationalInterval:
-    """Certified square root of a nonnegative interval."""
-    if iv.lo < 0:
-        raise ValueError("sqrt of an interval reaching below zero")
-    scale = 1 << bits
-
-    def lower(q: Fraction) -> Fraction:
-        v = math.isqrt((q.numerator * scale * scale) // q.denominator)
-        return Fraction(v, scale)
-
-    def upper(q: Fraction) -> Fraction:
-        v = math.isqrt((q.numerator * scale * scale) // q.denominator) + 1
-        return Fraction(v, scale)
-
-    return RationalInterval(lower(iv.lo), upper(iv.hi))
+def _certify(coeffs, zs, r1: int, p: int, bits: int) -> list[RootDisk] | None:
+    """Smith disks on zs made conjugation-closed, if each radius is ≤ 2^-bits
+    and all n are pairwise disjoint; else None."""
+    n = len(zs)
+    by_height = sorted(zs, key=lambda z: abs(z[1]))
+    upper = [z for z in by_height[r1:] if z[1] > 0]
+    if 2 * len(upper) != n - r1:
+        return None
+    # upper centres by decreasing real part, then |z|²; real parts are
+    # rounded to the grid 2^(2-bits) first, so that two equal ones, each
+    # known to within 2^-bits, compare equal
+    grid = p - bits + 2
+    upper.sort(key=lambda z: (-((z[0] + (1 << (grid - 1))) >> grid), z[0] ** 2 + z[1] ** 2))
+    real = sorted((x, 0) for x, _ in by_height[:r1])
+    centres = real + upper + [(x, -y) for x, y in upper]
+    radii = []
+    for i, (x, y) in enumerate(centres[: r1 + len(upper)]):
+        fx, fy = _horner_exact(coeffs, x, y, p)
+        dx, dy = 1, 0
+        for j, (u, v) in enumerate(centres):
+            if j != i:
+                u, v = x - u, y - v
+                dx, dy = dx * u - dy * v, dx * v + dy * u
+        den = dx * dx + dy * dy
+        if den == 0:
+            return None
+        # (radius·2^p)² = n²·|f(z)·2^(np)|² / |∏(z − z_j)·2^((n-1)p)|²
+        radius = _ceil_sqrt(-(-n * n * (fx * fx + fy * fy) // den))
+        if radius > 1 << (p - bits):
+            return None
+        radii.append(radius)
+    radii += radii[r1:]
+    for i in range(n):
+        for j in range(i + 1, n):
+            (x, y), (u, v) = centres[i], centres[j]
+            if (x - u) ** 2 + (y - v) ** 2 <= (radii[i] + radii[j]) ** 2:
+                return None
+    return [RootDisk(x, y, r, p) for (x, y), r in zip(centres, radii[: r1 + len(upper)])]
 
 
-def _poly_interval_product(factors: list[list[RationalInterval]]) -> list[RationalInterval]:
-    out = [RationalInterval.point(1)]
-    for coeffs in factors:
-        nxt = [RationalInterval.point(0)] * (len(out) + len(coeffs) - 1)
-        for i, a in enumerate(out):
-            for j, b in enumerate(coeffs):
-                nxt[i + j] = nxt[i + j] + a * b
-        out = nxt
-    return out
+def root_disks(f: QPoly, r1: int, bits: int) -> list[RootDisk]:
+    """One certified disk of radius ≤ 2^-bits per archimedean place of f.
 
-
-class RealSplit:
-    """Certified real factorization of a squarefree monic polynomial."""
-
-    def __init__(self, f: QPoly, real_roots, quadratics):
-        self.f = f
-        self.real_roots = real_roots  # list of (lo, hi)
-        self.quadratics = quadratics  # list of (a interval, b interval)
-
-
-def real_quadratic_split(f: QPoly, bits: int = 64, max_rounds: int = 10) -> RealSplit:
-    """Certified (a_j, b_j) intervals for the real quadratic factors of f.
-
-    Implemented for r2 ≤ 2 (every field of degree ≤ 4). For r2 = 1 the
-    single quadratic is solved directly from the isolated real roots; for
-    r2 = 2 the candidate sums come from the root-sums polynomial and the
-    unique assignment surviving exact coefficient containment is returned.
+    f is monic integral and squarefree with r1 real roots. The r1 disks
+    centred on the real axis come first, in increasing order; then one disk
+    above the axis per conjugate pair, by decreasing real part and then
+    increasing |z|². Each holds exactly one root of f, and no two meet (nor
+    does an upper disk meet a mirror image). The start points are
+    R·((4 + 9i)/10)^k with R = 1 + max|a_k| bounding every root. When the
+    disks do not certify, the working precision doubles, up to DOUBLINGS
+    times; then RealSplitError names f and the precision.
     """
-    f = squarefree_part(f)
-    n = f.degree
-    real_isos = isolate_real_roots(f)
-    r1 = len(real_isos)
-    r2 = (n - r1) // 2
-    if r2 == 0:
-        return RealSplit(f, real_isos, [])
-    if r2 > 2:
-        raise RealSplitError("real quadratic splitting implemented for r2 <= 2")
-
-    sums = squarefree_part(root_sums_polynomial(f))
-    sum_isos = isolate_real_roots(sums)
-
-    for round_ in range(max_rounds):
-        prec = bits * (2**round_)
-        width = Fraction(1, 1 << prec)
-        roots_iv = []
-        for iso in real_isos:
-            lo, hi = refine_root(f, iso[0], iso[1], width)
-            roots_iv.append(RationalInterval(lo, hi))
-        sum_iv = []
-        for iso in sum_isos:
-            lo, hi = refine_root(sums, iso[0], iso[1], width)
-            sum_iv.append(RationalInterval(lo, hi))
-
-        survivors = []
-        if r2 == 1:
-            # a = -(sum of the complex pair) = -(coeff_{n-1} + sum of real roots)
-            total = RationalInterval.point(-f.coeffs[n - 1])
-            for iv in roots_iv:
-                total = total - iv
-            a_iv = -total
-            # b from the constant term: prod(real roots) * b = ±constant
-            prod = RationalInterval.point(1)
-            for iv in roots_iv:
-                prod = prod * iv
-            const = RationalInterval.point(f.coeffs[0])
-            sign = Fraction((-1) ** r1)
-            if prod.contains_zero():
-                survivors = []  # refine the real roots further
-            else:
-                b_iv = _interval_div(const.scale(sign), prod)
-                survivors = [[(a_iv, b_iv)]]
-        else:
-            survivors = _match_two_quadratics(f, roots_iv, sum_iv)
-
-        if len(survivors) == 1:
-            quads = sorted(survivors[0], key=lambda ab: (ab[0].lo, ab[1].lo))
-            return RealSplit(f, real_isos, quads)
-    raise RealSplitError(
-        f"could not isolate a unique real factorization of {f!r} "
-        f"after {max_rounds} refinement rounds"
-    )
+    coeffs = [int(c) for c in f.coeffs]
+    n = len(coeffs) - 1
+    p = bits + 2 * n + 16
+    bound = 1 + max(abs(c) for c in coeffs[:-1])
+    zs, gx, gy = [], 1, 0
+    for k in range(n):
+        zs.append(((bound * gx << p) // 10**k, (bound * gy << p) // 10**k))
+        gx, gy = 4 * gx - 9 * gy, 9 * gx + 4 * gy
+    for _ in range(DOUBLINGS):
+        _weierstrass(coeffs, zs, p)
+        disks = _certify(coeffs, zs, r1, p, bits)
+        if disks is not None:
+            return disks
+        zs = [(x << p, y << p) for x, y in zs]
+        p *= 2
+    raise RealSplitError(f"could not certify root disks of {f!r} at {p // 2} bits")
 
 
-def _interval_div(num: RationalInterval, den: RationalInterval) -> RationalInterval:
-    if den.contains_zero():
-        raise ZeroDivisionError("interval division by an interval containing zero")
-    candidates = [num.lo / den.lo, num.lo / den.hi, num.hi / den.lo, num.hi / den.hi]
-    return RationalInterval(min(candidates), max(candidates))
+def abs_square_on_disk(a: QPoly, disk: RootDisk) -> RationalInterval:
+    """An enclosure of |A(α)|² for every α in the disk.
 
-
-def _match_two_quadratics(f: QPoly, roots_iv, sum_iv):
-    """Assignments of sum-roots to the two quadratic factors that survive
-    exact coefficient containment (r2 = 2, so degree 4 or 5 with a real root
-    — degree ≤ 4 in practice means no real roots here)."""
-    import itertools
-
-    # degree ≤ 4 never has both r1 > 0 and r2 = 2, so this is the plain
-    # quartic system for (x²+a1x+b1)(x²+a2x+b2)
-    if roots_iv:
-        return []
-    survivors = []
-    for combo in itertools.combinations_with_replacement(range(len(sum_iv)), 2):
-        s1, s2 = sum_iv[combo[0]], sum_iv[combo[1]]
-        a1, a2 = -s1, -s2
-        big_a = Fraction(f.coeffs[3])  # a1 + a2
-        big_b = Fraction(f.coeffs[2])  # a1 a2 + b1 + b2
-        big_c = Fraction(f.coeffs[1])  # a1 b2 + a2 b1
-        big_d = Fraction(f.coeffs[0])  # b1 b2
-        if not (a1 + a2).contains(big_a):
-            continue
-        s_b = RationalInterval.point(big_b) - a1 * a2  # b1 + b2
-        diff = a1 - a2
-        try:
-            if diff.excludes_zero():
-                # [a2 b1 + a1 b2 = C, b1 + b2 = s_b] is linear in (b1, b2)
-                b1 = _interval_div(RationalInterval.point(big_c) - a1 * s_b, diff.scale(-1))
-                b2 = s_b - b1
-            else:
-                # a1 = a2: b's solve y² − s_b·y + D = 0
-                disc = s_b * s_b - RationalInterval.point(4 * big_d)
-                if disc.hi < 0:
-                    continue
-                disc = RationalInterval(max(disc.lo, Fraction(0)), max(disc.hi, Fraction(0)))
-                root = sqrt_interval(disc)
-                b1 = (s_b - root).scale(Fraction(1, 2))
-                b2 = (s_b + root).scale(Fraction(1, 2))
-        except ZeroDivisionError:
-            continue
-        prod = _poly_interval_product(
-            [
-                [b1, a1, RationalInterval.point(1)],
-                [b2, a2, RationalInterval.point(1)],
-            ]
-        )
-        if all(prod[k].contains(f.coeffs[k]) for k in range(len(f.coeffs))):
-            survivors.append([(a1, b1), (a2, b2)])
-    # merge symmetric duplicates (swapped factor order)
-    unique = []
-    for s in survivors:
-        key = sorted(((ab[0].lo, ab[0].hi, ab[1].lo, ab[1].hi) for ab in s))
-        if key not in [u[0] for u in unique]:
-            unique.append((key, s))
-    return [s for _, s in unique]
-
-
-def abs_square_at_quadratic(
-    g: QPoly, a: RationalInterval, b: RationalInterval
-) -> RationalInterval:
-    """|g(β)|² for β a root of x² + ax + b (with conj(β) the other root).
-
-    Reduce g modulo the quadratic with interval coefficients to r1·x + r0;
-    then g(β)·g(conj β) = r1²·b − r1·r0·a + r0².
+    With z the centre and R the radius,
+    |A(α) − A(z)| ≤ E = R·Σ k|a_k|(|z| + R)^(k−1), so |A(α)| lies within E
+    of |A(z)|, whose square is exact. The lower end is 0 unless |A(z)| > E.
     """
-    coeffs = [RationalInterval.point(c) for c in g.coeffs]
-    # interval Euclidean reduction by the monic quadratic
-    while len(coeffs) > 2:
-        lead = coeffs[-1]
-        deg = len(coeffs) - 1
-        coeffs[deg - 1] = coeffs[deg - 1] - lead * a
-        coeffs[deg - 2] = coeffs[deg - 2] - lead * b
-        coeffs.pop()
-    r0 = coeffs[0] if coeffs else RationalInterval.point(0)
-    r1 = coeffs[1] if len(coeffs) > 1 else RationalInterval.point(0)
-    return r1 * r1 * b - r1 * r0 * a + r0 * r0
+    ints, e = _integer_form(a.coeffs)
+    p, rho = disk.shift, disk.radius
+    d = len(ints) - 1
+    if d < 0:
+        return RationalInterval.point(0)
+    # A(z)·e·2^(dp) and E·e·2^(dp), with |z|·2^p + R·2^p ≤ m
+    gx, gy = _horner_exact(ints, disk.re, disk.im, p)
+    m = _ceil_sqrt(disk.re**2 + disk.im**2) + rho
+    err, mk = 0, 1
+    for k in range(1, d + 1):
+        err += k * abs(ints[k]) * mk << ((d - k) * p)
+        mk *= m
+    err *= rho
+    sq = gx * gx + gy * gy
+    cross = 2 * err * _ceil_sqrt(sq)
+    lo = max(sq + err * err - cross, 0) if sq > err * err else 0
+    scale = (e << (d * p)) ** 2
+    return RationalInterval(Fraction(lo, scale), Fraction(sq + err * err + cross, scale))

@@ -2,12 +2,12 @@
 
 Everything is certified or exact: S-integrality and norms are checked in
 exact rational arithmetic, torsion orders by exact powering, and
-multiplicative independence through interval enclosures of the log embedding
-(real embeddings via Sturm-isolated roots, complex places via the product
-formula or a certified real quadratic factorization, finite places via
-prime-ideal valuations in the equation order). A verdict of independence is
-a certificate; failure to certify at the precision cap is surfaced as
-IndependenceUndecided, which is distinct from a disproof.
+multiplicative independence through interval enclosures of the log embedding.
+Every archimedean place reads |σ(u)|² off one certified root disk of its
+factor's polynomial (Smith's theorem, in realsplit); every finite place
+counts exact uniformizer steps γ ← γ·β/p in the equation order. A verdict
+of independence is a certificate; failure to certify at the precision cap
+is surfaced as IndependenceUndecided, which is distinct from a disproof.
 """
 
 from __future__ import annotations
@@ -27,9 +27,10 @@ from .errors import (
     UnsupportedError,
 )
 from .etale import Coords, EtaleAlgebra
-from .intervals import RationalInterval, eval_poly_interval, log_fraction, log_interval
+from .intervals import RationalInterval, log_fraction, log_interval
 from .places import Signature, check_unramified
-from .polynomials import QPoly, factor_mod_p, isolate_real_roots, refine_root
+from .polynomials import QPoly, factor_mod_p, fp_mod
+from .realsplit import abs_square_on_disk, root_disks
 
 PRECISION_LADDER = (64, 128, 256)
 DEFAULT_PRECISION_CAP = 256
@@ -102,75 +103,44 @@ def matrix_is_s_integral(m, s_primes: tuple[int, ...]) -> bool:
 class PrimePlaces:
     """The places of Q[x]/(f) over an unramified prime p.
 
-    Each place is the ideal (p, g_i(x)) for an irreducible factor g_i of
-    f mod p; valuations are computed by exact membership in HNF bases of
-    ideal powers. Valid because p ∤ disc(f) makes Z[x]/(f) p-maximal.
+    Place i is the ideal P_i = (p, g_i(x)) for the i-th irreducible factor
+    g_i of f mod p. As p ∤ disc(f), Z[x]/(f) is p-maximal and pO = ∏ P_j, so
+    p is a uniformizer at every P_i. β_i = ∏_{j≠i} g_j(x) lies in every
+    other P_j and outside P_i: for γ in P_i, γ·β_i lies in pO, and γ·β_i/p
+    is integral with ord_{P_i} one lower.
     """
 
     def __init__(self, f: QPoly, p: int):
         check_unramified(f, p)
         self.f = f
         self.p = p
-        self.n = f.degree
         self.factors = [g for g, _ in factor_mod_p(f, p)]
         self.residue_degrees = [len(g) - 1 for g in self.factors]
-        self._power_bases: list[list] = [[self._ideal_basis(g)] for g in self.factors]
-
-    def _poly_mul_mod_f(self, a: list[int], b: list[int]) -> list[int]:
-        rem = (QPoly(a) * QPoly(b)) % self.f
-        out = [0] * self.n
-        for i, c in enumerate(rem.coeffs):
-            out[i] = int(c)
-        return out
-
-    def _ideal_basis(self, g: list[int]) -> tuple[tuple[int, ...], ...]:
-        rows = []
-        dg = len(g) - 1
-        for j in range(dg):
-            row = [0] * self.n
-            row[j] = self.p
-            rows.append(row)
-        for k in range(self.n - dg):
-            shifted = [0] * k + list(g) + [0] * (self.n - dg - k - 1)
-            rows.append(shifted[: self.n])
-        h = linalg.hnf_rows(rows)
-        return tuple(r for r in h if any(r))
-
-    def _power_basis_of(self, i: int, m: int):
-        bases = self._power_bases[i]
-        while len(bases) < m:
-            prev = bases[-1]
-            base1 = bases[0]
-            rows = []
-            for a in prev:
-                for b in base1:
-                    rows.append(self._poly_mul_mod_f(list(a), list(b)))
-            h = linalg.hnf_rows(rows)
-            bases.append(tuple(r for r in h if any(r)))
-        return bases[m - 1]
-
-    def _member(self, vec: list[int], basis) -> bool:
-        mat = linalg.matrix(basis)
-        sol = linalg.solve(linalg.transpose(mat), linalg.vector(vec))
-        return all(x.denominator == 1 for x in sol)
+        lifts = [QPoly(g) for g in self.factors]
+        self._betas = [
+            math.prod(lifts[:i] + lifts[i + 1 :], start=QPoly([1])) % f for i in range(self.count)
+        ]
 
     def valuation(self, i: int, power_coords: tuple[Fraction, ...]) -> int:
         """ord at place i of the nonzero element with these power coords.
 
         ord_P(u/m) = ord_P(u) − v_p(m) for rational m since p is unramified
-        and ord_P vanishes on prime-to-p rationals.
+        and ord_P vanishes on prime-to-p rationals. Each step γ ← γ·β_i/p
+        while g_i divides γ mod p lowers ord_{P_i}(γ) by exactly one.
         """
         if all(c == 0 for c in power_coords):
             raise ValueError("valuation of zero")
+        p, g = self.p, self.factors[i]
         den = math.lcm(*[c.denominator for c in power_coords])
-        _, exps = strip_primes(den, (self.p,))
-        vec = [int(c * den) for c in power_coords]
+        _, exps = strip_primes(den, (p,))
+        gamma = QPoly([c * den for c in power_coords])
         m = 0
-        while self._member(vec, self._power_basis_of(i, m + 1)):
+        while not fp_mod(gamma.reduce_mod(p), g, p):
+            gamma = (gamma * self._betas[i]) % self.f
+            assert all(c.denominator == 1 and c.numerator % p == 0 for c in gamma.coeffs)
+            gamma = QPoly([c / p for c in gamma.coeffs])
             m += 1
-            if m > 64:  # pragma: no cover - desk scale guard
-                raise BudgetExceededError("valuation exceeds supported range")
-        return m - exps[self.p]
+        return m - exps[p]
 
     @property
     def count(self) -> int:
@@ -200,11 +170,11 @@ class LogColumn:
 class LogEmbedding:
     """Interval matrix of log|u|_v; rows = elements, columns = places.
 
-    Real columns hold log|σ(u)|; complex columns the doubled value
-    2·log|σ(u)| (from the product formula when the factor has one pair of
-    complex embeddings, from a certified real quadratic factorization when
-    it has two); finite columns hold −f_v·ord_v(u)·log p. Full rows of a
-    unit sum to an interval around 0.
+    Real columns hold log|σ(u)| and complex columns the doubled value
+    2·log|σ(u)|, both from |A(α)|² enclosed on a certified root disk of the
+    factor's polynomial (realsplit.root_disks); finite columns hold
+    −f_v·ord_v(u)·log p with ord_v counted in uniformizer steps
+    (PrimePlaces). Full rows of a unit sum to an interval around 0.
     """
 
     columns: list[LogColumn]
@@ -226,77 +196,27 @@ class _PolynomialLRU(dict):
         return value
 
 
-_ROOTS = _PolynomialLRU()  # f.coeffs -> (isolating intervals, {bits: refined intervals})
-_SPLITS = _PolynomialLRU()  # f.coeffs -> {bits: certified real quadratic split}
-_PRIME_PLACES = _PolynomialLRU()  # (f.coeffs, p) -> PrimePlaces, with its ideal-power HNFs
+def _archimedean_log(
+    e: EtaleAlgebra, col: LogColumn, disk_at, u: Coords, bits: int
+) -> RationalInterval:
+    """log|σ(u)| at a real column, 2·log|σ(u)| at a complex one.
 
-
-def _prime_places(f: QPoly, p: int) -> PrimePlaces:
-    """PrimePlaces(f, p), built once; its power bases are the same whenever computed."""
-    key = (f.coeffs, p)
-    return _PRIME_PLACES.store(key, _PRIME_PLACES.get(key) or PrimePlaces(f, p))
-
-
-def _refined_roots(f: QPoly, bits: int):
-    """f's real roots in intervals of width <= 2^-bits, the same whatever ran before.
-
-    Each width is bisected from the isolating intervals, not from a narrower
-    result of an earlier call, so the answer is a fresh process's.
+    disk_at(b) is the column's root disk of radius ≤ 2^-b. The radius
+    shrinks by doubling b until |A(α)|² is certified positive, up to
+    b = 64·max(bits, 64).
     """
-    isolating, refined = _ROOTS.store(f.coeffs, _ROOTS.get(f.coeffs) or (isolate_real_roots(f), {}))
-    if bits not in refined:
-        width = Fraction(1, 1 << bits)
-        refined[bits] = [
-            r if r[1] - r[0] <= width else refine_root(f, r[0], r[1], width) for r in isolating
-        ]
-    return refined[bits]
-
-
-def _real_split_cached(f: QPoly, bits: int):
-    from .realsplit import real_quadratic_split
-
-    splits = _SPLITS.store(f.coeffs, _SPLITS.get(f.coeffs, {}))
-    if bits not in splits:
-        splits[bits] = real_quadratic_split(f, bits)
-    return splits[bits]
-
-
-def _complex_log_value(
-    e: EtaleAlgebra, f: QPoly, k: int, pair_idx: int, u: Coords, bits: int
-) -> RationalInterval:
-    """2·log|σ(u)| at a complex place, via the certified quadratic factor."""
-    from .realsplit import abs_square_at_quadratic
-
-    comp = e.factor_component(u, k)
+    comp = e.factor_component(u, col.factor)
     attempt_bits = bits
     while True:
-        split = _real_split_cached(f, attempt_bits)
-        a, b = split.quadratics[pair_idx]
-        val = abs_square_at_quadratic(comp, a, b)
+        val = abs_square_on_disk(comp, disk_at(attempt_bits))
         if val.lo > 0:
-            return log_interval(val, bits)
-        attempt_bits *= 2
-        if attempt_bits > 64 * max(bits, 64):
+            log = log_interval(val, bits)
+            return log.scale(Fraction(1, 2)) if col.kind == "real" else log
+        if 2 * attempt_bits > 64 * max(bits, 64):
             raise IndependenceUndecidedError(
-                "cannot separate a complex embedding value from zero", bits
+                f"cannot separate {col.label()} from zero at {attempt_bits} bits", bits
             )
-
-
-def _real_log_value(
-    e: EtaleAlgebra, f: QPoly, k: int, root_idx: int, u: Coords, bits: int
-) -> RationalInterval:
-    comp = e.factor_component(u, k)
-    attempt_bits = bits
-    while True:
-        lo, hi = _refined_roots(f, attempt_bits)[root_idx]
-        val = eval_poly_interval(comp.coeffs, RationalInterval(lo, hi))
-        if val.excludes_zero():
-            return log_interval(abs(val), bits)
         attempt_bits *= 2
-        if attempt_bits > 64 * max(bits, 64):
-            raise IndependenceUndecidedError(
-                "cannot separate an embedding value from zero", bits
-            )
 
 
 def build_log_embedding(
@@ -317,43 +237,34 @@ def build_log_embedding(
     places_by_key: dict[tuple[int, int], PrimePlaces] = {}
     for p in s_primes:
         for k, f in enumerate(e.factors):
-            pp = _prime_places(f, p)
+            pp = PrimePlaces(f, p)
             places_by_key[(k, p)] = pp
             for j in range(pp.count):
                 columns.append(
                     LogColumn("finite", k, j, prime=p, residue_degree=pp.residue_degrees[j])
                 )
 
+    # each factor's root disks at each precision, computed once in this call
+    disks = functools.cache(lambda k, b: root_disks(e.factors[k], sigs[k].r1, b))
+
+    def disk_at(col):
+        offset = 0 if col.kind == "real" else sigs[col.factor].r1
+        return lambda b: disks(col.factor, b)[offset + col.index]
+
     rows: list[list[RationalInterval | None]] = []
     for u in elements:
         row: list[RationalInterval | None] = []
         for col in columns:
-            f = e.factors[col.factor]
-            sig = sigs[col.factor]
-            if col.kind == "real":
-                row.append(_real_log_value(e, f, col.factor, col.index, u, bits))
-            elif col.kind == "complex":
-                if sig.r2 == 1:
-                    # product formula: 2 log|sigma(u)| = log|N_k(u)| − Σ real logs
-                    nk = abs(e.factor_norm(u, col.factor))
-                    total = log_fraction(nk, bits)
-                    for j in range(sig.r1):
-                        total = total - _real_log_value(e, f, col.factor, j, u, bits)
-                    row.append(total)
-                else:
-                    row.append(
-                        _complex_log_value(e, f, col.factor, col.index, u, bits)
-                    )
-            else:
-                pp = places_by_key[(col.factor, col.prime)]
-                power = e.to_power(u)
-                off, d = e.offsets[col.factor], e.degrees[col.factor]
-                ordv = pp.valuation(col.index, tuple(power[off : off + d]))
-                row.append(
-                    log_fraction(Fraction(col.prime), bits).scale(
-                        -col.residue_degree * ordv
-                    )
-                )
+            if col.kind != "finite":
+                row.append(_archimedean_log(e, col, disk_at(col), u, bits))
+                continue
+            pp = places_by_key[(col.factor, col.prime)]
+            power = e.to_power(u)
+            off, d = e.offsets[col.factor], e.degrees[col.factor]
+            ordv = pp.valuation(col.index, tuple(power[off : off + d]))
+            row.append(
+                log_fraction(Fraction(col.prime), bits).scale(-col.residue_degree * ordv)
+            )
         rows.append(row)
     return LogEmbedding(columns, rows, bits)
 

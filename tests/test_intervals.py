@@ -6,7 +6,6 @@ import pytest
 
 from ampletori.intervals import (
     RationalInterval,
-    eval_poly_interval,
     log2_interval,
     log_fraction,
     log_interval,
@@ -30,13 +29,6 @@ def test_sign_certification():
     assert RationalInterval(Fraction(1, 10**9), Fraction(1)).sign() == 1
     assert RationalInterval(Fraction(-1), Fraction(-1, 10**9)).sign() == -1
     assert RationalInterval(Fraction(-1), Fraction(1)).sign() == 0
-
-
-def test_round_outward_contains():
-    iv = RationalInterval(Fraction(1, 3), Fraction(2, 3))
-    out = iv.round_outward(16)
-    assert out.lo <= iv.lo and iv.hi <= out.hi
-    assert out.lo.denominator <= 2**16 and out.hi.denominator <= 2**16
 
 
 def test_log_fraction_against_float_oracle():
@@ -78,49 +70,3 @@ def test_log_refines_monotonically():
 def test_log_interval_requires_positive():
     with pytest.raises(ValueError):
         log_interval(RationalInterval(Fraction(-1), Fraction(1)))
-
-
-def test_eval_poly_interval_contains_value():
-    coeffs = [Fraction(-1), Fraction(1), Fraction(0), Fraction(1)]
-    x = Fraction(7, 11)
-    iv = eval_poly_interval(coeffs, RationalInterval(x - Fraction(1, 100), x + Fraction(1, 100)))
-    truth = coeffs[0] + coeffs[1] * x + coeffs[3] * x**3
-    assert iv.contains(truth)
-
-
-def _fraction_horner(coeffs, x: RationalInterval) -> RationalInterval:
-    """Reference: interval Horner in Fraction arithmetic."""
-    acc = RationalInterval(Fraction(0), Fraction(0))
-    for c in reversed(coeffs):
-        acc = acc * x + RationalInterval.point(c)
-    return acc
-
-
-def _horner_cases():
-    rng = random.Random(20260917)
-    dyadic = [Fraction(rng.randint(-2**70, 2**70), 2**64) for _ in range(6)]
-    rational = [Fraction(rng.randint(-999, 999), rng.randint(1, 999)) for _ in range(6)]
-    points = [Fraction(0), Fraction(1), Fraction(-3, 7)] + dyadic + rational
-    intervals = [RationalInterval(p, p) for p in points]  # point intervals
-    for _ in range(40):
-        a, b = sorted(rng.sample(dyadic + rational, 2))
-        intervals.append(RationalInterval(a, b))
-    intervals += [
-        RationalInterval(Fraction(-5, 3), Fraction(-1, 9)),  # negative
-        RationalInterval(Fraction(-1, 3), Fraction(2, 7)),  # straddles zero
-        RationalInterval(Fraction(0), Fraction(5, 11)),  # ends at zero
-        RationalInterval(Fraction(-1, 2**60), Fraction(3, 2**61)),
-    ]
-    polys = [[], [Fraction(0)], [Fraction(-4, 9)], [Fraction(5)]]  # empty and constant
-    for deg in range(1, 7):
-        for den in (1, 3, 2**20, 5 * 7 * 11):
-            polys.append([Fraction(rng.randint(-50, 50), rng.randint(1, den)) for _ in range(deg + 1)])
-    polys.append([Fraction(0), Fraction(0), Fraction(1)])  # x² with zero low terms
-    return [(c, x) for c in polys for x in intervals]
-
-
-def test_eval_poly_interval_matches_fraction_horner():
-    for coeffs, x in _horner_cases():
-        got, want = eval_poly_interval(coeffs, x), _fraction_horner(coeffs, x)
-        assert (got.lo, got.hi) == (want.lo, want.hi), (coeffs, x)
-        assert type(got.lo) is Fraction and type(got.hi) is Fraction

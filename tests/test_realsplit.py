@@ -1,64 +1,176 @@
+"""Root disks and |A(α)|² enclosures against mpmath roots."""
+
+import random
 from fractions import Fraction
 
+import mpmath
+import numpy
 import pytest
 
+from ampletori.errors import AmpleToriError, IndependenceUndecidedError
 from ampletori.etale import EtaleAlgebra
-from ampletori.intervals import RationalInterval
-from ampletori.polynomials import QPoly
-from ampletori.realsplit import (
-    abs_square_at_quadratic,
-    real_quadratic_split,
-    root_sums_polynomial,
-    sqrt_interval,
-)
+from ampletori.polynomials import QPoly, squarefree_part, sturm_count_real_roots
+from ampletori.realsplit import RealSplitError, RootDisk, abs_square_on_disk, root_disks
 from ampletori.units import assemble_unit_system, build_log_embedding, verify_unit_system
 
-
-def test_root_sums_polynomial_has_expected_roots():
-    # f = (x-1)(x-2): sums polynomial has roots {2, 3, 4}
-    f = QPoly([2, -3, 1])
-    s = root_sums_polynomial(f)
-    for z in (2, 3, 4):
-        assert s(Fraction(z)) == 0
-    assert s(Fraction(5)) != 0
-
-
-def test_sqrt_interval():
-    iv = sqrt_interval(RationalInterval(Fraction(2), Fraction(2)), 32)
-    assert iv.lo * iv.lo <= 2 <= iv.hi * iv.hi
-    assert iv.width < Fraction(1, 2**20)
+SPECIAL = [
+    (1, 1, 1, 1, 1),  # zeta5
+    (1, 0, 0, 0, 1),  # zeta8
+    (1, 0, 3, 0, 1),  # x^4 + 3x^2 + 1: both upper roots on the imaginary axis
+    (1, -1, 1, 0, 1),  # the three totally complex quartics of the benchmark
+    (1, 1, 2, 0, 1),
+    (1, 0, 1, -1, 1),
+]
+MP_PREC = 700  # bits; far past every disk's centre grid at 256 bits
+ORACLE_ERROR = mpmath.mpf(2) ** (100 - MP_PREC)  # the oracle's own error, far below 2^-shift
 
 
-def test_split_quadratic_and_cubic():
-    gauss = QPoly([1, 0, 1])
-    sp = real_quadratic_split(gauss, 32)
-    (a, b) = sp.quadratics[0]
-    assert a.contains(0) and b.contains(1)
-    cubic = QPoly([-1, 1, 0, 1])
-    sp = real_quadratic_split(cubic, 64)
-    assert len(sp.real_roots) == 1 and len(sp.quadratics) == 1
-    # f = (x - r)(x^2 + ax + b) with a = r + 0? exact relation: a = coeff2 + r = r
-    (a, b) = sp.quadratics[0]
-    lo, hi = sp.real_roots[0]
-    assert a.lo <= hi and lo <= a.hi + 1  # a = r for x^3 + x - 1 (no x^2 term)
+def _polynomials():
+    rng = random.Random(20261018)
+    out = list(SPECIAL)
+    while len(out) < 200 + len(SPECIAL):
+        n = rng.randint(1, 6)
+        coeffs = tuple(rng.randint(-9, 9) for _ in range(n)) + (1,)
+        if squarefree_part(QPoly(coeffs)).degree == n:
+            out.append(coeffs)
+    return out
 
 
-def test_split_totally_imaginary_quartics():
-    for coeffs, a_values in [
-        ([1, 0, 0, 0, 1], ("-sqrt2", "sqrt2")),  # zeta8
-        ([1, 1, 1, 1, 1], None),  # zeta5
-        ([2, 0, 2, 0, 1], None),  # x^4 + 2x^2 + 2
-    ]:
-        f = QPoly(coeffs)
-        sp = real_quadratic_split(f, 64)
-        assert len(sp.quadratics) == 2 and not sp.real_roots
-        # the interval product of the two factors encloses f exactly
-        (a1, b1), (a2, b2) = sp.quadratics
-        # spot check: evaluating f at the certified quadratic roots gives ~0:
-        # |f(beta)|^2 must be an interval containing 0
-        for a, b in sp.quadratics:
-            val = abs_square_at_quadratic(f, a, b)
-            assert val.contains_zero()
+POLYNOMIALS = _polynomials()
+
+
+def _oracle_roots(coeffs):
+    """numpy's roots, polished by Newton steps at doubling mpmath precision.
+
+    Checked: n roots, pairwise far apart, each with |f| below 2^-(MP_PREC-80).
+    """
+    cs = [int(c) for c in reversed(coeffs)]
+    ds = [k * c for k, c in zip(range(len(cs) - 1, 0, -1), cs)]
+    roots = [mpmath.mpc(complex(r)) for r in numpy.roots(cs)]
+    prec = 53
+    while prec < MP_PREC:
+        prec = min(2 * prec, MP_PREC)
+        with mpmath.workprec(prec):
+            roots = [r - mpmath.polyval(cs, r) / mpmath.polyval(ds, r) for r in roots]
+    with mpmath.workprec(MP_PREC):
+        roots = [r - mpmath.polyval(cs, r) / mpmath.polyval(ds, r) for r in roots]
+        assert all(abs(mpmath.polyval(cs, r)) < mpmath.mpf(2) ** (80 - MP_PREC) for r in roots)
+        assert all(abs(a - b) > 2**-20 for i, a in enumerate(roots) for b in roots[:i])
+    return roots
+
+
+@pytest.fixture(scope="module")
+def mp_roots():
+    return {c: _oracle_roots(c) for c in POLYNOMIALS}
+
+
+def _mp(q: Fraction):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _encloses(interval, value) -> bool:
+    slack = ORACLE_ERROR * (1 + value)
+    return _mp(interval.lo) <= value + slack and value - slack <= _mp(interval.hi)
+
+
+def _all_disks(disks, r1):
+    """The disks and the mirror images of the upper ones."""
+    return list(disks) + [RootDisk(d.re, -d.im, d.radius, d.shift) for d in disks[r1:]]
+
+
+def _holds(disk, root) -> bool:
+    unit = mpmath.mpf(2) ** -disk.shift
+    return abs(root - mpmath.mpc(disk.re, disk.im) * unit) <= disk.radius * unit + ORACLE_ERROR
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_each_root_lies_in_exactly_one_certified_disk(mp_roots, bits):
+    with mpmath.workprec(MP_PREC):
+        for coeffs in POLYNOMIALS:
+            f = QPoly(coeffs)
+            r1 = sturm_count_real_roots(f)
+            disks = root_disks(f, r1, bits)
+            assert len(disks) == (f.degree + r1) // 2
+            assert sum(1 for d in disks if d.im == 0) == r1
+            assert all(d.im > 0 for d in disks[r1:])
+            assert all(d.radius <= 1 << (d.shift - bits) for d in disks)
+            everything = _all_disks(disks, r1)
+            for root in mp_roots[coeffs]:
+                assert sum(_holds(d, root) for d in everything) == 1, (coeffs, root)
+
+
+def test_disk_order_follows_real_part_then_modulus(mp_roots):
+    with mpmath.workprec(MP_PREC):
+        for coeffs in SPECIAL:
+            f = QPoly(coeffs)
+            disks = root_disks(f, 0, 64)
+            upper = sorted(
+                (r for r in mp_roots[coeffs] if r.imag > 0),
+                key=lambda r: (-mpmath.nint(r.real * 2**40), abs(r)),
+            )
+            for d, root in zip(disks, upper):
+                assert _holds(d, root), coeffs
+
+
+@pytest.mark.parametrize("bits", [64, 256])
+def test_abs_square_on_disk_encloses_the_value_at_the_root(mp_roots, bits):
+    rng = random.Random(bits)
+    with mpmath.workprec(MP_PREC):
+        for coeffs in POLYNOMIALS[::4]:
+            f = QPoly(coeffs)
+            r1 = sturm_count_real_roots(f)
+            for disk in root_disks(f, r1, bits):
+                a = [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in coeffs[1:]]
+                root = next(r for r in mp_roots[coeffs] if _holds(disk, r))
+                value = abs(sum(_mp(c) * root**k for k, c in enumerate(a))) ** 2
+                got = abs_square_on_disk(QPoly(a), disk)
+                assert _encloses(got, value)
+                assert got.hi - got.lo <= Fraction(1, 1 << (bits // 2)) * (1 + got.hi)
+
+
+def _disk_cases():
+    """Random disks and polynomials, then sharp cases: positive coefficients
+    on a centre right of 1, where |A(z + R) − A(z)| nearly meets the bound."""
+    rng = random.Random(7)
+    for _ in range(60):
+        shift = rng.choice([20, 64])
+        disk = RootDisk(
+            rng.randint(-3 << shift, 3 << shift),
+            rng.randint(-3 << shift, 3 << shift),
+            rng.randint(1, 1 << (shift - 6)),
+            shift,
+        )
+        degree = rng.randint(0, 4)
+        yield disk, [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(degree + 1)]
+    for degree in range(1, 6):
+        yield RootDisk(5 << 19, 0, 1 << 14, 20), [Fraction(k + 1, 3) for k in range(degree + 1)]
+
+
+def test_abs_square_on_disk_encloses_every_point_of_the_disk():
+    # any disk, not only a root's: the bound must hold on the whole boundary
+    with mpmath.workprec(MP_PREC):
+        for disk, a in _disk_cases():
+            got = abs_square_on_disk(QPoly(a), disk)
+            unit = mpmath.mpf(2) ** -disk.shift
+            centre, radius = mpmath.mpc(disk.re, disk.im) * unit, disk.radius * unit
+            for t in range(16):
+                w = centre + radius * mpmath.expjpi(mpmath.mpf(t) / 8)
+                value = abs(sum(_mp(c) * w**k for k, c in enumerate(a))) ** 2
+                assert _encloses(got, value), (disk, a, t)
+
+
+def test_a_wrong_real_root_count_names_the_polynomial_and_precision():
+    with pytest.raises(RealSplitError, match=r"QPoly\(1 \+ x\^2\) at \d+ bits") as info:
+        root_disks(QPoly([1, 0, 1]), 2, 64)
+    assert isinstance(info.value, AmpleToriError) and info.value.module == "realsplit"
+
+
+def test_a_zero_factor_component_names_its_column_and_precision():
+    e = EtaleAlgebra([QPoly([-2, 0, 1]), QPoly([-3, 0, 1])])
+    zero_in_second = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+    message = r"cannot separate real\(1\.0\) from zero at 4096 bits"
+    with pytest.raises(IndependenceUndecidedError, match=message):
+        build_log_embedding(e, [zero_in_second], (), 64)
 
 
 def test_zeta5_unit_rank_certified_through_complex_columns():

@@ -521,34 +521,3 @@ def test_a_box_without_torsion_names_its_bound():
         assemble_unit_system(SHIFTED_SQRT2, (), 3)
     with pytest.raises(BudgetExceededError, match="sup-norm <= 3"):
         torsion_units(SHIFTED_SQRT2, 3)
-
-
-def test_root_cache_keeps_the_most_recently_used_polynomials(monkeypatch):
-    monkeypatch.setattr(units, "CACHED_POLYNOMIALS", 2)
-    monkeypatch.setattr(units, "_ROOTS", units._PolynomialLRU())
-    f, g, h = QPoly([-2, 0, 1]), QPoly([-3, 0, 1]), QPoly([-1, -1, 1])
-    first = units._refined_roots(f, 64)
-    units._refined_roots(g, 64)
-    assert units._refined_roots(f, 64) == first  # f is now the most recent
-    units._refined_roots(h, 64)
-    assert list(units._ROOTS) == [f.coeffs, h.coeffs]
-    assert units._refined_roots(g, 64) == units._refined_roots(g, 64)
-    assert len(units._ROOTS) == 2
-
-
-def test_refined_roots_do_not_depend_on_earlier_precisions(monkeypatch):
-    monkeypatch.setattr(units, "_ROOTS", units._PolynomialLRU())
-    f = QPoly([1, -3, 0, 1])  # x^3 - 3x + 1
-    fresh = units._refined_roots(f, 64)
-    assert all(hi - lo <= Fraction(1, 1 << 64) for lo, hi in fresh)
-    units._refined_roots(f, 256)
-    assert units._refined_roots(f, 64) == fresh
-
-
-def test_real_split_does_not_depend_on_earlier_precisions(monkeypatch):
-    monkeypatch.setattr(units, "_SPLITS", units._PolynomialLRU())
-    f = QPoly([1, -1, 1, 0, 1])  # x^4 + x^2 - x + 1, two complex pairs
-    fresh = units._real_split_cached(f, 64)
-    units._real_split_cached(f, 256)
-    again = units._real_split_cached(f, 64)
-    assert (again.real_roots, again.quadratics) == (fresh.real_roots, fresh.quadratics)
