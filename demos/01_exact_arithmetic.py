@@ -1,13 +1,15 @@
-"""Exact polynomial arithmetic: gcd, discriminants, Sturm counts, factoring.
+"""Exact polynomial arithmetic: gcd, discriminants, root disks, p-adic lifts, factoring.
 
-Everything runs over exact rationals or F_p; no floating point appears
-anywhere, so every printed number is a certificate, not an approximation.
+Everything runs over exact rationals, integers or F_p; no floating point
+enters a computation, so every printed number rests on a certificate (the
+decimals below only display exact values).
 """
 
 from fractions import Fraction
 
-from ampletori import QPoly, discriminant, factor_mod_p, poly_gcd, sturm_count_real_roots
-from ampletori.polynomials import isolate_real_roots, refine_root
+from ampletori import QPoly, discriminant, factor_mod_p, poly_gcd, signature
+from ampletori.polynomials import padic_roots, rational_roots
+from ampletori.realsplit import root_disks
 
 cubic = QPoly([-1, 1, 0, 1])  # x^3 + x - 1
 quartic = QPoly([1, -16, 20, -8, 1])  # x^4 - 8x^3 + 20x^2 - 16x + 1
@@ -23,15 +25,23 @@ print("  disc cubic   =", discriminant(cubic), " (so 31 is the only bad prime)")
 print("  disc quartic =", discriminant(quartic), " = 2^8 * 3^2")
 print("  disc gauss   =", discriminant(gauss))
 
-print("\nreal-root counts via exact Sturm sequences")
-print("  cubic  :", sturm_count_real_roots(cubic), "real root -> signature (1, 1)")
-print("  quartic:", sturm_count_real_roots(quartic), "real roots -> totally real")
-print("  gauss  :", sturm_count_real_roots(gauss), "real roots -> totally imaginary")
+print("\nsignatures from certified root disks (one disjoint disk per root)")
+for name, f in (("cubic", cubic), ("quartic", quartic), ("gauss", gauss)):
+    sig = signature(f)
+    print(f"  {name:7s}: {sig.r1} of {f.degree} disks on the real axis -> signature ({sig.r1}, {sig.r2})")
 
-print("\nisolating the quartic's roots and refining to width 1e-6:")
-for lo, hi in isolate_real_roots(quartic):
-    lo2, hi2 = refine_root(quartic, lo, hi, Fraction(1, 10**6))
-    print(f"  root in ({float(lo2):.7f}, {float(hi2):.7f})")
+print("\nthe quartic's four real roots, each in a disk of radius <= 2^-20:")
+for disk in root_disks(quartic, 20):
+    centre = Fraction(disk.re, 1 << disk.shift)
+    print(f"  root within 2^-20 of {float(centre):.7f}")
+
+print("\nroots in Z_7 lifted by Newton's iteration (Hensel):")
+print("  x^2 - 2 mod 7^8:", padic_roots(QPoly([-2, 0, 1]), 7, 7**8))
+
+print("\nrational roots from p-adic lifts, read in (-q/2, q/2]:")
+f = QPoly([-3, 2]) * QPoly([1, 3]) * QPoly([2, 0, 1])  # (2x - 3)(3x + 1)(x^2 + 2)
+print("  (2x - 3)(3x + 1)(x^2 + 2):", [str(r) for r in rational_roots(f)])
+print("  cubic:", rational_roots(cubic), "(none, so it is irreducible)")
 
 print("\nfactorization over F_p (distinct-degree + equal-degree splitting)")
 for p in (2, 3, 5, 13):

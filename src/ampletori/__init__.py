@@ -47,7 +47,6 @@ from .polynomials import (
     factor_mod_p,
     is_square_integer,
     poly_gcd,
-    sturm_count_real_roots,
 )
 from .torus import (
     AmpleCertificate,

@@ -28,6 +28,7 @@ from .polynomials import (
     QPoly,
     _linear_product,
     _symmetric_residue,
+    cauchy_bound,
     discriminant,
     is_irreducible_q,
     padic_roots,
@@ -261,7 +262,7 @@ class EtaleAlgebra:
         if rem or g0**m != g:
             return []  # a field element's charpoly is a power of its minimal polynomial
         p = split_prime(f) if g0 == f else split_prime(f, discriminant(g0))
-        bf, bg = (1 + max(abs(int(c)) for c in h.coeffs[:-1]) for h in (f, g))
+        bf, bg = cauchy_bound(f), cauchy_bound(g)
         fprime = sum(k * abs(int(c)) * bf ** (k - 1) for k, c in enumerate(f.coeffs) if k)
         bound, q = n * bg * fprime ** (n - 1) * (1 + bf) ** (n - 1), p
         while q <= 2 * bound:

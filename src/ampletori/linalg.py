@@ -26,10 +26,6 @@ def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def vector(entries: Sequence) -> Vec:
-    return tuple(frac(x) for x in entries)
-
-
 def matrix(rows: Sequence[Sequence]) -> Mat:
     m = tuple(tuple(frac(x) for x in row) for row in rows)
     if m and any(len(row) != len(m[0]) for row in m):
@@ -75,10 +71,6 @@ def mat_vec(a: Mat, v: Vec) -> Vec:
 
 def transpose(a: Mat) -> Mat:
     return tuple(tuple(col) for col in zip(*a))
-
-
-def mat_trace(a: Mat) -> Fraction:
-    return sum((a[i][i] for i in range(len(a))), Fraction(0))
 
 
 def _integer_form(v) -> tuple[list[int], int]:

@@ -24,8 +24,8 @@ from .polynomials import (
     is_prime,
     is_square_integer,
     rational_roots,
-    sturm_count_real_roots,
 )
+from .realsplit import root_disks
 
 Perm = tuple[int, ...]
 
@@ -340,13 +340,13 @@ class PlaceProfile:
 
 @functools.lru_cache(maxsize=256)
 def signature(f: QPoly) -> Signature:
-    """(r1, r2) of the field Q[x]/(f); r1 is the Sturm real-root count.
+    """(r1, r2) of the field Q[x]/(f) for monic integral squarefree f.
 
-    Cached per polynomial (QPoly hashes its coefficients); a Signature is frozen.
+    r1 counts the certified root disks centred on the real axis, each of
+    which holds exactly one real root (realsplit.root_disks). Cached per
+    polynomial (QPoly hashes its coefficients); a Signature is frozen.
     """
-    r1 = sturm_count_real_roots(f)
-    if (f.degree - r1) % 2 != 0:
-        raise AssertionError("deg - r1 must be even; upstream Sturm bug")
+    r1 = sum(1 for disk in root_disks(f, 1) if disk.im == 0)
     return Signature(r1, (f.degree - r1) // 2)
 
 

@@ -219,115 +219,6 @@ def squarefree_part(f: QPoly) -> QPoly:
 
 
 # ---------------------------------------------------------------------------
-# Sturm sequences and real root counting
-# ---------------------------------------------------------------------------
-
-
-def sturm_sequence(f: QPoly) -> list[QPoly]:
-    seq = [f, f.derivative()]
-    while not seq[-1].is_zero():
-        seq.append(-(seq[-2] % seq[-1]))
-    seq.pop()
-    return seq
-
-
-def _sign_changes(values: list[Fraction]) -> int:
-    signs = [1 if v > 0 else -1 for v in values if v != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _sign_changes_at_infinity(seq: list[QPoly], positive: bool) -> int:
-    values = []
-    for p in seq:
-        if p.is_zero():
-            continue
-        lead = p.leading()
-        if positive:
-            values.append(lead)
-        else:
-            values.append(lead if p.degree % 2 == 0 else -lead)
-    return _sign_changes(values)
-
-
-def sturm_count_real_roots(f: QPoly) -> int:
-    """Number of distinct real roots, via Sturm sign changes at ±∞.
-
-    The input is made squarefree by dividing out gcd(f, f′) first.
-    """
-    if f.is_zero():
-        raise ZeroPolynomialError("zero polynomial is rejected")
-    if f.degree == 0:
-        return 0
-    g = squarefree_part(f)
-    seq = sturm_sequence(g)
-    return _sign_changes_at_infinity(seq, False) - _sign_changes_at_infinity(seq, True)
-
-
-def root_bound(f: QPoly) -> Fraction:
-    """Cauchy bound: all real roots lie in (−M, M)."""
-    if f.is_zero():
-        raise ZeroPolynomialError("zero polynomial has no root bound")
-    lead = abs(f.leading())
-    return 1 + max((abs(c) / lead for c in f.coeffs[:-1]), default=Fraction(0))
-
-
-def isolate_real_roots(f: QPoly) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint rational intervals (lo, hi], one distinct real root in each."""
-    g = squarefree_part(f)
-    if g.degree == 0:
-        return []
-    seq = sturm_sequence(g)
-    m = root_bound(g)
-
-    def v(x: Fraction) -> int:
-        return _sign_changes([p(x) for p in seq])
-
-    out: list[tuple[Fraction, Fraction]] = []
-    stack = [(-m, m, v(-m), v(m))]
-    while stack:
-        lo, hi, vlo, vhi = stack.pop()
-        count = vlo - vhi
-        if count == 0:
-            continue
-        if count == 1:
-            out.append((lo, hi))
-            continue
-        mid = (lo + hi) / 2
-        while g(mid) == 0:
-            mid = (lo + mid) / 2
-        vm = v(mid)
-        stack.append((lo, mid, vlo, vm))
-        stack.append((mid, hi, vm, vhi))
-    return sorted(out)
-
-
-def refine_root(
-    f: QPoly, lo: Fraction, hi: Fraction, width: Fraction
-) -> tuple[Fraction, Fraction]:
-    """Shrink an isolating interval (lo, hi] below the requested width.
-
-    Uses sign bisection; root endpoints are avoided by construction since f
-    keeps a single sign change inside.
-    """
-    g = squarefree_part(f)
-    s_hi = g(hi)
-    if s_hi == 0:
-        raise ValueError("isolating interval may not end at a root")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        val = g(mid)
-        if val == 0:
-            # nudge: the root is interior, move mid slightly left
-            mid = (lo + mid) / 2
-            val = g(mid)
-        if (val > 0) == (s_hi > 0):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
-
-
-# ---------------------------------------------------------------------------
 # F_p polynomial arithmetic (int lists, ascending degree)
 # ---------------------------------------------------------------------------
 
@@ -583,34 +474,6 @@ def is_square_integer(n: int) -> bool:
     return r * r == n
 
 
-def rational_roots(f: QPoly) -> list[Fraction]:
-    """All rational roots of f, without factoring its coefficients.
-
-    A root p/q in lowest terms has q | a, the leading coefficient of f made
-    integral, so two such fractions differ by at least 1/a². An isolating
-    interval narrowed below 1/(2a²) holds at most one of them: the fraction
-    of denominator <= |a| nearest to its end. Most polynomials without such
-    a root are told apart first: modulo a prime l not dividing a, p/q is a
-    root of f too, so f has none when it has no root modulo l.
-    """
-    if f.is_zero():
-        raise ZeroPolynomialError("zero polynomial")
-    den = math.lcm(*[c.denominator for c in f.coeffs])
-    ints = [int(c * den) for c in f.coeffs]
-    a = abs(ints[-1])
-    for ell in (2, 3, 5, 7, 11, 13):
-        if a % ell and all(sum(c * x**i for i, c in enumerate(ints)) % ell for x in range(ell)):
-            return []
-    width = Fraction(1, 2 * a * a)
-    roots = []
-    for lo, hi in isolate_real_roots(f):
-        lo, hi = refine_root(f, lo, hi, width)
-        cand = hi.limit_denominator(a)
-        if lo < cand <= hi and f(cand) == 0:
-            roots.append(cand)
-    return sorted(roots)
-
-
 # ---------------------------------------------------------------------------
 # p-adic roots at a split prime, and irreducibility over Q
 # ---------------------------------------------------------------------------
@@ -677,6 +540,37 @@ def _symmetric_residue(a: int, q: int) -> int:
     """The representative of a mod q in (−q/2, q/2]."""
     a %= q
     return a - q if 2 * a > q else a
+
+
+def cauchy_bound(f: QPoly) -> int:
+    """1 + max|a_k| over k < n, above |α| for every complex root α of monic integral f."""
+    return 1 + max((abs(int(c)) for c in f.coeffs[:-1]), default=0)
+
+
+def rational_roots(f: QPoly) -> list[Fraction]:
+    """All rational roots of f, without factoring its coefficients.
+
+    The squarefree part of f, made integral, is a·g(x) with leading
+    coefficient a; then h(x) = a^(n−1)·g(x/a) is monic integral, and the
+    rational roots of f are r/a for the integer roots r of h. Those are
+    below the Cauchy bound B of h, so at the smallest prime p with h mod p
+    squarefree, each lies among h's roots in Z_p lifted past p^k > 2B and
+    read in (−p^k/2, p^k/2].
+    """
+    if f.is_zero():
+        raise ZeroPolynomialError("zero polynomial")
+    g = squarefree_part(f)
+    n = g.degree
+    a = math.lcm(*[c.denominator for c in g.coeffs])
+    h = QPoly([c * a ** (n - k) for k, c in enumerate(g.coeffs)])
+    p = 2
+    while not is_prime(p) or fp_gcd(hp := h.reduce_mod(p), fp_derivative(hp, p), p) != [1]:
+        p += 1
+    q = p
+    while q <= 2 * cauchy_bound(h):
+        q *= p
+    roots = (_symmetric_residue(r, q) for r in padic_roots(h, p, q))
+    return sorted(Fraction(r, a) for r in roots if h(r) == 0)
 
 
 @functools.lru_cache(maxsize=256)

@@ -11,9 +11,11 @@ centres z_1..z_n of a monic f of degree n, the disks
 cover the roots, and a union of m of them that meets no other disk holds
 exactly m roots. So n pairwise disjoint disks hold one root each. The
 centres are closed under conjugation. A disk centred on the real axis is
-its own mirror image, so its one root is real. An upper disk and its mirror
-hold a conjugate pair. `abs_square_on_disk` then encloses |A(α)|² for the
-root α in a disk. Everything is integer arithmetic.
+its own mirror image, so its one root is real. An upper disk misses its
+mirror, so its root is not real, and the two hold a conjugate pair. So the
+real-centred disks count the real roots, which gives the signature.
+`abs_square_on_disk` then encloses |A(α)|² for the root α in a disk.
+Everything is integer arithmetic.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AmpleToriError
+from .errors import AmpleToriError, NonMonicError
 from .intervals import RationalInterval
 from .linalg import _integer_form
-from .polynomials import QPoly
+from .polynomials import QPoly, cauchy_bound
 
 DOUBLINGS = 6  # working-precision doublings before root_disks gives up
 STEPS = 100  # Weierstrass sweeps per working precision at most
@@ -128,31 +130,36 @@ def _certify(coeffs, zs, r1: int, p: int, bits: int) -> list[RootDisk] | None:
     return [RootDisk(x, y, r, p) for (x, y), r in zip(centres, radii[: r1 + len(upper)])]
 
 
-def root_disks(f: QPoly, r1: int, bits: int) -> list[RootDisk]:
+def root_disks(f: QPoly, bits: int) -> list[RootDisk]:
     """One certified disk of radius ≤ 2^-bits per archimedean place of f.
 
-    f is monic integral and squarefree with r1 real roots. The r1 disks
-    centred on the real axis come first, in increasing order; then one disk
-    above the axis per conjugate pair, by decreasing real part and then
-    increasing |z|². Each holds exactly one root of f, and no two meet (nor
-    does an upper disk meet a mirror image). The start points are
-    R·((4 + 9i)/10)^k with R = 1 + max|a_k| bounding every root. When the
+    f is monic integral and squarefree. The disks centred on the real axis
+    come first, in increasing order, one per real root; then one disk above
+    the axis per conjugate pair, by decreasing real part and then increasing
+    |z|². Each holds exactly one root of f, and no two meet (nor does an
+    upper disk meet a mirror image). The real-root count r1 is not given:
+    every r1 ≡ n (mod 2) is tried, and a wrong one never certifies, since a
+    real-centred disk's root is real and an upper disk's is not. The start
+    points are R·((4 + 9i)/10)^k with R the Cauchy bound of f. When the
     disks do not certify, the working precision doubles, up to DOUBLINGS
     times; then RealSplitError names f and the precision.
     """
+    if not f.is_monic() or not f.is_integral():
+        raise NonMonicError(f"root disks need a monic integral polynomial, not {f!r}")
     coeffs = [int(c) for c in f.coeffs]
     n = len(coeffs) - 1
     p = bits + 2 * n + 16
-    bound = 1 + max(abs(c) for c in coeffs[:-1])
+    bound = cauchy_bound(f)
     zs, gx, gy = [], 1, 0
     for k in range(n):
         zs.append(((bound * gx << p) // 10**k, (bound * gy << p) // 10**k))
         gx, gy = 4 * gx - 9 * gy, 9 * gx + 4 * gy
     for _ in range(DOUBLINGS):
         _weierstrass(coeffs, zs, p)
-        disks = _certify(coeffs, zs, r1, p, bits)
-        if disks is not None:
-            return disks
+        for r1 in range(n % 2, n + 1, 2):
+            disks = _certify(coeffs, zs, r1, p, bits)
+            if disks is not None:
+                return disks
         zs = [(x << p, y << p) for x, y in zs]
         p *= 2
     raise RealSplitError(f"could not certify root disks of {f!r} at {p // 2} bits")

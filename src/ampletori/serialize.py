@@ -15,7 +15,6 @@ from .errors import InputError
 from .etale import EtaleAlgebra
 from .linalg import Mat
 from .matgroups import GeneratorSet
-from .places import PlaceProfile
 from .torus import AmpleCertificate, SubmoduleWitness, require_supported_degrees
 from .units import UnitSystem
 
@@ -126,10 +125,6 @@ def unit_system_from_json(e: EtaleAlgebra, data, path="units") -> UnitSystem:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad unit system: {exc}", path)
-
-
-def place_profile_to_json(p: PlaceProfile) -> dict:
-    return {"place": p.place_str(), "orbits": [list(o) for o in p.orbits]}
 
 
 def submodule_to_json(w: SubmoduleWitness) -> dict:

@@ -34,7 +34,7 @@ from .realsplit import abs_square_on_disk, root_disks
 
 PRECISION_LADDER = (64, 128, 256)
 DEFAULT_PRECISION_CAP = 256
-RELATION_EXPONENT_BOUND = 8
+MAX_DENOMINATOR = 16  # largest d in the relations u^d = t^k·∏ g_i^(a_i) tried
 TORSION_ORDER_CANDIDATES = (1, 2, 3, 4, 5, 6, 8, 10, 12)  # phi(m) <= 4
 CACHED_POLYNOMIALS = 256  # bound of every _PolynomialLRU
 
@@ -244,8 +244,15 @@ def build_log_embedding(
                     LogColumn("finite", k, j, prime=p, residue_degree=pp.residue_degrees[j])
                 )
 
+    # an exact zero has no log at any precision: refuse it before any root disk
+    for i, u in enumerate(elements):
+        for k in range(len(e.factors)):
+            if e.factor_component(u, k).is_zero():
+                col = next(c for c in columns if c.factor == k)
+                raise InvalidUnitSystemError(f"element {i} is zero at {col.label()}: it has no log")
+
     # each factor's root disks at each precision, computed once in this call
-    disks = functools.cache(lambda k, b: root_disks(e.factors[k], sigs[k].r1, b))
+    disks = functools.cache(lambda k, b: root_disks(e.factors[k], b))
 
     def disk_at(col):
         offset = 0 if col.kind == "real" else sigs[col.factor].r1
@@ -378,22 +385,18 @@ def _precision_ladder(precision_cap: int) -> list[int]:
     return ladder
 
 
-def _relation_search(
-    e: EtaleAlgebra, sys: UnitSystem, bound: int = RELATION_EXPONENT_BOUND
-) -> DependenceWitness | None:
-    gens = sys.free_generators
-    torsion_powers = [e.power(sys.torsion_generator, k) for k in range(sys.torsion_order)]
-    rng = range(-bound, bound + 1)
-    for exps in itertools.product(rng, repeat=len(gens)):
-        if all(x == 0 for x in exps):
-            continue
-        prod = e.one()
-        for g, k in zip(gens, exps):
-            prod = e.mul(prod, e.power(g, k))
-        for tk, tpow in enumerate(torsion_powers):
-            if prod == tpow:
-                return DependenceWitness(exps, tk)
-    return None
+def _greedy_prefix(emb: LogEmbedding, limit: int):
+    """Rows taken in order, up to limit, each when it extends a certified
+    minor; returns them with their minor (columns, det interval)."""
+    prefix: list[int] = []
+    minor = (), RationalInterval.point(1)
+    for idx in range(len(emb.rows)):
+        if len(prefix) == limit:
+            break
+        found = find_certified_minor(emb.subset(prefix + [idx]))
+        if found is not None:
+            prefix, minor = prefix + [idx], found
+    return prefix, minor
 
 
 def verify_unit_system(
@@ -401,10 +404,12 @@ def verify_unit_system(
 ) -> UnitCertificate | DependenceWitness:
     """Certify an S-unit system: integrality, torsion order, independence.
 
-    Returns a UnitCertificate on success, a DependenceWitness when a bounded
-    exponent search finds an exact multiplicative relation, and raises
-    IndependenceUndecidedError when intervals cannot exclude 0 at the
-    precision cap (distinct from a disproof).
+    Returns a UnitCertificate when a full minor of the log rows certifies.
+    Otherwise, at the same precision, each generator outside the greedy
+    certified prefix is reduced against that prefix (_express_from_rows):
+    u^d = t^k·∏ g_i^(a_i), confirmed by exact multiplication, is returned as
+    a DependenceWitness. IndependenceUndecidedError is raised when neither
+    succeeds at the precision cap (distinct from a disproof).
     """
     e = sys.algebra
     s = sys.s_primes
@@ -428,18 +433,33 @@ def verify_unit_system(
     ]
     if sys.rank == 0:
         return UnitCertificate(True, True, 0, (), ladder[0], caveats)
+    gens = list(sys.free_generators)
     for bits in ladder:
-        emb = build_log_embedding(e, list(sys.free_generators), s, bits)
+        emb = build_log_embedding(e, gens, s, bits)
         found = find_certified_minor(emb)
         if found is not None:
             cols, _ = found
             labels = tuple(emb.columns[j].label() for j in cols)
             return UnitCertificate(True, True, sys.rank, labels, bits, caveats)
-    witness = _relation_search(e, sys)
-    if witness is not None:
-        return witness
+        prefix, (cols, det) = _greedy_prefix(emb, sys.rank)
+        minv = _interval_mat_inv([[emb.rows[i][j] for j in cols] for i in prefix], det)
+        basis = [gens[i] for i in prefix]
+        for idx in (i for i in range(sys.rank) if i not in prefix):
+            got = _express_from_rows(
+                e, basis, cols, minv, gens[idx], emb.rows[idx],
+                sys.torsion_generator, sys.torsion_order,
+            )
+            if got is not None:
+                nums, d, k = got
+                exponents = [0] * sys.rank
+                for i, a in zip(prefix, nums):
+                    exponents[i] = -a
+                exponents[idx] = d
+                return DependenceWitness(tuple(exponents), k)
     raise IndependenceUndecidedError(
-        f"could not certify independence at {precision_cap} bits", precision_cap
+        f"could not certify independence at {precision_cap} bits, nor find a "
+        f"relation u^d = t^k·∏ g_i^(a_i) with d ≤ {MAX_DENOMINATOR}",
+        precision_cap,
     )
 
 
@@ -639,7 +659,6 @@ def _express_from_rows(
     u_row,
     torsion_gen: Coords,
     torsion_order: int,
-    max_den: int = 16,
 ):
     """Try u = torsion^k · (∏ basis^{a_i})^{1/d}; returns (a, d, k) verified.
 
@@ -655,7 +674,7 @@ def _express_from_rows(
         for j in range(r):
             acc = acc + u_row[cols[j]] * minv[j][i]
         evec.append(acc)
-    for d in range(1, max_den + 1):
+    for d in range(1, MAX_DENOMINATOR + 1):
         nums = []
         ok = True
         for iv in evec:
@@ -773,14 +792,7 @@ def assemble_unit_system(
     pool_emb = functools.cache(lambda bits: build_log_embedding(e, free_pool, s_primes, bits))
     basis_idx: list[int] | None = []  # the basis's pool rows; None once enlarged
     for bits in ladder:
-        emb_all = pool_emb(bits)
-        basis_idx = []
-        for idx in range(len(free_pool)):
-            if len(basis_idx) == target_rank:
-                break
-            trial = basis_idx + [idx]
-            if find_certified_minor(emb_all.subset(trial)) is not None:
-                basis_idx = trial
+        basis_idx, _ = _greedy_prefix(pool_emb(bits), target_rank)
         if len(basis_idx) == target_rank:
             break
     if len(basis_idx) != target_rank:

@@ -96,6 +96,16 @@ def oracle_isolate_real_roots(f: QPoly) -> list[tuple[Fraction, Fraction]]:
     return _isolating_intervals(f)
 
 
+def vector(entries) -> tuple[Fraction, ...]:
+    """A vector of Fractions, as linalg takes it."""
+    return tuple(Fraction(x) for x in entries)
+
+
+def oracle_mat_trace(a) -> Fraction:
+    """Sum of the diagonal entries."""
+    return sum((a[i][i] for i in range(len(a))), Fraction(0))
+
+
 def oracle_divides(d: QPoly, f: QPoly) -> bool:
     if d.is_zero():
         return f.is_zero()

@@ -33,7 +33,6 @@ from ampletori.polynomials import (
     fp_mul,
     is_prime,
     poly_gcd,
-    sturm_count_real_roots,
 )
 from ampletori.torus import (
     SL,
@@ -222,14 +221,14 @@ def test_criterion_5_property_suite():
             assert prod == f.reduce_mod(p)
             cases += 1
 
-    # Sturm vs the independent bisection oracle
+    # root-disk signatures vs the independent bisection oracle
     done = 0
     while done < 60:
         deg = rng.randint(1, 6)
-        f = QPoly([rng.randint(-9, 9) for _ in range(deg)] + [rng.randint(1, 9)])
+        f = QPoly([rng.randint(-9, 9) for _ in range(deg)] + [1])
         if poly_gcd(f, f.derivative()).degree > 0:
             continue
-        assert sturm_count_real_roots(f) == oracle_count_real_roots(f)
+        assert signature(f).r1 == oracle_count_real_roots(f)
         done += 1
         cases += 1
 

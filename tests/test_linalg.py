@@ -6,6 +6,8 @@ import pytest
 from ampletori import linalg
 from ampletori.errors import SingularMatrixError
 
+from oracles import oracle_mat_trace, vector
+
 
 def _rand_int_matrix(rng, rows, cols, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)]
@@ -30,7 +32,7 @@ def test_inverse_and_solve():
                 linalg.mat_inv(m)
             continue
         assert linalg.mat_mul(m, linalg.mat_inv(m)) == linalg.identity(n)
-        b = linalg.vector([rng.randint(-9, 9) for _ in range(n)])
+        b = vector([rng.randint(-9, 9) for _ in range(n)])
         x = linalg.solve(m, b)
         assert linalg.mat_vec(m, x) == b
 
@@ -42,7 +44,7 @@ def test_charpoly_trace_and_det():
         m = linalg.matrix(_rand_int_matrix(rng, n, n))
         cp = linalg.charpoly(m)
         assert cp[n] == 1
-        assert cp[n - 1] == -linalg.mat_trace(m)
+        assert cp[n - 1] == -oracle_mat_trace(m)
         assert cp[0] == (-1) ** n * linalg.mat_det(m)
 
 
@@ -62,7 +64,7 @@ def _square_basis_contains(basis_rows, vectors):
     mat = linalg.matrix(basis_rows)
     for v in vectors:
         try:
-            sol = linalg.solve(linalg.transpose(mat), linalg.vector(v))
+            sol = linalg.solve(linalg.transpose(mat), vector(v))
         except SingularMatrixError:
             return False
         if not all(x.denominator == 1 for x in sol):
@@ -125,16 +127,16 @@ def test_int_kernel_basis():
 
 
 def test_intersect_row_spaces():
-    a = [linalg.vector([1, 0, 0]), linalg.vector([0, 1, 0])]
-    b = [linalg.vector([0, 1, 0]), linalg.vector([0, 0, 1])]
+    a = [vector([1, 0, 0]), vector([0, 1, 0])]
+    b = [vector([0, 1, 0]), vector([0, 0, 1])]
     inter = linalg.intersect_row_spaces(a, b)
     assert len(inter) == 1
     assert inter[0][0] == 0 and inter[0][2] == 0
     rng = random.Random(8)
     for _ in range(20):
         dim = rng.randint(1, 5)
-        a = [linalg.vector([rng.randint(-4, 4) for _ in range(dim)]) for _ in range(rng.randint(0, 3))]
-        b = [linalg.vector([rng.randint(-4, 4) for _ in range(dim)]) for _ in range(rng.randint(0, 3))]
+        a = [vector([rng.randint(-4, 4) for _ in range(dim)]) for _ in range(rng.randint(0, 3))]
+        b = [vector([rng.randint(-4, 4) for _ in range(dim)]) for _ in range(rng.randint(0, 3))]
         inter = linalg.intersect_row_spaces(a, b)
         ra, rb = len(linalg.row_space_basis(a)), len(linalg.row_space_basis(b))
         sum_rank = len(linalg.row_space_basis(list(a) + list(b)))

@@ -13,6 +13,8 @@ import sympy
 from ampletori import linalg
 from ampletori.errors import SingularMatrixError
 
+from oracles import vector
+
 DENOMINATORS = (1, 1, 1, 2, 3, 5, 12)
 SQUARE = [(n, n) for n in range(1, 6)]
 TALL = [(4, 1), (5, 2), (6, 3), (6, 4)]
@@ -140,9 +142,9 @@ def test_kernel_matches_sympy_nullspace(a):
 def test_solve_square_and_tall(a):
     rng = random.Random(repr(a))
     ncols = len(a[0])
-    x = linalg.vector([_entry(rng) for _ in range(ncols)])
+    x = vector([_entry(rng) for _ in range(ncols)])
     b = linalg.mat_vec(a, x)
-    noise = linalg.vector([_entry(rng) for _ in range(len(a))])
+    noise = vector([_entry(rng) for _ in range(len(a))])
     if linalg.rank(a) < ncols:
         # singular: no unique solution, whether b is consistent or not
         for rhs in (b, noise):
@@ -160,6 +162,6 @@ def test_solve_square_and_tall(a):
 
 def test_solve_inconsistent_tall_system_raises():
     a = linalg.matrix([[1, 0], [0, 1], [1, 1]])
-    assert linalg.solve(a, linalg.vector([2, 3, 5])) == (2, 3)
+    assert linalg.solve(a, vector([2, 3, 5])) == (2, 3)
     with pytest.raises(SingularMatrixError):
-        linalg.solve(a, linalg.vector([2, 3, 6]))
+        linalg.solve(a, vector([2, 3, 6]))

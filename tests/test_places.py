@@ -103,6 +103,7 @@ def test_decomposition_profile_examples():
     assert prof.orbits == ((0, 1),) and prof.num_places_over == 1
     prof5 = decomposition_profile(GAUSS, tag, 5)
     assert prof5.orbits == ((0,), (1,)) and prof5.num_places_over == 2
+    assert (prof.place_str(), prof5.place_str()) == ("inf", "p:5")
     tagq = galois_group_small(QUARTIC)
     profq = decomposition_profile(QUARTIC, tagq, INF)
     assert profq.num_places_over == 4

@@ -7,11 +7,14 @@ import mpmath
 import numpy
 import pytest
 
-from ampletori.errors import AmpleToriError, IndependenceUndecidedError
+from ampletori import units
+from ampletori.errors import AmpleToriError, InvalidUnitSystemError, NonMonicError
 from ampletori.etale import EtaleAlgebra
-from ampletori.polynomials import QPoly, squarefree_part, sturm_count_real_roots
-from ampletori.realsplit import RealSplitError, RootDisk, abs_square_on_disk, root_disks
+from ampletori.polynomials import QPoly, squarefree_part
+from ampletori.realsplit import RealSplitError, RootDisk, _certify, abs_square_on_disk, root_disks
 from ampletori.units import assemble_unit_system, build_log_embedding, verify_unit_system
+
+from oracles import oracle_count_real_roots
 
 SPECIAL = [
     (1, 1, 1, 1, 1),  # zeta5
@@ -88,8 +91,8 @@ def test_each_root_lies_in_exactly_one_certified_disk(mp_roots, bits):
     with mpmath.workprec(MP_PREC):
         for coeffs in POLYNOMIALS:
             f = QPoly(coeffs)
-            r1 = sturm_count_real_roots(f)
-            disks = root_disks(f, r1, bits)
+            r1 = oracle_count_real_roots(f)
+            disks = root_disks(f, bits)
             assert len(disks) == (f.degree + r1) // 2
             assert sum(1 for d in disks if d.im == 0) == r1
             assert all(d.im > 0 for d in disks[r1:])
@@ -103,7 +106,7 @@ def test_disk_order_follows_real_part_then_modulus(mp_roots):
     with mpmath.workprec(MP_PREC):
         for coeffs in SPECIAL:
             f = QPoly(coeffs)
-            disks = root_disks(f, 0, 64)
+            disks = root_disks(f, 64)
             upper = sorted(
                 (r for r in mp_roots[coeffs] if r.imag > 0),
                 key=lambda r: (-mpmath.nint(r.real * 2**40), abs(r)),
@@ -118,8 +121,7 @@ def test_abs_square_on_disk_encloses_the_value_at_the_root(mp_roots, bits):
     with mpmath.workprec(MP_PREC):
         for coeffs in POLYNOMIALS[::4]:
             f = QPoly(coeffs)
-            r1 = sturm_count_real_roots(f)
-            for disk in root_disks(f, r1, bits):
+            for disk in root_disks(f, bits):
                 a = [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in coeffs[1:]]
                 root = next(r for r in mp_roots[coeffs] if _holds(disk, r))
                 value = abs(sum(_mp(c) * root**k for k, c in enumerate(a))) ** 2
@@ -159,17 +161,45 @@ def test_abs_square_on_disk_encloses_every_point_of_the_disk():
                 assert _encloses(got, value), (disk, a, t)
 
 
-def test_a_wrong_real_root_count_names_the_polynomial_and_precision():
-    with pytest.raises(RealSplitError, match=r"QPoly\(1 \+ x\^2\) at \d+ bits") as info:
-        root_disks(QPoly([1, 0, 1]), 2, 64)
+def test_a_wrong_real_root_count_never_certifies():
+    # converged centres: the certified ones, and the same with every real
+    # centre lifted off the axis by one unit, as Weierstrass sweeps leave them
+    for coeffs in POLYNOMIALS:
+        f = QPoly(coeffs)
+        n, r1 = f.degree, oracle_count_real_roots(f)
+        disks = root_disks(f, 64)
+        shift = disks[0].shift
+        upper = [(d.re, d.im) for d in disks[r1:]]
+        real = [(d.re, 0) for d in disks[:r1]]
+        lifted = [(x, (-1) ** k) for k, (x, _) in enumerate(real)]
+        for centres in (real, lifted):
+            zs = centres + upper + [(x, -y) for x, y in upper]
+            assert _certify(coeffs, zs, r1, shift, 64) == disks, coeffs
+            for wrong in range(n + 1):
+                if wrong != r1:
+                    assert _certify(coeffs, zs, wrong, shift, 64) is None, (coeffs, wrong)
+
+
+def test_a_repeated_root_names_the_polynomial_and_precision():
+    with pytest.raises(RealSplitError, match=r"QPoly\(1 \+ 2\*x\^2 \+ x\^4\) at \d+ bits") as info:
+        root_disks(QPoly([1, 0, 2, 0, 1]), 64)
     assert isinstance(info.value, AmpleToriError) and info.value.module == "realsplit"
 
 
-def test_a_zero_factor_component_names_its_column_and_precision():
+def test_a_polynomial_that_is_not_monic_integral_is_refused():
+    for f in (QPoly([-1, 0, 2]), QPoly([Fraction(1, 2), 0, 1])):
+        with pytest.raises(NonMonicError, match="monic integral"):
+            root_disks(f, 64)
+
+
+def test_a_zero_factor_component_names_its_column_and_precision(monkeypatch):
+    def no_disks(*args):
+        raise AssertionError("root disks computed for an element with no log")
+
+    monkeypatch.setattr(units, "root_disks", no_disks)
     e = EtaleAlgebra([QPoly([-2, 0, 1]), QPoly([-3, 0, 1])])
     zero_in_second = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
-    message = r"cannot separate real\(1\.0\) from zero at 4096 bits"
-    with pytest.raises(IndependenceUndecidedError, match=message):
+    with pytest.raises(InvalidUnitSystemError, match=r"is zero at real\(1\.0\)"):
         build_log_embedding(e, [zero_in_second], (), 64)
 
 

@@ -6,7 +6,6 @@ import pytest
 from ampletori import serialize
 from ampletori.errors import InputError
 from ampletori.etale import EtaleAlgebra
-from ampletori.places import INF, decomposition_profile, galois_group_small
 from ampletori.polynomials import QPoly
 from ampletori.units import UnitSystem
 
@@ -62,17 +61,6 @@ def test_unit_system_reads_integer_strings():
     data = {"torsion": {"element": ["-1", "0"], "order": "2"}, "free": [], "s_primes": ["5"]}
     back = serialize.unit_system_from_json(e, data)
     assert (back.torsion_order, back.s_primes) == (2, (5,))
-
-
-def test_place_profile_schema():
-    f = QPoly([1, 0, 1])
-    prof = decomposition_profile(f, galois_group_small(f), 5)
-    assert serialize.place_profile_to_json(prof) == {
-        "place": "p:5",
-        "orbits": [[0], [1]],
-    }
-    prof_inf = decomposition_profile(f, galois_group_small(f), INF)
-    assert serialize.place_profile_to_json(prof_inf)["place"] == "inf"
 
 
 def test_dumps_is_canonical():

@@ -3,7 +3,12 @@ from fractions import Fraction
 import pytest
 
 from ampletori import pipeline, units
-from ampletori.errors import BudgetExceededError, NotAnOrderError, UnsupportedError
+from ampletori.errors import (
+    BudgetExceededError,
+    IndependenceUndecidedError,
+    NotAnOrderError,
+    UnsupportedError,
+)
 from ampletori.etale import EtaleAlgebra
 from ampletori.places import signature
 from ampletori.polynomials import QPoly
@@ -118,6 +123,32 @@ def test_verify_finds_dependence_witness():
     for g, k in zip(sysd.free_generators, witness.exponents):
         prod = CUBIC.mul(prod, CUBIC.power(g, k))
     assert prod == CUBIC.power(sysd.torsion_generator, witness.torsion_power)
+
+
+PLASTIC = EtaleAlgebra([QPoly([-1, -1, 0, 1])])  # x^3 - x - 1, unit rank 1
+X_UNIT = (Fraction(0), Fraction(1), Fraction(0))
+MINUS_ONE = (Fraction(-1), Fraction(0), Fraction(0))
+
+
+@pytest.mark.parametrize(
+    "powers, exponents", [((1, 2), (-2, 1)), ((1, 9), (-9, 1)), ((2, 3), (-3, 2))]
+)
+def test_dependence_witness_comes_from_reducing_against_the_prefix(powers, exponents):
+    e = PLASTIC
+    gens = [e.power(X_UNIT, k) for k in powers]
+    witness = verify_unit_system(UnitSystem(e, MINUS_ONE, 2, gens, ()))
+    assert witness.exponents == exponents
+    prod = e.one()
+    for g, k in zip(gens, witness.exponents):
+        prod = e.mul(prod, e.power(g, k))
+    assert prod == e.power(MINUS_ONE, witness.torsion_power)
+
+
+def test_undecided_dependence_names_the_denominator_bound():
+    gens = [PLASTIC.power(X_UNIT, 17), X_UNIT]  # x = (x^17)^(1/17): denominator 17
+    system = UnitSystem(PLASTIC, MINUS_ONE, 2, gens, ())
+    with pytest.raises(IndependenceUndecidedError, match=r"at 256 bits, .* d ≤ 16$"):
+        verify_unit_system(system)
 
 
 def test_verify_rejects_non_integral_generator():
