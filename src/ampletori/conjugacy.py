@@ -2,14 +2,14 @@
 
 Published generator matrices depend on an unstated Z-basis of the order.
 Rather than enumerate conjugators blindly, this module identifies which
-order element the first target matrix represents (every order element with
-its characteristic polynomial, found exactly), and then looks for a
-unimodular integer point in the resulting intertwiner space — a rational
-solution space of dimension at most n, which is searched within a bounded
-coefficient box.
-That element is primitive, so one intertwining condition fixes the algebra
-map, and every other unit target is read off through the conjugator found.
-"""
+order element u0 the first target T0 represents (every order element with
+its characteristic polynomial, found exactly). u0 is primitive, so the
+intertwiners P·π(u0) = T0·P form one space of dimension at most n
+(Latimer–MacDuffee), solved once per candidate; each automorphism target
+adds a small system in the coefficients of that space. A unimodular integer
+point of the result is searched within a bounded coefficient box, and every
+other unit target is read off through the conjugator found. The matrices
+are linalg's integer form throughout."""
 
 from __future__ import annotations
 
@@ -17,10 +17,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import linalg
 from .etale import Coords, EtaleAlgebra
-from .linalg import Mat
+from .linalg import IntMat, Mat, Vec
 from .matgroups import AutomorphismDatum, automorphism_matrix, enumerate_automorphisms
 from .polynomials import QPoly
 
@@ -34,10 +35,6 @@ class ConjugacyResult:
     automorphisms: list[AutomorphismDatum]
     discovered_basis: Mat  # Z-basis of the order realizing the targets
     transposed: bool
-
-
-def _charpoly_of(m: Mat) -> tuple[Fraction, ...]:
-    return tuple(linalg.charpoly(m))
 
 
 def _is_primitive(e: EtaleAlgebra, u: Coords) -> bool:
@@ -60,28 +57,25 @@ def order_elements_with_charpoly(e: EtaleAlgebra, chi: Mat) -> list[Coords]:
     return sorted(found, key=lambda c: (sum(abs(x) for x in c), c))
 
 
-def _intertwiner_space(conditions: list[tuple[Mat, Mat]], n: int) -> list[Mat]:
-    """Basis of {P : P·A = B·P for every (A, B) condition}."""
+def _condition_rows(a: IntMat, b: IntMat, n: int) -> list[list[int]]:
+    """Rows of da·db·(P·A − B·P) = 0 in the n² entries of P, for IntMats
+    A = ra/da, B = rb/db: entry (i, j) is Σ_k db·ra[k][j]·P[i][k] − da·rb[i][k]·P[k][j]."""
+    (ra, da), (rb, db) = a, b
     rows = []
-    for a, b in conditions:
-        # d·(P·A − B·P)[i][j] = Σ_k d·A[k][j]·P[i][k] − d·B[i][k]·P[k][j], with
-        # d > 0 clearing the denominators of A and B: the row space is the same
-        ints, _ = linalg._integer_form([x for m in (a, b) for row in m for x in row])
-        da, db = ints[: n * n], ints[n * n :]
-        for i in range(n):
-            for j in range(n):
-                row = [0] * (n * n)
-                for k in range(n):
-                    row[i * n + k] += da[k * n + j]
-                    row[k * n + j] -= db[i * n + k]
-                rows.append(row)
-    return [tuple(v[i * n : i * n + n] for i in range(n)) for v in linalg.kernel_basis(rows)]
+    for i in range(n):
+        for j in range(n):
+            row = [0] * (n * n)
+            for k in range(n):
+                row[i * n + k] += db * ra[k][j]
+                row[k * n + j] -= da * rb[i][k]
+            rows.append(row)
+    return rows
 
 
 def _primitive_integer_matrix(m: Mat) -> Mat:
-    ints, _ = linalg._integer_form([x for row in m for x in row])
-    g, n = math.gcd(*ints) or 1, len(m[0])
-    return tuple(tuple(Fraction(x // g) for x in ints[i * n : i * n + n]) for i in range(len(m)))
+    rows, _ = linalg._int_mat(m)
+    g = math.gcd(*[x for row in rows for x in row]) or 1
+    return tuple(tuple(Fraction(x // g) for x in row) for row in rows)
 
 
 def _unimodular_point(space: list[Mat], coeff_box: int) -> Mat | None:
@@ -138,41 +132,67 @@ def find_simultaneous_conjugator(
 
 
 def _search_one_convention(e, tgt_units, tgt_autos, auto_mats, candidates):
+    n = e.n
+    units = [linalg._int_mat(t) for t in tgt_units]
+    autos = [(s, linalg._int_mat(a)) for s, a in auto_mats]
     # assign our automorphisms to the automorphism targets by charpoly
     assignments = []
-    for t in tgt_autos:
-        chi_t = _charpoly_of(t)
-        assignments.append([(s, a) for s, a in auto_mats if _charpoly_of(a) == chi_t])
+    for t in map(linalg._int_mat, tgt_autos):
+        chi_t = linalg._int_charpoly(t)
+        assignments.append([(s, a, t) for s, a in autos if linalg._int_charpoly(a) == chi_t])
     for u0 in candidates:
         # u0 primitive: P·π(u0) = T_0·P gives P·π(g(u0)) = g(T_0)·P for every
         # polynomial g, so this one condition fixes the algebra map
         if not _is_primitive(e, u0):
             continue
-        unit_condition = (e.regular_rep(u0), tgt_units[0])
-        for combo in itertools.product(*assignments):
-            conditions = [unit_condition] + [(a, t) for (_, a), t in zip(combo, tgt_autos)]
-            space = _intertwiner_space(conditions, e.n)
-            p = _unimodular_point(space, COEFF_BOX)
+        unit_condition = (e._int_rep(u0), units[0])
+        space = linalg.kernel_basis(_condition_rows(*unit_condition, n))
+        if not space:
+            continue
+        # each assignment's condition on the coefficients c of P = Σ c_i·Q_i
+        # over the space: its reduced rows, or None when they force c = 0
+        q_ints, _ = linalg._int_mat(space)  # one common denominator for the basis
+        options = [
+            [(s, a, t, _restricted(_condition_rows(a, t, n), q_ints)) for s, a, t in choices]
+            for choices in assignments
+        ]
+        for combo in itertools.product(*options):
+            if any(rows is None for *_, rows in combo):
+                continue
+            stacked = [row for *_, rows in combo for row in rows]
+            coeffs = linalg.kernel_basis(stacked) if stacked else linalg.identity(len(space))
+            # Q is in kernel_basis's normal form and Q_i vanishes past its free
+            # column, so the Σ c_i·Q_i are the normal form of the stacked system
+            found = [[sum(map(mul, cs, col)) for col in zip(*space)] for cs in coeffs]
+            p = _unimodular_point(
+                [tuple(tuple(v[i : i + n]) for i in range(0, n * n, n)) for v in found], COEFF_BOX
+            )
             if p is None:
                 continue
-            pinv = linalg.mat_inv(p)
-            if not all(
-                linalg.mat_mul(linalg.mat_mul(p, a), pinv) == b for a, b in conditions
-            ):
+            pi = linalg._int_mat(p)
+            pinv = linalg._int_inv(pi)
+            conditions = [unit_condition] + [(a, t) for _, a, t, _ in combo]
+            if not all(linalg._int_mul(linalg._int_mul(pi, a), pinv) == b for a, b in conditions):
                 continue
-            units = _read_off_units(e, p, pinv, tgt_units[1:])
-            if units is not None:
-                return p, [u0] + units, [s for s, _ in combo]
+            elements = _read_off_units(e, pi, pinv, units[1:])
+            if elements is not None:
+                return p, [u0] + elements, [s for s, *_ in combo]
     return None
 
 
-def _read_off_units(e: EtaleAlgebra, p: Mat, pinv: Mat, targets: list[Mat]):
+def _restricted(rows: list[list[int]], q_ints: list[list[int]]) -> list[Vec] | None:
+    """The reduced rows of rows·Q, Q the basis q_ints as columns; None at full rank."""
+    reduced, pivots = linalg.rref([[sum(map(mul, row, q)) for q in q_ints] for row in rows])
+    return list(reduced[: len(pivots)]) if len(pivots) < len(q_ints) else None
+
+
+def _read_off_units(e: EtaleAlgebra, p: IntMat, pinv: IntMat, targets: list[IntMat]):
     """Order elements c with π(c) = P⁻¹·T·P for each target T, or None."""
     units = []
     for t in targets:
-        m = linalg.mat_mul(linalg.mat_mul(pinv, t), p)
-        c = linalg.mat_vec(m, e.one())  # column of 1: the coordinates of c·1
-        if not linalg.is_integer_matrix(m) or e.regular_rep(c) != m:
+        m = linalg._int_mul(linalg._int_mul(pinv, t), p)
+        c = linalg._int_mat_vec(m, e.one())  # column of 1: the coordinates of c·1
+        if m[1] != 1 or e._int_rep(c) != m:
             return None
         units.append(c)
     return units

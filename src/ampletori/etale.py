@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 from . import linalg
 from .errors import NotAnOrderError, SingularMatrixError, UnsupportedError
-from .linalg import Mat, Vec, _integer_form
+from .linalg import IntMat, Mat, Vec, _integer_form
 from .polynomials import (
     QPoly,
     _linear_product,
@@ -37,21 +37,6 @@ from .polynomials import (
 )
 
 Coords = Vec
-
-
-def _integer_columns(a: Mat) -> tuple[list[list[int]], int]:
-    """(cols, d): d the lcm of the square a's denominators, column j of a = cols[j]/d."""
-    flat, d = _integer_form([x for col in zip(*a) for x in col])
-    n = len(a)
-    return [flat[i : i + n] for i in range(0, n * n, n)], d
-
-
-def _vec_mat(v: Coords, mat: tuple[list[list[int]], int]) -> Coords:
-    """v·a for mat = _integer_columns(a)."""
-    cols, d = mat
-    v, dv = _integer_form(v)
-    d *= dv
-    return tuple(Fraction(sum(x * y for x, y in zip(v, col)), d) for col in cols)
 
 
 class EtaleAlgebra:
@@ -86,11 +71,12 @@ class EtaleAlgebra:
             self.order_basis = linalg.matrix(order_basis)
             if len(self.order_basis) != self.n or len(self.order_basis[0]) != self.n:
                 raise ValueError("order basis must be n x n")
+        # coordinates are rows, so to_power and from_power apply the transposes
+        self._basis_int = linalg._int_mat(linalg.transpose(self.order_basis))
         try:
-            self._inv_int = _integer_columns(linalg.mat_inv(self.order_basis))
+            self._inv_int = linalg._int_inv(self._basis_int)
         except SingularMatrixError:
             raise SingularMatrixError("order basis matrix is singular") from None
-        self._basis_int = _integer_columns(self.order_basis)
         self._mult_table: list[list[Coords]] | None = None
         self._int_table = None
         power = [Fraction(0)] * self.n
@@ -101,10 +87,10 @@ class EtaleAlgebra:
     # -- coordinates ---------------------------------------------------------
     def to_power(self, coords: Coords) -> Coords:
         """Order-basis coordinates -> concatenated power-basis coordinates."""
-        return _vec_mat(coords, self._basis_int)
+        return linalg._int_mat_vec(self._basis_int, coords)
 
     def from_power(self, power: Coords) -> Coords:
-        return _vec_mat(power, self._inv_int)
+        return linalg._int_mat_vec(self._inv_int, power)
 
     def zero(self) -> Coords:
         return tuple(Fraction(0) for _ in range(self.n))
@@ -206,8 +192,8 @@ class EtaleAlgebra:
         return linalg.solve(m, self.one())
 
     # -- the regular representation ------------------------------------------
-    def _int_rep(self, a: Coords) -> tuple[list[list[int]], int]:
-        """(M, d) with M an integer matrix and M/d the regular representation of a."""
+    def _int_rep(self, a: Coords) -> IntMat:
+        """The regular representation of a in linalg's integer form."""
         table, _, den = self._int_structure()
         a, da = _integer_form(a)
         m = [[0] * self.n for _ in range(self.n)]
@@ -216,16 +202,14 @@ class EtaleAlgebra:
                 for j, pairs in enumerate(row):
                     for k, t in pairs:
                         m[k][j] += ai * t
-        return m, da * den
+        return linalg._int_form(m, da * den)
 
     def regular_rep(self, a: Coords) -> Mat:
         """Matrix of multiplication-by-a: column j holds coords of a·b_j."""
-        m, den = self._int_rep(a)
-        return tuple(tuple(Fraction(x, den) for x in row) for row in m)
+        return linalg._frac_mat(self._int_rep(a))
 
     def norm(self, a: Coords) -> Fraction:
-        m, den = self._int_rep(a)
-        return Fraction(linalg.int_det(m), den**self.n)
+        return linalg._int_det(self._int_rep(a))
 
     def trace(self, a: Coords) -> Fraction:
         _, tr, den = self._int_structure()
@@ -289,7 +273,7 @@ class EtaleAlgebra:
 
     def element_is_integral(self, a: Coords) -> bool:
         """True iff π(a) is an integer matrix (coordinate integrality for orders)."""
-        return linalg.is_integer_matrix(self.regular_rep(a))
+        return self._int_rep(a)[1] == 1
 
     # -- order verification ----------------------------------------------------
     def is_order(self) -> tuple[bool, dict | None]:

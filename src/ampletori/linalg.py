@@ -1,25 +1,30 @@
 """Exact linear algebra over Q (fractions.Fraction) and over Z.
 
-Matrices are immutable tuples of tuples of Fraction; vectors are tuples.
-Everything here is exact; no floating point is ever used.
+Public matrices are immutable tuples of tuples of Fraction; vectors are
+tuples. Everything here is exact; no floating point is ever used. Inside
+the package a matrix is computed on as an `IntMat` (rows, den): integer
+rows over one positive common denominator, gcd(den, entries) = 1, so equal
+matrices have equal forms. `_int_mul`, `_int_inv`, `_int_det` and
+`_int_charpoly` work on it; Fractions are made only for a public caller.
 
 Elimination is integer-first and has one core, `_echelon`: a fraction-free
 (Bareiss) row echelon form of integer rows. A rational matrix enters it with
-each row scaled by the lcm of its denominators; `rref`, `rank`, `mat_det`,
+each row scaled by the lcm of its denominators, an IntMat with its rows; `rref`, `rank`, `mat_det`,
 `int_det`, `mat_inv`, `solve` and the kernel and row-space helpers read their
-answers off its result, and Fractions appear only in those answers.
-"""
+answers off its result, and Fractions appear only in those answers."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .errors import SingularMatrixError
 
 Vec = tuple[Fraction, ...]
 Mat = tuple[tuple[Fraction, ...], ...]
+IntMat = tuple[tuple[tuple[int, ...], ...], int]  # (rows, den)
 
 
 def frac(x) -> Fraction:
@@ -47,10 +52,6 @@ def mat_add(a: Mat, b: Mat) -> Mat:
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 
 
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def mat_scale(a: Mat, c) -> Mat:
     c = frac(c)
     return tuple(tuple(c * x for x in row) for row in a)
@@ -59,14 +60,11 @@ def mat_scale(a: Mat, c) -> Mat:
 def mat_mul(a: Mat, b: Mat) -> Mat:
     if not a or not b:
         return ()
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return _frac_mat(_int_mul(_int_mat(a), _int_mat(b)))
 
 
 def mat_vec(a: Mat, v: Vec) -> Vec:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return _int_mat_vec(_int_mat(a), v)
 
 
 def transpose(a: Mat) -> Mat:
@@ -79,14 +77,47 @@ def _integer_form(v) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in v], d
 
 
-def _integer_rows(a) -> tuple[list[list[int]], int]:
-    """Row i of a rational matrix times the lcm d_i of its denominators; Π d_i."""
-    rows, scale = [], 1
-    for row in a:
-        ints, d = _integer_form(row)
-        rows.append(ints)
-        scale *= d
-    return rows, scale
+def _int_form(rows, den: int) -> IntMat:
+    """rows/den as an IntMat: divided by gcd(den, entries), den made positive."""
+    g = math.gcd(den, *[x for row in rows for x in row]) * (1 if den > 0 else -1)
+    return tuple(tuple(x // g for x in row) for row in rows), den // g
+
+
+def _int_mat(a: Mat) -> IntMat:
+    """The IntMat of a rational matrix: den is the lcm of its denominators."""
+    flat, den = _integer_form([x for row in a for x in row])
+    n = len(a[0]) if a else 0
+    return tuple(tuple(flat[i * n : i * n + n]) for i in range(len(a))), den
+
+
+def _frac_mat(m: IntMat) -> Mat:
+    return tuple(tuple(Fraction(x, m[1]) for x in row) for row in m[0])
+
+
+def _int_mul(a: IntMat, b: IntMat) -> IntMat:
+    cols = tuple(zip(*b[0]))
+    return _int_form([[sum(map(mul, row, col)) for col in cols] for row in a[0]], a[1] * b[1])
+
+
+def _int_mat_vec(m: IntMat, v: Vec) -> Vec:
+    ints, d = _integer_form(v)
+    return tuple(Fraction(sum(map(mul, row, ints)), d * m[1]) for row in m[0])
+
+
+def _int_inv(a: IntMat) -> IntMat:
+    """The inverse, from the integer d·RREF of [rows | I]; raises when singular."""
+    rows, den = a
+    n = len(rows)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    scaled, pivots, d = _int_rref(m, 2 * n)
+    if pivots != list(range(n)):
+        raise SingularMatrixError("matrix is singular")
+    return _int_form([[x * den for x in row[n:]] for row in scaled], d)
+
+
+def _int_det(a: IntMat) -> Fraction:
+    rows, den = a
+    return Fraction(_det([list(row) for row in rows]), den ** len(rows))
 
 
 def _echelon(m: list[list[int]], ncols: int) -> tuple[list[int], int]:
@@ -132,16 +163,9 @@ def _det(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1] if len(pivots) == n else 0
 
 
-def rref(a: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form and its pivot columns.
-
-    The integer echelon's rank rows are back-substituted to d·RREF in
-    integers, d being the last pivot; Fractions appear only in the result.
-    """
-    if not a:
-        return (), []
-    ncols = len(a[0])
-    m, _ = _integer_rows(a)
+def _int_rref(m: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int], int]:
+    """(d·R, pivots, d): the rank rows of the reduced row echelon form R of
+    integer rows m (consumed), back-substituted in integers, d the last pivot."""
     pivots, _ = _echelon(m, ncols)
     r = len(pivots)
     d = m[r - 1][pivots[-1]] if r else 1
@@ -156,20 +180,28 @@ def rref(a: Mat) -> tuple[Mat, list[int]]:
                     acc[j] -= f * lower[j]
         p = row[pivots[k]]
         scaled[k] = [x // p for x in acc]
+    return scaled, pivots, d
+
+
+def rref(a: Mat) -> tuple[Mat, list[int]]:
+    """Reduced row echelon form and its pivot columns; Fractions only in the result."""
+    if not a:
+        return (), []
+    ncols = len(a[0])
+    scaled, pivots, d = _int_rref([_integer_form(row)[0] for row in a], ncols)
     zero = Fraction(0)
     reduced = [tuple(Fraction(x, d) if x else zero for x in row) for row in scaled]
-    reduced += [(zero,) * ncols] * (len(m) - r)
+    reduced += [(zero,) * ncols] * (len(a) - len(pivots))
     return tuple(reduced), pivots
 
 
 def rank(a: Mat) -> int:
-    m, _ = _integer_rows(a)
+    m = [_integer_form(row)[0] for row in a]
     return len(_echelon(m, len(m[0]) if m else 0)[0])
 
 
 def mat_det(a: Mat) -> Fraction:
-    m, scale = _integer_rows(a)
-    return Fraction(_det(m), scale)
+    return _int_det(_int_mat(a))
 
 
 def int_det(a: Sequence[Sequence[int]]) -> int:
@@ -178,11 +210,7 @@ def int_det(a: Sequence[Sequence[int]]) -> int:
 
 
 def mat_inv(a: Mat) -> Mat:
-    n = len(a)
-    reduced, pivots = rref(tuple(tuple(row) + unit for row, unit in zip(a, identity(n))))
-    if pivots != list(range(n)):
-        raise SingularMatrixError("matrix is singular")
-    return tuple(row[n:] for row in reduced)
+    return _frac_mat(_int_inv(_int_mat(a)))
 
 
 def solve(a: Mat, b: Vec) -> Vec:
@@ -199,18 +227,18 @@ def solve(a: Mat, b: Vec) -> Vec:
 
 
 def kernel_basis(a: Mat) -> list[Vec]:
-    """Basis of the right kernel {x : a·x = 0} over Q."""
+    """Basis of the right kernel {x : a·x = 0} over Q: per free column c of
+    the RREF, the x with 1 at c and 0 at the other free columns (and past c)."""
     if not a:
         return []
     ncols = len(a[0])
-    reduced, pivots = rref(a)
-    free = [c for c in range(ncols) if c not in pivots]
+    scaled, pivots, d = _int_rref([_integer_form(row)[0] for row in a], ncols)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced[r][fc]
+        for row, pc in zip(scaled, pivots):
+            v[pc] = Fraction(-row[fc], d)
         basis.append(tuple(v))
     return basis
 
@@ -218,6 +246,29 @@ def kernel_basis(a: Mat) -> list[Vec]:
 def row_space_basis(rows: Sequence[Vec]) -> list[Vec]:
     reduced, pivots = rref(tuple(rows))
     return [reduced[i] for i in range(len(pivots))]
+
+
+class _Span(list):
+    """A growing row space: (pivot, primitive integer row) pairs, each row
+    zero at the pivots before it."""
+
+    def _reduce(self, v) -> list[int]:
+        for p, row in self:
+            if f := v[p]:
+                v = [x * row[p] - f * y for x, y in zip(v, row)]
+        return v
+
+    def add(self, v) -> bool:
+        """Insert v; True when it enlarges the span."""
+        v = self._reduce(v)
+        pivot = next((i for i, x in enumerate(v) if x), None)
+        if pivot is not None:
+            g = math.gcd(*v)
+            self.append((pivot, [x // g for x in v]))
+        return pivot is not None
+
+    def __contains__(self, v) -> bool:
+        return not any(self._reduce(v))
 
 
 def intersect_row_spaces(a_rows: Sequence[Vec], b_rows: Sequence[Vec]) -> list[Vec]:
@@ -246,15 +297,16 @@ def intersect_row_spaces(a_rows: Sequence[Vec], b_rows: Sequence[Vec]) -> list[V
 
 
 def charpoly(a: Mat) -> list[Fraction]:
-    """Characteristic polynomial det(tI − a), ascending coefficients, monic.
+    """Characteristic polynomial det(tI − a), ascending coefficients, monic."""
+    return _int_charpoly(_int_mat(a))
 
-    Berkowitz's division-free algorithm (Inf. Proc. Lett. 18, 1984) on the
-    integer matrix d·a, d the lcm of the denominators of a; the coefficient
-    of t^k is then divided by d^(n−k).
-    """
-    n = len(a)
-    d = math.lcm(*[x.denominator for row in a for x in row])
-    m = [[x.numerator * (d // x.denominator) for x in row] for row in a]
+
+def _int_charpoly(a: IntMat) -> list[Fraction]:
+    """Berkowitz's division-free algorithm (Inf. Proc. Lett. 18, 1984) on the
+    integer rows m of a = m/d; the coefficient of t^k is then divided by
+    d^(n−k)."""
+    m, d = a
+    n = len(m)
     poly = [1]  # descending coefficients for the leading r×r block of m
     for r in range(n):
         col, row = [m[i][r] for i in range(r)], m[r][:r]

@@ -14,12 +14,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from . import linalg
 from .errors import UnsupportedError
 from .etale import Coords, EtaleAlgebra
-from .linalg import Mat
-from .units import _PolynomialLRU, fraction_is_s_unit_rational, matrix_is_s_integral
+from .linalg import IntMat, Mat
+from .units import _PolynomialLRU, fraction_is_s_integral, fraction_is_s_unit_rational
 
 
 @dataclass(frozen=True)
@@ -154,16 +155,15 @@ def verify_normalization(e: EtaleAlgebra, m: Mat):
     or (False, j) with the first failing basis index (1-based).
     """
     n = e.n
-    minv = linalg.mat_inv(m)
+    m = linalg._int_mat(m)
+    minv = linalg._int_inv(m)
     images = []
     one = e.one()
     for j in range(n):
         bj = tuple(Fraction(int(i == j)) for i in range(n))
-        conj = linalg.mat_mul(linalg.mat_mul(m, e.regular_rep(bj)), minv)
-        cj = tuple(linalg.mat_vec(conj, one))
-        if e.regular_rep(cj) != conj:
-            return False, j + 1
-        if not all(x.denominator == 1 for x in cj):
+        conj = linalg._int_mul(linalg._int_mul(m, e._int_rep(bj)), minv)
+        cj = linalg._int_mat_vec(conj, one)
+        if e._int_rep(cj) != conj or not all(x.denominator == 1 for x in cj):
             return False, j + 1
         images.append(cj)
     return True, AutomorphismDatum(tuple(images))
@@ -219,14 +219,16 @@ def elementary_matrix(n: int, i: int, j: int) -> Mat:
     return tuple(tuple(row) for row in out)
 
 
-def is_unipotent(m: Mat) -> bool:
+def _is_unipotent(m: IntMat) -> bool:
     """All eigenvalues 1: characteristic polynomial equals (x−1)^n."""
-    from math import comb
+    n = len(m[0])
+    return linalg._int_charpoly(m) == [(-1) ** (n - k) * comb(n, k) for k in range(n + 1)]
 
-    n = len(m)
-    cp = linalg.charpoly(m)
-    expected = [Fraction((-1) ** (n - k) * comb(n, k)) for k in range(n + 1)]
-    return list(cp) == expected
+
+def _minus_identity(m: IntMat) -> list[int]:
+    """The entries of den·(m − I), row by row, for m = (rows, den)."""
+    rows, den = m
+    return [x - den * (i == j) for i, row in enumerate(rows) for j, x in enumerate(row)]
 
 
 def verify_semidirect(torus_gens: list[Mat], unipotent_gens: list[Mat]):
@@ -236,23 +238,16 @@ def verify_semidirect(torus_gens: list[Mat], unipotent_gens: list[Mat]):
     """
     if not unipotent_gens:
         return True, None
-    n = len(unipotent_gens[0])
-    span_rows = [
-        tuple(x for row in linalg.mat_sub(u, linalg.identity(n)) for x in row)
-        for u in unipotent_gens
-    ]
-    basis = linalg.row_space_basis(span_rows)
+    unis = [linalg._int_mat(u) for u in unipotent_gens]
+    span = linalg._Span()
+    for u in unis:
+        span.add(_minus_identity(u))
     for ti, t in enumerate(torus_gens):
-        tinv = linalg.mat_inv(t)
-        for ui, u in enumerate(unipotent_gens):
-            conj = linalg.mat_mul(linalg.mat_mul(t, u), tinv)
-            if not is_unipotent(conj):
-                return False, (ti, ui)
-            flat = tuple(
-                x for row in linalg.mat_sub(conj, linalg.identity(n)) for x in row
-            )
-            stacked = basis + [flat]
-            if len(linalg.row_space_basis(stacked)) != len(basis):
+        t = linalg._int_mat(t)
+        tinv = linalg._int_inv(t)
+        for ui, u in enumerate(unis):
+            conj = linalg._int_mul(linalg._int_mul(t, u), tinv)
+            if not _is_unipotent(conj) or _minus_identity(conj) not in span:
                 return False, (ti, ui)
     return True, None
 
@@ -262,14 +257,13 @@ def verify_semidirect(torus_gens: list[Mat], unipotent_gens: list[Mat]):
 # ---------------------------------------------------------------------------
 
 
-def _torsion_order_of_matrix(m: Mat, cap: int = 24) -> int | None:
-    n = len(m)
-    ident = linalg.identity(n)
+def _torsion_order_of_matrix(m: IntMat, cap: int = 24) -> int | None:
+    ident = linalg._int_mat(linalg.identity(len(m[0])))
     acc = m
     for k in range(1, cap + 1):
         if acc == ident:
             return k
-        acc = linalg.mat_mul(acc, m)
+        acc = linalg._int_mul(acc, m)
     return None
 
 
@@ -288,7 +282,8 @@ def group_sanity(gens: GeneratorSet, algebra: EtaleAlgebra | None = None) -> dic
     det_ok, det_detail = True, []
     integ_ok, integ_detail = True, []
     for name, m in gens.all_generators():
-        det = linalg.mat_det(m)
+        m = linalg._int_mat(m)
+        det = linalg._int_det(m)
         if gens.ambient == "SL":
             good = det == 1
         else:
@@ -296,17 +291,17 @@ def group_sanity(gens: GeneratorSet, algebra: EtaleAlgebra | None = None) -> dic
         if not good:
             det_ok = False
             det_detail.append(f"{name}: det={det}")
-        inv = linalg.mat_inv(m)
-        if not (matrix_is_s_integral(m, s) and matrix_is_s_integral(inv, s)):
+        # S-integral exactly when the common denominator is an S-number
+        if not all(fraction_is_s_integral(Fraction(1, x[1]), s) for x in (m, linalg._int_inv(m))):
             integ_ok = False
             integ_detail.append(name)
     report["determinants"] = {"pass": det_ok, "detail": det_detail}
     report["s_integrality"] = {"pass": integ_ok, "detail": integ_detail}
 
     comm_ok, comm_detail = True, []
-    torus_like = gens.torus_gens + gens.torsion_gens
+    torus_like = [linalg._int_mat(m) for m in gens.torus_gens + gens.torsion_gens]
     for (i, a), (j, b) in itertools.combinations(enumerate(torus_like), 2):
-        if linalg.mat_mul(a, b) != linalg.mat_mul(b, a):
+        if linalg._int_mul(a, b) != linalg._int_mul(b, a):
             comm_ok = False
             comm_detail.append((i, j))
     report["torus_commutes"] = {"pass": comm_ok, "detail": comm_detail}
@@ -314,7 +309,7 @@ def group_sanity(gens: GeneratorSet, algebra: EtaleAlgebra | None = None) -> dic
     tors_ok, tors_detail = True, []
     for i, m in enumerate(gens.torsion_gens):
         claimed = gens.provenance.get(f"torsion:{i}", {}).get("order")
-        order = _torsion_order_of_matrix(m)
+        order = _torsion_order_of_matrix(linalg._int_mat(m))
         if order is None or (claimed is not None and order != claimed):
             tors_ok = False
             tors_detail.append(f"torsion:{i}: order={order}, claimed={claimed}")
@@ -322,35 +317,23 @@ def group_sanity(gens: GeneratorSet, algebra: EtaleAlgebra | None = None) -> dic
 
     norm_ok, norm_detail = True, []
     if gens.normalizer_gens:
-        # span closure of the torus algebra: powers/products of torus gens
-        n = gens.n
-        alg_rows = [tuple(x for row in linalg.identity(n) for x in row)]
-        frontier = [linalg.identity(n)]
-        closed = False
-        while not closed:
-            closed = True
-            new_frontier = []
-            for m in frontier:
-                for g in torus_like:
-                    prod = linalg.mat_mul(m, g)
-                    flat = tuple(x for row in prod for x in row)
-                    before = len(linalg.row_space_basis(alg_rows))
-                    after_rows = alg_rows + [flat]
-                    if len(linalg.row_space_basis(after_rows)) > before:
-                        alg_rows.append(flat)
-                        new_frontier.append(prod)
-                        closed = False
-            frontier = new_frontier
-        alg_basis = linalg.row_space_basis(alg_rows)
+        # span closure of the torus algebra: powers/products of torus gens,
+        # in one running echelon of the flattened integer rows
+        def flat(m):
+            return [x for row in m[0] for x in row]
+
+        frontier, span = [linalg._int_mat(linalg.identity(gens.n))], linalg._Span()
+        span.add(flat(frontier[0]))
+        while frontier:
+            products = (linalg._int_mul(m, g) for m in frontier for g in torus_like)
+            frontier = [prod for prod in products if span.add(flat(prod))]
         for i, w in enumerate(gens.normalizer_gens):
-            winv = linalg.mat_inv(w)
-            for g in torus_like:
-                conj = linalg.mat_mul(linalg.mat_mul(w, g), winv)
-                flat = tuple(x for row in conj for x in row)
-                if len(linalg.row_space_basis(alg_basis + [flat])) != len(alg_basis):
-                    norm_ok = False
-                    norm_detail.append(f"normalizer:{i} moves the torus algebra")
-                    break
+            wi = linalg._int_mat(w)
+            winv = linalg._int_inv(wi)
+            conj = (linalg._int_mul(linalg._int_mul(wi, g), winv) for g in torus_like)
+            if any(flat(c) not in span for c in conj):
+                norm_ok = False
+                norm_detail.append(f"normalizer:{i} moves the torus algebra")
             if algebra is not None:
                 ok, witness = verify_normalization(algebra, _strip_block(w, algebra.n))
                 if not ok:

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .errors import AmpleToriError, NonMonicError
 from .intervals import RationalInterval
-from .linalg import _integer_form
+from .linalg import _int_mat
 from .polynomials import QPoly, cauchy_bound
 
 DOUBLINGS = 6  # working-precision doublings before root_disks gives up
@@ -172,7 +172,7 @@ def abs_square_on_disk(a: QPoly, disk: RootDisk) -> RationalInterval:
     |A(α) − A(z)| ≤ E = R·Σ k|a_k|(|z| + R)^(k−1), so |A(α)| lies within E
     of |A(z)|, whose square is exact. The lower end is 0 unless |A(z)| > E.
     """
-    ints, e = _integer_form(a.coeffs)
+    (ints,), e = _int_mat((a.coeffs,))
     p, rho = disk.shift, disk.radius
     d = len(ints) - 1
     if d < 0:

@@ -434,6 +434,7 @@ def verify_unit_system(
     if sys.rank == 0:
         return UnitCertificate(True, True, 0, (), ladder[0], caveats)
     gens = list(sys.free_generators)
+    torsion = {e.power(sys.torsion_generator, k): k for k in range(sys.torsion_order)}
     for bits in ladder:
         emb = build_log_embedding(e, gens, s, bits)
         found = find_certified_minor(emb)
@@ -445,10 +446,7 @@ def verify_unit_system(
         minv = _interval_mat_inv([[emb.rows[i][j] for j in cols] for i in prefix], det)
         basis = [gens[i] for i in prefix]
         for idx in (i for i in range(sys.rank) if i not in prefix):
-            got = _express_from_rows(
-                e, basis, cols, minv, gens[idx], emb.rows[idx],
-                sys.torsion_generator, sys.torsion_order,
-            )
+            got = _express_from_rows(e, basis, cols, minv, gens[idx], emb.rows[idx], torsion)
             if got is not None:
                 nums, d, k = got
                 exponents = [0] * sys.rank
@@ -657,15 +655,16 @@ def _express_from_rows(
     minv: list[list[RationalInterval]],
     u: Coords,
     u_row,
-    torsion_gen: Coords,
-    torsion_order: int,
+    torsion: dict[Coords, int],
 ):
-    """Try u = torsion^k · (∏ basis^{a_i})^{1/d}; returns (a, d, k) verified.
+    """Try u = t^k · (∏ basis^{a_i})^{1/d}; returns (a, d, k) verified.
 
     Candidate exponents are u's log row on the basis's certified minor
     columns cols times minv, the interval inverse of that minor; the final
     identity is verified by exact multiplication, so interval error can only
     cause a miss (caller escalates precision), never a wrong answer.
+    torsion maps each power t^k of the torsion generator, k below its
+    order, to k; u^d·(∏ basis^{a_i})⁻¹ is looked up in it.
     """
     r = len(basis)
     evec = []
@@ -674,6 +673,7 @@ def _express_from_rows(
         for j in range(r):
             acc = acc + u_row[cols[j]] * minv[j][i]
         evec.append(acc)
+    power, dp = e.one(), 0  # u^dp, stepped up to each d that is tried
     for d in range(1, MAX_DENOMINATOR + 1):
         nums = []
         ok = True
@@ -693,12 +693,11 @@ def _express_from_rows(
         prod = e.one()
         for g, a in zip(basis, nums):
             prod = e.mul(prod, e.power(g, a))
-        lhs = e.power(u, d)
-        t = e.one()
-        for k in range(max(torsion_order, 1)):
-            if lhs == e.mul(t, prod):
-                return tuple(nums), d, k
-            t = e.mul(t, torsion_gen)
+        while dp < d:
+            power, dp = e.mul(power, u), dp + 1
+        k = torsion.get(e.mul(power, e.inverse(prod)))
+        if k is not None:
+            return tuple(nums), d, k
     return None
 
 
@@ -767,9 +766,9 @@ def assemble_unit_system(
             ratio = e.mul(a, b_inv)
             if ratio in seen:
                 continue
-            m = e.regular_rep(ratio)
-            if matrix_is_s_integral(m, s_primes) and fraction_is_s_unit_rational(
-                linalg.mat_det(m), s_primes
+            m = e._int_rep(ratio)  # S-integral when its denominator is an S-number
+            if fraction_is_s_integral(Fraction(1, m[1]), s_primes) and fraction_is_s_unit_rational(
+                linalg._int_det(m), s_primes
             ):
                 seen.add(ratio)
         pool = sorted(seen, key=lambda c: (sum(abs(x) for x in c), c))
@@ -780,6 +779,7 @@ def assemble_unit_system(
     # the first pool element of each class {t^k·u, t^k·u⁻¹}: the rest of a
     # class repeat its log row up to sign and its saturation answer
     torsion = [e.power(torsion_gen, k) for k in range(torsion_order)]
+    torsion_index = {z: k for k, z in enumerate(torsion)}
     free_pool, covered = [], set()
     for u in pool:
         if u not in covered and _is_torsion(e, u) is None:
@@ -803,7 +803,10 @@ def assemble_unit_system(
         )
     basis = [free_pool[i] for i in basis_idx]
 
-    for _round in range(8):
+    # each enlargement multiplies the basis's index in the unit lattice by
+    # its d ≥ 2, and that index is finite, so the rounds end
+    changed = True
+    while changed:
         changed = False
         for bits in ladder:
             if basis_idx is None:
@@ -817,9 +820,7 @@ def assemble_unit_system(
             minv = _interval_mat_inv([[row[j] for j in cols] for row in basis_emb.rows], det)
             pending = False
             for u, u_row in zip(free_pool, pool_emb(bits).rows):
-                got = _express_from_rows(
-                    e, basis, cols, minv, u, u_row, torsion_gen, torsion_order
-                )
+                got = _express_from_rows(e, basis, cols, minv, u, u_row, torsion_index)
                 if got is None:
                     pending = True
                     continue
@@ -838,8 +839,6 @@ def assemble_unit_system(
             raise IndependenceUndecidedError(
                 "box unit does not reduce against the basis", precision_cap
             )
-        if not changed:
-            break
 
     basis = [canonical_unit(e, g, torsion_gen, torsion_order) for g in basis]
     basis.sort(key=_canonical_key)

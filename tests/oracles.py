@@ -106,6 +106,16 @@ def oracle_mat_trace(a) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), Fraction(0))
 
 
+def oracle_is_unipotent(m) -> bool:
+    """All eigenvalues 1, read as (m − I)^n = 0 by plain Fraction products."""
+    n = len(m)
+    nil = [[Fraction(x) - (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
+    acc = nil
+    for _ in range(n - 1):
+        acc = [[sum(acc[i][k] * nil[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+    return not any(x for row in acc for x in row)
+
+
 def oracle_divides(d: QPoly, f: QPoly) -> bool:
     if d.is_zero():
         return f.is_zero()

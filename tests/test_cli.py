@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -148,6 +149,30 @@ def test_verify_paper_cli(capsys):
     data = json.loads(capsys.readouterr().out)
     assert code == 0 and data["all_pass"]
     assert [r["example"] for r in data["rows"]] == ["5.1", "5.2", "5.3", "5.4"]
+
+
+# sha256 of the --json output: verify-paper, and construct on each golden's request
+PINNED_DIGESTS = {
+    "verify-paper": "46a9b92f90cde23f652b91e1607ec6658a9ab98314d59a04238b239cd717fa9a",
+    "ex51.json": "11d263fe3991b1df31df7789e9be71b7d0bf6cd2e76256c7000e0a9a82756b9f",
+    "ex52.json": "ff6dcbd62b6e108d42a8d280a92fdea92db6ef324d1186431dfb5a932119914b",
+    "ex53.json": "93d08f46a214d764ce4d8a2514e5c96b9e620621ed56ac195a28fcf75c67ea06",
+    "ex54.json": "dd0024ba7e6ab3cddf86c7b686f9f30ffd5b8eb1187a541d4a15f48c2e04165f",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_DIGESTS))
+def test_json_output_digest_is_pinned(name, tmp_path, capsys):
+    if name == "verify-paper":
+        argv = ["--json", "verify-paper"]
+    else:
+        request = tmp_path / name
+        golden = json.loads((pipeline.corpus_dir() / name).read_text())
+        request.write_text(json.dumps(golden["request"]))
+        argv = ["--json", "construct", str(request)]
+    main(argv)
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[name]
 
 
 @pytest.mark.parametrize(

@@ -4,11 +4,14 @@ sympy is a test-only oracle (the `test` extra in pyproject.toml); the
 library never imports it. Every case is seeded and compared exactly.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from sympy import ZZ
+from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
 
 from ampletori import linalg
 from ampletori.errors import SingularMatrixError
@@ -165,3 +168,111 @@ def test_solve_inconsistent_tall_system_raises():
     assert linalg.solve(a, vector([2, 3, 5])) == (2, 3)
     with pytest.raises(SingularMatrixError):
         linalg.solve(a, vector([2, 3, 6]))
+
+
+# ---------------------------------------------------------------------------
+# the private integer form (rows, den) against sympy
+# ---------------------------------------------------------------------------
+
+S_DENOMINATORS = (1, 1, 1, 5, 25, 125, 2)  # 1 and powers of S = {5}, with one outsider
+
+
+def _s_cases(seed):
+    """Square pairs with mixed S-power denominators: full, low-rank, zero-row."""
+    rng = random.Random(seed)
+
+    def entry():
+        return Fraction(rng.randint(-9, 9), rng.choice(S_DENOMINATORS))
+
+    out = []
+    for n in range(1, 5):
+        for kind in ("full", "low-rank", "zero-row"):
+            a = [[entry() for _ in range(n)] for _ in range(n)]
+            if kind == "low-rank" and n > 1:
+                a[-1] = [2 * x - y for x, y in zip(a[0], a[-2])]
+            elif kind == "zero-row":
+                a[rng.randrange(n)] = [0] * n
+            b = [[entry() for _ in range(n)] for _ in range(n)]
+            out.append((linalg.matrix(a), linalg.matrix(b)))
+    return out
+
+
+def _is_int_form(m) -> bool:
+    rows, den = m
+    return den > 0 and math.gcd(den, *[x for row in rows for x in row]) == 1
+
+
+@pytest.mark.parametrize("a, b", _s_cases(21) + [(linalg.identity(3), linalg.zero_matrix(3, 3))])
+def test_int_form_product_inverse_det_match_sympy(a, b):
+    ia, ib = linalg._int_mat(a), linalg._int_mat(b)
+    assert _is_int_form(ia) and _is_int_form(ib)
+    assert linalg._frac_mat(ia) == a
+    product = _from_sym(_sym(a) * _sym(b))
+    got = linalg._int_mul(ia, ib)
+    # the form is canonical: equal matrices give equal forms
+    assert _is_int_form(got) and got == linalg._int_mat(product)
+    assert linalg._frac_mat(got) == product
+    det = _q(_sym(a).det())
+    assert linalg._int_det(ia) == det
+    if det == 0:
+        with pytest.raises(SingularMatrixError):
+            linalg._int_inv(ia)
+    else:
+        inv = linalg._int_inv(ia)
+        assert _is_int_form(inv) and linalg._frac_mat(inv) == _from_sym(_sym(a).inv())
+        assert linalg._int_mul(ia, inv) == linalg._int_mat(linalg.identity(len(a)))
+    assert (ia == ib) == (a == b)
+
+
+def test_int_form_equality_ignores_how_the_matrix_was_scaled():
+    a = linalg.matrix([[Fraction(2, 5), 0], [0, Fraction(4, 25)]])
+    assert linalg._int_mat(a) == (((10, 0), (0, 4)), 25)
+    assert linalg._int_form([[20, 0], [0, 8]], -50) == (((-10, 0), (0, -4)), 25)
+    assert linalg._int_mat(linalg.zero_matrix(2, 2)) == (((0, 0), (0, 0)), 1)
+
+
+# ---------------------------------------------------------------------------
+# integer lattices: row HNF and SNF against sympy
+# ---------------------------------------------------------------------------
+
+
+def _int_cases(seed):
+    rng = random.Random(seed)
+    out = []
+    for rows, cols in [(1, 1), (2, 2), (2, 3), (3, 3), (3, 2), (4, 4), (4, 3), (3, 5)]:
+        a = [[rng.randint(-20, 20) for _ in range(cols)] for _ in range(rows)]
+        out.append(a)
+        if rows > 1:  # a dependent last row, and a zero row
+            dep = [r + 2 * s for r, s in zip(a[0], a[1])]
+            out.append(a[:-1] + [dep])
+            out.append([[0] * cols] + a[1:])
+    return out
+
+
+@pytest.mark.parametrize("a", _int_cases(31))
+def test_hnf_rows_matches_sympy(a):
+    h, u = linalg.hnf_rows(a, transform=True)
+    assert linalg.hnf_rows(a) == h
+    s_a, s_u = sympy.Matrix(a), sympy.Matrix(u)
+    assert s_u * s_a == sympy.Matrix(h) and abs(s_u.det()) == 1
+    # sympy's HNF is column-style from the last row; with the columns of a
+    # reversed and the result transposed back it is the row HNF, rows reversed
+    flipped = sympy.Matrix([row[::-1] for row in a]).T
+    w = hermite_normal_form(flipped).T if any(map(any, a)) else sympy.zeros(0, len(a[0]))
+    expected = [tuple(w.row(i))[::-1] for i in range(w.rows)][::-1]
+    nonzero = [row for row in h if any(row)]
+    assert nonzero == [tuple(int(x) for x in row) for row in expected]
+    assert all(not any(row) for row in h[len(nonzero):])
+
+
+@pytest.mark.parametrize("a", _int_cases(32))
+def test_snf_with_transforms_matches_sympy(a):
+    d, u, v = linalg.snf_with_transforms(a)
+    s_u, s_v = sympy.Matrix(u), sympy.Matrix(v)
+    assert s_u * sympy.Matrix(a) * s_v == sympy.Matrix(d)
+    assert abs(s_u.det()) == 1 and abs(s_v.det()) == 1
+    k = min(len(a), len(a[0]))
+    assert all(d[i][j] == 0 for i in range(len(a)) for j in range(len(a[0])) if i != j)
+    diagonal = [d[i][i] for i in range(k)]
+    expected = list(invariant_factors(sympy.Matrix(a), domain=ZZ))
+    assert diagonal == [int(x) for x in expected] + [0] * (k - len(expected))

@@ -14,12 +14,11 @@ from ampletori.matgroups import (
     enumerate_automorphisms,
     group_sanity,
     identity_automorphism,
-    is_unipotent,
     verify_normalization,
     verify_semidirect,
 )
 from ampletori.polynomials import QPoly
-from oracles import oracle_automorphisms, oracle_mat_trace
+from oracles import oracle_automorphisms, oracle_is_unipotent, oracle_mat_trace
 
 CUBIC = EtaleAlgebra([QPoly([-1, 1, 0, 1])])
 GAUSS = EtaleAlgebra([QPoly([1, 0, 1])])
@@ -164,7 +163,7 @@ def test_conjugated_elementary_column_formula():
         for r in range(3):
             expected[r][3] = G51[r][i]
         assert conj == tuple(tuple(row) for row in expected)
-        assert is_unipotent(conj)
+        assert oracle_is_unipotent(conj)
 
 
 def test_group_sanity_example_51():
@@ -197,6 +196,56 @@ def test_group_sanity_catches_noncommuting():
     gens.torus_gens = [I_MAT, linalg.matrix([[1, 1], [0, 1]])]
     report = group_sanity(gens)
     assert not report["torus_commutes"]["pass"]
+
+
+def test_group_sanity_reports_a_non_s_integral_entry():
+    gens = GeneratorSet(n=2, ring_primes=(5,), ambient="GL")
+    gens.torus_gens = [linalg.matrix([[1, Fraction(1, 5)], [0, 1]])]
+    gens.torsion_gens = [linalg.matrix([[1, Fraction(1, 3)], [0, 1]])]
+    report = group_sanity(gens)
+    assert report["determinants"]["pass"]
+    assert report["s_integrality"] == {"pass": False, "detail": ["torsion:0"]}
+
+
+def test_group_sanity_reports_a_wrong_torsion_order():
+    gens = GeneratorSet(n=2, ring_primes=(), ambient="SL")
+    gens.torsion_gens = [I_MAT, linalg.matrix([[1, 1], [0, 1]])]
+    gens.provenance["torsion:0"] = {"order": 2}
+    report = group_sanity(gens)
+    assert report["torsion_orders"] == {
+        "pass": False,
+        "detail": ["torsion:0: order=4, claimed=2", "torsion:1: order=None, claimed=None"],
+    }
+
+
+def test_group_sanity_reports_a_non_normalizing_generator():
+    # E_12 conjugates π(i) to [[1, -2], [1, -1]]: outside span{1, π(i)}, and
+    # not π of its own column (1, 1), so the second basis element fails
+    gens = GeneratorSet(n=2, ring_primes=(), ambient="SL")
+    gens.torus_gens = [I_MAT]
+    gens.normalizer_gens = [elementary_matrix(2, 1, 2)]
+    moves = "normalizer:0 moves the torus algebra"
+    assert group_sanity(gens)["normalizer"] == {"pass": False, "detail": [moves]}
+    assert group_sanity(gens, GAUSS)["normalizer"] == {
+        "pass": False,
+        "detail": [moves, "normalizer:0 fails at basis index 2"],
+    }
+    gens.torus_gens = []  # the torus algebra is then Q·1, which every w fixes
+    assert group_sanity(gens, GAUSS)["normalizer"] == {
+        "pass": False,
+        "detail": ["normalizer:0 fails at basis index 2"],
+    }
+    gens.normalizer_gens = [linalg.matrix([[1, 0], [0, -1]])]  # complex conjugation
+    assert group_sanity(gens, GAUSS)["normalizer"] == {"pass": True, "detail": []}
+
+
+def test_group_sanity_reports_a_conjugate_outside_the_radical():
+    gens = GeneratorSet(n=2, ring_primes=(), ambient="SL")
+    gens.torus_gens = [I_MAT]
+    gens.unipotent_gens = [elementary_matrix(2, 1, 2)]
+    report = group_sanity(gens)
+    assert report["semidirect"] == {"pass": False, "detail": (0, 0)}
+    assert not report["all_pass"]["pass"]
 
 
 def test_normalization_holds_for_torus_elements():

@@ -144,6 +144,39 @@ def test_dependence_witness_comes_from_reducing_against_the_prefix(powers, expon
     assert prod == e.power(MINUS_ONE, witness.torsion_power)
 
 
+TWO_PLUS_I = (Fraction(2), Fraction(1))  # norm 5
+I_UNIT = (Fraction(0), Fraction(1))
+
+
+@pytest.mark.parametrize(
+    "gens, exponents, torsion_power",
+    [
+        ((TWO_PLUS_I, GAUSS.mul(I_UNIT, GAUSS.power(TWO_PLUS_I, 2))), (-2, 1), 1),
+        ((GAUSS.power(TWO_PLUS_I, 2), GAUSS.mul(I_UNIT, TWO_PLUS_I)), (-1, 2), 2),
+    ],
+)
+def test_dependence_witness_names_the_torsion_power(gens, exponents, torsion_power):
+    # g, i·g² gives u·g⁻² = i; g², i·g gives u² = i²·g², so d = 2 and k = 2
+    witness = verify_unit_system(UnitSystem(GAUSS, I_UNIT, 4, list(gens), (5,)))
+    assert (witness.exponents, witness.torsion_power) == (exponents, torsion_power)
+    prod = GAUSS.one()
+    for g, k in zip(gens, exponents):
+        prod = GAUSS.mul(prod, GAUSS.power(g, k))
+    assert prod == GAUSS.power(I_UNIT, torsion_power)
+
+
+def test_saturation_runs_until_no_round_enlarges(monkeypatch):
+    # the pool ε^512, ε^256, …, ε (ε = 1 + √2) needs nine enlargements, each
+    # taking the square root of the basis element, before ε is reached
+    eps = (Fraction(1), Fraction(1))
+    pool = [SQRT2.neg(SQRT2.one()), SQRT2.one()]
+    pool += [SQRT2.power(eps, 2**j) for j in range(9, -1, -1)]
+    monkeypatch.setattr(units, "search_units", lambda *args, **kwargs: list(pool))
+    system = assemble_unit_system(SQRT2, (), 3)
+    t = (system.torsion_generator, system.torsion_order)
+    assert system.free_generators == [canonical_unit(SQRT2, eps, *t)]
+
+
 def test_undecided_dependence_names_the_denominator_bound():
     gens = [PLASTIC.power(X_UNIT, 17), X_UNIT]  # x = (x^17)^(1/17): denominator 17
     system = UnitSystem(PLASTIC, MINUS_ONE, 2, gens, ())
