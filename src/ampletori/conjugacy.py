@@ -3,27 +3,29 @@
 Published generator matrices depend on an unstated Z-basis of the order.
 Rather than enumerate conjugators blindly, this module identifies which
 order element u0 the first target T0 represents (every order element with
-its characteristic polynomial, found exactly). u0 is primitive, so the
-intertwiners P·π(u0) = T0·P form one space of dimension at most n
-(Latimer–MacDuffee), solved once per candidate; each automorphism target
-adds a small system in the coefficients of that space. A unimodular integer
-point of the result is searched within a bounded coefficient box, and every
-other unit target is read off through the conjugator found. The matrices
-are linalg's integer form throughout."""
+its characteristic polynomial χ, found exactly). A field element's
+characteristic polynomial is its minimal polynomial to the power n/d, so
+every candidate u0 is primitive exactly when χ is squarefree; otherwise
+there is no search. For primitive u0 the intertwiners P·π(u0) = T0·P form
+one space of dimension at most n (Latimer–MacDuffee), solved once per
+candidate; each automorphism target adds a small system in the coefficients
+of that space. A unimodular integer point of the result is searched within
+a bounded coefficient box, and every other unit target is read off through
+the conjugator found. The matrices are linalg's integer form throughout;
+Fractions are made only for the ConjugacyResult."""
 
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 from . import linalg
 from .etale import Coords, EtaleAlgebra
 from .linalg import IntMat, Mat, Vec
 from .matgroups import AutomorphismDatum, automorphism_matrix, enumerate_automorphisms
-from .polynomials import QPoly
+from .polynomials import QPoly, squarefree_part
 
 COEFF_BOX = 20  # coefficient box of the unimodular point in the intertwiner space
 
@@ -37,20 +39,12 @@ class ConjugacyResult:
     transposed: bool
 
 
-def _is_primitive(e: EtaleAlgebra, u: Coords) -> bool:
-    powers = [e.one()]
-    for _ in range(e.n - 1):
-        powers.append(e.mul(powers[-1], u))
-    return linalg.rank(tuple(powers)) == e.n
-
-
-def order_elements_with_charpoly(e: EtaleAlgebra, chi: Mat) -> list[Coords]:
-    """Every order element whose regular matrix has the charpoly of chi.
+def order_elements_with_charpoly(e: EtaleAlgebra, cp: QPoly) -> list[Coords]:
+    """Every order element whose regular matrix has characteristic polynomial cp.
 
     Smallest first, by 1-norm and then coordinates. An order element has an
     integral charpoly, so a non-integral one has none.
     """
-    cp = QPoly(linalg.charpoly(chi))
     if not cp.is_integral():
         return []
     found = [b for b in e.elements_with_charpoly(cp) if all(c.denominator == 1 for c in b)]
@@ -72,32 +66,28 @@ def _condition_rows(a: IntMat, b: IntMat, n: int) -> list[list[int]]:
     return rows
 
 
-def _primitive_integer_matrix(m: Mat) -> Mat:
-    rows, _ = linalg._int_mat(m)
-    g = math.gcd(*[x for row in rows for x in row]) or 1
-    return tuple(tuple(Fraction(x // g) for x in row) for row in rows)
+def _unimodular_point(space: list[list[int]], n: int, coeff_box: int) -> IntMat | None:
+    """An integer n×n matrix with det ±1 in the span of the space, if any.
 
-
-def _unimodular_point(space: list[Mat], coeff_box: int) -> Mat | None:
-    """An integer matrix with det ±1 in the span of the space, if any."""
-    if not space:
-        return None
-    if len(space) == 1:
-        cand = _primitive_integer_matrix(space[0])
-        if abs(linalg.mat_det(cand)) == 1:
-            return cand
-        return None
-    prim = [_primitive_integer_matrix(m) for m in space]
-    n = len(prim[0])
-    for coeffs in itertools.product(range(-coeff_box, coeff_box + 1), repeat=len(prim)):
-        if all(c == 0 for c in coeffs):
-            continue
-        cand = linalg.zero_matrix(n, n)
-        for c, m in zip(coeffs, prim):
-            if c:
-                cand = linalg.mat_add(cand, linalg.mat_scale(m, c))
-        if linalg.is_integer_matrix(cand) and abs(linalg.mat_det(cand)) == 1:
-            return cand
+    The space is given by flattened integer matrices, each taken primitive
+    (divided by the gcd of its entries). One matrix is tried as it is;
+    several are combined with every coefficient vector in the box, in
+    itertools.product order.
+    """
+    prim = []
+    for v in space:
+        g = math.gcd(*v) or 1
+        prim.append([x // g for x in v])
+    if len(prim) == 1:
+        boxes = [(1,)]
+    else:
+        boxes = itertools.product(range(-coeff_box, coeff_box + 1), repeat=len(prim))
+    for coeffs in boxes:
+        if any(coeffs):
+            flat = [sum(map(mul, coeffs, col)) for col in zip(*prim)]
+            rows = tuple(tuple(flat[i : i + n]) for i in range(0, n * n, n))
+            if abs(linalg.int_det(rows)) == 1:
+                return rows, 1
     return None
 
 
@@ -116,8 +106,12 @@ def find_simultaneous_conjugator(
     auto_mats = [(s, automorphism_matrix(e, s)) for s in autos]
     if not unit_targets:
         return None
-    # charpoly is transposition-invariant, so the candidate pool is shared
-    candidates = order_elements_with_charpoly(e, unit_targets[0])
+    # charpoly is transposition-invariant, so the candidate pool is shared;
+    # every candidate is primitive exactly when the charpoly is squarefree
+    chi = QPoly(linalg.charpoly(unit_targets[0]))
+    if squarefree_part(chi) != chi:
+        return None
+    candidates = order_elements_with_charpoly(e, chi)
     for transposed in (False, True):
         tgt_units = [
             linalg.transpose(t) if transposed else t for t in unit_targets
@@ -125,9 +119,9 @@ def find_simultaneous_conjugator(
         tgt_autos = [linalg.transpose(t) if transposed else t for t in auto_targets]
         result = _search_one_convention(e, tgt_units, tgt_autos, auto_mats, candidates)
         if result is not None:
-            p, units, sigmas = result
-            basis = _discovered_basis(e, p)
-            return ConjugacyResult(p, units, sigmas, basis, transposed)
+            p, pinv, units, sigmas = result
+            basis = _discovered_basis(e, pinv)
+            return ConjugacyResult(linalg._frac_mat(p), units, sigmas, basis, transposed)
     return None
 
 
@@ -143,8 +137,6 @@ def _search_one_convention(e, tgt_units, tgt_autos, auto_mats, candidates):
     for u0 in candidates:
         # u0 primitive: P·π(u0) = T_0·P gives P·π(g(u0)) = g(T_0)·P for every
         # polynomial g, so this one condition fixes the algebra map
-        if not _is_primitive(e, u0):
-            continue
         unit_condition = (e._int_rep(u0), units[0])
         space = linalg.kernel_basis(_condition_rows(*unit_condition, n))
         if not space:
@@ -162,21 +154,22 @@ def _search_one_convention(e, tgt_units, tgt_autos, auto_mats, candidates):
             stacked = [row for *_, rows in combo for row in rows]
             coeffs = linalg.kernel_basis(stacked) if stacked else linalg.identity(len(space))
             # Q is in kernel_basis's normal form and Q_i vanishes past its free
-            # column, so the Σ c_i·Q_i are the normal form of the stacked system
-            found = [[sum(map(mul, cs, col)) for col in zip(*space)] for cs in coeffs]
-            p = _unimodular_point(
-                [tuple(tuple(v[i : i + n]) for i in range(0, n * n, n)) for v in found], COEFF_BOX
-            )
-            if p is None:
+            # column, so the Σ c_i·Q_i are the normal form of the stacked
+            # system (here up to a positive scale, which _unimodular_point drops)
+            found = [
+                [sum(map(mul, linalg._integer_form(cs)[0], col)) for col in zip(*q_ints)]
+                for cs in coeffs
+            ]
+            pi = _unimodular_point(found, n, COEFF_BOX)
+            if pi is None:
                 continue
-            pi = linalg._int_mat(p)
             pinv = linalg._int_inv(pi)
             conditions = [unit_condition] + [(a, t) for _, a, t, _ in combo]
             if not all(linalg._int_mul(linalg._int_mul(pi, a), pinv) == b for a, b in conditions):
                 continue
             elements = _read_off_units(e, pi, pinv, units[1:])
             if elements is not None:
-                return p, [u0] + elements, [s for s, *_ in combo]
+                return pi, pinv, [u0] + elements, [s for s, *_ in combo]
     return None
 
 
@@ -198,11 +191,11 @@ def _read_off_units(e: EtaleAlgebra, p: IntMat, pinv: IntMat, targets: list[IntM
     return units
 
 
-def _discovered_basis(e: EtaleAlgebra, p: Mat) -> Mat:
+def _discovered_basis(e: EtaleAlgebra, pinv: IntMat) -> Mat:
     """Order basis realizing the targets: rows B' = P^{-T}·B.
 
     With coordinates as columns, a basis change B' = U·B conjugates the
-    representation by U^{-T}; here P = U^{-T}, so U = P^{-T}.
+    representation by U^{-T}; here P = U^{-T}, so U = P^{-T}, and
+    B'^T = B^T·P⁻¹ (e._basis_int is B^T).
     """
-    u = linalg.transpose(linalg.mat_inv(p))
-    return linalg.mat_mul(u, e.order_basis)
+    return linalg.transpose(linalg._frac_mat(linalg._int_mul(e._basis_int, pinv)))

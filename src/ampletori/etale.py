@@ -188,8 +188,8 @@ class EtaleAlgebra:
         return result
 
     def inverse(self, a: Coords) -> Coords:
-        m = self.regular_rep(a)
-        return linalg.solve(m, self.one())
+        """π(a)⁻¹ applied to 1; a zero divisor raises SingularMatrixError."""
+        return linalg._int_mat_vec(linalg._int_inv(self._int_rep(a)), self.one())
 
     # -- the regular representation ------------------------------------------
     def _int_rep(self, a: Coords) -> IntMat:
@@ -217,7 +217,7 @@ class EtaleAlgebra:
         return Fraction(sum(x * t for x, t in zip(a, tr)), da * den)
 
     def charpoly(self, a: Coords) -> QPoly:
-        return QPoly(linalg.charpoly(self.regular_rep(a)))
+        return QPoly(linalg._int_charpoly(self._int_rep(a)))
 
     def elements_with_charpoly(self, g: QPoly) -> list[Coords]:
         """Every β in the field K = Q[x]/(f) whose characteristic polynomial is g.

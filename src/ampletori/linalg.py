@@ -1,17 +1,21 @@
 """Exact linear algebra over Q (fractions.Fraction) and over Z.
 
-Public matrices are immutable tuples of tuples of Fraction; vectors are
-tuples. Everything here is exact; no floating point is ever used. Inside
-the package a matrix is computed on as an `IntMat` (rows, den): integer
-rows over one positive common denominator, gcd(den, entries) = 1, so equal
-matrices have equal forms. `_int_mul`, `_int_inv`, `_int_det` and
-`_int_charpoly` work on it; Fractions are made only for a public caller.
+Everything here is exact; no floating point is ever used. Every matrix
+computation in the package runs on one form, the `IntMat` (rows, den):
+integer rows over one positive common denominator, gcd(den, entries) = 1,
+so equal matrices have equal forms. `_int_mul`, `_int_mat_vec`, `_int_inv`,
+`_int_det` and `_int_charpoly` work on it. A `Mat`, an immutable tuple of
+tuples of Fraction, is made only where a matrix leaves the package (a
+generator set, a serialized or regular-representation matrix, a
+conjugacy result); `matrix`, `mat_mul`, `mat_det` and `charpoly` take
+and give Mats for those callers.
 
 Elimination is integer-first and has one core, `_echelon`: a fraction-free
 (Bareiss) row echelon form of integer rows. A rational matrix enters it with
-each row scaled by the lcm of its denominators, an IntMat with its rows; `rref`, `rank`, `mat_det`,
-`int_det`, `mat_inv`, `solve` and the kernel and row-space helpers read their
-answers off its result, and Fractions appear only in those answers."""
+each row scaled by the lcm of its denominators, an IntMat with its rows;
+`rref`, `rank`, `mat_det`, `int_det`, `_int_inv` and the kernel and
+row-space helpers read their answers off its result, and Fractions appear
+only in those answers."""
 
 from __future__ import annotations
 
@@ -43,28 +47,10 @@ def identity(n: int) -> Mat:
     return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
-def zero_matrix(n: int, m: int) -> Mat:
-    zero = Fraction(0)
-    return tuple(tuple(zero for _ in range(m)) for _ in range(n))
-
-
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(a: Mat, c) -> Mat:
-    c = frac(c)
-    return tuple(tuple(c * x for x in row) for row in a)
-
-
 def mat_mul(a: Mat, b: Mat) -> Mat:
     if not a or not b:
         return ()
     return _frac_mat(_int_mul(_int_mat(a), _int_mat(b)))
-
-
-def mat_vec(a: Mat, v: Vec) -> Vec:
-    return _int_mat_vec(_int_mat(a), v)
 
 
 def transpose(a: Mat) -> Mat:
@@ -209,23 +195,6 @@ def int_det(a: Sequence[Sequence[int]]) -> int:
     return _det([list(map(int, row)) for row in a])
 
 
-def mat_inv(a: Mat) -> Mat:
-    return _frac_mat(_int_inv(_int_mat(a)))
-
-
-def solve(a: Mat, b: Vec) -> Vec:
-    """The unique x with a·x = b, for square or tall a.
-
-    Raises SingularMatrixError when there is no unique solution: a has
-    rank below its column count, or b is outside its column space.
-    """
-    ncols = len(a[0]) if a else 0
-    reduced, pivots = rref(tuple(tuple(row) + (y,) for row, y in zip(a, b)))
-    if pivots != list(range(ncols)):
-        raise SingularMatrixError("system has no unique solution")
-    return tuple(row[ncols] for row in reduced[:ncols])
-
-
 def kernel_basis(a: Mat) -> list[Vec]:
     """Basis of the right kernel {x : a·x = 0} over Q: per free column c of
     the RREF, the x with 1 at c and 0 at the other free columns (and past c)."""
@@ -271,31 +240,6 @@ class _Span(list):
         return not any(self._reduce(v))
 
 
-def intersect_row_spaces(a_rows: Sequence[Vec], b_rows: Sequence[Vec]) -> list[Vec]:
-    """Basis of span(a) ∩ span(b), both given by spanning row vectors."""
-    a_basis = row_space_basis(a_rows)
-    b_basis = row_space_basis(b_rows)
-    if not a_basis or not b_basis:
-        return []
-    # x in both spans: x = u·A = v·B; solve [A^T | -B^T]·(u,v) = 0.
-    ncols = len(a_basis[0])
-    stacked = tuple(
-        tuple(list(col_a) + [-x for x in col_b])
-        for col_a, col_b in zip(zip(*a_basis), zip(*b_basis))
-    )
-    assert len(stacked) == ncols
-    result = []
-    for k in kernel_basis(stacked):
-        u = k[: len(a_basis)]
-        vec = tuple(
-            sum(u[i] * a_basis[i][j] for i in range(len(a_basis)))
-            for j in range(ncols)
-        )
-        if any(x != 0 for x in vec):
-            result.append(vec)
-    return row_space_basis(result)
-
-
 def charpoly(a: Mat) -> list[Fraction]:
     """Characteristic polynomial det(tI − a), ascending coefficients, monic."""
     return _int_charpoly(_int_mat(a))
@@ -316,10 +260,6 @@ def _int_charpoly(a: IntMat) -> list[Fraction]:
             col = [sum(x * y for x, y in zip(m[i], col)) for i in range(r)]
         poly = [sum(toep[i - j] * poly[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
     return [Fraction(c, d ** (n - k)) for k, c in enumerate(reversed(poly))]
-
-
-def is_integer_matrix(a: Mat) -> bool:
-    return all(x.denominator == 1 for row in a for x in row)
 
 
 # ---------------------------------------------------------------------------

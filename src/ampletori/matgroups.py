@@ -76,10 +76,10 @@ def _check_automorphism(e: EtaleAlgebra, sigma: AutomorphismDatum):
     n = e.n
     if len(sigma.images) != n:
         return False, "wrong number of images"
-    mat = tuple(tuple(sigma.images[j][i] for j in range(n)) for i in range(n))
-    if not linalg.is_integer_matrix(mat):
+    mat = linalg._int_mat(tuple(zip(*sigma.images)))  # column j holds σ(b_j)
+    if mat[1] != 1:
         return False, "images are not integral"
-    det = linalg.mat_det(mat)
+    det = linalg._int_det(mat)
     if abs(det) != 1:
         return False, f"determinant {det} is not ±1"
     # additivity is linearity; check products on the basis
@@ -87,12 +87,12 @@ def _check_automorphism(e: EtaleAlgebra, sigma: AutomorphismDatum):
     for i in range(n):
         for j in range(i, n):
             prod = e.mul(basis[i], basis[j])
-            lhs = linalg.mat_vec(mat, prod)
+            lhs = linalg._int_mat_vec(mat, prod)
             rhs = e.mul(sigma.images[i], sigma.images[j])
             if tuple(lhs) != tuple(rhs):
                 return False, f"sigma(b_{i} b_{j}) != sigma(b_{i}) sigma(b_{j})"
     one = e.one()
-    if tuple(linalg.mat_vec(mat, one)) != tuple(one):
+    if tuple(linalg._int_mat_vec(mat, one)) != tuple(one):
         return False, "sigma(1) != 1"
     return True, None
 

@@ -37,6 +37,7 @@ from .matgroups import (
     verify_normalization,
 )
 from .places import galois_group_small, signature
+from .polynomials import QPoly
 from .torus import (
     GL,
     SL,
@@ -297,59 +298,43 @@ def run_pipeline(req: PipelineRequest) -> CmaReport:
         ambient=SL if (block or req.ambient == SL) else GL,
     )
 
-    if block is not None:
+    if block is None:
+        emitted = norm_one_subgroup(system) if req.ambient == SL else system
+        tag = {}
+    else:
         emitted = system  # the norm-one torus of E × Q is the full unit group
-        for i, u in enumerate(emitted.free_generators):
-            m = block_diag(e.regular_rep(u), 1 / e.norm(u))
-            gens.torus_gens.append(m)
-            gens.provenance[f"torus:{i}"] = {
-                "kind": "unit",
-                "coords": serialize.vector_to_json(u),
-                "block": "diag(pi(u), 1/N(u))",
-            }
-        if emitted.torsion_order > 1:
-            t = emitted.torsion_generator
-            gens.torsion_gens.append(block_diag(e.regular_rep(t), 1 / e.norm(t)))
-            gens.provenance["torsion:0"] = {
-                "kind": "unit-torsion",
-                "coords": serialize.vector_to_json(t),
-                "order": emitted.torsion_order,
-                "block": "diag(pi(u), 1/N(u))",
-            }
-        normals, ncaveats = _normalizer_matrices(e, GL, system)
-        caveats.extend(ncaveats)
-        for i, m in enumerate(normals):
-            # like the torus gens, the last entry puts det m = -1 back into SL
-            gens.normalizer_gens.append(block_diag(m, 1 / linalg.mat_det(m)))
-            gens.provenance[f"normalizer:{i}"] = {"kind": "automorphism"}
+        tag = {"block": "diag(pi(u), 1/N(u))"}
+    normals, ncaveats = _normalizer_matrices(e, GL if block else req.ambient, system)
+    caveats.extend(ncaveats)
+
+    def emit(m: Mat) -> Mat:
+        # in the block, the last entry 1/det m puts m into SL: for a unit u
+        # this is diag(π(u), 1/N(u)), and it corrects a det −1 automorphism
+        return m if block is None else block_diag(m, 1 / linalg.mat_det(m))
+
+    for i, u in enumerate(emitted.free_generators):
+        gens.torus_gens.append(emit(e.regular_rep(u)))
+        gens.provenance[f"torus:{i}"] = {
+            "kind": "unit",
+            "coords": serialize.vector_to_json(u),
+            **tag,
+        }
+    if emitted.torsion_order > 1:
+        t = emitted.torsion_generator
+        gens.torsion_gens.append(emit(e.regular_rep(t)))
+        gens.provenance["torsion:0"] = {
+            "kind": "unit-torsion",
+            "coords": serialize.vector_to_json(t),
+            "order": emitted.torsion_order,
+            **tag,
+        }
+    for i, m in enumerate(normals):
+        gens.normalizer_gens.append(emit(m))
+        gens.provenance[f"normalizer:{i}"] = {"kind": "automorphism"}
+    if block is not None:
         for i in range(1, e.n + 1):
             gens.unipotent_gens.append(elementary_matrix(block["n"], i, block["n"]))
-            gens.provenance[f"unipotent:{i - 1}"] = {
-                "kind": "elementary",
-                "i": i,
-                "j": block["n"],
-            }
-    else:
-        emitted = norm_one_subgroup(system) if req.ambient == SL else system
-        for i, u in enumerate(emitted.free_generators):
-            gens.torus_gens.append(e.regular_rep(u))
-            gens.provenance[f"torus:{i}"] = {
-                "kind": "unit",
-                "coords": serialize.vector_to_json(u),
-            }
-        if emitted.torsion_order > 1:
-            t = emitted.torsion_generator
-            gens.torsion_gens.append(e.regular_rep(t))
-            gens.provenance["torsion:0"] = {
-                "kind": "unit-torsion",
-                "coords": serialize.vector_to_json(t),
-                "order": emitted.torsion_order,
-            }
-        normals, ncaveats = _normalizer_matrices(e, req.ambient, system)
-        caveats.extend(ncaveats)
-        for i, m in enumerate(normals):
-            gens.normalizer_gens.append(m)
-            gens.provenance[f"normalizer:{i}"] = {"kind": "automorphism"}
+            gens.provenance[f"unipotent:{i - 1}"] = {"kind": "elementary", "i": i, "j": block["n"]}
 
     sanity = group_sanity(gens, e if block is None else None)
     if not sanity["all_pass"]["pass"]:
@@ -459,7 +444,7 @@ def _check_imported(req, report, imported: dict, problems: list, caveats: list) 
             "verified by sanity checks and characteristic polynomials only"
         )
         for t in units:
-            if not conjugacy.order_elements_with_charpoly(e, t):
+            if not conjugacy.order_elements_with_charpoly(e, QPoly(linalg.charpoly(t))):
                 problems.append("an imported matrix has a charpoly matching no order unit")
         return "weaker certificate"
     basis_algebra = EtaleAlgebra(e.factors, found.discovered_basis, check_irreducible=False)

@@ -3,9 +3,15 @@
 The cocharacter space of the torus attached to a degree-n algebra is Q^n with
 the Galois action permuting embeddings (GL case) or its zero-sum subspace
 (SL norm-one case). Local ranks are dimensions of decomposition-group
-invariants, computed as the intersection of the module with the span of the
-orbit-indicator vectors of the place profile — so every certificate witness
-is a pair of dimensions that can be replayed from the certificate alone.
+invariants. Every module here is G-stable (Q^n, the zero-sum space, and
+sums of isotypic components), so a decomposition group D maps it into
+itself. The orbit-mean map P_D, which replaces each coordinate by its mean
+over the coordinate's D-orbit, is the average over D of its action: it maps
+a D-stable module W into W and fixes W^D, so W^D = P_D(W), and the local
+rank is the rank of the projected basis. P_D keeps a direct sum of
+components, so a sum of components has the sum of their ranks. Every
+certificate witness is a pair of dimensions that can be replayed from the
+certificate alone.
 
 Condition (ii) of the ampleness definition is discharged structurally (a
 maximal torus is its own centralizer) and recorded as such. Condition (iii)
@@ -105,9 +111,10 @@ class TorusDatum:
 
     ``tags`` holds one Galois tag per algebra factor, acting on consecutive
     blocks of embeddings; ``module_basis`` spans the cocharacter subspace of
-    Q^n. ``algebra`` is None only for hand-built module data (used to drive
-    module-level checks without a number-theoretic origin); place profiles
-    then cannot be computed.
+    Q^n, which must be Galois-stable (local ranks are ranks of orbit means,
+    and those give W^D only for a D-stable W). ``algebra`` is None only for
+    hand-built module data (used to drive module-level checks without a
+    number-theoretic origin); place profiles then cannot be computed.
     """
 
     ambient: str
@@ -208,22 +215,26 @@ def center_rank(ambient: str) -> int:
     return 1 if ambient == GL else 0
 
 
-def _indicator_span(orbits) -> list[Vec]:
-    vecs = []
-    size = max(max(o) for o in orbits) + 1
-    for orbit in orbits:
-        v = [Fraction(0)] * size
-        for i in orbit:
-            v[i] = Fraction(1)
-        vecs.append(tuple(v))
-    return vecs
+def _orbit_means(rows, orbits) -> list[Vec]:
+    """P_D applied to each row: every coordinate replaced by its orbit's mean.
+
+    The orbits partition the coordinates. For a D-stable module W spanned by
+    the rows, the result spans W^D = W ∩ Fix(D).
+    """
+    out = []
+    for v in rows:
+        w = [Fraction(0)] * len(v)
+        for orbit in orbits:
+            mean = Fraction(sum(v[i] for i in orbit), len(orbit))
+            for i in orbit:
+                w[i] = mean
+        out.append(tuple(w))
+    return out
 
 
 def _invariant_dim(module_basis, orbits) -> int:
-    """dim of (module ∩ span of orbit indicators)."""
-    if not module_basis:
-        return 0
-    return len(linalg.intersect_row_spaces(list(module_basis), _indicator_span(orbits)))
+    """dim of the D-invariants of the D-stable module the basis spans."""
+    return linalg.rank(_orbit_means(module_basis, orbits))
 
 
 def global_orbits(t: TorusDatum):
@@ -249,9 +260,10 @@ def place_profiles(t: TorusDatum, place: Place) -> list[PlaceProfile]:
     ]
 
 
-def _combined_orbits(t: TorusDatum, profiles: list[PlaceProfile]):
+def _local_orbits(t: TorusDatum, place: Place):
+    """Orbits of the decomposition group at the place."""
     out = []
-    for prof, off in zip(profiles, t.block_offsets()):
+    for prof, off in zip(place_profiles(t, place), t.block_offsets()):
         for orbit in prof.orbits:
             out.append(tuple(off + i for i in orbit))
     return tuple(out)
@@ -261,10 +273,10 @@ def local_rank(t: TorusDatum, place: Place) -> int:
     """dim of decomposition-group invariants at the place.
 
     Equals (#places of E over v) for GL and (#places − 1) for SL, but is
-    computed as a module intersection so the same code ranks submodules.
+    computed as the rank of the orbit-mean projection, so the same code
+    ranks submodules.
     """
-    profiles = place_profiles(t, place)
-    return _invariant_dim(t.module_basis, _combined_orbits(t, profiles))
+    return _invariant_dim(t.module_basis, _local_orbits(t, place))
 
 
 def _act(perm, v: Vec) -> Vec:
@@ -325,25 +337,16 @@ def anisotropic_and_split_parts(t: TorusDatum, place: Place | str = "Q") -> Spli
     of the nontrivial isotypic components when the decomposition is
     available).
     """
-    if place == "Q":
-        orbits = global_orbits(t)
-        split = linalg.intersect_row_spaces(
-            list(t.module_basis), _indicator_span(orbits)
-        )
-        aniso_basis = None
-        if t.num_factors == 1:
-            decomp = decompose_module(t)
-            aniso = []
-            for comp in decomp.components:
-                if comp.character != "triv":
-                    aniso.extend(comp.basis)
-            aniso_basis = tuple(linalg.row_space_basis(aniso))
-        return SplitParts(tuple(split), t.dim - len(split), aniso_basis)
-    profiles = place_profiles(t, place)
-    split = linalg.intersect_row_spaces(
-        list(t.module_basis), _indicator_span(_combined_orbits(t, profiles))
-    )
-    return SplitParts(tuple(split), t.dim - len(split))
+    orbits = global_orbits(t) if place == "Q" else _local_orbits(t, place)
+    split = tuple(linalg.row_space_basis(_orbit_means(t.module_basis, orbits)))
+    aniso_basis = None
+    if place == "Q" and t.num_factors == 1:
+        aniso = []
+        for comp in decompose_module(t).components:
+            if comp.character != "triv":
+                aniso.extend(comp.basis)
+        aniso_basis = tuple(linalg.row_space_basis(aniso))
+    return SplitParts(split, t.dim - len(split), aniso_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +420,13 @@ def is_s_ample(t: TorusDatum, s: PlaceSet) -> AmpleCertificate:
         decomp_error = str(exc)
 
     local_ranks: dict[str, int] = {}
+    place_orbits = {}  # the decomposition orbits, once per place
     profiles_ok = t.algebra is not None
     if profiles_ok:
         for place in s.places():
-            local_ranks[_place_str(place)] = local_rank(t, place)
+            ps = _place_str(place)
+            place_orbits[ps] = _local_orbits(t, place)
+            local_ranks[ps] = _invariant_dim(t.module_basis, place_orbits[ps])
 
     submodules: list[SubmoduleWitness] = []
     if decomposition is None:
@@ -450,28 +456,24 @@ def is_s_ample(t: TorusDatum, s: PlaceSet) -> AmpleCertificate:
         verdict = VERDICT_NOT_AMPLE if not cond_i["pass"] else VERDICT_UNDECIDABLE
     else:
         comps = decomposition.components
-        orbit_cache = {
-            _place_str(p): _combined_orbits(t, place_profiles(t, p))
-            for p in s.places()
+        # each component's local rank, once per place: P_D keeps the direct
+        # sum, so a subset's rank is the sum of its components' ranks
+        comp_ranks = {
+            ps: [_invariant_dim(c.basis, orbits) for c in comps]
+            for ps, orbits in place_orbits.items()
         }
         all_pass = True
         for size in range(len(comps)):
             for subset in itertools.combinations(range(len(comps)), size):
-                basis = []
-                for i in subset:
-                    basis.extend(comps[i].basis)
                 w = SubmoduleWitness(
                     components=subset,
-                    dim=len(basis),
+                    dim=sum(comps[i].dim for i in subset),
                     witness_place=None,
                     sub_rank_at_witness=None,
                     torus_rank_at_witness=None,
                 )
-                for place in s.places():
-                    ps = _place_str(place)
-                    sub_rank = (
-                        _invariant_dim(tuple(basis), orbit_cache[ps]) if basis else 0
-                    )
+                for ps, ranks in comp_ranks.items():
+                    sub_rank = sum(ranks[i] for i in subset)
                     w.local_ranks[ps] = (sub_rank, local_ranks[ps])
                     if w.witness_place is None and sub_rank < local_ranks[ps]:
                         w.witness_place = ps

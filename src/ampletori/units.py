@@ -91,10 +91,6 @@ def fraction_is_s_unit_rational(x: Fraction, s_primes: tuple[int, ...]) -> bool:
     return num_rest == 1 and den_rest == 1
 
 
-def matrix_is_s_integral(m, s_primes: tuple[int, ...]) -> bool:
-    return all(fraction_is_s_integral(x, s_primes) for row in m for x in row)
-
-
 # ---------------------------------------------------------------------------
 # prime-ideal valuations (unramified p, computed in the equation order)
 # ---------------------------------------------------------------------------
@@ -414,10 +410,10 @@ def verify_unit_system(
     e = sys.algebra
     s = sys.s_primes
     for g in [sys.torsion_generator] + list(sys.free_generators):
-        m = e.regular_rep(g)
-        if not matrix_is_s_integral(m, s):
+        m = e._int_rep(g)  # S-integral when its denominator is an S-number
+        if not fraction_is_s_integral(Fraction(1, m[1]), s):
             raise InvalidUnitSystemError(f"generator {g} is not S-integral")
-        if not fraction_is_s_unit_rational(linalg.mat_det(m), s):
+        if not fraction_is_s_unit_rational(linalg._int_det(m), s):
             raise InvalidUnitSystemError(f"generator {g} has non-unit norm over Z[1/S]")
 
     order = _is_torsion(e, sys.torsion_generator)
@@ -916,12 +912,9 @@ def norm_one_subgroup(sys: UnitSystem) -> UnitSystem:
         new_vectors = [(tuple(v), i in neg) for i, v in enumerate(kernel)]
 
     # norm-one part of torsion: the full torsion group if every power has
-    # norm +1, else the index-2 subgroup generated by the square
-    torsion_all_plus = all(
-        _norm_sign_and_exponents(e, e.power(sys.torsion_generator, k), s)[0] > 0
-        for k in range(1, sys.torsion_order + 1)
-    )
-    if torsion_all_plus:
+    # norm +1 (no torsion_fix was found), else the index-2 subgroup
+    # generated by the square
+    if torsion_fix is None:
         t_gen, t_order = sys.torsion_generator, sys.torsion_order
     else:
         t_order = sys.torsion_order // 2

@@ -106,6 +106,78 @@ def oracle_mat_trace(a) -> Fraction:
     return sum((a[i][i] for i in range(len(a))), Fraction(0))
 
 
+def oracle_mat_vec(a, v) -> tuple[Fraction, ...]:
+    """a·v by plain Fraction sums."""
+    return tuple(sum((Fraction(x) * y for x, y in zip(row, v)), Fraction(0)) for row in a)
+
+
+def oracle_matrix_is_s_integral(m, s_primes) -> bool:
+    """Every entry's denominator is a product of the S-primes."""
+    for row in m:
+        for x in row:
+            d = Fraction(x).denominator
+            for p in s_primes:
+                while d % p == 0:
+                    d //= p
+            if d != 1:
+                return False
+    return True
+
+
+def oracle_rref(rows) -> list[tuple[Fraction, ...]]:
+    """The nonzero rows of the reduced row echelon form, by plain
+    Gauss–Jordan elimination over Fractions."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(m[0]) if m else 0
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+    return [tuple(row) for row in m[:r]]
+
+
+def oracle_solve(a, b) -> tuple[Fraction, ...]:
+    """The unique x with a·x = b (square or tall a), by Gauss–Jordan on the
+    augmented matrix; SingularMatrixError when there is no unique solution."""
+    from ampletori.errors import SingularMatrixError
+
+    ncols = len(a[0]) if a else 0
+    reduced = oracle_rref([tuple(row) + (y,) for row, y in zip(a, b)])
+    pivots = [next(j for j, x in enumerate(row) if x) for row in reduced]
+    if pivots != list(range(ncols)):
+        raise SingularMatrixError("system has no unique solution")
+    return tuple(row[ncols] for row in reduced)
+
+
+def oracle_mat_inv(a):
+    """The inverse, read off the Gauss–Jordan form of [a | I]."""
+    n = len(a)
+    augmented = [tuple(row) + tuple(int(i == j) for j in range(n)) for i, row in enumerate(a)]
+    reduced = oracle_rref(augmented)
+    assert len(reduced) == n and all(row[i] == 1 for i, row in enumerate(reduced)), "singular"
+    return tuple(row[n:] for row in reduced)
+
+
+def oracle_intersect_row_spaces(a_rows, b_rows) -> list[tuple[Fraction, ...]]:
+    """RREF basis of span(a) ∩ span(b), by Zassenhaus's algorithm: reduce
+    [a | a] over [b | 0]; the rows with a zero left half span the
+    intersection in their right half."""
+    if not a_rows or not b_rows:
+        return []
+    n = len(a_rows[0])
+    stacked = [tuple(v) + tuple(v) for v in a_rows] + [tuple(v) + (0,) * n for v in b_rows]
+    right = [row[n:] for row in oracle_rref(stacked) if not any(row[:n])]
+    return oracle_rref(right)
+
+
 def oracle_is_unipotent(m) -> bool:
     """All eigenvalues 1, read as (m − I)^n = 0 by plain Fraction products."""
     n = len(m)

@@ -151,13 +151,43 @@ def test_verify_paper_cli(capsys):
     assert [r["example"] for r in data["rows"]] == ["5.1", "5.2", "5.3", "5.4"]
 
 
-# sha256 of the --json output: verify-paper, and construct on each golden's request
+def _construct_request(poly, ambient="SL", places="inf", bound=3, block=None) -> dict:
+    request = {
+        "schema": "cma/1",
+        "algebra": {"factors": [poly], "order_basis": None},
+        "ambient": ambient,
+        "places": places,
+        "unit_source": {"search": {"coord_bound": bound}},
+    }
+    if block is not None:
+        request["unipotent_block"] = {"n": block, "pattern": "last-column"}
+    return request
+
+
+# construct requests of the benchmark families that no golden covers
+PINNED_REQUESTS = {
+    "x^2-2 block n=3": _construct_request(["-2", "0", "1"], block=3),  # det -1 automorphism
+    "x^2-3 GL": _construct_request(["-3", "0", "1"], "GL"),
+    "x^2+1 SL at 13,17": _construct_request(["1", "0", "1"], places="inf,13,17", bound=6),
+    "x^2+1 GL at 13,17": _construct_request(["1", "0", "1"], "GL", "inf,13,17", 6),
+    "x^4+x^2-x+1": _construct_request(["1", "-1", "1", "0", "1"]),  # complex S4 quartic
+    "x^2+2 not ample": _construct_request(["2", "0", "1"]),
+}
+
+# sha256 of the --json output: verify-paper, construct on each golden's
+# request, and construct on each of PINNED_REQUESTS
 PINNED_DIGESTS = {
     "verify-paper": "46a9b92f90cde23f652b91e1607ec6658a9ab98314d59a04238b239cd717fa9a",
     "ex51.json": "11d263fe3991b1df31df7789e9be71b7d0bf6cd2e76256c7000e0a9a82756b9f",
     "ex52.json": "ff6dcbd62b6e108d42a8d280a92fdea92db6ef324d1186431dfb5a932119914b",
     "ex53.json": "93d08f46a214d764ce4d8a2514e5c96b9e620621ed56ac195a28fcf75c67ea06",
     "ex54.json": "dd0024ba7e6ab3cddf86c7b686f9f30ffd5b8eb1187a541d4a15f48c2e04165f",
+    "x^2-2 block n=3": "de0ec480b02ce6c67460e7ced40247436c37f96ae6aea8d82c07890b02ebbf3c",
+    "x^2-3 GL": "79d11172ff99bf34c4374fe3b4db7427aaafac06956a7fbbe5e7162961d71cc7",
+    "x^2+1 SL at 13,17": "eb3f91d3ac5c7031d1b99e4bdfe11c4344472bf2130c44fe512f70ecf8061cb0",
+    "x^2+1 GL at 13,17": "85859094f476744cc329346fcded0ecf2b9f05643c289603655fce7af756f0b6",
+    "x^4+x^2-x+1": "c146af4fb1cd652c249c3bd56003d010e6716a1cb8450e5e3eb53b20763fcc64",
+    "x^2+2 not ample": "f5968159d9efc3c9a842ba70c05e5ddc24914a6e709b3aef14f86ca03a1f6f3a",
 }
 
 
@@ -166,9 +196,12 @@ def test_json_output_digest_is_pinned(name, tmp_path, capsys):
     if name == "verify-paper":
         argv = ["--json", "verify-paper"]
     else:
-        request = tmp_path / name
-        golden = json.loads((pipeline.corpus_dir() / name).read_text())
-        request.write_text(json.dumps(golden["request"]))
+        request = tmp_path / "request.json"
+        if name in PINNED_REQUESTS:
+            request.write_text(json.dumps(PINNED_REQUESTS[name]))
+        else:
+            golden = json.loads((pipeline.corpus_dir() / name).read_text())
+            request.write_text(json.dumps(golden["request"]))
         argv = ["--json", "construct", str(request)]
     main(argv)
     out = capsys.readouterr().out

@@ -8,6 +8,8 @@ from ampletori.errors import UnsupportedError
 from ampletori.etale import EtaleAlgebra
 from ampletori.polynomials import QPoly
 
+from oracles import oracle_mat_inv
+
 CUBIC = EtaleAlgebra([QPoly([-1, 1, 0, 1])])
 GAUSS = EtaleAlgebra([QPoly([1, 0, 1])])
 QUARTIC = EtaleAlgebra([QPoly([1, -16, 20, -8, 1])])
@@ -66,7 +68,9 @@ def test_regular_rep_is_ring_homomorphism(algebra):
         b = _random_element(rng, algebra)
         ma, mb = algebra.regular_rep(a), algebra.regular_rep(b)
         assert algebra.regular_rep(algebra.mul(a, b)) == linalg.mat_mul(ma, mb)
-        assert algebra.regular_rep(algebra.add(a, b)) == linalg.mat_add(ma, mb)
+        assert algebra.regular_rep(algebra.add(a, b)) == tuple(
+            tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(ma, mb)
+        )
 
 
 @pytest.mark.parametrize("algebra", [CUBIC, GAUSS, PRODUCT])
@@ -91,14 +95,14 @@ def test_basis_change_conjugates_inside_glnz():
     e = CUBIC
     u = linalg.matrix([[1, 2, 0], [0, 1, -3], [0, 0, 1]])  # unimodular
     e2 = EtaleAlgebra(e.factors, linalg.mat_mul(u, e.order_basis))
-    conj = linalg.transpose(linalg.mat_inv(u))
-    conj_inv = linalg.mat_inv(conj)
+    conj = linalg.transpose(oracle_mat_inv(u))
+    conj_inv = oracle_mat_inv(conj)
     for _ in range(25):
         a_power = tuple(Fraction(rng.randint(-9, 9)) for _ in range(e.n))
         m1 = e.regular_rep(e.from_power(a_power))
         m2 = e2.regular_rep(e2.from_power(a_power))
         assert m2 == linalg.mat_mul(linalg.mat_mul(conj, m1), conj_inv)
-        assert linalg.is_integer_matrix(conj) and linalg.is_integer_matrix(conj_inv)
+        assert all(x.denominator == 1 for row in conj + conj_inv for x in row)
 
 
 def test_product_algebra_structure():

@@ -19,7 +19,7 @@ from ampletori.errors import SingularMatrixError
 from ampletori.etale import EtaleAlgebra
 from ampletori.polynomials import QPoly
 
-from oracles import oracle_mat_trace
+from oracles import oracle_mat_inv, oracle_mat_trace, oracle_solve
 
 ALGEBRAS = {
     "linear": EtaleAlgebra([QPoly([-3, 1])]),
@@ -56,7 +56,7 @@ def ref_to_power(e, coords):
 
 
 def ref_from_power(e, power):
-    b = linalg.mat_inv(e.order_basis)
+    b = oracle_mat_inv(e.order_basis)
     return tuple(sum((power[i] * b[i][j] for i in range(e.n)), Fraction(0)) for j in range(e.n))
 
 
@@ -96,7 +96,7 @@ def ref_one(e):
 
 
 def ref_inverse(e, a):
-    return linalg.solve(ref_regular_rep(e, a), ref_one(e))
+    return oracle_solve(ref_regular_rep(e, a), ref_one(e))
 
 
 def ref_power(e, a, k):

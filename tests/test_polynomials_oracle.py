@@ -1,17 +1,21 @@
-"""Differential tests of is_irreducible_q against sympy's factor_list.
+"""Differential tests of is_irreducible_q and factor_mod_p against sympy's
+factor_list.
 
-sympy is a test-only oracle; the library never imports it. The inputs are
-seeded monic integral polynomials of degree 2 to 6: random ones (mostly
-irreducible), products of two random factors, squares, and constant terms
-far too large to factor by trial division.
+sympy is a test-only oracle; the library never imports it. The inputs to
+is_irreducible_q are seeded monic integral polynomials of degree 2 to 6:
+random ones (mostly irreducible), products of two random factors, squares,
+and constant terms far too large to factor by trial division. factor_mod_p
+is checked at every prime below 400 on seeded polynomials of degree 1 to 6,
+products of linear factors and polynomials with repeated factors.
 """
 
+import functools
 import random
 
 import pytest
 import sympy
 
-from ampletori.polynomials import QPoly, is_irreducible_q
+from ampletori.polynomials import QPoly, factor_mod_p, is_irreducible_q
 
 X = sympy.Symbol("x")
 
@@ -64,3 +68,26 @@ def test_the_cases_cover_every_degree_and_both_answers():
 @pytest.mark.parametrize("coeffs", CASES, ids=str)
 def test_irreducibility_matches_sympy(coeffs):
     assert is_irreducible_q(QPoly(coeffs)) == _sympy_irreducible(coeffs)
+
+
+PRIMES = [p for p in range(2, 400) if sympy.isprime(p)]
+
+
+def _mod_p_cases(p) -> list[tuple[int, ...]]:
+    rng = random.Random(f"factor_mod_p/{p}")
+    cases = [_monic(rng, d) for d in range(1, 7)]
+    linears = [(-rng.randrange(p), 1) for _ in range(6)]
+    for k in (2, 4, 6):  # split, with a repeated root whenever two draws agree
+        cases.append(functools.reduce(_mul, linears[:k]))
+    a, b = _monic(rng, 1), _monic(rng, 2)
+    cases += [_mul(_mul(a, a), b), _mul(b, b), _mul(_mul(a, a), a)]
+    return cases
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_factor_mod_p_matches_sympy(p):
+    for coeffs in _mod_p_cases(p):
+        _, factors = sympy.Poly(list(reversed(coeffs)), X, modulus=p).factor_list()
+        want = [([int(c) % p for c in reversed(f.all_coeffs())], m) for f, m in factors]
+        want.sort(key=lambda fm: (len(fm[0]), fm[0]))
+        assert factor_mod_p(QPoly(coeffs), p) == want, coeffs

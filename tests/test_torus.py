@@ -1,11 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from ampletori import linalg
 from ampletori.errors import InputError, RamifiedPlaceError, UnsupportedError
 from ampletori.etale import EtaleAlgebra
-from ampletori.places import INF, regular_action, standard_tag
+from ampletori.places import INF, STANDARD_TAGS, orbits_of, regular_action, standard_tag
 from ampletori.polynomials import QPoly, discriminant, is_prime
 from ampletori.torus import (
     GL,
@@ -17,13 +19,19 @@ from ampletori.torus import (
     TorusDatum,
     anisotropic_and_split_parts,
     build_torus,
+    center_rank,
     decompose_module,
+    global_orbits,
     global_rank,
     is_s_ample,
     local_rank,
     replay_certificate,
+    _invariant_dim,
+    _orbit_means,
     _zero_sum_basis,
 )
+
+from oracles import oracle_intersect_row_spaces
 
 CUBIC = EtaleAlgebra([QPoly([-1, 1, 0, 1])])
 GAUSS = EtaleAlgebra([QPoly([1, 0, 1])])
@@ -256,3 +264,53 @@ def test_components_are_galois_stable():
                         assert len(row_space_basis(stacked)) == len(
                             row_space_basis(basis)
                         ), (e.factors, comp.character)
+
+
+# ---------------------------------------------------------------------------
+# orbit means against the intersection with the orbit-indicator span
+# ---------------------------------------------------------------------------
+
+
+def _reference_invariants(basis, orbits, n):
+    """RREF basis of span(basis) ∩ span of the orbit indicators."""
+    indicators = [tuple(Fraction(int(i in orbit)) for i in range(n)) for orbit in orbits]
+    return oracle_intersect_row_spaces(list(basis), indicators)
+
+
+def _modules(n):
+    return {GL: tuple(linalg.identity(n)), SL: _zero_sum_basis(n)}
+
+
+@pytest.mark.parametrize("ambient", [GL, SL])
+@pytest.mark.parametrize("name", sorted(STANDARD_TAGS))
+def test_orbit_means_give_the_invariants_of_every_submodule(name, ambient):
+    tag = standard_tag(name)
+    n = tag.degree
+    t = TorusDatum(ambient, (tag,), _modules(n)[ambient])
+    comps = decompose_module(t).components
+    for g in tag.elements:  # D generated by g
+        orbits = orbits_of([g], n)
+        for size in range(len(comps) + 1):
+            for subset in itertools.combinations(range(len(comps)), size):
+                basis = [v for i in subset for v in comps[i].basis]
+                want = _reference_invariants(basis, orbits, n)
+                assert linalg.row_space_basis(_orbit_means(basis, orbits)) == want
+                ranks = [_invariant_dim(comps[i].basis, orbits) for i in subset]
+                assert _invariant_dim(basis, orbits) == len(want) == sum(ranks)
+    want = _reference_invariants(t.module_basis, orbits_of(list(tag.elements), n), n)
+    split = anisotropic_and_split_parts(t, "Q")
+    assert split.split_basis == tuple(want) and global_rank(t) == len(want)
+
+
+@pytest.mark.parametrize("ambient", [GL, SL])
+def test_orbit_means_on_a_two_factor_torus(ambient):
+    c2, s3 = standard_tag("C2"), standard_tag("S3")
+    t = TorusDatum(ambient, (c2, s3), _modules(5)[ambient])
+    for g, h in itertools.product(c2.elements, s3.elements):
+        orbits = orbits_of([tuple(g) + tuple(2 + i for i in h)], 5)
+        want = _reference_invariants(t.module_basis, orbits, 5)
+        assert linalg.row_space_basis(_orbit_means(t.module_basis, orbits)) == want
+        assert _invariant_dim(t.module_basis, orbits) == len(want)
+    want = _reference_invariants(t.module_basis, global_orbits(t), 5)
+    assert anisotropic_and_split_parts(t, "Q").split_basis == tuple(want)
+    assert global_rank(t) == len(want) == center_rank(ambient) + 1
