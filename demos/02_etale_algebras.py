@@ -14,23 +14,23 @@ from ampletori.serialize import matrix_to_json
 cubic = EtaleAlgebra([QPoly([-1, 1, 0, 1])])  # Q[x]/(x^3 + x - 1), power basis
 gauss = EtaleAlgebra([QPoly([1, 0, 1])])  # Q[i], basis (1, i)
 
-x = cubic.element(cubic.generator(0))
+x = cubic.generator(0)
 print("multiplication by x in the cubic order (columns = images of basis):")
-for row in matrix_to_json(x.matrix()):
+for row in matrix_to_json(cubic.regular_rep(x)):
     print("  ", row)
-print("norm(x) =", x.norm(), " trace(x) =", x.trace())
-print("charpoly(pi(x)) equals the defining polynomial:", cubic.charpoly(x.coords) == cubic.factors[0])
+print("norm(x) =", cubic.norm(x), " trace(x) =", cubic.trace(x))
+print("charpoly(pi(x)) equals the defining polynomial:", cubic.charpoly(x) == cubic.factors[0])
 
 print("\nx is a unit; its inverse is 1 + x^2:")
-print("  x^{-1} coords:", [str(c) for c in x.inverse().coords])
-print("  x * x^{-1} == 1:", (x * x.inverse()).coords == cubic.one())
+print("  x^{-1} coords:", [str(c) for c in cubic.inverse(x)])
+print("  x * x^{-1} == 1:", cubic.mul(x, cubic.inverse(x)) == cubic.one())
 
-i = gauss.element(gauss.generator(0))
-print("\nmultiplication by i in Z[i]:", matrix_to_json(i.matrix()))
+i = gauss.generator(0)
+print("\nmultiplication by i in Z[i]:", matrix_to_json(gauss.regular_rep(i)))
 
-g = gauss.element((Fraction(4, 5), Fraction(3, 5)))  # (4+3i)/5
-print("(4+3i)/5 has matrix", matrix_to_json(g.matrix()))
-print("  norm:", g.norm(), " integral:", g.is_integral(), "(a 5-unit, not a unit)")
+g = (Fraction(4, 5), Fraction(3, 5))  # (4+3i)/5
+print("(4+3i)/5 has matrix", matrix_to_json(gauss.regular_rep(g)))
+print("  norm:", gauss.norm(g), " integral:", gauss.element_is_integral(g), "(a 5-unit, not a unit)")
 
 print("\norder verification with witnesses:")
 print("  power basis of the cubic:", cubic.is_order())
@@ -41,6 +41,6 @@ z2i = EtaleAlgebra([QPoly([1, 0, 1])], [[1, 0], [0, 2]])
 print("  basis (1, 2i):", z2i.is_order(), "(Z[2i] is a genuine non-maximal order)")
 
 product = EtaleAlgebra([QPoly([1, 0, 1]), QPoly([-2, 0, 1])])  # Q(i) x Q(sqrt 2)
-a = product.element(product.from_power(tuple(Fraction(c) for c in (1, 1, 3, 1))))
+a = product.from_power(tuple(Fraction(c) for c in (1, 1, 3, 1)))
 print("\nproduct algebra Q(i) x Q(sqrt2), element (1+i, 3+sqrt2):")
-print("  norm factors as", product.factor_norm(a.coords, 0), "*", product.factor_norm(a.coords, 1), "=", a.norm())
+print("  norm factors as", product.factor_norm(a, 0), "*", product.factor_norm(a, 1), "=", product.norm(a))

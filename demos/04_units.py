@@ -61,8 +61,8 @@ print("  free generator:", tuple(str(c) for c in g), "= (4+3i)/5")
 print("  as a matrix:", matrix_to_json(gauss.regular_rep(g)))
 
 print("\na deliberately dependent system returns an exact relation witness:")
-u = gauss.element((Fraction(2), Fraction(1)))
-dep = UnitSystem(gauss, (Fraction(0), Fraction(1)), 4, [u.coords, (u * u).coords], (5,))
+u = (Fraction(2), Fraction(1))
+dep = UnitSystem(gauss, (Fraction(0), Fraction(1)), 4, [u, gauss.mul(u, u)], (5,))
 print(" ", verify_unit_system(dep).describe())
 
 print("\ntotally imaginary fields certify through complex places alone:")

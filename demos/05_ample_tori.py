@@ -14,8 +14,6 @@ from ampletori.serialize import certificate_to_json, dumps
 from ampletori.torus import (
     PlaceSet,
     TorusDatum,
-    _zero_sum_basis,
-    anisotropic_and_split_parts,
     build_torus,
     decompose_module,
     global_rank,
@@ -54,13 +52,12 @@ payload = certificate_to_json(cert)
 print("   ", dumps({k: payload[k] for k in ("verdict", "local_ranks", "condition_i")}).strip())
 
 print("\nsplit and anisotropic parts:")
-sp = anisotropic_and_split_parts(t, "Q")
-print("  Q[i] global: split dim", len(sp.split_basis), ", anisotropic dim", sp.anisotropic_dim)
-sp = anisotropic_and_split_parts(build_torus(quartic, "SL"), INF)
-print("  quartic at inf: split dim", len(sp.split_basis), "(totally real, trivial decomposition group)")
+print("  Q[i] global: split dim", global_rank(t), ", anisotropic dim", t.dim - global_rank(t))
+split = local_rank(build_torus(quartic, "SL"), INF)
+print("  quartic at inf: split dim", split, "(totally real, trivial decomposition group)")
 
 print("\na module with a repeated component is undecidable, never guessed:")
 tag = regular_action(standard_tag("S3"))
-synthetic = TorusDatum("SL", (tag,), _zero_sum_basis(6), None)
+synthetic = TorusDatum("SL", (tag,))
 cert = is_s_ample(synthetic, PlaceSet(True, ()))
 print("  S3 acting regularly on 6 points:", cert.verdict, "-", cert.condition_iii["offending_component"], "appears twice")

@@ -18,13 +18,12 @@ from .errors import (
     RamifiedPlaceError,
     UnsupportedError,
 )
-from .etale import AlgebraElement, EtaleAlgebra
+from .etale import EtaleAlgebra
 from .intervals import RationalInterval
 from .matgroups import (
     AutomorphismDatum,
     GeneratorSet,
     automorphism_matrix,
-    block_embed,
     elementary_matrix,
     enumerate_automorphisms,
     group_sanity,
@@ -53,7 +52,6 @@ from .torus import (
     IrreducibleDecomposition,
     PlaceSet,
     TorusDatum,
-    anisotropic_and_split_parts,
     build_torus,
     decompose_module,
     global_rank,

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import linalg
 from .errors import NotAnOrderError, SingularMatrixError, UnsupportedError
@@ -107,9 +107,6 @@ class EtaleAlgebra:
         else:
             power[self.offsets[k] + 1] = Fraction(1)
         return self.from_power(tuple(power))
-
-    def element(self, coords: Iterable) -> "AlgebraElement":
-        return AlgebraElement(self, tuple(Fraction(c) for c in coords))
 
     # -- ring structure ------------------------------------------------------
     def _power_blocks(self, power: Coords) -> list[list[Fraction]]:
@@ -326,57 +323,3 @@ class EtaleAlgebra:
     def __repr__(self):
         return f"EtaleAlgebra(factors={list(self.factors)!r}, n={self.n})"
 
-
-class AlgebraElement:
-    """Thin wrapper giving elements arithmetic dunders for exploratory use."""
-
-    __slots__ = ("algebra", "coords")
-
-    def __init__(self, algebra: EtaleAlgebra, coords: Coords):
-        self.algebra = algebra
-        self.coords = tuple(Fraction(c) for c in coords)
-
-    def __add__(self, other):
-        return AlgebraElement(self.algebra, self.algebra.add(self.coords, other.coords))
-
-    def __sub__(self, other):
-        return AlgebraElement(
-            self.algebra, self.algebra.add(self.coords, self.algebra.neg(other.coords))
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return AlgebraElement(self.algebra, self.algebra.mul(self.coords, other.coords))
-        return AlgebraElement(self.algebra, tuple(Fraction(other) * c for c in self.coords))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return AlgebraElement(self.algebra, self.algebra.neg(self.coords))
-
-    def __pow__(self, k: int):
-        return AlgebraElement(self.algebra, self.algebra.power(self.coords, k))
-
-    def inverse(self):
-        return AlgebraElement(self.algebra, self.algebra.inverse(self.coords))
-
-    def norm(self) -> Fraction:
-        return self.algebra.norm(self.coords)
-
-    def trace(self) -> Fraction:
-        return self.algebra.trace(self.coords)
-
-    def matrix(self) -> Mat:
-        return self.algebra.regular_rep(self.coords)
-
-    def is_integral(self) -> bool:
-        return self.algebra.element_is_integral(self.coords)
-
-    def __eq__(self, other):
-        return isinstance(other, AlgebraElement) and self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __repr__(self):
-        return f"AlgebraElement({list(self.coords)})"

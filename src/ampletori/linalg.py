@@ -13,9 +13,8 @@ and give Mats for those callers.
 Elimination is integer-first and has one core, `_echelon`: a fraction-free
 (Bareiss) row echelon form of integer rows. A rational matrix enters it with
 each row scaled by the lcm of its denominators, an IntMat with its rows;
-`rref`, `rank`, `mat_det`, `int_det`, `_int_inv` and the kernel and
-row-space helpers read their answers off its result, and Fractions appear
-only in those answers."""
+`rref`, `kernel_basis`, `mat_det`, `int_det` and `_int_inv` read their
+answers off its result, and Fractions appear only in those answers."""
 
 from __future__ import annotations
 
@@ -181,11 +180,6 @@ def rref(a: Mat) -> tuple[Mat, list[int]]:
     return tuple(reduced), pivots
 
 
-def rank(a: Mat) -> int:
-    m = [_integer_form(row)[0] for row in a]
-    return len(_echelon(m, len(m[0]) if m else 0)[0])
-
-
 def mat_det(a: Mat) -> Fraction:
     return _int_det(_int_mat(a))
 
@@ -210,11 +204,6 @@ def kernel_basis(a: Mat) -> list[Vec]:
             v[pc] = Fraction(-row[fc], d)
         basis.append(tuple(v))
     return basis
-
-
-def row_space_basis(rows: Sequence[Vec]) -> list[Vec]:
-    reduced, pivots = rref(tuple(rows))
-    return [reduced[i] for i in range(len(pivots))]
 
 
 class _Span(list):

@@ -174,23 +174,6 @@ def verify_normalization(e: EtaleAlgebra, m: Mat):
 # ---------------------------------------------------------------------------
 
 
-def block_embed(g: Mat, n: int) -> Mat:
-    """diag(g, 1, ..., 1): block-diagonal with identity padding."""
-    m = len(g)
-    if m > n:
-        raise ValueError("target size smaller than the block")
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i < m and j < m:
-                row.append(g[i][j])
-            else:
-                row.append(Fraction(int(i == j)))
-        out.append(tuple(row))
-    return tuple(out)
-
-
 def block_diag(g: Mat, tail: Fraction) -> Mat:
     """diag(g, tail) with a 1×1 last block."""
     m = len(g)

@@ -419,12 +419,15 @@ def _is_square_rational(q: Fraction) -> bool:
 
 
 def decomposition_profile(f: QPoly, tag: GaloisTag, place: Place) -> PlaceProfile:
-    """Cyclic decomposition group at a place, as an orbit partition.
+    """Cyclic decomposition group at a place: its generator and orbits.
 
     At ∞ the generator is an involution with r1 fixed points (identity when
-    the field is totally real); at an unramified p it is any element whose
-    cycle type matches the mod-p factorization degrees. Invariant dimensions
-    downstream only use the orbit partition, which is conjugation-invariant.
+    the field is totally real); at an unramified p it is the first element
+    whose cycle type matches the mod-p factorization degrees. Whole-module
+    ranks only use the orbit count. Submodule ranks are character means
+    over the generator's powers, so they depend on its conjugacy class,
+    which the cycle type fixes except for type (2,2) in V4 and D4: there
+    the element chosen need not be the true decomposition generator.
     """
     if tag.degree != f.degree:
         raise ValueError("tag action degree does not match deg f")

@@ -1,17 +1,17 @@
 """Maximal tori of GL_n/SL_n from étale algebras and the S-ample decision.
 
-The cocharacter space of the torus attached to a degree-n algebra is Q^n with
-the Galois action permuting embeddings (GL case) or its zero-sum subspace
-(SL norm-one case). Local ranks are dimensions of decomposition-group
-invariants. Every module here is G-stable (Q^n, the zero-sum space, and
-sums of isotypic components), so a decomposition group D maps it into
-itself. The orbit-mean map P_D, which replaces each coordinate by its mean
-over the coordinate's D-orbit, is the average over D of its action: it maps
-a D-stable module W into W and fixes W^D, so W^D = P_D(W), and the local
-rank is the rank of the projected basis. P_D keeps a direct sum of
-components, so a sum of components has the sum of their ranks. Every
-certificate witness is a pair of dimensions that can be replayed from the
-certificate alone.
+The cocharacter module of the torus attached to a degree-n algebra is Q^n
+with the Galois action permuting embeddings (GL case) or its zero-sum
+subspace (SL norm-one case). It is held as its character, never as a basis:
+ψ(g) = #fix(g), minus the trivial character for SL. Local ranks are
+dimensions of decomposition-group invariants, and for a module with
+character φ, dim W^D = ⟨φ|_D, 1⟩_D is the mean of φ over D (Serre,
+*Linear Representations of Finite Groups*, §2.3 and ch. 12). So the whole
+module has rank #orbits − [SL] globally and Σ #places over v − [SL] at v,
+and a component in which the rational character χ occurs m = ⟨ψ, χ⟩/⟨χ, χ⟩
+times has rank m·mean(χ over D). Ranks add over a direct sum, so a sum of
+components has the sum of their ranks. Every certificate witness is a pair
+of dimensions that can be replayed from the certificate alone.
 
 Condition (ii) of the ampleness definition is discharged structurally (a
 maximal torus is its own centralizer) and recorded as such. Condition (iii)
@@ -26,18 +26,19 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from . import linalg
 from .errors import InputError, UnsupportedError
 from .etale import EtaleAlgebra
-from .linalg import Vec
 from .places import (
     INF,
     GaloisTag,
+    Perm,
     Place,
     PlaceProfile,
+    RationalCharacter,
     decomposition_profile,
     galois_group_small,
     orbits_of,
+    perm_compose,
 )
 from .polynomials import is_prime
 
@@ -110,16 +111,15 @@ class TorusDatum:
     """A maximal torus given by its Galois-module data.
 
     ``tags`` holds one Galois tag per algebra factor, acting on consecutive
-    blocks of embeddings; ``module_basis`` spans the cocharacter subspace of
-    Q^n, which must be Galois-stable (local ranks are ranks of orbit means,
-    and those give W^D only for a D-stable W). ``algebra`` is None only for
-    hand-built module data (used to drive module-level checks without a
-    number-theoretic origin); place profiles then cannot be computed.
+    blocks of embeddings. The cocharacter module is fixed by ``ambient``:
+    all of Q^n for GL, the zero-sum subspace for SL, so it is Galois-stable
+    by construction. ``algebra`` is None only for hand-built module data
+    (used to drive module-level checks without a number-theoretic origin);
+    place profiles then cannot be computed.
     """
 
     ambient: str
     tags: tuple[GaloisTag, ...]
-    module_basis: tuple[Vec, ...]
     algebra: EtaleAlgebra | None = None
 
     def __post_init__(self):
@@ -136,31 +136,28 @@ class TorusDatum:
 
     @property
     def dim(self) -> int:
-        return len(self.module_basis)
-
-    def block_offsets(self) -> list[int]:
-        out, off = [], 0
-        for tag in self.tags:
-            out.append(off)
-            off += tag.degree
-        return out
+        return self.n - (self.ambient == SL)
 
 
 @dataclass(frozen=True)
 class Component:
-    """One isotypic piece of the cocharacter module."""
+    """One isotypic piece of the cocharacter module: the rational character
+    χ and the number m of times each of its irreducible constituents occurs."""
 
-    character: str
-    character_dim: int
-    basis: tuple[Vec, ...]
+    char: RationalCharacter
+    multiplicity: int
+
+    @property
+    def character(self) -> str:
+        return self.char.name
+
+    @property
+    def character_dim(self) -> int:
+        return self.char.dim
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
-
-    @property
-    def multiplicity(self) -> int:
-        return self.dim // self.character_dim
+        return self.multiplicity * self.char.dim
 
 
 @dataclass(frozen=True)
@@ -170,15 +167,6 @@ class IrreducibleDecomposition:
     @property
     def multiplicity_free(self) -> bool:
         return all(c.multiplicity == 1 for c in self.components)
-
-
-def _zero_sum_basis(n: int) -> tuple[Vec, ...]:
-    basis = []
-    for i in range(n - 1):
-        v = [Fraction(0)] * n
-        v[i], v[i + 1] = Fraction(1), Fraction(-1)
-        basis.append(tuple(v))
-    return tuple(basis)
 
 
 def require_supported_degrees(factors) -> None:
@@ -199,15 +187,7 @@ def build_torus(e: EtaleAlgebra, ambient: str) -> TorusDatum:
     """
     e.require_order()
     require_supported_degrees(e.factors)
-    tags = [galois_group_small(f) for f in e.factors]
-    n = e.n
-    if ambient == GL:
-        module = tuple(linalg.identity(n))
-    elif ambient == SL:
-        module = _zero_sum_basis(n)
-    else:
-        raise UnsupportedError(f"ambient group {ambient!r} not supported")
-    return TorusDatum(ambient, tuple(tags), module, e)
+    return TorusDatum(ambient, tuple(galois_group_small(f) for f in e.factors), e)
 
 
 def center_rank(ambient: str) -> int:
@@ -215,40 +195,17 @@ def center_rank(ambient: str) -> int:
     return 1 if ambient == GL else 0
 
 
-def _orbit_means(rows, orbits) -> list[Vec]:
-    """P_D applied to each row: every coordinate replaced by its orbit's mean.
-
-    The orbits partition the coordinates. For a D-stable module W spanned by
-    the rows, the result spans W^D = W ∩ Fix(D).
-    """
-    out = []
-    for v in rows:
-        w = [Fraction(0)] * len(v)
-        for orbit in orbits:
-            mean = Fraction(sum(v[i] for i in orbit), len(orbit))
-            for i in orbit:
-                w[i] = mean
-        out.append(tuple(w))
-    return out
-
-
-def _invariant_dim(module_basis, orbits) -> int:
-    """dim of the D-invariants of the D-stable module the basis spans."""
-    return linalg.rank(_orbit_means(module_basis, orbits))
-
-
-def global_orbits(t: TorusDatum):
-    """Orbits of the full Galois action (one per factor for standard tags)."""
-    out = []
-    for tag, off in zip(t.tags, t.block_offsets()):
-        for orbit in orbits_of(list(tag.elements), tag.degree):
-            out.append(tuple(off + i for i in orbit))
-    return tuple(out)
+def _module_rank(t: TorusDatum, orbit_count: int) -> int:
+    """dim of the invariants of the whole module under a group with that many
+    orbits on the embeddings: one per orbit, less the trivial line for SL."""
+    return orbit_count - (t.ambient == SL)
 
 
 def global_rank(t: TorusDatum) -> int:
     """dim of Galois invariants of the cocharacter module (ℓ or ℓ−1)."""
-    return _invariant_dim(t.module_basis, global_orbits(t))
+    return _module_rank(
+        t, sum(len(orbits_of(list(tag.elements), tag.degree)) for tag in t.tags)
+    )
 
 
 def place_profiles(t: TorusDatum, place: Place) -> list[PlaceProfile]:
@@ -260,93 +217,56 @@ def place_profiles(t: TorusDatum, place: Place) -> list[PlaceProfile]:
     ]
 
 
-def _local_orbits(t: TorusDatum, place: Place):
-    """Orbits of the decomposition group at the place."""
-    out = []
-    for prof, off in zip(place_profiles(t, place), t.block_offsets()):
-        for orbit in prof.orbits:
-            out.append(tuple(off + i for i in orbit))
-    return tuple(out)
-
-
 def local_rank(t: TorusDatum, place: Place) -> int:
-    """dim of decomposition-group invariants at the place.
-
-    Equals (#places of E over v) for GL and (#places − 1) for SL, but is
-    computed as the rank of the orbit-mean projection, so the same code
-    ranks submodules.
-    """
-    return _invariant_dim(t.module_basis, _local_orbits(t, place))
-
-
-def _act(perm, v: Vec) -> Vec:
-    out = [Fraction(0)] * len(v)
-    for i, x in enumerate(v):
-        out[perm[i]] = x
-    return tuple(out)
+    """dim of decomposition-group invariants at the place: the number of
+    places of E over v for GL, one fewer for SL."""
+    return _module_rank(t, sum(p.num_places_over for p in place_profiles(t, place)))
 
 
 def decompose_module(t: TorusDatum) -> IrreducibleDecomposition:
     """Isotypic decomposition via the group's rational character table.
 
-    Single-factor modules only; the projector (χ(1)/|G|)·Σ χ(g)ρ(g) is
-    applied to the module basis for each rational character. Multiplicity is
-    isotypic dimension over character dimension.
+    Single-factor modules only. The module's character is ψ(g) = #fix(g) −
+    [SL], and a rational character χ occurs ⟨ψ, χ⟩/⟨χ, χ⟩ times (the inner
+    product of two rational characters is a sum over the group, divided by
+    its order, which cancels in the quotient).
     """
     if t.num_factors != 1:
         raise UnsupportedError(
             "submodule decomposition is implemented for single-factor algebras"
         )
     tag = t.tags[0]
+    drop = t.ambient == SL
+    psi = [sum(1 for i, j in enumerate(g) if i == j) - drop for g in tag.elements]
     comps = []
-    total = 0
     for char in tag.characters:
-        images = []
-        for v in t.module_basis:
-            acc = [Fraction(0)] * len(v)
-            for g, chi in zip(tag.elements, char.values):
-                if chi == 0:
-                    continue
-                gv = _act(g, v)
-                for i in range(len(v)):
-                    if gv[i]:
-                        acc[i] += chi * gv[i]
-            scale = Fraction(char.dim, tag.order)
-            images.append(tuple(scale * x for x in acc))
-        basis = linalg.row_space_basis(images)
-        if basis:
-            comps.append(Component(char.name, char.dim, tuple(basis)))
-            total += len(basis)
-    if total != t.dim:
+        m = Fraction(
+            sum(a * b for a, b in zip(psi, char.values)),
+            sum(x * x for x in char.values),
+        )
+        if m.denominator != 1:
+            raise AssertionError(f"character {char.name} occurs {m} times")
+        if m:
+            comps.append(Component(char, int(m)))
+    if sum(c.dim for c in comps) != t.dim:
         raise AssertionError("isotypic components do not span the module")
     return IrreducibleDecomposition(tuple(comps))
 
 
-@dataclass
-class SplitParts:
-    split_basis: tuple[Vec, ...]
-    anisotropic_dim: int
-    anisotropic_basis: tuple[Vec, ...] | None = None
-
-
-def anisotropic_and_split_parts(t: TorusDatum, place: Place | str = "Q") -> SplitParts:
-    """Cocharacters of the maximal split subtorus at a place, and the rest.
-
-    At the global level ("Q") the split part is the Galois-invariant
-    subspace and the anisotropic part is the canonical complement (the sum
-    of the nontrivial isotypic components when the decomposition is
-    available).
-    """
-    orbits = global_orbits(t) if place == "Q" else _local_orbits(t, place)
-    split = tuple(linalg.row_space_basis(_orbit_means(t.module_basis, orbits)))
-    aniso_basis = None
-    if place == "Q" and t.num_factors == 1:
-        aniso = []
-        for comp in decompose_module(t).components:
-            if comp.character != "triv":
-                aniso.extend(comp.basis)
-        aniso_basis = tuple(linalg.row_space_basis(aniso))
-    return SplitParts(split, t.dim - len(split), aniso_basis)
+def component_rank(tag: GaloisTag, comp: Component, gen: Perm) -> int:
+    """dim of the component's invariants under D = ⟨gen⟩: m times the mean of
+    χ over the powers of gen. A mean that is not an integer means a wrong
+    character table."""
+    values, g = [], gen
+    while True:
+        values.append(comp.char.values[tag.elements.index(g)])
+        if g == tag.elements[0]:
+            break
+        g = perm_compose(gen, g)
+    rank = comp.multiplicity * Fraction(sum(values), len(values))
+    if rank.denominator != 1:
+        raise AssertionError(f"character {comp.character} has mean rank {rank}")
+    return int(rank)
 
 
 # ---------------------------------------------------------------------------
@@ -420,13 +340,16 @@ def is_s_ample(t: TorusDatum, s: PlaceSet) -> AmpleCertificate:
         decomp_error = str(exc)
 
     local_ranks: dict[str, int] = {}
-    place_orbits = {}  # the decomposition orbits, once per place
+    place_gens = {}  # the first factor's decomposition generator, per place
     profiles_ok = t.algebra is not None
     if profiles_ok:
         for place in s.places():
             ps = _place_str(place)
-            place_orbits[ps] = _local_orbits(t, place)
-            local_ranks[ps] = _invariant_dim(t.module_basis, place_orbits[ps])
+            profiles = place_profiles(t, place)
+            place_gens[ps] = profiles[0].generator
+            local_ranks[ps] = _module_rank(
+                t, sum(p.num_places_over for p in profiles)
+            )
 
     submodules: list[SubmoduleWitness] = []
     if decomposition is None:
@@ -456,11 +379,11 @@ def is_s_ample(t: TorusDatum, s: PlaceSet) -> AmpleCertificate:
         verdict = VERDICT_NOT_AMPLE if not cond_i["pass"] else VERDICT_UNDECIDABLE
     else:
         comps = decomposition.components
-        # each component's local rank, once per place: P_D keeps the direct
-        # sum, so a subset's rank is the sum of its components' ranks
+        # each component's local rank, once per place; a subset's rank is
+        # the sum of its components' ranks
         comp_ranks = {
-            ps: [_invariant_dim(c.basis, orbits) for c in comps]
-            for ps, orbits in place_orbits.items()
+            ps: [component_rank(t.tags[0], c, gen) for c in comps]
+            for ps, gen in place_gens.items()
         }
         all_pass = True
         for size in range(len(comps)):

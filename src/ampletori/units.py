@@ -755,18 +755,12 @@ def assemble_unit_system(
     found = search_units(e, coord_bound, s_primes, default_norm_targets(s_primes), budget)
     pool = found
     if s_primes:
-        # saturate by pairwise ratios that are S-integral both ways
-        seen = set(pool)
+        # saturate by pairwise ratios, each an S-unit: a box element a is
+        # integral with an S-number norm N, so a⁻¹ = adj π(a)/N is in O[1/S]
         pairs = zip(pool, [e.inverse(b) for b in pool])
-        for (a, _), (_, b_inv) in itertools.permutations(pairs, 2):
-            ratio = e.mul(a, b_inv)
-            if ratio in seen:
-                continue
-            m = e._int_rep(ratio)  # S-integral when its denominator is an S-number
-            if fraction_is_s_integral(Fraction(1, m[1]), s_primes) and fraction_is_s_unit_rational(
-                linalg._int_det(m), s_primes
-            ):
-                seen.add(ratio)
+        seen = set(pool).union(
+            e.mul(a, b_inv) for (a, _), (_, b_inv) in itertools.permutations(pairs, 2)
+        )
         pool = sorted(seen, key=lambda c: (sum(abs(x) for x in c), c))
 
     torsion_gen, torsion_order = _torsion_generator(

@@ -178,6 +178,40 @@ def oracle_intersect_row_spaces(a_rows, b_rows) -> list[tuple[Fraction, ...]]:
     return oracle_rref(right)
 
 
+def oracle_module_basis(n: int, ambient: str) -> list[tuple[Fraction, ...]]:
+    """The cocharacter module of a degree-n torus: Q^n for GL, the zero-sum
+    subspace (spanned by e_i − e_{i+1}) for SL."""
+    if ambient == "GL":
+        return [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    return [tuple(Fraction((j == i) - (j == i + 1)) for j in range(n)) for i in range(n - 1)]
+
+
+def oracle_isotypic_bases(tag, ambient: str) -> list[tuple[str, list]]:
+    """(character name, RREF basis) of each nonzero isotypic component of the
+    module: the image of the projector (χ(1)/|G|)·Σ χ(g)·g, where g moves
+    coordinate i to g[i]."""
+    out = []
+    for char in tag.characters:
+        images = []
+        for v in oracle_module_basis(tag.degree, ambient):
+            acc = [Fraction(0)] * tag.degree
+            for g, chi in zip(tag.elements, char.values):
+                for i, x in enumerate(v):
+                    acc[g[i]] += chi * x
+            images.append(tuple(Fraction(char.dim, tag.order) * x for x in acc))
+        basis = oracle_rref(images)
+        if basis:
+            out.append((char.name, basis))
+    return out
+
+
+def oracle_invariants(basis, orbits, n: int) -> list[tuple[Fraction, ...]]:
+    """RREF basis of span(basis) ∩ span of the orbit indicator vectors, which
+    is the subspace fixed by the group with those orbits."""
+    indicators = [tuple(Fraction(int(i in orbit)) for i in range(n)) for orbit in orbits]
+    return oracle_intersect_row_spaces(list(basis), indicators)
+
+
 def oracle_is_unipotent(m) -> bool:
     """All eigenvalues 1, read as (m − I)^n = 0 by plain Fraction products."""
     n = len(m)

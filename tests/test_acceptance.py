@@ -38,7 +38,6 @@ from ampletori.torus import (
     SL,
     PlaceSet,
     TorusDatum,
-    _zero_sum_basis,
     build_torus,
     global_rank,
     is_s_ample,
@@ -287,7 +286,7 @@ def test_criterion_6_negative_controls(tmp_path):
 
     # (b) a module that is not multiplicity-free yields "undecidable"
     tag = regular_action(standard_tag("S3"))
-    t = TorusDatum(SL, (tag,), _zero_sum_basis(6), None)
+    t = TorusDatum(SL, (tag,))
     cert = is_s_ample(t, PlaceSet(True, ()))
     assert cert.verdict == "undecidable"
 

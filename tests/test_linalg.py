@@ -10,6 +10,7 @@ from oracles import (
     oracle_intersect_row_spaces,
     oracle_mat_trace,
     oracle_mat_vec,
+    oracle_rref,
     oracle_solve,
     vector,
 )
@@ -62,7 +63,7 @@ def test_kernel_basis():
         rows, cols = rng.randint(1, 4), rng.randint(1, 5)
         m = linalg.matrix(_rand_int_matrix(rng, rows, cols))
         kernel = linalg.kernel_basis(m)
-        assert len(kernel) == cols - linalg.rank(m)
+        assert len(kernel) == cols - len(oracle_rref(m))
         for v in kernel:
             assert all(x == 0 for x in oracle_mat_vec(m, v))
 
@@ -92,7 +93,7 @@ def test_hnf_preserves_lattice_and_is_unimodular():
         ua = linalg.mat_mul(linalg.matrix(u), linalg.matrix(a))
         assert ua == linalg.matrix(h)
         nonzero = [r for r in h if any(r)]
-        if linalg.rank(linalg.matrix(a)) == n and len(nonzero) == n:
+        if len(oracle_rref(a)) == n and len(nonzero) == n:
             # and concretely: every original row solves integrally in it
             assert _square_basis_contains(nonzero, [r for r in a])
 
@@ -128,14 +129,14 @@ def test_int_kernel_basis():
         rows, cols = rng.randint(1, 4), rng.randint(1, 5)
         a = _rand_int_matrix(rng, rows, cols, -5, 5)
         kernel = linalg.int_kernel_basis(a)
-        assert len(kernel) == cols - linalg.rank(linalg.matrix(a))
+        assert len(kernel) == cols - len(oracle_rref(a))
         for vec in kernel:
             for row in a:
                 assert sum(x * y for x, y in zip(row, vec)) == 0
 
 
 def test_intersect_row_spaces():
-    # the reference that the orbit-mean invariants of torus are tested against
+    # the reference that the torus ranks are tested against
     a = [vector([1, 0, 0]), vector([0, 1, 0])]
     b = [vector([0, 1, 0]), vector([0, 0, 1])]
     inter = oracle_intersect_row_spaces(a, b)
@@ -147,7 +148,8 @@ def test_intersect_row_spaces():
         a = [vector([rng.randint(-4, 4) for _ in range(dim)]) for _ in range(rng.randint(0, 3))]
         b = [vector([rng.randint(-4, 4) for _ in range(dim)]) for _ in range(rng.randint(0, 3))]
         inter = oracle_intersect_row_spaces(a, b)
-        assert inter == linalg.row_space_basis(inter)  # in RREF
-        ra, rb = len(linalg.row_space_basis(a)), len(linalg.row_space_basis(b))
-        sum_rank = len(linalg.row_space_basis(list(a) + list(b)))
+        reduced, pivots = linalg.rref(tuple(inter))
+        assert inter == list(reduced[: len(pivots)])  # in RREF
+        ra, rb = len(oracle_rref(a)), len(oracle_rref(b))
+        sum_rank = len(oracle_rref(list(a) + list(b)))
         assert len(inter) == ra + rb - sum_rank

@@ -85,7 +85,7 @@ def test_rref_and_rank_match_sympy(a):
     assert pivots == list(expected_pivots)
     assert reduced == _from_sym(expected)
     assert all(isinstance(x, Fraction) for row in reduced for x in row)
-    assert linalg.rank(a) == _sym(a).rank()
+    assert len(pivots) == _sym(a).rank()
 
 
 @pytest.mark.parametrize("a", _cases(SQUARE, 12) + [()])

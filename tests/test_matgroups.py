@@ -9,7 +9,7 @@ from ampletori.matgroups import (
     AutomorphismDatum,
     GeneratorSet,
     automorphism_matrix,
-    block_embed,
+    block_diag,
     elementary_matrix,
     enumerate_automorphisms,
     group_sanity,
@@ -123,15 +123,6 @@ def test_verify_normalization_examples():
     assert not ok and witness == 2
 
 
-def test_block_embed():
-    assert block_embed(G51, 4) == linalg.matrix(
-        [[0, 0, 1, 0], [1, 0, -1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
-    )
-    assert block_embed(linalg.identity(2), 3) == linalg.identity(3)
-    d = linalg.matrix([[2, 0], [0, Fraction(1, 2)]])
-    assert block_embed(d, 3) == linalg.matrix([[2, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 1]])
-
-
 def test_elementary_matrix():
     e14 = elementary_matrix(4, 1, 4)
     assert e14[0][3] == 1 and linalg.mat_det(e14) == 1
@@ -145,7 +136,7 @@ def test_elementary_matrix():
 
 
 def test_verify_semidirect_examples():
-    ghat = block_embed(G51, 4)
+    ghat = block_diag(G51, 1)
     minus = linalg.matrix([[-int(i == j) for j in range(4)] for i in range(4)])
     unis = [elementary_matrix(4, i, 4) for i in (1, 2, 3)]
     ok, witness = verify_semidirect([ghat, minus], unis)
@@ -159,7 +150,7 @@ def test_verify_semidirect_examples():
 
 def test_conjugated_elementary_column_formula():
     # conjugating E_{i,4} by diag(g,1) gives I + (g e_i) e_4^T, exactly
-    ghat = block_embed(G51, 4)
+    ghat = block_diag(G51, 1)
     ghat_inv = oracle_mat_inv(ghat)
     for i in range(3):
         conj = linalg.mat_mul(

@@ -1,10 +1,9 @@
+import hashlib
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 
-from ampletori import linalg
 from ampletori.errors import InputError, RamifiedPlaceError, UnsupportedError
 from ampletori.etale import EtaleAlgebra
 from ampletori.places import INF, STANDARD_TAGS, orbits_of, regular_action, standard_tag
@@ -17,21 +16,18 @@ from ampletori.torus import (
     VERDICT_UNDECIDABLE,
     PlaceSet,
     TorusDatum,
-    anisotropic_and_split_parts,
     build_torus,
     center_rank,
+    component_rank,
     decompose_module,
-    global_orbits,
     global_rank,
     is_s_ample,
     local_rank,
+    place_profiles,
     replay_certificate,
-    _invariant_dim,
-    _orbit_means,
-    _zero_sum_basis,
 )
 
-from oracles import oracle_intersect_row_spaces
+from oracles import oracle_invariants, oracle_isotypic_bases, oracle_module_basis
 
 CUBIC = EtaleAlgebra([QPoly([-1, 1, 0, 1])])
 GAUSS = EtaleAlgebra([QPoly([1, 0, 1])])
@@ -53,6 +49,8 @@ def test_global_rank_examples():
     assert global_rank(build_torus(CUBIC, SL)) == 0
     assert global_rank(build_torus(CUBIC, GL)) == 1
     assert global_rank(build_torus(QQ, SL)) == 1  # the diagonal split torus
+    assert global_rank(build_torus(QQ, GL)) == build_torus(QQ, GL).dim == 2
+    assert global_rank(build_torus(GAUSS, SL)) == 0 and build_torus(GAUSS, SL).dim == 1
 
 
 def test_local_rank_examples():
@@ -60,6 +58,7 @@ def test_local_rank_examples():
     assert local_rank(t, INF) == 0
     assert local_rank(t, 5) == 1
     assert local_rank(build_torus(CUBIC, SL), INF) == 1
+    assert local_rank(build_torus(QUARTIC, SL), INF) == 3  # totally real: D trivial
 
 
 def test_local_rank_ramified_propagates():
@@ -180,7 +179,7 @@ def test_not_multiplicity_free_is_undecidable():
     # condition (i) passes (no invariants in the zero-sum module), so the
     # verdict must be "undecidable", never a guess
     tag = regular_action(standard_tag("S3"))
-    t = TorusDatum(SL, (tag,), _zero_sum_basis(6), None)
+    t = TorusDatum(SL, (tag,))
     assert global_rank(t) == 0
     d = decompose_module(t)
     assert not d.multiplicity_free
@@ -196,7 +195,7 @@ def test_not_multiplicity_free_is_undecidable():
 def test_without_an_algebra_local_ranks_are_undecidable():
     # S3 on its 3 roots: the zero-sum module is the standard rep once, so
     # only the missing place profiles keep condition (iii) from running
-    t = TorusDatum(SL, (standard_tag("S3"),), _zero_sum_basis(3), None)
+    t = TorusDatum(SL, (standard_tag("S3"),))
     assert decompose_module(t).multiplicity_free and global_rank(t) == 0
     cert = is_s_ample(t, PlaceSet(True, (5,)))
     assert cert.verdict == VERDICT_UNDECIDABLE
@@ -231,86 +230,122 @@ def test_ramified_place_in_s_errors():
         is_s_ample(build_torus(CUBIC, SL), PlaceSet(True, (31,)))
 
 
-def test_anisotropic_and_split_parts():
-    sp = anisotropic_and_split_parts(build_torus(GAUSS, SL), "Q")
-    assert len(sp.split_basis) == 0 and sp.anisotropic_dim == 1
-    sp = anisotropic_and_split_parts(build_torus(QQ, GL), "Q")
-    assert len(sp.split_basis) == 2 and sp.anisotropic_dim == 0
-    sp = anisotropic_and_split_parts(build_torus(QUARTIC, SL), INF)
-    assert len(sp.split_basis) == 3  # totally real: trivial decomposition group
-
-
 def test_degree_cap():
     with pytest.raises(UnsupportedError):
         build_torus(EtaleAlgebra([QPoly([3, 0, 0, 0, 0, 1])]), SL)  # x^5 + 3
 
 
-def test_components_are_galois_stable():
-    from ampletori.linalg import row_space_basis
-
-    for e in (CUBIC, GAUSS, QUARTIC, EtaleAlgebra([QPoly([1, 1, 1, 1, 1])])):
-        for ambient in (SL, GL):
-            t = build_torus(e, ambient)
-            d = decompose_module(t)
-            tag = t.tags[0]
-            for comp in d.components:
-                basis = list(comp.basis)
-                for g in tag.elements:
-                    for v in comp.basis:
-                        moved = [Fraction(0)] * len(v)
-                        for i, x in enumerate(v):
-                            moved[g[i]] = x
-                        stacked = basis + [tuple(moved)]
-                        assert len(row_space_basis(stacked)) == len(
-                            row_space_basis(basis)
-                        ), (e.factors, comp.character)
-
-
 # ---------------------------------------------------------------------------
-# orbit means against the intersection with the orbit-indicator span
+# ranks from characters against projector images and invariant intersections
 # ---------------------------------------------------------------------------
 
-
-def _reference_invariants(basis, orbits, n):
-    """RREF basis of span(basis) ∩ span of the orbit indicators."""
-    indicators = [tuple(Fraction(int(i in orbit)) for i in range(n)) for orbit in orbits]
-    return oracle_intersect_row_spaces(list(basis), indicators)
-
-
-def _modules(n):
-    return {GL: tuple(linalg.identity(n)), SL: _zero_sum_basis(n)}
+TAGS = {name: standard_tag(name) for name in sorted(STANDARD_TAGS)}
+TAGS.update(
+    {f"{name}-regular": regular_action(standard_tag(name)) for name in ("S3", "C4", "V4", "D4")}
+)
 
 
 @pytest.mark.parametrize("ambient", [GL, SL])
-@pytest.mark.parametrize("name", sorted(STANDARD_TAGS))
+@pytest.mark.parametrize("name", sorted(TAGS))
 def test_orbit_means_give_the_invariants_of_every_submodule(name, ambient):
-    tag = standard_tag(name)
+    # the torus ranks are character means; the reference intersects the
+    # projector images of the module basis with the fixed space of D
+    tag = TAGS[name]
     n = tag.degree
-    t = TorusDatum(ambient, (tag,), _modules(n)[ambient])
+    t = TorusDatum(ambient, (tag,))
     comps = decompose_module(t).components
+    isotypic = oracle_isotypic_bases(tag, ambient)
+    assert [(c.character, c.dim) for c in comps] == [(c, len(b)) for c, b in isotypic]
+    assert sum(c.dim for c in comps) == t.dim
     for g in tag.elements:  # D generated by g
         orbits = orbits_of([g], n)
+        ranks = [component_rank(tag, c, g) for c in comps]
         for size in range(len(comps) + 1):
             for subset in itertools.combinations(range(len(comps)), size):
-                basis = [v for i in subset for v in comps[i].basis]
-                want = _reference_invariants(basis, orbits, n)
-                assert linalg.row_space_basis(_orbit_means(basis, orbits)) == want
-                ranks = [_invariant_dim(comps[i].basis, orbits) for i in subset]
-                assert _invariant_dim(basis, orbits) == len(want) == sum(ranks)
-    want = _reference_invariants(t.module_basis, orbits_of(list(tag.elements), n), n)
-    split = anisotropic_and_split_parts(t, "Q")
-    assert split.split_basis == tuple(want) and global_rank(t) == len(want)
+                basis = [v for i in subset for v in isotypic[i][1]]
+                want = oracle_invariants(basis, orbits, n)
+                assert sum(ranks[i] for i in subset) == len(want), (g, subset)
+    whole = oracle_module_basis(n, ambient)
+    assert global_rank(t) == len(oracle_invariants(whole, orbits_of(list(tag.elements), n), n))
+
+
+TWO_FACTOR = [
+    EtaleAlgebra([QPoly([-1, 1]), QPoly([-2, 1])]),  # Q x Q
+    EtaleAlgebra([QPoly([1, 0, 1]), QPoly([-2, 0, 1])]),  # Q(i) x Q(sqrt 2)
+    EtaleAlgebra([QPoly([-2, 0, 1]), QPoly([-1, 1, 0, 1])]),  # Q(sqrt 2) x cubic
+]
 
 
 @pytest.mark.parametrize("ambient", [GL, SL])
 def test_orbit_means_on_a_two_factor_torus(ambient):
+    # the decomposition orbits of every factor, side by side on Q^n
+    for e in TWO_FACTOR:
+        t = build_torus(e, ambient)
+        whole = oracle_module_basis(t.n, ambient)
+        disc = 1
+        for f in e.factors:
+            disc *= discriminant(f)
+        for place in [INF] + [p for p in range(2, 18) if is_prime(p) and disc % p]:
+            orbits, off = [], 0
+            for prof in place_profiles(t, place):
+                orbits += [tuple(off + i for i in orbit) for orbit in prof.orbits]
+                off += len(prof.generator)
+            assert local_rank(t, place) == len(oracle_invariants(whole, orbits, t.n))
+        assert global_rank(t) == len(t.tags) - (ambient == SL)
     c2, s3 = standard_tag("C2"), standard_tag("S3")
-    t = TorusDatum(ambient, (c2, s3), _modules(5)[ambient])
-    for g, h in itertools.product(c2.elements, s3.elements):
-        orbits = orbits_of([tuple(g) + tuple(2 + i for i in h)], 5)
-        want = _reference_invariants(t.module_basis, orbits, 5)
-        assert linalg.row_space_basis(_orbit_means(t.module_basis, orbits)) == want
-        assert _invariant_dim(t.module_basis, orbits) == len(want)
-    want = _reference_invariants(t.module_basis, global_orbits(t), 5)
-    assert anisotropic_and_split_parts(t, "Q").split_basis == tuple(want)
+    t = TorusDatum(ambient, (c2, s3))
+    gens = [tuple(g) + (2, 3, 4) for g in c2.elements]
+    gens += [(0, 1) + tuple(2 + i for i in h) for h in s3.elements]
+    orbits = orbits_of(gens, 5)
+    want = oracle_invariants(oracle_module_basis(5, ambient), orbits, 5)
     assert global_rank(t) == len(want) == center_rank(ambient) + 1
+
+
+# ---------------------------------------------------------------------------
+# certificate bytes, taken before the module basis left the torus layer
+# ---------------------------------------------------------------------------
+
+# (factors, primes in S besides inf, GL digest, SL digest) of the sha256 of
+# serialize.dumps(certificate_to_json(...)); the D4 and V4 places all have a
+# decomposition generator of cycle type other than (2,2)
+CERTIFICATE_PINS = [
+    ([[1, 0, 1]], (5,), "15d9d73b267a37ef21133e10df53f4131add25ddfdddcc2eed874f9910f3a9f9",
+     "b918bad09303baaf90b62749148438c6a18902b78eca3eccd089444188c2ef0c"),
+    ([[-2, 0, 1]], (), "71f205ecde70d19c42ca3504e1b24586d0e440f5c1c1e0d9aff0635ef4ea7bd7",
+     "c277fed80f14d19c97fd83a1e9067be01b4d3fe5eb581badd3f9dcc2b631b2ab"),
+    ([[1, -3, 0, 1]], (2,), "bb5d8a4acc523fa80ed31dc343f5c6346ff016d0935cd319db3547bf7aaa4c80",
+     "53dffd14716ce84dc735eb1ccef32bc85bb72c2d30fed3edff08a870c1cc55aa"),
+    ([[-1, -1, 0, 1]], (5,), "3cdb00d3103b324eab63bd237b3f7dbc25a93b92f9c0f96b08a473b5d2530536",
+     "7894838a2756fc615357c051df6863425d9ee7576b3b6f8e27628150b83bc8a2"),
+    ([[1, 1, 1, 1, 1]], (2, 11), "3aebad9f77c3cc3f62169f1736efdffc8d89c7d1a4b31687e8a97678bc37bbf3",
+     "d7fbbc369867d073c9be701130970e46653f3df5aadbae7799a72874ff34bffd"),
+    ([[1, 1, 1, 1, 1]], (), "a980e5ad8db6771fbe5f4927ba86d02145a10624c0ebf405e36e01b9180bea8a",
+     "dcfac68b0d1b954774d29ab9886e0b17942999725b6a8cd87c355e182a10442a"),
+    ([[-2, 0, 0, 0, 1]], (), "80ef8275f1c9fef1b30f9319b71c56db9cbf0734b3d4fead21f6eb11bb91974c",
+     "21c4900547fd86e99920d395e2c65f4a0da4bcecee61968a503c5f5cc6aaadaa"),
+    ([[-2, 0, 0, 0, 1]], (7,), "6039988df2494e01f89a0e00bc7d7e94a3ba5e03d301e4c32a0e186bf1a4152c",
+     "e370255caafdf9745b0cd2b2b9eb33e70778590ae351b60dfa7a3f3f36a1282c"),
+    ([[-2, 0, 0, 0, 1]], (5, 23), "4a5c5216e2245f1d3a4f7fc2d2a23f0c0f9d58359a2b842b2f46c79c64b91337",
+     "d7a20406545878c4ff802c40beb3d1b3f536148fb9c12bcac06d56bd63a45a50"),
+    ([[1, -16, 20, -8, 1]], (), "6d1a7f0eb3bd76b50949944696c3eba9085b5557da6b753b455828d09cae939e",
+     "c0a8afb8dd1504d53ed5e26b50c589f681c6a181d121c8c8e4c722b2d7e00e44"),
+    ([[12, 8, 0, 0, 1]], (), "85effe3622cdcaf3056232dd9598e7bf130a7030a98bd12f94b6964c9d87300b",
+     "4cd220db1dc10a41579fd5ca8948a2f93c7f1522f8c83bf7ff2f1c26c7918710"),
+    ([[12, 8, 0, 0, 1]], (5,), "90cb30fde39cd19d21e4b243f4ffa1909bb8644f38b9bf2bf72ea5bbfc1b92f3",
+     "6f25894acd614f6de0d6ed801e96b4b73d7cf0e96efa454b023e4f73b70f8016"),
+    ([[-1, -1, 0, 0, 1]], (3,), "020d1bc702f7c524157480326321f7791fba753d3fb3a14358e37b808415ef40",
+     "355ef846eb2b75583095d4f32322d3c9fc40bd417fe1b8b84dbf237d1afd37f9"),
+    ([[1, 0, 1], [-2, 0, 1]], (17,), "2971b2fcfa575516bfbedeae2e02340fa0e2890ddf155bb27160e6cfeaf1447b",
+     "13f82e36bad48de309cf3e3b6bac8a01421fff0009c735498501965f1bb89ed4"),
+]
+
+
+@pytest.mark.parametrize("factors, primes, gl_digest, sl_digest", CERTIFICATE_PINS)
+def test_certificate_bytes_are_pinned(factors, primes, gl_digest, sl_digest):
+    from ampletori.serialize import certificate_to_json, dumps
+
+    e = EtaleAlgebra([QPoly(c) for c in factors])
+    for ambient, digest in ((GL, gl_digest), (SL, sl_digest)):
+        cert = is_s_ample(build_torus(e, ambient), PlaceSet(True, primes))
+        wire = dumps(certificate_to_json(cert)).encode()
+        assert hashlib.sha256(wire).hexdigest() == digest, (factors, ambient)
