@@ -21,9 +21,7 @@ from .errors import (
 from .etale import EtaleAlgebra
 from .intervals import RationalInterval
 from .matgroups import (
-    AutomorphismDatum,
     GeneratorSet,
-    automorphism_matrix,
     elementary_matrix,
     enumerate_automorphisms,
     group_sanity,

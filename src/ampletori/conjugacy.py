@@ -24,7 +24,7 @@ from operator import mul
 from . import linalg
 from .etale import Coords, EtaleAlgebra
 from .linalg import IntMat, Mat, Vec
-from .matgroups import AutomorphismDatum, automorphism_matrix, enumerate_automorphisms
+from .matgroups import enumerate_automorphisms
 from .polynomials import QPoly, squarefree_part
 
 COEFF_BOX = 20  # coefficient box of the unimodular point in the intertwiner space
@@ -32,9 +32,13 @@ COEFF_BOX = 20  # coefficient box of the unimodular point in the intertwiner spa
 
 @dataclass
 class ConjugacyResult:
+    """P ∈ GL_n(Z) conjugating the regular representation onto the targets.
+
+    Each automorphism target is P·m·P⁻¹ for the matrix m of some automorphism
+    of the order, from enumerate_automorphisms."""
+
     conjugator: Mat  # P with P·π(a)·P⁻¹ = targets
     unit_elements: list[Coords]  # u_i with P·π(u_i)·P⁻¹ = unit target i
-    automorphisms: list[AutomorphismDatum]
     discovered_basis: Mat  # Z-basis of the order realizing the targets
     transposed: bool
 
@@ -103,7 +107,6 @@ def find_simultaneous_conjugator(
     found.
     """
     autos = enumerate_automorphisms(e)
-    auto_mats = [(s, automorphism_matrix(e, s)) for s in autos]
     if not unit_targets:
         return None
     # charpoly is transposition-invariant, so the candidate pool is shared;
@@ -117,23 +120,23 @@ def find_simultaneous_conjugator(
             linalg.transpose(t) if transposed else t for t in unit_targets
         ]
         tgt_autos = [linalg.transpose(t) if transposed else t for t in auto_targets]
-        result = _search_one_convention(e, tgt_units, tgt_autos, auto_mats, candidates)
+        result = _search_one_convention(e, tgt_units, tgt_autos, autos, candidates)
         if result is not None:
-            p, pinv, units, sigmas = result
+            p, pinv, units = result
             basis = _discovered_basis(e, pinv)
-            return ConjugacyResult(linalg._frac_mat(p), units, sigmas, basis, transposed)
+            return ConjugacyResult(linalg._frac_mat(p), units, basis, transposed)
     return None
 
 
 def _search_one_convention(e, tgt_units, tgt_autos, auto_mats, candidates):
     n = e.n
     units = [linalg._int_mat(t) for t in tgt_units]
-    autos = [(s, linalg._int_mat(a)) for s, a in auto_mats]
+    autos = [linalg._int_mat(a) for a in auto_mats]
     # assign our automorphisms to the automorphism targets by charpoly
     assignments = []
     for t in map(linalg._int_mat, tgt_autos):
         chi_t = linalg._int_charpoly(t)
-        assignments.append([(s, a, t) for s, a in autos if linalg._int_charpoly(a) == chi_t])
+        assignments.append([(a, t) for a in autos if linalg._int_charpoly(a) == chi_t])
     for u0 in candidates:
         # u0 primitive: P·π(u0) = T_0·P gives P·π(g(u0)) = g(T_0)·P for every
         # polynomial g, so this one condition fixes the algebra map
@@ -145,7 +148,7 @@ def _search_one_convention(e, tgt_units, tgt_autos, auto_mats, candidates):
         # over the space: its reduced rows, or None when they force c = 0
         q_ints, _ = linalg._int_mat(space)  # one common denominator for the basis
         options = [
-            [(s, a, t, _restricted(_condition_rows(a, t, n), q_ints)) for s, a, t in choices]
+            [(a, t, _restricted(_condition_rows(a, t, n), q_ints)) for a, t in choices]
             for choices in assignments
         ]
         for combo in itertools.product(*options):
@@ -164,12 +167,12 @@ def _search_one_convention(e, tgt_units, tgt_autos, auto_mats, candidates):
             if pi is None:
                 continue
             pinv = linalg._int_inv(pi)
-            conditions = [unit_condition] + [(a, t) for _, a, t, _ in combo]
+            conditions = [unit_condition] + [(a, t) for a, t, _ in combo]
             if not all(linalg._int_mul(linalg._int_mul(pi, a), pinv) == b for a, b in conditions):
                 continue
             elements = _read_off_units(e, pi, pinv, units[1:])
             if elements is not None:
-                return pi, pinv, [u0] + elements, [s for s, *_ in combo]
+                return pi, pinv, [u0] + elements
     return None
 
 

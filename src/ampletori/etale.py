@@ -40,13 +40,18 @@ Coords = Vec
 
 
 class EtaleAlgebra:
-    """Product of number fields with an order given by a Z-basis."""
+    """Product of number fields with an order given by a Z-basis.
+
+    The structure constants are built once, when the algebra is made, in
+    integers over their common denominator D: `_table[i][j]` holds the
+    sparse (k, D·c_k) pairs of b_i·b_j = Σ c_k·b_k, and `_traces[i]` is
+    D·Tr(b_i). D is 1 exactly when the basis products are integral.
+    """
 
     def __init__(
         self,
         factors: Sequence[QPoly | Sequence],
         order_basis: Sequence[Sequence] | None = None,
-        check_irreducible: bool = True,
     ):
         self.factors: tuple[QPoly, ...] = tuple(
             f if isinstance(f, QPoly) else QPoly(f) for f in factors
@@ -56,20 +61,20 @@ class EtaleAlgebra:
         for f in self.factors:
             if f.degree < 1 or not f.is_monic() or not f.is_integral():
                 raise ValueError(f"factor {f!r} must be monic integral of degree >= 1")
-            if check_irreducible and not is_irreducible_q(f):
+            if not is_irreducible_q(f):
                 raise ValueError(f"factor {f!r} is reducible over Q")
         self.degrees = tuple(f.degree for f in self.factors)
-        self.n = sum(self.degrees)
+        self.n = n = sum(self.degrees)
         self.offsets = []
         off = 0
         for d in self.degrees:
             self.offsets.append(off)
             off += d
         if order_basis is None:
-            self.order_basis: Mat = linalg.identity(self.n)
+            self.order_basis: Mat = linalg.identity(n)
         else:
             self.order_basis = linalg.matrix(order_basis)
-            if len(self.order_basis) != self.n or len(self.order_basis[0]) != self.n:
+            if len(self.order_basis) != n or len(self.order_basis[0]) != n:
                 raise ValueError("order basis must be n x n")
         # coordinates are rows, so to_power and from_power apply the transposes
         self._basis_int = linalg._int_mat(linalg.transpose(self.order_basis))
@@ -77,9 +82,17 @@ class EtaleAlgebra:
             self._inv_int = linalg._int_inv(self._basis_int)
         except SingularMatrixError:
             raise SingularMatrixError("order basis matrix is singular") from None
-        self._mult_table: list[list[Coords]] | None = None
-        self._int_table = None
-        power = [Fraction(0)] * self.n
+        basis = self.order_basis
+        flat, self._den = _integer_form(
+            [c for bi in basis for bj in basis for c in self.from_power(self._mul_power(bi, bj))]
+        )
+        cells = [flat[s : s + n] for s in range(0, n**3, n)]  # b_i·b_j at i·n + j
+        self._table = [
+            [[(k, c) for k, c in enumerate(cells[i * n + j]) if c] for j in range(n)]
+            for i in range(n)
+        ]
+        self._traces = [sum(cells[i * n + j][j] for j in range(n)) for i in range(n)]
+        power = [Fraction(0)] * n
         for off in self.offsets:
             power[off] = Fraction(1)
         self._one = self.from_power(tuple(power))
@@ -91,9 +104,6 @@ class EtaleAlgebra:
 
     def from_power(self, power: Coords) -> Coords:
         return linalg._int_mat_vec(self._inv_int, power)
-
-    def zero(self) -> Coords:
-        return tuple(Fraction(0) for _ in range(self.n))
 
     def one(self) -> Coords:
         return self._one
@@ -124,53 +134,18 @@ class EtaleAlgebra:
         return tuple(out)
 
     def mul(self, a: Coords, b: Coords) -> Coords:
-        table, _, den = self._int_structure()
         a, da = _integer_form(a)
         b, db = _integer_form(b)
         out = [0] * self.n
-        for ai, row in zip(a, table):
+        for ai, row in zip(a, self._table):
             if ai:
                 for bj, pairs in zip(b, row):
                     if bj:
                         c = ai * bj
                         for k, t in pairs:
                             out[k] += c * t
-        den *= da * db
+        den = self._den * da * db
         return tuple(Fraction(x, den) for x in out)
-
-    def add(self, a: Coords, b: Coords) -> Coords:
-        return tuple(x + y for x, y in zip(a, b))
-
-    def neg(self, a: Coords) -> Coords:
-        return tuple(-x for x in a)
-
-    def mult_table(self) -> list[list[Coords]]:
-        """Structure constants: table[i][j] = coords of b_i * b_j."""
-        if self._mult_table is None:
-            basis_power = [self.order_basis[i] for i in range(self.n)]
-            table = []
-            for i in range(self.n):
-                row = []
-                for j in range(self.n):
-                    row.append(self.from_power(self._mul_power(basis_power[i], basis_power[j])))
-                table.append(row)
-            self._mult_table = table
-        return self._mult_table
-
-    def _int_structure(self):
-        """(T, tr, D): D the lcm of the table's denominators, T[i][j] the
-        sparse (k, D·c_k) pairs of b_i·b_j, and tr[i] = D·Tr(b_i)."""
-        if self._int_table is None:
-            n = self.n
-            flat, den = _integer_form([c for row in self.mult_table() for t in row for c in t])
-            cells = [flat[s : s + n] for s in range(0, n**3, n)]  # b_i·b_j at i·n + j
-            table = [
-                [[(k, c) for k, c in enumerate(cells[i * n + j]) if c] for j in range(n)]
-                for i in range(n)
-            ]
-            tr = [sum(cells[i * n + j][j] for j in range(n)) for i in range(n)]
-            self._int_table = (table, tr, den)
-        return self._int_table
 
     def power(self, a: Coords, k: int) -> Coords:
         if k < 0:
@@ -191,15 +166,14 @@ class EtaleAlgebra:
     # -- the regular representation ------------------------------------------
     def _int_rep(self, a: Coords) -> IntMat:
         """The regular representation of a in linalg's integer form."""
-        table, _, den = self._int_structure()
         a, da = _integer_form(a)
         m = [[0] * self.n for _ in range(self.n)]
-        for ai, row in zip(a, table):
+        for ai, row in zip(a, self._table):
             if ai:
                 for j, pairs in enumerate(row):
                     for k, t in pairs:
                         m[k][j] += ai * t
-        return linalg._int_form(m, da * den)
+        return linalg._int_form(m, da * self._den)
 
     def regular_rep(self, a: Coords) -> Mat:
         """Matrix of multiplication-by-a: column j holds coords of a·b_j."""
@@ -209,9 +183,8 @@ class EtaleAlgebra:
         return linalg._int_det(self._int_rep(a))
 
     def trace(self, a: Coords) -> Fraction:
-        _, tr, den = self._int_structure()
         a, da = _integer_form(a)
-        return Fraction(sum(x * t for x, t in zip(a, tr)), da * den)
+        return Fraction(sum(x * t for x, t in zip(a, self._traces)), da * self._den)
 
     def charpoly(self, a: Coords) -> QPoly:
         return QPoly(linalg._int_charpoly(self._int_rep(a)))
@@ -279,19 +252,20 @@ class EtaleAlgebra:
         Returns (True, None) or (False, witness) where the witness names the
         offending pair and its non-integral coordinate.
         """
-        one = self.one()
-        for k, c in enumerate(one):
+        for k, c in enumerate(self._one):
             if c.denominator != 1:
                 return False, {"pair": None, "coordinate": k, "value": c, "reason": "1 not in Z-span"}
-        table = self.mult_table()
+        den = self._den
+        if den == 1:
+            return True, None
         for i in range(self.n):
             for j in range(i, self.n):
-                for k, c in enumerate(table[i][j]):
-                    if c.denominator != 1:
+                for k, c in self._table[i][j]:
+                    if c % den:
                         return False, {
                             "pair": (i, j),
                             "coordinate": k,
-                            "value": c,
+                            "value": Fraction(c, den),
                             "reason": f"b_{i}*b_{j} has non-integral coordinate",
                         }
         return True, None

@@ -256,17 +256,17 @@ def _int_charpoly(a: IntMat) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-def hnf_rows(a: Sequence[Sequence[int]], transform: bool = False):
+def hnf_rows(a: Sequence[Sequence[int]]):
     """Row Hermite normal form of an integer matrix.
 
-    Returns (H, U) with U·A = H and U unimodular when transform=True, else H.
-    Zero rows are moved to the bottom; pivots are positive and entries above a
-    pivot are reduced into [0, pivot).
+    Returns (H, U) with U·A = H and U unimodular. Zero rows are moved to the
+    bottom; pivots are positive and entries above a pivot are reduced into
+    [0, pivot).
     """
     m = [list(map(int, row)) for row in a]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
-    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)] if transform else None
+    u = [[int(i == j) for j in range(nrows)] for i in range(nrows)]
     r = 0
     for c in range(ncols):
         # clear column c below row r by gcd steps
@@ -277,34 +277,27 @@ def hnf_rows(a: Sequence[Sequence[int]], transform: bool = False):
             i0 = min(nz, key=lambda i: abs(m[i][c]))
             if i0 != r:
                 m[r], m[i0] = m[i0], m[r]
-                if transform:
-                    u[r], u[i0] = u[i0], u[r]
+                u[r], u[i0] = u[i0], u[r]
             if all(m[i][c] == 0 for i in range(r + 1, nrows)):
                 break
             for i in range(r + 1, nrows):
                 if m[i][c] != 0:
                     q = m[i][c] // m[r][c]
                     m[i] = [x - q * y for x, y in zip(m[i], m[r])]
-                    if transform:
-                        u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
         if r < nrows and m[r][c] != 0:
             if m[r][c] < 0:
                 m[r] = [-x for x in m[r]]
-                if transform:
-                    u[r] = [-x for x in u[r]]
+                u[r] = [-x for x in u[r]]
             for i in range(r):
                 q = m[i][c] // m[r][c]
                 if q:
                     m[i] = [x - q * y for x, y in zip(m[i], m[r])]
-                    if transform:
-                        u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
             r += 1
             if r == nrows:
                 break
-    h = tuple(tuple(row) for row in m)
-    if transform:
-        return h, tuple(tuple(row) for row in u)
-    return h
+    return tuple(tuple(row) for row in m), tuple(tuple(row) for row in u)
 
 
 def snf_with_transforms(a: Sequence[Sequence[int]]):

@@ -18,16 +18,9 @@ from math import comb
 
 from . import linalg
 from .errors import UnsupportedError
-from .etale import Coords, EtaleAlgebra
+from .etale import EtaleAlgebra
 from .linalg import IntMat, Mat
 from .units import _PolynomialLRU, fraction_is_s_integral, fraction_is_s_unit_rational
-
-
-@dataclass(frozen=True)
-class AutomorphismDatum:
-    """A ring automorphism of the order, by images of the basis elements."""
-
-    images: tuple[Coords, ...]
 
 
 @dataclass
@@ -57,66 +50,45 @@ class GeneratorSet:
 # ---------------------------------------------------------------------------
 
 
-def automorphism_matrix(e: EtaleAlgebra, sigma: AutomorphismDatum) -> Mat:
-    """Matrix of σ in the order basis: column j holds coords of σ(b_j).
-
-    σ is verified as a ring automorphism of the order first (basis products
-    and invertibility over Z).
-    """
-    ok, reason = _check_automorphism(e, sigma)
-    if not ok:
-        raise ValueError(f"not a ring automorphism of the order: {reason}")
+def _check_automorphism(e: EtaleAlgebra, mat: IntMat):
+    """(True, None) when mat, column j holding σ(b_j), is a ring automorphism
+    of the order; else (False, reason)."""
     n = e.n
-    return tuple(
-        tuple(sigma.images[j][i] for j in range(n)) for i in range(n)
-    )
-
-
-def _check_automorphism(e: EtaleAlgebra, sigma: AutomorphismDatum):
-    n = e.n
-    if len(sigma.images) != n:
-        return False, "wrong number of images"
-    mat = linalg._int_mat(tuple(zip(*sigma.images)))  # column j holds σ(b_j)
     if mat[1] != 1:
         return False, "images are not integral"
     det = linalg._int_det(mat)
     if abs(det) != 1:
         return False, f"determinant {det} is not ±1"
     # additivity is linearity; check products on the basis
-    basis = [tuple(Fraction(int(i == j)) for i in range(n)) for j in range(n)]
+    basis, images = linalg.identity(n), tuple(zip(*mat[0]))
     for i in range(n):
         for j in range(i, n):
-            prod = e.mul(basis[i], basis[j])
-            lhs = linalg._int_mat_vec(mat, prod)
-            rhs = e.mul(sigma.images[i], sigma.images[j])
-            if tuple(lhs) != tuple(rhs):
+            lhs = linalg._int_mat_vec(mat, e.mul(basis[i], basis[j]))
+            if lhs != e.mul(images[i], images[j]):
                 return False, f"sigma(b_{i} b_{j}) != sigma(b_{i}) sigma(b_{j})"
     one = e.one()
-    if tuple(linalg._int_mat_vec(mat, one)) != tuple(one):
+    if linalg._int_mat_vec(mat, one) != one:
         return False, "sigma(1) != 1"
     return True, None
 
 
-def identity_automorphism(e: EtaleAlgebra) -> AutomorphismDatum:
-    n = e.n
-    return AutomorphismDatum(
-        tuple(tuple(Fraction(int(i == j)) for i in range(n)) for j in range(n))
-    )
-
-
-# (factors, basis) -> automorphisms; bounded like the per-polynomial caches
+# (factors, basis) -> automorphism matrices; bounded like the per-polynomial caches
 _AUTOMORPHISM_CACHE = _PolynomialLRU()
 
 
-def enumerate_automorphisms(e: EtaleAlgebra) -> list[AutomorphismDatum]:
-    """All automorphisms of the order of a field factor.
+def enumerate_automorphisms(e: EtaleAlgebra) -> list[Mat]:
+    """The matrices of all automorphisms of the order of a field factor.
 
-    An automorphism is determined by the image of x, a root of f in K, and
-    :meth:`EtaleAlgebra.elements_with_charpoly` returns every such root. A
-    root r need not lie in the order (in Z[2i], x does not): the map x ↦ r
-    is kept when its basis images pass the exact automorphism check on the
-    order. Single-factor only; the basis must be an order (else
-    NotAnOrderError). Results are cached per (factors, basis).
+    Column j of a matrix holds the coordinates of σ(b_j). An automorphism
+    is determined by the image of x, a root r of f in K, and
+    :meth:`EtaleAlgebra.elements_with_charpoly` returns every such root.
+    x ↦ r sends b_j = Σ_k B[j][k]·x^k to Σ_k B[j][k]·r^k, so its matrix is
+    (the powers r^k as columns)·Bᵀ. A root need not lie in the order (in
+    Z[2i], x does not): the map is kept when its matrix passes the exact
+    automorphism check on the order, made once, here. Sorted by the images
+    σ(b_0), σ(b_1), …. Single-factor only; the basis must be an order (else
+    NotAnOrderError). Results are cached per (factors, basis); every call
+    gets a new list.
     """
     if e.num_factors != 1:
         raise UnsupportedError("automorphism enumeration needs a single field factor")
@@ -124,26 +96,15 @@ def enumerate_automorphisms(e: EtaleAlgebra) -> list[AutomorphismDatum]:
     if cache_key in _AUTOMORPHISM_CACHE:
         return list(_AUTOMORPHISM_CACHE.store(cache_key, _AUTOMORPHISM_CACHE[cache_key]))
     e.require_order()
-    n = e.n
     out = []
     for r in e.elements_with_charpoly(e.factors[0]):
-        # x ↦ r: express basis images through the power-basis coordinates
-        # of the root's powers
         powers = [e.one()]
-        for _ in range(n - 1):
+        for _ in range(e.n - 1):
             powers.append(e.mul(powers[-1], r))
-        images = []
-        for j in range(n):
-            bj_power = e.order_basis[j]  # power coords of b_j
-            img = e.zero()
-            for k in range(n):
-                if bj_power[k]:
-                    img = e.add(img, tuple(bj_power[k] * c for c in powers[k]))
-            images.append(tuple(img))
-        sigma = AutomorphismDatum(tuple(images))
-        if _check_automorphism(e, sigma)[0]:
-            out.append(sigma)
-    out.sort(key=lambda s: s.images)
+        mat = linalg._int_mul(linalg._int_mat(linalg.transpose(powers)), e._basis_int)
+        if _check_automorphism(e, mat)[0]:
+            out.append(linalg._frac_mat(mat))
+    out.sort(key=linalg.transpose)
     _AUTOMORPHISM_CACHE.store(cache_key, list(out))
     return out
 
@@ -151,8 +112,9 @@ def enumerate_automorphisms(e: EtaleAlgebra) -> list[AutomorphismDatum]:
 def verify_normalization(e: EtaleAlgebra, m: Mat):
     """Check m·π(b_j)·m⁻¹ = π(c_j) with every c_j in the order.
 
-    Returns (True, sigma) where sigma records the induced map on the basis,
-    or (False, j) with the first failing basis index (1-based).
+    Returns (True, s) with s the matrix of the induced automorphism of the
+    order (column j holds c_j), or (False, j) with the first failing basis
+    index (1-based).
     """
     n = e.n
     m = linalg._int_mat(m)
@@ -166,7 +128,7 @@ def verify_normalization(e: EtaleAlgebra, m: Mat):
         if e._int_rep(cj) != conj or not all(x.denominator == 1 for x in cj):
             return False, j + 1
         images.append(cj)
-    return True, AutomorphismDatum(tuple(images))
+    return True, linalg.transpose(images)
 
 
 # ---------------------------------------------------------------------------

@@ -28,12 +28,10 @@ from .etale import EtaleAlgebra
 from .linalg import Mat
 from .matgroups import (
     GeneratorSet,
-    automorphism_matrix,
     block_diag,
     elementary_matrix,
     enumerate_automorphisms,
     group_sanity,
-    identity_automorphism,
     verify_normalization,
 )
 from .places import galois_group_small, signature
@@ -225,7 +223,6 @@ def _normalizer_matrices(e: EtaleAlgebra, ambient: str, full_system: UnitSystem)
     caveats = []
     if e.num_factors != 1:
         return out, caveats
-    autos = enumerate_automorphisms(e)
     fixer = None
     for u in full_system.free_generators:
         if e.norm(u) == -1:
@@ -239,11 +236,9 @@ def _normalizer_matrices(e: EtaleAlgebra, ambient: str, full_system: UnitSystem)
                 fixer = acc
                 break
             acc = e.mul(acc, t)
-    identity_images = identity_automorphism(e).images
-    for sigma in autos:
-        if sigma.images == identity_images:
+    for m in enumerate_automorphisms(e):
+        if m == linalg.identity(e.n):
             continue
-        m = automorphism_matrix(e, sigma)
         if ambient == SL and linalg.mat_det(m) == -1:
             if fixer is None:
                 caveats.append(
@@ -447,7 +442,7 @@ def _check_imported(req, report, imported: dict, problems: list, caveats: list) 
             if not conjugacy.order_elements_with_charpoly(e, QPoly(linalg.charpoly(t))):
                 problems.append("an imported matrix has a charpoly matching no order unit")
         return "weaker certificate"
-    basis_algebra = EtaleAlgebra(e.factors, found.discovered_basis, check_irreducible=False)
+    basis_algebra = EtaleAlgebra(e.factors, found.discovered_basis)
     if not basis_algebra.is_order()[0]:
         problems.append("discovered basis is not an order basis")
     for w in autos:

@@ -483,10 +483,10 @@ def search_units(
     1-norm, then lexicographic). The budget caps the candidate count. The
     basis must be an order (else NotAnOrderError): its structure constants
     are integers, so the walk runs in plain ints, and a non-integer target
-    matches nothing. N(Σ x_i b_i) = det(Σ x_i T_i) has degree ≤ n in each
+    matches nothing. N(Σ x_i b_i) = det π(Σ x_i b_i) has degree ≤ n in each
     coordinate, so it is tabulated by forward differences from its values
     at the m^n corner points {−B, …, −B+m−1}^n, m = min(n+1, 2B+1): those
-    are the only determinants taken. They are turned once into the mixed
+    are the only norms taken. They are turned once into the mixed
     forward differences of the corner along every axis; every box point is
     then stepped by integer additions, each last-axis row summed whole and
     tested against the targets at once. The differences are exact integers
@@ -505,19 +505,10 @@ def search_units(
     targets = {Fraction(t) for t in norm_targets}
     int_targets = {int(t) for t in targets if t.denominator == 1}
 
-    table = e.mult_table()
-    # tmats[i][r][c] = coordinate r of b_i * b_c
-    tmats = [
-        [[int(table[i][c][r]) for c in range(n)] for r in range(n)]
-        for i in range(n)
-    ]
     m = min(n + 1, 2 * coord_bound + 1)
     span = range(-coord_bound, coord_bound + 1)
     corner = [
-        linalg.int_det(
-            [[sum(x * t[r][c] for x, t in zip(pt, tmats)) for c in range(n)] for r in range(n)]
-        )
-        for pt in itertools.product(range(-coord_bound, m - coord_bound), repeat=n)
+        int(e.norm(pt)) for pt in itertools.product(range(-coord_bound, m - coord_bound), repeat=n)
     ]
     # mixed forward differences along every axis, taken once: entry
     # (j_0, …, j_{n-1}) becomes Δ_0^{j_0} ⋯ Δ_{n-1}^{j_{n-1}} N at the corner origin
@@ -711,7 +702,7 @@ def _enlarge_basis(
     """
     r = len(basis)
     rows = [[d * int(i == j) for j in range(r)] for i in range(r)] + [list(nums)]
-    h, trans = linalg.hnf_rows(rows, transform=True)
+    h, trans = linalg.hnf_rows(rows)
     gens = list(basis) + [u]
     new_basis = []
     for row_idx in range(len(h)):
@@ -763,8 +754,10 @@ def assemble_unit_system(
         )
         pool = sorted(seen, key=lambda c: (sum(abs(x) for x in c), c))
 
+    # a found element is tested again when it is in the pool, so test each once
+    torsion_order_of = functools.cache(functools.partial(_is_torsion, e))
     torsion_gen, torsion_order = _torsion_generator(
-        ((u, _is_torsion(e, u)) for u in found), coord_bound
+        ((u, torsion_order_of(u)) for u in found), coord_bound
     )
     # the first pool element of each class {t^k·u, t^k·u⁻¹}: the rest of a
     # class repeat its log row up to sign and its saturation answer
@@ -772,7 +765,7 @@ def assemble_unit_system(
     torsion_index = {z: k for k, z in enumerate(torsion)}
     free_pool, covered = [], set()
     for u in pool:
-        if u not in covered and _is_torsion(e, u) is None:
+        if u not in covered and torsion_order_of(u) is None:
             free_pool.append(u)
             covered.update(e.mul(z, w) for w in (u, e.inverse(u)) for z in torsion)
     target_rank = s_unit_rank(e, s_primes)

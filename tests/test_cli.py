@@ -151,10 +151,10 @@ def test_verify_paper_cli(capsys):
     assert [r["example"] for r in data["rows"]] == ["5.1", "5.2", "5.3", "5.4"]
 
 
-def _construct_request(poly, ambient="SL", places="inf", bound=3, block=None) -> dict:
+def _construct_request(poly, ambient="SL", places="inf", bound=3, block=None, basis=None) -> dict:
     request = {
         "schema": "cma/1",
-        "algebra": {"factors": [poly], "order_basis": None},
+        "algebra": {"factors": [poly], "order_basis": basis},
         "ambient": ambient,
         "places": places,
         "unit_source": {"search": {"coord_bound": bound}},
@@ -164,6 +164,8 @@ def _construct_request(poly, ambient="SL", places="inf", bound=3, block=None) ->
     return request
 
 
+Z2I_BASIS = [["1", "0"], ["0", "2"]]
+
 # construct requests of the benchmark families that no golden covers
 PINNED_REQUESTS = {
     "x^2-2 block n=3": _construct_request(["-2", "0", "1"], block=3),  # det -1 automorphism
@@ -172,6 +174,13 @@ PINNED_REQUESTS = {
     "x^2+1 GL at 13,17": _construct_request(["1", "0", "1"], "GL", "inf,13,17", 6),
     "x^4+x^2-x+1": _construct_request(["1", "-1", "1", "0", "1"]),  # complex S4 quartic
     "x^2+2 not ample": _construct_request(["2", "0", "1"]),
+    # emitted automorphisms and the det −1 caveat: x ↦ −x of Z[2i] has det −1
+    # and no unit of norm −1 corrects it in SL; the C4 quartic emits three in
+    # GL, and in SL only the one of det 1, with the caveat for the other two
+    "Z[2i] GL at inf,5": _construct_request(["1", "0", "1"], "GL", "inf,5", basis=Z2I_BASIS),
+    "Z[2i] SL at inf,5": _construct_request(["1", "0", "1"], "SL", "inf,5", basis=Z2I_BASIS),
+    "x^4-5x^2+5 SL": _construct_request(["5", "0", "-5", "0", "1"]),
+    "x^4-5x^2+5 GL": _construct_request(["5", "0", "-5", "0", "1"], "GL"),
 }
 
 # sha256 of the --json output: verify-paper, construct on each golden's
@@ -188,6 +197,10 @@ PINNED_DIGESTS = {
     "x^2+1 GL at 13,17": "85859094f476744cc329346fcded0ecf2b9f05643c289603655fce7af756f0b6",
     "x^4+x^2-x+1": "c146af4fb1cd652c249c3bd56003d010e6716a1cb8450e5e3eb53b20763fcc64",
     "x^2+2 not ample": "f5968159d9efc3c9a842ba70c05e5ddc24914a6e709b3aef14f86ca03a1f6f3a",
+    "Z[2i] GL at inf,5": "056ea778b7fbbb1d8bd8dd890c4f48396158cf1b73f8e56589088d2459642052",
+    "Z[2i] SL at inf,5": "67c4273b3da0647fbfae801aa7a47f06d0177e06c110cca349281c0258885f5c",
+    "x^4-5x^2+5 SL": "0e07c36a0391c7decbf0eec455a10ef5ff16870a86ed7884c2c5b5150951fa5c",
+    "x^4-5x^2+5 GL": "a8a86fb5b68d6441b8ec88983e915a8276cac0bcdd259c01d523c33169fa4875",
 }
 
 

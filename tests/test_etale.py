@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from operator import add
 
 import pytest
 
@@ -68,7 +69,7 @@ def test_regular_rep_is_ring_homomorphism(algebra):
         b = _random_element(rng, algebra)
         ma, mb = algebra.regular_rep(a), algebra.regular_rep(b)
         assert algebra.regular_rep(algebra.mul(a, b)) == linalg.mat_mul(ma, mb)
-        assert algebra.regular_rep(algebra.add(a, b)) == tuple(
+        assert algebra.regular_rep(tuple(map(add, a, b))) == tuple(
             tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(ma, mb)
         )
 
@@ -80,7 +81,7 @@ def test_norm_multiplicative_trace_additive(algebra):
         a = _random_element(rng, algebra)
         b = _random_element(rng, algebra)
         assert algebra.norm(algebra.mul(a, b)) == algebra.norm(a) * algebra.norm(b)
-        assert algebra.trace(algebra.add(a, b)) == algebra.trace(a) + algebra.trace(b)
+        assert algebra.trace(tuple(map(add, a, b))) == algebra.trace(a) + algebra.trace(b)
 
 
 @pytest.mark.parametrize("algebra", [CUBIC, GAUSS, QUARTIC])
@@ -134,7 +135,7 @@ def test_rejects_singular_basis():
 
 def test_elements_with_charpoly_examples():
     i, one_plus_i = (Fraction(0), Fraction(1)), (Fraction(1), Fraction(1))
-    assert GAUSS.elements_with_charpoly(QPoly([1, 0, 1])) == sorted([i, GAUSS.neg(i)])
+    assert GAUSS.elements_with_charpoly(QPoly([1, 0, 1])) == sorted([i, tuple(-x for x in i)])
     assert GAUSS.elements_with_charpoly(QPoly([2, -2, 1])) == [(1, -1), one_plus_i]
     assert GAUSS.elements_with_charpoly(QPoly([9, -6, 1])) == [(3, 0)]  # (x − 3)²
     # (x − 1)(x − 2) is squarefree and reducible: no field element has it

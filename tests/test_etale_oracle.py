@@ -113,7 +113,7 @@ def ref_power(e, a, k):
 
 def _elements(e, seed, count=8):
     rng = random.Random(f"{seed}/{e!r}")
-    out = [e.zero(), e.one()]
+    out = [(Fraction(0),) * e.n, e.one()]
     for _ in range(count):
         out.append(
             tuple(Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS)) for _ in range(e.n))
@@ -130,9 +130,14 @@ def _exact(got, want):
 @pytest.mark.parametrize("name", ALGEBRAS)
 def test_structure_and_coordinates_match_fraction_loops(name):
     e = ALGEBRAS[name]
-    assert e.mult_table() == ref_table(e)
-    # the structure constants' common denominator D exceeds 1 off an order
-    assert (e._int_structure()[2] > 1) == (not e.is_order()[0])
+    # the integer structure constants over their common denominator D
+    table = [
+        [tuple(Fraction(dict(pairs).get(k, 0), e._den) for k in range(e.n)) for pairs in row]
+        for row in e._table
+    ]
+    assert table == ref_table(e)
+    # D exceeds 1 off an order
+    assert (e._den > 1) == (not e.is_order()[0])
     assert _exact(e.one(), ref_one(e))
     for a in _elements(e, 1):
         assert _exact(e.to_power(a), ref_to_power(e, a))

@@ -87,7 +87,7 @@ def test_hnf_preserves_lattice_and_is_unimodular():
         n = rng.randint(1, 4)
         rows = rng.randint(n, n + 3)
         a = _rand_int_matrix(rng, rows, n)
-        h, u = linalg.hnf_rows(a, transform=True)
+        h, u = linalg.hnf_rows(a)
         # U unimodular with U*A = H proves L(H) = L(A) as row lattices
         assert abs(linalg.int_det(u)) == 1
         ua = linalg.mat_mul(linalg.matrix(u), linalg.matrix(a))

@@ -236,8 +236,7 @@ def _int_cases(seed):
 
 @pytest.mark.parametrize("a", _int_cases(31))
 def test_hnf_rows_matches_sympy(a):
-    h, u = linalg.hnf_rows(a, transform=True)
-    assert linalg.hnf_rows(a) == h
+    h, u = linalg.hnf_rows(a)
     s_a, s_u = sympy.Matrix(a), sympy.Matrix(u)
     assert s_u * s_a == sympy.Matrix(h) and abs(s_u.det()) == 1
     # sympy's HNF is column-style from the last row; with the columns of a

@@ -6,14 +6,12 @@ from ampletori import linalg, matgroups, units
 from ampletori.errors import NotAnOrderError
 from ampletori.etale import EtaleAlgebra
 from ampletori.matgroups import (
-    AutomorphismDatum,
     GeneratorSet,
-    automorphism_matrix,
+    _check_automorphism,
     block_diag,
     elementary_matrix,
     enumerate_automorphisms,
     group_sanity,
-    identity_automorphism,
     verify_normalization,
     verify_semidirect,
 )
@@ -36,20 +34,25 @@ G54 = linalg.matrix([[Fraction(4, 5), Fraction(-3, 5)], [Fraction(3, 5), Fractio
 
 
 def test_automorphism_matrix_conjugation():
-    conj = AutomorphismDatum(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(-1))))
-    m = automorphism_matrix(GAUSS, conj)
-    assert m == linalg.matrix([[1, 0], [0, -1]])
+    conj = linalg.matrix([[1, 0], [0, -1]])  # i ↦ −i: column j holds σ(b_j)
+    assert _check_automorphism(GAUSS, linalg._int_mat(conj)) == (True, None)
+    assert conj in enumerate_automorphisms(GAUSS)
 
 
 def test_automorphism_matrix_identity():
-    m = automorphism_matrix(GAUSS, identity_automorphism(GAUSS))
-    assert m == linalg.identity(2)
+    assert _check_automorphism(GAUSS, linalg._int_mat(linalg.identity(2))) == (True, None)
+    assert linalg.identity(2) in enumerate_automorphisms(GAUSS)
 
 
 def test_automorphism_rejects_non_hom():
-    bad = AutomorphismDatum(((Fraction(1), Fraction(0)), (Fraction(1), Fraction(1))))
-    with pytest.raises(ValueError):
-        automorphism_matrix(GAUSS, bad)
+    # 1 ↦ 1, i ↦ 1 + i: invertible over Z, but σ(i·i) = −1 and σ(i)² = 2i
+    bad = linalg.matrix([[1, 1], [0, 1]])
+    ok, reason = _check_automorphism(GAUSS, linalg._int_mat(bad))
+    assert not ok and reason == "sigma(b_1 b_1) != sigma(b_1) sigma(b_1)"
+    half = linalg.matrix([[1, 0], [0, Fraction(1, 2)]])
+    assert _check_automorphism(GAUSS, linalg._int_mat(half)) == (False, "images are not integral")
+    double = linalg.matrix([[1, 0], [0, 2]])
+    assert _check_automorphism(GAUSS, linalg._int_mat(double)) == (False, "determinant 2 is not ±1")
 
 
 def test_enumerate_automorphisms():
@@ -75,15 +78,14 @@ def test_enumerate_automorphisms():
 )
 def test_automorphisms_match_the_box_oracle(coeffs, basis):
     e = EtaleAlgebra([QPoly(coeffs)], basis)
-    found = [s.images for s in enumerate_automorphisms(e)]
+    found = [linalg.transpose(m) for m in enumerate_automorphisms(e)]
     assert found == oracle_automorphisms(e, 10)
 
 
 def test_z2i_automorphisms_include_conjugation():
     # x = i is not in the order Z[2i], but x ↦ −x maps the basis {1, 2i} to {1, −2i}
     e = EtaleAlgebra([QPoly([1, 0, 1])], [[1, 0], [0, 2]])
-    autos = enumerate_automorphisms(e)
-    assert [automorphism_matrix(e, s) for s in autos] == [
+    assert enumerate_automorphisms(e) == [
         linalg.matrix([[1, 0], [0, -1]]),
         linalg.identity(2),
     ]
@@ -102,14 +104,11 @@ def test_automorphism_cache_is_bounded_and_history_free(monkeypatch):
 
 def test_automorphism_functoriality_v4():
     # pi is functorial: matrix of a composition is the product of matrices
-    autos = enumerate_automorphisms(QUARTIC)
-    mats = [automorphism_matrix(QUARTIC, s) for s in autos]
-    images = {s.images: m for s, m in zip(autos, mats)}
-    for s1, m1 in zip(autos, mats):
-        for s2, m2 in zip(autos, mats):
-            composed = tuple(
-                oracle_mat_vec(m1, img) for img in s2.images
-            )
+    mats = enumerate_automorphisms(QUARTIC)
+    images = {linalg.transpose(m): m for m in mats}
+    for m1 in mats:
+        for m2 in mats:
+            composed = tuple(oracle_mat_vec(m1, img) for img in linalg.transpose(m2))
             assert composed in images
             assert images[composed] == linalg.mat_mul(m1, m2)
 
@@ -118,7 +117,7 @@ def test_verify_normalization_examples():
     ok, sigma = verify_normalization(GAUSS, linalg.matrix([[1, 0], [0, -1]]))
     assert ok
     ok, sigma = verify_normalization(GAUSS, I_MAT)
-    assert ok and sigma.images == identity_automorphism(GAUSS).images  # inner
+    assert ok and sigma == linalg.identity(2)  # inner
     ok, witness = verify_normalization(GAUSS, linalg.matrix([[1, 1], [0, 1]]))
     assert not ok and witness == 2
 
@@ -249,7 +248,7 @@ def test_normalization_holds_for_torus_elements():
     # pi(u) normalizes with the identity automorphism for every unit u
     for e, u in [(GAUSS, (Fraction(0), Fraction(1))), (CUBIC, (Fraction(0), Fraction(1), Fraction(0)))]:
         ok, sigma = verify_normalization(e, e.regular_rep(u))
-        assert ok and sigma.images == identity_automorphism(e).images
+        assert ok and sigma == linalg.identity(e.n)
 
 
 def test_automorphism_search_requires_an_order(monkeypatch):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from ampletori import linalg, pipeline, serialize, units
+from ampletori import linalg, matgroups, pipeline, serialize, units
 from ampletori.errors import BudgetExceededError, InputError, UnsupportedError
 from ampletori.conjugacy import find_simultaneous_conjugator, order_elements_with_charpoly
 from ampletori.matgroups import group_sanity
@@ -184,6 +184,25 @@ def test_z2i_conjugation_is_a_normalizer_generator_in_gl():
     report = run_pipeline(PipelineRequest.from_json(req))
     assert report.sanity["all_pass"]["pass"]
     assert report.generators.normalizer_gens == [linalg.matrix([[1, 0], [0, -1]])]
+
+
+def test_each_automorphism_is_checked_once_when_it_is_found(monkeypatch):
+    # x⁴ − 5x² + 5 has Galois group C4: four roots, four automorphisms, each
+    # checked when enumerated and never again, by the pipeline or on a repeat
+    monkeypatch.setattr(matgroups, "_AUTOMORPHISM_CACHE", units._PolynomialLRU())
+    checked = []
+    check = matgroups._check_automorphism
+
+    def counting_check(e, mat):
+        checked.append(mat)
+        return check(e, mat)
+
+    monkeypatch.setattr(matgroups, "_check_automorphism", counting_check)
+    req = {**CUBIC_REQ, "algebra": {"factors": [["5", "0", "-5", "0", "1"]]}, "ambient": "GL"}
+    first = run_pipeline(PipelineRequest.from_json(req))
+    assert len(checked) == 4 and len(first.generators.normalizer_gens) == 3
+    run_pipeline(PipelineRequest.from_json(req))
+    assert len(checked) == 4
 
 
 def test_verify_paper_examples_all_pass():
