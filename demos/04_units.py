@@ -3,12 +3,14 @@
 Independence of a unit system is certified through interval enclosures of
 the log embedding: some maximal square minor's determinant interval must
 exclude zero. Finite places contribute exact valuation columns, so S-units
-whose archimedean absolute values are all 1 are still certifiable.
+whose archimedean absolute values are all 1 are still certifiable. Elements are (integer coordinates, denominator)
+pairs; they are converted to rational coordinates where they are printed.
 """
 
 from fractions import Fraction
 
 from ampletori import EtaleAlgebra, QPoly
+from ampletori.etale import coordinates, element
 from ampletori.units import (
     UnitSystem,
     assemble_unit_system,
@@ -25,21 +27,31 @@ from ampletori.serialize import matrix_to_json
 gauss = EtaleAlgebra([QPoly([1, 0, 1])])
 cubic = EtaleAlgebra([QPoly([-1, 1, 0, 1])])
 
+
+def ints(u):
+    return tuple(int(c) for c in coordinates(u))
+
+
+def rational(torsion):
+    gen, order = torsion
+    return coordinates(gen), order
+
+
 print("torsion units (exhaustive box search + exact powering):")
-print("  Q[i]  :", torsion_units(gauss), "(i, of order 4)")
-print("  cubic :", torsion_units(cubic), "(only -1 in a field with a real embedding)")
+print("  Q[i]  :", rational(torsion_units(gauss)), "(i, of order 4)")
+print("  cubic :", rational(torsion_units(cubic)), "(only -1 in a field with a real embedding)")
 
 print("\nexpected free ranks (Dirichlet):")
 print("  cubic, S = {}    :", dirichlet_rank(signature(cubic.factors[0])))
 print("  Q[i], S = {5}    :", dirichlet_rank(signature(gauss.factors[0]), (2,)))
 
 print("\nelements of norm 5 in Z[i], coordinate box 3:")
-print(" ", [tuple(int(c) for c in u) for u in search_units(gauss, 3, (), {Fraction(5)})])
+print(" ", [ints(u) for u in search_units(gauss, 3, (), {Fraction(5)})])
 
 print("\nassembling the S-unit system of Z[1/5][i] from the box:")
 system = assemble_unit_system(gauss, (5,), 3)
-print("  torsion:", tuple(int(c) for c in system.torsion_generator), "order", system.torsion_order)
-print("  free   :", [tuple(int(c) for c in g) for g in system.free_generators])
+print("  torsion:", ints(system.torsion_generator), "order", system.torsion_order)
+print("  free   :", [ints(g) for g in system.free_generators])
 
 cert = verify_unit_system(system)
 print("  certified rank", cert.rank, "via minor columns", cert.minor_columns)
@@ -52,17 +64,17 @@ for u, row in zip(system.free_generators, emb.rows):
     total = row[0]
     for iv in row[1:]:
         total = total + iv
-    print(f"  {tuple(int(c) for c in u)}: interval around 0 of width {float(total.width):.2e}")
+    print(f"  {ints(u)}: interval around 0 of width {float(total.width):.2e}")
 
 print("\nnorm-one subgroup (kernel of the norm character, Smith normal form):")
 norm_one = norm_one_subgroup(system)
 g = norm_one.free_generators[0]
-print("  free generator:", tuple(str(c) for c in g), "= (4+3i)/5")
+print("  free generator:", tuple(str(c) for c in coordinates(g)), "= (4+3i)/5")
 print("  as a matrix:", matrix_to_json(gauss.regular_rep(g)))
 
 print("\na deliberately dependent system returns an exact relation witness:")
-u = (Fraction(2), Fraction(1))
-dep = UnitSystem(gauss, (Fraction(0), Fraction(1)), 4, [u, gauss.mul(u, u)], (5,))
+u = element([2, 1])
+dep = UnitSystem(gauss, element([0, 1]), 4, [u, gauss.mul(u, u)], (5,))
 print(" ", verify_unit_system(dep).describe())
 
 print("\ntotally imaginary fields certify through complex places alone:")
@@ -70,5 +82,5 @@ zeta5 = EtaleAlgebra([QPoly([1, 1, 1, 1, 1])])
 sys5 = assemble_unit_system(zeta5, (), 3)
 cert5 = verify_unit_system(sys5)
 print("  Q(zeta_5): torsion order", sys5.torsion_order,
-      ", free generator", tuple(int(c) for c in sys5.free_generators[0]),
+      ", free generator", ints(sys5.free_generators[0]),
       "= 1 + zeta_5, certified rank", cert5.rank, "via", cert5.minor_columns)

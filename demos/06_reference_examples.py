@@ -11,6 +11,7 @@ import json
 
 from ampletori import EtaleAlgebra, QPoly, linalg
 from ampletori.conjugacy import find_simultaneous_conjugator
+from ampletori.etale import coordinates
 from ampletori.pipeline import PipelineRequest, corpus_dir, run_pipeline, verify_paper_examples
 from ampletori.serialize import matrix_to_json
 
@@ -45,7 +46,7 @@ found = find_simultaneous_conjugator(quartic, units, autos)
 print("  conjugator found:", found is not None, "| transposed convention:", found.transposed)
 print("  the imported generators are the units with power-basis coordinates:")
 for u, target in zip(found.unit_elements, ("g1", "g2", "g3")):
-    print(f"    {target} <-> {tuple(int(c) for c in u)}")
+    print(f"    {target} <-> {tuple(int(c) for c in coordinates(u))}")
 print("  discovered order basis (rows, in power coordinates):")
 for row in matrix_to_json(found.discovered_basis):
     print("   ", row)

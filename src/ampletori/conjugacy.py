@@ -22,10 +22,11 @@ from dataclasses import dataclass
 from operator import mul
 
 from . import linalg
-from .etale import Coords, EtaleAlgebra
-from .linalg import IntMat, Mat, Vec
+from .etale import Coords, EtaleAlgebra, sorted_elements
+from .linalg import IntMat, Mat
 from .matgroups import enumerate_automorphisms
 from .polynomials import QPoly, squarefree_part
+from .units import _by_size
 
 COEFF_BOX = 20  # coefficient box of the unimodular point in the intertwiner space
 
@@ -51,8 +52,8 @@ def order_elements_with_charpoly(e: EtaleAlgebra, cp: QPoly) -> list[Coords]:
     """
     if not cp.is_integral():
         return []
-    found = [b for b in e.elements_with_charpoly(cp) if all(c.denominator == 1 for c in b)]
-    return sorted(found, key=lambda c: (sum(abs(x) for x in c), c))
+    found = [b for b in e.elements_with_charpoly(cp) if b[1] == 1]
+    return sorted_elements(found, _by_size)
 
 
 def _condition_rows(a: IntMat, b: IntMat, n: int) -> list[list[int]]:
@@ -141,12 +142,13 @@ def _search_one_convention(e, tgt_units, tgt_autos, auto_mats, candidates):
         # u0 primitive: P·π(u0) = T_0·P gives P·π(g(u0)) = g(T_0)·P for every
         # polynomial g, so this one condition fixes the algebra map
         unit_condition = (e._int_rep(u0), units[0])
-        space = linalg.kernel_basis(_condition_rows(*unit_condition, n))
-        if not space:
+        # the basis Q of the space, each Q_i the kernel's normal form times one
+        # positive integer, so _unimodular_point sees the same primitive rows
+        q_ints = linalg._int_kernel(_condition_rows(*unit_condition, n), n * n)
+        if not q_ints:
             continue
         # each assignment's condition on the coefficients c of P = Σ c_i·Q_i
         # over the space: its reduced rows, or None when they force c = 0
-        q_ints, _ = linalg._int_mat(space)  # one common denominator for the basis
         options = [
             [(a, t, _restricted(_condition_rows(a, t, n), q_ints)) for a, t in choices]
             for choices in assignments
@@ -154,15 +156,12 @@ def _search_one_convention(e, tgt_units, tgt_autos, auto_mats, candidates):
         for combo in itertools.product(*options):
             if any(rows is None for *_, rows in combo):
                 continue
-            stacked = [row for *_, rows in combo for row in rows]
-            coeffs = linalg.kernel_basis(stacked) if stacked else linalg.identity(len(space))
-            # Q is in kernel_basis's normal form and Q_i vanishes past its free
+            stacked = [list(row) for *_, rows in combo for row in rows]  # _int_kernel consumes it
+            coeffs = linalg._int_kernel(stacked, len(q_ints))
+            # Q is in the kernel's normal form and Q_i vanishes past its free
             # column, so the Σ c_i·Q_i are the normal form of the stacked
             # system (here up to a positive scale, which _unimodular_point drops)
-            found = [
-                [sum(map(mul, linalg._integer_form(cs)[0], col)) for col in zip(*q_ints)]
-                for cs in coeffs
-            ]
+            found = [[sum(map(mul, cs, col)) for col in zip(*q_ints)] for cs in coeffs]
             pi = _unimodular_point(found, n, COEFF_BOX)
             if pi is None:
                 continue
@@ -176,10 +175,11 @@ def _search_one_convention(e, tgt_units, tgt_autos, auto_mats, candidates):
     return None
 
 
-def _restricted(rows: list[list[int]], q_ints: list[list[int]]) -> list[Vec] | None:
-    """The reduced rows of rows·Q, Q the basis q_ints as columns; None at full rank."""
-    reduced, pivots = linalg.rref([[sum(map(mul, row, q)) for q in q_ints] for row in rows])
-    return list(reduced[: len(pivots)]) if len(pivots) < len(q_ints) else None
+def _restricted(rows: list[list[int]], q_ints: list[list[int]]) -> list[list[int]] | None:
+    """The d·RREF rows of rows·Q, Q the basis q_ints as columns; None at full rank."""
+    restricted = [[sum(map(mul, row, q)) for q in q_ints] for row in rows]
+    reduced, pivots, _ = linalg._int_rref(restricted, len(q_ints))
+    return reduced if len(pivots) < len(q_ints) else None
 
 
 def _read_off_units(e: EtaleAlgebra, p: IntMat, pinv: IntMat, targets: list[IntMat]):

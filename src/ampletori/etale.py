@@ -8,10 +8,11 @@ element is integrality of its coordinates. The regular representation sends
 an element to the matrix of multiplication-by-it in the order basis; all the
 explicit matrices downstream come from this map.
 
-The ring operations run on Python integers: the structure constants are
-kept once as integers over their common denominator D (1 for an order),
-each operand is scaled to integers over the lcm of its own denominators,
-and `Fraction`s are made only for the entries returned.
+An element has one integer form, `Coords` = (ints, den): coordinates ints/den
+in lowest terms, den > 0, as in linalg's IntMat, so == and hash are value
+equality; a norm or trace is (num, den) in lowest terms. The ring operations
+run on Python integers, and `element` and `coordinates` convert from and to
+rational coordinates where a value enters or leaves the package.
 """
 
 from __future__ import annotations
@@ -19,33 +20,54 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import linalg
 from .errors import NotAnOrderError, SingularMatrixError, UnsupportedError
-from .linalg import IntMat, Mat, Vec, _integer_form
+from .linalg import IntMat, IntVec, Mat, _int_vec
 from .polynomials import (
     QPoly,
     _linear_product,
+    _mul_mod_monic,
     _symmetric_residue,
     cauchy_bound,
     discriminant,
     is_irreducible_q,
     padic_roots,
+    resultant,
     split_prime,
     squarefree_part,
 )
 
-Coords = Vec
+Coords = IntVec  # (ints, den): the coordinates ints/den in lowest terms
+
+
+def element(coords: Sequence) -> Coords:
+    """The integer form of rational (or integer) coordinates."""
+    ints, den = linalg._integer_form(coords)  # lcm of reduced denominators: in lowest terms
+    return tuple(ints), den
+
+
+def coordinates(a: Coords) -> tuple[Fraction, ...]:
+    """The rational coordinates of an element, as Fractions."""
+    return tuple(Fraction(x, a[1]) for x in a[0])
+
+
+def sorted_elements(elements, key: Callable = tuple) -> list[Coords]:
+    """The elements sorted by key of their integers over the lcm of their
+    denominators: tuples that order as the rational coordinates do."""
+    den = math.lcm(*[d for _, d in elements])
+    return sorted(elements, key=lambda a: key(tuple(x * (den // a[1]) for x in a[0])))
 
 
 class EtaleAlgebra:
     """Product of number fields with an order given by a Z-basis.
 
-    The structure constants are built once, when the algebra is made, in
-    integers over their common denominator D: `_table[i][j]` holds the
-    sparse (k, D·c_k) pairs of b_i·b_j = Σ c_k·b_k, and `_traces[i]` is
-    D·Tr(b_i). D is 1 exactly when the basis products are integral.
+    Elements are `Coords` (ints, den) in the order basis. The structure
+    constants are built once, when the algebra is made, in integers over
+    their common denominator D: `_table[i][j]` holds the sparse (k, D·c_k)
+    pairs of b_i·b_j = Σ c_k·b_k, and `_traces[i]` is D·Tr(b_i). D is 1
+    exactly when the basis products are integral.
     """
 
     def __init__(
@@ -82,20 +104,17 @@ class EtaleAlgebra:
             self._inv_int = linalg._int_inv(self._basis_int)
         except SingularMatrixError:
             raise SingularMatrixError("order basis matrix is singular") from None
-        basis = self.order_basis
-        flat, self._den = _integer_form(
-            [c for bi in basis for bj in basis for c in self.from_power(self._mul_power(bi, bj))]
-        )
-        cells = [flat[s : s + n] for s in range(0, n**3, n)]  # b_i·b_j at i·n + j
+        (cols, bden), (inv, iden) = self._basis_int, self._inv_int
+        basis = list(zip(*cols))  # the basis rows times bden
+        prods = [self._mul_power(bi, bj) for bi in basis for bj in basis]
+        # the order coordinates of b_i·b_j at row i·n + j, over one D
+        cells, self._den = linalg._int_mul((prods, bden**2), (tuple(zip(*inv)), iden))
         self._table = [
             [[(k, c) for k, c in enumerate(cells[i * n + j]) if c] for j in range(n)]
             for i in range(n)
         ]
         self._traces = [sum(cells[i * n + j][j] for j in range(n)) for i in range(n)]
-        power = [Fraction(0)] * n
-        for off in self.offsets:
-            power[off] = Fraction(1)
-        self._one = self.from_power(tuple(power))
+        self._one = self.from_power(([int(k in self.offsets) for k in range(n)], 1))
 
     # -- coordinates ---------------------------------------------------------
     def to_power(self, coords: Coords) -> Coords:
@@ -111,31 +130,24 @@ class EtaleAlgebra:
     def generator(self, k: int = 0) -> Coords:
         """The image of x in factor k, as an element of E (zero elsewhere)."""
         f = self.factors[k]
-        power = [Fraction(0)] * self.n
+        power = [0] * self.n
         if f.degree == 1:
-            power[self.offsets[k]] = -f.coeffs[0]  # x = root of monic linear
+            power[self.offsets[k]] = -int(f.coeffs[0])  # x = root of monic linear
         else:
-            power[self.offsets[k] + 1] = Fraction(1)
-        return self.from_power(tuple(power))
+            power[self.offsets[k] + 1] = 1
+        return self.from_power((power, 1))
 
     # -- ring structure ------------------------------------------------------
-    def _power_blocks(self, power: Coords) -> list[list[Fraction]]:
-        return [
-            list(power[off : off + d]) for off, d in zip(self.offsets, self.degrees)
-        ]
-
-    def _mul_power(self, p1: Coords, p2: Coords) -> Coords:
-        out: list[Fraction] = []
-        for f, b1, b2 in zip(self.factors, self._power_blocks(p1), self._power_blocks(p2)):
-            prod = QPoly(b1) * QPoly(b2)
-            rem = prod % f
-            block = list(rem.coeffs) + [Fraction(0)] * (f.degree - len(rem.coeffs))
-            out.extend(block)
+    def _mul_power(self, p1: Sequence, p2: Sequence) -> tuple:
+        """The product of two power-basis coordinate vectors, integer or rational."""
+        out = []
+        for f, off in zip(self.factors, self.offsets):
+            f_ints, d = [int(c) for c in f.coeffs], f.degree
+            out.extend(_mul_mod_monic(p1[off : off + d], p2[off : off + d], f_ints))
         return tuple(out)
 
     def mul(self, a: Coords, b: Coords) -> Coords:
-        a, da = _integer_form(a)
-        b, db = _integer_form(b)
+        (a, da), (b, db) = a, b
         out = [0] * self.n
         for ai, row in zip(a, self._table):
             if ai:
@@ -144,14 +156,12 @@ class EtaleAlgebra:
                         c = ai * bj
                         for k, t in pairs:
                             out[k] += c * t
-        den = self._den * da * db
-        return tuple(Fraction(x, den) for x in out)
+        return _int_vec(out, self._den * da * db)
 
     def power(self, a: Coords, k: int) -> Coords:
         if k < 0:
             return self.power(self.inverse(a), -k)
-        result = self.one()
-        base = a
+        result, base = self.one(), a
         while k:
             if k & 1:
                 result = self.mul(result, base)
@@ -160,13 +170,18 @@ class EtaleAlgebra:
         return result
 
     def inverse(self, a: Coords) -> Coords:
-        """π(a)⁻¹ applied to 1; a zero divisor raises SingularMatrixError."""
-        return linalg._int_mat_vec(linalg._int_inv(self._int_rep(a)), self.one())
+        """The solution x of π(a)·x = 1; a zero divisor raises SingularMatrixError."""
+        (rows, den), (one, one_den), n = self._int_rep(a), self._one, self.n
+        # [R | den·1] for π(a) = R/den; its d·RREF is d·[I | den·R⁻¹·1]
+        scaled, pivots, d = linalg._int_rref([[*row, den * c] for row, c in zip(rows, one)], n + 1)
+        if pivots != list(range(n)):
+            raise SingularMatrixError("matrix is singular")
+        return _int_vec([row[n] for row in scaled], d * one_den)
 
     # -- the regular representation ------------------------------------------
     def _int_rep(self, a: Coords) -> IntMat:
         """The regular representation of a in linalg's integer form."""
-        a, da = _integer_form(a)
+        a, da = a
         m = [[0] * self.n for _ in range(self.n)]
         for ai, row in zip(a, self._table):
             if ai:
@@ -179,12 +194,14 @@ class EtaleAlgebra:
         """Matrix of multiplication-by-a: column j holds coords of a·b_j."""
         return linalg._frac_mat(self._int_rep(a))
 
-    def norm(self, a: Coords) -> Fraction:
-        return linalg._int_det(self._int_rep(a))
+    def norm(self, a: Coords) -> tuple[int, int]:
+        rows, den = self._int_rep(a)
+        (num,), den = _int_vec([linalg._det([list(row) for row in rows])], den**self.n)
+        return num, den
 
-    def trace(self, a: Coords) -> Fraction:
-        a, da = _integer_form(a)
-        return Fraction(sum(x * t for x, t in zip(a, self._traces)), da * self._den)
+    def trace(self, a: Coords) -> tuple[int, int]:
+        (num,), den = _int_vec([sum(x * t for x, t in zip(a[0], self._traces))], a[1] * self._den)
+        return num, den
 
     def charpoly(self, a: Coords) -> QPoly:
         return QPoly(linalg._int_charpoly(self._int_rep(a)))
@@ -203,8 +220,8 @@ class EtaleAlgebra:
         root bounds of f, g and F = Σ k·|f_k|·B_f^(k−1) ≥ |f′(αᵢ)|. Every
         arrangement of the yᵢ is interpolated modulo p^k > 2M, read in
         (−p^k/2, p^k/2], and kept when it is within M and charpoly(β) = g
-        holds exactly (Acciaro–Klüners, Math. Comp. 68, 1999). Sorted
-        order-basis coordinates; single field factor only.
+        holds exactly (Acciaro–Klüners, Math. Comp. 68, 1999). Order-basis
+        integer forms, sorted as rationals; single field factor only.
         """
         if self.num_factors != 1:
             raise UnsupportedError("elements_with_charpoly needs a single field factor")
@@ -236,10 +253,10 @@ class EtaleAlgebra:
             h = [_symmetric_residue(sum(y * b[k] for y, b in zip(ys, lagrange)), q) for k in range(n)]
             if max(map(abs, h)) > bound:
                 continue
-            beta = self.from_power(tuple(Fraction(c, d) for c in h))
+            beta = self.from_power((h, d))
             if self.charpoly(beta) == g:
                 out.append(beta)
-        return sorted(out)
+        return sorted_elements(out)
 
     def element_is_integral(self, a: Coords) -> bool:
         """True iff π(a) is an integer matrix (coordinate integrality for orders)."""
@@ -252,9 +269,11 @@ class EtaleAlgebra:
         Returns (True, None) or (False, witness) where the witness names the
         offending pair and its non-integral coordinate.
         """
-        for k, c in enumerate(self._one):
-            if c.denominator != 1:
-                return False, {"pair": None, "coordinate": k, "value": c, "reason": "1 not in Z-span"}
+        ints, one_den = self._one
+        for k, c in enumerate(ints):
+            if c % one_den:
+                value, reason = Fraction(c, one_den), "1 not in Z-span"
+                return False, {"pair": None, "coordinate": k, "value": value, "reason": reason}
         den = self._den
         if den == 1:
             return True, None
@@ -281,14 +300,12 @@ class EtaleAlgebra:
 
     def factor_component(self, a: Coords, k: int) -> QPoly:
         """Component of a in factor k, as a polynomial mod f_k."""
-        power = self.to_power(a)
+        ints, den = self.to_power(a)
         off, d = self.offsets[k], self.degrees[k]
-        return QPoly(power[off : off + d])
+        return QPoly([Fraction(c, den) for c in ints[off : off + d]])
 
     def factor_norm(self, a: Coords, k: int) -> Fraction:
         """Norm of the factor-k component down to Q."""
-        from .polynomials import resultant
-
         comp = self.factor_component(a, k)
         if comp.is_zero():
             return Fraction(0)

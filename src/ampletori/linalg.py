@@ -3,18 +3,18 @@
 Everything here is exact; no floating point is ever used. Every matrix
 computation in the package runs on one form, the `IntMat` (rows, den):
 integer rows over one positive common denominator, gcd(den, entries) = 1,
-so equal matrices have equal forms. `_int_mul`, `_int_mat_vec`, `_int_inv`,
-`_int_det` and `_int_charpoly` work on it. A `Mat`, an immutable tuple of
-tuples of Fraction, is made only where a matrix leaves the package (a
-generator set, a serialized or regular-representation matrix, a
-conjugacy result); `matrix`, `mat_mul`, `mat_det` and `charpoly` take
-and give Mats for those callers.
+so equal matrices have equal forms; an `IntVec` (ints, den) is the same
+form for a vector. `_int_mul`, `_int_mat_vec`, `_int_inv`, `_int_det` and
+`_int_charpoly` work on them. A `Mat`, an immutable tuple of tuples of
+Fraction, is made only where a matrix leaves the package (a generator set,
+a serialized or regular-representation matrix, a conjugacy result);
+`matrix`, `mat_mul`, `mat_det` and `charpoly` take and give Mats for those
+callers.
 
 Elimination is integer-first and has one core, `_echelon`: a fraction-free
-(Bareiss) row echelon form of integer rows. A rational matrix enters it with
-each row scaled by the lcm of its denominators, an IntMat with its rows;
-`rref`, `kernel_basis`, `mat_det`, `int_det` and `_int_inv` read their
-answers off its result, and Fractions appear only in those answers."""
+(Bareiss) row echelon form of integer rows, read off by `_det`, `_int_rref`
+(the integer d·RREF) and `_int_kernel`. A rational matrix enters it as an
+IntMat's rows."""
 
 from __future__ import annotations
 
@@ -25,9 +25,9 @@ from typing import Sequence
 
 from .errors import SingularMatrixError
 
-Vec = tuple[Fraction, ...]
 Mat = tuple[tuple[Fraction, ...], ...]
 IntMat = tuple[tuple[tuple[int, ...], ...], int]  # (rows, den)
+IntVec = tuple[tuple[int, ...], int]  # (ints, den)
 
 
 def frac(x) -> Fraction:
@@ -62,6 +62,12 @@ def _integer_form(v) -> tuple[list[int], int]:
     return [x.numerator * (d // x.denominator) for x in v], d
 
 
+def _int_vec(ints, den: int) -> IntVec:
+    """ints/den as an IntVec: divided by gcd(den, ints), den made positive."""
+    g = math.gcd(den, *ints) * (1 if den > 0 else -1)
+    return (tuple(ints), den) if g == 1 else (tuple(x // g for x in ints), den // g)
+
+
 def _int_form(rows, den: int) -> IntMat:
     """rows/den as an IntMat: divided by gcd(den, entries), den made positive."""
     g = math.gcd(den, *[x for row in rows for x in row]) * (1 if den > 0 else -1)
@@ -84,9 +90,8 @@ def _int_mul(a: IntMat, b: IntMat) -> IntMat:
     return _int_form([[sum(map(mul, row, col)) for col in cols] for row in a[0]], a[1] * b[1])
 
 
-def _int_mat_vec(m: IntMat, v: Vec) -> Vec:
-    ints, d = _integer_form(v)
-    return tuple(Fraction(sum(map(mul, row, ints)), d * m[1]) for row in m[0])
+def _int_mat_vec(m: IntMat, v: IntVec) -> IntVec:
+    return _int_vec([sum(map(mul, row, v[0])) for row in m[0]], m[1] * v[1])
 
 
 def _int_inv(a: IntMat) -> IntMat:
@@ -168,18 +173,6 @@ def _int_rref(m: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int
     return scaled, pivots, d
 
 
-def rref(a: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form and its pivot columns; Fractions only in the result."""
-    if not a:
-        return (), []
-    ncols = len(a[0])
-    scaled, pivots, d = _int_rref([_integer_form(row)[0] for row in a], ncols)
-    zero = Fraction(0)
-    reduced = [tuple(Fraction(x, d) if x else zero for x in row) for row in scaled]
-    reduced += [(zero,) * ncols] * (len(a) - len(pivots))
-    return tuple(reduced), pivots
-
-
 def mat_det(a: Mat) -> Fraction:
     return _int_det(_int_mat(a))
 
@@ -189,20 +182,18 @@ def int_det(a: Sequence[Sequence[int]]) -> int:
     return _det([list(map(int, row)) for row in a])
 
 
-def kernel_basis(a: Mat) -> list[Vec]:
-    """Basis of the right kernel {x : a·x = 0} over Q: per free column c of
-    the RREF, the x with 1 at c and 0 at the other free columns (and past c)."""
-    if not a:
-        return []
-    ncols = len(a[0])
-    scaled, pivots, d = _int_rref([_integer_form(row)[0] for row in a], ncols)
+def _int_kernel(m: list[list[int]], ncols: int) -> list[list[int]]:
+    """Basis of the right kernel {x : m·x = 0} of integer rows m (consumed):
+    per free column c of the RREF, the x with 1 at c and 0 at the other free
+    columns, times |d| for d the last pivot, a positive integer scale."""
+    scaled, pivots, d = _int_rref(m, ncols)
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+        v = [0] * ncols
+        v[fc] = abs(d)
         for row, pc in zip(scaled, pivots):
-            v[pc] = Fraction(-row[fc], d)
-        basis.append(tuple(v))
+            v[pc] = -row[fc] if d > 0 else row[fc]
+        basis.append(v)
     return basis
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from . import linalg
 from .errors import UnsupportedError
@@ -60,7 +60,8 @@ def _check_automorphism(e: EtaleAlgebra, mat: IntMat):
     if abs(det) != 1:
         return False, f"determinant {det} is not ±1"
     # additivity is linearity; check products on the basis
-    basis, images = linalg.identity(n), tuple(zip(*mat[0]))
+    basis = [(tuple(int(k == j) for k in range(n)), 1) for j in range(n)]
+    images = [(col, 1) for col in zip(*mat[0])]
     for i in range(n):
         for j in range(i, n):
             lhs = linalg._int_mat_vec(mat, e.mul(basis[i], basis[j]))
@@ -101,7 +102,9 @@ def enumerate_automorphisms(e: EtaleAlgebra) -> list[Mat]:
         powers = [e.one()]
         for _ in range(e.n - 1):
             powers.append(e.mul(powers[-1], r))
-        mat = linalg._int_mul(linalg._int_mat(linalg.transpose(powers)), e._basis_int)
+        den = lcm(*[d for _, d in powers])  # the powers as columns, over one den
+        cols = linalg._int_form(list(zip(*[[x * (den // d) for x in c] for c, d in powers])), den)
+        mat = linalg._int_mul(cols, e._basis_int)
         if _check_automorphism(e, mat)[0]:
             out.append(linalg._frac_mat(mat))
     out.sort(key=linalg.transpose)
@@ -122,13 +125,13 @@ def verify_normalization(e: EtaleAlgebra, m: Mat):
     images = []
     one = e.one()
     for j in range(n):
-        bj = tuple(Fraction(int(i == j)) for i in range(n))
+        bj = (tuple(int(i == j) for i in range(n)), 1)
         conj = linalg._int_mul(linalg._int_mul(m, e._int_rep(bj)), minv)
-        cj = linalg._int_mat_vec(conj, one)
-        if e._int_rep(cj) != conj or not all(x.denominator == 1 for x in cj):
+        cj, den = linalg._int_mat_vec(conj, one)
+        if den != 1 or e._int_rep((cj, den)) != conj:
             return False, j + 1
         images.append(cj)
-    return True, linalg.transpose(images)
+    return True, linalg._frac_mat((tuple(zip(*images)), 1))
 
 
 # ---------------------------------------------------------------------------

@@ -219,33 +219,23 @@ def _verified_units(req: PipelineRequest) -> tuple[UnitSystem, UnitCertificate]:
 
 def _normalizer_matrices(e: EtaleAlgebra, ambient: str, full_system: UnitSystem):
     """Automorphism matrices, det-corrected into SL by a norm−(−1) unit."""
-    out = []
-    caveats = []
+    out, caveats = [], []
     if e.num_factors != 1:
         return out, caveats
-    fixer = None
-    for u in full_system.free_generators:
-        if e.norm(u) == -1:
-            fixer = u
-            break
-    if fixer is None:
-        t = full_system.torsion_generator
-        acc = t
-        for _ in range(full_system.torsion_order):
-            if e.norm(acc) == -1:
-                fixer = acc
-                break
-            acc = e.mul(acc, t)
+    t = full_system.torsion_generator
+    torsion = [e.power(t, k) for k in range(1, full_system.torsion_order + 1)]
+    fixers = (u for u in [*full_system.free_generators, *torsion] if e.norm(u) == (-1, 1))
+    fixer = next(fixers, None)
     for m in enumerate_automorphisms(e):
         if m == linalg.identity(e.n):
             continue
         if ambient == SL and linalg.mat_det(m) == -1:
             if fixer is None:
-                caveats.append(
+                caveats = [  # once, however many automorphisms it concerns
                     "an order automorphism has determinant -1 and no unit of "
                     "norm -1 exists to correct it: the normalizer meets SL "
                     "only in the torus, so no normalizer generator is emitted"
-                )
+                ]
                 continue
             m = linalg.mat_mul(m, e.regular_rep(fixer))
         out.append(m)

@@ -536,6 +536,19 @@ def _linear_product(roots: Iterable[int], q: int) -> list[int]:
     return h
 
 
+def _mul_mod_monic(a: Sequence, b: Sequence, f: Sequence[int]) -> list:
+    """The deg f coefficients of a·b mod the monic integral f, all lists
+    ascending; integer coefficients stay integers, rational ones rational."""
+    d, prod = len(f) - 1, [0] * max(len(a) + len(b) - 1, len(f) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    for k in range(len(prod) - 1, d - 1, -1):  # x^k = x^(k−d)·(x^d − f)
+        for t in range(d):
+            prod[k - d + t] -= prod[k] * f[t]
+    return prod[:d]
+
+
 def _symmetric_residue(a: int, q: int) -> int:
     """The representative of a mod q in (−q/2, q/2]."""
     a %= q

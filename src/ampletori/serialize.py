@@ -12,7 +12,7 @@ import json
 from fractions import Fraction
 
 from .errors import InputError
-from .etale import EtaleAlgebra
+from .etale import Coords, EtaleAlgebra, coordinates, element
 from .linalg import Mat
 from .matgroups import GeneratorSet
 from .torus import AmpleCertificate, SubmoduleWitness, require_supported_degrees
@@ -56,12 +56,12 @@ def matrix_from_json(data, path="") -> Mat:
     )
 
 
-def vector_to_json(v) -> list[str]:
-    return [frac_str(x) for x in v]
+def vector_to_json(v: Coords) -> list[str]:
+    return [frac_str(x) for x in coordinates(v)]
 
 
-def vector_from_json(data, path=""):
-    return tuple(parse_frac(x, f"{path}[{i}]") for i, x in enumerate(data))
+def vector_from_json(data, path="") -> Coords:
+    return element([parse_frac(x, f"{path}[{i}]") for i, x in enumerate(data)])
 
 
 def algebra_to_json(e: EtaleAlgebra) -> dict:

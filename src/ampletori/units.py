@@ -26,10 +26,10 @@ from .errors import (
     InvalidUnitSystemError,
     UnsupportedError,
 )
-from .etale import Coords, EtaleAlgebra
+from .etale import Coords, EtaleAlgebra, sorted_elements
 from .intervals import RationalInterval, log_fraction, log_interval
 from .places import Signature, check_unramified
-from .polynomials import QPoly, factor_mod_p, fp_mod
+from .polynomials import QPoly, _mul_mod_monic, factor_mod_p, fp_mod, fp_strip
 from .realsplit import abs_square_on_disk, root_disks
 
 PRECISION_LADDER = (64, 128, 256)
@@ -108,33 +108,33 @@ class PrimePlaces:
 
     def __init__(self, f: QPoly, p: int):
         check_unramified(f, p)
-        self.f = f
+        self._f = [int(c) for c in f.coeffs]  # ascending
         self.p = p
         self.factors = [g for g, _ in factor_mod_p(f, p)]
         self.residue_degrees = [len(g) - 1 for g in self.factors]
         lifts = [QPoly(g) for g in self.factors]
-        self._betas = [
-            math.prod(lifts[:i] + lifts[i + 1 :], start=QPoly([1])) % f for i in range(self.count)
+        self._betas = [  # integer coefficients, ascending
+            [int(c) for c in (math.prod(lifts[:i] + lifts[i + 1 :], start=QPoly([1])) % f).coeffs]
+            for i in range(self.count)
         ]
 
-    def valuation(self, i: int, power_coords: tuple[Fraction, ...]) -> int:
-        """ord at place i of the nonzero element with these power coords.
+    def valuation(self, i: int, power: Coords) -> int:
+        """ord at place i of the nonzero element with power coordinates ints/den.
 
         ord_P(u/m) = ord_P(u) − v_p(m) for rational m since p is unramified
         and ord_P vanishes on prime-to-p rationals. Each step γ ← γ·β_i/p
         while g_i divides γ mod p lowers ord_{P_i}(γ) by exactly one.
         """
-        if all(c == 0 for c in power_coords):
+        ints, den = power
+        if not any(ints):
             raise ValueError("valuation of zero")
         p, g = self.p, self.factors[i]
-        den = math.lcm(*[c.denominator for c in power_coords])
         _, exps = strip_primes(den, (p,))
-        gamma = QPoly([c * den for c in power_coords])
-        m = 0
-        while not fp_mod(gamma.reduce_mod(p), g, p):
-            gamma = (gamma * self._betas[i]) % self.f
-            assert all(c.denominator == 1 and c.numerator % p == 0 for c in gamma.coeffs)
-            gamma = QPoly([c / p for c in gamma.coeffs])
+        gamma, m = list(ints), 0
+        while not fp_mod(fp_strip([c % p for c in gamma]), g, p):
+            gamma = _mul_mod_monic(gamma, self._betas[i], self._f)
+            assert all(c % p == 0 for c in gamma)
+            gamma = [c // p for c in gamma]
             m += 1
         return m - exps[p]
 
@@ -257,14 +257,14 @@ def build_log_embedding(
     rows: list[list[RationalInterval | None]] = []
     for u in elements:
         row: list[RationalInterval | None] = []
+        power, den = e.to_power(u)
         for col in columns:
             if col.kind != "finite":
                 row.append(_archimedean_log(e, col, disk_at(col), u, bits))
                 continue
             pp = places_by_key[(col.factor, col.prime)]
-            power = e.to_power(u)
             off, d = e.offsets[col.factor], e.degrees[col.factor]
-            ordv = pp.valuation(col.index, tuple(power[off : off + d]))
+            ordv = pp.valuation(col.index, (power[off : off + d], den))
             row.append(
                 log_fraction(Fraction(col.prime), bits).scale(-col.residue_degree * ordv)
             )
@@ -366,8 +366,8 @@ def _is_torsion(e: EtaleAlgebra, u: Coords) -> int | None:
     for m in range(1, max(TORSION_ORDER_CANDIDATES) + 1):
         if acc == one:
             return m
-        tr = e.trace(acc)
-        if tr.denominator != 1 or abs(tr) > e.n:
+        tr, den = e.trace(acc)
+        if den != 1 or abs(tr) > e.n:
             return None
         acc = e.mul(acc, u)
     return None
@@ -502,13 +502,12 @@ def search_units(
         )
     if norm_targets is None:
         norm_targets = default_norm_targets(s_primes)
-    targets = {Fraction(t) for t in norm_targets}
-    int_targets = {int(t) for t in targets if t.denominator == 1}
+    int_targets = {int(t) for t in map(Fraction, norm_targets) if t.denominator == 1}
 
     m = min(n + 1, 2 * coord_bound + 1)
     span = range(-coord_bound, coord_bound + 1)
-    corner = [
-        int(e.norm(pt)) for pt in itertools.product(range(-coord_bound, m - coord_bound), repeat=n)
+    corner = [  # an order's norms of integer points are integers
+        e.norm((pt, 1))[0] for pt in itertools.product(range(-coord_bound, m - coord_bound), repeat=n)
     ]
     # mixed forward differences along every axis, taken once: entry
     # (j_0, …, j_{n-1}) becomes Δ_0^{j_0} ⋯ Δ_{n-1}^{j_{n-1}} N at the corner origin
@@ -531,7 +530,7 @@ def search_units(
                 for c, v in zip(span, row):
                     if v in int_targets:
                         coords[i] = c
-                        out.append(tuple(Fraction(x) for x in coords))
+                        out.append((tuple(coords), 1))
             return
         size = m ** (n - 1 - i)
         d = [values[j * size : (j + 1) * size] for j in range(m)]
@@ -542,9 +541,12 @@ def search_units(
                 d[k] = list(map(operator.add, d[k], d[k + 1]))
 
     rec(0, corner)
-    out = [c for c in out if any(x != 0 for x in c)]
-    out.sort(key=lambda c: (sum(abs(x) for x in c), c))
-    return out
+    return sorted_elements([c for c in out if any(c[0])], _by_size)
+
+
+def _by_size(ints: tuple[int, ...]):
+    """The canonical search order: coordinate 1-norm, then lexicographic."""
+    return sum(map(abs, ints)), ints
 
 
 def _require_one_field(e: EtaleAlgebra) -> None:
@@ -561,8 +563,7 @@ def _torsion_generator(orders, coord_bound: int) -> tuple[Coords, int]:
             f"no torsion unit found in the box of sup-norm <= {coord_bound}"
         )
     best_order = max(m for _, m in found)
-    gen = min((u for u, m in found if m == best_order), key=_canonical_key)
-    return gen, best_order
+    return sorted_elements([u for u, m in found if m == best_order], _canonical_key)[0], best_order
 
 
 def torsion_units(e: EtaleAlgebra, coord_bound: int = 3, budget: int = 10**6):
@@ -573,13 +574,13 @@ def torsion_units(e: EtaleAlgebra, coord_bound: int = 3, budget: int = 10**6):
     is not cyclic).
     """
     _require_one_field(e)
-    units = search_units(e, coord_bound, (), {Fraction(1), Fraction(-1)}, budget)
+    units = search_units(e, coord_bound, (), {1, -1}, budget)
     return _torsion_generator(((u, _is_torsion(e, u)) for u in units), coord_bound)
 
 
-def _canonical_key(coords: Coords):
-    nnz = sum(1 for c in coords if c != 0)
-    return (nnz, tuple(-c for c in coords))
+def _canonical_key(ints: tuple[int, ...]):
+    nnz = sum(1 for c in ints if c != 0)
+    return (nnz, tuple(-c for c in ints))
 
 
 def canonical_unit(
@@ -591,18 +592,12 @@ def canonical_unit(
     lexicographically greatest. This tie-break reproduces the generator
     matrices printed in the reference examples bit-exactly.
     """
-    candidates = []
-    inv = e.inverse(u)
-    t = e.one()
+    inv, t, candidates = e.inverse(u), e.one(), []
     for _ in range(max(torsion_order, 1)):
-        candidates.append(e.mul(t, u))
-        candidates.append(e.mul(t, inv))
+        candidates += [e.mul(t, u), e.mul(t, inv)]
         t = e.mul(t, torsion_gen)
-    positive = [
-        c for c in candidates if next((x for x in c if x != 0), Fraction(0)) > 0
-    ]
-    pool = positive if positive else candidates
-    return min(pool, key=_canonical_key)
+    positive = [c for c in candidates if next((x for x in c[0] if x != 0), 0) > 0]
+    return sorted_elements(positive or candidates, _canonical_key)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -633,6 +628,11 @@ def _interval_mat_inv(
             row.append(cof * inv_det)
         out.append(row)
     return out
+
+
+def _word(e: EtaleAlgebra, gens: list[Coords], exponents) -> Coords:
+    """The product of the g^k over the generators g and their exponents k."""
+    return functools.reduce(e.mul, (e.power(g, k) for g, k in zip(gens, exponents) if k), e.one())
 
 
 def _express_from_rows(
@@ -677,9 +677,7 @@ def _express_from_rows(
             continue
         if d > 1 and all(a % d == 0 for a in nums):
             continue  # already covered by a smaller denominator
-        prod = e.one()
-        for g, a in zip(basis, nums):
-            prod = e.mul(prod, e.power(g, a))
+        prod = _word(e, basis, nums)
         while dp < d:
             power, dp = e.mul(power, u), dp + 1
         k = torsion.get(e.mul(power, e.inverse(prod)))
@@ -708,11 +706,7 @@ def _enlarge_basis(
     for row_idx in range(len(h)):
         if not any(h[row_idx]):
             continue
-        el = e.one()
-        for gen, c in zip(gens, trans[row_idx]):
-            if c:
-                el = e.mul(el, e.power(gen, c))
-        new_basis.append(el)
+        new_basis.append(_word(e, gens, trans[row_idx]))
     assert len(new_basis) == r
     return new_basis
 
@@ -752,7 +746,7 @@ def assemble_unit_system(
         seen = set(pool).union(
             e.mul(a, b_inv) for (a, _), (_, b_inv) in itertools.permutations(pairs, 2)
         )
-        pool = sorted(seen, key=lambda c: (sum(abs(x) for x in c), c))
+        pool = sorted_elements(list(seen), _by_size)
 
     # a found element is tested again when it is in the pool, so test each once
     torsion_order_of = functools.cache(functools.partial(_is_torsion, e))
@@ -824,7 +818,7 @@ def assemble_unit_system(
             )
 
     basis = [canonical_unit(e, g, torsion_gen, torsion_order) for g in basis]
-    basis.sort(key=_canonical_key)
+    basis = sorted_elements(basis, _canonical_key)
     return UnitSystem(e, torsion_gen, torsion_order, basis, tuple(s_primes))
 
 
@@ -836,12 +830,12 @@ def assemble_unit_system(
 def _norm_sign_and_exponents(
     e: EtaleAlgebra, u: Coords, s_primes: tuple[int, ...]
 ) -> tuple[int, list[int]]:
-    nval = e.norm(u)
-    sign = 1 if nval > 0 else -1
-    num_rest, num_exp = strip_primes(nval.numerator, s_primes)
-    den_rest, den_exp = strip_primes(nval.denominator, s_primes)
+    num, den = e.norm(u)
+    sign = 1 if num > 0 else -1
+    num_rest, num_exp = strip_primes(num, s_primes)
+    den_rest, den_exp = strip_primes(den, s_primes)
     if num_rest != 1 or den_rest != 1:
-        raise ValueError(f"norm {nval} is not a unit of Z[1/S]")
+        raise ValueError(f"norm {Fraction(num, den)} is not a unit of Z[1/S]")
     return sign, [num_exp[p] - den_exp[p] for p in s_primes]
 
 
@@ -876,14 +870,8 @@ def norm_one_subgroup(sys: UnitSystem) -> UnitSystem:
         return out
 
     neg = [i for i, v in enumerate(kernel) if vec_sign(v) < 0]
-    torsion_fix = None
-    acc = sys.torsion_generator
-    for _k in range(sys.torsion_order):
-        sgn, _ = _norm_sign_and_exponents(e, acc, s)
-        if sgn < 0:
-            torsion_fix = acc
-            break
-        acc = e.mul(acc, sys.torsion_generator)
+    powers = (e.power(sys.torsion_generator, k) for k in range(1, sys.torsion_order + 1))
+    torsion_fix = next((t for t in powers if e.norm(t)[0] < 0), None)
 
     new_vectors: list[tuple[tuple[int, ...], bool]] = []
     if neg and torsion_fix is None:
@@ -911,13 +899,9 @@ def norm_one_subgroup(sys: UnitSystem) -> UnitSystem:
 
     free = []
     for v, fix in new_vectors:
-        el = e.one()
-        for g, c in zip(sys.free_generators, v):
-            if c:
-                el = e.mul(el, e.power(g, c))
+        el = _word(e, sys.free_generators, v)
         if fix:
             el = e.mul(el, torsion_fix)
-        assert e.norm(el) == 1
+        assert e.norm(el) == (1, 1)
         free.append(canonical_unit(e, el, t_gen, t_order))
-    free.sort(key=_canonical_key)
-    return UnitSystem(e, t_gen, t_order, free, s)
+    return UnitSystem(e, t_gen, t_order, sorted_elements(free, _canonical_key), s)

@@ -10,7 +10,6 @@ irreducibility over F_p by exhaustive trial division. Desk-scale and exact.
 from __future__ import annotations
 
 import itertools
-import math
 from fractions import Fraction
 
 from ampletori import linalg
@@ -254,12 +253,12 @@ def oracle_fp_irreducible(g: FpPoly, p: int) -> bool:
 
 
 def oracle_norm_five_box(bound: int):
-    """a^2 + b^2 = 5 enumeration inside the coordinate box."""
+    """a^2 + b^2 = 5 enumeration inside the coordinate box, as elements ((a, b), 1)."""
     out = set()
     for a in range(-bound, bound + 1):
         for b in range(-bound, bound + 1):
             if a * a + b * b == 5:
-                out.add((Fraction(a), Fraction(b)))
+                out.add(((a, b), 1))
     return out
 
 
@@ -275,8 +274,10 @@ def _det(m) -> Fraction:
 
 
 def _ints(v) -> list[int]:
-    assert all(Fraction(c).denominator == 1 for c in v)
-    return [int(c) for c in v]
+    """The integer coordinates of an element (ints, den) with den = 1."""
+    ints, den = v
+    assert den == 1
+    return list(ints)
 
 
 def oracle_automorphisms(e, coord_bound: int):
@@ -291,7 +292,7 @@ def oracle_automorphisms(e, coord_bound: int):
     shell order and no early stop.
     """
     n = e.n
-    unit = [tuple(Fraction(int(i == j)) for i in range(n)) for j in range(n)]
+    unit = [(tuple(int(i == j) for i in range(n)), 1) for j in range(n)]
     # an order has integral structure constants, so plain ints suffice
     table = [[_ints(e.mul(unit[i], unit[j])) for j in range(n)] for i in range(n)]
 
@@ -305,14 +306,14 @@ def oracle_automorphisms(e, coord_bound: int):
                             out[k] += u[i] * v[j] * table[i][j][k]
         return out
 
-    trace_form = _ints([e.trace(b) for b in unit])
+    trace_form = [t for t, _ in map(e.trace, unit)]
+    assert all(d == 1 for _, d in map(e.trace, unit))
 
     def trace(u):
         return sum(c * t for c, t in zip(u, trace_form))
 
-    x = e.generator(0)
-    den = math.lcm(*[c.denominator for c in x])
-    x = _ints([c * den for c in x])
+    x, den = e.generator(0)
+    x = list(x)
     target, target_sq = trace(x), trace(mul(x, x))
     one = _ints(e.one())
     k = next(i for i in range(n) if trace_form[i] != 0)
@@ -355,16 +356,16 @@ def oracle_unit_search(e, coord_bound: int, targets):
 
     The norm of x is the Laplace determinant of Σ x_i T_i, T_i the regular
     matrix of the i-th order basis element; one determinant per box point,
-    no differences. Sorted lexicographically.
+    no differences. Elements (x, 1), sorted lexicographically.
     """
     n = e.n
-    unit = [tuple(Fraction(int(i == j)) for i in range(n)) for j in range(n)]
+    unit = [(tuple(int(i == j) for i in range(n)), 1) for j in range(n)]
     tmats = [[_ints(e.mul(b, unit[c])) for c in range(n)] for b in unit]  # tmats[i][c][r]
     found = []
     for x in itertools.product(range(-coord_bound, coord_bound + 1), repeat=n):
         m = [[sum(xi * t[c][r] for xi, t in zip(x, tmats)) for c in range(n)] for r in range(n)]
         if any(x) and _det(m) in targets:
-            found.append(tuple(Fraction(xi) for xi in x))
+            found.append((x, 1))
     return found
 
 

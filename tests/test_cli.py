@@ -199,7 +199,7 @@ PINNED_DIGESTS = {
     "x^2+2 not ample": "f5968159d9efc3c9a842ba70c05e5ddc24914a6e709b3aef14f86ca03a1f6f3a",
     "Z[2i] GL at inf,5": "056ea778b7fbbb1d8bd8dd890c4f48396158cf1b73f8e56589088d2459642052",
     "Z[2i] SL at inf,5": "67c4273b3da0647fbfae801aa7a47f06d0177e06c110cca349281c0258885f5c",
-    "x^4-5x^2+5 SL": "0e07c36a0391c7decbf0eec455a10ef5ff16870a86ed7884c2c5b5150951fa5c",
+    "x^4-5x^2+5 SL": "9a17267a44a88d83071dbad1312e325f32e9655f1cd6453ce946b65e75cabdbe",
     "x^4-5x^2+5 GL": "a8a86fb5b68d6441b8ec88983e915a8276cac0bcdd259c01d523c33169fa4875",
 }
 
@@ -219,6 +219,17 @@ def test_json_output_digest_is_pinned(name, tmp_path, capsys):
     main(argv)
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[name]
+
+
+def test_det_minus_one_caveat_is_listed_once(tmp_path, capsys):
+    # x⁴−5x²+5 in SL: more than one automorphism of det −1 and no unit of
+    # norm −1; the one caveat they share is listed once
+    request = tmp_path / "request.json"
+    request.write_text(json.dumps(PINNED_REQUESTS["x^4-5x^2+5 SL"]))
+    main(["--json", "construct", str(request)])
+    caveats = json.loads(capsys.readouterr().out)["caveats"]
+    assert len(caveats) == len(set(caveats))
+    assert sum("determinant -1" in c for c in caveats) == 1
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ import pytest
 
 from ampletori import linalg
 from ampletori.errors import UnsupportedError
-from ampletori.etale import EtaleAlgebra
+from ampletori.etale import EtaleAlgebra, coordinates, element
 from ampletori.polynomials import QPoly
 
 from oracles import oracle_mat_inv
@@ -32,13 +32,16 @@ def test_regular_rep_of_one_is_identity():
 
 
 def test_norm_trace_examples():
-    assert GAUSS.norm(GAUSS.generator(0)) == 1
-    assert CUBIC.norm(CUBIC.generator(0)) == 1  # det of the companion matrix
-    g = (Fraction(4, 5), Fraction(3, 5))
-    assert GAUSS.norm(g) == 1
-    assert CUBIC.trace(CUBIC.one()) == 3
-    assert GAUSS.trace(GAUSS.generator(0)) == 0
-    assert CUBIC.trace(CUBIC.generator(0)) == 0
+    # norms and traces are rationals (num, den) in lowest terms
+    assert GAUSS.norm(GAUSS.generator(0)) == (1, 1)
+    assert CUBIC.norm(CUBIC.generator(0)) == (1, 1)  # det of the companion matrix
+    g = element([Fraction(4, 5), Fraction(3, 5)])
+    assert GAUSS.norm(g) == (1, 1)
+    assert GAUSS.norm(element([Fraction(1, 2), 0])) == (1, 4)
+    assert GAUSS.trace(element([Fraction(3, 4), 5])) == (3, 2)
+    assert CUBIC.trace(CUBIC.one()) == (3, 1)
+    assert GAUSS.trace(GAUSS.generator(0)) == (0, 1)
+    assert CUBIC.trace(CUBIC.generator(0)) == (0, 1)
 
 
 def test_is_order_witnesses():
@@ -53,12 +56,20 @@ def test_is_order_witnesses():
 
 def test_element_integrality():
     assert CUBIC.element_is_integral(CUBIC.generator(0))
-    assert not CUBIC.element_is_integral((Fraction(0), Fraction(1, 2), Fraction(0)))
-    assert not GAUSS.element_is_integral((Fraction(4, 5), Fraction(3, 5)))
+    assert not CUBIC.element_is_integral(element([0, Fraction(1, 2), 0]))
+    assert not GAUSS.element_is_integral(element([Fraction(4, 5), Fraction(3, 5)]))
 
 
 def _random_element(rng, e):
-    return tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(e.n))
+    return element([Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(e.n)])
+
+
+def _add(a, b):
+    return element(list(map(add, coordinates(a), coordinates(b))))
+
+
+def _rational(pair):
+    return Fraction(*pair)
 
 
 @pytest.mark.parametrize("algebra", [CUBIC, GAUSS, QUARTIC, PRODUCT])
@@ -69,7 +80,7 @@ def test_regular_rep_is_ring_homomorphism(algebra):
         b = _random_element(rng, algebra)
         ma, mb = algebra.regular_rep(a), algebra.regular_rep(b)
         assert algebra.regular_rep(algebra.mul(a, b)) == linalg.mat_mul(ma, mb)
-        assert algebra.regular_rep(tuple(map(add, a, b))) == tuple(
+        assert algebra.regular_rep(_add(a, b)) == tuple(
             tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(ma, mb)
         )
 
@@ -80,8 +91,10 @@ def test_norm_multiplicative_trace_additive(algebra):
     for _ in range(100):
         a = _random_element(rng, algebra)
         b = _random_element(rng, algebra)
-        assert algebra.norm(algebra.mul(a, b)) == algebra.norm(a) * algebra.norm(b)
-        assert algebra.trace(tuple(map(add, a, b))) == algebra.trace(a) + algebra.trace(b)
+        norm = _rational(algebra.norm(algebra.mul(a, b)))
+        assert norm == _rational(algebra.norm(a)) * _rational(algebra.norm(b))
+        trace = _rational(algebra.trace(_add(a, b)))
+        assert trace == _rational(algebra.trace(a)) + _rational(algebra.trace(b))
 
 
 @pytest.mark.parametrize("algebra", [CUBIC, GAUSS, QUARTIC])
@@ -99,7 +112,7 @@ def test_basis_change_conjugates_inside_glnz():
     conj = linalg.transpose(oracle_mat_inv(u))
     conj_inv = oracle_mat_inv(conj)
     for _ in range(25):
-        a_power = tuple(Fraction(rng.randint(-9, 9)) for _ in range(e.n))
+        a_power = element([rng.randint(-9, 9) for _ in range(e.n)])
         m1 = e.regular_rep(e.from_power(a_power))
         m2 = e2.regular_rep(e2.from_power(a_power))
         assert m2 == linalg.mat_mul(linalg.mat_mul(conj, m1), conj_inv)
@@ -109,14 +122,14 @@ def test_basis_change_conjugates_inside_glnz():
 def test_product_algebra_structure():
     assert PRODUCT.n == 4
     # norm is the product of the factor norms
-    a = PRODUCT.from_power(tuple(Fraction(c) for c in (1, 2, 3, 1)))
+    a = PRODUCT.from_power(element([1, 2, 3, 1]))
     n1 = PRODUCT.factor_norm(a, 0)
     n2 = PRODUCT.factor_norm(a, 1)
-    assert PRODUCT.norm(a) == n1 * n2
+    assert _rational(PRODUCT.norm(a)) == n1 * n2
 
 
 def test_inverse_round_trip():
-    a = (Fraction(4, 5), Fraction(3, 5))
+    a = element([Fraction(4, 5), Fraction(3, 5)])
     inv = GAUSS.inverse(a)
     assert GAUSS.mul(a, inv) == GAUSS.one()
 
@@ -134,18 +147,19 @@ def test_rejects_singular_basis():
 
 
 def test_elements_with_charpoly_examples():
-    i, one_plus_i = (Fraction(0), Fraction(1)), (Fraction(1), Fraction(1))
-    assert GAUSS.elements_with_charpoly(QPoly([1, 0, 1])) == sorted([i, tuple(-x for x in i)])
-    assert GAUSS.elements_with_charpoly(QPoly([2, -2, 1])) == [(1, -1), one_plus_i]
-    assert GAUSS.elements_with_charpoly(QPoly([9, -6, 1])) == [(3, 0)]  # (x − 3)²
+    i, one_plus_i = element([0, 1]), element([1, 1])
+    assert GAUSS.elements_with_charpoly(QPoly([1, 0, 1])) == [element([0, -1]), i]
+    assert GAUSS.elements_with_charpoly(QPoly([2, -2, 1])) == [element([1, -1]), one_plus_i]
+    assert GAUSS.elements_with_charpoly(QPoly([9, -6, 1])) == [element([3, 0])]  # (x − 3)²
     # (x − 1)(x − 2) is squarefree and reducible: no field element has it
     assert GAUSS.elements_with_charpoly(QPoly([2, -3, 1])) == []
     # x² + 3 splits in Q(√−3), not in Q(i)
     assert GAUSS.elements_with_charpoly(QPoly([3, 0, 1])) == []
     z2i = EtaleAlgebra([QPoly([1, 0, 1])], [[1, 0], [0, 2]])
+    # ±i = ±(1/2)·2i lie outside the order: sorted as rationals
     assert z2i.elements_with_charpoly(QPoly([1, 0, 1])) == [
-        (0, Fraction(-1, 2)),
-        (0, Fraction(1, 2)),
+        element([0, Fraction(-1, 2)]),
+        element([0, Fraction(1, 2)]),
     ]
 
 
@@ -175,7 +189,7 @@ def test_elements_with_charpoly_find_every_box_element(coeffs, basis):
     e = EtaleAlgebra([QPoly(coeffs)], basis)
     rng = random.Random(sum(coeffs))
     for _ in range(12):
-        beta = tuple(Fraction(rng.randint(-3, 3)) for _ in range(e.n))
+        beta = element([rng.randint(-3, 3) for _ in range(e.n)])
         g = e.charpoly(beta)
         found = e.elements_with_charpoly(g)
         assert beta in found

@@ -2,13 +2,17 @@
 
 The reference functions below compute every structure-constant product in
 `Fraction`s, straight from the order basis and its inverse. Each ring
-operation must return the same exact rationals, as `Fraction`s, on seeded
-elements of algebras of degree 1–4, products of two fields, bases with a
-non-integral inverse, orders among them, and bases that are not orders
-(structure constants with denominators).
+operation must return the same exact rationals on seeded elements of
+algebras of degree 1–4, products of two fields, bases with a non-integral
+inverse, orders among them, bases that are not orders (structure constants
+with denominators) and S-unit ratios (elements with denominators): an
+element as its integer form (ints, den) in lowest terms, a norm or trace as
+(num, den) in lowest terms, a matrix as `Fraction`s. Equal values must give
+equal forms and equal hashes.
 """
 
 import functools
+import math
 import random
 from fractions import Fraction
 
@@ -16,8 +20,9 @@ import pytest
 
 from ampletori import linalg
 from ampletori.errors import SingularMatrixError
-from ampletori.etale import EtaleAlgebra
+from ampletori.etale import EtaleAlgebra, coordinates, element
 from ampletori.polynomials import QPoly
+from ampletori.units import search_units
 
 from oracles import oracle_mat_inv, oracle_mat_trace, oracle_solve
 
@@ -113,7 +118,7 @@ def ref_power(e, a, k):
 
 def _elements(e, seed, count=8):
     rng = random.Random(f"{seed}/{e!r}")
-    out = [(Fraction(0),) * e.n, e.one()]
+    out = [(Fraction(0),) * e.n, ref_one(e)]
     for _ in range(count):
         out.append(
             tuple(Fraction(rng.randint(-9, 9), rng.choice(DENOMINATORS)) for _ in range(e.n))
@@ -122,9 +127,34 @@ def _elements(e, seed, count=8):
 
 
 def _exact(got, want):
-    """Equal as rationals, and every entry a Fraction."""
-    flat = [x for row in got for x in row] if got and isinstance(got[0], tuple) else list(got)
-    return got == want and all(type(x) is Fraction for x in flat)
+    """Equal as rational matrices, and every entry a Fraction."""
+    return got == want and all(type(x) is Fraction for row in got for x in row)
+
+
+def _same(got, want):
+    """got is the integer form of the rationals want: (ints, den) in lowest
+    terms with den > 0, so that equal values give equal forms."""
+    ints, den = got
+    in_form = all(type(x) is int for x in (*ints, den)) and den > 0 and math.gcd(den, *ints) == 1
+    return in_form and coordinates(got) == tuple(want)
+
+
+def _lowest(pair, want):
+    num, den = pair
+    return den > 0 and math.gcd(num, den) == 1 and Fraction(num, den) == want
+
+
+def _check_element_ops(e, a, b):
+    """Every element operation on a and b (rational tuples) against the references."""
+    ea, eb = element(a), element(b)
+    rep = ref_regular_rep(e, a)
+    assert _exact(e.regular_rep(ea), rep)
+    assert _lowest(e.norm(ea), linalg.mat_det(rep))
+    assert _lowest(e.trace(ea), oracle_mat_trace(rep))
+    assert _same(e.mul(ea, eb), ref_mul(e, a, b))
+    assert _same(e.to_power(ea), ref_to_power(e, a))
+    assert _same(e.from_power(ea), ref_from_power(e, a))
+    assert e.from_power(e.to_power(ea)) == ea
 
 
 @pytest.mark.parametrize("name", ALGEBRAS)
@@ -138,11 +168,12 @@ def test_structure_and_coordinates_match_fraction_loops(name):
     assert table == ref_table(e)
     # D exceeds 1 off an order
     assert (e._den > 1) == (not e.is_order()[0])
-    assert _exact(e.one(), ref_one(e))
+    assert _same(e.one(), ref_one(e))
     for a in _elements(e, 1):
-        assert _exact(e.to_power(a), ref_to_power(e, a))
-        assert _exact(e.from_power(a), ref_from_power(e, a))
-        assert _exact(e.from_power(e.to_power(a)), a)
+        assert element(a) == element(coordinates(element(a)))
+        assert _same(e.to_power(element(a)), ref_to_power(e, a))
+        assert _same(e.from_power(element(a)), ref_from_power(e, a))
+        assert e.from_power(e.to_power(element(a))) == element(a)
 
 
 @pytest.mark.parametrize("name", ALGEBRAS)
@@ -150,37 +181,73 @@ def test_ring_operations_match_fraction_loops(name):
     e = ALGEBRAS[name]
     elements = _elements(e, 2)
     for a in elements:
-        rep = ref_regular_rep(e, a)
-        assert _exact(e.regular_rep(a), rep)
-        norm, trace = e.norm(a), e.trace(a)
-        assert type(norm) is Fraction and norm == linalg.mat_det(rep)
-        assert type(trace) is Fraction and trace == oracle_mat_trace(rep)
         for b in elements:
-            assert _exact(e.mul(a, b), ref_mul(e, a, b))
+            _check_element_ops(e, a, b)
+
+
+def _check_inverse_and_powers(e, a):
+    ea = element(a)
+    assert _same(e.power(ea, 0), ref_one(e))
+    for k in (1, 2, 5):
+        assert _same(e.power(ea, k), ref_power(e, a, k))
+    try:
+        inv = ref_inverse(e, a)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            e.inverse(ea)
+        return
+    assert _same(e.inverse(ea), inv)
+    for k in (-1, -3):
+        assert _same(e.power(ea, k), ref_power(e, a, k))
 
 
 @pytest.mark.parametrize("name", ALGEBRAS)
 def test_inverse_and_powers_match_fraction_loops(name):
     e = ALGEBRAS[name]
     for a in _elements(e, 3, count=4):
-        assert _exact(e.power(a, 0), ref_one(e))
-        for k in (1, 2, 5):
-            assert _exact(e.power(a, k), ref_power(e, a, k))
-        try:
-            inv = ref_inverse(e, a)
-        except SingularMatrixError:
-            with pytest.raises(SingularMatrixError):
-                e.inverse(a)
-            continue
-        assert _exact(e.inverse(a), inv)
-        for k in (-1, -3):
-            assert _exact(e.power(a, k), ref_power(e, a, k))
+        _check_inverse_and_powers(e, a)
 
 
 def test_integer_coordinates_are_accepted():
+    # integer coordinates are the form (ints, 1), as the unit search emits them
     e = ALGEBRAS["cubic-sublattice"]
     a, b = (1, -2, 3), (0, 4, -1)
     fa, fb = tuple(map(Fraction, a)), tuple(map(Fraction, b))
-    assert _exact(e.mul(a, b), ref_mul(e, fa, fb))
-    assert _exact(e.regular_rep(a), ref_regular_rep(e, fa))
-    assert _exact(e.to_power(a), ref_to_power(e, fa))
+    assert element(a) == element(fa) == (a, 1)
+    assert _same(e.mul((a, 1), (b, 1)), ref_mul(e, fa, fb))
+    assert _exact(e.regular_rep((a, 1)), ref_regular_rep(e, fa))
+    assert _same(e.to_power((a, 1)), ref_to_power(e, fa))
+
+
+def test_s_unit_ratios_match_fraction_loops():
+    # pairwise ratios of the {13}-unit search, as assembly forms them: their
+    # denominators are 1 or 13
+    e = ALGEBRAS["gauss"]
+    found = search_units(e, 3, (13,))
+    ratios = sorted({e.mul(a, e.inverse(b)) for a in found for b in found if a != b})
+    assert {den for _, den in ratios} == {1, 13}
+    for u in ratios[::7]:
+        u = coordinates(u)
+        _check_element_ops(e, u, coordinates(found[0]))
+        _check_inverse_and_powers(e, u)
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_equal_values_give_equal_forms_and_hashes(name):
+    e = ALGEBRAS[name]
+    a, b, c = (element(x) for x in _elements(e, 4, count=3)[2:])
+    pairs = [
+        (e.mul(a, b), e.mul(b, a)),
+        (e.mul(e.mul(a, b), c), e.mul(a, e.mul(b, c))),
+        (e.power(a, 3), e.mul(a, e.mul(a, a))),
+        (e.from_power(e.to_power(c)), c),
+        (element([x / 1 for x in coordinates(b)]), b),
+    ]
+    try:
+        pairs.append((e.mul(a, e.inverse(a)), e.one()))
+        pairs.append((e.power(e.inverse(a), 2), e.inverse(e.mul(a, a))))
+    except SingularMatrixError:
+        pass
+    for x, y in pairs:
+        assert x == y and hash(x) == hash(y)
+        assert _same(x, coordinates(y))

@@ -40,10 +40,10 @@ def test_inverse_and_solve():
             continue
         inv = linalg._int_inv(linalg._int_mat(m))
         assert linalg.mat_mul(m, linalg._frac_mat(inv)) == linalg.identity(n)
-        # solved as EtaleAlgebra.inverse solves: the integer inverse applied to b
-        b = vector([rng.randint(-9, 9) for _ in range(n)])
-        x = linalg._int_mat_vec(inv, b)
-        assert oracle_mat_vec(m, x) == b
+        # the integer inverse applied to b, in the integer form (ints, den)
+        b = [rng.randint(-9, 9) for _ in range(n)]
+        ints, den = linalg._int_mat_vec(inv, (tuple(b), 1))
+        assert oracle_mat_vec(m, [Fraction(x, den) for x in ints]) == vector(b)
 
 
 def test_charpoly_trace_and_det():
@@ -61,11 +61,12 @@ def test_kernel_basis():
     rng = random.Random(4)
     for _ in range(30):
         rows, cols = rng.randint(1, 4), rng.randint(1, 5)
-        m = linalg.matrix(_rand_int_matrix(rng, rows, cols))
-        kernel = linalg.kernel_basis(m)
+        a = _rand_int_matrix(rng, rows, cols)
+        m = linalg.matrix(a)
+        kernel = linalg._int_kernel(a, cols)
         assert len(kernel) == cols - len(oracle_rref(m))
         for v in kernel:
-            assert all(x == 0 for x in oracle_mat_vec(m, v))
+            assert all(x == 0 for x in oracle_mat_vec(m, vector(v)))
 
 
 def _square_basis_contains(basis_rows, vectors):
@@ -148,8 +149,8 @@ def test_intersect_row_spaces():
         a = [vector([rng.randint(-4, 4) for _ in range(dim)]) for _ in range(rng.randint(0, 3))]
         b = [vector([rng.randint(-4, 4) for _ in range(dim)]) for _ in range(rng.randint(0, 3))]
         inter = oracle_intersect_row_spaces(a, b)
-        reduced, pivots = linalg.rref(tuple(inter))
-        assert inter == list(reduced[: len(pivots)])  # in RREF
+        scaled, _, d = linalg._int_rref([linalg._integer_form(row)[0] for row in inter], dim)
+        assert inter == [tuple(Fraction(x, d) for x in row) for row in scaled]  # in RREF
         ra, rb = len(oracle_rref(a)), len(oracle_rref(b))
         sum_rank = len(oracle_rref(list(a) + list(b)))
         assert len(inter) == ra + rb - sum_rank

@@ -78,13 +78,21 @@ def _from_sym(s):
     return tuple(tuple(_q(s[i, j]) for j in range(s.cols)) for i in range(s.rows))
 
 
+def _int_rows(a) -> list[list[int]]:
+    """Each row of a rational matrix times the lcm of its denominators."""
+    return [linalg._integer_form(row)[0] for row in a]
+
+
 @pytest.mark.parametrize("a", _cases(SQUARE + TALL + WIDE, 11) + EMPTY)
 def test_rref_and_rank_match_sympy(a):
-    reduced, pivots = linalg.rref(a)
+    # the integer d·RREF of the rows scaled to integers, over d, is the RREF
+    ncols = len(a[0]) if a else 0
+    scaled, pivots, d = linalg._int_rref(_int_rows(a), ncols)
     expected, expected_pivots = _sym(a).rref()
     assert pivots == list(expected_pivots)
-    assert reduced == _from_sym(expected)
-    assert all(isinstance(x, Fraction) for row in reduced for x in row)
+    reduced = tuple(tuple(Fraction(x, d) for x in row) for row in scaled)
+    assert reduced + ((Fraction(0),) * ncols,) * (len(a) - len(pivots)) == _from_sym(expected)
+    assert all(type(x) is int for row in scaled for x in row)
     assert len(pivots) == _sym(a).rank()
 
 
@@ -127,12 +135,17 @@ def test_charpoly_matches_sympy(a):
 
 @pytest.mark.parametrize("a", _cases(SQUARE + TALL + WIDE, 14) + EMPTY)
 def test_kernel_matches_sympy_nullspace(a):
-    kernel = linalg.kernel_basis(a)
     ncols = len(a[0]) if a else 0
+    kernel = linalg._int_kernel(_int_rows(a), ncols)
     expected = _sym(a).nullspace() if a else []
     assert len(kernel) == len(expected)
     for v in kernel:
-        assert all(x == 0 for x in oracle_mat_vec(a, v))
+        assert all(x == 0 for x in oracle_mat_vec(a, vector(v)))
+    # sympy's basis is the normal form, 1 at each free column in turn; ours
+    # is that form times a positive integer
+    free = [c for c in range(ncols) if c not in _sym(a).rref()[1]]
+    for v, w, fc in zip(kernel, expected, free):
+        assert v[fc] > 0 and list(v) == [v[fc] * _q(x) for x in w]
     if kernel:
         ours = _sym(kernel)
         theirs = sympy.Matrix.hstack(*expected).T
@@ -152,7 +165,8 @@ def test_inverse_applied_to_a_vector_solves_like_sympy(a):
         with pytest.raises(SingularMatrixError):
             linalg._int_inv(ia)
         return
-    assert linalg._int_mat_vec(linalg._int_inv(ia), b) == x
+    form = lambda v: linalg._int_vec(*linalg._integer_form(v))  # noqa: E731
+    assert linalg._int_mat_vec(linalg._int_inv(ia), form(b)) == form(x)
 
 
 # ---------------------------------------------------------------------------

@@ -284,8 +284,10 @@ def test_conjugator_candidates_are_the_order_elements_with_the_charpoly():
     z2i = PipelineRequest.from_json({**GAUSS_REQ, "algebra": Z2I}).algebra
     rotation = linalg.matrix([[0, -1], [1, 0]])  # charpoly x² + 1: ±i, not in Z[2i]
     assert order_elements_with_charpoly(z2i, QPoly(linalg.charpoly(rotation))) == []
-    two_i = z2i.regular_rep((Fraction(0), Fraction(1)))  # charpoly x² + 4
-    assert order_elements_with_charpoly(z2i, QPoly(linalg.charpoly(two_i))) == [(0, -1), (0, 1)]
+    two_i = z2i.regular_rep(((0, 1), 1))  # charpoly x² + 4
+    assert order_elements_with_charpoly(z2i, QPoly(linalg.charpoly(two_i))) == [
+        ((0, -1), 1), ((0, 1), 1)
+    ]
     half_two = linalg.matrix([[Fraction(1, 2), 0], [0, 2]])
     assert order_elements_with_charpoly(z2i, QPoly(linalg.charpoly(half_two))) == []
 
@@ -294,9 +296,9 @@ def test_conjugator_is_none_when_the_first_charpoly_is_not_squarefree():
     # 2·I has charpoly (x − 2)²: its one candidate, 2, is not primitive
     gauss = PipelineRequest.from_json(GAUSS_REQ).algebra
     two = linalg.matrix([[2, 0], [0, 2]])
-    assert order_elements_with_charpoly(gauss, QPoly(linalg.charpoly(two))) == [(2, 0)]
+    assert order_elements_with_charpoly(gauss, QPoly(linalg.charpoly(two))) == [((2, 0), 1)]
     assert find_simultaneous_conjugator(gauss, [two], []) is None
-    assert find_simultaneous_conjugator(gauss, [two, gauss.regular_rep((0, 1))], []) is None
+    assert find_simultaneous_conjugator(gauss, [two, gauss.regular_rep(((0, 1), 1))], []) is None
 
 
 GAUSS_GL_REQ = {**GAUSS_REQ, "ambient": "GL"}
@@ -336,9 +338,7 @@ def test_provided_units_and_errors_are_not_memoized(fresh_unit_memo):
         },
     }
     report = run_pipeline(PipelineRequest.from_json(provided))
-    assert report.unit_system.free_generators == [
-        (Fraction(3), Fraction(4)), (Fraction(2), Fraction(-1))
-    ]
+    assert report.unit_system.free_generators == [((3, 4), 1), ((2, -1), 1)]
     assert report.unit_system.free_generators != searched.unit_system.free_generators
     # ±1 = ±(1, -5) lie outside the box of sup-norm 3: no torsion, an error
     no_torsion = {

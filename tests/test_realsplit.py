@@ -198,7 +198,7 @@ def test_a_zero_factor_component_names_its_column_and_precision(monkeypatch):
 
     monkeypatch.setattr(units, "root_disks", no_disks)
     e = EtaleAlgebra([QPoly([-2, 0, 1]), QPoly([-3, 0, 1])])
-    zero_in_second = (Fraction(1), Fraction(0), Fraction(0), Fraction(0))
+    zero_in_second = ((1, 0, 0, 0), 1)
     with pytest.raises(InvalidUnitSystemError, match=r"is zero at real\(1\.0\)"):
         build_log_embedding(e, [zero_in_second], (), 64)
 

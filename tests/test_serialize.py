@@ -32,7 +32,7 @@ def test_algebra_round_trip():
 
 def test_unit_system_round_trip():
     e = EtaleAlgebra([QPoly([1, 0, 1])])
-    sys = UnitSystem(e, (Fraction(0), Fraction(1)), 4, [(Fraction(4, 5), Fraction(3, 5))], (5,))
+    sys = UnitSystem(e, ((0, 1), 1), 4, [((4, 3), 5)], (5,))
     data = serialize.unit_system_to_json(sys)
     assert data == {
         "torsion": {"element": ["0", "1"], "order": 4},

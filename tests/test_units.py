@@ -1,15 +1,17 @@
+import sys
+import types
 from fractions import Fraction
 
 import pytest
 
-from ampletori import pipeline, units
+from ampletori import linalg, pipeline, units
 from ampletori.errors import (
     BudgetExceededError,
     IndependenceUndecidedError,
     NotAnOrderError,
     UnsupportedError,
 )
-from ampletori.etale import EtaleAlgebra
+from ampletori.etale import EtaleAlgebra, element
 from ampletori.places import signature
 from ampletori.polynomials import QPoly
 from ampletori.units import (
@@ -53,10 +55,10 @@ def test_dirichlet_rank_examples():
 def test_search_units_gaussian():
     found = search_units(GAUSS, 2, (), {Fraction(1), Fraction(-1)})
     assert set(found) == {
-        (Fraction(1), Fraction(0)),
-        (Fraction(-1), Fraction(0)),
-        (Fraction(0), Fraction(1)),
-        (Fraction(0), Fraction(-1)),
+        element([1, 0]),
+        element([-1, 0]),
+        element([0, 1]),
+        element([0, -1]),
     }
 
 
@@ -68,7 +70,7 @@ def test_search_units_norm_five_matches_enumeration_oracle():
 
 def test_search_units_cubic_contains_generator():
     found = search_units(CUBIC, 1, (), {Fraction(1), Fraction(-1)})
-    assert (Fraction(0), Fraction(1), Fraction(0)) in found
+    assert element([0, 1, 0]) in found
 
 
 def test_search_units_budget():
@@ -79,14 +81,19 @@ def test_search_units_budget():
 def test_search_units_symmetry():
     found = set(search_units(GAUSS, 3, (), {Fraction(1), Fraction(-1), Fraction(5), Fraction(-5)}))
     for u in found:
-        assert tuple(-c for c in u) in found  # negation symmetry
+        assert _neg(u) in found  # negation symmetry
         # closed under the torsion action for the symmetric box
-        assert tuple(GAUSS.mul(u, GAUSS.generator(0))) in found
+        assert GAUSS.mul(u, GAUSS.generator(0)) in found
+
+
+def _neg(u):
+    ints, den = u
+    return tuple(-c for c in ints), den
 
 
 def test_torsion_units():
-    assert torsion_units(GAUSS) == ((Fraction(0), Fraction(1)), 4)
-    assert torsion_units(CUBIC) == ((Fraction(-1), Fraction(0), Fraction(0)), 2)
+    assert torsion_units(GAUSS) == (element([0, 1]), 4)
+    assert torsion_units(CUBIC) == (element([-1, 0, 0]), 2)
     assert torsion_units(QUARTIC)[1] == 2
     zeta3 = EtaleAlgebra([QPoly([1, 1, 1])])
     gen, order = torsion_units(zeta3)
@@ -100,16 +107,16 @@ def test_torsion_units():
 
 def test_verify_certifies_paper_systems():
     sys1 = UnitSystem(
-        CUBIC, (Fraction(-1), Fraction(0), Fraction(0)), 2,
-        [(Fraction(0), Fraction(1), Fraction(0))], ()
+        CUBIC, element([-1, 0, 0]), 2,
+        [element([0, 1, 0])], ()
     )
     cert = verify_unit_system(sys1)
     assert cert.rank == 1 and cert.s_integral and cert.torsion_verified
     assert cert.caveats  # fundamentality gap is always recorded
 
     sys4 = UnitSystem(
-        GAUSS, (Fraction(0), Fraction(1)), 4,
-        [(Fraction(4, 5), Fraction(3, 5))], (5,)
+        GAUSS, element([0, 1]), 4,
+        [element([Fraction(4, 5), Fraction(3, 5)])], (5,)
     )
     cert = verify_unit_system(sys4)
     assert cert.rank == 1
@@ -117,9 +124,9 @@ def test_verify_certifies_paper_systems():
 
 
 def test_verify_finds_dependence_witness():
-    u = (Fraction(0), Fraction(1), Fraction(0))
+    u = element([0, 1, 0])
     u2 = CUBIC.mul(u, u)
-    sysd = UnitSystem(CUBIC, (Fraction(-1), Fraction(0), Fraction(0)), 2, [u, u2], ())
+    sysd = UnitSystem(CUBIC, element([-1, 0, 0]), 2, [u, u2], ())
     witness = verify_unit_system(sysd)
     assert isinstance(witness, DependenceWitness)
     assert any(e != 0 for e in witness.exponents)
@@ -130,8 +137,8 @@ def test_verify_finds_dependence_witness():
 
 
 PLASTIC = EtaleAlgebra([QPoly([-1, -1, 0, 1])])  # x^3 - x - 1, unit rank 1
-X_UNIT = (Fraction(0), Fraction(1), Fraction(0))
-MINUS_ONE = (Fraction(-1), Fraction(0), Fraction(0))
+X_UNIT = element([0, 1, 0])
+MINUS_ONE = element([-1, 0, 0])
 
 
 @pytest.mark.parametrize(
@@ -148,8 +155,8 @@ def test_dependence_witness_comes_from_reducing_against_the_prefix(powers, expon
     assert prod == e.power(MINUS_ONE, witness.torsion_power)
 
 
-TWO_PLUS_I = (Fraction(2), Fraction(1))  # norm 5
-I_UNIT = (Fraction(0), Fraction(1))
+TWO_PLUS_I = element([2, 1])  # norm 5
+I_UNIT = element([0, 1])
 
 
 @pytest.mark.parametrize(
@@ -172,8 +179,8 @@ def test_dependence_witness_names_the_torsion_power(gens, exponents, torsion_pow
 def test_saturation_runs_until_no_round_enlarges(monkeypatch):
     # the pool ε^512, ε^256, …, ε (ε = 1 + √2) needs nine enlargements, each
     # taking the square root of the basis element, before ε is reached
-    eps = (Fraction(1), Fraction(1))
-    pool = [tuple(-x for x in SQRT2.one()), SQRT2.one()]
+    eps = element([1, 1])
+    pool = [_neg(SQRT2.one()), SQRT2.one()]
     pool += [SQRT2.power(eps, 2**j) for j in range(9, -1, -1)]
     monkeypatch.setattr(units, "search_units", lambda *args, **kwargs: list(pool))
     system = assemble_unit_system(SQRT2, (), 3)
@@ -192,11 +199,11 @@ def test_verify_rejects_non_integral_generator():
     from ampletori.errors import InvalidUnitSystemError
 
     bad = UnitSystem(
-        GAUSS, (Fraction(0), Fraction(1)), 4, [(Fraction(4, 5), Fraction(3, 5))], ()
+        GAUSS, element([0, 1]), 4, [element([Fraction(4, 5), Fraction(3, 5)])], ()
     )
     with pytest.raises(InvalidUnitSystemError):
         verify_unit_system(bad)  # (4+3i)/5 is not integral without S = {5}
-    wrong_order = UnitSystem(GAUSS, (Fraction(0), Fraction(1)), 2, [], ())
+    wrong_order = UnitSystem(GAUSS, element([0, 1]), 2, [], ())
     with pytest.raises(InvalidUnitSystemError):
         verify_unit_system(wrong_order)
 
@@ -217,13 +224,13 @@ def test_prime_places_valuations():
     pp = PrimePlaces(GAUSS.factors[0], 5)
     assert pp.count == 2
     # 4+3i = i(2-i)^2 has valuations {0, 2} at the two places over 5
-    coords = (Fraction(4), Fraction(3))
+    coords = element([4, 3])
     vals = sorted(pp.valuation(i, coords) for i in range(2))
     assert vals == [0, 2]
     # a rational integer has valuation v_p at every place over p
-    five = (Fraction(5), Fraction(0))
+    five = element([5, 0])
     assert [pp.valuation(i, five) for i in range(2)] == [1, 1]
-    g = (Fraction(4, 5), Fraction(3, 5))
+    g = element([Fraction(4, 5), Fraction(3, 5)])
     assert sorted(pp.valuation(i, g) for i in range(2)) == [-1, 1]
 
 
@@ -244,63 +251,63 @@ def test_log_embedding_product_formula():
 def test_assemble_cubic_reproduces_fundamental_unit():
     sys1 = assemble_unit_system(CUBIC, (), 3)
     assert sys1.torsion_order == 2
-    assert sys1.free_generators == [(Fraction(0), Fraction(1), Fraction(0))]
+    assert sys1.free_generators == [element([0, 1, 0])]
 
 
 def test_assemble_gauss_s_units():
     sysg = assemble_unit_system(GAUSS, (5,), 3)
-    assert sysg.torsion_generator == (Fraction(0), Fraction(1))
+    assert sysg.torsion_generator == element([0, 1])
     assert sysg.rank == 2 == s_unit_rank(GAUSS, (5,))
 
 
 def test_norm_one_examples():
     # torsion of norm one stays whole for Q[i]
-    sysg = UnitSystem(GAUSS, (Fraction(0), Fraction(1)), 4, [], (5,))
+    sysg = UnitSystem(GAUSS, element([0, 1]), 4, [], (5,))
     n1 = norm_one_subgroup(sysg)
-    assert n1.torsion_generator == (Fraction(0), Fraction(1)) and n1.torsion_order == 4
+    assert n1.torsion_generator == element([0, 1]) and n1.torsion_order == 4
 
     # S-units {i, 2+i, 2-i}: free norm-one part generated by the paper's (4+3i)/5
     sysg = UnitSystem(
-        GAUSS, (Fraction(0), Fraction(1)), 4,
-        [(Fraction(2), Fraction(1)), (Fraction(2), Fraction(-1))], (5,)
+        GAUSS, element([0, 1]), 4,
+        [element([2, 1]), element([2, -1])], (5,)
     )
     n1 = norm_one_subgroup(sysg)
-    assert n1.free_generators == [(Fraction(4, 5), Fraction(3, 5))]
+    assert n1.free_generators == [element([Fraction(4, 5), Fraction(3, 5)])]
 
     # real quadratic: 1+sqrt2 has norm -1 and no torsion of norm -1 exists,
     # so the norm-one generator is the square (1+sqrt2)^2 = 3+2*sqrt2
     syss = UnitSystem(
-        SQRT2, (Fraction(-1), Fraction(0)), 2, [(Fraction(1), Fraction(1))], ()
+        SQRT2, element([-1, 0]), 2, [element([1, 1])], ()
     )
     n1 = norm_one_subgroup(syss)
-    assert n1.free_generators == [(Fraction(3), Fraction(2))]
+    assert n1.free_generators == [element([3, 2])]
     # the cubic -1 has norm -1: norm-one part of torsion is trivial there
     sysc = UnitSystem(
-        CUBIC, (Fraction(-1), Fraction(0), Fraction(0)), 2,
-        [(Fraction(0), Fraction(1), Fraction(0))], ()
+        CUBIC, element([-1, 0, 0]), 2,
+        [element([0, 1, 0])], ()
     )
     n1c = norm_one_subgroup(sysc)
     assert n1c.torsion_order == 1
-    assert n1c.free_generators == [(Fraction(0), Fraction(1), Fraction(0))]
+    assert n1c.free_generators == [element([0, 1, 0])]
 
 
 def test_norm_one_output_has_norm_one_and_snf_index():
     sysg = assemble_unit_system(GAUSS, (5,), 3)
     n1 = norm_one_subgroup(sysg)
     for g in n1.free_generators:
-        assert GAUSS.norm(g) == 1
+        assert GAUSS.norm(g) == (1, 1)
     # exponent lattice of the input maps onto Z (powers of 5) with kernel of
     # rank 1: the norm-one free part
     assert n1.rank == sysg.rank - 1
 
 
 def test_canonical_unit_tie_breaks():
-    i = (Fraction(0), Fraction(1))
-    w = (Fraction(3, 5), Fraction(4, 5))  # (3+4i)/5 = (2+i)/(2-i)
-    assert canonical_unit(GAUSS, w, i, 4) == (Fraction(4, 5), Fraction(3, 5))
-    x = (Fraction(0), Fraction(1), Fraction(0))
+    i = element([0, 1])
+    w = element([Fraction(3, 5), Fraction(4, 5)])  # (3+4i)/5 = (2+i)/(2-i)
+    assert canonical_unit(GAUSS, w, i, 4) == element([Fraction(4, 5), Fraction(3, 5)])
+    x = element([0, 1, 0])
     xinv = CUBIC.inverse(x)
-    minus_one = (Fraction(-1), Fraction(0), Fraction(0))
+    minus_one = element([-1, 0, 0])
     assert canonical_unit(CUBIC, xinv, minus_one, 2) == x
 
 
@@ -338,7 +345,7 @@ def test_is_torsion_matches_powering_oracle_on_pairwise_ratios():
     # non-integral S-units such as (5+12i)/13 = (3+2i)/(3-2i)
     found = search_units(GAUSS, 6, (13,))
     ratios = {GAUSS.mul(a, GAUSS.inverse(b)) for a in found for b in found if a != b}
-    assert (Fraction(5, 13), Fraction(12, 13)) in ratios
+    assert element([Fraction(5, 13), Fraction(12, 13)]) in ratios
     assert {oracle_torsion_order(GAUSS, u) for u in ratios} == {None, 2, 4}
     for u in ratios:
         assert _is_torsion(GAUSS, u) == oracle_torsion_order(GAUSS, u)
@@ -370,7 +377,7 @@ def test_assembled_generators_are_pinned(f, s, bound, torsion, order, free):
     system = assemble_unit_system(EtaleAlgebra([QPoly(f)]), s, bound)
 
     def as_fractions(v):
-        return tuple(Fraction(x) for x in v)
+        return element([Fraction(x) for x in v])
 
     assert system.torsion_generator == as_fractions(torsion)
     assert system.torsion_order == order
@@ -494,7 +501,7 @@ def test_assembly_climbs_to_the_precision_cap(monkeypatch):
 
     monkeypatch.setattr(units, "find_certified_minor", late_minor)
     system = assemble_unit_system(SQRT2, (), 3, precision_cap=100)
-    assert system.free_generators == [(Fraction(1), Fraction(1))]
+    assert system.free_generators == [element([1, 1])]
     assert tried == {64, 100}
     assert verify_unit_system(system, 100).precision_bits == 100
 
@@ -578,9 +585,9 @@ SHIFTED_SQRT2 = EtaleAlgebra([QPoly([-2, 0, 1])], [[1, 5], [0, 1]])  # 1 = (1, -
 def test_torsion_is_taken_from_the_whole_box():
     assert SHIFTED_SQRT2.is_order() == (True, None)
     system = assemble_unit_system(SHIFTED_SQRT2, (), 6)
-    assert (system.torsion_generator, system.torsion_order) == ((Fraction(-1), Fraction(5)), 2)
-    assert system.free_generators == [(Fraction(1), Fraction(-4))]  # 1 + x
-    assert torsion_units(SHIFTED_SQRT2, 6) == ((Fraction(-1), Fraction(5)), 2)
+    assert (system.torsion_generator, system.torsion_order) == (element([-1, 5]), 2)
+    assert system.free_generators == [element([1, -4])]  # 1 + x
+    assert torsion_units(SHIFTED_SQRT2, 6) == (element([-1, 5]), 2)
 
 
 def test_a_box_without_torsion_names_its_bound():
@@ -589,3 +596,26 @@ def test_a_box_without_torsion_names_its_bound():
         assemble_unit_system(SHIFTED_SQRT2, (), 3)
     with pytest.raises(BudgetExceededError, match="sup-norm <= 3"):
         torsion_units(SHIFTED_SQRT2, 3)
+
+
+def test_assembly_rescales_no_operand_inside_the_algebra(monkeypatch):
+    # the ring operations take and give the integer form (ints, den), so no
+    # EtaleAlgebra method scales a Fraction vector to integers
+    methods = {f.__code__ for f in vars(EtaleAlgebra).values() if isinstance(f, types.FunctionType)}
+    integer_form, inside = linalg._integer_form, []
+
+    def counting(v):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code not in methods:
+            frame = frame.f_back
+        if frame is not None:
+            inside.append(frame.f_code.co_name)
+        return integer_form(v)
+
+    e = EtaleAlgebra([QPoly([1, 0, 1])])
+    for name, mod in list(sys.modules.items()):  # every module that holds the helper
+        if name.startswith("ampletori") and getattr(mod, "_integer_form", None) is integer_form:
+            monkeypatch.setattr(mod, "_integer_form", counting)
+    system = assemble_unit_system(e, (13, 17), 6)
+    assert system.rank == 4
+    assert inside == []
