@@ -1,9 +1,10 @@
 """Unit groups and S-units: searches, certified independence, norm-one parts.
 
-Independence of a unit system is certified through interval enclosures of
-the log embedding: some maximal square minor's determinant interval must
-exclude zero. Finite places contribute exact valuation columns, so S-units
-whose archimedean absolute values are all 1 are still certifiable. Elements are (integer coordinates, denominator)
+Independence of a unit system is certified through integer balls enclosing
+the log embedding: some maximal square minor's midpoint determinant must
+exceed the bound on how far the balls can move it. Finite places contribute
+exact valuation columns, so S-units whose archimedean absolute values are
+all 1 are still certifiable. Elements are (integer coordinates, denominator)
 pairs; they are converted to rational coordinates where they are printed.
 """
 
@@ -61,10 +62,11 @@ emb = build_log_embedding(gauss, list(system.free_generators), (5,), 64)
 print("\nlog embedding columns:", [c.label() for c in emb.columns])
 print("row sums contain 0 (product formula):")
 for u, row in zip(system.free_generators, emb.rows):
-    total = row[0]
-    for iv in row[1:]:
-        total = total + iv
-    print(f"  {ints(u)}: interval around 0 of width {float(total.width):.2e}")
+    # entries are balls (m ± r)·2^-(bits+2), so the sum is (Σm ± Σr)·2^-(bits+2)
+    mid, rad = sum(m for m, _ in row), sum(r for _, r in row)
+    assert abs(mid) <= rad
+    width = Fraction(rad, 1 << (emb.precision + 1))
+    print(f"  {ints(u)}: interval around 0 of width {float(width):.2e}")
 
 print("\nnorm-one subgroup (kernel of the norm character, Smith normal form):")
 norm_one = norm_one_subgroup(system)

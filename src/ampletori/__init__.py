@@ -3,8 +3,9 @@ and verified integer-matrix generator sets for commensurably maximal
 amenable subgroups of arithmetic groups.
 
 All arithmetic is exact (arbitrary-precision rationals); analytic
-quantities (log embeddings) are handled through certified rational
-intervals. See README.md for an overview and demos/ for worked examples.
+quantities (log embeddings) are handled through certified enclosures held
+as integer balls. See README.md for an overview and demos/ for worked
+examples.
 """
 
 from .errors import (

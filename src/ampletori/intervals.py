@@ -1,11 +1,12 @@
-"""Certified interval arithmetic with exact rational endpoints.
+"""Certified enclosures with exact rational endpoints, and certified logs.
 
-Used for sign determination of real algebraic quantities (log embeddings of
-units). Every operation returns an interval guaranteed to contain the true
-value; enclosures only ever widen, never shrink, so a sign verdict is a
-certificate. Logarithms come from an atanh series summed in fixed point on
-Python integers, with a proven error bound, and have dyadic endpoints (an
-integer over a power of two) — no floating point anywhere.
+A `RationalInterval` [lo, hi] of Fractions is guaranteed to contain its true
+value: realsplit encloses |A(α)|² in one, and `log_interval` and
+`log_fraction` enclose logarithms. No arithmetic is done on intervals: the
+log embedding turns each enclosure into an integer ball (units), and the
+verdicts are read there. Logarithms come from an atanh series summed in
+fixed point on Python integers, with a proven error bound, and have dyadic
+endpoints (an integer over a power of two) — no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -28,62 +29,6 @@ class RationalInterval:
     def point(x) -> "RationalInterval":
         x = Fraction(x)
         return RationalInterval(x, x)
-
-    def __add__(self, other: "RationalInterval") -> "RationalInterval":
-        return RationalInterval(self.lo + other.lo, self.hi + other.hi)
-
-    def __neg__(self) -> "RationalInterval":
-        return RationalInterval(-self.hi, -self.lo)
-
-    def __sub__(self, other: "RationalInterval") -> "RationalInterval":
-        return self + (-other)
-
-    def __mul__(self, other: "RationalInterval") -> "RationalInterval":
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
-        return RationalInterval(min(products), max(products))
-
-    def scale(self, c) -> "RationalInterval":
-        c = Fraction(c)
-        if c >= 0:
-            return RationalInterval(self.lo * c, self.hi * c)
-        return RationalInterval(self.hi * c, self.lo * c)
-
-    def __abs__(self) -> "RationalInterval":
-        if self.lo >= 0:
-            return self
-        if self.hi <= 0:
-            return -self
-        return RationalInterval(Fraction(0), max(-self.lo, self.hi))
-
-    def contains(self, x) -> bool:
-        x = Fraction(x)
-        return self.lo <= x <= self.hi
-
-    def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
-
-    def excludes_zero(self) -> bool:
-        return self.lo > 0 or self.hi < 0
-
-    def sign(self) -> int:
-        """1 or −1 when certified, 0 when the interval straddles zero."""
-        if self.lo > 0:
-            return 1
-        if self.hi < 0:
-            return -1
-        return 0
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def __repr__(self):
-        return f"[{self.lo}, {self.hi}]"
 
 
 def _dyadic(lo: int, hi: int, p: int, shift: int = 0) -> RationalInterval:
@@ -146,7 +91,8 @@ def _atanh_series(z: Fraction, bits: int) -> RationalInterval:
 @lru_cache(maxsize=32)
 def log2_interval(bits: int) -> RationalInterval:
     """ln 2 = 2 atanh(1/3) on the grid 2^-bits, at most 2^(1-bits) wide."""
-    return _atanh_series(Fraction(1, 3), bits).scale(2)
+    half = _atanh_series(Fraction(1, 3), bits)
+    return RationalInterval(2 * half.lo, 2 * half.hi)
 
 
 def _on_grid(x: Fraction, p: int) -> int:

@@ -16,9 +16,12 @@ from .etale import Coords, EtaleAlgebra, coordinates, element
 from .linalg import Mat
 from .matgroups import GeneratorSet
 from .torus import AmpleCertificate, SubmoduleWitness, require_supported_degrees
-from .units import UnitSystem
+from .units import UnitSystem, _PolynomialLRU
 
 SCHEMA = "cma/1"
+# (factor coefficients, order basis as given) -> the EtaleAlgebra built from
+# them, which nothing edits once made
+_ALGEBRAS = _PolynomialLRU()
 
 
 def frac_str(x: Fraction) -> str:
@@ -86,10 +89,14 @@ def algebra_from_json(data, path="algebra") -> EtaleAlgebra:
     basis = None
     if data.get("order_basis") is not None:
         basis = matrix_from_json(data["order_basis"], f"{path}.order_basis")
-    try:
-        return EtaleAlgebra(factors, basis)
-    except Exception as exc:
-        raise InputError(str(exc), path)
+    key = (tuple(f.coeffs for f in factors), basis)
+    algebra = _ALGEBRAS.get(key)
+    if algebra is None:
+        try:
+            algebra = EtaleAlgebra(factors, basis)
+        except Exception as exc:
+            raise InputError(str(exc), path)
+    return _ALGEBRAS.store(key, algebra)
 
 
 def unit_system_to_json(sys: UnitSystem) -> dict:

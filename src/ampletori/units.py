@@ -2,7 +2,7 @@
 
 Everything is certified or exact: S-integrality and norms are checked in
 exact rational arithmetic, torsion orders by exact powering, and
-multiplicative independence through interval enclosures of the log embedding.
+multiplicative independence through integer balls enclosing the log embedding.
 Every archimedean place reads |σ(u)|² off one certified root disk of its
 factor's polynomial (Smith's theorem, in realsplit); every finite place
 counts exact uniformizer steps γ ← γ·β/p in the equation order. A verdict
@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedError,
 )
 from .etale import Coords, EtaleAlgebra, sorted_elements
-from .intervals import RationalInterval, log_fraction, log_interval
+from .intervals import _on_grid, log_fraction, log_interval
 from .places import Signature, check_unramified
 from .polynomials import QPoly, _mul_mod_monic, factor_mod_p, fp_mod, fp_strip
 from .realsplit import abs_square_on_disk, root_disks
@@ -162,19 +162,24 @@ class LogColumn:
         return f"{self.kind}({self.factor}.{self.index})"
 
 
+Ball = tuple[int, int]  # (m, r), r ≥ 0: the reals x with |x − m·2^-g| ≤ r·2^-g
+
+
 @dataclass
 class LogEmbedding:
-    """Interval matrix of log|u|_v; rows = elements, columns = places.
+    """Ball matrix of log|u|_v; rows = elements, columns = places.
 
-    Real columns hold log|σ(u)| and complex columns the doubled value
-    2·log|σ(u)|, both from |A(α)|² enclosed on a certified root disk of the
-    factor's polynomial (realsplit.root_disks); finite columns hold
-    −f_v·ord_v(u)·log p with ord_v counted in uniformizer steps
-    (PrimePlaces). Full rows of a unit sum to an interval around 0.
+    Entry (m, r) is a Ball on the grid g = precision + 2: the certified
+    interval of the log, whose endpoints lie on the grid 2^-(precision+1),
+    with nothing rounded. Real columns hold log|σ(u)| and complex columns
+    the doubled value 2·log|σ(u)|, both from |A(α)|² enclosed on a
+    certified root disk of the factor's polynomial (realsplit.root_disks);
+    finite columns hold −f_v·ord_v(u)·log p with ord_v counted in
+    uniformizer steps (PrimePlaces). Full rows of a unit have |Σ m| ≤ Σ r.
     """
 
     columns: list[LogColumn]
-    rows: list[list[RationalInterval | None]]
+    rows: list[list[Ball]]
     precision: int
 
     def subset(self, row_indices) -> "LogEmbedding":
@@ -192,10 +197,17 @@ class _PolynomialLRU(dict):
         return value
 
 
+def _log_ball(log, bits: int, w: int) -> Ball:
+    """(w/2)·log as a ball on the grid 2^-(bits+2), for an enclosure log
+    with endpoints on the grid 2^-bits."""
+    lo, hi = _on_grid(log.lo, bits), _on_grid(log.hi, bits)
+    return w * (lo + hi), abs(w) * (hi - lo)
+
+
 def _archimedean_log(
     e: EtaleAlgebra, col: LogColumn, disk_at, u: Coords, bits: int
-) -> RationalInterval:
-    """log|σ(u)| at a real column, 2·log|σ(u)| at a complex one.
+) -> Ball:
+    """The ball of log|σ(u)| at a real column, of 2·log|σ(u)| at a complex one.
 
     disk_at(b) is the column's root disk of radius ≤ 2^-b. The radius
     shrinks by doubling b until |A(α)|² is certified positive, up to
@@ -206,8 +218,7 @@ def _archimedean_log(
     while True:
         val = abs_square_on_disk(comp, disk_at(attempt_bits))
         if val.lo > 0:
-            log = log_interval(val, bits)
-            return log.scale(Fraction(1, 2)) if col.kind == "real" else log
+            return _log_ball(log_interval(val, bits), bits, 1 if col.kind == "real" else 2)
         if 2 * attempt_bits > 64 * max(bits, 64):
             raise IndependenceUndecidedError(
                 f"cannot separate {col.label()} from zero at {attempt_bits} bits", bits
@@ -254,9 +265,10 @@ def build_log_embedding(
         offset = 0 if col.kind == "real" else sigs[col.factor].r1
         return lambda b: disks(col.factor, b)[offset + col.index]
 
-    rows: list[list[RationalInterval | None]] = []
+    log_p = {p: _log_ball(log_fraction(Fraction(p), bits), bits, 1) for p in s_primes}
+    rows: list[list[Ball]] = []
     for u in elements:
-        row: list[RationalInterval | None] = []
+        row: list[Ball] = []
         power, den = e.to_power(u)
         for col in columns:
             if col.kind != "finite":
@@ -264,48 +276,44 @@ def build_log_embedding(
                 continue
             pp = places_by_key[(col.factor, col.prime)]
             off, d = e.offsets[col.factor], e.degrees[col.factor]
-            ordv = pp.valuation(col.index, (power[off : off + d], den))
-            row.append(
-                log_fraction(Fraction(col.prime), bits).scale(-col.residue_degree * ordv)
-            )
+            w = -2 * col.residue_degree * pp.valuation(col.index, (power[off : off + d], den))
+            m, r = log_p[col.prime]
+            row.append((w * m, abs(w) * r))
         rows.append(row)
     return LogEmbedding(columns, rows, bits)
 
 
-def _interval_det(mat: list[list[RationalInterval]]) -> RationalInterval:
-    n = len(mat)
-    if n == 0:
-        return RationalInterval.point(1)
-    if n == 1:
-        return mat[0][0]
-    total = None
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in mat[1:]]
-        term = mat[0][j] * _interval_det(minor)
-        if j % 2 == 1:
-            term = -term
-        total = term if total is None else total + term
-    return total
+def _det_radius(mids: list[list[int]], rads: list[list[int]]) -> int:
+    """A bound on |det(M + E) − det M| over every E with |E| ≤ R entrywise.
+
+    det is multilinear in the rows, so det(M + E) − det M is the sum, over
+    the nonempty row sets T, of det M with its rows in T taken from E.
+    Hadamard's inequality bounds that term by ∏_{i∈T}‖e_i‖·∏_{i∉T}‖m_i‖,
+    and the terms sum to ∏(‖m_i‖ + ‖e_i‖) − ∏‖m_i‖, with ‖e_i‖ ≤ ‖r_i‖
+    (Euclidean norms). The sum grows with each ‖m_i‖, so both products
+    take the same upper bound isqrt(‖m_i‖²) + 1, and ‖e_i‖ takes
+    isqrt(‖r_i‖²) + 1.
+    """
+    norms = [math.isqrt(sum(x * x for x in row)) + 1 for row in mids]
+    errs = [math.isqrt(sum(x * x for x in row)) + 1 for row in rads]
+    return math.prod(map(operator.add, norms, errs)) - math.prod(norms)
 
 
-def find_certified_minor(emb: LogEmbedding):
-    """A column subset whose square minor interval-determinant excludes 0.
+def find_certified_minor(emb: LogEmbedding) -> tuple[int, ...] | None:
+    """The first column set, in lexicographic order, whose square minor is
+    certified nonsingular, or None.
 
-    Returns (column indices, det interval) or None.
+    A minor of balls is certified when one integer determinant, that of its
+    midpoint matrix M, exceeds _det_radius in absolute value: then no
+    matrix inside the balls is singular.
     """
     r = len(emb.rows)
-    if r == 0:
-        return (), RationalInterval.point(1)
-    available = [
-        j for j in range(len(emb.columns)) if all(row[j] is not None for row in emb.rows)
-    ]
-    if len(available) < r:
-        return None
-    for cols in itertools.combinations(available, r):
-        sub = [[row[j] for j in cols] for row in emb.rows]
-        det = _interval_det(sub)
-        if det.excludes_zero():
-            return cols, det
+    for cols in itertools.combinations(range(len(emb.columns)), r):
+        mids = [[row[j][0] for j in cols] for row in emb.rows]
+        rads = [[row[j][1] for j in cols] for row in emb.rows]
+        bound = _det_radius(mids, rads)
+        if abs(linalg._det(mids)) > bound:  # _det consumes mids
+            return cols
     return None
 
 
@@ -383,16 +391,16 @@ def _precision_ladder(precision_cap: int) -> list[int]:
 
 def _greedy_prefix(emb: LogEmbedding, limit: int):
     """Rows taken in order, up to limit, each when it extends a certified
-    minor; returns them with their minor (columns, det interval)."""
+    minor; returns them with their minor's columns."""
     prefix: list[int] = []
-    minor = (), RationalInterval.point(1)
+    cols: tuple[int, ...] = ()
     for idx in range(len(emb.rows)):
         if len(prefix) == limit:
             break
         found = find_certified_minor(emb.subset(prefix + [idx]))
         if found is not None:
-            prefix, minor = prefix + [idx], found
-    return prefix, minor
+            prefix, cols = prefix + [idx], found
+    return prefix, cols
 
 
 def verify_unit_system(
@@ -433,13 +441,12 @@ def verify_unit_system(
     torsion = {e.power(sys.torsion_generator, k): k for k in range(sys.torsion_order)}
     for bits in ladder:
         emb = build_log_embedding(e, gens, s, bits)
-        found = find_certified_minor(emb)
-        if found is not None:
-            cols, _ = found
+        cols = find_certified_minor(emb)
+        if cols is not None:
             labels = tuple(emb.columns[j].label() for j in cols)
             return UnitCertificate(True, True, sys.rank, labels, bits, caveats)
-        prefix, (cols, det) = _greedy_prefix(emb, sys.rank)
-        minv = _interval_mat_inv([[emb.rows[i][j] for j in cols] for i in prefix], det)
+        prefix, cols = _greedy_prefix(emb, sys.rank)
+        minv = _minor_inverse([emb.rows[i] for i in prefix], cols)
         basis = [gens[i] for i in prefix]
         for idx in (i for i in range(sys.rank) if i not in prefix):
             got = _express_from_rows(e, basis, cols, minv, gens[idx], emb.rows[idx], torsion)
@@ -605,29 +612,49 @@ def canonical_unit(
 # ---------------------------------------------------------------------------
 
 
-def _interval_mat_inv(
-    mat: list[list[RationalInterval]], det: RationalInterval
-) -> list[list[RationalInterval]]:
-    """Interval inverse by cofactors; det is mat's certified determinant."""
-    n = len(mat)
-    inv_det = RationalInterval(
-        min(1 / det.lo, 1 / det.hi), max(1 / det.lo, 1 / det.hi)
-    )
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [
-                [mat[r][c] for c in range(n) if c != i]
-                for r in range(n)
-                if r != j
-            ]
-            cof = _interval_det(minor)
-            if (i + j) % 2 == 1:
-                cof = -cof
-            row.append(cof * inv_det)
-        out.append(row)
-    return out
+def _col_norm(mat: list[list[int]]) -> int:
+    """The largest column sum of |mat|: the ∞-norm bound ‖v·mat‖ ≤ ‖v‖·it."""
+    return max((sum(map(abs, col)) for col in zip(*mat)), default=0)
+
+
+def _minor_inverse(rows: list[list[Ball]], cols: tuple[int, ...]):
+    """The certified minor of ball rows at cols, inverted once per round.
+
+    Returns (adj, d, ‖adj‖, ‖R‖): M⁻¹ = adj/d for the midpoint minor M,
+    read off the integer d·RREF [d·I | adj] of [M | I], and the largest
+    column sums of |adj| and of the radius minor R.
+    """
+    r = len(rows)
+    m = [[row[j][0] for j in cols] + [int(i == k) for k in range(r)] for i, row in enumerate(rows)]
+    scaled, _, d = linalg._int_rref(m, 2 * r)
+    adj = [row[r:] for row in scaled]
+    return adj, d, _col_norm(adj), _col_norm([[row[j][1] for j in cols] for row in rows])
+
+
+def _ball_solve(minv, u_row: list[Ball], cols: tuple[int, ...]):
+    """(nums, den, dn, dd): the solution x of x·A = u over every minor A in
+    the balls of minv and every u in u_row's balls at cols lies within
+    dn/dd of nums/den in each coordinate; None when the balls may hold a
+    singular A.
+
+    With x_m = u_m·M⁻¹ = u_m·adj/d, x·(M + E) = u gives
+    x − x_m = (u − u_m − x·E)·M⁻¹, so δ = ‖x − x_m‖ satisfies
+    δ ≤ ‖M⁻¹‖·(ρ + (‖x_m‖ + δ)·‖R‖), ρ u's largest radius, and
+    δ ≤ ‖adj‖·(ρ·|d| + ‖u_m·adj‖·‖R‖) / (|d|·(|d| − ‖R‖·‖adj‖)) when
+    ‖R‖·‖adj‖ < |d|, which also makes every A nonsingular (Rump, Acta
+    Numerica 19, 2010, §10). Norms are ∞-norms on rows, column sums on
+    matrices; the grid scale cancels.
+    """
+    adj, d, adj_norm, rad_norm = minv
+    gap = abs(d) - rad_norm * adj_norm
+    if gap <= 0:
+        return None
+    mids = [u_row[j][0] for j in cols]
+    rho = max((u_row[j][1] for j in cols), default=0)
+    sign = 1 if d > 0 else -1
+    nums = [sign * sum(map(operator.mul, mids, col)) for col in zip(*adj)]
+    top = max(map(abs, nums), default=0)
+    return nums, abs(d), adj_norm * (rho * abs(d) + top * rad_norm), abs(d) * gap
 
 
 def _word(e: EtaleAlgebra, gens: list[Coords], exponents) -> Coords:
@@ -639,41 +666,31 @@ def _express_from_rows(
     e: EtaleAlgebra,
     basis: list[Coords],
     cols: tuple[int, ...],
-    minv: list[list[RationalInterval]],
+    minv,
     u: Coords,
     u_row,
     torsion: dict[Coords, int],
 ):
     """Try u = t^k · (∏ basis^{a_i})^{1/d}; returns (a, d, k) verified.
 
-    Candidate exponents are u's log row on the basis's certified minor
-    columns cols times minv, the interval inverse of that minor; the final
-    identity is verified by exact multiplication, so interval error can only
-    cause a miss (caller escalates precision), never a wrong answer.
-    torsion maps each power t^k of the torsion generator, k below its
-    order, to k; u^d·(∏ basis^{a_i})⁻¹ is looked up in it.
+    Candidate exponents come from the enclosure of the solution of
+    x·A = u on the basis's certified minor columns cols (_ball_solve on
+    minv, the minor's _minor_inverse): for each d ≤ MAX_DENOMINATOR, a_i is
+    the integer nearest d·x_i (the lower one on a tie), taken when it lies
+    in d times the enclosure. The final identity is verified by exact
+    multiplication, so ball error can only cause a miss (caller escalates
+    precision), never a wrong answer. torsion maps each power t^k of the
+    torsion generator, k below its order, to k; u^d·(∏ basis^{a_i})⁻¹ is
+    looked up in it.
     """
-    r = len(basis)
-    evec = []
-    for i in range(r):
-        acc = RationalInterval.point(0)
-        for j in range(r):
-            acc = acc + u_row[cols[j]] * minv[j][i]
-        evec.append(acc)
+    solved = _ball_solve(minv, u_row, cols)
+    if solved is None:
+        return None
+    xs, den, dn, dd = solved  # x_i = xs_i/den, within dn/dd
     power, dp = e.one(), 0  # u^dp, stepped up to each d that is tried
     for d in range(1, MAX_DENOMINATOR + 1):
-        nums = []
-        ok = True
-        for iv in evec:
-            lo_int = math.ceil(iv.lo * d)
-            hi_int = math.floor(iv.hi * d)
-            if lo_int > hi_int:
-                ok = False
-                break
-            mid = (iv.lo + iv.hi) * d / 2
-            cand = min(range(lo_int, hi_int + 1), key=lambda t: abs(t - mid))
-            nums.append(cand)
-        if not ok:
+        nums = [-((den - 2 * d * x) // (2 * den)) for x in xs]
+        if any(abs(a * den - d * x) * dd > d * dn * den for a, x in zip(nums, xs)):
             continue
         if d > 1 and all(a % d == 0 for a in nums):
             continue  # already covered by a smaller denominator
@@ -790,11 +807,10 @@ def assemble_unit_system(
                 basis_emb = build_log_embedding(e, basis, s_primes, bits)
             else:
                 basis_emb = pool_emb(bits).subset(basis_idx)
-            minor = find_certified_minor(basis_emb)
-            if minor is None:
+            cols = find_certified_minor(basis_emb)
+            if cols is None:
                 continue
-            cols, det = minor
-            minv = _interval_mat_inv([[row[j] for j in cols] for row in basis_emb.rows], det)
+            minv = _minor_inverse(basis_emb.rows, cols)
             pending = False
             for u, u_row in zip(free_pool, pool_emb(bits).rows):
                 got = _express_from_rows(e, basis, cols, minv, u, u_row, torsion_index)

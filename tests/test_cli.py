@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import ampletori
-from ampletori import pipeline, units
+from ampletori import pipeline, serialize, units
 from ampletori.cli import main
 
 GAUSS_ALGEBRA = {"factors": [["1", "0", "1"]], "order_basis": None}
@@ -418,16 +418,19 @@ def test_construct_is_byte_identical_after_unrelated_runs(tmp_path, monkeypatch,
     ]
     fresh = _run_cli_in_fresh_process("--json", "construct", target)
     assert fresh.returncode == 0, fresh.stderr
-    # with the per-polynomial caches and the unit-group memo bounded at one
-    # entry, each unrelated run evicts what the target run cached, and the
-    # rerun misses; at the full bound the rerun takes its unit group from the memo
+    # with the per-polynomial caches, the unit-group memo and the algebra
+    # cache bounded at one entry, each unrelated run evicts what the target
+    # run cached, and the rerun misses; at the full bound the rerun takes its
+    # unit group from the memo and its algebra from the algebra cache
     for bound in (units.CACHED_POLYNOMIALS, 1):
         monkeypatch.setattr(units, "CACHED_POLYNOMIALS", bound)
         main(["--json", "construct", target])
         target_units = next(reversed(pipeline._UNIT_GROUPS))
+        target_algebra = next(reversed(serialize._ALGEBRAS))
         for path in unrelated:
             main(["--json", "construct", path])
         assert (target_units in pipeline._UNIT_GROUPS) == (bound > 1)
+        assert (target_algebra in serialize._ALGEBRAS) == (bound > 1)
         capsys.readouterr()
         main(["--json", "construct", target])
         assert capsys.readouterr().out == fresh.stdout

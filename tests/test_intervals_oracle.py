@@ -62,7 +62,7 @@ def test_log_fraction_contains_mpmath_log(bits):
         for q in LOG_CASES:
             iv = log_fraction(q, bits)
             assert _is_dyadic(iv.lo) and _is_dyadic(iv.hi)
-            assert iv.width <= Fraction(2, 1 << bits), (q, bits)
+            assert iv.hi - iv.lo <= Fraction(2, 1 << bits), (q, bits)
             ref = mpmath.log(_mp(q))
             assert _mp(iv.lo) <= ref <= _mp(iv.hi), (q, bits)
 
@@ -88,7 +88,7 @@ def test_atanh_series_contains_mpmath_atanh(bits):
         for z in ATANH_CASES:
             iv = _atanh_series(z, bits)
             assert _is_dyadic(iv.lo) and _is_dyadic(iv.hi)
-            assert iv.width <= Fraction(1, 1 << bits), (z, bits)
+            assert iv.hi - iv.lo <= Fraction(1, 1 << bits), (z, bits)
             ref = mpmath.atanh(_mp(z))
             assert _mp(iv.lo) <= ref <= _mp(iv.hi), (z, bits)
 
@@ -103,7 +103,7 @@ def test_log_interval_contains_mpmath_logs(bits):
             iv = log_interval(RationalInterval(lo, hi), bits)
             ref_lo, ref_hi = mpmath.log(_mp(lo)), mpmath.log(_mp(hi))
             assert _mp(iv.lo) <= ref_lo and ref_hi <= _mp(iv.hi), (lo, hi, bits)
-            assert _mp(iv.width) <= ref_hi - ref_lo + mpmath.mpf(2) ** (2 - bits)
+            assert _mp(iv.hi - iv.lo) <= ref_hi - ref_lo + mpmath.mpf(2) ** (2 - bits)
 
 
 # The raw series before rounding: summed to the end, its error is the

@@ -1,6 +1,9 @@
+import copy
+import importlib.util
 import json
 import shutil
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -318,9 +321,11 @@ def test_editing_a_report_leaves_the_unit_memo_intact(fresh_unit_memo):
     first.unit_system.free_generators.clear()
     first.unit_certificate.caveats.append("edited")
     for req in (GAUSS_GL_REQ, GAUSS_REQ, GAUSS_GL_REQ):
-        again = run_pipeline(PipelineRequest.from_json(req))
+        request = PipelineRequest.from_json(req)
+        again = run_pipeline(request)
         assert again.unit_certificate.caveats == caveats
-        assert again.unit_system.algebra is not first.unit_system.algebra
+        # bound to the request's algebra, which the algebra cache shares
+        assert again.unit_system.algebra is request.algebra
     assert serialize.dumps(again.to_json()) == expected
     assert len(fresh_unit_memo) == 1
 
@@ -351,3 +356,38 @@ def test_provided_units_and_errors_are_not_memoized(fresh_unit_memo):
         with pytest.raises(BudgetExceededError, match="sup-norm <= 3"):
             run_pipeline(PipelineRequest.from_json(no_torsion))
     assert len(fresh_unit_memo) == 1
+
+
+def _session_warm_ops():
+    """The benchmark's 24 session-warm ops at seed 1 (ampbench/workloads.py)."""
+    path = Path(__file__).resolve().parent.parent / "ampbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("ampbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.build("session-warm", 1)
+
+
+def test_no_op_edits_a_cached_algebra(monkeypatch):
+    # requests on the same (factors, order basis) share one EtaleAlgebra, so
+    # no op may change one: its fields are the same after all 24 ops
+    monkeypatch.setattr(serialize, "_ALGEBRAS", units._PolynomialLRU())
+    ops = _session_warm_ops()
+    requests = [op["request"] for op in ops]
+    algebras = [PipelineRequest.from_json(req).algebra for req in requests]
+    assert len(ops) == 24 and len(serialize._ALGEBRAS) == len({id(e) for e in algebras}) < 24
+    before = {id(e): copy.deepcopy(vars(e)) for e in algebras}
+    for req in requests:
+        run_pipeline(PipelineRequest.from_json(req))
+    for e in algebras:
+        assert vars(e) == before[id(e)]
+    again = [PipelineRequest.from_json(req).algebra for req in requests]
+    assert all(a is e for a, e in zip(again, algebras))
+
+
+def test_a_failed_algebra_build_is_not_cached(monkeypatch):
+    monkeypatch.setattr(serialize, "_ALGEBRAS", units._PolynomialLRU())
+    reducible = {"factors": [["-1", "0", "1"]], "order_basis": None}
+    for _ in range(2):
+        with pytest.raises(InputError, match="reducible"):
+            serialize.algebra_from_json(reducible)
+    assert len(serialize._ALGEBRAS) == 0

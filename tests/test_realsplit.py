@@ -214,10 +214,7 @@ def test_zeta5_unit_rank_certified_through_complex_columns():
     # generalized product formula with the certified complex columns
     emb = build_log_embedding(zeta5, list(system.free_generators), (), 64)
     for row in emb.rows:
-        total = row[0]
-        for iv in row[1:]:
-            total = total + iv
-        assert total.contains_zero()
+        assert abs(sum(m for m, _ in row)) <= sum(r for _, r in row)
 
 
 def test_zeta8_unit_rank_certified():
