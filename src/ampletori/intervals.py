@@ -1,12 +1,12 @@
 """Certified enclosures with exact rational endpoints, and certified logs.
 
 A `RationalInterval` [lo, hi] of Fractions is guaranteed to contain its true
-value: realsplit encloses |A(α)|² in one, and `log_interval` and
-`log_fraction` enclose logarithms. No arithmetic is done on intervals: the
-log embedding turns each enclosure into an integer ball (units), and the
-verdicts are read there. Logarithms come from an atanh series summed in
-fixed point on Python integers, with a proven error bound, and have dyadic
-endpoints (an integer over a power of two) — no floating point anywhere.
+value: `log_fraction` encloses ln q in one. `_log_grid` gives the same
+enclosure of ln(a/b) as integers on the grid 2^-bits; the log embedding
+(units) reads it at the integer enclosures of |A(α)|² (realsplit).
+Logarithms come from an atanh series summed in fixed point on Python
+integers, with a proven error bound, and have dyadic endpoints (an integer
+over a power of two) — no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -100,21 +100,19 @@ def _on_grid(x: Fraction, p: int) -> int:
     return x.numerator << (p + 1 - x.denominator.bit_length())
 
 
-@lru_cache(maxsize=4096)
-def log_fraction(q: Fraction, bits: int = 64) -> RationalInterval:
-    """Certified enclosure of ln(q) for rational q > 0, at most 2^(1-bits) wide.
+def _log_grid(a: int, b: int, bits: int) -> tuple[int, int]:
+    """Integers lo ≤ hi ≤ lo + 2, lo·2^-bits ≤ ln(a/b) ≤ hi·2^-bits, for a, b > 0.
 
-    q = 2^e·m with m in [2/3, 4/3), and ln q = e·ln 2 + 2 atanh(z) with
+    a/b = 2^e·m with m in [2/3, 4/3), and ln(a/b) = e·ln 2 + 2 atanh(z) with
     z = (m−1)/(m+1), |z| ≤ 1/5. Both parts are summed on the grid 2^-p,
     p = bits + 4 + bit_length(|e|), where ln 2 and atanh(z) are each at
     most two steps wide. The sum is at most 2|e| + 4 < 2^(p-bits) steps wide,
     so rounded outward to the grid 2^-bits it is at most two of those.
+    e, m and every floor taken depend on a/b only, not on a common factor.
     """
-    q = Fraction(q)
-    if q <= 0:
+    if a <= 0 or b <= 0:
         raise ValueError("log of a non-positive rational")
-    a, b = q.numerator, q.denominator
-    e = a.bit_length() - b.bit_length()  # 2^(e-1) < q < 2^(e+1)
+    e = a.bit_length() - b.bit_length()  # 2^(e-1) < a/b < 2^(e+1)
     if e >= 0:
         b <<= e
     else:
@@ -130,13 +128,12 @@ def log_fraction(q: Fraction, bits: int = 64) -> RationalInterval:
     if e < 0:
         l_lo, l_hi = l_hi, l_lo
     s_lo, s_hi = _atanh_grid(a - b, a + b, p)
-    return _dyadic(e * l_lo + 2 * s_lo, e * l_hi + 2 * s_hi, bits, p - bits)
+    return (e * l_lo + 2 * s_lo) >> (p - bits), -(-(e * l_hi + 2 * s_hi) >> (p - bits))
 
 
-def log_interval(x: RationalInterval, bits: int = 64) -> RationalInterval:
-    """Certified ln over a positive interval (monotone in the endpoints)."""
-    if x.lo <= 0:
-        raise ValueError("log needs a certified-positive interval")
-    lo = log_fraction(x.lo, bits).lo
-    hi = log_fraction(x.hi, bits).hi
-    return RationalInterval(lo, hi)
+@lru_cache(maxsize=4096)
+def log_fraction(q: Fraction, bits: int = 64) -> RationalInterval:
+    """Certified enclosure of ln(q) for rational q > 0, at most 2^(1-bits)
+    wide: _log_grid on the grid 2^-bits."""
+    q = Fraction(q)
+    return _dyadic(*_log_grid(q.numerator, q.denominator, bits), bits)

@@ -22,11 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import AmpleToriError, NonMonicError
-from .intervals import RationalInterval
-from .linalg import _int_mat
+from .linalg import IntVec, _int_vec
 from .polynomials import QPoly, cauchy_bound
 
 DOUBLINGS = 6  # working-precision doublings before root_disks gives up
@@ -165,20 +163,23 @@ def root_disks(f: QPoly, bits: int) -> list[RootDisk]:
     raise RealSplitError(f"could not certify root disks of {f!r} at {p // 2} bits")
 
 
-def abs_square_on_disk(a: QPoly, disk: RootDisk) -> RationalInterval:
-    """An enclosure of |A(α)|² for every α in the disk.
+def abs_square_on_disk(a: IntVec, disk: RootDisk) -> tuple[int, int, int]:
+    """Integers (lo, hi, scale), lo/scale ≤ |A(α)|² ≤ hi/scale for every α in
+    the disk, for A with coefficients a = (ints, den), put in lowest terms.
 
     With z the centre and R the radius,
     |A(α) − A(z)| ≤ E = R·Σ k|a_k|(|z| + R)^(k−1), so |A(α)| lies within E
     of |A(z)|, whose square is exact. The lower end is 0 unless |A(z)| > E.
     """
-    (ints,), e = _int_mat((a.coeffs,))
-    p, rho = disk.shift, disk.radius
+    ints, e = _int_vec(*a)
     d = len(ints) - 1
+    while d >= 0 and not ints[d]:
+        d -= 1
     if d < 0:
-        return RationalInterval.point(0)
+        return 0, 0, 1
+    p, rho = disk.shift, disk.radius
     # A(z)·e·2^(dp) and E·e·2^(dp), with |z|·2^p + R·2^p ≤ m
-    gx, gy = _horner_exact(ints, disk.re, disk.im, p)
+    gx, gy = _horner_exact(ints[: d + 1], disk.re, disk.im, p)
     m = _ceil_sqrt(disk.re**2 + disk.im**2) + rho
     err, mk = 0, 1
     for k in range(1, d + 1):
@@ -188,5 +189,4 @@ def abs_square_on_disk(a: QPoly, disk: RootDisk) -> RationalInterval:
     sq = gx * gx + gy * gy
     cross = 2 * err * _ceil_sqrt(sq)
     lo = max(sq + err * err - cross, 0) if sq > err * err else 0
-    scale = (e << (d * p)) ** 2
-    return RationalInterval(Fraction(lo, scale), Fraction(sq + err * err + cross, scale))
+    return lo, sq + err * err + cross, (e << (d * p)) ** 2

@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedError,
 )
 from .etale import Coords, EtaleAlgebra, sorted_elements
-from .intervals import _on_grid, log_fraction, log_interval
+from .intervals import _log_grid, _on_grid, log_fraction
 from .places import Signature, check_unramified
 from .polynomials import QPoly, _mul_mod_monic, factor_mod_p, fp_mod, fp_strip
 from .realsplit import abs_square_on_disk, root_disks
@@ -197,28 +197,30 @@ class _PolynomialLRU(dict):
         return value
 
 
-def _log_ball(log, bits: int, w: int) -> Ball:
-    """(w/2)·log as a ball on the grid 2^-(bits+2), for an enclosure log
-    with endpoints on the grid 2^-bits."""
-    lo, hi = _on_grid(log.lo, bits), _on_grid(log.hi, bits)
+# (factor coefficients, p) -> PrimePlaces, which nothing edits once made
+_PRIME_PLACES = _PolynomialLRU()
+
+
+def _log_ball(lo: int, hi: int, w: int) -> Ball:
+    """(w/2)·log as a ball on the grid 2^-(bits+2), for an enclosure
+    [lo, hi]·2^-bits of log."""
     return w * (lo + hi), abs(w) * (hi - lo)
 
 
-def _archimedean_log(
-    e: EtaleAlgebra, col: LogColumn, disk_at, u: Coords, bits: int
-) -> Ball:
-    """The ball of log|σ(u)| at a real column, of 2·log|σ(u)| at a complex one.
+def _archimedean_log(col: LogColumn, disk_at, comp: Coords, bits: int) -> Ball:
+    """The ball of log|σ(u)| at a real column, of 2·log|σ(u)| at a complex one,
+    for comp the power coordinates of u's component in the column's factor.
 
     disk_at(b) is the column's root disk of radius ≤ 2^-b. The radius
     shrinks by doubling b until |A(α)|² is certified positive, up to
     b = 64·max(bits, 64).
     """
-    comp = e.factor_component(u, col.factor)
     attempt_bits = bits
     while True:
-        val = abs_square_on_disk(comp, disk_at(attempt_bits))
-        if val.lo > 0:
-            return _log_ball(log_interval(val, bits), bits, 1 if col.kind == "real" else 2)
+        lo, hi, scale = abs_square_on_disk(comp, disk_at(attempt_bits))
+        if lo > 0:
+            w = 1 if col.kind == "real" else 2
+            return _log_ball(_log_grid(lo, scale, bits)[0], _log_grid(hi, scale, bits)[1], w)
         if 2 * attempt_bits > 64 * max(bits, 64):
             raise IndependenceUndecidedError(
                 f"cannot separate {col.label()} from zero at {attempt_bits} bits", bits
@@ -244,17 +246,18 @@ def build_log_embedding(
     places_by_key: dict[tuple[int, int], PrimePlaces] = {}
     for p in s_primes:
         for k, f in enumerate(e.factors):
-            pp = PrimePlaces(f, p)
-            places_by_key[(k, p)] = pp
+            pp = _PRIME_PLACES.get((f.coeffs, p)) or PrimePlaces(f, p)
+            places_by_key[(k, p)] = _PRIME_PLACES.store((f.coeffs, p), pp)
             for j in range(pp.count):
                 columns.append(
                     LogColumn("finite", k, j, prime=p, residue_degree=pp.residue_degrees[j])
                 )
 
     # an exact zero has no log at any precision: refuse it before any root disk
-    for i, u in enumerate(elements):
-        for k in range(len(e.factors)):
-            if e.factor_component(u, k).is_zero():
+    powers = [e.to_power(u) for u in elements]
+    for i, (power, _) in enumerate(powers):
+        for k, (off, d) in enumerate(zip(e.offsets, e.degrees)):
+            if not any(power[off : off + d]):
                 col = next(c for c in columns if c.factor == k)
                 raise InvalidUnitSystemError(f"element {i} is zero at {col.label()}: it has no log")
 
@@ -265,18 +268,19 @@ def build_log_embedding(
         offset = 0 if col.kind == "real" else sigs[col.factor].r1
         return lambda b: disks(col.factor, b)[offset + col.index]
 
-    log_p = {p: _log_ball(log_fraction(Fraction(p), bits), bits, 1) for p in s_primes}
+    logs = {p: log_fraction(Fraction(p), bits) for p in s_primes}
+    log_p = {p: _log_ball(_on_grid(v.lo, bits), _on_grid(v.hi, bits), 1) for p, v in logs.items()}
     rows: list[list[Ball]] = []
-    for u in elements:
+    for power, den in powers:
         row: list[Ball] = []
-        power, den = e.to_power(u)
         for col in columns:
+            off, d = e.offsets[col.factor], e.degrees[col.factor]
+            comp = (power[off : off + d], den)
             if col.kind != "finite":
-                row.append(_archimedean_log(e, col, disk_at(col), u, bits))
+                row.append(_archimedean_log(col, disk_at(col), comp, bits))
                 continue
             pp = places_by_key[(col.factor, col.prime)]
-            off, d = e.offsets[col.factor], e.degrees[col.factor]
-            w = -2 * col.residue_degree * pp.valuation(col.index, (power[off : off + d], den))
+            w = -2 * col.residue_degree * pp.valuation(col.index, comp)
             m, r = log_p[col.prime]
             row.append((w * m, abs(w) * r))
         rows.append(row)
@@ -490,15 +494,17 @@ def search_units(
     1-norm, then lexicographic). The budget caps the candidate count. The
     basis must be an order (else NotAnOrderError): its structure constants
     are integers, so the walk runs in plain ints, and a non-integer target
-    matches nothing. N(Σ x_i b_i) = det π(Σ x_i b_i) has degree ≤ n in each
-    coordinate, so it is tabulated by forward differences from its values
-    at the m^n corner points {−B, …, −B+m−1}^n, m = min(n+1, 2B+1): those
-    are the only norms taken. They are turned once into the mixed
-    forward differences of the corner along every axis; every box point is
-    then stepped by integer additions, each last-axis row summed whole and
-    tested against the targets at once. The differences are exact integers
-    and the order of differencing does not matter, so this finds exactly the
-    box points that differencing each slice anew would.
+    matches nothing. N(Σ x_i b_i) = det π(Σ x_i b_i) is homogeneous of
+    degree n, so it is tabulated by forward differences from its values at
+    the simplex corner −B + j, j ∈ [0, m)^n with Σj ≤ n, m = min(n+1, 2B+1):
+    the only norms taken. They are turned once into the corner's mixed
+    forward differences along every axis (those of order past n are 0);
+    every box point is then stepped by exact integer additions, each
+    last-axis row summed whole and tested against the targets at once. As
+    N(−x) = (−1)^n·N(x), for n ≥ 2 the walk steps the first axis across
+    [−B, B] but enters only x_0 ≥ 0; a row with x_0 > 0 is also tested
+    against (−1)^n·targets, and emits −x for each x whose (−1)^n·N(x) is a
+    target. So it finds exactly the box points that a full walk would.
     """
     e.require_order()
     n = e.n
@@ -511,18 +517,24 @@ def search_units(
         norm_targets = default_norm_targets(s_primes)
     int_targets = {int(t) for t in map(Fraction, norm_targets) if t.denominator == 1}
 
+    sign = (-1) ** n  # N(−x) = sign·N(x)
+    mirrored = int_targets | {sign * t for t in int_targets}
     m = min(n + 1, 2 * coord_bound + 1)
     span = range(-coord_bound, coord_bound + 1)
+    simplex = [sum(j) <= n for j in itertools.product(range(m), repeat=n)]
     corner = [  # an order's norms of integer points are integers
-        e.norm((pt, 1))[0] for pt in itertools.product(range(-coord_bound, m - coord_bound), repeat=n)
+        e.norm((tuple(c - coord_bound for c in j), 1))[0] if small else 0
+        for j, small in zip(itertools.product(range(m), repeat=n), simplex)
     ]
-    # mixed forward differences along every axis, taken once: entry
-    # (j_0, …, j_{n-1}) becomes Δ_0^{j_0} ⋯ Δ_{n-1}^{j_{n-1}} N at the corner origin
+    # mixed forward differences along every axis, taken once: entry j becomes
+    # Δ_0^{j_0} ⋯ Δ_{n-1}^{j_{n-1}} N at the corner origin, read off the corner
+    # points below j, so right on the simplex; past it, it is 0 (degree n)
     for stride in (m**a for a in range(n)):
         for k in range(1, m):
             for t in reversed(range(len(corner))):  # so corner[t − stride] is still old
                 if t // stride % m >= k:
                     corner[t] -= corner[t - stride]
+    corner = [v if small else 0 for v, small in zip(corner, simplex)]
     coords = [0] * n
     out: list[Coords] = []
 
@@ -533,17 +545,21 @@ def search_units(
             for v in values[-2::-1]:
                 row = itertools.accumulate(row, initial=v)
             row = list(row)
-            if not int_targets.isdisjoint(row):
+            mirror = i > 0 and coords[0] > 0  # the walk skips −x, so x stands for it
+            if not (mirrored if mirror else int_targets).isdisjoint(row):
                 for c, v in zip(span, row):
+                    coords[i] = c
                     if v in int_targets:
-                        coords[i] = c
                         out.append((tuple(coords), 1))
+                    if mirror and sign * v in int_targets:
+                        out.append((tuple(-x for x in coords), 1))
             return
         size = m ** (n - 1 - i)
         d = [values[j * size : (j + 1) * size] for j in range(m)]
         for c in span:
             coords[i] = c
-            rec(i + 1, d[0])
+            if i or c >= 0:
+                rec(i + 1, d[0])
             for k in range(m - 1):
                 d[k] = list(map(operator.add, d[k], d[k + 1]))
 

@@ -6,9 +6,9 @@ import pytest
 
 from ampletori.intervals import (
     RationalInterval,
+    _log_grid,
     log2_interval,
     log_fraction,
-    log_interval,
 )
 
 
@@ -49,5 +49,20 @@ def test_log_refines_monotonically():
 
 
 def test_log_interval_requires_positive():
+    # the lower end of [−1, 1] is not positive, and neither part may be
     with pytest.raises(ValueError):
-        log_interval(RationalInterval(Fraction(-1), Fraction(1)))
+        _log_grid(-1, 1, 64)
+    with pytest.raises(ValueError):
+        _log_grid(1, 0, 64)
+
+
+def test_log_grid_ignores_a_common_factor():
+    # |A(α)|² reaches _log_grid unreduced: its grid integers must be those of
+    # the reduced fraction, which log_fraction reads
+    rng = random.Random(12)
+    for _ in range(50):
+        a, b, c = (rng.randint(1, 10**30) for _ in range(3))
+        q = Fraction(a, b)
+        lo, hi = _log_grid(a * c, b * c, 64)
+        assert (lo, hi) == _log_grid(q.numerator, q.denominator, 64)
+        assert log_fraction(q, 64) == RationalInterval(Fraction(lo, 2**64), Fraction(hi, 2**64))

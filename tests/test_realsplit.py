@@ -1,5 +1,6 @@
 """Root disks and |A(α)|² enclosures against mpmath roots."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -71,9 +72,21 @@ def _mp(q: Fraction):
     return mpmath.mpf(q.numerator) / q.denominator
 
 
-def _encloses(interval, value) -> bool:
+def _encloses(got, value) -> bool:
+    """Whether the integers (lo, hi, scale) enclose value: lo/scale ≤ value ≤ hi/scale."""
+    lo, hi, scale = got
     slack = ORACLE_ERROR * (1 + value)
-    return _mp(interval.lo) <= value + slack and value - slack <= _mp(interval.hi)
+    return mpmath.mpf(lo) / scale <= value + slack and value - slack <= mpmath.mpf(hi) / scale
+
+
+def _abs_square(a, disk):
+    """abs_square_on_disk at the rational coefficients a, as (ints, den);
+    the same A scaled by 6 over 6 must give the same integers."""
+    den = math.lcm(*(c.denominator for c in a))
+    ints = [int(c * den) for c in a]
+    got = abs_square_on_disk((ints, den), disk)
+    assert abs_square_on_disk(([6 * c for c in ints], 6 * den), disk) == got
+    return got
 
 
 def _all_disks(disks, r1):
@@ -125,9 +138,10 @@ def test_abs_square_on_disk_encloses_the_value_at_the_root(mp_roots, bits):
                 a = [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in coeffs[1:]]
                 root = next(r for r in mp_roots[coeffs] if _holds(disk, r))
                 value = abs(sum(_mp(c) * root**k for k, c in enumerate(a))) ** 2
-                got = abs_square_on_disk(QPoly(a), disk)
+                got = _abs_square(a, disk)
                 assert _encloses(got, value)
-                assert got.hi - got.lo <= Fraction(1, 1 << (bits // 2)) * (1 + got.hi)
+                lo, hi, scale = got  # (hi − lo)/scale ≤ 2^-(bits/2)·(1 + hi/scale)
+                assert (hi - lo) << (bits // 2) <= scale + hi
 
 
 def _disk_cases():
@@ -152,7 +166,7 @@ def test_abs_square_on_disk_encloses_every_point_of_the_disk():
     # any disk, not only a root's: the bound must hold on the whole boundary
     with mpmath.workprec(MP_PREC):
         for disk, a in _disk_cases():
-            got = abs_square_on_disk(QPoly(a), disk)
+            got = _abs_square(a, disk)
             unit = mpmath.mpf(2) ** -disk.shift
             centre, radius = mpmath.mpc(disk.re, disk.im) * unit, disk.radius * unit
             for t in range(16):

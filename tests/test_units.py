@@ -1,3 +1,4 @@
+import itertools
 import sys
 import time
 import types
@@ -521,6 +522,20 @@ def test_non_integer_norm_target_matches_nothing():
     )
 
 
+def test_prime_places_are_built_once_per_polynomial_and_prime(monkeypatch):
+    monkeypatch.setattr(units, "_PRIME_PLACES", units._PolynomialLRU())
+    built = []
+    init = PrimePlaces.__init__
+    monkeypatch.setattr(
+        PrimePlaces, "__init__", lambda self, f, p: built.append(p) or init(self, f, p)
+    )
+    u = [element([2, 1])]
+    first = build_log_embedding(GAUSS, u, (5, 13))
+    build_log_embedding(GAUSS, u, (5, 13), 128)
+    assert build_log_embedding(GAUSS, u, (5, 13)).rows == first.rows
+    assert built == [5, 13]
+
+
 # degrees 1 to 4, the order {1, 2x} of x^2+1, and two-factor algebras
 SEARCH_ALGEBRAS = [
     EtaleAlgebra([QPoly([-3, 1])]),
@@ -545,6 +560,17 @@ def test_search_units_matches_full_box_oracle(e, bound):
     assert sorted(found) == oracle_unit_search(e, bound, targets)
 
 
+# targets with no −1 multiple among them, so each hit's mirror −x must be
+# decided by the sign rule N(−x) = (−1)^n·N(x) on its own
+@pytest.mark.parametrize("bound", [1, 2, 3, 4])
+@pytest.mark.parametrize("targets", [{5}, {-1, 3}], ids=str)
+@pytest.mark.parametrize("e", [CUBIC, SEARCH_ALGEBRAS[6], QUARTIC], ids=repr)
+def test_search_units_mirror_matches_full_box_oracle(e, targets, bound):
+    targets = {Fraction(t) for t in targets}
+    found = search_units(e, bound, (), targets)
+    assert sorted(found) == oracle_unit_search(e, bound, targets)
+
+
 @pytest.mark.parametrize("e, bound", [(QUARTIC, 1), (QUARTIC, 9), (GAUSS, 6)], ids=str)
 def test_search_units_takes_one_determinant_per_corner_point(e, bound, monkeypatch):
     calls = []
@@ -556,7 +582,10 @@ def test_search_units_takes_one_determinant_per_corner_point(e, bound, monkeypat
 
     monkeypatch.setattr(EtaleAlgebra, "norm", counting_norm)
     search_units(e, bound)
-    assert len(calls) == min(e.n + 1, 2 * bound + 1) ** e.n
+    # the simplex corner: N has degree n, so no difference of order past n is read
+    m = min(e.n + 1, 2 * bound + 1)
+    simplex = [j for j in itertools.product(range(m), repeat=e.n) if sum(j) <= e.n]
+    assert len(calls) == len(simplex)
 
 
 # What verify_unit_system certifies for the assembled unit systems of examples
