@@ -25,7 +25,7 @@ from . import linalg
 from .etale import Coords, EtaleAlgebra, sorted_elements
 from .linalg import IntMat, Mat
 from .matgroups import enumerate_automorphisms
-from .polynomials import QPoly, squarefree_part
+from .polynomials import QPoly, discriminant
 from .units import _by_size
 
 COEFF_BOX = 20  # coefficient box of the unimodular point in the intertwiner space
@@ -113,7 +113,7 @@ def find_simultaneous_conjugator(
     # charpoly is transposition-invariant, so the candidate pool is shared;
     # every candidate is primitive exactly when the charpoly is squarefree
     chi = QPoly(linalg.charpoly(unit_targets[0]))
-    if squarefree_part(chi) != chi:
+    if not discriminant(chi):
         return None
     candidates = order_elements_with_charpoly(e, chi)
     for transposed in (False, True):

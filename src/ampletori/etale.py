@@ -228,10 +228,13 @@ class EtaleAlgebra:
         f, n = self.factors[0], self.n
         if g.degree != n or not g.is_monic() or not g.is_integral():
             raise ValueError(f"{g!r} is not monic integral of degree {n}")
-        g0 = squarefree_part(g)
-        m, rem = divmod(n, g0.degree)
-        if rem or g0**m != g:
-            return []  # a field element's charpoly is a power of its minimal polynomial
+        if discriminant(g):  # g is squarefree, so it is β's minimal polynomial
+            g0, m = g, 1
+        else:
+            g0 = squarefree_part(g)
+            m, rem = divmod(n, g0.degree)
+            if rem or g0**m != g:
+                return []  # a field element's charpoly is a power of its minimal polynomial
         p = split_prime(f) if g0 == f else split_prime(f, discriminant(g0))
         bf, bg = cauchy_bound(f), cauchy_bound(g)
         fprime = sum(k * abs(int(c)) * bf ** (k - 1) for k, c in enumerate(f.coeffs) if k)

@@ -360,11 +360,13 @@ def check_unramified(f: QPoly, p: int):
 
 def places_over_p(f: QPoly, p: int) -> int:
     """Number of places of Q[x]/(f) over an unramified prime p."""
-    check_unramified(f, p)
-    return len(factor_mod_p(f, p))
+    return len(frobenius_cycle_type(f, p))
 
 
+@functools.lru_cache(maxsize=256)
 def frobenius_cycle_type(f: QPoly, p: int) -> tuple[int, ...]:
+    """The sorted degrees of the factors of f mod p, for unramified p: the
+    cycle type of Frobenius, one cycle per place. Cached per (f, p)."""
     check_unramified(f, p)
     return tuple(sorted(len(g) - 1 for g, _ in factor_mod_p(f, p)))
 

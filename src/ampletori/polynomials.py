@@ -1,10 +1,16 @@
 """Exact univariate polynomial arithmetic over Q, Z and F_p.
 
 Polynomials are dense lists of coefficients in ascending degree (degrees in
-play are at most 8, so sparse storage would buy nothing). Over Q the
-coefficients are fractions.Fraction; over F_p they are ints reduced mod p.
+play are at most 8, so sparse storage would buy nothing). A `QPoly` holds
+fractions.Fraction coefficients; over F_p they are ints reduced mod p.
 The zero polynomial is rejected with an explicit error wherever the operation
 is meaningless for it, never handled by convention.
+
+A monic integral factor's invariants run on its integer coefficients, with
+no Fraction made: the discriminant (a cached Bareiss determinant),
+squarefreeness (disc ≠ 0), the split prime, p-adic roots and irreducibility
+over Q. Fractions remain for rational input: `poly_gcd`, `resultant`,
+`squarefree_part`, a rational discriminant and `rational_roots`.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import linalg
 from .errors import CompositeModulusError, NonMonicError, ZeroPolynomialError
 
 Coeffs = tuple[Fraction, ...]
@@ -194,19 +201,29 @@ def resultant(f: QPoly, g: QPoly) -> Fraction:
     return sign * res
 
 
-def discriminant(f: QPoly) -> int:
-    """disc(f) = (−1)^{d(d−1)/2}·Res(f, f′) for monic integral f, deg ≥ 1."""
-    if f.is_zero() or f.degree < 1:
+@functools.lru_cache(maxsize=256)
+def discriminant(f: QPoly) -> int | Fraction:
+    """disc(f) = (−1)^{n(n−1)/2}·Res(f, f′) for monic f of degree n ≥ 1.
+
+    For integral f, Res(f, f′) is the Bareiss determinant of the (2n−1)²
+    Sylvester matrix of f and f′, all in integers (Cohen, GTM 138, §3.3);
+    rational f keeps the Euclidean resultant, and its rational value.
+    Cached per polynomial (QPoly hashes its coefficients).
+    """
+    if f.degree < 1:
         raise ZeroPolynomialError("discriminant needs degree >= 1")
     if not f.is_monic():
         raise NonMonicError("discriminant is only defined here for monic input")
-    d = f.degree
-    if d == 1:
-        return 1
-    r = resultant(f, f.derivative())
-    val = (-1) ** (d * (d - 1) // 2) * r
-    assert val.denominator == 1 or not f.is_integral()
-    return int(val) if val.denominator == 1 else val
+    n = f.degree
+    if f.is_integral():
+        top = [int(c) for c in reversed(f.coeffs)]  # descending, as Sylvester rows run
+        der = [(n - k) * c for k, c in enumerate(top[:-1])]
+        rows = [[0] * i + top + [0] * (n - 2 - i) for i in range(n - 1)]
+        res = linalg._det(rows + [[0] * i + der + [0] * (n - 1 - i) for i in range(n)])
+    else:
+        res = resultant(f, f.derivative())
+        res = int(res) if res.denominator == 1 else res
+    return -res if n * (n - 1) // 2 % 2 else res
 
 
 def squarefree_part(f: QPoly) -> QPoly:
@@ -411,20 +428,28 @@ def _equal_degree_split(f: FpPoly, d: int, p: int, rng: random.Random) -> list[F
         return _equal_degree_split(g, d, p, rng) + _equal_degree_split(rest, d, p, rng)
 
 
-def _split_roots_exhaustive(f: FpPoly, p: int) -> list[FpPoly]:
-    """Deterministic split of a product of linears by exhaustive root search."""
-    out = []
-    rest = f
-    for r in range(p):
-        if len(rest) - 1 == 0:
-            break
-        cand = [(-r) % p, 1]
-        q, rem = fp_divmod(rest, cand, p)
-        if not rem:
-            out.append(cand)
-            rest = q
-    assert len(rest) - 1 == 0
-    return out
+def _value(poly: Sequence[int], x: int, m: int) -> int:
+    """poly(x) mod m, by Horner's rule."""
+    acc = 0
+    for a in reversed(poly):
+        acc = (acc * x + a) % m
+    return acc
+
+
+def _fp_roots(g: FpPoly, p: int) -> list[int]:
+    """The roots in F_p of monic g, a product of distinct linear factors, in
+    increasing order: by Horner evaluation at every residue when
+    p·deg g ≤ 10^4, else by the seeded equal-degree split."""
+    n = len(g) - 1
+    if 1 < n and p * n <= 10**4:
+        return list(itertools.islice((r for r in range(p) if not _value(g, r, p)), n))
+    return sorted(-h[0] % p for h in _equal_degree_split(g, 1, p, _seeded_rng(g, p))) if n else []
+
+
+def _seeded_rng(fp: FpPoly, p: int) -> random.Random:
+    """The Cantor–Zassenhaus randomness for f mod p, a function of (f mod p, p)."""
+    seed = hashlib.sha256(("factor:%d:" % p + ",".join(map(str, fp))).encode()).digest()
+    return random.Random(int.from_bytes(seed[:8], "big"))
 
 
 def factor_mod_p(f: QPoly | Sequence[int], p: int) -> list[tuple[FpPoly, int]]:
@@ -432,8 +457,8 @@ def factor_mod_p(f: QPoly | Sequence[int], p: int) -> list[tuple[FpPoly, int]]:
 
     Distinct-degree then equal-degree splitting (Cantor–Zassenhaus), with the
     CZ randomness seeded deterministically from (f, p) so output is
-    reproducible; a deterministic exhaustive fallback is used when
-    p·deg(f) ≤ 10^4. Factors are sorted by (degree, coefficients).
+    reproducible; linear factors come from their roots (`_fp_roots`).
+    Factors are sorted by (degree, coefficients).
     """
     if not is_prime(p):
         raise CompositeModulusError(f"{p} is not prime")
@@ -445,15 +470,12 @@ def factor_mod_p(f: QPoly | Sequence[int], p: int) -> list[tuple[FpPoly, int]]:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
     if len(fp) - 1 == 0:
         return []
-    seed = hashlib.sha256(("factor:%d:" % p + ",".join(map(str, fp))).encode()).digest()
-    rng = random.Random(int.from_bytes(seed[:8], "big"))
-    root_search_ok = p * (len(fp) - 1) <= 10**4
-
+    rng = _seeded_rng(fp, p)
     result: list[tuple[FpPoly, int]] = []
     for sqfree, mult in _fp_squarefree_decomposition(fp, p):
         for part, d in _distinct_degree(sqfree, p):
-            if d == 1 and root_search_ok:
-                irreducibles = _split_roots_exhaustive(part, p)
+            if d == 1:
+                irreducibles = [[-r % p, 1] for r in _fp_roots(part, p)]
             else:
                 irreducibles = _equal_degree_split(part, d, p, rng)
             result.extend((fp_monic(g, p), mult) for g in irreducibles)
@@ -503,29 +525,21 @@ def split_prime(f: QPoly, avoid: int = 1) -> int:
 def padic_roots(f: QPoly, p: int, q: int) -> list[int]:
     """The roots of monic integral f modulo q = p^k above its roots modulo p.
 
-    Every root modulo p must be simple (p ∤ disc f): Newton's iteration,
-    doubling the precision at each step, lifts each to the unique root of f
-    in Z_p above it (Hensel). Ordered by residue modulo p.
+    The roots modulo p are those of gcd(x^p − x, f) over F_p (`_fp_roots`).
+    Every one must be simple (p ∤ disc f): Newton's iteration, doubling the
+    precision at each step, lifts each to the unique root of f in Z_p above
+    it (Hensel). Ordered by residue modulo p.
     """
     c = [int(a) for a in f.coeffs]
-    dc = [i * a for i, a in enumerate(c)][1:]
-
-    def value(poly, x, m):
-        acc = 0
-        for a in reversed(poly):
-            acc = (acc * x + a) % m
-        return acc
-
+    dc, fp = [i * a for i, a in enumerate(c)][1:], [a % p for a in c]
     out = []
-    for g, _ in factor_mod_p(f, p):
-        if len(g) != 2:
-            continue
-        r, m = -g[0] % p, p
+    for r in _fp_roots(fp_gcd(fp_sub(fp_pow_mod([0, 1], p, fp, p), [0, 1], p), fp, p), p):
+        m = p
         while m < q:
             m = min(m * m, q)
-            r = (r - value(c, r, m) * pow(value(dc, r, m), -1, m)) % m
+            r = (r - _value(c, r, m) * pow(_value(dc, r, m), -1, m)) % m
         out.append(r)
-    return sorted(out, key=lambda r: r % p)
+    return out
 
 
 def _linear_product(roots: Iterable[int], q: int) -> list[int]:
@@ -560,15 +574,30 @@ def cauchy_bound(f: QPoly) -> int:
     return 1 + max((abs(int(c)) for c in f.coeffs[:-1]), default=0)
 
 
+def _integer_roots(f: QPoly) -> list[int]:
+    """The integer roots of monic integral squarefree f, in increasing order.
+
+    They are below the Cauchy bound B of f, so at the smallest prime p ∤
+    disc f each lies among f's roots in Z_p lifted past p^k > 2B and read
+    in (−p^k/2, p^k/2].
+    """
+    disc, p = discriminant(f), 2
+    while not disc % p or not is_prime(p):
+        p += 1
+    q = p
+    while q <= 2 * cauchy_bound(f):
+        q *= p
+    c = [int(a) for a in f.coeffs]
+    roots = (_symmetric_residue(r, q) for r in padic_roots(f, p, q))
+    return sorted(r for r in roots if not sum(a * r**k for k, a in enumerate(c)))
+
+
 def rational_roots(f: QPoly) -> list[Fraction]:
     """All rational roots of f, without factoring its coefficients.
 
     The squarefree part of f, made integral, is a·g(x) with leading
     coefficient a; then h(x) = a^(n−1)·g(x/a) is monic integral, and the
-    rational roots of f are r/a for the integer roots r of h. Those are
-    below the Cauchy bound B of h, so at the smallest prime p with h mod p
-    squarefree, each lies among h's roots in Z_p lifted past p^k > 2B and
-    read in (−p^k/2, p^k/2].
+    rational roots of f are r/a for the integer roots r of h.
     """
     if f.is_zero():
         raise ZeroPolynomialError("zero polynomial")
@@ -576,14 +605,7 @@ def rational_roots(f: QPoly) -> list[Fraction]:
     n = g.degree
     a = math.lcm(*[c.denominator for c in g.coeffs])
     h = QPoly([c * a ** (n - k) for k, c in enumerate(g.coeffs)])
-    p = 2
-    while not is_prime(p) or fp_gcd(hp := h.reduce_mod(p), fp_derivative(hp, p), p) != [1]:
-        p += 1
-    q = p
-    while q <= 2 * cauchy_bound(h):
-        q *= p
-    roots = (_symmetric_residue(r, q) for r in padic_roots(h, p, q))
-    return sorted(Fraction(r, a) for r in roots if h(r) == 0)
+    return [Fraction(r, a) for r in _integer_roots(h)] if n else []
 
 
 @functools.lru_cache(maxsize=256)
@@ -595,18 +617,18 @@ def is_irreducible_q(f: QPoly) -> bool:
     coefficients are at most C(m, j)·‖f‖₂ < 2^n·‖f‖₂ (Mignotte), so the
     roots are lifted to p^k > 2^(n+1)·‖f‖₂, and the product of every subset
     of at most n/2 of them, read in (−p^k/2, p^k/2], is tried as a factor
-    (Zassenhaus recombination; Cohen, GTM 138, §3.5). Below degree 4 a
-    rational root is the only possible factor, so that decides alone.
+    (Zassenhaus recombination; Cohen, GTM 138, §3.5). Below degree 4 an
+    integer root is the only possible factor, so that decides alone.
     """
     if f.is_zero() or f.degree < 1:
         return False
     if not f.is_monic() or not f.is_integral():
         raise NonMonicError("irreducibility test expects a monic integral polynomial")
     n = f.degree
-    if poly_gcd(f, f.derivative()).degree > 0:
+    if not discriminant(f):  # monic: squarefree exactly when disc f ≠ 0
         return False
     if n <= 3:  # a proper factor would include a linear one
-        return n == 1 or not rational_roots(f)
+        return n == 1 or not _integer_roots(f)
     p = split_prime(f)
     bound, q = 2 ** (n + 1) * (math.isqrt(sum(int(c) ** 2 for c in f.coeffs)) + 1), p
     while q <= bound:

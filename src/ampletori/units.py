@@ -30,7 +30,7 @@ from .etale import Coords, EtaleAlgebra, sorted_elements
 from .intervals import _log_grid, _on_grid, log_fraction
 from .places import Signature, check_unramified
 from .polynomials import QPoly, _mul_mod_monic, factor_mod_p, fp_mod, fp_strip
-from .realsplit import abs_square_on_disk, root_disks
+from .realsplit import RootDisk, abs_square_on_disk, root_disks
 
 PRECISION_LADDER = (64, 128, 256)
 DEFAULT_PRECISION_CAP = 256
@@ -112,10 +112,9 @@ class PrimePlaces:
         self.p = p
         self.factors = [g for g, _ in factor_mod_p(f, p)]
         self.residue_degrees = [len(g) - 1 for g in self.factors]
-        lifts = [QPoly(g) for g in self.factors]
         self._betas = [  # integer coefficients, ascending
-            [int(c) for c in (math.prod(lifts[:i] + lifts[i + 1 :], start=QPoly([1])) % f).coeffs]
-            for i in range(self.count)
+            functools.reduce(lambda a, g: _mul_mod_monic(a, g, self._f), others, [1])
+            for others in (self.factors[:i] + self.factors[i + 1 :] for i in range(self.count))
         ]
 
     def valuation(self, i: int, power: Coords) -> int:
@@ -199,6 +198,13 @@ class _PolynomialLRU(dict):
 
 # (factor coefficients, p) -> PrimePlaces, which nothing edits once made
 _PRIME_PLACES = _PolynomialLRU()
+# (factor coefficients, bits) -> root_disks(f, bits) as a tuple of frozen disks
+_ROOT_DISKS = _PolynomialLRU()
+
+
+def _root_disks(f: QPoly, bits: int) -> tuple[RootDisk, ...]:
+    key = (f.coeffs, bits)
+    return _ROOT_DISKS.store(key, _ROOT_DISKS.get(key) or tuple(root_disks(f, bits)))
 
 
 def _log_ball(lo: int, hi: int, w: int) -> Ball:
@@ -261,8 +267,8 @@ def build_log_embedding(
                 col = next(c for c in columns if c.factor == k)
                 raise InvalidUnitSystemError(f"element {i} is zero at {col.label()}: it has no log")
 
-    # each factor's root disks at each precision, computed once in this call
-    disks = functools.cache(lambda k, b: root_disks(e.factors[k], b))
+    # each factor's root disks at each precision, looked up once in this call
+    disks = functools.cache(lambda k, b: _root_disks(e.factors[k], b))
 
     def disk_at(col):
         offset = 0 if col.kind == "real" else sigs[col.factor].r1
