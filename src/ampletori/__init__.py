@@ -20,7 +20,6 @@ from .errors import (
     UnsupportedError,
 )
 from .etale import EtaleAlgebra
-from .intervals import RationalInterval
 from .matgroups import (
     GeneratorSet,
     elementary_matrix,

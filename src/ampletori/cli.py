@@ -9,7 +9,6 @@ machine-readable report; identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -59,12 +58,10 @@ def _load_algebra(path: str):
 
 
 def _precision_cap(args) -> int:
-    """--precision-cap, else CMA_PRECISION_CAP, else the default; at least 1."""
-    if args.precision_cap is not None:
-        return positive_int(args.precision_cap, "--precision-cap")
-    return positive_int(
-        os.environ.get("CMA_PRECISION_CAP", DEFAULT_PRECISION_CAP), "CMA_PRECISION_CAP"
-    )
+    """--precision-cap, else the default; at least 1."""
+    if args.precision_cap is None:
+        return DEFAULT_PRECISION_CAP
+    return positive_int(args.precision_cap, "--precision-cap")
 
 
 def _emit(payload, as_json: bool, text_lines) -> None:

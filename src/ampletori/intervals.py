@@ -1,39 +1,16 @@
-"""Certified enclosures with exact rational endpoints, and certified logs.
+"""Certified logarithms as integers on a dyadic grid.
 
-A `RationalInterval` [lo, hi] of Fractions is guaranteed to contain its true
-value: `log_fraction` encloses ln q in one. `_log_grid` gives the same
-enclosure of ln(a/b) as integers on the grid 2^-bits; the log embedding
-(units) reads it at the integer enclosures of |A(α)|² (realsplit).
-Logarithms come from an atanh series summed in fixed point on Python
-integers, with a proven error bound, and have dyadic endpoints (an integer
-over a power of two) — no floating point anywhere.
+`log_grid(a, b, bits)` encloses ln(a/b) between two integers lo ≤ hi ≤
+lo + 2 read on the grid 2^-bits. The log embedding (units) reads it at
+each S-prime and at the integer enclosures of |A(α)|² (realsplit). The
+logs come from an atanh series summed in fixed point on Python integers,
+with a proven error bound; ln 2 is one such series, cached per grid. No
+floating point and no Fraction is made anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-
-
-@dataclass(frozen=True)
-class RationalInterval:
-    lo: Fraction
-    hi: Fraction
-
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError("interval endpoints out of order")
-
-    @staticmethod
-    def point(x) -> "RationalInterval":
-        x = Fraction(x)
-        return RationalInterval(x, x)
-
-
-def _dyadic(lo: int, hi: int, p: int, shift: int = 0) -> RationalInterval:
-    """[lo, hi]·2^-(p+shift) widened outward onto the grid 2^-p."""
-    return RationalInterval(Fraction(lo >> shift, 1 << p), Fraction(-(-hi >> shift), 1 << p))
 
 
 def _atanh_fixed(num: int, den: int, q: int, stop: int) -> tuple[int, int]:
@@ -82,25 +59,13 @@ def _atanh_grid(num: int, den: int, p: int) -> tuple[int, int]:
     return (lo, hi) if num > 0 else (-hi, -lo)
 
 
-def _atanh_series(z: Fraction, bits: int) -> RationalInterval:
-    """Enclosure of atanh(z) for |z| ≤ 1/2, at most 2^-bits wide."""
-    p = bits + 1
-    return _dyadic(*_atanh_grid(z.numerator, z.denominator, p), p)
-
-
 @lru_cache(maxsize=32)
-def log2_interval(bits: int) -> RationalInterval:
-    """ln 2 = 2 atanh(1/3) on the grid 2^-bits, at most 2^(1-bits) wide."""
-    half = _atanh_series(Fraction(1, 3), bits)
-    return RationalInterval(2 * half.lo, 2 * half.hi)
+def _ln2_grid(p: int) -> tuple[int, int]:
+    """ln 2 = 2 atanh(1/3) as integers lo ≤ hi ≤ lo + 2 on the grid 2^-p."""
+    return _atanh_grid(1, 3, p + 1)
 
 
-def _on_grid(x: Fraction, p: int) -> int:
-    """x·2^p for x a multiple of 2^-p."""
-    return x.numerator << (p + 1 - x.denominator.bit_length())
-
-
-def _log_grid(a: int, b: int, bits: int) -> tuple[int, int]:
+def log_grid(a: int, b: int, bits: int) -> tuple[int, int]:
     """Integers lo ≤ hi ≤ lo + 2, lo·2^-bits ≤ ln(a/b) ≤ hi·2^-bits, for a, b > 0.
 
     a/b = 2^e·m with m in [2/3, 4/3), and ln(a/b) = e·ln 2 + 2 atanh(z) with
@@ -123,17 +88,8 @@ def _log_grid(a: int, b: int, bits: int) -> tuple[int, int]:
     elif 3 * a >= 4 * b:
         b, e = 2 * b, e + 1
     p = bits + 4 + abs(e).bit_length()
-    ln2 = log2_interval(p)
-    l_lo, l_hi = _on_grid(ln2.lo, p), _on_grid(ln2.hi, p)
+    l_lo, l_hi = _ln2_grid(p)
     if e < 0:
         l_lo, l_hi = l_hi, l_lo
     s_lo, s_hi = _atanh_grid(a - b, a + b, p)
     return (e * l_lo + 2 * s_lo) >> (p - bits), -(-(e * l_hi + 2 * s_hi) >> (p - bits))
-
-
-@lru_cache(maxsize=4096)
-def log_fraction(q: Fraction, bits: int = 64) -> RationalInterval:
-    """Certified enclosure of ln(q) for rational q > 0, at most 2^(1-bits)
-    wide: _log_grid on the grid 2^-bits."""
-    q = Fraction(q)
-    return _dyadic(*_log_grid(q.numerator, q.denominator, bits), bits)

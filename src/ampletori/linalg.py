@@ -4,7 +4,7 @@ Everything here is exact; no floating point is ever used. Every matrix
 computation in the package runs on one form, the `IntMat` (rows, den):
 integer rows over one positive common denominator, gcd(den, entries) = 1,
 so equal matrices have equal forms; an `IntVec` (ints, den) is the same
-form for a vector. `_int_mul`, `_int_mat_vec`, `_int_inv`, `_int_det` and
+form for a vector. `_int_mul`, `_int_mat_vec`, `_int_inv` and
 `_int_charpoly` work on them. A `Mat`, an immutable tuple of tuples of
 Fraction, is made only where a matrix leaves the package (a generator set,
 a serialized or regular-representation matrix, a conjugacy result);
@@ -105,11 +105,6 @@ def _int_inv(a: IntMat) -> IntMat:
     return _int_form([[x * den for x in row[n:]] for row in scaled], d)
 
 
-def _int_det(a: IntMat) -> Fraction:
-    rows, den = a
-    return Fraction(_det([list(row) for row in rows]), den ** len(rows))
-
-
 def _echelon(m: list[list[int]], ncols: int) -> tuple[list[int], int]:
     """Fraction-free (Bareiss) row echelon form of integer rows, in place.
 
@@ -174,7 +169,8 @@ def _int_rref(m: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int
 
 
 def mat_det(a: Mat) -> Fraction:
-    return _int_det(_int_mat(a))
+    rows, den = _int_mat(a)
+    return Fraction(_det([list(row) for row in rows]), den ** len(rows))
 
 
 def int_det(a: Sequence[Sequence[int]]) -> int:

@@ -20,7 +20,7 @@ from . import linalg
 from .errors import UnsupportedError
 from .etale import EtaleAlgebra
 from .linalg import IntMat, Mat
-from .units import _PolynomialLRU, fraction_is_s_integral, fraction_is_s_unit_rational
+from .units import _PolynomialLRU, is_s_number, strip_primes
 
 
 @dataclass
@@ -56,7 +56,7 @@ def _check_automorphism(e: EtaleAlgebra, mat: IntMat):
     n = e.n
     if mat[1] != 1:
         return False, "images are not integral"
-    det = linalg._int_det(mat)
+    det = linalg._det([list(row) for row in mat[0]])
     if abs(det) != 1:
         return False, f"determinant {det} is not ±1"
     # additivity is linearity; check products on the basis
@@ -231,16 +231,16 @@ def group_sanity(gens: GeneratorSet, algebra: EtaleAlgebra | None = None) -> dic
     integ_ok, integ_detail = True, []
     for name, m in gens.all_generators():
         m = linalg._int_mat(m)
-        det = linalg._int_det(m)
+        num, den_n = linalg._det([list(row) for row in m[0]]), m[1] ** len(m[0])
         if gens.ambient == "SL":
-            good = det == 1
-        else:
-            good = fraction_is_s_unit_rational(det, s)
+            good = num == den_n
+        else:  # num/den_n is a unit of Z[1/S] when both have the same part prime to S
+            good = num != 0 and strip_primes(num, s)[0] == strip_primes(den_n, s)[0]
         if not good:
             det_ok = False
-            det_detail.append(f"{name}: det={det}")
+            det_detail.append(f"{name}: det={Fraction(num, den_n)}")
         # S-integral exactly when the common denominator is an S-number
-        if not all(fraction_is_s_integral(Fraction(1, x[1]), s) for x in (m, linalg._int_inv(m))):
+        if not all(is_s_number(x[1], s) for x in (m, linalg._int_inv(m))):
             integ_ok = False
             integ_detail.append(name)
     report["determinants"] = {"pass": det_ok, "detail": det_detail}

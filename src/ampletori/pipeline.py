@@ -18,7 +18,6 @@ way, as diag(m, det(m)^{-1}).
 from __future__ import annotations
 
 import importlib.resources
-import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -98,13 +97,8 @@ class PipelineRequest:
             }
         unit_source = data.get("unit_source", {"search": {"coord_bound": 3}})
         _check_unit_source(unit_source, f"{path}.unit_source")
-        if "precision_cap" in data:
-            cap = positive_int(data["precision_cap"], f"{path}.precision_cap")
-        else:
-            cap = positive_int(
-                os.environ.get("CMA_PRECISION_CAP", DEFAULT_PRECISION_CAP),
-                "CMA_PRECISION_CAP",
-            )
+        cap = data.get("precision_cap", DEFAULT_PRECISION_CAP)
+        cap = positive_int(cap, f"{path}.precision_cap")
         return PipelineRequest(algebra, ambient, places, block, unit_source, cap)
 
     def to_json(self) -> dict:

@@ -13,17 +13,16 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NoSuchElementError, RamifiedPlaceError, UnsupportedError
 from .polynomials import (
     QPoly,
+    _integer_roots,
     discriminant,
     factor_mod_p,
     is_irreducible_q,
     is_prime,
     is_square_integer,
-    rational_roots,
 )
 from .realsplit import root_disks
 
@@ -91,7 +90,7 @@ class RationalCharacter:
 
     name: str
     dim: int
-    values: tuple[Fraction, ...]
+    values: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -144,14 +143,14 @@ def _closure(generators: list[Perm], n: int) -> list[Perm]:
 def _chars_by_cycle_type(elements, table: dict[tuple[int, ...], dict[str, int]], dims):
     chars = []
     for name, dim in dims:
-        values = tuple(Fraction(table[cycle_type(g)][name]) for g in elements)
+        values = tuple(table[cycle_type(g)][name] for g in elements)
         chars.append(RationalCharacter(name, dim, values))
     return tuple(chars)
 
 
 def _build_c1() -> GaloisTag:
     e = ((0,),)
-    return GaloisTag("C1", e, (RationalCharacter("triv", 1, (Fraction(1),)),))
+    return GaloisTag("C1", e, (RationalCharacter("triv", 1, (1,)),))
 
 
 def _build_c2() -> GaloisTag:
@@ -160,8 +159,8 @@ def _build_c2() -> GaloisTag:
         "C2",
         els,
         (
-            RationalCharacter("triv", 1, (Fraction(1), Fraction(1))),
-            RationalCharacter("sgn", 1, (Fraction(1), Fraction(-1))),
+            RationalCharacter("triv", 1, (1, 1)),
+            RationalCharacter("sgn", 1, (1, -1)),
         ),
     )
 
@@ -173,8 +172,8 @@ def _build_c3() -> GaloisTag:
         "C3",
         els,
         (
-            RationalCharacter("triv", 1, (Fraction(1),) * 3),
-            RationalCharacter("omega-pair", 2, (Fraction(2), Fraction(-1), Fraction(-1))),
+            RationalCharacter("triv", 1, (1, 1, 1)),
+            RationalCharacter("omega-pair", 2, (2, -1, -1)),
         ),
     )
 
@@ -213,7 +212,7 @@ def _build_v4() -> GaloisTag:
     signs = {"triv": (1, 1), "chi1": (1, -1), "chi2": (-1, 1), "chi3": (-1, -1)}
     chars = []
     for name, (sa, sb) in signs.items():
-        vals = (Fraction(1), Fraction(sa), Fraction(sb), Fraction(sa * sb))
+        vals = (1, sa, sb, sa * sb)
         chars.append(RationalCharacter(name, 1, vals))
     return GaloisTag("V4", els, tuple(chars))
 
@@ -240,10 +239,10 @@ def _build_d4() -> GaloisTag:
         "chi-s": (-1, 1),
         "chi-rs": (-1, -1),
     }.items():
-        vals = tuple(Fraction(alpha**a * beta**b) for a, b in words)
+        vals = tuple(alpha**a * beta**b for a, b in words)
         chars.append(RationalCharacter(name, 1, vals))
     twodim = {0: 2, 1: 0, 2: -2, 3: 0}
-    vals = tuple(Fraction(twodim[a] if b == 0 else 0) for a, b in words)
+    vals = tuple(twodim[a] if b == 0 else 0 for a, b in words)
     chars.append(RationalCharacter("std2", 2, vals))
     return GaloisTag("D4", tuple(els), tuple(chars))
 
@@ -297,7 +296,10 @@ STANDARD_TAGS = {
 }
 
 
+@functools.cache
 def standard_tag(name: str) -> GaloisTag:
+    """The tag of one of the nine groups, built once per process: a frozen
+    GaloisTag of tuples, a function of its name alone."""
     if name not in STANDARD_TAGS:
         raise UnsupportedError(f"unknown Galois tag {name!r}")
     return STANDARD_TAGS[name]()
@@ -374,9 +376,10 @@ def frobenius_cycle_type(f: QPoly, p: int) -> tuple[int, ...]:
 def galois_group_small(f: QPoly) -> GaloisTag:
     """Galois group of the splitting field for monic irreducible f, deg ≤ 4.
 
-    Degree 3 uses the discriminant-square test; degree 4 factors the cubic
-    resolvent over Q and distinguishes C4 from D4 by the Kappe–Warren
-    quadratic criterion over Q(√disc).
+    Degree 3 uses the discriminant-square test. Degree 4 finds the rational
+    roots of the cubic resolvent, which is monic integral with discriminant
+    disc f ≠ 0, so they are its integer roots; it distinguishes C4 from D4
+    by the Kappe–Warren quadratic criterion over Q(√disc).
     """
     if f.degree > 4:
         raise UnsupportedError("Galois groups are only computed through degree 4")
@@ -390,34 +393,23 @@ def galois_group_small(f: QPoly) -> GaloisTag:
     disc = discriminant(f)
     if d == 3:
         return standard_tag("C3" if is_square_integer(disc) else "S3")
-    a, b, c, dd = (f.coeffs[3], f.coeffs[2], f.coeffs[1], f.coeffs[0])
-    resolvent = QPoly(
-        [-(a * a * dd - 4 * b * dd + c * c), a * c - 4 * dd, -b, Fraction(1)]
-    )
-    roots = rational_roots(resolvent)
+    dd, c, b, a = (int(x) for x in f.coeffs[:4])
+    resolvent = QPoly([-(a * a * dd - 4 * b * dd + c * c), a * c - 4 * dd, -b, 1])
+    roots = _integer_roots(resolvent)
     if len(roots) == 0:
         return standard_tag("A4" if is_square_integer(disc) else "S4")
     if len(roots) == 3:
         return standard_tag("V4")
     beta = roots[0]
 
-    def square_in_q_sqrt_disc(q: Fraction) -> bool:
-        if q == 0:
-            return True
-        if _is_square_rational(q):
-            return True
-        return _is_square_rational(q * disc)
+    def square_in_q_sqrt_disc(q: int) -> bool:
+        return is_square_integer(q) or is_square_integer(q * disc)
 
     if square_in_q_sqrt_disc(a * a - 4 * (b - beta)) and square_in_q_sqrt_disc(
         beta * beta - 4 * dd
     ):
         return standard_tag("C4")
     return standard_tag("D4")
-
-
-def _is_square_rational(q: Fraction) -> bool:
-    q = Fraction(q)
-    return q >= 0 and is_square_integer(q.numerator) and is_square_integer(q.denominator)
 
 
 def decomposition_profile(f: QPoly, tag: GaloisTag, place: Place) -> PlaceProfile:

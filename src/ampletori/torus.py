@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import InputError, UnsupportedError
 from .etale import EtaleAlgebra
@@ -152,10 +151,6 @@ class Component:
         return self.char.name
 
     @property
-    def character_dim(self) -> int:
-        return self.char.dim
-
-    @property
     def dim(self) -> int:
         return self.multiplicity * self.char.dim
 
@@ -240,14 +235,13 @@ def decompose_module(t: TorusDatum) -> IrreducibleDecomposition:
     psi = [sum(1 for i, j in enumerate(g) if i == j) - drop for g in tag.elements]
     comps = []
     for char in tag.characters:
-        m = Fraction(
-            sum(a * b for a, b in zip(psi, char.values)),
-            sum(x * x for x in char.values),
-        )
-        if m.denominator != 1:
-            raise AssertionError(f"character {char.name} occurs {m} times")
+        inner = sum(a * b for a, b in zip(psi, char.values))
+        norm = sum(x * x for x in char.values)
+        m, rest = divmod(inner, norm)
+        if rest:
+            raise AssertionError(f"character {char.name} occurs {inner}/{norm} times")
         if m:
-            comps.append(Component(char, int(m)))
+            comps.append(Component(char, m))
     if sum(c.dim for c in comps) != t.dim:
         raise AssertionError("isotypic components do not span the module")
     return IrreducibleDecomposition(tuple(comps))
@@ -263,10 +257,11 @@ def component_rank(tag: GaloisTag, comp: Component, gen: Perm) -> int:
         if g == tag.elements[0]:
             break
         g = perm_compose(gen, g)
-    rank = comp.multiplicity * Fraction(sum(values), len(values))
-    if rank.denominator != 1:
-        raise AssertionError(f"character {comp.character} has mean rank {rank}")
-    return int(rank)
+    total = comp.multiplicity * sum(values)
+    rank, rest = divmod(total, len(values))
+    if rest:
+        raise AssertionError(f"character {comp.character} has mean rank {total}/{len(values)}")
+    return rank
 
 
 # ---------------------------------------------------------------------------

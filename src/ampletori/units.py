@@ -27,7 +27,7 @@ from .errors import (
     UnsupportedError,
 )
 from .etale import Coords, EtaleAlgebra, sorted_elements
-from .intervals import _log_grid, _on_grid, log_fraction
+from .intervals import log_grid
 from .places import Signature, check_unramified
 from .polynomials import QPoly, _mul_mod_monic, factor_mod_p, fp_mod, fp_strip
 from .realsplit import RootDisk, abs_square_on_disk, root_disks
@@ -77,18 +77,9 @@ def strip_primes(n: int, primes: tuple[int, ...]) -> tuple[int, dict[int, int]]:
     return n, exps
 
 
-def fraction_is_s_integral(x: Fraction, s_primes: tuple[int, ...]) -> bool:
-    rest, _ = strip_primes(x.denominator, s_primes)
-    return rest == 1
-
-
-def fraction_is_s_unit_rational(x: Fraction, s_primes: tuple[int, ...]) -> bool:
-    """True iff x = ±∏ p^{a_p} over the S-primes (a unit of Z[1/S])."""
-    if x == 0:
-        return False
-    num_rest, _ = strip_primes(x.numerator, s_primes)
-    den_rest, _ = strip_primes(x.denominator, s_primes)
-    return num_rest == 1 and den_rest == 1
+def is_s_number(n: int, s_primes: tuple[int, ...]) -> bool:
+    """True iff n = ±∏ p^{a_p} over the S-primes (a unit of Z[1/S] in Z)."""
+    return n != 0 and strip_primes(n, s_primes)[0] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +217,7 @@ def _archimedean_log(col: LogColumn, disk_at, comp: Coords, bits: int) -> Ball:
         lo, hi, scale = abs_square_on_disk(comp, disk_at(attempt_bits))
         if lo > 0:
             w = 1 if col.kind == "real" else 2
-            return _log_ball(_log_grid(lo, scale, bits)[0], _log_grid(hi, scale, bits)[1], w)
+            return _log_ball(log_grid(lo, scale, bits)[0], log_grid(hi, scale, bits)[1], w)
         if 2 * attempt_bits > 64 * max(bits, 64):
             raise IndependenceUndecidedError(
                 f"cannot separate {col.label()} from zero at {attempt_bits} bits", bits
@@ -274,8 +265,7 @@ def build_log_embedding(
         offset = 0 if col.kind == "real" else sigs[col.factor].r1
         return lambda b: disks(col.factor, b)[offset + col.index]
 
-    logs = {p: log_fraction(Fraction(p), bits) for p in s_primes}
-    log_p = {p: _log_ball(_on_grid(v.lo, bits), _on_grid(v.hi, bits), 1) for p, v in logs.items()}
+    log_p = {p: _log_ball(*log_grid(p, 1, bits), 1) for p in s_primes}
     rows: list[list[Ball]] = []
     for power, den in powers:
         row: list[Ball] = []
@@ -428,10 +418,11 @@ def verify_unit_system(
     e = sys.algebra
     s = sys.s_primes
     for g in [sys.torsion_generator] + list(sys.free_generators):
-        m = e._int_rep(g)  # S-integral when its denominator is an S-number
-        if not fraction_is_s_integral(Fraction(1, m[1]), s):
+        rows, den = e._int_rep(g)  # S-integral when den is an S-number
+        if not is_s_number(den, s):
             raise InvalidUnitSystemError(f"generator {g} is not S-integral")
-        if not fraction_is_s_unit_rational(linalg._int_det(m), s):
+        # the norm is det(rows)/den^n, a unit of Z[1/S] once den is an S-number
+        if not is_s_number(linalg._det([list(row) for row in rows]), s):
             raise InvalidUnitSystemError(f"generator {g} has non-unit norm over Z[1/S]")
 
     order = _is_torsion(e, sys.torsion_generator)

@@ -287,32 +287,27 @@ def _refuse(*args, **kwargs):
 
 
 CAPS_BELOW_ONE = [
-    (["--precision-cap", "-5"], None, "--precision-cap"),
-    (["--precision-cap", "0"], None, "--precision-cap"),
-    ([], "-5", "CMA_PRECISION_CAP"),
+    (["--precision-cap", "-5"], "--precision-cap"),
+    (["--precision-cap", "0"], "--precision-cap"),
 ]
 
 
-@pytest.mark.parametrize("flags, env, path", CAPS_BELOW_ONE)
+@pytest.mark.parametrize("flags, path", CAPS_BELOW_ONE)
 def test_construct_precision_cap_below_one_is_input_error(
-    flags, env, path, tmp_path, monkeypatch, capsys
+    flags, path, tmp_path, monkeypatch, capsys
 ):
     monkeypatch.setattr("ampletori.cli.run_pipeline", _refuse)
-    if env is not None:
-        monkeypatch.setenv("CMA_PRECISION_CAP", env)
     reqfile = tmp_path / "request.json"
     reqfile.write_text(json.dumps({"algebra": CUBIC_ALGEBRA, "places": "inf"}))
     assert main(["--json", "construct", str(reqfile), *flags]) == 1
     assert json.loads(capsys.readouterr().out)["error"]["path"] == path
 
 
-@pytest.mark.parametrize("flags, env, path", CAPS_BELOW_ONE)
+@pytest.mark.parametrize("flags, path", CAPS_BELOW_ONE)
 def test_units_verify_precision_cap_below_one_is_input_error(
-    flags, env, path, gauss_file, tmp_path, monkeypatch, capsys
+    flags, path, gauss_file, tmp_path, monkeypatch, capsys
 ):
     monkeypatch.setattr("ampletori.cli.verify_unit_system", _refuse)
-    if env is not None:
-        monkeypatch.setenv("CMA_PRECISION_CAP", env)
     sysfile = tmp_path / "system.json"
     sysfile.write_text(json.dumps({
         "torsion": {"element": ["0", "1"], "order": 4},
@@ -325,6 +320,22 @@ def test_units_verify_precision_cap_below_one_is_input_error(
     ])
     assert code == 1
     assert json.loads(capsys.readouterr().out)["error"]["path"] == path
+
+
+def test_precision_cap_does_not_read_the_environment(tmp_path, monkeypatch, capsys):
+    # the cap comes from the request or --precision-cap alone: a cap of 1 in
+    # the environment changes neither the parsed request nor the report bytes
+    request = {"algebra": CUBIC_ALGEBRA, "places": "inf"}
+    reqfile = tmp_path / "request.json"
+    reqfile.write_text(json.dumps(request))
+    assert main(["--json", "construct", str(reqfile)]) == 0
+    before = capsys.readouterr().out
+    monkeypatch.setenv("CMA_PRECISION_CAP", "1")
+    req = pipeline.PipelineRequest.from_json(request)
+    assert req.precision_cap == units.DEFAULT_PRECISION_CAP
+    assert pipeline.PipelineRequest.from_json({**request, "precision_cap": 64}).precision_cap == 64
+    assert main(["--json", "construct", str(reqfile)]) == 0
+    assert capsys.readouterr().out == before
 
 
 @pytest.mark.parametrize(

@@ -4,30 +4,30 @@ from fractions import Fraction
 
 import pytest
 
-from ampletori.intervals import (
-    RationalInterval,
-    _log_grid,
-    log2_interval,
-    log_fraction,
-)
+from ampletori.intervals import _atanh_grid, _ln2_grid, log_grid
 
 
-def test_log_fraction_against_float_oracle():
+def test_log_grid_against_float_oracle():
     # float log is an independent implementation; agreement at 1e-12 slack
-    for q in [Fraction(2), Fraction(1, 2), Fraction(5), Fraction(7, 3), Fraction(10**6)]:
-        iv = log_fraction(q, 64)
-        assert iv.hi - iv.lo <= Fraction(1, 2**62)  # outward rounding costs 2 ulps
-        ref = math.log(float(q))
-        assert float(iv.lo) - 1e-12 <= ref <= float(iv.hi) + 1e-12
+    for a, b in [(2, 1), (1, 2), (5, 1), (7, 3), (10**6, 1)]:
+        lo, hi = log_grid(a, b, 64)
+        assert hi - lo <= 2  # outward rounding costs 2 grid steps
+        ref = math.log(a / b)
+        assert lo / 2**64 - 1e-12 <= ref <= hi / 2**64 + 1e-12
 
 
-def test_log_fraction_is_exact_at_one():
-    assert log_fraction(Fraction(1), 64) == RationalInterval(Fraction(0), Fraction(0))
+def test_log_grid_is_exact_at_one():
+    assert log_grid(1, 1, 64) == (0, 0)
+    assert log_grid(7, 7, 100) == (0, 0)
 
 
-def test_interval_caches_are_bounded():
-    assert log_fraction.cache_info().maxsize is not None
-    assert log2_interval.cache_info().maxsize is not None
+def test_ln2_cache_is_bounded_and_holds_the_atanh_pair():
+    assert _ln2_grid.cache_info().maxsize is not None
+    for p in (32, 68, 133):
+        # ln 2 = 2 atanh(1/3): the pair on the grid 2^-(p+1), read on 2^-p
+        assert _ln2_grid(p) == _atanh_grid(1, 3, p + 1)
+        lo, hi = _ln2_grid(p)
+        assert lo / 2**p - 1e-12 <= math.log(2) <= hi / 2**p + 1e-12
 
 
 def test_log_is_additive_within_enclosures():
@@ -35,34 +35,32 @@ def test_log_is_additive_within_enclosures():
     for _ in range(50):
         a = Fraction(rng.randint(1, 500), rng.randint(1, 500))
         b = Fraction(rng.randint(1, 500), rng.randint(1, 500))
-        la, lb, lab = log_fraction(a, 80), log_fraction(b, 80), log_fraction(a * b, 80)
+        la, lb, lab = (log_grid(q.numerator, q.denominator, 80) for q in (a, b, a * b))
         # the enclosures of ln a + ln b and of ln(ab) overlap
-        assert la.lo + lb.lo <= lab.hi and lab.lo <= la.hi + lb.hi
+        assert la[0] + lb[0] <= lab[1] and lab[0] <= la[1] + lb[1]
 
 
 def test_log_refines_monotonically():
-    q = Fraction(3, 7)
-    wide = log_fraction(q, 32)
-    tight = log_fraction(q, 128)
-    assert wide.lo <= tight.lo and tight.hi <= wide.hi
-    assert tight.hi - tight.lo < wide.hi - wide.lo
+    wide = log_grid(3, 7, 32)
+    tight = log_grid(3, 7, 128)
+    scale = 2 ** (128 - 32)  # wide, read on the grid 2^-128
+    assert wide[0] * scale <= tight[0] and tight[1] <= wide[1] * scale
+    assert tight[1] - tight[0] < (wide[1] - wide[0]) * scale
 
 
 def test_log_interval_requires_positive():
     # the lower end of [−1, 1] is not positive, and neither part may be
     with pytest.raises(ValueError):
-        _log_grid(-1, 1, 64)
+        log_grid(-1, 1, 64)
     with pytest.raises(ValueError):
-        _log_grid(1, 0, 64)
+        log_grid(1, 0, 64)
 
 
 def test_log_grid_ignores_a_common_factor():
-    # |A(α)|² reaches _log_grid unreduced: its grid integers must be those of
-    # the reduced fraction, which log_fraction reads
+    # |A(α)|² reaches log_grid unreduced: its grid integers must be those of
+    # the reduced fraction, as the S-prime logs read them
     rng = random.Random(12)
     for _ in range(50):
         a, b, c = (rng.randint(1, 10**30) for _ in range(3))
         q = Fraction(a, b)
-        lo, hi = _log_grid(a * c, b * c, 64)
-        assert (lo, hi) == _log_grid(q.numerator, q.denominator, 64)
-        assert log_fraction(q, 64) == RationalInterval(Fraction(lo, 2**64), Fraction(hi, 2**64))
+        assert log_grid(a * c, b * c, 64) == log_grid(q.numerator, q.denominator, 64)

@@ -12,12 +12,7 @@ from fractions import Fraction
 import mpmath
 import pytest
 
-from ampletori.intervals import (
-    _atanh_fixed,
-    _atanh_series,
-    _log_grid,
-    log_fraction,
-)
+from ampletori.intervals import _atanh_fixed, _atanh_grid, _ln2_grid, log_grid
 
 BITS = (32, 64, 100, 128, 256)
 
@@ -27,9 +22,9 @@ def _mp(x: Fraction):
     return mpmath.mpf(x.numerator) / x.denominator
 
 
-def _is_dyadic(x: Fraction) -> bool:
-    d = x.denominator
-    return d & (d - 1) == 0
+def _grid(k: int, bits: int):
+    """k·2^-bits as an mpf, exactly."""
+    return mpmath.ldexp(k, -bits)
 
 
 def _rational(rng, max_digits=300):
@@ -56,14 +51,21 @@ LOG_CASES = _log_cases(8)
 
 
 @pytest.mark.parametrize("bits", BITS)
-def test_log_fraction_contains_mpmath_log(bits):
+def test_log_grid_contains_mpmath_log(bits):
     with mpmath.workprec(4 * bits + 64):
         for q in LOG_CASES:
-            iv = log_fraction(q, bits)
-            assert _is_dyadic(iv.lo) and _is_dyadic(iv.hi)
-            assert iv.hi - iv.lo <= Fraction(2, 1 << bits), (q, bits)
+            lo, hi = log_grid(q.numerator, q.denominator, bits)
+            assert lo <= hi <= lo + 2, (q, bits)
             ref = mpmath.log(_mp(q))
-            assert _mp(iv.lo) <= ref <= _mp(iv.hi), (q, bits)
+            assert _grid(lo, bits) <= ref <= _grid(hi, bits), (q, bits)
+
+
+@pytest.mark.parametrize("bits", BITS)
+def test_ln2_grid_contains_mpmath_ln2(bits):
+    with mpmath.workprec(4 * bits + 64):
+        lo, hi = _ln2_grid(bits)
+        assert lo <= hi <= lo + 2
+        assert _grid(lo, bits) <= mpmath.log(2) <= _grid(hi, bits)
 
 
 def _atanh_cases(seed):
@@ -82,14 +84,13 @@ ATANH_CASES = _atanh_cases(9)
 
 
 @pytest.mark.parametrize("bits", BITS)
-def test_atanh_series_contains_mpmath_atanh(bits):
+def test_atanh_grid_contains_mpmath_atanh(bits):
     with mpmath.workprec(4 * bits + 64):
         for z in ATANH_CASES:
-            iv = _atanh_series(z, bits)
-            assert _is_dyadic(iv.lo) and _is_dyadic(iv.hi)
-            assert iv.hi - iv.lo <= Fraction(1, 1 << bits), (z, bits)
+            lo, hi = _atanh_grid(z.numerator, z.denominator, bits)
+            assert lo <= hi <= lo + 2, (z, bits)
             ref = mpmath.atanh(_mp(z))
-            assert _mp(iv.lo) <= ref <= _mp(iv.hi), (z, bits)
+            assert _grid(lo, bits) <= ref <= _grid(hi, bits), (z, bits)
 
 
 @pytest.mark.parametrize("bits", BITS)
@@ -100,8 +101,8 @@ def test_log_interval_contains_mpmath_logs(bits):
             lo = _rational(rng, 40)
             hi = lo + Fraction(rng.randint(0, 10 ** 6), 10 ** rng.randint(0, 60))
             # ln over [lo, hi] from the grid integers of its endpoints' logs
-            grid_lo = _log_grid(lo.numerator, lo.denominator, bits)[0]
-            grid_hi = _log_grid(hi.numerator, hi.denominator, bits)[1]
+            grid_lo = log_grid(lo.numerator, lo.denominator, bits)[0]
+            grid_hi = log_grid(hi.numerator, hi.denominator, bits)[1]
             iv_lo, iv_hi = Fraction(grid_lo, 1 << bits), Fraction(grid_hi, 1 << bits)
             ref_lo, ref_hi = mpmath.log(_mp(lo)), mpmath.log(_mp(hi))
             assert _mp(iv_lo) <= ref_lo and ref_hi <= _mp(iv_hi), (lo, hi, bits)
@@ -125,7 +126,7 @@ def test_atanh_fixed_error_bound_holds(q, stop):
             assert total - err <= ref <= total + err, (z, q, stop)
 
 
-def test_atanh_series_rejects_z_beyond_one_half():
+def test_atanh_grid_rejects_z_beyond_one_half():
     for z in (Fraction(1, 2) + Fraction(1, 10 ** 30), Fraction(-2, 3), Fraction(1)):
         with pytest.raises(ValueError):
-            _atanh_series(z, 64)
+            _atanh_grid(z.numerator, z.denominator, 64)

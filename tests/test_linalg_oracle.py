@@ -212,7 +212,7 @@ def test_int_form_product_inverse_det_match_sympy(a, b):
     assert _is_int_form(got) and got == linalg._int_mat(product)
     assert linalg._frac_mat(got) == product
     det = _q(_sym(a).det())
-    assert linalg._int_det(ia) == det
+    assert linalg.mat_det(a) == det
     if det == 0:
         with pytest.raises(SingularMatrixError):
             linalg._int_inv(ia)

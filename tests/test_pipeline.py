@@ -143,14 +143,6 @@ def test_provided_unit_system_errors_carry_the_request_path(provided):
     assert err.value.path == "request.unit_source.provided"
 
 
-@pytest.mark.parametrize("value", ["-5", "0"])
-def test_env_precision_cap_below_one_is_input_error(value, monkeypatch):
-    monkeypatch.setenv("CMA_PRECISION_CAP", value)
-    with pytest.raises(InputError) as err:
-        PipelineRequest.from_json(CUBIC_REQ)
-    assert err.value.path == "CMA_PRECISION_CAP"
-
-
 @pytest.mark.parametrize("d", [2, 3])
 def test_real_quadratic_block_keeps_normalizer_in_sl(d):
     # x ↦ -x has det -1; its block generator is diag(m, -1), not diag(m, 1)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from ampletori.errors import NoSuchElementError, RamifiedPlaceError, UnsupportedError
 from ampletori.places import (
     INF,
+    STANDARD_TAGS,
     cycle_type,
     decomposition_profile,
     frobenius_cycle_type,
@@ -70,6 +72,25 @@ def test_group_tables_are_groups():
                 assert composed in elems
         for c in tag.characters:
             assert c.values[0] == c.dim
+
+
+def test_standard_tags_are_built_once_and_frozen():
+    for name in STANDARD_TAGS:
+        tag = standard_tag(name)
+        assert standard_tag(name) is tag
+        assert type(tag.elements) is type(tag.characters) is tuple
+        assert all(type(g) is tuple for g in tag.elements)
+        for char in tag.characters:
+            assert type(char.values) is tuple and all(type(v) is int for v in char.values)
+        for obj, attr in [(tag, "group"), (tag, "elements"), (tag, "characters")] + [
+            (char, f) for char in tag.characters for f in ("name", "dim", "values")
+        ]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, attr, None)
+    stored = standard_tag.cache_info().currsize
+    with pytest.raises(UnsupportedError, match="unknown Galois tag"):
+        standard_tag("C5")
+    assert standard_tag.cache_info().currsize == stored <= len(STANDARD_TAGS)
 
 
 def test_rational_character_orthogonality_and_regular_identity():

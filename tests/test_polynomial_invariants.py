@@ -6,9 +6,11 @@ above one of them, and Hensel makes that root unique), the β products of
 `PrimePlaces` against the same products taken in `QPoly` Fractions, and
 `split_prime` against its definition, on every (factor, S-prime) of the
 corpus and of the benchmark workloads at seeds 1–3 (and at the small
-unramified primes, where cubics and quartics split too). A guard keeps the
-integer paths free of Fractions, and the per-polynomial caches are shown
-to be bounded, history-free and not editable by a caller.
+unramified primes, where cubics and quartics split too). Guards keep the
+integer paths free of Fractions: the invariants, the Galois group of every
+quartic there (its resolvent's coefficients aside), the unit certificate
+and the ampleness decision. The per-polynomial caches are shown to be
+bounded, history-free and not editable by a caller.
 """
 
 import dataclasses
@@ -25,7 +27,7 @@ import sympy
 
 from ampletori import places, polynomials, units
 from ampletori.etale import EtaleAlgebra, element
-from ampletori.pipeline import corpus_dir
+from ampletori.pipeline import PipelineRequest, corpus_dir
 from ampletori.polynomials import (
     QPoly,
     discriminant,
@@ -35,6 +37,7 @@ from ampletori.polynomials import (
     padic_roots,
     split_prime,
 )
+from ampletori.torus import build_torus, is_s_ample
 from ampletori.units import PrimePlaces, build_log_embedding
 
 X = sympy.Symbol("x")
@@ -188,17 +191,24 @@ def test_workload_factor_invariants(coeffs):
 # ---------------------------------------------------------------------------
 
 
+def _count_fractions(monkeypatch) -> list:
+    """The arguments of every Fraction made from here on; the count is first
+    shown to see one made."""
+    made = []
+    new = Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(lambda cls, *a, **k: made.append(a) or new(cls, *a, **k)))
+    assert Fraction(1, 2) and made == [(1, 2)]  # the count sees a Fraction made
+    made.clear()
+    return made
+
+
 def test_integer_paths_construct_no_fraction(monkeypatch):
     polys = [QPoly(c) for c in [(1, 0, 1), (-1, 1, 0, 1), (6, -5, 1), (1, -16, 20, -8, 1),
                                 (10**14 + 3, 0, 0, 0, 1), (-2, 0, 0, 0, 0, 1)]]
     large = [next(p for p in (10007, 10009) if discriminant(f) % p) for f in polys]
     for cached in (discriminant, split_prime, is_irreducible_q):
         cached.cache_clear()
-    made = []
-    new = Fraction.__new__
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(lambda cls, *a, **k: made.append(a) or new(cls, *a, **k)))
-    assert Fraction(1, 2) and made == [(1, 2)]  # the count sees a Fraction made
-    made.clear()
+    made = _count_fractions(monkeypatch)
     for f, big in zip(polys, large):
         discriminant(f)
         is_irreducible_q(f)
@@ -206,6 +216,49 @@ def test_integer_paths_construct_no_fraction(monkeypatch):
         padic_roots(f, p, p**4)
         padic_roots(f, big, big**2)
     assert made == []
+
+
+QUARTICS = sorted(f for f in FACTOR_PLACES if len(f) == 5)
+
+
+def test_galois_group_makes_only_its_resolvent(monkeypatch):
+    # the cubic resolvent is monic integral with disc f ≠ 0: its rational
+    # roots are its integer roots, and the character tables hold ints; the
+    # four coefficients of the resolvent QPoly are the only Fractions made
+    assert len({places.galois_group_small(QPoly(c)).group for c in QUARTICS}) >= 3
+    polys = [QPoly(c) for c in QUARTICS]
+    for cached in (discriminant, split_prime, is_irreducible_q):
+        cached.cache_clear()
+    made = _count_fractions(monkeypatch)
+    for f in polys:
+        made.clear()
+        places.galois_group_small(f)
+        assert len(made) <= 4, (f, made)
+
+
+def test_unit_certificate_makes_no_fraction(monkeypatch):
+    # ex 5.4's full S-unit group at {5}: the S-number checks take integer
+    # denominators and determinants, and log 5 is read off the integer grid
+    e = EtaleAlgebra([QPoly([1, 0, 1])])
+    system = units.assemble_unit_system(e, (5,), 3)
+    made = _count_fractions(monkeypatch)
+    assert units.verify_unit_system(system).rank == system.rank == 2
+    build_log_embedding(e, system.free_generators, (5,), 64)
+    assert made == []
+
+
+def test_ampleness_decision_makes_no_fraction(monkeypatch):
+    # every corpus torus, at its places and at the places where it is not
+    # ample: the character means are integer divisions
+    goldens = [json.loads(path.read_text()) for path in sorted(corpus_dir().glob("*.json"))]
+    cases = []
+    for golden in goldens:
+        for places_str in [golden["request"]["places"]] + golden.get("negative_places", []):
+            req = PipelineRequest.from_json({**golden["request"], "places": places_str})
+            cases.append((build_torus(req.algebra, req.ambient), req.places))
+    made = _count_fractions(monkeypatch)
+    verdicts = {is_s_ample(t, s).verdict for t, s in cases}
+    assert verdicts == {"S-ample", "not-S-ample"} and made == []
 
 
 # ---------------------------------------------------------------------------
