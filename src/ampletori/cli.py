@@ -126,7 +126,7 @@ def _cmd_units(args) -> int:
         bound = positive_int(args.bound, "--bound")
         targets = None
         if args.norms:
-            targets = {serialize.parse_frac(t) for t in args.norms.split(",")}
+            targets = {serialize.parse_frac(t, "--norms") for t in args.norms.split(",")}
         found = search_units(e, bound, s_primes, targets)
         payload = {"count": len(found), "elements": [serialize.vector_to_json(u) for u in found]}
         _emit(payload, args.json, [str(payload["elements"])])

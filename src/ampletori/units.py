@@ -495,12 +495,27 @@ def search_units(
     degree n, so it is tabulated by forward differences from its values at
     the simplex corner −B + j, j ∈ [0, m)^n with Σj ≤ n, m = min(n+1, 2B+1):
     the only norms taken. They are turned once into the corner's mixed
-    forward differences along every axis (those of order past n are 0);
-    every box point is then stepped by exact integer additions, each
-    last-axis row summed whole and tested against the targets at once. As
-    N(−x) = (−1)^n·N(x), for n ≥ 2 the walk steps the first axis across
-    [−B, B] but enters only x_0 ≥ 0; a row with x_0 > 0 is also tested
-    against (−1)^n·targets, and emits −x for each x whose (−1)^n·N(x) is a
+    forward differences along every axis (those of order past n are 0).
+
+    The last L = min(2, n − 1) axes (L = 1 at n = 1) are packed into lanes
+    of w bits: one int P = Σ_p v_p·2^(w·p) holds a difference at every
+    point p of the (2B+1)^L plane, lane axis n−1 least significant. By
+    Newton's formula N(−B + t) = Σ_k C(t, k)·Δ^k, so a packed entry is
+    Σ_k Δ^k·∏_a S_{a,k_a}, with S_{a,k} = Σ_t C(t, k)·2^(w·stride_a·t).
+    P is linear over Z, so stepping the other axes by exact integer
+    additions steps whole planes. By Hadamard's bound with ‖·‖₂ ≤ ‖·‖₁
+    (_hadamard_bound), every difference the walk holds, of order ≤ n at
+    points within B + n + 1 of the origin, a signed sum of at most 2^n
+    norms, lies within V = 2^n·∏_r (B+n+1)·Σ_j ‖row r of π(b_j)‖₁; w, a
+    multiple of 8 with 2^(w−1) > 2V, keeps each lane of
+    P + 2^(w−1)·Σ_p 2^(w·p) in [0, 2^w), so that int's bytes are its lanes.
+    A plane is tested by a byte search for each target t with
+    |t| ≤ ∏_r B·Σ_j ‖row r of π(b_j)‖₁ (no norm in the box is larger), at
+    lane-aligned offsets only.
+
+    As N(−x) = (−1)^n·N(x), for n ≥ 2 the walk steps the first axis across
+    [−B, B] but enters only x_0 ≥ 0; a plane with x_0 > 0 is also searched
+    for (−1)^n·targets, and emits −x for each x whose (−1)^n·N(x) is a
     target. So it finds exactly the box points that a full walk would.
     """
     e.require_order()
@@ -514,9 +529,8 @@ def search_units(
         norm_targets = default_norm_targets(s_primes)
     int_targets = {int(t) for t in map(Fraction, norm_targets) if t.denominator == 1}
 
-    sign = (-1) ** n  # N(−x) = sign·N(x)
-    mirrored = int_targets | {sign * t for t in int_targets}
-    m = min(n + 1, 2 * coord_bound + 1)
+    side = 2 * coord_bound + 1
+    m = min(n + 1, side)
     span = range(-coord_bound, coord_bound + 1)
     simplex = [sum(j) <= n for j in itertools.product(range(m), repeat=n)]
     corner = [  # an order's norms of integer points are integers
@@ -532,26 +546,70 @@ def search_units(
                 if t // stride % m >= k:
                     corner[t] -= corner[t - stride]
     corner = [v if small else 0 for v, small in zip(corner, simplex)]
-    coords = [0] * n
+
+    lanes = max(min(2, n - 1), 1)
+    outer = n - lanes
+    # a difference the walk holds has order ≤ n, at points within B + n + 1
+    lane_bound = 2**n * _hadamard_bound(e, coord_bound + n + 1)
+    width = ((2 * lane_bound).bit_length() + 8) // 8  # bytes a lane: 2^(8·width − 1) > 2V
+    bias = 1 << (8 * width - 1)
+    plane_bytes = width * side**lanes
+    biases = int.from_bytes(bias.to_bytes(width, "little") * side**lanes, "little")
+
+    def newton(stride):
+        # S_k = Σ_t C(t, k)·2^(w·stride·t); C(t, k) ≤ (2B)^n < V fits a lane
+        gap = bytes(width * (stride - 1))
+        return [
+            int.from_bytes(
+                b"".join(math.comb(t, k).to_bytes(width, "little") + gap for t in range(side)),
+                "little",
+            )
+            for k in range(m)
+        ]
+
+    weights = [
+        math.prod(s)
+        for s in itertools.product(*(newton(side**a) for a in reversed(range(lanes))))
+    ]
+    block = m**lanes
+    packed = [
+        sum(d * w for d, w in zip(corner[i : i + block], weights) if d)
+        for i in range(0, len(corner), block)
+    ]
+
+    norm_bound = _hadamard_bound(e, coord_bound)  # no norm in the box is larger
+    hittable = [t for t in int_targets if abs(t) <= norm_bound]
+    patterns = [(bias + t).to_bytes(width, "little") for t in hittable]
+    sign = (-1) ** n  # N(−x) = sign·N(x)
+    mirrored = [(bias + sign * t).to_bytes(width, "little") for t in hittable]
+    symmetric = set(mirrored) == set(patterns)  # then a plane's hits are its mirror hits
+    coords = [0] * outer
     out: list[Coords] = []
 
+    def points(plane, pats):
+        # the plane points, as whole coordinates, whose lane holds a pattern
+        for pat in pats:
+            at = plane.find(pat)
+            while at >= 0:
+                if at % width == 0:
+                    p, tail = at // width, []
+                    for _ in range(lanes):
+                        p, t = divmod(p, side)
+                        tail.append(t - coord_bound)
+                    yield (*coords, *reversed(tail))
+                at = plane.find(pat, at + 1)
+
     def rec(i, values):
-        # values: the mixed differences on the corner of axes i.., axis i major
-        if i == n - 1:
-            row = [values[-1]] * (len(span) - m + 1)  # the constant (m−1)-th difference
-            for v in values[-2::-1]:
-                row = itertools.accumulate(row, initial=v)
-            row = list(row)
-            mirror = i > 0 and coords[0] > 0  # the walk skips −x, so x stands for it
-            if not (mirrored if mirror else int_targets).isdisjoint(row):
-                for c, v in zip(span, row):
-                    coords[i] = c
-                    if v in int_targets:
-                        out.append((tuple(coords), 1))
-                    if mirror and sign * v in int_targets:
-                        out.append((tuple(-x for x in coords), 1))
+        # values: the packed differences on the corner of outer axes i.., axis i major
+        if i == outer:
+            plane = (values[0] + biases).to_bytes(plane_bytes, "little")
+            hits = list(points(plane, patterns))
+            out.extend((x, 1) for x in hits)
+            if outer and coords[0] > 0:  # the walk skips −x, so x stands for it
+                flipped = hits if symmetric else points(plane, mirrored)
+                out.extend((tuple(-c for c in x), 1) for x in flipped)
             return
-        size = m ** (n - 1 - i)
+        size = m ** (outer - 1 - i)
         d = [values[j * size : (j + 1) * size] for j in range(m)]
         for c in span:
             coords[i] = c
@@ -560,8 +618,21 @@ def search_units(
             for k in range(m - 1):
                 d[k] = list(map(operator.add, d[k], d[k + 1]))
 
-    rec(0, corner)
+    rec(0, packed)
     return sorted_elements([c for c in out if any(c[0])], _by_size)
+
+
+def _hadamard_bound(e: EtaleAlgebra, reach: int) -> int:
+    """∏_r reach·Σ_j ‖row r of π(b_j)‖₁: a bound on |N(x)| when every |x_j| ≤ reach.
+
+    |N(x)| = |det Σ x_j π(b_j)| ≤ ∏_r ‖row r‖₂ ≤ ∏_r ‖row r‖₁ (Hadamard).
+    """
+    sums = [0] * e.n
+    for row in e._table:  # π(b_i)[k][j] = t/D for each (k, t) in _table[i][j]
+        for pairs in row:
+            for k, t in pairs:
+                sums[k] += abs(t)
+    return math.prod(reach * (s // e._den) for s in sums)
 
 
 def _by_size(ints: tuple[int, ...]):
@@ -804,8 +875,8 @@ def assemble_unit_system(
             break
     if len(basis_idx) != target_rank:
         raise IndependenceUndecidedError(
-            f"found {len(basis_idx)} independent units in the box, "
-            f"expected rank {target_rank}",
+            f"found {len(basis_idx)} independent units in the box of sup-norm "
+            f"<= {coord_bound}, expected rank {target_rank}",
             precision_cap,
         )
     basis = [free_pool[i] for i in basis_idx]
@@ -843,7 +914,9 @@ def assemble_unit_system(
             break
         else:
             raise IndependenceUndecidedError(
-                "box unit does not reduce against the basis", precision_cap
+                f"unit in the box of sup-norm <= {coord_bound} does not reduce "
+                "against the basis",
+                precision_cap,
             )
 
     basis = [canonical_unit(e, g, torsion_gen, torsion_order) for g in basis]

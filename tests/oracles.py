@@ -10,6 +10,7 @@ irreducibility over F_p by exhaustive trial division. Desk-scale and exact.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 
 from ampletori import linalg
@@ -351,22 +352,64 @@ def oracle_automorphisms(e, coord_bound: int):
     return sorted(found)
 
 
-def oracle_unit_search(e, coord_bound: int, targets):
-    """Nonzero box vectors whose norm is a target, by a lexicographic full-box walk.
-
-    The norm of x is the Laplace determinant of Σ x_i T_i, T_i the regular
-    matrix of the i-th order basis element; one determinant per box point,
-    no differences. Elements (x, 1), sorted lexicographically.
-    """
+def oracle_norm(e):
+    """x ↦ N(Σ x_i b_i), the Laplace determinant of Σ x_i T_i, T_i the
+    regular matrix of the i-th order basis element; one determinant a point."""
     n = e.n
     unit = [(tuple(int(i == j) for i in range(n)), 1) for j in range(n)]
     tmats = [[_ints(e.mul(b, unit[c])) for c in range(n)] for b in unit]  # tmats[i][c][r]
-    found = []
-    for x in itertools.product(range(-coord_bound, coord_bound + 1), repeat=n):
+
+    def norm(x):
         m = [[sum(xi * t[c][r] for xi, t in zip(x, tmats)) for c in range(n)] for r in range(n)]
-        if any(x) and _det(m) in targets:
-            found.append((x, 1))
-    return found
+        return _det(m)
+
+    return norm
+
+
+def oracle_unit_search(e, coord_bound: int, targets):
+    """Nonzero box vectors whose norm is a target, by a lexicographic full-box walk.
+
+    Norms by oracle_norm, no differences. Elements (x, 1), sorted
+    lexicographically.
+    """
+    norm = oracle_norm(e)
+    return [
+        (x, 1)
+        for x in itertools.product(range(-coord_bound, coord_bound + 1), repeat=e.n)
+        if any(x) and norm(x) in targets
+    ]
+
+
+def oracle_walk_difference_max(e, coord_bound: int) -> int:
+    """The largest |Δ^j N(c)| over c ∈ [−B, B+1]^n and orders j with Σj ≤ n.
+
+    These are all the mixed forward differences a walk over the box [−B, B]^n
+    holds when it steps each axis once past the edge and its corner is the
+    whole simplex (2B+1 ≥ n+1). Norms by oracle_norm on the grid
+    [−B, B+n+1]^n; each difference subtracts the grid table from itself
+    shifted by one along an axis.
+    """
+    n, norm = e.n, oracle_norm(e)
+    side = 2 * coord_bound + n + 2
+    grid = [norm(x) for x in itertools.product(range(-coord_bound, coord_bound + n + 2), repeat=n)]
+    strides = [side ** (n - 1 - a) for a in range(n)]
+    base = [
+        sum(map(operator.mul, c, strides))
+        for c in itertools.product(range(2 * coord_bound + 2), repeat=n)
+    ]
+    best = 0
+
+    def walk(table, axis, order):
+        nonlocal best
+        if axis == n:
+            best = max(best, max(abs(table[i]) for i in base))
+            return
+        for _ in range(n - order + 1):
+            walk(table, axis + 1, order)
+            table, order = list(map(operator.sub, table[strides[axis] :], table)), order + 1
+
+    walk(grid, 0, 0)
+    return best
 
 
 def oracle_torsion_order(e, u, max_order: int = 12):

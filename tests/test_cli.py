@@ -346,6 +346,8 @@ def test_precision_cap_does_not_read_the_environment(tmp_path, monkeypatch, caps
         (["--s-primes", "5,0"], "--s-primes"),
         (["--bound", "0"], "--bound"),
         (["--bound", "-1"], "--bound"),
+        (["--norms", "x"], "--norms"),
+        (["--norms", "1,1/0"], "--norms"),
     ],
 )
 def test_units_search_flags_are_validated(flags, path, gauss_file, monkeypatch, capsys):

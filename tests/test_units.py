@@ -36,9 +36,11 @@ from ampletori.units import (
 
 from oracles import (
     oracle_matrix_is_s_integral,
+    oracle_norm,
     oracle_norm_five_box,
     oracle_torsion_order,
     oracle_unit_search,
+    oracle_walk_difference_max,
 )
 
 CUBIC = EtaleAlgebra([QPoly([-1, 1, 0, 1])])
@@ -588,6 +590,64 @@ def test_search_units_takes_one_determinant_per_corner_point(e, bound, monkeypat
     assert len(calls) == len(simplex)
 
 
+# norms as large as a lane must hold: x^3 − 1000x − 1, the order {1, 37i} of
+# x^2 + 1, and the two-factor algebras
+LANE_ALGEBRAS = [
+    EtaleAlgebra([QPoly([-1, -1000, 0, 1])]),
+    EtaleAlgebra([QPoly([1, 0, 1])], [[1, 0], [0, 37]]),
+    SEARCH_ALGEBRAS[6],
+    SEARCH_ALGEBRAS[7],
+]
+
+
+def _lane_bound(e, bound):
+    """V: 2^n times the Hadamard bound at reach B + n + 1."""
+    return 2**e.n * units._hadamard_bound(e, bound + e.n + 1)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 3, 4])
+@pytest.mark.parametrize("e", LANE_ALGEBRAS, ids=repr)
+def test_search_units_lanes_match_full_box_oracle(e, bound):
+    # S-unit targets for S = {5} up past the lane bound V, 0, and the norms
+    # of two box corners, so that hits sit in the largest lanes
+    lane_bound = _lane_bound(e, bound)
+    norm, corners = oracle_norm(e), [(bound,) * e.n, ((bound, -bound) * e.n)[: e.n]]
+    targets = {Fraction(0)} | {Fraction(norm(x)) for x in corners}
+    targets |= {Fraction(s * 5**k) for k in range(lane_bound.bit_length()) for s in (1, -1)}
+    assert max(targets) > lane_bound
+    found = search_units(e, bound, (5,), targets)
+    assert sorted(found) == oracle_unit_search(e, bound, targets)
+
+
+# at bounds 2 and 3 the corner is the whole simplex for every n ≤ 4, so the
+# walk holds true differences of N
+@pytest.mark.parametrize("bound", [2, 3])
+@pytest.mark.parametrize("e", LANE_ALGEBRAS, ids=repr)
+def test_lane_bound_covers_every_difference_of_the_walk(e, bound):
+    assert oracle_walk_difference_max(e, bound) <= _lane_bound(e, bound)
+    # and no norm in the box exceeds the bound its targets are filtered by
+    norm = oracle_norm(e)
+    box = itertools.product(range(-bound, bound + 1), repeat=e.n)
+    assert max(abs(norm(x)) for x in box) <= units._hadamard_bound(e, bound)
+
+
+@pytest.mark.parametrize("d, fundamental", [(2, (1, 1)), (3, (2, 1))])
+def test_search_units_at_the_largest_box_the_budget_admits(d, fundamental):
+    # the units of Z[√d] are ±ε^k, k ∈ Z; ε' = a − b√d = ±ε⁻¹, and
+    # (x + y√d)(a + b√d) = (ax + dby) + (bx + ay)√d
+    e, bound = EtaleAlgebra([QPoly([-d, 0, 1])]), 499
+    assert (2 * bound + 1) ** 2 <= 10**6
+    expected = set()
+    for a, b in (fundamental, (fundamental[0], -fundamental[1])):
+        x, y = 1, 0
+        while max(abs(x), abs(y)) <= bound:
+            expected |= {(x, y), (-x, -y)}
+            x, y = a * x + d * b * y, b * x + a * y
+    found = search_units(e, bound)
+    assert len(found) == len(expected)
+    assert {ints for ints, _ in found} == expected
+
+
 # What verify_unit_system certifies for the assembled unit systems of examples
 # 5.1–5.4, recorded from the Fraction-series logarithms: tighter log
 # enclosures must not change which minor certifies or at which precision.
@@ -632,6 +692,21 @@ def test_torsion_is_taken_from_the_whole_box():
     assert (system.torsion_generator, system.torsion_order) == (element([-1, 5]), 2)
     assert system.free_generators == [element([1, -4])]  # 1 + x
     assert torsion_units(SHIFTED_SQRT2, 6) == (element([-1, 5]), 2)
+
+
+def test_an_undecided_unit_system_names_its_box(monkeypatch):
+    # the fundamental unit 8 + 3√7 of Z[√7] lies outside the box of sup-norm 3
+    with pytest.raises(
+        IndependenceUndecidedError,
+        match=r"^found 0 independent units in the box of sup-norm <= 3, expected rank 1$",
+    ):
+        assemble_unit_system(EtaleAlgebra([QPoly([-7, 0, 1])]), (), 3)
+    monkeypatch.setattr(units, "_express_from_rows", lambda *args: None)
+    with pytest.raises(
+        IndependenceUndecidedError,
+        match=r"^unit in the box of sup-norm <= 2 does not reduce against the basis$",
+    ):
+        assemble_unit_system(SQRT2, (), 2)
 
 
 def test_a_box_without_torsion_names_its_bound():
