@@ -76,7 +76,7 @@ def _cmd_construct(args) -> int:
     data = _load_json(args.request)
     req = PipelineRequest.from_json(data)
     if args.precision_cap is not None:
-        req.precision_cap = _precision_cap(args)
+        req = req._replace(precision_cap=_precision_cap(args))
     report = run_pipeline(req)
     lines = [f"verdict: {report.verdict}"]
     if report.generators is not None:

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from . import linalg
 from .etale import Coords, EtaleAlgebra, sorted_elements
@@ -31,8 +31,7 @@ from .units import _by_size
 COEFF_BOX = 20  # coefficient box of the unimodular point in the intertwiner space
 
 
-@dataclass
-class ConjugacyResult:
+class ConjugacyResult(NamedTuple):
     """P ∈ GL_n(Z) conjugating the regular representation onto the targets.
 
     Each automorphism target is P·m·P⁻¹ for the matrix m of some automorphism

@@ -12,9 +12,9 @@ algebraic-group membership test.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
+from typing import NamedTuple
 
 from . import linalg
 from .errors import UnsupportedError
@@ -23,16 +23,15 @@ from .linalg import IntMat, Mat
 from .units import _PolynomialLRU, is_s_number, strip_primes
 
 
-@dataclass
-class GeneratorSet:
+class GeneratorSet(NamedTuple):
     n: int
     ring_primes: tuple[int, ...]  # () means Z, (5,) means Z[1/5], ...
     ambient: str  # "SL" | "GL"
-    torus_gens: list[Mat] = field(default_factory=list)
-    torsion_gens: list[Mat] = field(default_factory=list)
-    normalizer_gens: list[Mat] = field(default_factory=list)
-    unipotent_gens: list[Mat] = field(default_factory=list)
-    provenance: dict[str, dict] = field(default_factory=dict)
+    torus_gens: list[Mat]  # each list and the provenance are appended to in place
+    torsion_gens: list[Mat]
+    normalizer_gens: list[Mat]
+    unipotent_gens: list[Mat]
+    provenance: dict[str, dict]
 
     def ring_str(self) -> str:
         if not self.ring_primes:

@@ -18,8 +18,8 @@ way, as diag(m, det(m)^{-1}).
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from . import conjugacy, linalg, serialize
 from .errors import AmpleToriError, InputError, UnsupportedError
@@ -57,13 +57,12 @@ from .units import (
 LAST_COLUMN = "last-column"
 
 
-@dataclass
-class PipelineRequest:
+class PipelineRequest(NamedTuple):
     algebra: EtaleAlgebra
     ambient: str  # SL | GL
     places: PlaceSet
-    unipotent_block: dict | None = None  # {"n": n', "pattern": "last-column"}
-    unit_source: dict = field(default_factory=lambda: {"search": {"coord_bound": 3}})
+    unipotent_block: dict | None  # {"n": n', "pattern": "last-column"}
+    unit_source: dict  # {"search": {"coord_bound": k}} or {"provided": ...}
     precision_cap: int = DEFAULT_PRECISION_CAP
 
     @staticmethod
@@ -143,8 +142,7 @@ def _check_unit_source(src, path: str):
         positive_int(params["coord_bound"], f"{path}.search.coord_bound")
 
 
-@dataclass
-class CmaReport:
+class CmaReport(NamedTuple):
     certificate: object
     generators: GeneratorSet | None
     sanity: dict | None
@@ -206,8 +204,8 @@ def _verified_units(req: PipelineRequest) -> tuple[UnitSystem, UnitCertificate]:
         group = _certify(assemble_unit_system(e, s_primes, coord_bound, cap), cap)
     system, ucert = _UNIT_GROUPS.store(key, group)
     return (
-        replace(system, algebra=e, free_generators=list(system.free_generators)),
-        replace(ucert, caveats=list(ucert.caveats)),
+        system._replace(algebra=e, free_generators=list(system.free_generators)),
+        ucert._replace(caveats=list(ucert.caveats)),
     )
 
 
@@ -275,6 +273,7 @@ def run_pipeline(req: PipelineRequest) -> CmaReport:
         n=block["n"] if block else e.n,
         ring_primes=req.places.finite_primes,
         ambient=SL if (block or req.ambient == SL) else GL,
+        torus_gens=[], torsion_gens=[], normalizer_gens=[], unipotent_gens=[], provenance={},
     )
 
     if block is None:
@@ -404,11 +403,10 @@ def _check_imported(req, report, imported: dict, problems: list, caveats: list) 
         [serialize.matrix_from_json(m) for m in imported[kind]]
         for kind in ("torus", "torsion", "normalizer")
     )
+    provenance = {"torsion:0": {"order": report.unit_system.torsion_order}}
     imported_set = GeneratorSet(
-        e.n, req.places.finite_primes, req.ambient,
-        torus_gens=units, torsion_gens=torsion, normalizer_gens=autos,
+        e.n, req.places.finite_primes, req.ambient, units, torsion, autos, [], provenance
     )
-    imported_set.provenance["torsion:0"] = {"order": report.unit_system.torsion_order}
     sanity = group_sanity(imported_set)
     if not sanity["all_pass"]["pass"]:
         failing = [k for k, v in sanity.items() if not v["pass"]]

@@ -12,7 +12,7 @@ cycle type. Ramified primes are a hard error — the artifact never guesses.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NoSuchElementError, RamifiedPlaceError, UnsupportedError
 from .polynomials import (
@@ -74,8 +74,7 @@ def orbits_of(perms: list[Perm], n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(sorted(v)) for _, v in sorted(groups.items()))
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     r1: int
     r2: int
 
@@ -84,8 +83,7 @@ class Signature:
         return self.r1 + 2 * self.r2
 
 
-@dataclass(frozen=True)
-class RationalCharacter:
+class RationalCharacter(NamedTuple):
     """A Q-irreducible character: name, dimension, value on each element."""
 
     name: str
@@ -93,8 +91,7 @@ class RationalCharacter:
     values: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GaloisTag:
+class GaloisTag(NamedTuple):
     """A finite group with a permutation action on the embeddings.
 
     ``elements`` lists every group element as a permutation (index 0 is the
@@ -298,7 +295,7 @@ STANDARD_TAGS = {
 
 @functools.cache
 def standard_tag(name: str) -> GaloisTag:
-    """The tag of one of the nine groups, built once per process: a frozen
+    """The tag of one of the nine groups, built once per process: an immutable
     GaloisTag of tuples, a function of its name alone."""
     if name not in STANDARD_TAGS:
         raise UnsupportedError(f"unknown Galois tag {name!r}")
@@ -319,8 +316,7 @@ def regular_action(tag: GaloisTag) -> GaloisTag:
     return GaloisTag(tag.group + "-regular", perms, tag.characters)
 
 
-@dataclass(frozen=True)
-class PlaceProfile:
+class PlaceProfile(NamedTuple):
     """Decomposition data at one place: orbit partition of the embeddings."""
 
     place: Place
@@ -346,7 +342,7 @@ def signature(f: QPoly) -> Signature:
 
     r1 counts the certified root disks centred on the real axis, each of
     which holds exactly one real root (realsplit.root_disks). Cached per
-    polynomial (QPoly hashes its coefficients); a Signature is frozen.
+    polynomial (QPoly hashes its coefficients); a Signature is immutable.
     """
     r1 = sum(1 for disk in root_disks(f, 1) if disk.im == 0)
     return Signature(r1, (f.degree - r1) // 2)

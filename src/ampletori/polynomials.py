@@ -16,7 +16,6 @@ over Q. Fractions remain for rational input: `poly_gcd`, `resultant`,
 from __future__ import annotations
 
 import functools
-import hashlib
 import itertools
 import math
 import random
@@ -447,18 +446,20 @@ def _fp_roots(g: FpPoly, p: int) -> list[int]:
 
 
 def _seeded_rng(fp: FpPoly, p: int) -> random.Random:
-    """The Cantor–Zassenhaus randomness for f mod p, a function of (f mod p, p)."""
-    seed = hashlib.sha256(("factor:%d:" % p + ",".join(map(str, fp))).encode()).digest()
-    return random.Random(int.from_bytes(seed[:8], "big"))
+    """The Cantor–Zassenhaus randomness for f mod p, a function of (f mod p, p).
+
+    A str seed is hashed by random itself (SHA-512), the same in every process."""
+    return random.Random("factor:%d:" % p + ",".join(map(str, fp)))
 
 
 def factor_mod_p(f: QPoly | Sequence[int], p: int) -> list[tuple[FpPoly, int]]:
     """Factor f mod p into monic irreducibles with multiplicities.
 
     Distinct-degree then equal-degree splitting (Cantor–Zassenhaus), with the
-    CZ randomness seeded deterministically from (f, p) so output is
-    reproducible; linear factors come from their roots (`_fp_roots`).
-    Factors are sorted by (degree, coefficients).
+    CZ randomness seeded from (the part being split, p), and only when a
+    part needs splitting; linear factors come from their roots
+    (`_fp_roots`). Factors are sorted by (degree, coefficients), so the
+    seed moves the trial count, never the answer.
     """
     if not is_prime(p):
         raise CompositeModulusError(f"{p} is not prime")
@@ -470,14 +471,13 @@ def factor_mod_p(f: QPoly | Sequence[int], p: int) -> list[tuple[FpPoly, int]]:
         raise ZeroPolynomialError("cannot factor the zero polynomial")
     if len(fp) - 1 == 0:
         return []
-    rng = _seeded_rng(fp, p)
     result: list[tuple[FpPoly, int]] = []
     for sqfree, mult in _fp_squarefree_decomposition(fp, p):
         for part, d in _distinct_degree(sqfree, p):
             if d == 1:
                 irreducibles = [[-r % p, 1] for r in _fp_roots(part, p)]
             else:
-                irreducibles = _equal_degree_split(part, d, p, rng)
+                irreducibles = _equal_degree_split(part, d, p, _seeded_rng(part, p))
             result.extend((fp_monic(g, p), mult) for g in irreducibles)
     result.sort(key=lambda fm: (len(fm[0]), fm[0]))
     return result

@@ -21,7 +21,7 @@ Everything is integer arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import AmpleToriError, NonMonicError
 from .linalg import IntVec, _int_vec
@@ -35,8 +35,7 @@ class RealSplitError(AmpleToriError):
     module = "realsplit"
 
 
-@dataclass(frozen=True)
-class RootDisk:
+class RootDisk(NamedTuple):
     """The closed disk |z − (re + i·im)·2^-shift| ≤ radius·2^-shift."""
 
     re: int

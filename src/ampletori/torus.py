@@ -23,7 +23,7 @@ multiplicity-free yields the verdict "undecidable", never a guess.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InputError, UnsupportedError
 from .etale import EtaleAlgebra
@@ -56,27 +56,28 @@ def finite_place(p: int, path: str) -> int:
     return p
 
 
-@dataclass(frozen=True)
-class PlaceSet:
+class _PlaceSet(NamedTuple):
+    include_infty: bool
+    finite_primes: tuple[int, ...]
+
+
+class PlaceSet(_PlaceSet):
     """The set S of places: the real place plus finitely many primes.
 
     The real place is mandatory (the ambient groups here are noncompact at
     ∞, so the standing assumption R_∞ ∖ T(G) ⊆ S forces it).
     """
 
-    include_infty: bool
-    finite_primes: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.include_infty:
+    def __new__(cls, include_infty: bool, finite_primes: tuple[int, ...]):
+        if not include_infty:
             raise UnsupportedError(
                 "S must contain the real place for SL_n/GL_n over Q"
             )
-        for p in self.finite_primes:
+        for p in finite_primes:
             finite_place(p, "places")
-        object.__setattr__(
-            self, "finite_primes", tuple(sorted(set(self.finite_primes)))
-        )
+        return super().__new__(cls, include_infty, tuple(sorted(set(finite_primes))))
 
     def places(self) -> list[Place]:
         return [INF] + list(self.finite_primes)
@@ -105,8 +106,13 @@ class PlaceSet:
         return ",".join(["inf"] + [str(p) for p in self.finite_primes])
 
 
-@dataclass(frozen=True)
-class TorusDatum:
+class _TorusDatum(NamedTuple):
+    ambient: str
+    tags: tuple[GaloisTag, ...]
+    algebra: EtaleAlgebra | None = None
+
+
+class TorusDatum(_TorusDatum):
     """A maximal torus given by its Galois-module data.
 
     ``tags`` holds one Galois tag per algebra factor, acting on consecutive
@@ -117,13 +123,12 @@ class TorusDatum:
     place profiles then cannot be computed.
     """
 
-    ambient: str
-    tags: tuple[GaloisTag, ...]
-    algebra: EtaleAlgebra | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.ambient not in (SL, GL):
-            raise UnsupportedError(f"ambient group {self.ambient!r} not supported")
+    def __new__(cls, ambient: str, tags: tuple[GaloisTag, ...], algebra=None):
+        if ambient not in (SL, GL):
+            raise UnsupportedError(f"ambient group {ambient!r} not supported")
+        return super().__new__(cls, ambient, tags, algebra)
 
     @property
     def n(self) -> int:
@@ -138,8 +143,7 @@ class TorusDatum:
         return self.n - (self.ambient == SL)
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """One isotypic piece of the cocharacter module: the rational character
     χ and the number m of times each of its irreducible constituents occurs."""
 
@@ -155,8 +159,7 @@ class Component:
         return self.multiplicity * self.char.dim
 
 
-@dataclass(frozen=True)
-class IrreducibleDecomposition:
+class IrreducibleDecomposition(NamedTuple):
     components: tuple[Component, ...]
 
     @property
@@ -269,14 +272,13 @@ def component_rank(tag: GaloisTag, comp: Component, gen: Perm) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SubmoduleWitness:
+class SubmoduleWitness(NamedTuple):
     components: tuple[int, ...]  # indices into the decomposition
     dim: int
     witness_place: str | None
     sub_rank_at_witness: int | None
     torus_rank_at_witness: int | None
-    local_ranks: dict[str, tuple[int, int]] = field(default_factory=dict)
+    local_ranks: dict[str, tuple[int, int]]
 
     @property
     def passes(self) -> bool:
@@ -286,8 +288,7 @@ class SubmoduleWitness:
         )
 
 
-@dataclass
-class AmpleCertificate:
+class AmpleCertificate(NamedTuple):
     """Verdict plus per-condition evidence, replayable from its own data."""
 
     verdict: str
@@ -299,8 +300,8 @@ class AmpleCertificate:
     condition_iii: dict
     local_ranks: dict[str, int]
     global_rank: int
-    submodules: list[SubmoduleWitness] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    submodules: list[SubmoduleWitness]
+    notes: list[str]
 
 
 def _place_str(place: Place) -> str:
@@ -383,20 +384,15 @@ def is_s_ample(t: TorusDatum, s: PlaceSet) -> AmpleCertificate:
         all_pass = True
         for size in range(len(comps)):
             for subset in itertools.combinations(range(len(comps)), size):
-                w = SubmoduleWitness(
-                    components=subset,
-                    dim=sum(comps[i].dim for i in subset),
-                    witness_place=None,
-                    sub_rank_at_witness=None,
-                    torus_rank_at_witness=None,
+                pairs = {
+                    ps: (sum(ranks[i] for i in subset), local_ranks[ps])
+                    for ps, ranks in comp_ranks.items()
+                }
+                # the first place, in S's order, where the subtorus rank drops
+                witness = next(
+                    ((ps, sub, tor) for ps, (sub, tor) in pairs.items() if sub < tor), (None,) * 3
                 )
-                for ps, ranks in comp_ranks.items():
-                    sub_rank = sum(ranks[i] for i in subset)
-                    w.local_ranks[ps] = (sub_rank, local_ranks[ps])
-                    if w.witness_place is None and sub_rank < local_ranks[ps]:
-                        w.witness_place = ps
-                        w.sub_rank_at_witness = sub_rank
-                        w.torus_rank_at_witness = local_ranks[ps]
+                w = SubmoduleWitness(subset, sum(comps[i].dim for i in subset), *witness, pairs)
                 if not w.passes:
                     all_pass = False
                 submodules.append(w)

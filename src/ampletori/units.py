@@ -16,8 +16,8 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 from .errors import (
@@ -138,8 +138,7 @@ class PrimePlaces:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LogColumn:
+class LogColumn(NamedTuple):
     kind: str  # "real" | "complex" | "finite"
     factor: int
     index: int
@@ -155,8 +154,7 @@ class LogColumn:
 Ball = tuple[int, int]  # (m, r), r ≥ 0: the reals x with |x − m·2^-g| ≤ r·2^-g
 
 
-@dataclass
-class LogEmbedding:
+class LogEmbedding(NamedTuple):
     """Ball matrix of log|u|_v; rows = elements, columns = places.
 
     Entry (m, r) is a Ball on the grid g = precision + 2: the certified
@@ -189,7 +187,7 @@ class _PolynomialLRU(dict):
 
 # (factor coefficients, p) -> PrimePlaces, which nothing edits once made
 _PRIME_PLACES = _PolynomialLRU()
-# (factor coefficients, bits) -> root_disks(f, bits) as a tuple of frozen disks
+# (factor coefficients, bits) -> root_disks(f, bits) as a tuple of immutable disks
 _ROOT_DISKS = _PolynomialLRU()
 
 
@@ -322,8 +320,7 @@ def find_certified_minor(emb: LogEmbedding) -> tuple[int, ...] | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class UnitSystem:
+class UnitSystem(NamedTuple):
     algebra: EtaleAlgebra
     torsion_generator: Coords
     torsion_order: int
@@ -335,8 +332,7 @@ class UnitSystem:
         return len(self.free_generators)
 
 
-@dataclass
-class UnitCertificate:
+class UnitCertificate(NamedTuple):
     """Record of the checks passed by verify_unit_system.
 
     ``rank`` certifies independence of the stated generators only;
@@ -348,11 +344,10 @@ class UnitCertificate:
     rank: int
     minor_columns: tuple[str, ...]
     precision_bits: int
-    caveats: list[str] = field(default_factory=list)
+    caveats: list[str]
 
 
-@dataclass
-class DependenceWitness:
+class DependenceWitness(NamedTuple):
     exponents: tuple[int, ...]
     torsion_power: int
 
@@ -475,7 +470,7 @@ def default_norm_targets(s_primes: tuple[int, ...], kmax: int = 2):
     vals = {1}
     for p in s_primes:
         vals = {v * p**k for v in vals for k in range(kmax + 1)}
-    return {Fraction(s * v) for v in vals for s in (1, -1)}
+    return {s * v for v in vals for s in (1, -1)}
 
 
 def search_units(
@@ -527,7 +522,9 @@ def search_units(
         )
     if norm_targets is None:
         norm_targets = default_norm_targets(s_primes)
-    int_targets = {int(t) for t in map(Fraction, norm_targets) if t.denominator == 1}
+    int_targets = {
+        int(t) for t in norm_targets if isinstance(t, int) or Fraction(t).denominator == 1
+    }
 
     side = 2 * coord_bound + 1
     m = min(n + 1, side)

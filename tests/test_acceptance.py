@@ -295,8 +295,7 @@ def test_criterion_6_negative_controls(tmp_path):
     assert cert.verdict == "undecidable"
 
     # (c) a det-2 matrix fails sanity
-    gens = GeneratorSet(n=2, ring_primes=(), ambient="SL")
-    gens.torus_gens = [linalg.matrix([[2, 0], [0, 1]])]
+    gens = GeneratorSet(2, (), "SL", [linalg.matrix([[2, 0], [0, 1]])], [], [], [], {})
     report = group_sanity(gens)
     assert not report["determinants"]["pass"] and not report["all_pass"]["pass"]
 

@@ -162,51 +162,59 @@ def test_conjugated_elementary_column_formula():
         assert oracle_is_unipotent(conj)
 
 
+def generator_set(n, ring_primes=(), ambient="SL", **given):
+    """A GeneratorSet holding the given lists; every other list is a fresh empty one."""
+    empty = {"torus_gens": [], "torsion_gens": [], "normalizer_gens": [], "unipotent_gens": []}
+    return GeneratorSet(n, ring_primes, ambient, **{**empty, "provenance": {}, **given})
+
+
 def test_group_sanity_example_51():
-    gens = GeneratorSet(n=3, ring_primes=(), ambient="SL")
-    gens.torus_gens = [G51]
+    gens = generator_set(3, torus_gens=[G51])
     report = group_sanity(gens, CUBIC)
     assert report["all_pass"]["pass"]
 
 
 def test_group_sanity_example_54():
-    gens = GeneratorSet(n=2, ring_primes=(5,), ambient="SL")
-    gens.torus_gens = [G54]
-    gens.torsion_gens = [I_MAT]
-    gens.provenance["torsion:0"] = {"order": 4}
+    gens = generator_set(
+        2, (5,), torus_gens=[G54], torsion_gens=[I_MAT], provenance={"torsion:0": {"order": 4}}
+    )
     report = group_sanity(gens, GAUSS)
     assert report["all_pass"]["pass"]
     assert gens.ring_str() == "Z[1/5]"
 
 
 def test_group_sanity_det_two_fails():
-    gens = GeneratorSet(n=2, ring_primes=(), ambient="SL")
-    gens.torus_gens = [linalg.matrix([[2, 0], [0, 1]])]
+    gens = generator_set(2, torus_gens=[linalg.matrix([[2, 0], [0, 1]])])
     report = group_sanity(gens)
     assert not report["determinants"]["pass"]
     assert not report["all_pass"]["pass"]
 
 
 def test_group_sanity_catches_noncommuting():
-    gens = GeneratorSet(n=2, ring_primes=(), ambient="SL")
-    gens.torus_gens = [I_MAT, linalg.matrix([[1, 1], [0, 1]])]
+    gens = generator_set(2, torus_gens=[I_MAT, linalg.matrix([[1, 1], [0, 1]])])
     report = group_sanity(gens)
     assert not report["torus_commutes"]["pass"]
 
 
 def test_group_sanity_reports_a_non_s_integral_entry():
-    gens = GeneratorSet(n=2, ring_primes=(5,), ambient="GL")
-    gens.torus_gens = [linalg.matrix([[1, Fraction(1, 5)], [0, 1]])]
-    gens.torsion_gens = [linalg.matrix([[1, Fraction(1, 3)], [0, 1]])]
+    gens = generator_set(
+        2,
+        (5,),
+        "GL",
+        torus_gens=[linalg.matrix([[1, Fraction(1, 5)], [0, 1]])],
+        torsion_gens=[linalg.matrix([[1, Fraction(1, 3)], [0, 1]])],
+    )
     report = group_sanity(gens)
     assert report["determinants"]["pass"]
     assert report["s_integrality"] == {"pass": False, "detail": ["torsion:0"]}
 
 
 def test_group_sanity_reports_a_wrong_torsion_order():
-    gens = GeneratorSet(n=2, ring_primes=(), ambient="SL")
-    gens.torsion_gens = [I_MAT, linalg.matrix([[1, 1], [0, 1]])]
-    gens.provenance["torsion:0"] = {"order": 2}
+    gens = generator_set(
+        2,
+        torsion_gens=[I_MAT, linalg.matrix([[1, 1], [0, 1]])],
+        provenance={"torsion:0": {"order": 2}},
+    )
     report = group_sanity(gens)
     assert report["torsion_orders"] == {
         "pass": False,
@@ -217,28 +225,24 @@ def test_group_sanity_reports_a_wrong_torsion_order():
 def test_group_sanity_reports_a_non_normalizing_generator():
     # E_12 conjugates π(i) to [[1, -2], [1, -1]]: outside span{1, π(i)}, and
     # not π of its own column (1, 1), so the second basis element fails
-    gens = GeneratorSet(n=2, ring_primes=(), ambient="SL")
-    gens.torus_gens = [I_MAT]
-    gens.normalizer_gens = [elementary_matrix(2, 1, 2)]
+    gens = generator_set(2, torus_gens=[I_MAT], normalizer_gens=[elementary_matrix(2, 1, 2)])
     moves = "normalizer:0 moves the torus algebra"
     assert group_sanity(gens)["normalizer"] == {"pass": False, "detail": [moves]}
     assert group_sanity(gens, GAUSS)["normalizer"] == {
         "pass": False,
         "detail": [moves, "normalizer:0 fails at basis index 2"],
     }
-    gens.torus_gens = []  # the torus algebra is then Q·1, which every w fixes
+    gens = gens._replace(torus_gens=[])  # the torus algebra is then Q·1, which every w fixes
     assert group_sanity(gens, GAUSS)["normalizer"] == {
         "pass": False,
         "detail": ["normalizer:0 fails at basis index 2"],
     }
-    gens.normalizer_gens = [linalg.matrix([[1, 0], [0, -1]])]  # complex conjugation
+    gens = gens._replace(normalizer_gens=[linalg.matrix([[1, 0], [0, -1]])])  # complex conjugation
     assert group_sanity(gens, GAUSS)["normalizer"] == {"pass": True, "detail": []}
 
 
 def test_group_sanity_reports_a_conjugate_outside_the_radical():
-    gens = GeneratorSet(n=2, ring_primes=(), ambient="SL")
-    gens.torus_gens = [I_MAT]
-    gens.unipotent_gens = [elementary_matrix(2, 1, 2)]
+    gens = generator_set(2, torus_gens=[I_MAT], unipotent_gens=[elementary_matrix(2, 1, 2)])
     report = group_sanity(gens)
     assert report["semidirect"] == {"pass": False, "detail": (0, 0)}
     assert not report["all_pass"]["pass"]

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -85,7 +84,7 @@ def test_standard_tags_are_built_once_and_frozen():
         for obj, attr in [(tag, "group"), (tag, "elements"), (tag, "characters")] + [
             (char, f) for char in tag.characters for f in ("name", "dim", "values")
         ]:
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            with pytest.raises(AttributeError):
                 setattr(obj, attr, None)
     stored = standard_tag.cache_info().currsize
     with pytest.raises(UnsupportedError, match="unknown Galois tag"):

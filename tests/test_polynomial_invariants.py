@@ -13,7 +13,6 @@ and the ampleness decision. The per-polynomial caches are shown to be
 bounded, history-free and not editable by a caller.
 """
 
-import dataclasses
 import functools
 import importlib.util
 import json
@@ -291,11 +290,11 @@ def test_invariant_caches_are_bounded_and_history_free(monkeypatch):
         assert polynomials.discriminant.cache_info().currsize == 1
         assert places.frobenius_cycle_type.cache_info().currsize == 1
         assert len(units._ROOT_DISKS) == 1
-    # a caller gets the cached tuple of frozen disks, which it cannot edit
+    # a caller gets the cached tuple of immutable disks, which it cannot edit
     disks = units._root_disks(fields[-1][0], 64)
     assert disks is units._root_disks(fields[-1][0], 64)
     with pytest.raises(TypeError):
         disks[0] = disks[1]
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         disks[0].re = 0
     assert answers() == first

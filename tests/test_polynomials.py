@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from ampletori import polynomials
 from ampletori.errors import (
     CompositeModulusError,
     NonMonicError,
@@ -104,6 +105,36 @@ def test_factor_mod_p_spec_examples():
     assert factor_mod_p(GAUSS, 5) == [([2, 1], 1), ([3, 1], 1)]
     assert factor_mod_p(GAUSS, 3) == [([1, 0, 1], 1)]
     assert factor_mod_p(CUBIC, 2) == [([1, 1, 0, 1], 1)]
+
+
+def _fp_product(factors, p):
+    prod = [1]
+    for g in factors:
+        prod = fp_mul(prod, g, p)
+    return prod
+
+
+# each needs an equal-degree split: distinct irreducibles of one degree (the
+# trace map at p = 2), or distinct roots past the root search's p·deg ≤ 10^4
+SPLIT_CASES = [
+    (_fp_product([[1, 1, 0, 1], [1, 0, 1, 1]], 2), 2),
+    (_fp_product([[1, 0, 1], [2, 1, 1], [2, 2, 1]], 3), 3),
+    (_fp_product([[1, 0, 1], [2, 0, 1], [4, 0, 1], [5, 0, 0, 1], [4, 0, 0, 1]], 7), 7),
+    (_fp_product([[-r % 10007, 1] for r in (3, 77, 5000, 10006)], 10007), 10007),
+]
+
+
+@pytest.mark.parametrize("f, p", SPLIT_CASES)
+def test_factor_mod_p_answers_do_not_depend_on_the_seed(monkeypatch, f, p):
+    expected = factor_mod_p(f, p)
+    assert len(expected) >= 2 and all(m == 1 for _, m in expected)
+    for seed in (0, 987654321):
+        seeded = []
+        monkeypatch.setattr(
+            polynomials, "_seeded_rng", lambda fp, q: seeded.append(fp) or random.Random(seed)
+        )
+        assert factor_mod_p(f, p) == expected
+        assert seeded  # the forced generator did the splitting
 
 
 def test_factor_mod_p_rejects_composite():

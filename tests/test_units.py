@@ -56,6 +56,22 @@ def test_dirichlet_rank_examples():
     assert s_unit_rank(GAUSS, (5,)) == 2
 
 
+def test_norm_targets_are_ints_and_a_fraction_target_still_matches(monkeypatch):
+    targets = default_norm_targets((13,))
+    assert targets == {1, -1, 13, -13, 169, -169} and all(type(t) is int for t in targets)
+    found = search_units(GAUSS, 3, (13,), {13})
+    assert found and all(GAUSS.norm(u) == (13, 1) for u in found)
+    assert search_units(GAUSS, 3, (13,), {Fraction(13)}) == found
+    assert search_units(GAUSS, 3, (13,), {Fraction(13, 2), Fraction(1, 13)}) == []
+    pool = search_units(GAUSS, 3, (13,), targets)
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was made for an integer target")
+
+    monkeypatch.setattr(units, "Fraction", no_fraction)
+    assert search_units(GAUSS, 3, (13,), targets) == pool
+
+
 def test_search_units_gaussian():
     found = search_units(GAUSS, 2, (), {Fraction(1), Fraction(-1)})
     assert set(found) == {
