@@ -132,11 +132,15 @@ def _search_one_convention(e, tgt_units, tgt_autos, auto_mats, candidates):
     n = e.n
     units = [linalg._int_mat(t) for t in tgt_units]
     autos = [linalg._int_mat(a) for a in auto_mats]
-    # assign our automorphisms to the automorphism targets by charpoly
+    # assign our automorphisms to the automorphism targets by charpoly, each
+    # assignment with its condition rows, which do not depend on u0
+    cps = [linalg._int_charpoly(a) for a in autos]
     assignments = []
     for t in map(linalg._int_mat, tgt_autos):
         chi_t = linalg._int_charpoly(t)
-        assignments.append([(a, t) for a in autos if linalg._int_charpoly(a) == chi_t])
+        assignments.append(
+            [(a, t, _condition_rows(a, t, n)) for a, cp in zip(autos, cps) if cp == chi_t]
+        )
     for u0 in candidates:
         # u0 primitive: P·π(u0) = T_0·P gives P·π(g(u0)) = g(T_0)·P for every
         # polynomial g, so this one condition fixes the algebra map
@@ -149,7 +153,7 @@ def _search_one_convention(e, tgt_units, tgt_autos, auto_mats, candidates):
         # each assignment's condition on the coefficients c of P = Σ c_i·Q_i
         # over the space: its reduced rows, or None when they force c = 0
         options = [
-            [(a, t, _restricted(_condition_rows(a, t, n), q_ints)) for a, t in choices]
+            [(a, t, _restricted(rows, q_ints)) for a, t, rows in choices]
             for choices in assignments
         ]
         for combo in itertools.product(*options):

@@ -20,6 +20,7 @@ from . import linalg
 from .errors import UnsupportedError
 from .etale import EtaleAlgebra
 from .linalg import IntMat, Mat
+from .places import automorphism_count, galois_group_small
 from .units import _PolynomialLRU, is_s_number, strip_primes
 
 
@@ -85,7 +86,9 @@ def enumerate_automorphisms(e: EtaleAlgebra) -> list[Mat]:
     x ↦ r sends b_j = Σ_k B[j][k]·x^k to Σ_k B[j][k]·r^k, so its matrix is
     (the powers r^k as columns)·Bᵀ. A root need not lie in the order (in
     Z[2i], x does not): the map is kept when its matrix passes the exact
-    automorphism check on the order, made once, here. Sorted by the images
+    automorphism check on the order, made once, here. Where the Galois tag
+    gives |Aut(K)| = 1 (places.automorphism_count), as for every S3 cubic
+    and A4 or S4 quartic, x is the only root. Sorted by the images
     σ(b_0), σ(b_1), …. Single-factor only; the basis must be an order (else
     NotAnOrderError). Results are cached per (factors, basis); every call
     gets a new list.
@@ -96,8 +99,10 @@ def enumerate_automorphisms(e: EtaleAlgebra) -> list[Mat]:
     if cache_key in _AUTOMORPHISM_CACHE:
         return list(_AUTOMORPHISM_CACHE.store(cache_key, _AUTOMORPHISM_CACHE[cache_key]))
     e.require_order()
+    f = e.factors[0]
+    trivial = f.degree <= 4 and automorphism_count(galois_group_small(f)) == 1
     out = []
-    for r in e.elements_with_charpoly(e.factors[0]):
+    for r in [e.generator()] if trivial else e.elements_with_charpoly(f):
         powers = [e.one()]
         for _ in range(e.n - 1):
             powers.append(e.mul(powers[-1], r))

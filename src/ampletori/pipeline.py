@@ -17,9 +17,7 @@ way, as diag(m, det(m)^{-1}).
 
 from __future__ import annotations
 
-import importlib.resources
-from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import conjugacy, linalg, serialize
 from .errors import AmpleToriError, InputError, UnsupportedError
@@ -53,6 +51,9 @@ from .units import (
     norm_one_subgroup,
     verify_unit_system,
 )
+
+if TYPE_CHECKING:
+    from pathlib import Path
 
 LAST_COLUMN = "last-column"
 
@@ -327,6 +328,10 @@ def run_pipeline(req: PipelineRequest) -> CmaReport:
 
 
 def corpus_dir() -> Path:
+    """The golden corpus; importlib.resources and pathlib load here, not on import."""
+    import importlib.resources
+    from pathlib import Path
+
     return Path(str(importlib.resources.files("ampletori").joinpath("corpus")))
 
 
@@ -443,6 +448,8 @@ def verify_paper_examples(directory: Path | None = None) -> list[dict]:
     Returns one row per example; failures are rows with pass=False, never
     exceptions (a corrupted golden file fails its row with a diff).
     """
+    from pathlib import Path
+
     directory = Path(directory) if directory is not None else corpus_dir()
     rows = []
     for name in ("ex51.json", "ex52.json", "ex53.json", "ex54.json"):

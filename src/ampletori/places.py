@@ -369,13 +369,15 @@ def frobenius_cycle_type(f: QPoly, p: int) -> tuple[int, ...]:
     return tuple(sorted(len(g) - 1 for g, _ in factor_mod_p(f, p)))
 
 
+@functools.lru_cache(maxsize=256)
 def galois_group_small(f: QPoly) -> GaloisTag:
     """Galois group of the splitting field for monic irreducible f, deg ≤ 4.
 
     Degree 3 uses the discriminant-square test. Degree 4 finds the rational
     roots of the cubic resolvent, which is monic integral with discriminant
     disc f ≠ 0, so they are its integer roots; it distinguishes C4 from D4
-    by the Kappe–Warren quadratic criterion over Q(√disc).
+    by the Kappe–Warren quadratic criterion over Q(√disc). Cached per
+    polynomial; a standard tag is immutable.
     """
     if f.degree > 4:
         raise UnsupportedError("Galois groups are only computed through degree 4")
@@ -406,6 +408,13 @@ def galois_group_small(f: QPoly) -> GaloisTag:
     ):
         return standard_tag("C4")
     return standard_tag("D4")
+
+
+def automorphism_count(tag: GaloisTag) -> int:
+    """|Aut(K)| = |N_G(H)/H| for K = Q[x]/(f) with Galois tag ``tag``: the
+    stabilizer H of root 0 fixes exactly the roots of f in K, one per automorphism."""
+    stabilizer = [g for g in tag.elements if g[0] == 0]
+    return sum(all(g[i] == i for g in stabilizer) for i in range(tag.degree))
 
 
 def decomposition_profile(f: QPoly, tag: GaloisTag, place: Place) -> PlaceProfile:

@@ -1,7 +1,7 @@
 """Unit and S-unit machinery for an order in an étale algebra.
 
 Everything is certified or exact: S-integrality and norms are checked in
-exact rational arithmetic, torsion orders by exact powering, and
+exact rational arithmetic, roots of unity by their cyclotomic charpolys, and
 multiplicative independence through integer balls enclosing the log embedding.
 Every archimedean place reads |σ(u)|² off one certified root disk of its
 factor's polynomial (Smith's theorem, in realsplit); every finite place
@@ -28,14 +28,21 @@ from .errors import (
 )
 from .etale import Coords, EtaleAlgebra, sorted_elements
 from .intervals import log_grid
-from .places import Signature, check_unramified
-from .polynomials import QPoly, _mul_mod_monic, factor_mod_p, fp_mod, fp_strip
+from .places import Signature, check_unramified, galois_group_small, signature
+from .polynomials import QPoly, _mul_mod_monic, factor_mod_p, fp_mod, fp_strip, split_prime
 from .realsplit import RootDisk, abs_square_on_disk, root_disks
 
 PRECISION_LADDER = (64, 128, 256)
 DEFAULT_PRECISION_CAP = 256
 MAX_DENOMINATOR = 16  # largest d in the relations u^d = t^k·∏ g_i^(a_i) tried
-TORSION_ORDER_CANDIDATES = (1, 2, 3, 4, 5, 6, 8, 10, 12)  # phi(m) <= 4
+# Φ_m, ascending coefficients, for the m > 2 with φ(m) ≤ 4
+CYCLOTOMIC = {3: (1, 1, 1), 4: (1, 0, 1), 6: (1, -1, 1), 5: (1, 1, 1, 1, 1),
+              8: (1, 0, 0, 0, 1), 10: (1, -1, 1, -1, 1), 12: (1, 0, -1, 0, 1)}
+# the m > 2, largest first, with ζ_m possibly in a totally complex K of this
+# Galois group: φ(m) | n; φ(m) = 2 needs a quadratic subfield, which A4 and
+# S4 quartics lack; φ(m) = 4 needs K = Q(ζ_m), of group C4 (m = 5, 10) or V4
+CYCLOTOMIC_ORDERS = {"C2": (6, 4, 3), "C4": (10, 6, 5, 4, 3),
+                     "V4": (12, 8, 6, 4, 3), "D4": (6, 4, 3)}
 CACHED_POLYNOMIALS = 256  # bound of every _PolynomialLRU
 
 
@@ -51,7 +58,7 @@ def dirichlet_rank(sig: Signature, places_over_s: tuple[int, ...] = ()) -> int:
 
 def s_unit_rank(e: EtaleAlgebra, s_primes: tuple[int, ...]) -> int:
     """Free rank of the S-unit group of the whole algebra (sum over factors)."""
-    from .places import places_over_p, signature
+    from .places import places_over_p
 
     total = 0
     for f in e.factors:
@@ -229,8 +236,6 @@ def build_log_embedding(
     s_primes: tuple[int, ...] = (),
     bits: int = 64,
 ) -> LogEmbedding:
-    from .places import signature
-
     columns: list[LogColumn] = []
     sigs = [signature(f) for f in e.factors]
     for k, sig in enumerate(sigs):
@@ -359,21 +364,9 @@ class DependenceWitness(NamedTuple):
 
 
 def _is_torsion(e: EtaleAlgebra, u: Coords) -> int | None:
-    """The order of u if it is a root of unity of order ≤ 12, else None.
-
-    A power of a root of unity is an algebraic integer with |trace| ≤ n, so
-    the first power whose trace is not an integer, or is past n, ends it.
-    """
-    one = e.one()
-    acc = u
-    for m in range(1, max(TORSION_ORDER_CANDIDATES) + 1):
-        if acc == one:
-            return m
-        tr, den = e.trace(acc)
-        if den != 1 or abs(tr) > e.n:
-            return None
-        acc = e.mul(acc, u)
-    return None
+    """The order of u if it lies in μ(O), the roots of unity of the order, else None."""
+    mu = roots_of_unity(e)
+    return len(mu) // math.gcd(len(mu), mu.index(u)) if u in mu else None
 
 
 def _precision_ladder(precision_cap: int) -> list[int]:
@@ -401,9 +394,11 @@ def _greedy_prefix(emb: LogEmbedding, limit: int):
 def verify_unit_system(
     sys: UnitSystem, precision_cap: int = DEFAULT_PRECISION_CAP
 ) -> UnitCertificate | DependenceWitness:
-    """Certify an S-unit system: integrality, torsion order, independence.
+    """Certify an S-unit system: integrality, torsion, independence.
 
-    Returns a UnitCertificate when a full minor of the log rows certifies.
+    The torsion generator must generate μ(O), the roots of unity of the
+    order (roots_of_unity), with the stated order. Returns a UnitCertificate
+    when a full minor of the log rows certifies.
     Otherwise, at the same precision, each generator outside the greedy
     certified prefix is reduced against that prefix (_express_from_rows):
     u^d = t^k·∏ g_i^(a_i), confirmed by exact multiplication, is returned as
@@ -420,10 +415,11 @@ def verify_unit_system(
         if not is_s_number(linalg._det([list(row) for row in rows]), s):
             raise InvalidUnitSystemError(f"generator {g} has non-unit norm over Z[1/S]")
 
-    order = _is_torsion(e, sys.torsion_generator)
-    if order != sys.torsion_order:
+    order, mu_order = _is_torsion(e, sys.torsion_generator), len(roots_of_unity(e))
+    if not order == sys.torsion_order == mu_order:
         raise InvalidUnitSystemError(
-            f"torsion generator has order {order}, claimed {sys.torsion_order}"
+            f"torsion generator has order {order}, claimed {sys.torsion_order}, "
+            f"but the roots of unity of the order have order {mu_order}"
         )
 
     ladder = _precision_ladder(precision_cap)
@@ -435,6 +431,7 @@ def verify_unit_system(
         return UnitCertificate(True, True, 0, (), ladder[0], caveats)
     gens = list(sys.free_generators)
     torsion = {e.power(sys.torsion_generator, k): k for k in range(sys.torsion_order)}
+    inverses = None  # the generators' inverses, taken once a relation is sought
     for bits in ladder:
         emb = build_log_embedding(e, gens, s, bits)
         cols = find_certified_minor(emb)
@@ -443,7 +440,8 @@ def verify_unit_system(
             return UnitCertificate(True, True, sys.rank, labels, bits, caveats)
         prefix, cols = _greedy_prefix(emb, sys.rank)
         minv = _minor_inverse([emb.rows[i] for i in prefix], cols)
-        basis = [gens[i] for i in prefix]
+        inverses = inverses or [e.inverse(g) for g in gens]
+        basis = [(gens[i], inverses[i]) for i in prefix]
         for idx in (i for i in range(sys.rank) if i not in prefix):
             got = _express_from_rows(e, basis, cols, minv, gens[idx], emb.rows[idx], torsion)
             if got is not None:
@@ -642,28 +640,47 @@ def _require_one_field(e: EtaleAlgebra) -> None:
         raise UnsupportedError("torsion generator is computed for a single field factor")
 
 
-def _torsion_generator(orders, coord_bound: int) -> tuple[Coords, int]:
-    """The canonical unit of largest order among (unit, order or None) pairs
-    from the box of sup-norm ≤ coord_bound, which may hold no torsion."""
-    found = [(u, m) for u, m in orders if m is not None]
-    if not found:
-        raise BudgetExceededError(
-            f"no torsion unit found in the box of sup-norm <= {coord_bound}"
-        )
-    best_order = max(m for _, m in found)
-    return sorted_elements([u for u, m in found if m == best_order], _canonical_key)[0], best_order
+# (factor coefficients, order basis) -> roots_of_unity(e), a tuple nothing edits
+_ROOTS_OF_UNITY = _PolynomialLRU()
 
 
-def torsion_units(e: EtaleAlgebra, coord_bound: int = 3, budget: int = 10**6):
-    """Generator and order of the (cyclic) group of roots of unity in O.
+def roots_of_unity(e: EtaleAlgebra) -> tuple[Coords, ...]:
+    """μ(O), the roots of unity of the order: t^k at index k, k below the
+    order m of its canonical generator t.
 
-    Exhaustive over the coordinate box; every candidate is verified by exact
-    powering. Single-factor algebras only (the torsion of a product of fields
-    is not cyclic).
+    ζ ∈ K has order m exactly when its characteristic polynomial is
+    Φ_m^(n/φ(m)); EtaleAlgebra.elements_with_charpoly returns every such ζ,
+    and those with integer coordinates lie in O. For the largest m that has
+    one, t is the first in _canonical_key order; t = −1 when none has.
+    Proven gates skip each m with ζ_m ∉ K: a real place or odd n leaves ±1
+    (φ(m) is even for m > 2), CYCLOTOMIC_ORDERS reads the Galois tag, and
+    m | p − 1 at p = split_prime(f), which splits completely in K ⊇ Q(ζ_m).
+    One field factor and an order (else NotAnOrderError); cached per basis.
     """
     _require_one_field(e)
-    units = search_units(e, coord_bound, (), {1, -1}, budget)
-    return _torsion_generator(((u, _is_torsion(e, u)) for u in units), coord_bound)
+    key = (e.factors[0].coeffs, e.order_basis)
+    if key in _ROOTS_OF_UNITY:
+        return _ROOTS_OF_UNITY.store(key, _ROOTS_OF_UNITY[key])
+    e.require_order()
+    f, n, (one, den) = e.factors[0], e.n, e.one()
+    t, order = (tuple(-c for c in one), den), 2
+    if signature(f).r1 == 0 and n % 2 == 0:  # galois_group_small refuses n > 4
+        for m in CYCLOTOMIC_ORDERS.get(galois_group_small(f).group, ()):
+            if (split_prime(f) - 1) % m:
+                continue
+            phi = QPoly(CYCLOTOMIC[m])
+            found = [z for z in e.elements_with_charpoly(phi ** (n // phi.degree)) if z[1] == 1]
+            if found:
+                t, order = sorted_elements(found, _canonical_key)[0], m
+                break
+    return _ROOTS_OF_UNITY.store(key, tuple(e.power(t, k) for k in range(order)))
+
+
+def torsion_units(e: EtaleAlgebra) -> tuple[Coords, int]:
+    """Generator and order of μ(O), the cyclic group of roots of unity in O,
+    read off roots_of_unity (one field factor: a product's is not cyclic)."""
+    mu = roots_of_unity(e)
+    return mu[1], len(mu)
 
 
 def _canonical_key(ints: tuple[int, ...]):
@@ -745,14 +762,15 @@ def _word(e: EtaleAlgebra, gens: list[Coords], exponents) -> Coords:
 
 def _express_from_rows(
     e: EtaleAlgebra,
-    basis: list[Coords],
+    basis: list[tuple[Coords, Coords]],
     cols: tuple[int, ...],
     minv,
     u: Coords,
     u_row,
     torsion: dict[Coords, int],
 ):
-    """Try u = t^k · (∏ basis^{a_i})^{1/d}; returns (a, d, k) verified.
+    """Try u = t^k · (∏ g_i^{a_i})^{1/d}, basis the pairs (g_i, g_i⁻¹);
+    returns (a, d, k) verified.
 
     Candidate exponents come from the enclosure of the solution of
     x·A = u on the basis's certified minor columns cols (_ball_solve on
@@ -761,8 +779,8 @@ def _express_from_rows(
     in d times the enclosure. The final identity is verified by exact
     multiplication, so ball error can only cause a miss (caller escalates
     precision), never a wrong answer. torsion maps each power t^k of the
-    torsion generator, k below its order, to k; u^d·(∏ basis^{a_i})⁻¹ is
-    looked up in it.
+    torsion generator, k below its order, to k; u^d·∏ g_i^(−a_i), a product
+    of powers of u and the pairs, is looked up in it.
     """
     solved = _ball_solve(minv, u_row, cols)
     if solved is None:
@@ -775,10 +793,10 @@ def _express_from_rows(
             continue
         if d > 1 and all(a % d == 0 for a in nums):
             continue  # already covered by a smaller denominator
-        prod = _word(e, basis, nums)
+        factors = [g_inv if a > 0 else g for (g, g_inv), a in zip(basis, nums)]
         while dp < d:
             power, dp = e.mul(power, u), dp + 1
-        k = torsion.get(e.mul(power, e.inverse(prod)))
+        k = torsion.get(e.mul(power, _word(e, factors, map(abs, nums))))
         if k is not None:
             return tuple(nums), d, k
     return None
@@ -818,8 +836,8 @@ def assemble_unit_system(
 ) -> UnitSystem:
     """Search the box once, pick a certified independent system, saturate it.
 
-    The order (one field factor) is searched once. Its finite-order units in
-    the box give the torsion generator t, as in torsion_units; of the rest,
+    The order (one field factor) is searched once. The torsion generator t
+    generates μ(O) (roots_of_unity, no box); of the pool units outside μ(O),
     the first in canonical order of each class {t^k·u, t^k·u⁻¹} forms the
     free pool, log-embedded once per precision step. A later class member
     has the representative's log row up to sign, so the greedy choice never
@@ -827,16 +845,16 @@ def assemble_unit_system(
     whenever the representative does; canonical_unit already works modulo
     torsion and inversion. Dropping it changes no emitted generator.
     Saturation reduces every pool unit against the basis through one
-    certified minor inverse per round and step (exponents from certified
-    logs, confirmed exactly); a unit generating a strictly larger lattice
-    enlarges the basis by an exact Hermite-form step, so the final system
-    with t generates every unit in the pool, class members included. The
-    basis's log rows are the pool's own rows until the first enlargement:
-    the same elements at the same precision, so the same minor and inverse.
+    certified minor inverse per round and step, and the basis inverses once
+    per round (exponents from certified logs, confirmed exactly); a unit
+    generating a strictly larger lattice enlarges the basis by an exact
+    Hermite-form step, so the final system with t generates every unit in
+    the pool, class members included. The basis's log rows are the pool's
+    own rows until the first enlargement: the same elements at the same
+    precision, so the same minor and inverse.
     """
     _require_one_field(e)
-    found = search_units(e, coord_bound, s_primes, default_norm_targets(s_primes), budget)
-    pool = found
+    pool = search_units(e, coord_bound, s_primes, default_norm_targets(s_primes), budget)
     if s_primes:
         # saturate by pairwise ratios, each an S-unit: a box element a is
         # integral with an S-number norm N, so a⁻¹ = adj π(a)/N is in O[1/S]
@@ -846,18 +864,14 @@ def assemble_unit_system(
         )
         pool = sorted_elements(list(seen), _by_size)
 
-    # a found element is tested again when it is in the pool, so test each once
-    torsion_order_of = functools.cache(functools.partial(_is_torsion, e))
-    torsion_gen, torsion_order = _torsion_generator(
-        ((u, torsion_order_of(u)) for u in found), coord_bound
-    )
+    torsion = roots_of_unity(e)
+    torsion_gen, torsion_order = torsion[1], len(torsion)
     # the first pool element of each class {t^k·u, t^k·u⁻¹}: the rest of a
     # class repeat its log row up to sign and its saturation answer
-    torsion = [e.power(torsion_gen, k) for k in range(torsion_order)]
     torsion_index = {z: k for k, z in enumerate(torsion)}
     free_pool, covered = [], set()
     for u in pool:
-        if u not in covered and torsion_order_of(u) is None:
+        if u not in covered and u not in torsion_index:
             free_pool.append(u)
             covered.update(e.mul(z, w) for w in (u, e.inverse(u)) for z in torsion)
     target_rank = s_unit_rank(e, s_primes)
@@ -883,6 +897,7 @@ def assemble_unit_system(
     changed = True
     while changed:
         changed = False
+        with_inverses = [(g, e.inverse(g)) for g in basis]
         for bits in ladder:
             if basis_idx is None:
                 basis_emb = build_log_embedding(e, basis, s_primes, bits)
@@ -894,7 +909,7 @@ def assemble_unit_system(
             minv = _minor_inverse(basis_emb.rows, cols)
             pending = False
             for u, u_row in zip(free_pool, pool_emb(bits).rows):
-                got = _express_from_rows(e, basis, cols, minv, u, u_row, torsion_index)
+                got = _express_from_rows(e, with_inverses, cols, minv, u, u_row, torsion_index)
                 if got is None:
                     pending = True
                     continue

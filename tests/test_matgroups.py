@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ampletori import linalg, matgroups, units
+from ampletori import linalg, matgroups, polynomials, units
 from ampletori.errors import NotAnOrderError
 from ampletori.etale import EtaleAlgebra
 from ampletori.matgroups import (
@@ -89,6 +89,21 @@ def test_z2i_automorphisms_include_conjugation():
         linalg.matrix([[1, 0], [0, -1]]),
         linalg.identity(2),
     ]
+
+
+def test_a_trivial_automorphism_group_needs_no_root(monkeypatch):
+    # Aut(K) = {1} for an S3 cubic and an S4 quartic, read off the Galois tag:
+    # no split prime is sought and no root of f is solved for
+    algebras = [EtaleAlgebra([QPoly(c)]) for c in ([-1, -1, 0, 1], [1, -1, 1, 0, 1])]
+
+    def refuse(*args):
+        raise AssertionError("the Galois tag already fixes Aut(K)")
+
+    monkeypatch.setattr(matgroups, "_AUTOMORPHISM_CACHE", units._PolynomialLRU())
+    monkeypatch.setattr(polynomials, "split_prime", refuse)
+    monkeypatch.setattr(EtaleAlgebra, "elements_with_charpoly", refuse)
+    for e in algebras:
+        assert enumerate_automorphisms(e) == [linalg.identity(e.n)]
 
 
 def test_automorphism_cache_is_bounded_and_history_free(monkeypatch):

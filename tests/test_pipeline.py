@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from ampletori import linalg, matgroups, pipeline, serialize, units
-from ampletori.errors import BudgetExceededError, InputError, UnsupportedError
+from ampletori.errors import IndependenceUndecidedError, InputError, UnsupportedError
 from ampletori.conjugacy import find_simultaneous_conjugator, order_elements_with_charpoly
 from ampletori.matgroups import group_sanity
 from ampletori.pipeline import (
@@ -337,16 +337,16 @@ def test_provided_units_and_errors_are_not_memoized(fresh_unit_memo):
     report = run_pipeline(PipelineRequest.from_json(provided))
     assert report.unit_system.free_generators == [((3, 4), 1), ((2, -1), 1)]
     assert report.unit_system.free_generators != searched.unit_system.free_generators
-    # ±1 = ±(1, -5) lie outside the box of sup-norm 3: no torsion, an error
-    no_torsion = {
+    # no unit of infinite order lies in the box of sup-norm 3: an error
+    no_units = {
         "algebra": {"factors": [["-2", "0", "1"]], "order_basis": [["1", "5"], ["0", "1"]]},
         "ambient": "SL",
         "places": "inf",
         "unit_source": {"search": {"coord_bound": 3}},
     }
     for _ in range(2):
-        with pytest.raises(BudgetExceededError, match="sup-norm <= 3"):
-            run_pipeline(PipelineRequest.from_json(no_torsion))
+        with pytest.raises(IndependenceUndecidedError, match="sup-norm <= 3"):
+            run_pipeline(PipelineRequest.from_json(no_units))
     assert len(fresh_unit_memo) == 1
 
 

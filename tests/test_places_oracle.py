@@ -3,8 +3,8 @@
 sympy is a test-only oracle; the library never imports it. The fields are
 every corpus and benchmark-workload polynomial plus a seeded set of
 irreducible monic polynomials of degree 2 to 4. On the same fields the
-number of order automorphisms of the power-basis order must equal
-|Aut(K)| read off the tag.
+number of order automorphisms of the power-basis order, and the number of
+roots of f in K, must equal |Aut(K)| read off the tag.
 """
 
 import json
@@ -19,7 +19,7 @@ from sympy.polys.numberfields.galoisgroups import galois_group
 from ampletori.etale import EtaleAlgebra
 from ampletori.matgroups import enumerate_automorphisms
 from ampletori.pipeline import corpus_dir
-from ampletori.places import galois_group_small, standard_tag
+from ampletori.places import automorphism_count, galois_group_small, standard_tag
 from ampletori.polynomials import QPoly
 from oracles import oracle_automorphism_count
 
@@ -62,7 +62,12 @@ def test_galois_tag_and_automorphisms_match_sympy(coeffs):
     group, _ = galois_group(_sympy_poly(coeffs), by_name=True)
     tag = galois_group_small(QPoly(coeffs))
     assert tag.group == SYMPY_NAMES[group.name]
-    assert oracle_automorphism_count(tag) == len(enumerate_automorphisms(EtaleAlgebra([QPoly(coeffs)])))
+    e = EtaleAlgebra([QPoly(coeffs)])
+    count = oracle_automorphism_count(tag)
+    assert count == automorphism_count(tag) == len(enumerate_automorphisms(e))
+    # the p-adic solver, which the count now skips where it is 1, finds one
+    # root of f in K per automorphism
+    assert len(e.elements_with_charpoly(QPoly(coeffs))) == count
 
 
 @pytest.mark.parametrize(
@@ -77,4 +82,4 @@ def test_automorphism_count(name, count):
     tag = standard_tag(name)
     stabilizer = [g for g in tag.elements if g[0] == 0]
     fixed = [i for i in range(tag.degree) if all(g[i] == i for g in stabilizer)]
-    assert oracle_automorphism_count(tag) == len(fixed) == count
+    assert oracle_automorphism_count(tag) == automorphism_count(tag) == len(fixed) == count

@@ -226,7 +226,7 @@ def test_galois_group_makes_only_its_resolvent(monkeypatch):
     # four coefficients of the resolvent QPoly are the only Fractions made
     assert len({places.galois_group_small(QPoly(c)).group for c in QUARTICS}) >= 3
     polys = [QPoly(c) for c in QUARTICS]
-    for cached in (discriminant, split_prime, is_irreducible_q):
+    for cached in (discriminant, split_prime, is_irreducible_q, places.galois_group_small):
         cached.cache_clear()
     made = _count_fractions(monkeypatch)
     for f in polys:

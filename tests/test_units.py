@@ -373,7 +373,7 @@ def test_is_torsion_matches_powering_oracle_on_pairwise_ratios():
 @pytest.mark.parametrize("e", TORSION_FIELDS, ids=repr)
 def test_assembled_torsion_equals_torsion_units(e, bound):
     system = assemble_unit_system(e, (), bound)
-    assert (system.torsion_generator, system.torsion_order) == torsion_units(e, min(bound, 3))
+    assert (system.torsion_generator, system.torsion_order) == torsion_units(e)
 
 
 # assemble_unit_system's (torsion generator, order, free generators), recorded
@@ -702,12 +702,12 @@ def test_split_gaussian_s_units_certify_in_polynomial_time():
 SHIFTED_SQRT2 =EtaleAlgebra([QPoly([-2, 0, 1])], [[1, 5], [0, 1]])  # 1 = (1, -5)
 
 
-def test_torsion_is_taken_from_the_whole_box():
+def test_torsion_of_a_shifted_order_needs_no_box():
     assert SHIFTED_SQRT2.is_order() == (True, None)
     system = assemble_unit_system(SHIFTED_SQRT2, (), 6)
     assert (system.torsion_generator, system.torsion_order) == (element([-1, 5]), 2)
     assert system.free_generators == [element([1, -4])]  # 1 + x
-    assert torsion_units(SHIFTED_SQRT2, 6) == (element([-1, 5]), 2)
+    assert torsion_units(SHIFTED_SQRT2) == (element([-1, 5]), 2)
 
 
 def test_an_undecided_unit_system_names_its_box(monkeypatch):
@@ -725,12 +725,15 @@ def test_an_undecided_unit_system_names_its_box(monkeypatch):
         assemble_unit_system(SQRT2, (), 2)
 
 
-def test_a_box_without_torsion_names_its_bound():
-    # ±1 = ±(1, -5) lie outside the box of sup-norm 3
-    with pytest.raises(BudgetExceededError, match="sup-norm <= 3"):
+def test_a_box_without_units_names_its_bound():
+    # ±1 = ±(1, -5) lie outside the box of sup-norm 3, and so does every unit
+    # of infinite order; the torsion is found without the box
+    with pytest.raises(
+        IndependenceUndecidedError,
+        match=r"^found 0 independent units in the box of sup-norm <= 3, expected rank 1$",
+    ):
         assemble_unit_system(SHIFTED_SQRT2, (), 3)
-    with pytest.raises(BudgetExceededError, match="sup-norm <= 3"):
-        torsion_units(SHIFTED_SQRT2, 3)
+    assert torsion_units(SHIFTED_SQRT2) == (element([-1, 5]), 2)
 
 
 def test_assembly_rescales_no_operand_inside_the_algebra(monkeypatch):
