@@ -100,6 +100,10 @@ class EtaleAlgebra:
                 raise ValueError("order basis must be n x n")
         # coordinates are rows, so to_power and from_power apply the transposes
         self._basis_int = linalg._int_mat(linalg.transpose(self.order_basis))
+        # the per-algebra cache key: integer coefficients and the basis's
+        # IntMat, hashed without Fraction.__hash__
+        self._key = (tuple(tuple(c.numerator for c in f.coeffs) for f in self.factors),
+                     self._basis_int)
         try:
             self._inv_int = linalg._int_inv(self._basis_int)
         except SingularMatrixError:

@@ -11,13 +11,14 @@ algebraic-group membership test.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from math import comb, lcm
 from typing import NamedTuple
 
 from . import linalg
-from .errors import UnsupportedError
+from .errors import SingularMatrixError, UnsupportedError
 from .etale import EtaleAlgebra
 from .linalg import IntMat, Mat
 from .places import automorphism_count, galois_group_small
@@ -73,7 +74,7 @@ def _check_automorphism(e: EtaleAlgebra, mat: IntMat):
     return True, None
 
 
-# (factors, basis) -> automorphism matrices; bounded like the per-polynomial caches
+# EtaleAlgebra._key -> automorphism matrices; bounded like the per-polynomial caches
 _AUTOMORPHISM_CACHE = _PolynomialLRU()
 
 
@@ -95,7 +96,7 @@ def enumerate_automorphisms(e: EtaleAlgebra) -> list[Mat]:
     """
     if e.num_factors != 1:
         raise UnsupportedError("automorphism enumeration needs a single field factor")
-    cache_key = (tuple(f.coeffs for f in e.factors), e.order_basis)
+    cache_key = e._key
     if cache_key in _AUTOMORPHISM_CACHE:
         return list(_AUTOMORPHISM_CACHE.store(cache_key, _AUTOMORPHISM_CACHE[cache_key]))
     e.require_order()
@@ -123,9 +124,13 @@ def verify_normalization(e: EtaleAlgebra, m: Mat):
     order (column j holds c_j), or (False, j) with the first failing basis
     index (1-based).
     """
-    n = e.n
     m = linalg._int_mat(m)
-    minv = linalg._int_inv(m)
+    return _normalizes(e, m, linalg._int_inv(m))
+
+
+def _normalizes(e: EtaleAlgebra, m: IntMat, minv: IntMat):
+    """verify_normalization on m's integer form and its inverse."""
+    n = e.n
     images = []
     one = e.one()
     for j in range(n):
@@ -186,22 +191,39 @@ def _minus_identity(m: IntMat) -> list[int]:
 def verify_semidirect(torus_gens: list[Mat], unipotent_gens: list[Mat]):
     """Check every t·u·t⁻¹ is unipotent and stays in span{u_k − I}.
 
-    Returns (True, None) or (False, (torus index, unipotent index)).
+    t·u·t⁻¹ has u's characteristic polynomial, so unipotency is tested once
+    per unipotent generator; the span is tested per pair. A singular t has
+    no conjugation and fails at its first pair.
+    Returns (True, None) or (False, (torus index, unipotent index)), the
+    first failing pair with the torus index outermost.
     """
-    if not unipotent_gens:
-        return True, None
-    unis = [linalg._int_mat(u) for u in unipotent_gens]
+    witness = _semidirect(
+        [linalg._int_mat(t) for t in torus_gens],
+        [linalg._int_mat(u) for u in unipotent_gens],
+        linalg._int_inv,
+    )
+    return witness is None, witness
+
+
+def _semidirect(torus: list[IntMat], unis: list[IntMat], inverse) -> tuple[int, int] | None:
+    """verify_semidirect's first failing pair on integer forms, or None;
+    inverse(t) gives t⁻¹ and raises SingularMatrixError for a singular t."""
+    if not (torus and unis):
+        return None
+    unipotent = [_is_unipotent(u) for u in unis]
     span = linalg._Span()
     for u in unis:
         span.add(_minus_identity(u))
-    for ti, t in enumerate(torus_gens):
-        t = linalg._int_mat(t)
-        tinv = linalg._int_inv(t)
+    for ti, t in enumerate(torus):
+        try:
+            tinv = inverse(t)
+        except SingularMatrixError:
+            return ti, 0
         for ui, u in enumerate(unis):
             conj = linalg._int_mul(linalg._int_mul(t, u), tinv)
-            if not _is_unipotent(conj) or _minus_identity(conj) not in span:
-                return False, (ti, ui)
-    return True, None
+            if not unipotent[ui] or _minus_identity(conj) not in span:
+                return ti, ui
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -227,15 +249,28 @@ def group_sanity(gens: GeneratorSet, algebra: EtaleAlgebra | None = None) -> dic
     torsion orders, normalizer relations (against the algebra when given,
     and against the span closure of the torus algebra always), semidirect
     relations for unipotent generators.
+
+    Each generator is put in integer form m = R/den once, and every check
+    reads that form. det R/den^n decides the determinant check and both
+    S-integrality checks: m is S-integral when den is an S-number, and then
+    m⁻¹ = den·adj(R)/det R is S-integral exactly when det R is an S-number,
+    so no check inverts m for them. A singular generator fails both, by
+    name. A torus or normalizer generator is inverted at most once, and
+    only for a conjugation; unipotency is tested once per unipotent
+    generator (verify_semidirect).
     """
     s = gens.ring_primes
     report: dict[str, dict] = {}
+    named = list(gens.all_generators())
+    forms = [linalg._int_mat(m) for _, m in named]
+    inverse = functools.cache(linalg._int_inv)
 
     det_ok, det_detail = True, []
     integ_ok, integ_detail = True, []
-    for name, m in gens.all_generators():
-        m = linalg._int_mat(m)
-        num, den_n = linalg._det([list(row) for row in m[0]]), m[1] ** len(m[0])
+    dets = []
+    for (name, _), (rows, den) in zip(named, forms):
+        num, den_n = linalg._det([list(row) for row in rows]), den ** len(rows)
+        dets.append(num)
         if gens.ambient == "SL":
             good = num == den_n
         else:  # num/den_n is a unit of Z[1/S] when both have the same part prime to S
@@ -243,32 +278,35 @@ def group_sanity(gens: GeneratorSet, algebra: EtaleAlgebra | None = None) -> dic
         if not good:
             det_ok = False
             det_detail.append(f"{name}: det={Fraction(num, den_n)}")
-        # S-integral exactly when the common denominator is an S-number
-        if not all(is_s_number(x[1], s) for x in (m, linalg._int_inv(m))):
+        if not (is_s_number(den, s) and is_s_number(num, s)):
             integ_ok = False
             integ_detail.append(name)
     report["determinants"] = {"pass": det_ok, "detail": det_detail}
     report["s_integrality"] = {"pass": integ_ok, "detail": integ_detail}
 
+    n_torus = len(gens.torus_gens)
+    a = n_torus + len(gens.torsion_gens)
+    b = a + len(gens.normalizer_gens)
+    torus_like, normalizers, unis = forms[:a], forms[a:b], forms[b:]
+
     comm_ok, comm_detail = True, []
-    torus_like = [linalg._int_mat(m) for m in gens.torus_gens + gens.torsion_gens]
-    for (i, a), (j, b) in itertools.combinations(enumerate(torus_like), 2):
-        if linalg._int_mul(a, b) != linalg._int_mul(b, a):
+    for (i, x), (j, y) in itertools.combinations(enumerate(torus_like), 2):
+        if linalg._int_mul(x, y) != linalg._int_mul(y, x):
             comm_ok = False
             comm_detail.append((i, j))
     report["torus_commutes"] = {"pass": comm_ok, "detail": comm_detail}
 
     tors_ok, tors_detail = True, []
-    for i, m in enumerate(gens.torsion_gens):
+    for i, m in enumerate(torus_like[n_torus:]):
         claimed = gens.provenance.get(f"torsion:{i}", {}).get("order")
-        order = _torsion_order_of_matrix(linalg._int_mat(m))
+        order = _torsion_order_of_matrix(m)
         if order is None or (claimed is not None and order != claimed):
             tors_ok = False
             tors_detail.append(f"torsion:{i}: order={order}, claimed={claimed}")
     report["torsion_orders"] = {"pass": tors_ok, "detail": tors_detail}
 
     norm_ok, norm_detail = True, []
-    if gens.normalizer_gens:
+    if normalizers:
         # span closure of the torus algebra: powers/products of torus gens,
         # in one running echelon of the flattened integer rows
         def flat(m):
@@ -279,29 +317,30 @@ def group_sanity(gens: GeneratorSet, algebra: EtaleAlgebra | None = None) -> dic
         while frontier:
             products = (linalg._int_mul(m, g) for m in frontier for g in torus_like)
             frontier = [prod for prod in products if span.add(flat(prod))]
-        for i, w in enumerate(gens.normalizer_gens):
-            wi = linalg._int_mat(w)
-            winv = linalg._int_inv(wi)
-            conj = (linalg._int_mul(linalg._int_mul(wi, g), winv) for g in torus_like)
+        for i, w in enumerate(normalizers):
+            if not dets[a + i]:
+                norm_ok = False
+                norm_detail.append(f"normalizer:{i} is singular")
+                continue
+            conj = (linalg._int_mul(linalg._int_mul(w, g), inverse(w)) for g in torus_like)
             if any(flat(c) not in span for c in conj):
                 norm_ok = False
                 norm_detail.append(f"normalizer:{i} moves the torus algebra")
             if algebra is not None:
-                ok, witness = verify_normalization(algebra, _strip_block(w, algebra.n))
+                block = _strip_block(w, algebra.n)
+                ok, witness = _normalizes(algebra, block, inverse(block))
                 if not ok:
                     norm_ok = False
                     norm_detail.append(f"normalizer:{i} fails at basis index {witness}")
     report["normalizer"] = {"pass": norm_ok, "detail": norm_detail}
 
-    semi_ok, semi_witness = verify_semidirect(
-        gens.torus_gens + gens.torsion_gens, gens.unipotent_gens
-    )
-    report["semidirect"] = {"pass": semi_ok, "detail": semi_witness}
+    semi_witness = _semidirect(torus_like, unis, inverse)
+    report["semidirect"] = {"pass": semi_witness is None, "detail": semi_witness}
 
     report["all_pass"] = {"pass": all(v["pass"] for k, v in report.items() if k != "all_pass")}
     return report
 
 
-def _strip_block(m: Mat, n: int) -> Mat:
+def _strip_block(m: IntMat, n: int) -> IntMat:
     """Upper-left n×n block (for generators embedded as diag(g, ...))."""
-    return tuple(tuple(m[i][j] for j in range(n)) for i in range(n))
+    return linalg._int_form([row[:n] for row in m[0][:n]], m[1])

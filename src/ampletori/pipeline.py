@@ -181,7 +181,7 @@ def _certify(system: UnitSystem, precision_cap: int) -> tuple[UnitSystem, UnitCe
     return system, ucert
 
 
-# (factor coefficients, order basis, S-primes, coord_bound, precision cap) ->
+# (EtaleAlgebra._key, S-primes, coord_bound, precision cap) ->
 # (searched UnitSystem, its UnitCertificate): both are functions of the key
 _UNIT_GROUPS = _PolynomialLRU()
 
@@ -199,7 +199,7 @@ def _verified_units(req: PipelineRequest) -> tuple[UnitSystem, UnitCertificate]:
         return _certify(serialize.unit_system_from_json(e, src["provided"], path), cap)
     s_primes = req.places.finite_primes
     coord_bound = int(src.get("search", {}).get("coord_bound", 3))
-    key = (tuple(f.coeffs for f in e.factors), e.order_basis, s_primes, coord_bound, cap)
+    key = (e._key, s_primes, coord_bound, cap)
     group = _UNIT_GROUPS.get(key)
     if group is None:
         group = _certify(assemble_unit_system(e, s_primes, coord_bound, cap), cap)
@@ -211,18 +211,21 @@ def _verified_units(req: PipelineRequest) -> tuple[UnitSystem, UnitCertificate]:
 
 
 def _normalizer_matrices(e: EtaleAlgebra, ambient: str, full_system: UnitSystem):
-    """Automorphism matrices, det-corrected into SL by a norm−(−1) unit."""
+    """Automorphism matrices, det-corrected into SL by a norm−(−1) unit.
+
+    Norms are taken only when an automorphism of determinant −1 needs that
+    correction."""
     out, caveats = [], []
     if e.num_factors != 1:
         return out, caveats
     t = full_system.torsion_generator
-    torsion = [e.power(t, k) for k in range(1, full_system.torsion_order + 1)]
-    fixers = (u for u in [*full_system.free_generators, *torsion] if e.norm(u) == (-1, 1))
-    fixer = next(fixers, None)
-    for m in enumerate_automorphisms(e):
-        if m == linalg.identity(e.n):
-            continue
-        if ambient == SL and linalg.mat_det(m) == -1:
+    torsion = (e.power(t, k) for k in range(1, full_system.torsion_order + 1))
+    units = (u for part in (full_system.free_generators, torsion) for u in part)
+    autos = [m for m in enumerate_automorphisms(e) if m != linalg.identity(e.n)]
+    flips = [ambient == SL and linalg.mat_det(m) == -1 for m in autos]
+    fixer = next((u for u in units if e.norm(u) == (-1, 1)), None) if any(flips) else None
+    for m, flip in zip(autos, flips):
+        if flip:
             if fixer is None:
                 caveats = [  # once, however many automorphisms it concerns
                     "an order automorphism has determinant -1 and no unit of "

@@ -4,6 +4,11 @@ Rationals serialize as "p/q" strings (plain integers when q = 1),
 polynomials as arrays of coefficient strings in ascending degree, matrices
 row-major. Serialization is canonical: json.dumps with sorted keys and fixed
 separators, so identical inputs produce byte-identical reports.
+
+The *_to_json functions make their trees JSON-ready (str keys, lists,
+strings and ints), so dumps hands a tree to json's C encoder as it is; a
+Fraction left in one reaches frac_str as the encoder's default. Sanity
+details alone go through _jsonable first.
 """
 
 from __future__ import annotations
@@ -19,13 +24,18 @@ from .torus import AmpleCertificate, SubmoduleWitness, require_supported_degrees
 from .units import UnitSystem, _PolynomialLRU
 
 SCHEMA = "cma/1"
-# (factor coefficients, order basis as given) -> the EtaleAlgebra built from
-# them, which nothing edits once made
+# (factor coefficients, order basis as given) as _int_key pairs -> the
+# EtaleAlgebra built from them, which nothing edits once made
 _ALGEBRAS = _PolynomialLRU()
 
 
+def _int_key(rows) -> tuple:
+    """Numerators and denominators of rational rows: a key that hashes ints."""
+    return tuple(tuple(x for c in row for x in (c.numerator, c.denominator)) for row in rows)
+
+
 def frac_str(x: Fraction) -> str:
-    x = Fraction(x)
+    x = x if isinstance(x, Fraction) else Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
@@ -89,7 +99,7 @@ def algebra_from_json(data, path="algebra") -> EtaleAlgebra:
     basis = None
     if data.get("order_basis") is not None:
         basis = matrix_from_json(data["order_basis"], f"{path}.order_basis")
-    key = (tuple(f.coeffs for f in factors), basis)
+    key = (_int_key(f.coeffs for f in factors), None if basis is None else _int_key(basis))
     algebra = _ALGEBRAS.get(key)
     if algebra is None:
         try:
@@ -196,7 +206,7 @@ def _jsonable(x):
 
 
 def dumps(obj) -> str:
-    return json.dumps(_jsonable(obj), sort_keys=True, separators=(",", ":")) + "\n"
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=frac_str) + "\n"
 
 
 def loads(text: str, path="<input>"):

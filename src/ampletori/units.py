@@ -363,9 +363,10 @@ class DependenceWitness(NamedTuple):
         )
 
 
-def _is_torsion(e: EtaleAlgebra, u: Coords) -> int | None:
-    """The order of u if it lies in μ(O), the roots of unity of the order, else None."""
-    mu = roots_of_unity(e)
+def _is_torsion(e: EtaleAlgebra, u: Coords, s_primes: tuple[int, ...] = ()) -> int | None:
+    """The order of u if it lies in μ(O[1/S]), the roots of unity of the
+    order with the S-primes inverted, else None."""
+    mu = roots_of_unity(e, s_primes)
     return len(mu) // math.gcd(len(mu), mu.index(u)) if u in mu else None
 
 
@@ -396,8 +397,9 @@ def verify_unit_system(
 ) -> UnitCertificate | DependenceWitness:
     """Certify an S-unit system: integrality, torsion, independence.
 
-    The torsion generator must generate μ(O), the roots of unity of the
-    order (roots_of_unity), with the stated order. Returns a UnitCertificate
+    The torsion generator must generate μ(O[1/S]), the roots of unity of
+    the order with the system's S-primes inverted (roots_of_unity), with
+    the stated order. Returns a UnitCertificate
     when a full minor of the log rows certifies.
     Otherwise, at the same precision, each generator outside the greedy
     certified prefix is reduced against that prefix (_express_from_rows):
@@ -415,7 +417,7 @@ def verify_unit_system(
         if not is_s_number(linalg._det([list(row) for row in rows]), s):
             raise InvalidUnitSystemError(f"generator {g} has non-unit norm over Z[1/S]")
 
-    order, mu_order = _is_torsion(e, sys.torsion_generator), len(roots_of_unity(e))
+    order, mu_order = _is_torsion(e, sys.torsion_generator, s), len(roots_of_unity(e, s))
     if not order == sys.torsion_order == mu_order:
         raise InvalidUnitSystemError(
             f"torsion generator has order {order}, claimed {sys.torsion_order}, "
@@ -640,46 +642,69 @@ def _require_one_field(e: EtaleAlgebra) -> None:
         raise UnsupportedError("torsion generator is computed for a single field factor")
 
 
-# (factor coefficients, order basis) -> roots_of_unity(e), a tuple nothing edits
+# EtaleAlgebra._key -> μ(K) as _field_roots_of_unity gives it, a tuple nothing edits
 _ROOTS_OF_UNITY = _PolynomialLRU()
 
 
-def roots_of_unity(e: EtaleAlgebra) -> tuple[Coords, ...]:
-    """μ(O), the roots of unity of the order: t^k at index k, k below the
-    order m of its canonical generator t.
+def _field_roots_of_unity(e: EtaleAlgebra) -> tuple[Coords, ...]:
+    """μ(K), the roots of unity of the field, as ζ^k at index k, k below
+    the order w of μ(K), in order-basis coordinates (which need not be
+    integral).
 
     ζ ∈ K has order m exactly when its characteristic polynomial is
-    Φ_m^(n/φ(m)); EtaleAlgebra.elements_with_charpoly returns every such ζ,
-    and those with integer coordinates lie in O. For the largest m that has
-    one, t is the first in _canonical_key order; t = −1 when none has.
-    Proven gates skip each m with ζ_m ∉ K: a real place or odd n leaves ±1
-    (φ(m) is even for m > 2), CYCLOTOMIC_ORDERS reads the Galois tag, and
-    m | p − 1 at p = split_prime(f), which splits completely in K ⊇ Q(ζ_m).
-    One field factor and an order (else NotAnOrderError); cached per basis.
+    Φ_m^(n/φ(m)); EtaleAlgebra.elements_with_charpoly returns every such ζ.
+    The candidate orders run down from the largest, and an odd m comes after
+    2m, so the first m that has a root is w and that root generates μ(K);
+    w = 2 when none has. Proven gates skip each m with ζ_m ∉ K: a real place
+    or odd n leaves ±1 (φ(m) is even for m > 2), CYCLOTOMIC_ORDERS reads the
+    Galois tag, and m | p − 1 at p = split_prime(f), which splits completely
+    in K ⊇ Q(ζ_m).
     """
-    _require_one_field(e)
-    key = (e.factors[0].coeffs, e.order_basis)
-    if key in _ROOTS_OF_UNITY:
-        return _ROOTS_OF_UNITY.store(key, _ROOTS_OF_UNITY[key])
     e.require_order()
     f, n, (one, den) = e.factors[0], e.n, e.one()
-    t, order = (tuple(-c for c in one), den), 2
+    zeta, w = (tuple(-c for c in one), den), 2
     if signature(f).r1 == 0 and n % 2 == 0:  # galois_group_small refuses n > 4
         for m in CYCLOTOMIC_ORDERS.get(galois_group_small(f).group, ()):
             if (split_prime(f) - 1) % m:
                 continue
             phi = QPoly(CYCLOTOMIC[m])
-            found = [z for z in e.elements_with_charpoly(phi ** (n // phi.degree)) if z[1] == 1]
+            found = e.elements_with_charpoly(phi ** (n // phi.degree))
             if found:
-                t, order = sorted_elements(found, _canonical_key)[0], m
+                zeta, w = found[0], m
                 break
-    return _ROOTS_OF_UNITY.store(key, tuple(e.power(t, k) for k in range(order)))
+    return tuple(e.power(zeta, k) for k in range(w))
 
 
-def torsion_units(e: EtaleAlgebra) -> tuple[Coords, int]:
-    """Generator and order of μ(O), the cyclic group of roots of unity in O,
-    read off roots_of_unity (one field factor: a product's is not cyclic)."""
-    mu = roots_of_unity(e)
+def roots_of_unity(e: EtaleAlgebra, s_primes: tuple[int, ...] = ()) -> tuple[Coords, ...]:
+    """μ(O[1/S]), the roots of unity of the order with the S-primes
+    inverted: t^k at index k, k below the order d of its canonical
+    generator t.
+
+    μ(K) = ⟨ζ⟩ of order w comes from _field_roots_of_unity, cached per
+    order, so a new S costs no search. A root lies in O[1/S] exactly when
+    the denominator of its order-basis coordinates is an S-number; those
+    roots are the subgroup ⟨ζ^(w/d)⟩, and t is the first of its elements of
+    order d in _canonical_key order (t = −1 when d = 2). With S empty this
+    is μ(O). One field factor and an order (else NotAnOrderError).
+    """
+    _require_one_field(e)
+    mu = _ROOTS_OF_UNITY.get(e._key)
+    if mu is None:
+        mu = _field_roots_of_unity(e)
+    _ROOTS_OF_UNITY.store(e._key, mu)
+    w = len(mu)
+    d = sum(1 for _, den in mu if is_s_number(den, s_primes))
+    step = w // d
+    t = sorted_elements([mu[step * j] for j in range(d) if math.gcd(j, d) == 1], _canonical_key)[0]
+    k0 = mu.index(t)
+    return tuple(mu[k0 * k % w] for k in range(d))
+
+
+def torsion_units(e: EtaleAlgebra, s_primes: tuple[int, ...] = ()) -> tuple[Coords, int]:
+    """Generator and order of μ(O[1/S]), the cyclic group of roots of unity
+    in O[1/S], read off roots_of_unity (one field factor: a product's is not
+    cyclic)."""
+    mu = roots_of_unity(e, s_primes)
     return mu[1], len(mu)
 
 
@@ -837,7 +862,8 @@ def assemble_unit_system(
     """Search the box once, pick a certified independent system, saturate it.
 
     The order (one field factor) is searched once. The torsion generator t
-    generates μ(O) (roots_of_unity, no box); of the pool units outside μ(O),
+    generates μ(O[1/S]) (roots_of_unity, no box): a root such as i = 3i/3
+    in Z[3i][1/3] may sit in the pool. Of the pool units outside μ(O[1/S]),
     the first in canonical order of each class {t^k·u, t^k·u⁻¹} forms the
     free pool, log-embedded once per precision step. A later class member
     has the representative's log row up to sign, so the greedy choice never
@@ -864,7 +890,7 @@ def assemble_unit_system(
         )
         pool = sorted_elements(list(seen), _by_size)
 
-    torsion = roots_of_unity(e)
+    torsion = roots_of_unity(e, s_primes)
     torsion_gen, torsion_order = torsion[1], len(torsion)
     # the first pool element of each class {t^k·u, t^k·u⁻¹}: the rest of a
     # class repeat its log row up to sign and its saturation answer

@@ -10,6 +10,7 @@ irreducibility over F_p by exhaustive trial division. Desk-scale and exact.
 from __future__ import annotations
 
 import itertools
+import json
 import operator
 from fractions import Fraction
 
@@ -220,6 +221,59 @@ def oracle_is_unipotent(m) -> bool:
     for _ in range(n - 1):
         acc = [[sum(acc[i][k] * nil[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
     return not any(x for row in acc for x in row)
+
+
+def _mat_mul(a, b):
+    """a·b by plain Fraction sums."""
+    return [[sum((Fraction(x) * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
+            for row in a]
+
+
+def oracle_s_integral_both_ways(m, s_primes) -> bool:
+    """m and its Gauss–Jordan inverse both S-integral; a singular m fails.
+
+    This is the inverse-based S-integrality verdict that group_sanity made
+    before it read the verdict off the determinant."""
+    if not _det([[Fraction(x) for x in row] for row in m]):
+        return False
+    return oracle_matrix_is_s_integral(m, s_primes) and oracle_matrix_is_s_integral(
+        oracle_mat_inv(m), s_primes
+    )
+
+
+def oracle_semidirect(torus, unis):
+    """verify_semidirect pair by pair: t·u·t⁻¹ unipotent (oracle_is_unipotent)
+    and in span{u_k − I} (the rank of the flattened rows does not grow).
+    Returns (True, None) or (False, first failing (torus index, unipotent index))."""
+    def minus_identity(m):
+        return tuple(Fraction(x) - (i == j) for i, row in enumerate(m) for j, x in enumerate(row))
+
+    span = [minus_identity(u) for u in unis]
+    rank = len(oracle_rref(span))
+    for ti, t in enumerate(torus):
+        tinv = oracle_mat_inv(t)
+        for ui, u in enumerate(unis):
+            conj = _mat_mul(_mat_mul(t, u), tinv)
+            grown = len(oracle_rref(span + [minus_identity(conj)])) > rank
+            if not oracle_is_unipotent(conj) or grown:
+                return False, (ti, ui)
+    return True, None
+
+
+def _oracle_jsonable(x):
+    if isinstance(x, (list, tuple)):
+        return [_oracle_jsonable(v) for v in x]
+    if isinstance(x, dict):
+        return {str(k): _oracle_jsonable(v) for k, v in x.items()}
+    if isinstance(x, Fraction):
+        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    return x
+
+
+def oracle_dumps(obj) -> str:
+    """Canonical JSON by a recursive rebuild into plain JSON values first:
+    the serialize.dumps of before it handed trees to the C encoder as they are."""
+    return json.dumps(_oracle_jsonable(obj), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def oracle_divides(d: QPoly, f: QPoly) -> bool:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 import ampletori
 from ampletori import pipeline, serialize, units
 from ampletori.cli import main
+from oracles import oracle_dumps
 
 GAUSS_ALGEBRA = {"factors": [["1", "0", "1"]], "order_basis": None}
 CUBIC_ALGEBRA = {"factors": [["-1", "1", "0", "1"]], "order_basis": None}
@@ -165,6 +167,7 @@ def _construct_request(poly, ambient="SL", places="inf", bound=3, block=None, ba
 
 
 Z2I_BASIS = [["1", "0"], ["0", "2"]]
+Z3I_BASIS = [["1", "0"], ["0", "3"]]
 
 # construct requests of the benchmark families that no golden covers
 PINNED_REQUESTS = {
@@ -181,6 +184,8 @@ PINNED_REQUESTS = {
     "Z[2i] SL at inf,5": _construct_request(["1", "0", "1"], "SL", "inf,5", basis=Z2I_BASIS),
     "x^4-5x^2+5 SL": _construct_request(["5", "0", "-5", "0", "1"]),
     "x^4-5x^2+5 GL": _construct_request(["5", "0", "-5", "0", "1"], "GL"),
+    # i = 3i/3 lies in Z[3i][1/3]: the torsion of O[1/S] has order 4
+    "Z[3i] GL at inf,3,5": _construct_request(["1", "0", "1"], "GL", "inf,3,5", basis=Z3I_BASIS),
 }
 
 # sha256 of the --json output: verify-paper, construct on each golden's
@@ -201,6 +206,7 @@ PINNED_DIGESTS = {
     "Z[2i] SL at inf,5": "67c4273b3da0647fbfae801aa7a47f06d0177e06c110cca349281c0258885f5c",
     "x^4-5x^2+5 SL": "9a17267a44a88d83071dbad1312e325f32e9655f1cd6453ce946b65e75cabdbe",
     "x^4-5x^2+5 GL": "a8a86fb5b68d6441b8ec88983e915a8276cac0bcdd259c01d523c33169fa4875",
+    "Z[3i] GL at inf,3,5": "ca8abc275b85605386de90d717648b87787e2d9e1435ecf62f133e8728896dcf",
 }
 
 
@@ -219,6 +225,62 @@ def test_json_output_digest_is_pinned(name, tmp_path, capsys):
     main(argv)
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[name]
+
+
+@pytest.mark.parametrize("ambient", ["GL", "SL"])
+def test_z3i_torsion_over_o_s_holds_i_and_units_verify_accepts_it(ambient, tmp_path, capsys):
+    request = tmp_path / "request.json"
+    request.write_text(json.dumps({**PINNED_REQUESTS["Z[3i] GL at inf,3,5"], "ambient": ambient}))
+    assert main(["--json", "construct", str(request)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["sanity"]["all_pass"]["pass"]
+    assert report["units"]["torsion"] == {"element": ["0", "1/3"], "order": 4}
+    algebra, system = tmp_path / "algebra.json", tmp_path / "system.json"
+    algebra.write_text(json.dumps({"factors": [["1", "0", "1"]], "order_basis": Z3I_BASIS}))
+    system.write_text(json.dumps(report["units"]))
+    argv = ["--json", "units", "verify", "--algebra", str(algebra), "--system", str(system)]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["verified"]
+
+
+def _str_keys_only(x) -> bool:
+    if isinstance(x, dict):
+        return all(type(k) is str and _str_keys_only(v) for k, v in x.items())
+    if isinstance(x, (list, tuple)):
+        return all(map(_str_keys_only, x))
+    return True
+
+
+def test_dumps_matches_the_rebuild_oracle_on_every_payload_kind(
+    gauss_file, cubic_file, tmp_path, monkeypatch, capsys
+):
+    payloads = []
+    dumps = serialize.dumps
+    monkeypatch.setattr(serialize, "dumps", lambda obj: payloads.append(obj) or dumps(obj))
+    request = tmp_path / "request.json"
+    for name in ("x^2-2 block n=3", "Z[2i] SL at inf,5", "Z[3i] GL at inf,3,5", "x^2+2 not ample"):
+        request.write_text(json.dumps(PINNED_REQUESTS[name]))
+        main(["--json", "construct", str(request)])
+    system = tmp_path / "system.json"
+    system.write_text(json.dumps({
+        "torsion": {"element": ["0", "1"], "order": 4}, "free": [["4/5", "3/5"]], "s_primes": [5],
+    }))
+    for argv in (
+        ["check-ample", "--algebra", gauss_file, "--places", "inf,5,13"],
+        ["local-rank", "--algebra", cubic_file, "--place", "inf"],
+        ["units", "search", "--algebra", gauss_file, "--bound", "2", "--s-primes", "5"],
+        ["units", "verify", "--algebra", gauss_file, "--system", str(system)],
+        ["verify-paper"],
+    ):
+        main(["--json", *argv])
+    capsys.readouterr()
+    assert len(payloads) == 9
+    for payload in payloads:
+        assert dumps(payload) == oracle_dumps(payload)
+        assert _str_keys_only(payload)
+    # a Fraction or a tuple left in a tree reaches the encoder as it is
+    mixed = {"b": (1, Fraction(-3, 5)), "a": [Fraction(2)]}
+    assert dumps(mixed) == oracle_dumps(mixed) == '{"a":["2"],"b":[1,"-3/5"]}\n'
 
 
 def test_det_minus_one_caveat_is_listed_once(tmp_path, capsys):

@@ -1,8 +1,11 @@
+import collections
+import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from ampletori import linalg, matgroups, polynomials, units
+from ampletori import linalg, matgroups, pipeline, polynomials, units
 from ampletori.errors import NotAnOrderError
 from ampletori.etale import EtaleAlgebra
 from ampletori.matgroups import (
@@ -22,6 +25,9 @@ from oracles import (
     oracle_mat_inv,
     oracle_mat_trace,
     oracle_mat_vec,
+    oracle_matrix_is_s_integral,
+    oracle_s_integral_both_ways,
+    oracle_semidirect,
 )
 
 CUBIC = EtaleAlgebra([QPoly([-1, 1, 0, 1])])
@@ -275,3 +281,123 @@ def test_automorphism_search_requires_an_order(monkeypatch):
     half = EtaleAlgebra([QPoly([1, 0, 1])], [[1, 0], [0, Fraction(1, 2)]])
     with pytest.raises(NotAnOrderError):
         enumerate_automorphisms(half)
+
+
+def test_group_sanity_names_a_singular_generator():
+    singular = linalg.matrix([[1, 2], [2, 4]])
+    report = group_sanity(generator_set(2, (), "GL", torus_gens=[singular]))
+    assert report["determinants"] == {"pass": False, "detail": ["torus:0: det=0"]}
+    assert report["s_integrality"] == {"pass": False, "detail": ["torus:0"]}
+    assert not report["all_pass"]["pass"]
+    report = group_sanity(generator_set(2, (), "GL", torus_gens=[I_MAT], normalizer_gens=[singular]))
+    assert report["s_integrality"] == {"pass": False, "detail": ["normalizer:0"]}
+    assert report["normalizer"] == {"pass": False, "detail": ["normalizer:0 is singular"]}
+    # a singular t has no conjugation: the semidirect check fails at its first pair
+    assert verify_semidirect([I_MAT, singular], [elementary_matrix(2, 1, 2)]) == (False, (0, 0))
+    assert verify_semidirect([linalg.identity(2), singular], [elementary_matrix(2, 1, 2)]) == (
+        False,
+        (1, 0),
+    )
+
+
+def _seeded_matrices(rng, count):
+    """Rational 2×2 and 3×3 matrices with denominators in {1, 2, 3, 4, 5}:
+    every fourth is made singular (last row the sum of the others)."""
+    out = []
+    for k in range(count):
+        n = 2 + k % 2
+        rows = [
+            [Fraction(rng.randint(-4, 4), rng.choice([1, 1, 1, 2, 3, 4, 5])) for _ in range(n)]
+            for _ in range(n)
+        ]
+        if k % 4 == 3:
+            rows[-1] = [sum(col[:-1], Fraction(0)) for col in zip(*rows)]
+        out.append(linalg.matrix(rows))
+    return out
+
+
+def test_s_integrality_read_off_the_determinant_matches_the_inverse():
+    rng = random.Random(20261019)
+    kinds = collections.Counter()
+    for m in _seeded_matrices(rng, 64):
+        for s in ((), (2,), (5,), (2, 3)):
+            got = group_sanity(generator_set(len(m), s, "GL", torus_gens=[m]))["s_integrality"]
+            expected = oracle_s_integral_both_ways(m, s)
+            assert got["pass"] == expected, (m, s)
+            det = linalg.mat_det(m)
+            entries_ok = oracle_matrix_is_s_integral(m, s)
+            kinds["singular" if not det else "verdict " + str(expected)] += 1
+            if det and entries_ok and not units.is_s_number(det.numerator * det.denominator, s):
+                kinds["det not an S-unit"] += 1
+            kinds["entries not S-integral"] += not entries_ok
+    assert min(kinds.values()) >= 10, kinds
+
+
+def _seeded_tori(rng, n, count):
+    """Invertible rational matrices: products of elementary, diagonal and
+    permutation steps."""
+    out = []
+    for _ in range(count):
+        m = linalg.identity(n)
+        for _ in range(3):
+            i, j = rng.sample(range(n), 2)
+            step = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+            kind = rng.randrange(3)
+            if kind == 0:
+                step[i][j] = Fraction(rng.randint(-2, 2), rng.choice([1, 2]))
+            elif kind == 1:
+                step[i][i] = Fraction(rng.choice([-1, 2, 3]))
+            else:
+                step[i], step[j] = step[j], step[i]
+            m = linalg.mat_mul(m, linalg.matrix(step))
+        out.append(m)
+    return out
+
+
+def test_semidirect_matches_the_per_pair_oracle():
+    rng = random.Random(5)
+    n = 3
+    elementary = [elementary_matrix(n, i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    not_unipotent = linalg.matrix([[1, 1, 0], [0, 2, 0], [0, 0, 1]])
+    radicals = [
+        [elementary_matrix(n, 1, 3), elementary_matrix(n, 2, 3)],
+        [elementary_matrix(n, 1, 2), elementary_matrix(n, 2, 1)],  # span holds non-nilpotents
+        [elementary_matrix(n, 1, 3), not_unipotent],
+    ] + [rng.sample(elementary, rng.randint(1, 3)) for _ in range(12)]
+    verdicts = collections.Counter()
+    for unis in radicals:
+        for torus in ([], *([t] for t in _seeded_tori(rng, n, 4)), _seeded_tori(rng, n, 3)):
+            got = verify_semidirect(torus, unis)
+            assert got == oracle_semidirect(torus, unis), (torus, unis)
+            verdicts[got[0]] += 1
+    # span{E₁₂, E₂₁} holds E₁₂ + E₂₁, which is not nilpotent: membership
+    # alone proves no unipotency. A diagonal t keeps the span; t = I + E₁₂
+    # keeps I + E₁₂ and moves I + E₂₁ to I + E₁₁ − E₂₂ − E₁₂ + E₂₁, outside it
+    diag = [linalg.matrix([[2, 0, 0], [0, 3, 0], [0, 0, 1]])]
+    shear = [linalg.matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])]
+    assert verify_semidirect(diag, radicals[1]) == (True, None) == oracle_semidirect(diag, radicals[1])
+    assert verify_semidirect(shear, radicals[1]) == (False, (0, 1)) == oracle_semidirect(
+        shear, radicals[1]
+    )
+    assert verify_semidirect(diag, radicals[2]) == (False, (0, 1))
+    assert verdicts[True] >= 10 and verdicts[False] >= 10, verdicts
+
+
+def test_group_sanity_work_counts_on_example_53(monkeypatch):
+    golden = json.loads((pipeline.corpus_dir() / "ex53.json").read_text())
+    gens = pipeline.run_pipeline(pipeline.PipelineRequest.from_json(golden["request"])).generators
+    assert gens.unipotent_gens and gens.torus_gens
+    calls = []
+
+    def counted(name):
+        real = getattr(linalg, name)
+        return lambda m: calls.append((name, m)) or real(m)
+
+    for name in ("_int_charpoly", "_int_inv"):
+        monkeypatch.setattr(linalg, name, counted(name))
+    assert group_sanity(gens)["all_pass"]["pass"]
+    charpolys = [m for name, m in calls if name == "_int_charpoly"]
+    assert sorted(charpolys) == sorted(linalg._int_mat(u) for u in gens.unipotent_gens)
+    inverses = [m for name, m in calls if name == "_int_inv"]
+    invertible = {linalg._int_mat(m) for m in gens.torus_gens + gens.torsion_gens + gens.normalizer_gens}
+    assert len(set(inverses)) == len(inverses) and set(inverses) <= invertible

@@ -248,6 +248,17 @@ def test_an_altered_imported_normalizer_fails_only_its_row(tmp_path):
     assert rows["5.2"]["detail"] == "imported matrices fail sanity: ['normalizer', 'all_pass']"
 
 
+def test_a_singular_imported_normalizer_fails_its_row_by_sanity(tmp_path):
+    def zero_row(imported):
+        imported["normalizer"][0][0] = ["0", "0", "0", "0"]
+
+    rows = _corpus_with_ex52(tmp_path, zero_row)
+    assert [e for e, r in rows.items() if not r["pass"]] == ["5.2"]
+    assert rows["5.2"]["detail"] == (
+        "imported matrices fail sanity: ['determinants', 's_integrality', 'normalizer', 'all_pass']"
+    )
+
+
 def test_without_a_conjugator_the_caveat_names_its_stage_and_bound(monkeypatch):
     monkeypatch.setattr("ampletori.conjugacy.find_simultaneous_conjugator", lambda *a: None)
     row = next(r for r in verify_paper_examples() if r["example"] == "5.2")

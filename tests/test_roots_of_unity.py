@@ -135,3 +135,66 @@ def test_the_gates_skip_the_split_prime(monkeypatch):
     monkeypatch.setattr(units, "_ROOTS_OF_UNITY", units._PolynomialLRU())
     for e in algebras:
         assert torsion_units(e) == ((tuple(-c for c in e.one()[0]), 1), 2)
+
+
+def _s_number(d, s_primes):
+    for p in s_primes:
+        while d % p == 0:
+            d //= p
+    return d == 1
+
+
+# Z[x]/(f) is the maximal order of these fields (every one but x⁴+5x²+5), so
+# the box holds every root of unity of K
+MAXIMAL = [coeffs for coeffs in FIELDS if coeffs != (5, 0, 5, 0, 1)]
+
+
+@pytest.mark.parametrize("coeffs", MAXIMAL, ids=str)
+@pytest.mark.parametrize("k", [2, 3])
+def test_roots_of_unity_of_o_s_match_the_powering_oracle(coeffs, k):
+    # Z + k·Z[x], basis 1, k·x, …, k·x^(n−1): a root of unity of K lies in its
+    # O[1/S] exactly when its coordinates' denominator is an S-number
+    n = len(coeffs) - 1
+    basis = [[k if i == j and i else int(i == j) for j in range(n)] for i in range(n)]
+    e = EtaleAlgebra([QPoly(coeffs)], basis)
+    every_root = _oracle_roots(coeffs, basis)
+    for s_primes in ((), (k,), (5,), (k, 5)):
+        expected = {z: m for z, m in every_root.items() if _s_number(z[1], s_primes)}
+        mu = roots_of_unity(e, s_primes)
+        assert len(mu) == len(expected) and set(mu) == set(expected)
+        assert {z: units._is_torsion(e, z, s_primes) for z in mu} == expected
+        gen, order = torsion_units(e, s_primes)
+        best = [z for z, m in expected.items() if m == order]
+        assert gen == max(
+            best, key=lambda z: (-sum(1 for c in z[0] if c), [Fraction(c, z[1]) for c in z[0]])
+        )
+        assert all(mu[j] == e.power(gen, j) for j in range(order))
+
+
+def test_zeta_five_lies_in_the_equation_order_with_two_inverted():
+    # Z[y], y = ζ₅ − ζ₅⁻¹, has index 4 in Z[ζ₅]: μ(Z[y]) = ±1, μ(Z[y][1/2]) = μ₁₀
+    e = EtaleAlgebra([QPoly([5, 0, 5, 0, 1])])
+    assert torsion_units(e) == (element([-1, 0, 0, 0]), 2)
+    assert torsion_units(e, (5,)) == (element([-1, 0, 0, 0]), 2)
+    gen, order = torsion_units(e, (2,))
+    assert order == 10 == oracle_torsion_order(e, gen) and gen[1] == 2
+
+
+def test_a_new_s_reuses_the_cached_roots(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the roots of unity of K are cached per order")
+
+    monkeypatch.setattr(units, "_ROOTS_OF_UNITY", units._PolynomialLRU())
+    z3i = EtaleAlgebra([QPoly([1, 0, 1])], [[1, 0], [0, 3]])
+    assert torsion_units(z3i) == (element([-1, 0]), 2)
+    monkeypatch.setattr(EtaleAlgebra, "elements_with_charpoly", refuse)
+    assert torsion_units(z3i, (3,)) == (element([0, Fraction(1, 3)]), 4)
+    assert torsion_units(z3i, (5,)) == (element([-1, 0]), 2)
+    assert len(units._ROOTS_OF_UNITY) == 1
+
+
+def test_z3i_unit_system_with_three_inverted_holds_i():
+    z3i = EtaleAlgebra([QPoly([1, 0, 1])], [[1, 0], [0, 3]])
+    system = units.assemble_unit_system(z3i, (3,), 3)
+    assert (system.torsion_generator, system.torsion_order) == (element([0, Fraction(1, 3)]), 4)
+    assert verify_unit_system(system).rank == system.rank == 1
