@@ -3,17 +3,16 @@
 A torus is S-ample when (i) its global rank matches the center of the
 ambient group, (ii) it is cocompact in its centralizer at every place of S
 (structural for maximal tori), and (iii) every proper subtorus drops rank
-at some place of S. Subtori are enumerated as subset sums of the
-irreducible components of the cocharacter module; the verdict is
-"undecidable" when the module is not multiplicity-free, never a guess.
+at some place of S. Subtori are enumerated by their dimension vectors:
+how many copies of each irreducible component of the cocharacter module
+they hold.
 """
 
 from ampletori import EtaleAlgebra, QPoly
-from ampletori.places import INF, regular_action, standard_tag
+from ampletori.places import INF
 from ampletori.serialize import certificate_to_json, dumps
 from ampletori.torus import (
     PlaceSet,
-    TorusDatum,
     build_torus,
     decompose_module,
     global_rank,
@@ -29,9 +28,8 @@ quartic = EtaleAlgebra([QPoly([1, -16, 20, -8, 1])])
 print("cocharacter modules (zero-sum subspace for SL):")
 for name, e in (("Q[i]", gauss), ("cubic", cubic), ("quartic", quartic)):
     t = build_torus(e, "SL")
-    d = decompose_module(t)
-    comps = ", ".join(f"{c.character}({c.dim})" for c in d.components)
-    print(f"  {name:8s} dim {t.dim}: {comps}   multiplicity-free: {d.multiplicity_free}")
+    comps = ", ".join(f"{c.character}({c.dim})" for c in decompose_module(t))
+    print(f"  {name:8s} dim {t.dim}: {comps}")
 
 print("\nranks:")
 t = build_torus(gauss, "SL")
@@ -55,9 +53,3 @@ print("\nsplit and anisotropic parts:")
 print("  Q[i] global: split dim", global_rank(t), ", anisotropic dim", t.dim - global_rank(t))
 split = local_rank(build_torus(quartic, "SL"), INF)
 print("  quartic at inf: split dim", split, "(totally real, trivial decomposition group)")
-
-print("\na module with a repeated component is undecidable, never guessed:")
-tag = regular_action(standard_tag("S3"))
-synthetic = TorusDatum("SL", (tag,))
-cert = is_s_ample(synthetic, PlaceSet(True, ()))
-print("  S3 acting regularly on 6 points:", cert.verdict, "-", cert.condition_iii["offending_component"], "appears twice")

@@ -47,7 +47,6 @@ from .polynomials import (
 )
 from .torus import (
     AmpleCertificate,
-    IrreducibleDecomposition,
     PlaceSet,
     TorusDatum,
     build_torus,

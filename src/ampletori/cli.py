@@ -2,7 +2,7 @@
 
 Subcommands: construct (full pipeline from a request file), check-ample,
 units (search/verify), local-rank, verify-paper. Exit codes: 0 success or
-S-ample, 2 not-S-ample, 3 undecidable, 1 error. --json emits the
+S-ample, 2 not-S-ample, 1 error. --json emits the
 machine-readable report; identical inputs produce byte-identical output.
 """
 
@@ -19,7 +19,6 @@ from .places import INF
 from .torus import (
     VERDICT_AMPLE,
     VERDICT_NOT_AMPLE,
-    VERDICT_UNDECIDABLE,
     PlaceSet,
     build_torus,
     finite_place,
@@ -36,12 +35,10 @@ from .units import (
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_NOT_AMPLE = 2
-EXIT_UNDECIDABLE = 3
 
 _VERDICT_EXIT = {
     VERDICT_AMPLE: EXIT_OK,
     VERDICT_NOT_AMPLE: EXIT_NOT_AMPLE,
-    VERDICT_UNDECIDABLE: EXIT_UNDECIDABLE,
 }
 
 

@@ -302,20 +302,6 @@ def standard_tag(name: str) -> GaloisTag:
     return STANDARD_TAGS[name]()
 
 
-def regular_action(tag: GaloisTag) -> GaloisTag:
-    """The same group acting on itself by left multiplication.
-
-    Used to build modules with repeated components (the standard rep of S3
-    appears twice in its regular permutation module), which is how the
-    not-multiplicity-free error path is exercised.
-    """
-    index = {g: i for i, g in enumerate(tag.elements)}
-    perms = tuple(
-        tuple(index[perm_compose(g, h)] for h in tag.elements) for g in tag.elements
-    )
-    return GaloisTag(tag.group + "-regular", perms, tag.characters)
-
-
 class PlaceProfile(NamedTuple):
     """Decomposition data at one place: orbit partition of the embeddings."""
 

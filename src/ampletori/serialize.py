@@ -168,7 +168,7 @@ def certificate_to_json(cert: AmpleCertificate) -> dict:
         "local_ranks": dict(sorted(cert.local_ranks.items())),
         "global_rank": cert.global_rank,
         "submodules": [submodule_to_json(w) for w in cert.submodules],
-        "notes": cert.notes,
+        "notes": [],
     }
 
 

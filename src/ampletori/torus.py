@@ -8,16 +8,17 @@ dimensions of decomposition-group invariants, and for a module with
 character φ, dim W^D = ⟨φ|_D, 1⟩_D is the mean of φ over D (Serre,
 *Linear Representations of Finite Groups*, §2.3 and ch. 12). So the whole
 module has rank #orbits − [SL] globally and Σ #places over v − [SL] at v,
-and a component in which the rational character χ occurs m = ⟨ψ, χ⟩/⟨χ, χ⟩
-times has rank m·mean(χ over D). Ranks add over a direct sum, so a sum of
-components has the sum of their ranks. Every certificate witness is a pair
-of dimensions that can be replayed from the certificate alone.
+and one copy of the Q-irreducible V_χ of a rational character χ has rank
+mean(χ over D). Ranks add over a direct sum, so a submodule has the sum of
+its copies' ranks. Every certificate witness is a pair of dimensions that
+can be replayed from the certificate alone.
 
 Condition (ii) of the ampleness definition is discharged structurally (a
 maximal torus is its own centralizer) and recorded as such. Condition (iii)
-quantifies over proper Galois submodules, enumerated as subset sums of the
-irreducible components in the multiplicity-free case; a module that is not
-multiplicity-free yields the verdict "undecidable", never a guess.
+quantifies over proper Galois submodules. Every submodule of the isotypic
+part V_χ^m is isomorphic to V_χ^k for some 0 ≤ k ≤ m (Serre, §2.6), so
+the submodules fall into finitely many dimension vectors (k_χ), all of one
+vector sharing its ranks, and (iii) is decided for every module.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ GL = "GL"
 
 VERDICT_AMPLE = "S-ample"
 VERDICT_NOT_AMPLE = "not-S-ample"
-VERDICT_UNDECIDABLE = "undecidable"
+
+_SINGLE_FACTOR_ONLY = "submodule decomposition is implemented for single-factor algebras"
 
 
 def finite_place(p: int, path: str) -> int:
@@ -120,7 +122,7 @@ class TorusDatum(_TorusDatum):
     all of Q^n for GL, the zero-sum subspace for SL, so it is Galois-stable
     by construction. ``algebra`` is None only for hand-built module data
     (used to drive module-level checks without a number-theoretic origin);
-    place profiles then cannot be computed.
+    place profiles, local_rank and is_s_ample then raise UnsupportedError.
     """
 
     __slots__ = ()
@@ -157,14 +159,6 @@ class Component(NamedTuple):
     @property
     def dim(self) -> int:
         return self.multiplicity * self.char.dim
-
-
-class IrreducibleDecomposition(NamedTuple):
-    components: tuple[Component, ...]
-
-    @property
-    def multiplicity_free(self) -> bool:
-        return all(c.multiplicity == 1 for c in self.components)
 
 
 def require_supported_degrees(factors) -> None:
@@ -221,7 +215,7 @@ def local_rank(t: TorusDatum, place: Place) -> int:
     return _module_rank(t, sum(p.num_places_over for p in place_profiles(t, place)))
 
 
-def decompose_module(t: TorusDatum) -> IrreducibleDecomposition:
+def decompose_module(t: TorusDatum) -> tuple[Component, ...]:
     """Isotypic decomposition via the group's rational character table.
 
     Single-factor modules only. The module's character is ψ(g) = #fix(g) −
@@ -230,9 +224,7 @@ def decompose_module(t: TorusDatum) -> IrreducibleDecomposition:
     its order, which cancels in the quotient).
     """
     if t.num_factors != 1:
-        raise UnsupportedError(
-            "submodule decomposition is implemented for single-factor algebras"
-        )
+        raise UnsupportedError(_SINGLE_FACTOR_ONLY)
     tag = t.tags[0]
     drop = t.ambient == SL
     psi = [sum(1 for i, j in enumerate(g) if i == j) - drop for g in tag.elements]
@@ -247,23 +239,22 @@ def decompose_module(t: TorusDatum) -> IrreducibleDecomposition:
             comps.append(Component(char, m))
     if sum(c.dim for c in comps) != t.dim:
         raise AssertionError("isotypic components do not span the module")
-    return IrreducibleDecomposition(tuple(comps))
+    return tuple(comps)
 
 
-def component_rank(tag: GaloisTag, comp: Component, gen: Perm) -> int:
-    """dim of the component's invariants under D = ⟨gen⟩: m times the mean of
+def component_rank(tag: GaloisTag, char: RationalCharacter, gen: Perm) -> int:
+    """dim of the invariants of one copy of V_χ under D = ⟨gen⟩: the mean of
     χ over the powers of gen. A mean that is not an integer means a wrong
     character table."""
     values, g = [], gen
     while True:
-        values.append(comp.char.values[tag.elements.index(g)])
+        values.append(char.values[tag.elements.index(g)])
         if g == tag.elements[0]:
             break
         g = perm_compose(gen, g)
-    total = comp.multiplicity * sum(values)
-    rank, rest = divmod(total, len(values))
+    rank, rest = divmod(sum(values), len(values))
     if rest:
-        raise AssertionError(f"character {comp.character} has mean rank {total}/{len(values)}")
+        raise AssertionError(f"character {char.name} has mean rank {sum(values)}/{len(values)}")
     return rank
 
 
@@ -273,7 +264,9 @@ def component_rank(tag: GaloisTag, comp: Component, gen: Perm) -> int:
 
 
 class SubmoduleWitness(NamedTuple):
-    components: tuple[int, ...]  # indices into the decomposition
+    """A dimension vector: ``components`` lists component index i k_i times."""
+
+    components: tuple[int, ...]
     dim: int
     witness_place: str | None
     sub_rank_at_witness: int | None
@@ -301,7 +294,6 @@ class AmpleCertificate(NamedTuple):
     local_ranks: dict[str, int]
     global_rank: int
     submodules: list[SubmoduleWitness]
-    notes: list[str]
 
 
 def _place_str(place: Place) -> str:
@@ -313,12 +305,11 @@ def is_s_ample(t: TorusDatum, s: PlaceSet) -> AmpleCertificate:
 
     (i) compares the global rank with the center rank of the ambient group;
     (ii) holds structurally for maximal tori and is recorded, not computed;
-    (iii) enumerates proper submodules (subset sums of the components,
-    including 0) and exhibits a place where the rank drops. The verdict is
-    "undecidable" only when no condition definitively fails but (iii) cannot
-    be evaluated (not multiplicity-free).
+    (iii) enumerates the dimension vectors of proper submodules (multisets
+    of component indices, i at most m_i times, including 0) and exhibits a
+    place where the rank drops. Needs the defining algebra; with several
+    factors (i) fails and (iii) is recorded as not evaluated.
     """
-    notes = []
     g_rank = global_rank(t)
     z_rank = center_rank(t.ambient)
     cond_i = {"global_rank": g_rank, "center_rank": z_rank, "pass": g_rank == z_rank}
@@ -328,62 +319,32 @@ def is_s_ample(t: TorusDatum, s: PlaceSet) -> AmpleCertificate:
         "of T in N(T) holds at every place",
     }
 
-    decomposition = None
-    decomp_error = None
-    try:
-        decomposition = decompose_module(t)
-    except UnsupportedError as exc:
-        decomp_error = str(exc)
-
     local_ranks: dict[str, int] = {}
     place_gens = {}  # the first factor's decomposition generator, per place
-    profiles_ok = t.algebra is not None
-    if profiles_ok:
-        for place in s.places():
-            ps = _place_str(place)
-            profiles = place_profiles(t, place)
-            place_gens[ps] = profiles[0].generator
-            local_ranks[ps] = _module_rank(
-                t, sum(p.num_places_over for p in profiles)
-            )
+    for place in s.places():
+        ps = _place_str(place)
+        profiles = place_profiles(t, place)
+        place_gens[ps] = profiles[0].generator
+        local_ranks[ps] = _module_rank(t, sum(p.num_places_over for p in profiles))
 
     submodules: list[SubmoduleWitness] = []
-    if decomposition is None:
-        cond_iii = {
-            "status": "not-evaluated",
-            "reason": decomp_error,
-        }
-        verdict = VERDICT_NOT_AMPLE if not cond_i["pass"] else VERDICT_UNDECIDABLE
-        if verdict == VERDICT_UNDECIDABLE:
-            notes.append("condition (iii) could not be evaluated: " + str(decomp_error))
-    elif not decomposition.multiplicity_free:
-        offender = next(
-            c.character for c in decomposition.components if c.multiplicity > 1
-        )
-        cond_iii = {
-            "status": "undecidable",
-            "offending_component": offender,
-            "reason": "module is not multiplicity-free; subtorus enumeration "
-            "by component subsets is not exhaustive",
-        }
-        verdict = VERDICT_NOT_AMPLE if not cond_i["pass"] else VERDICT_UNDECIDABLE
-    elif not profiles_ok:
-        cond_iii = {
-            "status": "not-evaluated",
-            "reason": "no defining algebra; local ranks unavailable",
-        }
-        verdict = VERDICT_NOT_AMPLE if not cond_i["pass"] else VERDICT_UNDECIDABLE
+    if t.num_factors != 1:
+        # each factor adds an orbit to the global rank, so (i) fails
+        cond_iii = {"status": "not-evaluated", "reason": _SINGLE_FACTOR_ONLY}
+        all_pass = False
     else:
-        comps = decomposition.components
-        # each component's local rank, once per place; a subset's rank is
-        # the sum of its components' ranks
+        comps = decompose_module(t)
+        # index i once per copy; each distinct subset of copies is a dimension vector
+        copies = [i for i, c in enumerate(comps) for _ in range(c.multiplicity)]
+        # one copy's local rank per component, once per place; a submodule's
+        # rank is the sum over its copies
         comp_ranks = {
-            ps: [component_rank(t.tags[0], c, gen) for c in comps]
+            ps: [component_rank(t.tags[0], c.char, gen) for c in comps]
             for ps, gen in place_gens.items()
         }
         all_pass = True
-        for size in range(len(comps)):
-            for subset in itertools.combinations(range(len(comps)), size):
+        for size in range(len(copies)):
+            for subset in dict.fromkeys(itertools.combinations(copies, size)):
                 pairs = {
                     ps: (sum(ranks[i] for i in subset), local_ranks[ps])
                     for ps, ranks in comp_ranks.items()
@@ -392,7 +353,7 @@ def is_s_ample(t: TorusDatum, s: PlaceSet) -> AmpleCertificate:
                 witness = next(
                     ((ps, sub, tor) for ps, (sub, tor) in pairs.items() if sub < tor), (None,) * 3
                 )
-                w = SubmoduleWitness(subset, sum(comps[i].dim for i in subset), *witness, pairs)
+                w = SubmoduleWitness(subset, sum(comps[i].char.dim for i in subset), *witness, pairs)
                 if not w.passes:
                     all_pass = False
                 submodules.append(w)
@@ -400,9 +361,7 @@ def is_s_ample(t: TorusDatum, s: PlaceSet) -> AmpleCertificate:
             "status": "pass" if all_pass else "fail",
             "proper_submodules_checked": len(submodules),
         }
-        verdict = (
-            VERDICT_AMPLE if (cond_i["pass"] and all_pass) else VERDICT_NOT_AMPLE
-        )
+    verdict = VERDICT_AMPLE if (cond_i["pass"] and all_pass) else VERDICT_NOT_AMPLE
 
     return AmpleCertificate(
         verdict=verdict,
@@ -415,7 +374,6 @@ def is_s_ample(t: TorusDatum, s: PlaceSet) -> AmpleCertificate:
         local_ranks=local_ranks,
         global_rank=g_rank,
         submodules=submodules,
-        notes=notes,
     )
 
 
@@ -446,8 +404,10 @@ def replay_certificate_json(data: dict) -> str:
     cond_i = data["condition_i"]
     cond_i_pass = cond_i["global_rank"] == cond_i["center_rank"]
     status = data["condition_iii"].get("status")
-    if status in ("undecidable", "not-evaluated"):
-        return VERDICT_NOT_AMPLE if not cond_i_pass else VERDICT_UNDECIDABLE
+    if status not in ("pass", "fail", "not-evaluated"):
+        raise AssertionError(f"unknown condition (iii) status {status!r}")
+    if status == "not-evaluated" and cond_i_pass:
+        raise AssertionError("condition (iii) was not evaluated, but condition (i) passes")
     all_pass = True
     for w in data["submodules"]:
         ok = False

@@ -421,7 +421,7 @@ def verify_unit_system(
     if not order == sys.torsion_order == mu_order:
         raise InvalidUnitSystemError(
             f"torsion generator has order {order}, claimed {sys.torsion_order}, "
-            f"but the roots of unity of the order have order {mu_order}"
+            f"but the roots of unity of O[1/S] have order {mu_order}"
         )
 
     ladder = _precision_ladder(precision_cap)

@@ -15,7 +15,7 @@ import operator
 from fractions import Fraction
 
 from ampletori import linalg
-from ampletori.places import perm_compose
+from ampletori.places import GaloisTag, perm_compose
 from ampletori.polynomials import (
     FpPoly,
     QPoly,
@@ -204,6 +204,57 @@ def oracle_isotypic_bases(tag, ambient: str) -> list[tuple[str, list]]:
         if basis:
             out.append((char.name, basis))
     return out
+
+
+def regular_action(tag: GaloisTag) -> GaloisTag:
+    """The same group acting on itself by left multiplication.
+
+    Builds modules with repeated components: the standard rep of S3 appears
+    twice in its regular permutation module.
+    """
+    index = {g: i for i, g in enumerate(tag.elements)}
+    perms = tuple(
+        tuple(index[perm_compose(g, h)] for h in tag.elements) for g in tag.elements
+    )
+    return GaloisTag(tag.group + "-regular", perms, tag.characters)
+
+
+def _permute(g, v) -> tuple[Fraction, ...]:
+    """g·v, where g moves coordinate i to g[i]."""
+    out = [Fraction(0)] * len(v)
+    for i, x in enumerate(v):
+        out[g[i]] = x
+    return tuple(out)
+
+
+def oracle_isotypic_copies(tag, ambient: str, name: str, k: int) -> list[tuple[Fraction, ...]]:
+    """RREF basis of an explicit G-stable submodule isomorphic to V_χ^k in
+    the isotypic part of the rational character χ called name.
+
+    The submodule is a sum of G-spans of vectors (1 + τ)·v, for τ the
+    identity or an involution and v a basis vector of the isotypic part:
+    for a reflection τ, (1 + τ)·v spans a single copy of a standard
+    representation, where v alone may span two. A G-stable subspace of the
+    isotypic part has dimension a multiple of dim χ, so a span is added only
+    when it adds exactly dim χ, one copy. The result is checked to have
+    dimension k·dim χ and to be G-stable.
+    """
+    char = next(c for c in tag.characters if c.name == name)
+    part = dict(oracle_isotypic_bases(tag, ambient)).get(name, [])
+    one = tag.elements[0]
+    involutions = [g for g in tag.elements if perm_compose(g, g) == one]
+    rows: list[tuple[Fraction, ...]] = []
+    for v, tau in itertools.product(part, involutions):
+        if len(rows) == k * char.dim:
+            break
+        w = tuple(a + b for a, b in zip(v, _permute(tau, v)))
+        grown = oracle_rref(rows + [_permute(g, w) for g in tag.elements])
+        if len(grown) == len(rows) + char.dim:
+            rows = grown
+    assert len(rows) == k * char.dim, (name, k, len(rows))
+    moved = [_permute(g, v) for g in tag.elements for v in rows]
+    assert len(oracle_rref(rows + moved)) == len(rows), "not G-stable"
+    return rows
 
 
 def oracle_invariants(basis, orbits, n: int) -> list[tuple[Fraction, ...]]:

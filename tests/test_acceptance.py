@@ -16,14 +16,13 @@ from operator import add
 import pytest
 
 from ampletori import linalg
-from ampletori.errors import RamifiedPlaceError
+from ampletori.errors import RamifiedPlaceError, UnsupportedError
 from ampletori.etale import EtaleAlgebra, element
 from ampletori.matgroups import GeneratorSet, group_sanity, verify_semidirect
 from ampletori.pipeline import PipelineRequest, corpus_dir, run_pipeline, verify_paper_examples
 from ampletori.places import (
     INF,
     places_over_p,
-    regular_action,
     signature,
     standard_tag,
 )
@@ -288,11 +287,10 @@ def test_criterion_6_negative_controls(tmp_path):
     with pytest.raises(RamifiedPlaceError):
         is_s_ample(build_torus(EtaleAlgebra([CUBIC]), SL), PlaceSet(True, (31,)))
 
-    # (b) a module that is not multiplicity-free yields "undecidable"
-    tag = regular_action(standard_tag("S3"))
-    t = TorusDatum(SL, (tag,))
-    cert = is_s_ample(t, PlaceSet(True, ()))
-    assert cert.verdict == "undecidable"
+    # (b) a module without its defining algebra has no local ranks: an error
+    t = TorusDatum(SL, (standard_tag("S3"),))
+    with pytest.raises(UnsupportedError):
+        is_s_ample(t, PlaceSet(True, ()))
 
     # (c) a det-2 matrix fails sanity
     gens = GeneratorSet(2, (), "SL", [linalg.matrix([[2, 0], [0, 1]])], [], [], [], {})
@@ -313,7 +311,7 @@ def test_criterion_6_negative_controls(tmp_path):
     _report(
         "6 (negative controls)",
         True,
-        "ramified error, undecidable verdict, det-2 sanity failure, corrupted golden",
+        "ramified error, no-algebra error, det-2 sanity failure, corrupted golden",
         time.monotonic() - t0,
         120.0,
     )

@@ -122,12 +122,19 @@ def test_ramified_place_is_error_exit(cubic_file, capsys):
     assert err["error"]["module"] == "places"
 
 
-def test_undecidable_exit_code(tmp_path, capsys):
-    # multi-factor algebras fail condition (i): exit 2, not an error
+def test_multi_factor_check_ample_exits_not_ample(tmp_path, capsys):
+    # multi-factor algebras fail condition (i): exit 2, not an error, and
+    # condition (iii) is recorded as not evaluated
     algebra = {"factors": [["-1", "1"], ["-2", "1"]], "order_basis": None}
     p = tmp_path / "qq.json"
     p.write_text(json.dumps(algebra))
     assert main(["check-ample", "--algebra", str(p), "--places", "inf"]) == 2
+    capsys.readouterr()
+    assert main(["--json", "check-ample", "--algebra", str(p), "--places", "inf"]) == 2
+    assert json.loads(capsys.readouterr().out)["condition_iii"] == {
+        "status": "not-evaluated",
+        "reason": "submodule decomposition is implemented for single-factor algebras",
+    }
 
 
 def test_units_verify_dependent_system_exits_one(gauss_file, tmp_path, capsys):
@@ -225,6 +232,30 @@ def test_json_output_digest_is_pinned(name, tmp_path, capsys):
     main(argv)
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[name]
+
+
+CHECK_AMPLE_ALGEBRAS = {
+    "Q x Q": {"factors": [["-1", "1"], ["-2", "1"]], "order_basis": None},
+    "x^4-8x^3+20x^2-16x+1": {"factors": [["1", "-16", "20", "-8", "1"]], "order_basis": None},  # V4
+}
+
+# sha256 of --json check-ample at inf,7: the two-factor algebra reaches the
+# not-evaluated condition (iii), the V4 quartic the submodule enumeration
+CHECK_AMPLE_DIGESTS = {
+    ("Q x Q", "SL"): "7d9cdb05a503e9b901b6412a4f15044d1b7b19f19de79b3031958ba638012069",
+    ("Q x Q", "GL"): "73ebefb9604755454c30293ac49a3cc56f9da0f4d208c5caded9b11bbeecc811",
+    ("x^4-8x^3+20x^2-16x+1", "SL"): "c9944c8e1162749585decf560a76760db4e9c68fd3e2b9ab2f0424fd5c43058d",
+    ("x^4-8x^3+20x^2-16x+1", "GL"): "c5917ec5c668cb7c4723cc104ddf0bd82f6a4bb11f7ed9c4f9107885690c86bd",
+}
+
+
+@pytest.mark.parametrize("name, ambient", sorted(CHECK_AMPLE_DIGESTS))
+def test_check_ample_digest_is_pinned(name, ambient, tmp_path, capsys):
+    algebra = tmp_path / "algebra.json"
+    algebra.write_text(json.dumps(CHECK_AMPLE_ALGEBRAS[name]))
+    main(["--json", "check-ample", "--algebra", str(algebra), "--ambient", ambient, "--places", "inf,7"])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == CHECK_AMPLE_DIGESTS[name, ambient]
 
 
 @pytest.mark.parametrize("ambient", ["GL", "SL"])

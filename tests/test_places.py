@@ -12,11 +12,12 @@ from ampletori.places import (
     galois_group_small,
     orbits_of,
     places_over_p,
-    regular_action,
     signature,
     standard_tag,
 )
 from ampletori.polynomials import QPoly, discriminant, is_prime
+
+from oracles import regular_action
 
 CUBIC = QPoly([-1, 1, 0, 1])
 QUARTIC = QPoly([1, -16, 20, -8, 1])

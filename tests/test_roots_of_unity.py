@@ -115,12 +115,22 @@ def test_verification_rejects_torsion_that_misses_i():
     minus_one = UnitSystem(gauss, element([-1, 0]), 2, [element([2, 1])], (5,))
     with pytest.raises(
         InvalidUnitSystemError,
-        match=r"^torsion generator has order 2, claimed 2, but the roots of unity of the order "
+        match=r"^torsion generator has order 2, claimed 2, but the roots of unity of O\[1/S\] "
         r"have order 4$",
     ):
         verify_unit_system(minus_one)
     i_unit = minus_one._replace(torsion_generator=element([0, 1]), torsion_order=4)
     assert verify_unit_system(i_unit).rank == 1
+    # μ(Z[3i]) = ±1, but i = 3i/3 lies in Z[3i][1/3]: the order named is O[1/S]
+    z3i = EtaleAlgebra([QPoly([1, 0, 1])], [[1, 0], [0, 3]])
+    assert len(roots_of_unity(z3i, ())) == 2
+    minus_one = UnitSystem(z3i, element([-1, 0]), 2, [element([3, 0])], (3,))
+    with pytest.raises(
+        InvalidUnitSystemError,
+        match=r"^torsion generator has order 2, claimed 2, but the roots of unity of O\[1/S\] "
+        r"have order 4$",
+    ):
+        verify_unit_system(minus_one)
 
 
 def test_the_gates_skip_the_split_prime(monkeypatch):

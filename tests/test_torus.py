@@ -1,19 +1,20 @@
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
 
+from ampletori import torus
 from ampletori.errors import InputError, RamifiedPlaceError, UnsupportedError
 from ampletori.etale import EtaleAlgebra
-from ampletori.places import INF, STANDARD_TAGS, orbits_of, regular_action, standard_tag
+from ampletori.places import INF, STANDARD_TAGS, PlaceProfile, orbits_of, standard_tag
 from ampletori.polynomials import QPoly, discriminant, is_prime
 from ampletori.torus import (
     GL,
     SL,
     VERDICT_AMPLE,
     VERDICT_NOT_AMPLE,
-    VERDICT_UNDECIDABLE,
     PlaceSet,
     TorusDatum,
     build_torus,
@@ -27,7 +28,13 @@ from ampletori.torus import (
     replay_certificate,
 )
 
-from oracles import oracle_invariants, oracle_isotypic_bases, oracle_module_basis
+from oracles import (
+    oracle_invariants,
+    oracle_isotypic_bases,
+    oracle_isotypic_copies,
+    oracle_module_basis,
+    regular_action,
+)
 
 CUBIC = EtaleAlgebra([QPoly([-1, 1, 0, 1])])
 GAUSS = EtaleAlgebra([QPoly([1, 0, 1])])
@@ -68,14 +75,22 @@ def test_local_rank_ramified_propagates():
 
 def test_decompose_module_examples():
     d = decompose_module(build_torus(CUBIC, SL))
-    assert [(c.character, c.dim) for c in d.components] == [("std", 2)]
-    assert d.multiplicity_free
+    assert [(c.character, c.dim, c.multiplicity) for c in d] == [("std", 2, 1)]
     d = decompose_module(build_torus(QUARTIC, SL))
-    assert [(c.character, c.dim) for c in d.components] == [
+    assert [(c.character, c.dim) for c in d] == [
         ("chi1", 1), ("chi2", 1), ("chi3", 1)
     ]
     d = decompose_module(build_torus(GAUSS, SL))
-    assert [(c.character, c.dim) for c in d.components] == [("sgn", 1)]
+    assert [(c.character, c.dim) for c in d] == [("sgn", 1)]
+
+
+@pytest.mark.parametrize("ambient", [GL, SL])
+@pytest.mark.parametrize("name", sorted(STANDARD_TAGS))
+def test_every_standard_tag_is_multiplicity_free(name, ambient):
+    # so every request's condition (iii) runs over subsets of the components,
+    # as it did before repeated components were enumerated
+    comps = decompose_module(TorusDatum(ambient, (standard_tag(name),)))
+    assert all(c.multiplicity == 1 for c in comps)
 
 
 def test_is_s_ample_paper_verdicts():
@@ -164,6 +179,30 @@ def test_replay_detects_tampering():
         replay_certificate_json(data)
 
 
+def test_replay_rejects_an_unknown_condition_iii_status():
+    from ampletori.serialize import certificate_to_json
+    from ampletori.torus import replay_certificate_json
+
+    # with (i) passing and no submodules, an unchecked status replays as S-ample
+    data = certificate_to_json(is_s_ample(build_torus(GAUSS, SL), PlaceSet(True, (5,))))
+    data["condition_iii"] = {"status": "undecidable"}
+    data["submodules"] = []
+    with pytest.raises(AssertionError, match="unknown condition"):
+        replay_certificate_json(data)
+
+
+def test_replay_rejects_an_unevaluated_condition_iii_when_condition_i_passes():
+    from ampletori.serialize import certificate_to_json
+    from ampletori.torus import replay_certificate_json
+
+    data = certificate_to_json(is_s_ample(build_torus(GAUSS, SL), PlaceSet(True, (5,))))
+    assert data["condition_i"]["pass"]
+    data["condition_iii"] = {"status": "not-evaluated", "reason": "tampered"}
+    data["submodules"] = []
+    with pytest.raises(AssertionError, match="not evaluated"):
+        replay_certificate_json(data)
+
+
 def test_certificate_details_gauss():
     cert = is_s_ample(build_torus(GAUSS, SL), PlaceSet(True, (5,)))
     assert cert.local_ranks == {"inf": 0, "p:5": 1}
@@ -174,36 +213,78 @@ def test_certificate_details_gauss():
     assert zero and zero[0].witness_place == "p:5"
 
 
-def test_not_multiplicity_free_is_undecidable():
-    # the regular degree-6 action of S3 contains the standard rep twice;
-    # condition (i) passes (no invariants in the zero-sum module), so the
-    # verdict must be "undecidable", never a guess
-    tag = regular_action(standard_tag("S3"))
-    t = TorusDatum(SL, (tag,))
-    assert global_rank(t) == 0
-    d = decompose_module(t)
-    assert not d.multiplicity_free
-    std = [c for c in d.components if c.character == "std"]
-    assert std and std[0].multiplicity == 2
-    cert = is_s_ample(t, PlaceSet(True, ()))
-    assert cert.verdict == VERDICT_UNDECIDABLE
-    assert cert.condition_iii["status"] == "undecidable"
-    assert cert.condition_iii["offending_component"] == "std"
-    assert replay_certificate(cert) == VERDICT_UNDECIDABLE
-
-
-def test_without_an_algebra_local_ranks_are_undecidable():
-    # S3 on its 3 roots: the zero-sum module is the standard rep once, so
-    # only the missing place profiles keep condition (iii) from running
+def test_without_an_algebra_is_s_ample_raises():
+    # S3 on its 3 roots: a module alone has no place profiles, so no local
+    # ranks and no verdict
     t = TorusDatum(SL, (standard_tag("S3"),))
-    assert decompose_module(t).multiplicity_free and global_rank(t) == 0
-    cert = is_s_ample(t, PlaceSet(True, (5,)))
-    assert cert.verdict == VERDICT_UNDECIDABLE
-    assert cert.local_ranks == {}
-    assert cert.condition_iii == {
-        "status": "not-evaluated",
-        "reason": "no defining algebra; local ranks unavailable",
+    with pytest.raises(UnsupportedError, match="place profiles need the defining algebra"):
+        is_s_ample(t, PlaceSet(True, (5,)))
+
+
+# (group, indices into its elements of the decomposition generators at inf
+# and at 7, verdict). A stand-in for place_profiles gives each place the
+# decomposition group the case names, so a module with repeated components
+# gets local ranks. The not-ample cases each leave a submodule that holds
+# one copy of the repeated component with no witness.
+REGULAR_CASES = [
+    ("S3", (1, 3), VERDICT_AMPLE),  # a transposition and a 3-cycle
+    ("S3", (3, 4), VERDICT_NOT_AMPLE),  # 3-cycles: std has no invariants
+    ("D4", (2, 4), VERDICT_AMPLE),  # r² and a reflection
+    ("D4", (2, 1), VERDICT_NOT_AMPLE),  # r² and r
+]
+
+
+@pytest.mark.parametrize("ambient", [GL, SL])
+@pytest.mark.parametrize("name, gen_indices, verdict", REGULAR_CASES)
+def test_regular_modules_get_a_decided_verdict(name, gen_indices, verdict, ambient, monkeypatch):
+    # std (S3) and std2 (D4) occur twice in the regular module; every
+    # dimension vector's ranks agree with an explicit submodule of that shape
+    tag = regular_action(standard_tag(name))
+    t = TorusDatum(ambient, (tag,))
+    n = t.n
+    gens = dict(zip((INF, 7), (tag.elements[i] for i in gen_indices)))
+
+    def profiles(t, place):
+        return [PlaceProfile(place, orbits_of([gens[place]], n), gens[place])]
+
+    monkeypatch.setattr(torus, "place_profiles", profiles)
+    cert = is_s_ample(t, PlaceSet(True, (7,)))
+    assert cert.verdict == verdict and replay_certificate(cert) == verdict
+    comps = decompose_module(t)
+    multiplicities = [c.multiplicity for c in comps]
+    assert multiplicities.count(2) == 1 and set(multiplicities) == {1, 2}
+    repeated = multiplicities.index(2)
+    assert len(cert.submodules) == math.prod(c.multiplicity + 1 for c in comps) - 1
+    if verdict == VERDICT_NOT_AMPLE:
+        assert any(not w.passes and w.components.count(repeated) == 1 for w in cert.submodules)
+    copies = {
+        (i, k): oracle_isotypic_copies(tag, ambient, c.character, k)
+        for i, c in enumerate(comps)
+        for k in range(c.multiplicity + 1)
     }
+    whole = oracle_module_basis(n, ambient)
+    for w in cert.submodules:
+        basis = [v for i in sorted(set(w.components)) for v in copies[i, w.components.count(i)]]
+        assert len(basis) == w.dim
+        for place, g in gens.items():
+            orbits = orbits_of([g], n)
+            sub, tor = oracle_invariants(basis, orbits, n), oracle_invariants(whole, orbits, n)
+            assert w.local_ranks["inf" if place == INF else f"p:{place}"] == (len(sub), len(tor))
+
+
+@pytest.mark.parametrize("ambient", [GL, SL])
+@pytest.mark.parametrize("name", ["S3", "D4"])
+def test_k_copies_have_k_times_the_rank_of_one(name, ambient):
+    # explicit submodules V_χ^k, k = 0, 1, 2, of the regular module: their
+    # invariants under each cyclic ⟨g⟩ have dimension k·component_rank
+    tag = regular_action(standard_tag(name))
+    n = tag.degree
+    for c in decompose_module(TorusDatum(ambient, (tag,))):
+        for k in range(c.multiplicity + 1):
+            basis = oracle_isotypic_copies(tag, ambient, c.character, k)
+            for g in tag.elements:
+                want = k * component_rank(tag, c.char, g)
+                assert len(oracle_invariants(basis, orbits_of([g], n), n)) == want, (c.character, k, g)
 
 
 def test_multi_factor_fails_condition_i_not_undecidable():
@@ -253,13 +334,13 @@ def test_orbit_means_give_the_invariants_of_every_submodule(name, ambient):
     tag = TAGS[name]
     n = tag.degree
     t = TorusDatum(ambient, (tag,))
-    comps = decompose_module(t).components
+    comps = decompose_module(t)
     isotypic = oracle_isotypic_bases(tag, ambient)
     assert [(c.character, c.dim) for c in comps] == [(c, len(b)) for c, b in isotypic]
     assert sum(c.dim for c in comps) == t.dim
     for g in tag.elements:  # D generated by g
         orbits = orbits_of([g], n)
-        ranks = [component_rank(tag, c, g) for c in comps]
+        ranks = [c.multiplicity * component_rank(tag, c.char, g) for c in comps]
         for size in range(len(comps) + 1):
             for subset in itertools.combinations(range(len(comps)), size):
                 basis = [v for i in subset for v in isotypic[i][1]]
