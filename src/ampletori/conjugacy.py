@@ -11,8 +11,7 @@ one space of dimension at most n (Latimer–MacDuffee), solved once per
 candidate; each automorphism target adds a small system in the coefficients
 of that space. A unimodular integer point of the result is searched within
 a bounded coefficient box, and every other unit target is read off through
-the conjugator found. The matrices are linalg's integer form throughout;
-Fractions are made only for the ConjugacyResult."""
+the conjugator found. The matrices are linalg's integer form throughout."""
 
 from __future__ import annotations
 
@@ -23,7 +22,7 @@ from typing import NamedTuple
 
 from . import linalg
 from .etale import Coords, EtaleAlgebra, sorted_elements
-from .linalg import IntMat, Mat
+from .linalg import IntMat
 from .matgroups import enumerate_automorphisms
 from .polynomials import QPoly, discriminant
 from .units import _by_size
@@ -37,9 +36,9 @@ class ConjugacyResult(NamedTuple):
     Each automorphism target is P·m·P⁻¹ for the matrix m of some automorphism
     of the order, from enumerate_automorphisms."""
 
-    conjugator: Mat  # P with P·π(a)·P⁻¹ = targets
+    conjugator: IntMat  # P with P·π(a)·P⁻¹ = targets
     unit_elements: list[Coords]  # u_i with P·π(u_i)·P⁻¹ = unit target i
-    discovered_basis: Mat  # Z-basis of the order realizing the targets
+    discovered_basis: IntMat  # rows: a Z-basis of the order realizing the targets
     transposed: bool
 
 
@@ -96,7 +95,7 @@ def _unimodular_point(space: list[list[int]], n: int, coeff_box: int) -> IntMat 
 
 
 def find_simultaneous_conjugator(
-    e: EtaleAlgebra, unit_targets: list[Mat], auto_targets: list[Mat]
+    e: EtaleAlgebra, unit_targets: list[IntMat], auto_targets: list[IntMat]
 ) -> ConjugacyResult | None:
     """P ∈ GL_n(Z) conjugating the regular representation onto the targets.
 
@@ -124,20 +123,18 @@ def find_simultaneous_conjugator(
         if result is not None:
             p, pinv, units = result
             basis = _discovered_basis(e, pinv)
-            return ConjugacyResult(linalg._frac_mat(p), units, basis, transposed)
+            return ConjugacyResult(p, units, basis, transposed)
     return None
 
 
-def _search_one_convention(e, tgt_units, tgt_autos, auto_mats, candidates):
+def _search_one_convention(e, units, tgt_autos, autos, candidates):
     n = e.n
-    units = [linalg._int_mat(t) for t in tgt_units]
-    autos = [linalg._int_mat(a) for a in auto_mats]
     # assign our automorphisms to the automorphism targets by charpoly, each
     # assignment with its condition rows, which do not depend on u0
-    cps = [linalg._int_charpoly(a) for a in autos]
+    cps = [linalg.charpoly(a) for a in autos]
     assignments = []
-    for t in map(linalg._int_mat, tgt_autos):
-        chi_t = linalg._int_charpoly(t)
+    for t in tgt_autos:
+        chi_t = linalg.charpoly(t)
         assignments.append(
             [(a, t, _condition_rows(a, t, n)) for a, cp in zip(autos, cps) if cp == chi_t]
         )
@@ -197,11 +194,11 @@ def _read_off_units(e: EtaleAlgebra, p: IntMat, pinv: IntMat, targets: list[IntM
     return units
 
 
-def _discovered_basis(e: EtaleAlgebra, pinv: IntMat) -> Mat:
+def _discovered_basis(e: EtaleAlgebra, pinv: IntMat) -> IntMat:
     """Order basis realizing the targets: rows B' = P^{-T}·B.
 
     With coordinates as columns, a basis change B' = U·B conjugates the
     representation by U^{-T}; here P = U^{-T}, so U = P^{-T}, and
     B'^T = B^T·P⁻¹ (e._basis_int is B^T).
     """
-    return linalg.transpose(linalg._frac_mat(linalg._int_mul(e._basis_int, pinv)))
+    return linalg.transpose(linalg._int_mul(e._basis_int, pinv))

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 from . import linalg
 from .errors import NotAnOrderError, SingularMatrixError, UnsupportedError
-from .linalg import IntMat, IntVec, Mat, _int_vec
+from .linalg import IntMat, IntVec, _int_vec
 from .polynomials import (
     QPoly,
     _linear_product,
@@ -93,13 +93,14 @@ class EtaleAlgebra:
             self.offsets.append(off)
             off += d
         if order_basis is None:
-            self.order_basis: Mat = linalg.identity(n)
+            self.order_basis: IntMat = linalg.identity(n)
         else:
             self.order_basis = linalg.matrix(order_basis)
-            if len(self.order_basis) != n or len(self.order_basis[0]) != n:
+            rows = self.order_basis[0]
+            if len(rows) != n or len(rows[0]) != n:
                 raise ValueError("order basis must be n x n")
         # coordinates are rows, so to_power and from_power apply the transposes
-        self._basis_int = linalg._int_mat(linalg.transpose(self.order_basis))
+        self._basis_int = linalg.transpose(self.order_basis)
         # the per-algebra cache key: integer coefficients and the basis's
         # IntMat, hashed without Fraction.__hash__
         self._key = (tuple(tuple(c.numerator for c in f.coeffs) for f in self.factors),
@@ -184,7 +185,8 @@ class EtaleAlgebra:
 
     # -- the regular representation ------------------------------------------
     def _int_rep(self, a: Coords) -> IntMat:
-        """The regular representation of a in linalg's integer form."""
+        """The matrix of multiplication-by-a, column j the coordinates of
+        a·b_j, in linalg's integer form."""
         a, da = a
         m = [[0] * self.n for _ in range(self.n)]
         for ai, row in zip(a, self._table):
@@ -194,9 +196,7 @@ class EtaleAlgebra:
                         m[k][j] += ai * t
         return linalg._int_form(m, da * self._den)
 
-    def regular_rep(self, a: Coords) -> Mat:
-        """Matrix of multiplication-by-a: column j holds coords of a·b_j."""
-        return linalg._frac_mat(self._int_rep(a))
+    regular_rep = _int_rep  # the public name: column j holds the coordinates of a·b_j
 
     def norm(self, a: Coords) -> tuple[int, int]:
         rows, den = self._int_rep(a)
@@ -208,7 +208,7 @@ class EtaleAlgebra:
         return num, den
 
     def charpoly(self, a: Coords) -> QPoly:
-        return QPoly(linalg._int_charpoly(self._int_rep(a)))
+        return QPoly(linalg.charpoly(self._int_rep(a)))
 
     def elements_with_charpoly(self, g: QPoly) -> list[Coords]:
         """Every β in the field K = Q[x]/(f) whose characteristic polynomial is g.

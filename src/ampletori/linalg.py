@@ -1,15 +1,13 @@
-"""Exact linear algebra over Q (fractions.Fraction) and over Z.
+"""Exact linear algebra over Q and over Z, on integers.
 
-Everything here is exact; no floating point is ever used. Every matrix
-computation in the package runs on one form, the `IntMat` (rows, den):
-integer rows over one positive common denominator, gcd(den, entries) = 1,
-so equal matrices have equal forms; an `IntVec` (ints, den) is the same
-form for a vector. `_int_mul`, `_int_mat_vec`, `_int_inv` and
-`_int_charpoly` work on them. A `Mat`, an immutable tuple of tuples of
-Fraction, is made only where a matrix leaves the package (a generator set,
-a serialized or regular-representation matrix, a conjugacy result);
-`matrix`, `mat_mul`, `mat_det` and `charpoly` take and give Mats for those
-callers.
+Everything here is exact; no floating point is ever used. Every matrix in
+the package has one form, the `IntMat` (rows, den): integer rows over one
+positive common denominator, gcd(den, entries) = 1, so equal matrices have
+equal forms; an `IntVec` (ints, den) is the same form for a vector.
+`matrix` makes one from rational entries, where a matrix enters the
+package; `_int_mul`, `_int_mat_vec`, `_int_inv` and `charpoly` work on
+them, and `_mul_rows` multiplies the integer rows alone, for checks that do
+not depend on scale.
 
 Elimination is integer-first and has one core, `_echelon`: a fraction-free
 (Bareiss) row echelon form of integer rows, read off by `_det`, `_int_rref`
@@ -25,35 +23,27 @@ from typing import Sequence
 
 from .errors import SingularMatrixError
 
-Mat = tuple[tuple[Fraction, ...], ...]
 IntMat = tuple[tuple[tuple[int, ...], ...], int]  # (rows, den)
 IntVec = tuple[tuple[int, ...], int]  # (ints, den)
 
 
-def frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def matrix(rows: Sequence[Sequence]) -> Mat:
-    m = tuple(tuple(frac(x) for x in row) for row in rows)
+def matrix(rows: Sequence[Sequence]) -> IntMat:
+    """The IntMat of a rational matrix, its entries ints, Fractions or
+    anything Fraction() reads: den is the lcm of their denominators."""
+    m = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in rows]
     if m and any(len(row) != len(m[0]) for row in m):
         raise ValueError("ragged matrix")
-    return m
+    flat, den = _integer_form([x for row in m for x in row])
+    n = len(m[0]) if m else 0
+    return tuple(tuple(flat[i * n : i * n + n]) for i in range(len(m))), den
 
 
-def identity(n: int) -> Mat:
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+def identity(n: int) -> IntMat:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1
 
 
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    if not a or not b:
-        return ()
-    return _frac_mat(_int_mul(_int_mat(a), _int_mat(b)))
-
-
-def transpose(a: Mat) -> Mat:
-    return tuple(tuple(col) for col in zip(*a))
+def transpose(a: IntMat) -> IntMat:
+    return tuple(zip(*a[0])), a[1]
 
 
 def _integer_form(v) -> tuple[list[int], int]:
@@ -74,20 +64,20 @@ def _int_form(rows, den: int) -> IntMat:
     return tuple(tuple(x // g for x in row) for row in rows), den // g
 
 
-def _int_mat(a: Mat) -> IntMat:
-    """The IntMat of a rational matrix: den is the lcm of its denominators."""
-    flat, den = _integer_form([x for row in a for x in row])
-    n = len(a[0]) if a else 0
-    return tuple(tuple(flat[i * n : i * n + n]) for i in range(len(a))), den
+def _ratio_str(num: int, den: int) -> str:
+    """num/den, den > 0, in lowest terms as "p/q" text, or "p" when q = 1."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
-def _frac_mat(m: IntMat) -> Mat:
-    return tuple(tuple(Fraction(x, m[1]) for x in row) for row in m[0])
+def _mul_rows(a, b) -> list[list[int]]:
+    """The product of integer rows a and b, rows again."""
+    cols = tuple(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def _int_mul(a: IntMat, b: IntMat) -> IntMat:
-    cols = tuple(zip(*b[0]))
-    return _int_form([[sum(map(mul, row, col)) for col in cols] for row in a[0]], a[1] * b[1])
+    return _int_form(_mul_rows(a[0], b[0]), a[1] * b[1])
 
 
 def _int_mat_vec(m: IntMat, v: IntVec) -> IntVec:
@@ -168,11 +158,6 @@ def _int_rref(m: list[list[int]], ncols: int) -> tuple[list[list[int]], list[int
     return scaled, pivots, d
 
 
-def mat_det(a: Mat) -> Fraction:
-    rows, den = _int_mat(a)
-    return Fraction(_det([list(row) for row in rows]), den ** len(rows))
-
-
 def int_det(a: Sequence[Sequence[int]]) -> int:
     """Determinant of an integer matrix, without Fractions."""
     return _det([list(map(int, row)) for row in a])
@@ -216,26 +201,27 @@ class _Span(list):
         return not any(self._reduce(v))
 
 
-def charpoly(a: Mat) -> list[Fraction]:
-    """Characteristic polynomial det(tI − a), ascending coefficients, monic."""
-    return _int_charpoly(_int_mat(a))
+def charpoly(a: IntMat) -> list[Fraction]:
+    """Characteristic polynomial det(tI − a), ascending coefficients, monic:
+    the coefficient of t^k of _berkowitz(rows) divided by den^(n−k)."""
+    rows, d = a
+    n = len(rows)
+    return [Fraction(c, d ** (n - k)) for k, c in enumerate(_berkowitz(rows))]
 
 
-def _int_charpoly(a: IntMat) -> list[Fraction]:
-    """Berkowitz's division-free algorithm (Inf. Proc. Lett. 18, 1984) on the
-    integer rows m of a = m/d; the coefficient of t^k is then divided by
-    d^(n−k)."""
-    m, d = a
+def _berkowitz(m) -> list[int]:
+    """det(tI − m) of square integer rows m, ascending coefficients, by
+    Berkowitz's division-free algorithm (Inf. Proc. Lett. 18, 1984)."""
     n = len(m)
     poly = [1]  # descending coefficients for the leading r×r block of m
     for r in range(n):
         col, row = [m[i][r] for i in range(r)], m[r][:r]
         toep = [1, -m[r][r]]  # 1, −m_rr, −row·col, −row·M·col, …, M the r×r block
         for _ in range(r):
-            toep.append(-sum(x * y for x, y in zip(row, col)))
-            col = [sum(x * y for x, y in zip(m[i], col)) for i in range(r)]
+            toep.append(-sum(map(mul, row, col)))
+            col = [sum(map(mul, m[i], col)) for i in range(r)]  # m[i] cut to r by col
         poly = [sum(toep[i - j] * poly[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
-    return [Fraction(c, d ** (n - k)) for k, c in enumerate(reversed(poly))]
+    return poly[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,30 @@
 """Integer/rational matrix group assembly and exact relation checks.
 
 Generator sets collect torus units, torsion, order automorphisms and
-unipotent elementary matrices, each with a provenance record. All matrix
-equality here is exact; there is no tolerance anywhere in this module.
-Membership of a conjugate in the unipotent radical is checked against the
-explicit linear pattern spanned by the given one-parameter generators (the
-only radicals the block construction produces), not by a general
-algebraic-group membership test.
+unipotent elementary matrices, each with a provenance record, all in
+linalg's integer form (IntMat). All matrix equality here is exact; there is
+no tolerance anywhere in this module. Membership of a conjugate in the
+unipotent radical is checked against the explicit linear pattern spanned by
+the given one-parameter generators (the only radicals the block
+construction produces), not by a general algebraic-group membership test.
+
+The checks compare integer rows without normalizing them: a product x·y of
+IntMats has rows X·Y over den_x·den_y whatever the order of the factors, a
+power mᵏ is I exactly when its rows are denᵏ·I, and membership in a span
+does not depend on scale.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from fractions import Fraction
 from math import comb, lcm
 from typing import NamedTuple
 
 from . import linalg
 from .errors import SingularMatrixError, UnsupportedError
 from .etale import EtaleAlgebra
-from .linalg import IntMat, Mat
+from .linalg import IntMat
 from .places import automorphism_count, galois_group_small
 from .units import _PolynomialLRU, is_s_number, strip_primes
 
@@ -29,10 +33,10 @@ class GeneratorSet(NamedTuple):
     n: int
     ring_primes: tuple[int, ...]  # () means Z, (5,) means Z[1/5], ...
     ambient: str  # "SL" | "GL"
-    torus_gens: list[Mat]  # each list and the provenance are appended to in place
-    torsion_gens: list[Mat]
-    normalizer_gens: list[Mat]
-    unipotent_gens: list[Mat]
+    torus_gens: list[IntMat]  # each list and the provenance are appended to in place
+    torsion_gens: list[IntMat]
+    normalizer_gens: list[IntMat]
+    unipotent_gens: list[IntMat]
     provenance: dict[str, dict]
 
     def ring_str(self) -> str:
@@ -78,7 +82,7 @@ def _check_automorphism(e: EtaleAlgebra, mat: IntMat):
 _AUTOMORPHISM_CACHE = _PolynomialLRU()
 
 
-def enumerate_automorphisms(e: EtaleAlgebra) -> list[Mat]:
+def enumerate_automorphisms(e: EtaleAlgebra) -> list[IntMat]:
     """The matrices of all automorphisms of the order of a field factor.
 
     Column j of a matrix holds the coordinates of σ(b_j). An automorphism
@@ -111,20 +115,19 @@ def enumerate_automorphisms(e: EtaleAlgebra) -> list[Mat]:
         cols = linalg._int_form(list(zip(*[[x * (den // d) for x in c] for c, d in powers])), den)
         mat = linalg._int_mul(cols, e._basis_int)
         if _check_automorphism(e, mat)[0]:
-            out.append(linalg._frac_mat(mat))
-    out.sort(key=linalg.transpose)
+            out.append(mat)
+    out.sort(key=lambda m: linalg.transpose(m)[0])  # each den is 1
     _AUTOMORPHISM_CACHE.store(cache_key, list(out))
     return out
 
 
-def verify_normalization(e: EtaleAlgebra, m: Mat):
+def verify_normalization(e: EtaleAlgebra, m: IntMat):
     """Check m·π(b_j)·m⁻¹ = π(c_j) with every c_j in the order.
 
     Returns (True, s) with s the matrix of the induced automorphism of the
     order (column j holds c_j), or (False, j) with the first failing basis
     index (1-based).
     """
-    m = linalg._int_mat(m)
     return _normalizes(e, m, linalg._int_inv(m))
 
 
@@ -140,7 +143,7 @@ def _normalizes(e: EtaleAlgebra, m: IntMat, minv: IntMat):
         if den != 1 or e._int_rep((cj, den)) != conj:
             return False, j + 1
         images.append(cj)
-    return True, linalg._frac_mat((tuple(zip(*images)), 1))
+    return True, (tuple(zip(*images)), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -148,38 +151,30 @@ def _normalizes(e: EtaleAlgebra, m: IntMat, minv: IntMat):
 # ---------------------------------------------------------------------------
 
 
-def block_diag(g: Mat, tail: Fraction) -> Mat:
-    """diag(g, tail) with a 1×1 last block."""
-    m = len(g)
-    out = []
-    for i in range(m + 1):
-        row = []
-        for j in range(m + 1):
-            if i < m and j < m:
-                row.append(g[i][j])
-            elif i == m and j == m:
-                row.append(Fraction(tail))
-            else:
-                row.append(Fraction(0))
-        out.append(tuple(row))
-    return tuple(out)
+def block_diag(g: IntMat, tail: tuple[int, int]) -> IntMat:
+    """diag(g, num/den) with a 1×1 last block, for tail = (num, den)."""
+    (rows, den), (num, tden) = g, tail
+    m = len(rows)
+    out = [[x * tden for x in row] + [0] for row in rows] + [[0] * m + [num * den]]
+    return linalg._int_form(out, den * tden)
 
 
-def elementary_matrix(n: int, i: int, j: int) -> Mat:
+def elementary_matrix(n: int, i: int, j: int) -> IntMat:
     """E_{i,j}: identity plus a 1 in position (i, j); 1-based, i ≠ j."""
     if i == j:
         raise ValueError("elementary matrix needs i != j")
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError("index out of range")
-    out = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
-    out[i - 1][j - 1] = Fraction(1)
-    return tuple(tuple(row) for row in out)
+    return tuple(
+        tuple(int(r == c or (r, c) == (i - 1, j - 1)) for c in range(n)) for r in range(n)
+    ), 1
 
 
 def _is_unipotent(m: IntMat) -> bool:
-    """All eigenvalues 1: characteristic polynomial equals (x−1)^n."""
-    n = len(m[0])
-    return linalg._int_charpoly(m) == [(-1) ** (n - k) * comb(n, k) for k in range(n + 1)]
+    """All eigenvalues 1: the rows R = den·m have characteristic polynomial (t − den)^n."""
+    rows, den = m
+    n = len(rows)
+    return linalg._berkowitz(rows) == [comb(n, k) * (-den) ** (n - k) for k in range(n + 1)]
 
 
 def _minus_identity(m: IntMat) -> list[int]:
@@ -188,7 +183,7 @@ def _minus_identity(m: IntMat) -> list[int]:
     return [x - den * (i == j) for i, row in enumerate(rows) for j, x in enumerate(row)]
 
 
-def verify_semidirect(torus_gens: list[Mat], unipotent_gens: list[Mat]):
+def verify_semidirect(torus_gens: list[IntMat], unipotent_gens: list[IntMat]):
     """Check every t·u·t⁻¹ is unipotent and stays in span{u_k − I}.
 
     t·u·t⁻¹ has u's characteristic polynomial, so unipotency is tested once
@@ -197,31 +192,44 @@ def verify_semidirect(torus_gens: list[Mat], unipotent_gens: list[Mat]):
     Returns (True, None) or (False, (torus index, unipotent index)), the
     first failing pair with the torus index outermost.
     """
-    witness = _semidirect(
-        [linalg._int_mat(t) for t in torus_gens],
-        [linalg._int_mat(u) for u in unipotent_gens],
-        linalg._int_inv,
-    )
+    witness = _semidirect(torus_gens, unipotent_gens, linalg._int_inv)
     return witness is None, witness
 
 
 def _semidirect(torus: list[IntMat], unis: list[IntMat], inverse) -> tuple[int, int] | None:
-    """verify_semidirect's first failing pair on integer forms, or None;
-    inverse(t) gives t⁻¹ and raises SingularMatrixError for a singular t."""
+    """verify_semidirect's first failing pair, or None; inverse(t) gives t⁻¹
+    and raises SingularMatrixError for a singular t.
+
+    t·u·t⁻¹ − I = t·(u − I)·t⁻¹ is, up to a positive scale, the sum over the
+    nonzero entries c at (a, b) of den·(u − I) of c·(column a of t)(row b of
+    t⁻¹): for an elementary u, one outer product.
+    """
     if not (torus and unis):
         return None
     unipotent = [_is_unipotent(u) for u in unis]
     span = linalg._Span()
+    n = len(unis[0][0])
+    moves = []
     for u in unis:
-        span.add(_minus_identity(u))
+        flat = _minus_identity(u)
+        span.add(flat)
+        moves.append([(divmod(k, n), c) for k, c in enumerate(flat) if c])
     for ti, t in enumerate(torus):
         try:
-            tinv = inverse(t)
+            tinv = inverse(t)[0]
         except SingularMatrixError:
             return ti, 0
-        for ui, u in enumerate(unis):
-            conj = linalg._int_mul(linalg._int_mul(t, u), tinv)
-            if not unipotent[ui] or _minus_identity(conj) not in span:
+        cols = tuple(zip(*t[0]))
+        for ui, entries in enumerate(moves):
+            conj = [0] * (n * n)
+            for (a, b), c in entries:
+                row = tinv[b]
+                for i, x in enumerate(cols[a]):
+                    if x:
+                        cx, base = c * x, i * n
+                        for j, y in enumerate(row):
+                            conj[base + j] += cx * y
+            if not unipotent[ui] or conj not in span:
                 return ti, ui
     return None
 
@@ -232,12 +240,13 @@ def _semidirect(torus: list[IntMat], unis: list[IntMat], inverse) -> tuple[int, 
 
 
 def _torsion_order_of_matrix(m: IntMat, cap: int = 24) -> int | None:
-    ident = linalg._int_mat(linalg.identity(len(m[0])))
-    acc = m
+    """The least k ≤ cap with mᵏ = I, read off the raw powers Rᵏ = denᵏ·I."""
+    rows, den = m
+    acc, scale = rows, den
     for k in range(1, cap + 1):
-        if acc == ident:
+        if all(x == scale * (i == j) for i, row in enumerate(acc) for j, x in enumerate(row)):
             return k
-        acc = linalg._int_mul(acc, m)
+        acc, scale = linalg._mul_rows(acc, rows), scale * den
     return None
 
 
@@ -250,11 +259,12 @@ def group_sanity(gens: GeneratorSet, algebra: EtaleAlgebra | None = None) -> dic
     and against the span closure of the torus algebra always), semidirect
     relations for unipotent generators.
 
-    Each generator is put in integer form m = R/den once, and every check
-    reads that form. det R/den^n decides the determinant check and both
-    S-integrality checks: m is S-integral when den is an S-number, and then
-    m⁻¹ = den·adj(R)/det R is S-integral exactly when det R is an S-number,
-    so no check inverts m for them. A singular generator fails both, by
+    Every check reads each generator's integer form m = R/den as it is
+    given, and compares products and powers without normalizing them.
+    det R/den^n decides the determinant check and both S-integrality
+    checks: m is S-integral when den is an S-number, and then m⁻¹ =
+    den·adj(R)/det R is S-integral exactly when det R is an S-number, so no
+    check inverts m for them. A singular generator fails both, by
     name. A torus or normalizer generator is inverted at most once, and
     only for a conjugation; unipotency is tested once per unipotent
     generator (verify_semidirect).
@@ -262,7 +272,7 @@ def group_sanity(gens: GeneratorSet, algebra: EtaleAlgebra | None = None) -> dic
     s = gens.ring_primes
     report: dict[str, dict] = {}
     named = list(gens.all_generators())
-    forms = [linalg._int_mat(m) for _, m in named]
+    forms = [m for _, m in named]
     inverse = functools.cache(linalg._int_inv)
 
     det_ok, det_detail = True, []
@@ -277,7 +287,7 @@ def group_sanity(gens: GeneratorSet, algebra: EtaleAlgebra | None = None) -> dic
             good = num != 0 and strip_primes(num, s)[0] == strip_primes(den_n, s)[0]
         if not good:
             det_ok = False
-            det_detail.append(f"{name}: det={Fraction(num, den_n)}")
+            det_detail.append(f"{name}: det={linalg._ratio_str(num, den_n)}")
         if not (is_s_number(den, s) and is_s_number(num, s)):
             integ_ok = False
             integ_detail.append(name)
@@ -291,7 +301,7 @@ def group_sanity(gens: GeneratorSet, algebra: EtaleAlgebra | None = None) -> dic
 
     comm_ok, comm_detail = True, []
     for (i, x), (j, y) in itertools.combinations(enumerate(torus_like), 2):
-        if linalg._int_mul(x, y) != linalg._int_mul(y, x):
+        if linalg._mul_rows(x[0], y[0]) != linalg._mul_rows(y[0], x[0]):  # both over den_x·den_y
             comm_ok = False
             comm_detail.append((i, j))
     report["torus_commutes"] = {"pass": comm_ok, "detail": comm_detail}
@@ -308,22 +318,22 @@ def group_sanity(gens: GeneratorSet, algebra: EtaleAlgebra | None = None) -> dic
     norm_ok, norm_detail = True, []
     if normalizers:
         # span closure of the torus algebra: powers/products of torus gens,
-        # in one running echelon of the flattened integer rows
-        def flat(m):
-            return [x for row in m[0] for x in row]
+        # in one running echelon of the flattened integer rows, unscaled
+        def flat(rows):
+            return [x for row in rows for x in row]
 
-        frontier, span = [linalg._int_mat(linalg.identity(gens.n))], linalg._Span()
+        frontier, span = [linalg.identity(gens.n)[0]], linalg._Span()
         span.add(flat(frontier[0]))
         while frontier:
-            products = (linalg._int_mul(m, g) for m in frontier for g in torus_like)
+            products = (linalg._mul_rows(m, g[0]) for m in frontier for g in torus_like)
             frontier = [prod for prod in products if span.add(flat(prod))]
         for i, w in enumerate(normalizers):
             if not dets[a + i]:
                 norm_ok = False
                 norm_detail.append(f"normalizer:{i} is singular")
                 continue
-            conj = (linalg._int_mul(linalg._int_mul(w, g), inverse(w)) for g in torus_like)
-            if any(flat(c) not in span for c in conj):
+            wg = (linalg._mul_rows(w[0], g[0]) for g in torus_like)
+            if any(flat(linalg._mul_rows(x, inverse(w)[0])) not in span for x in wg):  # w·g·w⁻¹
                 norm_ok = False
                 norm_detail.append(f"normalizer:{i} moves the torus algebra")
             if algebra is not None:

@@ -17,12 +17,14 @@ way, as diag(m, det(m)^{-1}).
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import conjugacy, linalg, serialize
 from .errors import AmpleToriError, InputError, UnsupportedError
 from .etale import EtaleAlgebra
-from .linalg import Mat
+from .linalg import IntMat
 from .matgroups import (
     GeneratorSet,
     block_diag,
@@ -222,7 +224,7 @@ def _normalizer_matrices(e: EtaleAlgebra, ambient: str, full_system: UnitSystem)
     torsion = (e.power(t, k) for k in range(1, full_system.torsion_order + 1))
     units = (u for part in (full_system.free_generators, torsion) for u in part)
     autos = [m for m in enumerate_automorphisms(e) if m != linalg.identity(e.n)]
-    flips = [ambient == SL and linalg.mat_det(m) == -1 for m in autos]
+    flips = [ambient == SL and linalg.int_det(m[0]) == -1 for m in autos]
     fixer = next((u for u in units if e.norm(u) == (-1, 1)), None) if any(flips) else None
     for m, flip in zip(autos, flips):
         if flip:
@@ -233,9 +235,10 @@ def _normalizer_matrices(e: EtaleAlgebra, ambient: str, full_system: UnitSystem)
                     "only in the torus, so no normalizer generator is emitted"
                 ]
                 continue
-            m = linalg.mat_mul(m, e.regular_rep(fixer))
+            m = linalg._int_mul(m, e._int_rep(fixer))
         out.append(m)
-    out.sort()
+    den = lcm(*[d for _, d in out])  # sorted as the rational matrices are
+    out.sort(key=lambda m: tuple(tuple(x * (den // m[1]) for x in row) for row in m[0]))
     return out, caveats
 
 
@@ -289,13 +292,16 @@ def run_pipeline(req: PipelineRequest) -> CmaReport:
     normals, ncaveats = _normalizer_matrices(e, GL if block else req.ambient, system)
     caveats.extend(ncaveats)
 
-    def emit(m: Mat) -> Mat:
+    def emit(m: IntMat) -> IntMat:
         # in the block, the last entry 1/det m puts m into SL: for a unit u
         # this is diag(π(u), 1/N(u)), and it corrects a det −1 automorphism
-        return m if block is None else block_diag(m, 1 / linalg.mat_det(m))
+        if block is None:
+            return m
+        rows, den = m
+        return block_diag(m, (den ** len(rows), linalg.int_det(rows)))
 
     for i, u in enumerate(emitted.free_generators):
-        gens.torus_gens.append(emit(e.regular_rep(u)))
+        gens.torus_gens.append(emit(e._int_rep(u)))
         gens.provenance[f"torus:{i}"] = {
             "kind": "unit",
             "coords": serialize.vector_to_json(u),
@@ -303,7 +309,7 @@ def run_pipeline(req: PipelineRequest) -> CmaReport:
         }
     if emitted.torsion_order > 1:
         t = emitted.torsion_generator
-        gens.torsion_gens.append(emit(e.regular_rep(t)))
+        gens.torsion_gens.append(emit(e._int_rep(t)))
         gens.provenance["torsion:0"] = {
             "kind": "unit-torsion",
             "coords": serialize.vector_to_json(t),
@@ -343,8 +349,8 @@ def _load_golden(directory: Path, name: str) -> dict:
     return serialize.loads(path.read_text(), str(path))
 
 
-def _matrices_equal(actual: list[Mat], expected_json: list) -> tuple[bool, str]:
-    expected = [serialize.matrix_from_json(m) for m in expected_json]
+def _matrices_equal(actual: list[IntMat], expected_json: list) -> tuple[bool, str]:
+    expected = [linalg.matrix(serialize.matrix_from_json(m)) for m in expected_json]
     if actual == expected:
         return True, ""
     return False, (
@@ -408,7 +414,7 @@ def _check_imported(req, report, imported: dict, problems: list, caveats: list) 
     """
     e = req.algebra
     units, torsion, autos = (
-        [serialize.matrix_from_json(m) for m in imported[kind]]
+        [linalg.matrix(serialize.matrix_from_json(m)) for m in imported[kind]]
         for kind in ("torus", "torsion", "normalizer")
     )
     provenance = {"torsion:0": {"order": report.unit_system.torsion_order}}
@@ -432,7 +438,8 @@ def _check_imported(req, report, imported: dict, problems: list, caveats: list) 
             if not conjugacy.order_elements_with_charpoly(e, QPoly(linalg.charpoly(t))):
                 problems.append("an imported matrix has a charpoly matching no order unit")
         return "weaker certificate"
-    basis_algebra = EtaleAlgebra(e.factors, found.discovered_basis)
+    rows, den = found.discovered_basis
+    basis_algebra = EtaleAlgebra(e.factors, [[Fraction(x, den) for x in row] for row in rows])
     if not basis_algebra.is_order()[0]:
         problems.append("discovered basis is not an order basis")
     for w in autos:

@@ -17,8 +17,8 @@ import json
 from fractions import Fraction
 
 from .errors import InputError
-from .etale import Coords, EtaleAlgebra, coordinates, element
-from .linalg import Mat
+from .etale import Coords, EtaleAlgebra, element
+from .linalg import IntMat, _ratio_str
 from .matgroups import GeneratorSet
 from .torus import AmpleCertificate, SubmoduleWitness, require_supported_degrees
 from .units import UnitSystem, _PolynomialLRU
@@ -56,11 +56,16 @@ def poly_from_json(data, path="") -> list[Fraction]:
     return [parse_frac(c, f"{path}[{i}]") for i, c in enumerate(data)]
 
 
-def matrix_to_json(m: Mat) -> list[list[str]]:
-    return [[frac_str(x) for x in row] for row in m]
+def matrix_to_json(m: IntMat) -> list[list[str]]:
+    """Each entry's "p/q" text from (entry, den), with one gcd."""
+    rows, den = m
+    if den == 1:
+        return [[str(x) for x in row] for row in rows]
+    return [[_ratio_str(x, den) for x in row] for row in rows]
 
 
-def matrix_from_json(data, path="") -> Mat:
+def matrix_from_json(data, path="") -> tuple[tuple[Fraction, ...], ...]:
+    """The rational rows of a JSON matrix (linalg.matrix makes its IntMat)."""
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise InputError("matrix must be an array of arrays", path)
     return tuple(
@@ -70,7 +75,7 @@ def matrix_from_json(data, path="") -> Mat:
 
 
 def vector_to_json(v: Coords) -> list[str]:
-    return [frac_str(x) for x in coordinates(v)]
+    return matrix_to_json(((v[0],), v[1]))[0]
 
 
 def vector_from_json(data, path="") -> Coords:
@@ -200,8 +205,6 @@ def _jsonable(x):
         return [_jsonable(v) for v in x]
     if isinstance(x, dict):
         return {str(k): _jsonable(v) for k, v in x.items()}
-    if isinstance(x, Fraction):
-        return frac_str(x)
     return x
 
 

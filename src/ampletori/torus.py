@@ -296,10 +296,6 @@ class AmpleCertificate(NamedTuple):
     submodules: list[SubmoduleWitness]
 
 
-def _place_str(place: Place) -> str:
-    return INF if place == INF else f"p:{place}"
-
-
 def is_s_ample(t: TorusDatum, s: PlaceSet) -> AmpleCertificate:
     """Decide the three ampleness conditions for the torus over the place set.
 
@@ -322,8 +318,8 @@ def is_s_ample(t: TorusDatum, s: PlaceSet) -> AmpleCertificate:
     local_ranks: dict[str, int] = {}
     place_gens = {}  # the first factor's decomposition generator, per place
     for place in s.places():
-        ps = _place_str(place)
         profiles = place_profiles(t, place)
+        ps = profiles[0].place_str()
         place_gens[ps] = profiles[0].generator
         local_ranks[ps] = _module_rank(t, sum(p.num_places_over for p in profiles))
 
@@ -367,7 +363,7 @@ def is_s_ample(t: TorusDatum, s: PlaceSet) -> AmpleCertificate:
         verdict=verdict,
         ambient=t.ambient,
         n=t.n,
-        places=[_place_str(p) for p in s.places()],
+        places=list(local_ranks),
         condition_i=cond_i,
         condition_ii=cond_ii,
         condition_iii=cond_iii,

@@ -35,6 +35,7 @@ from .realsplit import RootDisk, abs_square_on_disk, root_disks
 PRECISION_LADDER = (64, 128, 256)
 DEFAULT_PRECISION_CAP = 256
 MAX_DENOMINATOR = 16  # largest d in the relations u^d = t^k·∏ g_i^(a_i) tried
+KMAX = 2  # largest exponent k of an S-prime in the default norm targets ±∏ p^k
 # Φ_m, ascending coefficients, for the m > 2 with φ(m) ≤ 4
 CYCLOTOMIC = {3: (1, 1, 1), 4: (1, 0, 1), 6: (1, -1, 1), 5: (1, 1, 1, 1, 1),
               8: (1, 0, 0, 0, 1), 10: (1, -1, 1, -1, 1), 12: (1, 0, -1, 0, 1)}
@@ -465,7 +466,7 @@ def verify_unit_system(
 # ---------------------------------------------------------------------------
 
 
-def default_norm_targets(s_primes: tuple[int, ...], kmax: int = 2):
+def default_norm_targets(s_primes: tuple[int, ...], kmax: int = KMAX):
     """±∏ p^k with 0 ≤ k ≤ kmax per S-prime (just ±1 when S is empty)."""
     vals = {1}
     for p in s_primes:
@@ -913,7 +914,7 @@ def assemble_unit_system(
     if len(basis_idx) != target_rank:
         raise IndependenceUndecidedError(
             f"found {len(basis_idx)} independent units in the box of sup-norm "
-            f"<= {coord_bound}, expected rank {target_rank}",
+            f"<= {coord_bound} with norm exponents <= kmax={KMAX}, expected rank {target_rank}",
             precision_cap,
         )
     basis = [free_pool[i] for i in basis_idx]
@@ -952,8 +953,8 @@ def assemble_unit_system(
             break
         else:
             raise IndependenceUndecidedError(
-                f"unit in the box of sup-norm <= {coord_bound} does not reduce "
-                "against the basis",
+                f"unit in the box of sup-norm <= {coord_bound} with norm exponents "
+                f"<= kmax={KMAX} does not reduce against the basis",
                 precision_cap,
             )
 

@@ -14,7 +14,6 @@ import json
 import operator
 from fractions import Fraction
 
-from ampletori import linalg
 from ampletori.places import GaloisTag, perm_compose
 from ampletori.polynomials import (
     FpPoly,
@@ -98,8 +97,19 @@ def oracle_isolate_real_roots(f: QPoly) -> list[tuple[Fraction, Fraction]]:
 
 
 def vector(entries) -> tuple[Fraction, ...]:
-    """A vector of Fractions, as linalg takes it."""
+    """A vector of Fractions, as the oracles take it."""
     return tuple(Fraction(x) for x in entries)
+
+
+def fraction_matrix(rows) -> tuple[tuple[Fraction, ...], ...]:
+    """A matrix of Fractions, as the oracles take it."""
+    return tuple(vector(row) for row in rows)
+
+
+def as_fractions(m) -> tuple[tuple[Fraction, ...], ...]:
+    """The Fraction rows of linalg's integer form (rows, den)."""
+    rows, den = m
+    return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
 
 
 def oracle_mat_trace(a) -> Fraction:
@@ -274,7 +284,7 @@ def oracle_is_unipotent(m) -> bool:
     return not any(x for row in acc for x in row)
 
 
-def _mat_mul(a, b):
+def oracle_mat_mul(a, b):
     """a·b by plain Fraction sums."""
     return [[sum((Fraction(x) * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
             for row in a]
@@ -285,7 +295,7 @@ def oracle_s_integral_both_ways(m, s_primes) -> bool:
 
     This is the inverse-based S-integrality verdict that group_sanity made
     before it read the verdict off the determinant."""
-    if not _det([[Fraction(x) for x in row] for row in m]):
+    if not oracle_det([[Fraction(x) for x in row] for row in m]):
         return False
     return oracle_matrix_is_s_integral(m, s_primes) and oracle_matrix_is_s_integral(
         oracle_mat_inv(m), s_primes
@@ -301,14 +311,133 @@ def oracle_semidirect(torus, unis):
 
     span = [minus_identity(u) for u in unis]
     rank = len(oracle_rref(span))
-    for ti, t in enumerate(torus):
+    for ti, t in enumerate(torus if unis else []):
+        if not oracle_det([[Fraction(x) for x in row] for row in t]):
+            return False, (ti, 0)  # a singular t has no conjugation
         tinv = oracle_mat_inv(t)
         for ui, u in enumerate(unis):
-            conj = _mat_mul(_mat_mul(t, u), tinv)
+            conj = oracle_mat_mul(oracle_mat_mul(t, u), tinv)
             grown = len(oracle_rref(span + [minus_identity(conj)])) > rank
             if not oracle_is_unipotent(conj) or grown:
                 return False, (ti, ui)
     return True, None
+
+
+def _is_s_number(x: int, s_primes) -> bool:
+    """x ≠ 0 is ± a product of the S-primes."""
+    for p in s_primes:
+        while x % p == 0:
+            x //= p
+    return abs(x) == 1
+
+
+def _oracle_power_order(m, cap: int = 24):
+    """The least k ≤ cap with m^k = I, by plain Fraction powering, or None."""
+    n = len(m)
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    acc = [list(row) for row in m]
+    for k in range(1, cap + 1):
+        if acc == ident:
+            return k
+        acc = oracle_mat_mul(acc, m)
+    return None
+
+
+def _oracle_algebra_span(gens, n: int) -> list[tuple[Fraction, ...]]:
+    """RREF basis of the flattened span of every product of gens, I included:
+    grown by products with each generator until its rank stops growing."""
+    def flat(m):
+        return tuple(Fraction(x) for row in m for x in row)
+
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    basis = oracle_rref([flat(ident)])
+    while True:
+        mats = [[list(v[i * n:(i + 1) * n]) for i in range(n)] for v in basis]
+        grown = oracle_rref(basis + [flat(oracle_mat_mul(m, g)) for m in mats for g in gens])
+        if len(grown) == len(basis):
+            return basis
+        basis = grown
+
+
+def _oracle_normalizes(e, w):
+    """The first basis index j (1-based) at which w·π(b_j)·w⁻¹ is not π(c) for
+    an order element c = w·π(b_j)·w⁻¹·1, or None; π read off e.regular_rep."""
+    from ampletori.etale import element
+
+    n = e.n
+    winv = oracle_mat_inv(w)
+    one = tuple(Fraction(x, e.one()[1]) for x in e.one()[0])
+    for j in range(n):
+        bj = as_fractions(e.regular_rep((tuple(int(i == j) for i in range(n)), 1)))
+        conj = oracle_mat_mul(oracle_mat_mul(w, bj), winv)
+        c = oracle_mat_vec(conj, one)
+        if any(x.denominator != 1 for x in c):
+            return j + 1
+        if [list(row) for row in as_fractions(e.regular_rep(element(c)))] != conj:
+            return j + 1
+    return None
+
+
+def oracle_group_sanity(gens, algebra=None) -> dict:
+    """group_sanity's whole report from the generators as Fraction matrices:
+    determinants by Laplace expansion, inverses by Gauss–Jordan, products,
+    powers and spans by plain Fraction arithmetic and oracle_rref."""
+    s, n = gens.ring_primes, gens.n
+    named = [(name, as_fractions(m)) for name, m in gens.all_generators()]
+    dets = [oracle_det(m) for _, m in named]
+    report = {}
+    if gens.ambient == "SL":
+        bad = [(name, d) for (name, _), d in zip(named, dets) if d != 1]
+    else:
+        bad = [
+            (name, d) for (name, _), d in zip(named, dets)
+            if not (d and _is_s_number(d.numerator, s) and _is_s_number(d.denominator, s))
+        ]
+    report["determinants"] = {"pass": not bad, "detail": [f"{name}: det={d}" for name, d in bad]}
+    integral = [name for name, m in named if not oracle_s_integral_both_ways(m, s)]
+    report["s_integrality"] = {"pass": not integral, "detail": integral}
+
+    a = len(gens.torus_gens) + len(gens.torsion_gens)
+    b = a + len(gens.normalizer_gens)
+    mats = [m for _, m in named]
+    torus_like, normalizers, unis = mats[:a], mats[a:b], mats[b:]
+    pairs = [
+        (i, j) for (i, x), (j, y) in itertools.combinations(enumerate(torus_like), 2)
+        if oracle_mat_mul(x, y) != oracle_mat_mul(y, x)
+    ]
+    report["torus_commutes"] = {"pass": not pairs, "detail": pairs}
+
+    orders = []
+    for i, m in enumerate(torus_like[len(gens.torus_gens):]):
+        claimed = gens.provenance.get(f"torsion:{i}", {}).get("order")
+        order = _oracle_power_order(m)
+        if order is None or (claimed is not None and order != claimed):
+            orders.append(f"torsion:{i}: order={order}, claimed={claimed}")
+    report["torsion_orders"] = {"pass": not orders, "detail": orders}
+
+    moved = []
+    if normalizers:
+        span = _oracle_algebra_span(torus_like, n)
+        for i, w in enumerate(normalizers):
+            if not dets[a + i]:
+                moved.append(f"normalizer:{i} is singular")
+                continue
+            winv = oracle_mat_inv(w)
+            conjugates = [oracle_mat_mul(oracle_mat_mul(w, g), winv) for g in torus_like]
+            flat = [tuple(x for row in c for x in row) for c in conjugates]
+            if len(oracle_rref(span + flat)) > len(span):
+                moved.append(f"normalizer:{i} moves the torus algebra")
+            if algebra is not None:
+                block = [row[:algebra.n] for row in w[:algebra.n]]
+                witness = _oracle_normalizes(algebra, block)
+                if witness is not None:
+                    moved.append(f"normalizer:{i} fails at basis index {witness}")
+    report["normalizer"] = {"pass": not moved, "detail": moved}
+
+    ok, witness = oracle_semidirect(torus_like, unis)
+    report["semidirect"] = {"pass": ok, "detail": witness}
+    report["all_pass"] = {"pass": all(v["pass"] for v in report.values())}
+    return report
 
 
 def _oracle_jsonable(x):
@@ -368,12 +497,14 @@ def oracle_norm_five_box(bound: int):
     return out
 
 
-def _det(m) -> Fraction:
+def oracle_det(m) -> Fraction:
     """Laplace expansion along the first row."""
+    if not m:
+        return Fraction(1)
     if len(m) == 1:
         return m[0][0]
     return sum(
-        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+        (-1) ** j * m[0][j] * oracle_det([row[:j] + row[j + 1:] for row in m[1:]])
         for j in range(len(m))
         if m[0][j]
     )
@@ -444,15 +575,16 @@ def oracle_automorphisms(e, coord_bound: int):
         powers = [one]
         for _ in range(n - 1):
             powers.append(mul(powers[-1], v))
+        basis = as_fractions(e.order_basis)
         images = tuple(
             tuple(
-                sum(e.order_basis[j][p] * Fraction(powers[p][i], den**p) for p in range(n))
+                sum(basis[j][p] * Fraction(powers[p][i], den**p) for p in range(n))
                 for i in range(n)
             )
             for j in range(n)
         )
         integral = all(v.denominator == 1 for img in images for v in img)
-        if integral and abs(_det([list(img) for img in images])) == 1:
+        if integral and abs(oracle_det([list(img) for img in images])) == 1:
             found.append(images)
     return sorted(found)
 
@@ -466,7 +598,7 @@ def oracle_norm(e):
 
     def norm(x):
         m = [[sum(xi * t[c][r] for xi, t in zip(x, tmats)) for c in range(n)] for r in range(n)]
-        return _det(m)
+        return oracle_det(m)
 
     return norm
 
@@ -522,13 +654,13 @@ def oracle_torsion_order(e, u, max_order: int = 12):
 
     u^m = 1 exactly when pi(u)^m is the identity; no trace bound, no early stop.
     """
-    m = e.regular_rep(u)
-    ident = linalg.identity(e.n)
+    m = [list(row) for row in as_fractions(e.regular_rep(u))]
+    ident = [[int(i == j) for j in range(e.n)] for i in range(e.n)]
     acc = m
     for k in range(1, max_order + 1):
         if acc == ident:
             return k
-        acc = linalg.mat_mul(acc, m)
+        acc = oracle_mat_mul(acc, m)
     return None
 
 

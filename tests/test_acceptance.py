@@ -51,7 +51,7 @@ from ampletori.units import (
     verify_unit_system,
 )
 
-from oracles import oracle_count_real_roots
+from oracles import as_fractions, oracle_count_real_roots, oracle_mat_mul
 
 CUBIC = QPoly([-1, 1, 0, 1])
 GAUSS = QPoly([1, 0, 1])
@@ -190,9 +190,10 @@ def test_criterion_5_property_suite():
             b = [Fraction(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(e.n)]
             a_plus_b = element(list(map(add, a, b)))
             a, b = element(a), element(b)
-            ma, mb = e.regular_rep(a), e.regular_rep(b)
-            assert e.regular_rep(e.mul(a, b)) == linalg.mat_mul(ma, mb)
-            assert e.regular_rep(a_plus_b) == tuple(
+            ma, mb = as_fractions(e.regular_rep(a)), as_fractions(e.regular_rep(b))
+            product = as_fractions(e.regular_rep(e.mul(a, b)))
+            assert [list(row) for row in product] == oracle_mat_mul(ma, mb)
+            assert as_fractions(e.regular_rep(a_plus_b)) == tuple(
                 tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(ma, mb)
             )
             norm = Fraction(*e.norm(e.mul(a, b)))

@@ -1,8 +1,10 @@
 """The layers that run on integers alone do not import `fractions`.
 
-The certified logs (intervals), the Galois data (places) and the
-S-ampleness decision (torus) hold every value as an int; an import of
-`fractions` there is the first step of a Fraction slipping back in.
+The certified logs (intervals), the Galois data (places), the
+S-ampleness decision (torus), the generator sets and their sanity checks
+(matgroups) and the conjugator search (conjugacy) hold every value as an
+int; an import of `fractions` there is the first step of a Fraction
+slipping back in.
 """
 
 import ast
@@ -23,7 +25,9 @@ def _imported_modules(tree: ast.AST) -> set[str]:
     return out
 
 
-@pytest.mark.parametrize("name", ["intervals.py", "places.py", "torus.py"])
+@pytest.mark.parametrize(
+    "name", ["intervals.py", "places.py", "torus.py", "matgroups.py", "conjugacy.py"]
+)
 def test_integer_layers_do_not_import_fractions(name):
     tree = ast.parse((PACKAGE / name).read_text())
     assert "fractions" not in _imported_modules(tree)

@@ -7,7 +7,11 @@ from ampletori import linalg
 from ampletori.errors import SingularMatrixError
 
 from oracles import (
+    as_fractions,
+    fraction_matrix,
+    oracle_det,
     oracle_intersect_row_spaces,
+    oracle_mat_mul,
     oracle_mat_trace,
     oracle_mat_vec,
     oracle_rref,
@@ -25,7 +29,7 @@ def test_det_bareiss_matches_fraction_gaussian():
     for _ in range(50):
         n = rng.randint(1, 5)
         a = _rand_int_matrix(rng, n, n)
-        assert linalg.int_det(a) == linalg.mat_det(linalg.matrix(a))
+        assert linalg.int_det(a) == oracle_det(fraction_matrix(a))
 
 
 def test_inverse_and_solve():
@@ -33,13 +37,13 @@ def test_inverse_and_solve():
     for _ in range(30):
         n = rng.randint(1, 4)
         a = _rand_int_matrix(rng, n, n)
-        m = linalg.matrix(a)
-        if linalg.mat_det(m) == 0:
+        m = fraction_matrix(a)
+        if oracle_det(m) == 0:
             with pytest.raises(SingularMatrixError):
-                linalg._int_inv(linalg._int_mat(m))
+                linalg._int_inv(linalg.matrix(a))
             continue
-        inv = linalg._int_inv(linalg._int_mat(m))
-        assert linalg.mat_mul(m, linalg._frac_mat(inv)) == linalg.identity(n)
+        inv = linalg._int_inv(linalg.matrix(a))
+        assert oracle_mat_mul(m, as_fractions(inv)) == [[int(i == j) for j in range(n)] for i in range(n)]
         # the integer inverse applied to b, in the integer form (ints, den)
         b = [rng.randint(-9, 9) for _ in range(n)]
         ints, den = linalg._int_mat_vec(inv, (tuple(b), 1))
@@ -50,11 +54,11 @@ def test_charpoly_trace_and_det():
     rng = random.Random(3)
     for _ in range(30):
         n = rng.randint(1, 5)
-        m = linalg.matrix(_rand_int_matrix(rng, n, n))
-        cp = linalg.charpoly(m)
+        a = _rand_int_matrix(rng, n, n)
+        cp = linalg.charpoly(linalg.matrix(a))
         assert cp[n] == 1
-        assert cp[n - 1] == -oracle_mat_trace(m)
-        assert cp[0] == (-1) ** n * linalg.mat_det(m)
+        assert cp[n - 1] == -oracle_mat_trace(a)
+        assert cp[0] == (-1) ** n * oracle_det(fraction_matrix(a))
 
 
 def test_kernel_basis():
@@ -62,19 +66,17 @@ def test_kernel_basis():
     for _ in range(30):
         rows, cols = rng.randint(1, 4), rng.randint(1, 5)
         a = _rand_int_matrix(rng, rows, cols)
-        m = linalg.matrix(a)
-        kernel = linalg._int_kernel(a, cols)
-        assert len(kernel) == cols - len(oracle_rref(m))
+        kernel = linalg._int_kernel([list(row) for row in a], cols)
+        assert len(kernel) == cols - len(oracle_rref(a))
         for v in kernel:
-            assert all(x == 0 for x in oracle_mat_vec(m, vector(v)))
+            assert all(x == 0 for x in oracle_mat_vec(a, vector(v)))
 
 
 def _square_basis_contains(basis_rows, vectors):
     """Every vector is an integer combination of the square basis rows."""
-    mat = linalg.matrix(basis_rows)
     for v in vectors:
         try:
-            sol = oracle_solve(linalg.transpose(mat), vector(v))
+            sol = oracle_solve(list(zip(*basis_rows)), vector(v))
         except SingularMatrixError:
             return False
         if not all(x.denominator == 1 for x in sol):
@@ -91,8 +93,7 @@ def test_hnf_preserves_lattice_and_is_unimodular():
         h, u = linalg.hnf_rows(a)
         # U unimodular with U*A = H proves L(H) = L(A) as row lattices
         assert abs(linalg.int_det(u)) == 1
-        ua = linalg.mat_mul(linalg.matrix(u), linalg.matrix(a))
-        assert ua == linalg.matrix(h)
+        assert oracle_mat_mul(u, a) == [list(row) for row in h]
         nonzero = [r for r in h if any(r)]
         if len(oracle_rref(a)) == n and len(nonzero) == n:
             # and concretely: every original row solves integrally in it
@@ -106,10 +107,7 @@ def test_snf_transforms_and_divisibility():
         a = _rand_int_matrix(rng, rows, cols)
         d, u, v = linalg.snf_with_transforms(a)
         assert abs(linalg.int_det(u)) == 1 and abs(linalg.int_det(v)) == 1
-        uav = linalg.mat_mul(
-            linalg.mat_mul(linalg.matrix(u), linalg.matrix(a)), linalg.matrix(v)
-        )
-        assert uav == linalg.matrix(d)
+        assert oracle_mat_mul(oracle_mat_mul(u, a), v) == [list(row) for row in d]
         diag = [d[i][i] for i in range(min(rows, cols))]
         for i in range(len(diag)):
             for j in range(i + 1, len(diag)):

@@ -16,7 +16,7 @@ from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
 from ampletori import linalg
 from ampletori.errors import SingularMatrixError
 
-from oracles import oracle_mat_vec, vector
+from oracles import as_fractions, fraction_matrix, oracle_mat_vec, vector
 
 DENOMINATORS = (1, 1, 1, 2, 3, 5, 12)
 SQUARE = [(n, n) for n in range(1, 6)]
@@ -49,7 +49,7 @@ def _random_matrix(rng, rows, cols, kind):
         c = rng.randrange(cols)
         for row in m:
             row[c] = 0
-    return linalg.matrix(m)
+    return fraction_matrix(m)
 
 
 def _cases(shapes, seed):
@@ -78,6 +78,12 @@ def _from_sym(s):
     return tuple(tuple(_q(s[i, j]) for j in range(s.cols)) for i in range(s.rows))
 
 
+def _det(a) -> Fraction:
+    """det a, from the integer determinant of a's integer form."""
+    rows, den = linalg.matrix(a)
+    return Fraction(linalg._det([list(row) for row in rows]), den ** len(rows))
+
+
 def _int_rows(a) -> list[list[int]]:
     """Each row of a rational matrix times the lcm of its denominators."""
     return [linalg._integer_form(row)[0] for row in a]
@@ -100,12 +106,12 @@ def test_rref_and_rank_match_sympy(a):
 def test_det_and_inverse_match_sympy(a):
     s = _sym(a)
     det = _q(s.det())
-    assert linalg.mat_det(a) == det
+    assert _det(a) == det
     if det == 0:
         with pytest.raises(SingularMatrixError):
-            linalg._int_inv(linalg._int_mat(a))
+            linalg._int_inv(linalg.matrix(a))
     else:
-        assert linalg._frac_mat(linalg._int_inv(linalg._int_mat(a))) == _from_sym(s.inv())
+        assert as_fractions(linalg._int_inv(linalg.matrix(a))) == _from_sym(s.inv())
 
 
 def test_int_det_matches_sympy():
@@ -127,7 +133,7 @@ def test_int_det_matches_sympy():
 @pytest.mark.parametrize("a", _cases(SQUARE, 16) + [()])
 def test_charpoly_matches_sympy(a):
     # rational, singular (low-rank, zero row or column), 1×1 to 5×5 and 0×0
-    coeffs = linalg.charpoly(a)
+    coeffs = linalg.charpoly(linalg.matrix(a))
     expected = [_q(c) for c in reversed(_sym(a).charpoly().all_coeffs())]
     assert coeffs == expected
     assert all(isinstance(c, Fraction) for c in coeffs)
@@ -160,7 +166,7 @@ def test_inverse_applied_to_a_vector_solves_like_sympy(a):
     rng = random.Random(repr(a))
     x = vector([_entry(rng) for _ in range(len(a))])
     b = oracle_mat_vec(a, x)
-    ia = linalg._int_mat(a)
+    ia = linalg.matrix(a)
     if _sym(a).rank() < len(a):
         with pytest.raises(SingularMatrixError):
             linalg._int_inv(ia)
@@ -192,7 +198,7 @@ def _s_cases(seed):
             elif kind == "zero-row":
                 a[rng.randrange(n)] = [0] * n
             b = [[entry() for _ in range(n)] for _ in range(n)]
-            out.append((linalg.matrix(a), linalg.matrix(b)))
+            out.append((fraction_matrix(a), fraction_matrix(b)))
     return out
 
 
@@ -201,33 +207,36 @@ def _is_int_form(m) -> bool:
     return den > 0 and math.gcd(den, *[x for row in rows for x in row]) == 1
 
 
-@pytest.mark.parametrize("a, b", _s_cases(21) + [(linalg.identity(3), linalg.matrix([[0] * 3] * 3))])
+IDENTITY_AND_ZERO = (fraction_matrix(linalg.identity(3)[0]), fraction_matrix([[0] * 3] * 3))
+
+
+@pytest.mark.parametrize("a, b", _s_cases(21) + [IDENTITY_AND_ZERO])
 def test_int_form_product_inverse_det_match_sympy(a, b):
-    ia, ib = linalg._int_mat(a), linalg._int_mat(b)
+    ia, ib = linalg.matrix(a), linalg.matrix(b)
     assert _is_int_form(ia) and _is_int_form(ib)
-    assert linalg._frac_mat(ia) == a
+    assert as_fractions(ia) == a
     product = _from_sym(_sym(a) * _sym(b))
     got = linalg._int_mul(ia, ib)
     # the form is canonical: equal matrices give equal forms
-    assert _is_int_form(got) and got == linalg._int_mat(product)
-    assert linalg._frac_mat(got) == product
+    assert _is_int_form(got) and got == linalg.matrix(product)
+    assert as_fractions(got) == product
     det = _q(_sym(a).det())
-    assert linalg.mat_det(a) == det
+    assert _det(a) == det
     if det == 0:
         with pytest.raises(SingularMatrixError):
             linalg._int_inv(ia)
     else:
         inv = linalg._int_inv(ia)
-        assert _is_int_form(inv) and linalg._frac_mat(inv) == _from_sym(_sym(a).inv())
-        assert linalg._int_mul(ia, inv) == linalg._int_mat(linalg.identity(len(a)))
+        assert _is_int_form(inv) and as_fractions(inv) == _from_sym(_sym(a).inv())
+        assert linalg._int_mul(ia, inv) == linalg.identity(len(a))
     assert (ia == ib) == (a == b)
 
 
 def test_int_form_equality_ignores_how_the_matrix_was_scaled():
-    a = linalg.matrix([[Fraction(2, 5), 0], [0, Fraction(4, 25)]])
-    assert linalg._int_mat(a) == (((10, 0), (0, 4)), 25)
+    assert linalg.matrix([[Fraction(2, 5), 0], [0, Fraction(4, 25)]]) == (((10, 0), (0, 4)), 25)
     assert linalg._int_form([[20, 0], [0, 8]], -50) == (((-10, 0), (0, -4)), 25)
-    assert linalg._int_mat(linalg.matrix([[0, 0], [0, 0]])) == (((0, 0), (0, 0)), 1)
+    assert linalg.matrix([[0, 0], [0, 0]]) == (((0, 0), (0, 0)), 1)
+    assert linalg.matrix([["1/2", 1], [Fraction(3, 4), "-2"]]) == (((2, 4), (3, -8)), 4)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,13 @@ from ampletori.matgroups import (
 )
 from ampletori.polynomials import QPoly
 from oracles import (
+    as_fractions,
     oracle_automorphisms,
+    oracle_det,
+    oracle_group_sanity,
     oracle_is_unipotent,
     oracle_mat_inv,
+    oracle_mat_mul,
     oracle_mat_trace,
     oracle_mat_vec,
     oracle_matrix_is_s_integral,
@@ -41,24 +45,24 @@ G54 = linalg.matrix([[Fraction(4, 5), Fraction(-3, 5)], [Fraction(3, 5), Fractio
 
 def test_automorphism_matrix_conjugation():
     conj = linalg.matrix([[1, 0], [0, -1]])  # i ↦ −i: column j holds σ(b_j)
-    assert _check_automorphism(GAUSS, linalg._int_mat(conj)) == (True, None)
+    assert _check_automorphism(GAUSS, conj) == (True, None)
     assert conj in enumerate_automorphisms(GAUSS)
 
 
 def test_automorphism_matrix_identity():
-    assert _check_automorphism(GAUSS, linalg._int_mat(linalg.identity(2))) == (True, None)
+    assert _check_automorphism(GAUSS, linalg.identity(2)) == (True, None)
     assert linalg.identity(2) in enumerate_automorphisms(GAUSS)
 
 
 def test_automorphism_rejects_non_hom():
     # 1 ↦ 1, i ↦ 1 + i: invertible over Z, but σ(i·i) = −1 and σ(i)² = 2i
     bad = linalg.matrix([[1, 1], [0, 1]])
-    ok, reason = _check_automorphism(GAUSS, linalg._int_mat(bad))
+    ok, reason = _check_automorphism(GAUSS, bad)
     assert not ok and reason == "sigma(b_1 b_1) != sigma(b_1) sigma(b_1)"
     half = linalg.matrix([[1, 0], [0, Fraction(1, 2)]])
-    assert _check_automorphism(GAUSS, linalg._int_mat(half)) == (False, "images are not integral")
+    assert _check_automorphism(GAUSS, half) == (False, "images are not integral")
     double = linalg.matrix([[1, 0], [0, 2]])
-    assert _check_automorphism(GAUSS, linalg._int_mat(double)) == (False, "determinant 2 is not ±1")
+    assert _check_automorphism(GAUSS, double) == (False, "determinant 2 is not ±1")
 
 
 def test_enumerate_automorphisms():
@@ -84,7 +88,7 @@ def test_enumerate_automorphisms():
 )
 def test_automorphisms_match_the_box_oracle(coeffs, basis):
     e = EtaleAlgebra([QPoly(coeffs)], basis)
-    found = [linalg.transpose(m) for m in enumerate_automorphisms(e)]
+    found = [as_fractions(linalg.transpose(m)) for m in enumerate_automorphisms(e)]
     assert found == oracle_automorphisms(e, 10)
 
 
@@ -126,12 +130,13 @@ def test_automorphism_cache_is_bounded_and_history_free(monkeypatch):
 def test_automorphism_functoriality_v4():
     # pi is functorial: matrix of a composition is the product of matrices
     mats = enumerate_automorphisms(QUARTIC)
-    images = {linalg.transpose(m): m for m in mats}
+    images = {as_fractions(linalg.transpose(m)): m for m in mats}
     for m1 in mats:
         for m2 in mats:
-            composed = tuple(oracle_mat_vec(m1, img) for img in linalg.transpose(m2))
+            columns = as_fractions(linalg.transpose(m2))
+            composed = tuple(oracle_mat_vec(as_fractions(m1), img) for img in columns)
             assert composed in images
-            assert images[composed] == linalg.mat_mul(m1, m2)
+            assert images[composed] == linalg._int_mul(m1, m2)
 
 
 def test_verify_normalization_examples():
@@ -145,18 +150,18 @@ def test_verify_normalization_examples():
 
 def test_elementary_matrix():
     e14 = elementary_matrix(4, 1, 4)
-    assert e14[0][3] == 1 and linalg.mat_det(e14) == 1
+    assert e14 == linalg.matrix([[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     with pytest.raises(ValueError):
         elementary_matrix(3, 2, 2)
-    a = elementary_matrix(2, 1, 2)
-    b = elementary_matrix(2, 2, 1)
-    assert oracle_mat_trace(linalg.mat_mul(a, b)) == 3
+    a = as_fractions(elementary_matrix(2, 1, 2))
+    b = as_fractions(elementary_matrix(2, 2, 1))
+    assert oracle_mat_trace(oracle_mat_mul(a, b)) == 3
     e24 = elementary_matrix(4, 2, 4)
-    assert linalg.mat_mul(e14, e24) == linalg.mat_mul(e24, e14)  # commuting root groups
+    assert linalg._int_mul(e14, e24) == linalg._int_mul(e24, e14)  # commuting root groups
 
 
 def test_verify_semidirect_examples():
-    ghat = block_diag(G51, 1)
+    ghat = block_diag(G51, (1, 1))
     minus = linalg.matrix([[-int(i == j) for j in range(4)] for i in range(4)])
     unis = [elementary_matrix(4, i, 4) for i in (1, 2, 3)]
     ok, witness = verify_semidirect([ghat, minus], unis)
@@ -170,16 +175,16 @@ def test_verify_semidirect_examples():
 
 def test_conjugated_elementary_column_formula():
     # conjugating E_{i,4} by diag(g,1) gives I + (g e_i) e_4^T, exactly
-    ghat = block_diag(G51, 1)
+    ghat = as_fractions(block_diag(G51, (1, 1)))
     ghat_inv = oracle_mat_inv(ghat)
     for i in range(3):
-        conj = linalg.mat_mul(
-            linalg.mat_mul(ghat, elementary_matrix(4, i + 1, 4)), ghat_inv
+        conj = oracle_mat_mul(
+            oracle_mat_mul(ghat, as_fractions(elementary_matrix(4, i + 1, 4))), ghat_inv
         )
-        expected = [list(row) for row in linalg.identity(4)]
+        expected = [[int(r == c) for c in range(4)] for r in range(4)]
         for r in range(3):
-            expected[r][3] = G51[r][i]
-        assert conj == tuple(tuple(row) for row in expected)
+            expected[r][3] = G51[0][r][i]
+        assert conj == expected
         assert oracle_is_unipotent(conj)
 
 
@@ -321,11 +326,11 @@ def test_s_integrality_read_off_the_determinant_matches_the_inverse():
     kinds = collections.Counter()
     for m in _seeded_matrices(rng, 64):
         for s in ((), (2,), (5,), (2, 3)):
-            got = group_sanity(generator_set(len(m), s, "GL", torus_gens=[m]))["s_integrality"]
-            expected = oracle_s_integral_both_ways(m, s)
+            got = group_sanity(generator_set(len(m[0]), s, "GL", torus_gens=[m]))["s_integrality"]
+            expected = oracle_s_integral_both_ways(as_fractions(m), s)
             assert got["pass"] == expected, (m, s)
-            det = linalg.mat_det(m)
-            entries_ok = oracle_matrix_is_s_integral(m, s)
+            det = oracle_det(as_fractions(m))
+            entries_ok = oracle_matrix_is_s_integral(as_fractions(m), s)
             kinds["singular" if not det else "verdict " + str(expected)] += 1
             if det and entries_ok and not units.is_s_number(det.numerator * det.denominator, s):
                 kinds["det not an S-unit"] += 1
@@ -349,9 +354,13 @@ def _seeded_tori(rng, n, count):
                 step[i][i] = Fraction(rng.choice([-1, 2, 3]))
             else:
                 step[i], step[j] = step[j], step[i]
-            m = linalg.mat_mul(m, linalg.matrix(step))
+            m = linalg._int_mul(m, linalg.matrix(step))
         out.append(m)
     return out
+
+
+def _oracle_semidirect(torus, unis):
+    return oracle_semidirect([as_fractions(t) for t in torus], [as_fractions(u) for u in unis])
 
 
 def test_semidirect_matches_the_per_pair_oracle():
@@ -368,15 +377,15 @@ def test_semidirect_matches_the_per_pair_oracle():
     for unis in radicals:
         for torus in ([], *([t] for t in _seeded_tori(rng, n, 4)), _seeded_tori(rng, n, 3)):
             got = verify_semidirect(torus, unis)
-            assert got == oracle_semidirect(torus, unis), (torus, unis)
+            assert got == _oracle_semidirect(torus, unis), (torus, unis)
             verdicts[got[0]] += 1
     # span{E₁₂, E₂₁} holds E₁₂ + E₂₁, which is not nilpotent: membership
     # alone proves no unipotency. A diagonal t keeps the span; t = I + E₁₂
     # keeps I + E₁₂ and moves I + E₂₁ to I + E₁₁ − E₂₂ − E₁₂ + E₂₁, outside it
     diag = [linalg.matrix([[2, 0, 0], [0, 3, 0], [0, 0, 1]])]
     shear = [linalg.matrix([[1, 1, 0], [0, 1, 0], [0, 0, 1]])]
-    assert verify_semidirect(diag, radicals[1]) == (True, None) == oracle_semidirect(diag, radicals[1])
-    assert verify_semidirect(shear, radicals[1]) == (False, (0, 1)) == oracle_semidirect(
+    assert verify_semidirect(diag, radicals[1]) == (True, None) == _oracle_semidirect(diag, radicals[1])
+    assert verify_semidirect(shear, radicals[1]) == (False, (0, 1)) == _oracle_semidirect(
         shear, radicals[1]
     )
     assert verify_semidirect(diag, radicals[2]) == (False, (0, 1))
@@ -393,11 +402,96 @@ def test_group_sanity_work_counts_on_example_53(monkeypatch):
         real = getattr(linalg, name)
         return lambda m: calls.append((name, m)) or real(m)
 
-    for name in ("_int_charpoly", "_int_inv"):
+    for name in ("_berkowitz", "_int_inv"):
         monkeypatch.setattr(linalg, name, counted(name))
     assert group_sanity(gens)["all_pass"]["pass"]
-    charpolys = [m for name, m in calls if name == "_int_charpoly"]
-    assert sorted(charpolys) == sorted(linalg._int_mat(u) for u in gens.unipotent_gens)
+    charpolys = [m for name, m in calls if name == "_berkowitz"]  # on the integer rows
+    assert sorted(charpolys) == sorted(rows for rows, _ in gens.unipotent_gens)
     inverses = [m for name, m in calls if name == "_int_inv"]
-    invertible = {linalg._int_mat(m) for m in gens.torus_gens + gens.torsion_gens + gens.normalizer_gens}
+    invertible = set(gens.torus_gens + gens.torsion_gens + gens.normalizer_gens)
     assert len(set(inverses)) == len(inverses) and set(inverses) <= invertible
+
+
+SANITY_REQUESTS = [
+    ({"factors": [["1", "0", "1"]]}, "GL", "inf,5", None),  # torsion i, conjugation
+    ({"factors": [["-2", "0", "1"]]}, "SL", "inf", None),  # a det −1 automorphism fixed by 1 + √2
+    ({"factors": [["1", "0", "1"]]}, "SL", "inf,5", None),
+    ({"factors": [["1", "-3", "0", "1"]]}, "SL", "inf", None),  # C3: automorphisms of order 3
+    ({"factors": [["-1", "1", "0", "1"]]}, "SL", "inf", {"n": 4}),  # ex 5.3: a unipotent radical
+]
+
+
+def _emitted_sets():
+    """(generators, algebra) as run_pipeline checks them, for each request."""
+    out = []
+    for algebra, ambient, places, block in SANITY_REQUESTS:
+        request = {"algebra": algebra, "ambient": ambient, "places": places}
+        if block:
+            request["unipotent_block"] = block
+        req = pipeline.PipelineRequest.from_json(request)
+        gens = pipeline.run_pipeline(req).generators
+        out.append((gens, None if block else req.algebra))
+    return out
+
+
+def _random_matrix(rng, n, singular=False):
+    rows = [
+        [Fraction(rng.randint(-3, 3), rng.choice([1, 1, 1, 5])) for _ in range(n)] for _ in range(n)
+    ]
+    if singular:
+        rows[-1] = [2 * x - y for x, y in zip(rows[0], rows[1])]
+    return linalg.matrix(rows)
+
+
+def _mutated(rng, gens):
+    """gens with one random change: kept, a generator added, replaced by a
+    singular one, a claimed torsion order changed, all conjugated by a
+    diagonal matrix, or a unipotent added outside the last-column pattern."""
+    n = gens.n
+    gens = gens._replace(
+        torus_gens=list(gens.torus_gens),
+        torsion_gens=list(gens.torsion_gens),
+        normalizer_gens=list(gens.normalizer_gens),
+        unipotent_gens=list(gens.unipotent_gens),
+        provenance={k: dict(v) for k, v in gens.provenance.items()},
+    )
+    kinds = ["keep", "torus", "torsion", "order", "rescaled", "normalizer", "singular", "unipotent"]
+    kind = rng.choice(kinds)
+    if kind in ("torus", "torsion", "normalizer"):
+        getattr(gens, f"{kind}_gens").append(_random_matrix(rng, n))
+    elif kind == "order":
+        gens.provenance["torsion:0"] = {"order": rng.choice([1, 2, 3, 6])}
+    elif kind == "rescaled":  # every generator conjugated by diag(1, …, 1, 5): dens appear
+        d, dinv = (
+            linalg.matrix([[(x if i == j == n - 1 else 1) * (i == j) for j in range(n)] for i in range(n)])
+            for x in (5, Fraction(1, 5))
+        )
+        for gs in (gens.torus_gens, gens.torsion_gens, gens.normalizer_gens, gens.unipotent_gens):
+            gs[:] = [linalg._int_mul(linalg._int_mul(d, m), dinv) for m in gs]
+    elif kind == "singular":
+        lists = [m for m in (gens.torus_gens, gens.torsion_gens, gens.normalizer_gens) if m]
+        target = rng.choice(lists)
+        target[rng.randrange(len(target))] = _random_matrix(rng, n, singular=True)
+    elif kind == "unipotent":
+        j = rng.randrange(1, n)  # E_ij with j < n: outside the last column
+        i = rng.choice([k for k in range(1, n + 1) if k != j])
+        gens.unipotent_gens.append(elementary_matrix(n, i, j))
+    return gens, kind
+
+
+def test_group_sanity_matches_the_fraction_oracle():
+    rng = random.Random(20261019)
+    emitted = _emitted_sets()
+    failures, kinds = collections.Counter(), collections.Counter()
+    for _ in range(70):
+        base, algebra = rng.choice(emitted)
+        gens, kind = _mutated(rng, base)
+        got = group_sanity(gens, algebra)
+        assert got == oracle_group_sanity(gens, algebra), (kind, gens)
+        kinds[kind] += 1
+        failures.update(k for k, v in got.items() if not v["pass"])
+    assert all(group_sanity(gens, algebra)["all_pass"]["pass"] for gens, algebra in emitted)
+    checks = ["determinants", "s_integrality", "torus_commutes", "torsion_orders",
+              "normalizer", "semidirect"]
+    assert all(failures[k] >= 3 for k in checks), failures
+    assert kinds["singular"] >= 3 and kinds["keep"] >= 3, kinds

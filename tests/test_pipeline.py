@@ -273,8 +273,8 @@ def test_without_a_conjugator_the_caveat_names_its_stage_and_bound(monkeypatch):
 
 def test_ex52_conjugator_is_pinned():
     golden = json.loads((corpus_dir() / "ex52.json").read_text())
-    units = [serialize.matrix_from_json(m) for m in golden["imported"]["torus"]]
-    autos = [serialize.matrix_from_json(m) for m in golden["imported"]["normalizer"]]
+    units = [linalg.matrix(serialize.matrix_from_json(m)) for m in golden["imported"]["torus"]]
+    autos = [linalg.matrix(serialize.matrix_from_json(m)) for m in golden["imported"]["normalizer"]]
     e = PipelineRequest.from_json(golden["request"]).algebra
     found = find_simultaneous_conjugator(e, units, autos)
     assert found.transposed

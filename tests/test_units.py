@@ -35,6 +35,7 @@ from ampletori.units import (
 )
 
 from oracles import (
+    as_fractions,
     oracle_matrix_is_s_integral,
     oracle_norm,
     oracle_norm_five_box,
@@ -236,8 +237,8 @@ def test_unit_inverse_is_s_integral():
         for u in sys.free_generators:
             inv = e.inverse(u)
             assert e.mul(u, inv) == e.one()
-            assert oracle_matrix_is_s_integral(e.regular_rep(u), sys.s_primes)
-            assert oracle_matrix_is_s_integral(e.regular_rep(inv), sys.s_primes)
+            assert oracle_matrix_is_s_integral(as_fractions(e.regular_rep(u)), sys.s_primes)
+            assert oracle_matrix_is_s_integral(as_fractions(e.regular_rep(inv)), sys.s_primes)
 
 
 def test_prime_places_valuations():
@@ -714,13 +715,15 @@ def test_an_undecided_unit_system_names_its_box(monkeypatch):
     # the fundamental unit 8 + 3√7 of Z[√7] lies outside the box of sup-norm 3
     with pytest.raises(
         IndependenceUndecidedError,
-        match=r"^found 0 independent units in the box of sup-norm <= 3, expected rank 1$",
+        match=r"^found 0 independent units in the box of sup-norm <= 3 with norm exponents "
+        r"<= kmax=2, expected rank 1$",
     ):
         assemble_unit_system(EtaleAlgebra([QPoly([-7, 0, 1])]), (), 3)
     monkeypatch.setattr(units, "_express_from_rows", lambda *args: None)
     with pytest.raises(
         IndependenceUndecidedError,
-        match=r"^unit in the box of sup-norm <= 2 does not reduce against the basis$",
+        match=r"^unit in the box of sup-norm <= 2 with norm exponents <= kmax=2 does not "
+        r"reduce against the basis$",
     ):
         assemble_unit_system(SQRT2, (), 2)
 
@@ -730,7 +733,8 @@ def test_a_box_without_units_names_its_bound():
     # of infinite order; the torsion is found without the box
     with pytest.raises(
         IndependenceUndecidedError,
-        match=r"^found 0 independent units in the box of sup-norm <= 3, expected rank 1$",
+        match=r"^found 0 independent units in the box of sup-norm <= 3 with norm exponents "
+        r"<= kmax=2, expected rank 1$",
     ):
         assemble_unit_system(SHIFTED_SQRT2, (), 3)
     assert torsion_units(SHIFTED_SQRT2) == (element([-1, 5]), 2)
