@@ -1,14 +1,14 @@
-"""Exact polynomial arithmetic: gcd, discriminants, root disks, p-adic lifts, factoring.
+"""Exact polynomial arithmetic: discriminants, root disks, p-adic lifts, factoring.
 
-Everything runs over exact rationals, integers or F_p; no floating point
+Everything runs over exact integers or F_p; no floating point
 enters a computation, so every printed number rests on a certificate (the
 decimals below only display exact values).
 """
 
 from fractions import Fraction
 
-from ampletori import QPoly, discriminant, factor_mod_p, poly_gcd, signature
-from ampletori.polynomials import padic_roots, rational_roots
+from ampletori import QPoly, discriminant, factor_mod_p, signature
+from ampletori.polynomials import padic_roots
 from ampletori.realsplit import root_disks
 
 cubic = QPoly([-1, 1, 0, 1])  # x^3 + x - 1
@@ -38,10 +38,6 @@ for disk in root_disks(quartic, 20):
 print("\nroots in Z_7 lifted by Newton's iteration (Hensel):")
 print("  x^2 - 2 mod 7^8:", padic_roots(QPoly([-2, 0, 1]), 7, 7**8))
 
-print("\nrational roots from p-adic lifts, read in (-q/2, q/2]:")
-f = QPoly([-3, 2]) * QPoly([1, 3]) * QPoly([2, 0, 1])  # (2x - 3)(3x + 1)(x^2 + 2)
-print("  (2x - 3)(3x + 1)(x^2 + 2):", [str(r) for r in rational_roots(f)])
-print("  cubic:", rational_roots(cubic), "(none, so it is irreducible)")
 
 print("\nfactorization over F_p (distinct-degree + equal-degree splitting)")
 for p in (2, 3, 5, 13):
@@ -53,7 +49,3 @@ for p in (2, 3, 5, 13):
     )
     split = "split" if len(factors) == 2 else "inert"
     print(f"  x^2+1 mod {p:2d} = {pretty}   [{split}]")
-
-print("\ngcds are monic and exact:")
-print("  gcd(x^2-1, x-1) =", poly_gcd(QPoly([-1, 0, 1]), QPoly([-1, 1])))
-print("  gcd(cubic, cubic') =", poly_gcd(cubic, cubic.derivative()), "(squarefree)")

@@ -42,8 +42,3 @@ ok, witness = bad.is_order()
 print("  basis (1, i/2):", ok, "->", witness["reason"], "value", witness["value"])
 z2i = EtaleAlgebra([QPoly([1, 0, 1])], [[1, 0], [0, 2]])
 print("  basis (1, 2i):", z2i.is_order(), "(Z[2i] is a genuine non-maximal order)")
-
-product = EtaleAlgebra([QPoly([1, 0, 1]), QPoly([-2, 0, 1])])  # Q(i) x Q(sqrt 2)
-a = product.from_power(element([1, 1, 3, 1]))
-print("\nproduct algebra Q(i) x Q(sqrt2), element (1+i, 3+sqrt2):")
-print("  norm factors as", product.factor_norm(a, 0), "*", product.factor_norm(a, 1), "=", Fraction(*product.norm(a)))

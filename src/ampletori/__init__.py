@@ -43,7 +43,6 @@ from .polynomials import (
     discriminant,
     factor_mod_p,
     is_square_integer,
-    poly_gcd,
 )
 from .torus import (
     AmpleCertificate,

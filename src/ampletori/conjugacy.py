@@ -42,15 +42,17 @@ class ConjugacyResult(NamedTuple):
     transposed: bool
 
 
-def order_elements_with_charpoly(e: EtaleAlgebra, cp: QPoly) -> list[Coords]:
-    """Every order element whose regular matrix has characteristic polynomial cp.
+def order_elements_with_charpoly(e: EtaleAlgebra, m: IntMat) -> list[Coords]:
+    """Every order element whose regular matrix has the characteristic
+    polynomial of the matrix m.
 
     Smallest first, by 1-norm and then coordinates. An order element has an
-    integral charpoly, so a non-integral one has none.
+    integral charpoly, so an m whose charpoly is not integral matches none.
     """
-    if not cp.is_integral():
+    cp = linalg.integral_charpoly(m)
+    if cp is None:
         return []
-    found = [b for b in e.elements_with_charpoly(cp) if b[1] == 1]
+    found = [b for b in e.elements_with_charpoly(QPoly(cp)) if b[1] == 1]
     return sorted_elements(found, _by_size)
 
 
@@ -109,11 +111,12 @@ def find_simultaneous_conjugator(
     if not unit_targets:
         return None
     # charpoly is transposition-invariant, so the candidate pool is shared;
-    # every candidate is primitive exactly when the charpoly is squarefree
-    chi = QPoly(linalg.charpoly(unit_targets[0]))
-    if not discriminant(chi):
+    # every candidate is primitive exactly when the charpoly is squarefree,
+    # and there is none unless it is integral
+    chi = linalg.integral_charpoly(unit_targets[0])
+    if chi is None or not discriminant(QPoly(chi)):
         return None
-    candidates = order_elements_with_charpoly(e, chi)
+    candidates = order_elements_with_charpoly(e, unit_targets[0])
     for transposed in (False, True):
         tgt_units = [
             linalg.transpose(t) if transposed else t for t in unit_targets

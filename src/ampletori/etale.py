@@ -34,9 +34,8 @@ from .polynomials import (
     discriminant,
     is_irreducible_q,
     padic_roots,
-    resultant,
     split_prime,
-    squarefree_part,
+    squarefree_root,
 )
 
 Coords = IntVec  # (ints, den): the coordinates ints/den in lowest terms
@@ -81,7 +80,7 @@ class EtaleAlgebra:
         if not self.factors:
             raise ValueError("an etale algebra needs at least one factor")
         for f in self.factors:
-            if f.degree < 1 or not f.is_monic() or not f.is_integral():
+            if f.degree < 1 or not f.is_monic():
                 raise ValueError(f"factor {f!r} must be monic integral of degree >= 1")
             if not is_irreducible_q(f):
                 raise ValueError(f"factor {f!r} is reducible over Q")
@@ -101,10 +100,8 @@ class EtaleAlgebra:
                 raise ValueError("order basis must be n x n")
         # coordinates are rows, so to_power and from_power apply the transposes
         self._basis_int = linalg.transpose(self.order_basis)
-        # the per-algebra cache key: integer coefficients and the basis's
-        # IntMat, hashed without Fraction.__hash__
-        self._key = (tuple(tuple(c.numerator for c in f.coeffs) for f in self.factors),
-                     self._basis_int)
+        # the per-algebra cache key: the factors' coefficients and the basis's IntMat
+        self._key = (tuple(f.coeffs for f in self.factors), self._basis_int)
         try:
             self._inv_int = linalg._int_inv(self._basis_int)
         except SingularMatrixError:
@@ -137,7 +134,7 @@ class EtaleAlgebra:
         f = self.factors[k]
         power = [0] * self.n
         if f.degree == 1:
-            power[self.offsets[k]] = -int(f.coeffs[0])  # x = root of monic linear
+            power[self.offsets[k]] = -f.coeffs[0]  # x = root of monic linear
         else:
             power[self.offsets[k] + 1] = 1
         return self.from_power((power, 1))
@@ -146,9 +143,8 @@ class EtaleAlgebra:
     def _mul_power(self, p1: Sequence, p2: Sequence) -> tuple:
         """The product of two power-basis coordinate vectors, integer or rational."""
         out = []
-        for f, off in zip(self.factors, self.offsets):
-            f_ints, d = [int(c) for c in f.coeffs], f.degree
-            out.extend(_mul_mod_monic(p1[off : off + d], p2[off : off + d], f_ints))
+        for f, off, d in zip(self.factors, self.offsets, self.degrees):
+            out.extend(_mul_mod_monic(p1[off : off + d], p2[off : off + d], f.coeffs))
         return tuple(out)
 
     def mul(self, a: Coords, b: Coords) -> Coords:
@@ -208,14 +204,19 @@ class EtaleAlgebra:
         return num, den
 
     def charpoly(self, a: Coords) -> QPoly:
-        return QPoly(linalg.charpoly(self._int_rep(a)))
+        """det(t − π(a)) for a integral over Z; ValueError for any other a."""
+        cp = linalg.integral_charpoly(self._int_rep(a))
+        if cp is None:
+            raise ValueError("element is not integral: its characteristic polynomial is not")
+        return QPoly(cp)
 
     def elements_with_charpoly(self, g: QPoly) -> list[Coords]:
         """Every β in the field K = Q[x]/(f) whose characteristic polynomial is g.
 
         g is monic integral of degree n, so β is integral, and D·β = H(x)
         with H ∈ Z[x] of degree < n for D = |disc f| (O_K ⊂ Z[x]/f′(x), and
-        D/f′(x) ∈ Z[x]). g is g₀^m for β's minimal polynomial g₀. At
+        D/f′(x) ∈ Z[x]). g is g₀^m for β's minimal polynomial g₀, which is
+        squarefree (`squarefree_root`); no β has g when g is no such power. At
         p = split_prime(f, ·), with p ∤ disc g₀, f has n simple roots rᵢ in
         Z_p, and β's images yᵢ = H(rᵢ)/D are the roots of g with their
         multiplicities; H is the Lagrange interpolant of D·yᵢ at the rᵢ. Over
@@ -224,24 +225,22 @@ class EtaleAlgebra:
         root bounds of f, g and F = Σ k·|f_k|·B_f^(k−1) ≥ |f′(αᵢ)|. Every
         arrangement of the yᵢ is interpolated modulo p^k > 2M, read in
         (−p^k/2, p^k/2], and kept when it is within M and charpoly(β) = g
-        holds exactly (Acciaro–Klüners, Math. Comp. 68, 1999). Order-basis
-        integer forms, sorted as rationals; single field factor only.
+        holds exactly, compared in integers (Acciaro–Klüners, Math. Comp.
+        68, 1999). Order-basis integer forms, sorted as rationals; single
+        field factor only.
         """
         if self.num_factors != 1:
             raise UnsupportedError("elements_with_charpoly needs a single field factor")
         f, n = self.factors[0], self.n
-        if g.degree != n or not g.is_monic() or not g.is_integral():
+        if g.degree != n or not g.is_monic():
             raise ValueError(f"{g!r} is not monic integral of degree {n}")
-        if discriminant(g):  # g is squarefree, so it is β's minimal polynomial
-            g0, m = g, 1
-        else:
-            g0 = squarefree_part(g)
-            m, rem = divmod(n, g0.degree)
-            if rem or g0**m != g:
-                return []  # a field element's charpoly is a power of its minimal polynomial
+        root = squarefree_root(g)
+        if root is None:
+            return []  # a field element's charpoly is a power of its minimal polynomial
+        g0, m = root
         p = split_prime(f) if g0 == f else split_prime(f, discriminant(g0))
         bf, bg = cauchy_bound(f), cauchy_bound(g)
-        fprime = sum(k * abs(int(c)) * bf ** (k - 1) for k, c in enumerate(f.coeffs) if k)
+        fprime = sum(k * abs(c) * bf ** (k - 1) for k, c in enumerate(f.coeffs) if k)
         bound, q = n * bg * fprime ** (n - 1) * (1 + bf) ** (n - 1), p
         while q <= 2 * bound:
             q *= p
@@ -261,7 +260,7 @@ class EtaleAlgebra:
             if max(map(abs, h)) > bound:
                 continue
             beta = self.from_power((h, d))
-            if self.charpoly(beta) == g:
+            if linalg.integral_charpoly(self._int_rep(beta)) == list(g.coeffs):
                 out.append(beta)
         return sorted_elements(out)
 
@@ -304,19 +303,6 @@ class EtaleAlgebra:
     @property
     def num_factors(self) -> int:
         return len(self.factors)
-
-    def factor_component(self, a: Coords, k: int) -> QPoly:
-        """Component of a in factor k, as a polynomial mod f_k."""
-        ints, den = self.to_power(a)
-        off, d = self.offsets[k], self.degrees[k]
-        return QPoly([Fraction(c, den) for c in ints[off : off + d]])
-
-    def factor_norm(self, a: Coords, k: int) -> Fraction:
-        """Norm of the factor-k component down to Q."""
-        comp = self.factor_component(a, k)
-        if comp.is_zero():
-            return Fraction(0)
-        return resultant(self.factors[k], comp)
 
     def __repr__(self):
         return f"EtaleAlgebra(factors={list(self.factors)!r}, n={self.n})"

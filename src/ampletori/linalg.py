@@ -209,6 +209,19 @@ def charpoly(a: IntMat) -> list[Fraction]:
     return [Fraction(c, d ** (n - k)) for k, c in enumerate(_berkowitz(rows))]
 
 
+def integral_charpoly(a: IntMat) -> list[int] | None:
+    """det(tI − a) as ints when its coefficients are integers, else None:
+    coefficient k of _berkowitz(rows) must be divisible by den^(n−k)."""
+    rows, d = a
+    n, coeffs = len(rows), []
+    for k, c in enumerate(_berkowitz(rows)):
+        q, r = divmod(c, d ** (n - k))
+        if r:
+            return None
+        coeffs.append(q)
+    return coeffs
+
+
 def _berkowitz(m) -> list[int]:
     """det(tI − m) of square integer rows m, ascending coefficients, by
     Berkowitz's division-free algorithm (Inf. Proc. Lett. 18, 1984)."""

@@ -34,7 +34,6 @@ from .matgroups import (
     verify_normalization,
 )
 from .places import galois_group_small, signature
-from .polynomials import QPoly
 from .torus import (
     GL,
     SL,
@@ -435,7 +434,7 @@ def _check_imported(req, report, imported: dict, problems: list, caveats: list) 
             "verified by sanity checks and characteristic polynomials only"
         )
         for t in units:
-            if not conjugacy.order_elements_with_charpoly(e, QPoly(linalg.charpoly(t))):
+            if not conjugacy.order_elements_with_charpoly(e, t):
                 problems.append("an imported matrix has a charpoly matching no order unit")
         return "weaker certificate"
     rows, den = found.discovered_basis

@@ -377,7 +377,7 @@ def galois_group_small(f: QPoly) -> GaloisTag:
     disc = discriminant(f)
     if d == 3:
         return standard_tag("C3" if is_square_integer(disc) else "S3")
-    dd, c, b, a = (int(x) for x in f.coeffs[:4])
+    dd, c, b, a = f.coeffs[:4]
     resolvent = QPoly([-(a * a * dd - 4 * b * dd + c * c), a * c - 4 * dd, -b, 1])
     roots = _integer_roots(resolvent)
     if len(roots) == 0:

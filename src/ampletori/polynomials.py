@@ -1,16 +1,16 @@
-"""Exact univariate polynomial arithmetic over Q, Z and F_p.
+"""Exact univariate polynomial arithmetic over Z and F_p.
 
 Polynomials are dense lists of coefficients in ascending degree (degrees in
 play are at most 8, so sparse storage would buy nothing). A `QPoly` holds
-fractions.Fraction coefficients; over F_p they are ints reduced mod p.
-The zero polynomial is rejected with an explicit error wherever the operation
-is meaningless for it, never handled by convention.
+int coefficients; over F_p they are ints reduced mod p. Every polynomial
+the program handles is monic integral: the defining factors, the quartic's
+cubic resolvent, the cyclotomic Φ_m^k and the characteristic polynomials of
+order elements. The zero polynomial is rejected with an explicit error
+wherever the operation is meaningless for it, never handled by convention.
 
-A monic integral factor's invariants run on its integer coefficients, with
-no Fraction made: the discriminant (a cached Bareiss determinant),
-squarefreeness (disc ≠ 0), the split prime, p-adic roots and irreducibility
-over Q. Fractions remain for rational input: `poly_gcd`, `resultant`,
-`squarefree_part`, a rational discriminant and `rational_roots`.
+A monic factor's invariants run on its integer coefficients: the
+discriminant (a cached Bareiss determinant), squarefreeness (disc ≠ 0), the
+split prime, p-adic roots, squarefree roots and irreducibility over Q.
 """
 
 from __future__ import annotations
@@ -19,16 +19,24 @@ import functools
 import itertools
 import math
 import random
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import linalg
 from .errors import CompositeModulusError, NonMonicError, ZeroPolynomialError
 
-Coeffs = tuple[Fraction, ...]
+Coeffs = tuple[int, ...]
 
 
-def _strip(coeffs: Sequence[Fraction]) -> Coeffs:
+def _integer(c) -> int:
+    """c as an int: an int itself, an integral Fraction its numerator."""
+    if type(c) is int:
+        return c
+    if getattr(c, "denominator", None) == 1:
+        return c.numerator
+    raise ValueError(f"coefficient {c} is not an integer")
+
+
+def _strip(coeffs: Sequence[int]) -> Coeffs:
     n = len(coeffs)
     while n and coeffs[n - 1] == 0:
         n -= 1
@@ -36,14 +44,17 @@ def _strip(coeffs: Sequence[Fraction]) -> Coeffs:
 
 
 class QPoly:
-    """Polynomial with Fraction coefficients, ascending degree."""
+    """Polynomial with int coefficients, ascending degree.
+
+    The constructor reads an integral Fraction as its numerator and raises
+    ValueError for any other value that is not an int.
+    """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable):
-        self.coeffs: Coeffs = _strip([Fraction(c) for c in coeffs])
+        self.coeffs: Coeffs = _strip([_integer(c) for c in coeffs])
 
-    # -- basic structure ---------------------------------------------------
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
@@ -52,16 +63,8 @@ class QPoly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def leading(self) -> Fraction:
-        if self.is_zero():
-            raise ZeroPolynomialError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def is_monic(self) -> bool:
         return not self.is_zero() and self.coeffs[-1] == 1
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
 
     def __eq__(self, other):
         return isinstance(other, QPoly) and self.coeffs == other.coeffs
@@ -84,36 +87,13 @@ class QPoly:
                 terms.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
         return "QPoly(" + " + ".join(terms) + ")"
 
-    # -- arithmetic --------------------------------------------------------
-    def __add__(self, other: "QPoly") -> "QPoly":
+    def __mul__(self, other: "QPoly") -> "QPoly":
         a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return QPoly(out)
-
-    def __neg__(self) -> "QPoly":
-        return QPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "QPoly") -> "QPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "QPoly":
-        if isinstance(other, (int, Fraction)):
-            return QPoly([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return QPoly([])
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
+            for j, cb in enumerate(b):
+                out[i + j] += ca * cb
         return QPoly(out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "QPoly":
         result = QPoly([1])
@@ -125,113 +105,56 @@ class QPoly:
             k >>= 1
         return result
 
-    def divmod(self, other: "QPoly") -> tuple["QPoly", "QPoly"]:
-        if other.is_zero():
-            raise ZeroPolynomialError("division by the zero polynomial")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return QPoly([]), QPoly(rem)
-        quot = [Fraction(0)] * (dq + 1)
-        inv_lead = 1 / other.coeffs[-1]
-        for k in range(dq, -1, -1):
-            c = rem[k + other.degree] * inv_lead
-            quot[k] = c
-            if c:
-                for j, oc in enumerate(other.coeffs):
-                    rem[k + j] -= c * oc
-        return QPoly(quot), QPoly(rem)
-
-    def __mod__(self, other: "QPoly") -> "QPoly":
-        return self.divmod(other)[1]
-
-    def monic(self) -> "QPoly":
-        if self.is_zero():
-            raise ZeroPolynomialError("zero polynomial cannot be made monic")
-        inv = 1 / self.coeffs[-1]
-        return QPoly([c * inv for c in self.coeffs])
-
-    def derivative(self) -> "QPoly":
-        return QPoly([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def __call__(self, x) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
     def reduce_mod(self, p: int) -> list[int]:
-        """Coefficients reduced mod p; requires p-integral coefficients."""
-        out = []
-        for c in self.coeffs:
-            if c.denominator % p == 0:
-                raise ValueError(f"coefficient {c} is not {p}-integral")
-            out.append(c.numerator * pow(c.denominator, -1, p) % p)
-        return fp_strip(out)
-
-
-def poly_gcd(f: QPoly, g: QPoly) -> QPoly:
-    """Monic gcd over Q; gcd(f, 0) = monic(f)."""
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, a % b
-    if a.is_zero():
-        return a
-    return a.monic()
-
-
-def resultant(f: QPoly, g: QPoly) -> Fraction:
-    """Res(f, g) by the Euclidean algorithm with exact multiplier tracking."""
-    if f.is_zero() or g.is_zero():
-        raise ZeroPolynomialError("resultant of the zero polynomial")
-    a, b = f, g
-    res = Fraction(1)
-    sign = 1
-    while b.degree > 0:
-        r = a % b
-        if r.is_zero():
-            return Fraction(0)
-        res *= b.leading() ** (a.degree - r.degree)
-        if (a.degree * b.degree) % 2 == 1:
-            sign = -sign
-        a, b = b, r
-    # b is a nonzero constant
-    res *= b.coeffs[0] ** a.degree
-    return sign * res
+        """Coefficients reduced mod p."""
+        return fp_strip([c % p for c in self.coeffs])
 
 
 @functools.lru_cache(maxsize=256)
-def discriminant(f: QPoly) -> int | Fraction:
+def discriminant(f: QPoly) -> int:
     """disc(f) = (−1)^{n(n−1)/2}·Res(f, f′) for monic f of degree n ≥ 1.
 
-    For integral f, Res(f, f′) is the Bareiss determinant of the (2n−1)²
-    Sylvester matrix of f and f′, all in integers (Cohen, GTM 138, §3.3);
-    rational f keeps the Euclidean resultant, and its rational value.
-    Cached per polynomial (QPoly hashes its coefficients).
+    Res(f, f′) is the Bareiss determinant of the (2n−1)² Sylvester matrix
+    of f and f′, all in integers (Cohen, GTM 138, §3.3). Cached per
+    polynomial (QPoly hashes its coefficients).
     """
     if f.degree < 1:
         raise ZeroPolynomialError("discriminant needs degree >= 1")
     if not f.is_monic():
         raise NonMonicError("discriminant is only defined here for monic input")
     n = f.degree
-    if f.is_integral():
-        top = [int(c) for c in reversed(f.coeffs)]  # descending, as Sylvester rows run
-        der = [(n - k) * c for k, c in enumerate(top[:-1])]
-        rows = [[0] * i + top + [0] * (n - 2 - i) for i in range(n - 1)]
-        res = linalg._det(rows + [[0] * i + der + [0] * (n - 1 - i) for i in range(n)])
-    else:
-        res = resultant(f, f.derivative())
-        res = int(res) if res.denominator == 1 else res
+    top = list(f.coeffs[::-1])  # descending, as Sylvester rows run
+    der = [(n - k) * c for k, c in enumerate(top[:-1])]
+    rows = [[0] * i + top + [0] * (n - 2 - i) for i in range(n - 1)]
+    res = linalg._det(rows + [[0] * i + der + [0] * (n - 1 - i) for i in range(n)])
     return -res if n * (n - 1) // 2 % 2 else res
 
 
-def squarefree_part(f: QPoly) -> QPoly:
-    if f.is_zero():
-        raise ZeroPolynomialError("squarefree part of zero")
-    g = poly_gcd(f, f.derivative())
-    if g.degree <= 0:
-        return f.monic()
-    return f.divmod(g)[0].monic()
+def squarefree_root(g: QPoly) -> tuple[QPoly, int] | None:
+    """(g₀, m) with g = g₀^m and g₀ squarefree, for monic g of degree n ≥ 1;
+    None when g is no power of a squarefree polynomial.
+
+    For m | n, smallest first, g₀ is read off g's top coefficients. Read
+    backwards, g and g₀ are G = 1 + g_(n−1)·y + … and H = 1 + c_1·y + …
+    with H^m = G; the coefficient of y^j in H^m is m·c_j plus a polynomial
+    in c_1..c_(j−1), so each c_j takes one exact division by m (g₀ is
+    integral by Gauss's lemma). Only m = the common multiplicity of g's
+    irreducible factors can give a squarefree g₀.
+    """
+    n, top = g.degree, g.coeffs[::-1]
+    for m in (m for m in range(1, n + 1) if not n % m):
+        h = [1]
+        for j in range(1, n // m + 1):
+            power = (QPoly(h) ** m).coeffs
+            c, rest = divmod(top[j] - (power[j] if j < len(power) else 0), m)
+            if rest:
+                break
+            h.append(c)
+        else:
+            g0 = QPoly(h[::-1])
+            if g0**m == g and discriminant(g0):
+                return g0, m
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +432,7 @@ def split_prime(f: QPoly, avoid: int = 1) -> int:
     splits exactly when x^p ≡ x modulo (f, p). Such primes exist and have
     density 1/|Gal(f)| (Chebotarev), so the search grows with the Galois group.
     """
-    disc, coeffs = discriminant(f), [int(c) for c in f.coeffs]
+    disc, coeffs = discriminant(f), f.coeffs
     if not disc:
         raise ValueError(f"{f!r} is not squarefree")
     p = 1
@@ -530,7 +453,7 @@ def padic_roots(f: QPoly, p: int, q: int) -> list[int]:
     precision at each step, lifts each to the unique root of f in Z_p above
     it (Hensel). Ordered by residue modulo p.
     """
-    c = [int(a) for a in f.coeffs]
+    c = f.coeffs
     dc, fp = [i * a for i, a in enumerate(c)][1:], [a % p for a in c]
     out = []
     for r in _fp_roots(fp_gcd(fp_sub(fp_pow_mod([0, 1], p, fp, p), [0, 1], p), fp, p), p):
@@ -571,7 +494,7 @@ def _symmetric_residue(a: int, q: int) -> int:
 
 def cauchy_bound(f: QPoly) -> int:
     """1 + max|a_k| over k < n, above |α| for every complex root α of monic integral f."""
-    return 1 + max((abs(int(c)) for c in f.coeffs[:-1]), default=0)
+    return 1 + max((abs(c) for c in f.coeffs[:-1]), default=0)
 
 
 def _integer_roots(f: QPoly) -> list[int]:
@@ -587,25 +510,9 @@ def _integer_roots(f: QPoly) -> list[int]:
     q = p
     while q <= 2 * cauchy_bound(f):
         q *= p
-    c = [int(a) for a in f.coeffs]
+    c = f.coeffs
     roots = (_symmetric_residue(r, q) for r in padic_roots(f, p, q))
     return sorted(r for r in roots if not sum(a * r**k for k, a in enumerate(c)))
-
-
-def rational_roots(f: QPoly) -> list[Fraction]:
-    """All rational roots of f, without factoring its coefficients.
-
-    The squarefree part of f, made integral, is a·g(x) with leading
-    coefficient a; then h(x) = a^(n−1)·g(x/a) is monic integral, and the
-    rational roots of f are r/a for the integer roots r of h.
-    """
-    if f.is_zero():
-        raise ZeroPolynomialError("zero polynomial")
-    g = squarefree_part(f)
-    n = g.degree
-    a = math.lcm(*[c.denominator for c in g.coeffs])
-    h = QPoly([c * a ** (n - k) for k, c in enumerate(g.coeffs)])
-    return [Fraction(r, a) for r in _integer_roots(h)] if n else []
 
 
 @functools.lru_cache(maxsize=256)
@@ -622,7 +529,7 @@ def is_irreducible_q(f: QPoly) -> bool:
     """
     if f.is_zero() or f.degree < 1:
         return False
-    if not f.is_monic() or not f.is_integral():
+    if not f.is_monic():
         raise NonMonicError("irreducibility test expects a monic integral polynomial")
     n = f.degree
     if not discriminant(f):  # monic: squarefree exactly when disc f ≠ 0
@@ -630,14 +537,14 @@ def is_irreducible_q(f: QPoly) -> bool:
     if n <= 3:  # a proper factor would include a linear one
         return n == 1 or not _integer_roots(f)
     p = split_prime(f)
-    bound, q = 2 ** (n + 1) * (math.isqrt(sum(int(c) ** 2 for c in f.coeffs)) + 1), p
+    bound, q = 2 ** (n + 1) * (math.isqrt(sum(c**2 for c in f.coeffs)) + 1), p
     while q <= bound:
         q *= p
-    c, roots = [int(a) for a in f.coeffs], padic_roots(f, p, q)
+    c, roots = f.coeffs, padic_roots(f, p, q)
     for size in range(1, n // 2 + 1):
         for subset in itertools.combinations(roots, size):
             h = [_symmetric_residue(a, q) for a in _linear_product(subset, q)]
-            rem = c[:]
+            rem = list(c)
             for k in range(n - size, -1, -1):  # f mod the monic h, over Z
                 lead = rem[k + size]
                 for j, a in enumerate(h):

@@ -141,9 +141,9 @@ def root_disks(f: QPoly, bits: int) -> list[RootDisk]:
     disks do not certify, the working precision doubles, up to DOUBLINGS
     times; then RealSplitError names f and the precision.
     """
-    if not f.is_monic() or not f.is_integral():
+    if not f.is_monic():
         raise NonMonicError(f"root disks need a monic integral polynomial, not {f!r}")
-    coeffs = [int(c) for c in f.coeffs]
+    coeffs = f.coeffs
     n = len(coeffs) - 1
     p = bits + 2 * n + 16
     bound = cauchy_bound(f)

@@ -14,6 +14,7 @@ details alone go through _jsonable first.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .errors import InputError
@@ -24,9 +25,10 @@ from .torus import AmpleCertificate, SubmoduleWitness, require_supported_degrees
 from .units import UnitSystem, _PolynomialLRU
 
 SCHEMA = "cma/1"
-# (factor coefficients, order basis as given) as _int_key pairs -> the
-# EtaleAlgebra built from them, which nothing edits once made
+# (the factors' coefficients from poly_from_json, the order basis's _int_key)
+# -> the EtaleAlgebra built from them, which nothing edits once made
 _ALGEBRAS = _PolynomialLRU()
+_INTEGER = re.compile(r"\s*[+-]?\d+\s*")  # a spelling int() and Fraction() read alike
 
 
 def _int_key(rows) -> tuple:
@@ -50,10 +52,26 @@ def poly_to_json(coeffs) -> list[str]:
     return [frac_str(c) for c in coeffs]
 
 
-def poly_from_json(data, path="") -> list[Fraction]:
+def _coefficient(c, path):
+    """A coefficient's value: an int for "3" or 3 without a Fraction made,
+    parse_frac's for any other spelling, as an int when it is one ("6/2")."""
+    if type(c) is int:
+        return c
+    if isinstance(c, str) and _INTEGER.fullmatch(c):
+        return int(c)
+    x = parse_frac(c, path)
+    return x.numerator if x.denominator == 1 else x
+
+
+def poly_from_json(data, path="") -> tuple:
+    """The coefficients without trailing zeros: ints, and a Fraction for
+    each one that is not an integer, which QPoly refuses."""
     if not isinstance(data, list):
         raise InputError("polynomial must be an array of coefficient strings", path)
-    return [parse_frac(c, f"{path}[{i}]") for i, c in enumerate(data)]
+    coeffs = [_coefficient(c, f"{path}[{i}]") for i, c in enumerate(data)]
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return tuple(coeffs)
 
 
 def matrix_to_json(m: IntMat) -> list[list[str]]:
@@ -92,22 +110,19 @@ def algebra_to_json(e: EtaleAlgebra) -> dict:
 def algebra_from_json(data, path="algebra") -> EtaleAlgebra:
     if not isinstance(data, dict) or "factors" not in data:
         raise InputError("algebra needs a 'factors' array", path)
-    from .polynomials import QPoly
-
     if not isinstance(data["factors"], list):
         raise InputError("factors must be an array", f"{path}.factors")
-    factors = [
-        QPoly(poly_from_json(f, f"{path}.factors[{i}]"))
-        for i, f in enumerate(data["factors"])
-    ]
-    require_supported_degrees(factors)
+    factors = tuple(
+        poly_from_json(f, f"{path}.factors[{i}]") for i, f in enumerate(data["factors"])
+    )
+    require_supported_degrees(len(f) - 1 for f in factors)
     basis = None
     if data.get("order_basis") is not None:
         basis = matrix_from_json(data["order_basis"], f"{path}.order_basis")
-    key = (_int_key(f.coeffs for f in factors), None if basis is None else _int_key(basis))
+    key = (factors, None if basis is None else _int_key(basis))
     algebra = _ALGEBRAS.get(key)
     if algebra is None:
-        try:
+        try:  # QPoly refuses a non-integer coefficient
             algebra = EtaleAlgebra(factors, basis)
         except Exception as exc:
             raise InputError(str(exc), path)

@@ -161,13 +161,13 @@ class Component(NamedTuple):
         return self.multiplicity * self.char.dim
 
 
-def require_supported_degrees(factors) -> None:
+def require_supported_degrees(degrees) -> None:
     """Refuse factors of degree > 4, past which no Galois tag is computed.
 
     Request parsing calls this before the algebra is built, because the
     irreducibility test's split-prime search grows with |Gal(f)|, up to n!.
     """
-    if any(f.degree > 4 for f in factors):
+    if any(d > 4 for d in degrees):
         raise UnsupportedError("factors of degree > 4 are not supported")
 
 
@@ -178,7 +178,7 @@ def build_torus(e: EtaleAlgebra, ambient: str) -> TorusDatum:
     (degree ≤ 4). For SL the module is the zero-sum subspace.
     """
     e.require_order()
-    require_supported_degrees(e.factors)
+    require_supported_degrees(e.degrees)
     return TorusDatum(ambient, tuple(galois_group_small(f) for f in e.factors), e)
 
 

@@ -107,7 +107,7 @@ class PrimePlaces:
 
     def __init__(self, f: QPoly, p: int):
         check_unramified(f, p)
-        self._f = [int(c) for c in f.coeffs]  # ascending
+        self._f = f.coeffs  # ascending
         self.p = p
         self.factors = [g for g, _ in factor_mod_p(f, p)]
         self.residue_degrees = [len(g) - 1 for g in self.factors]

@@ -3,8 +3,9 @@
 These deliberately avoid the code paths they check: real roots are counted
 by recursion on the derivative (between consecutive critical points a
 squarefree polynomial is monotone, so sign changes at certified sample
-points count roots exactly), gcd divisibility by direct division,
-irreducibility over F_p by exhaustive trial division. Desk-scale and exact.
+points count roots exactly), with sympy's squarefree part, divisibility by
+sympy's division, irreducibility over F_p by exhaustive trial division.
+Desk-scale and exact.
 """
 
 from __future__ import annotations
@@ -20,80 +21,100 @@ from ampletori.polynomials import (
     QPoly,
     fp_divmod,
     fp_strip,
-    squarefree_part,
 )
 
 
-def _cauchy_bound(g: QPoly) -> Fraction:
-    return Fraction(1) + max(
-        (abs(c) / abs(g.coeffs[-1]) for c in g.coeffs[:-1]), default=Fraction(0)
-    )
+def _sympy_poly(coeffs):
+    """sympy's polynomial over QQ of ascending rational coefficients."""
+    import sympy
+
+    return sympy.Poly([sympy.Rational(c) for c in reversed(coeffs)], sympy.Symbol("x"), domain="QQ")
 
 
-def _lipschitz(g: QPoly, radius: Fraction) -> Fraction:
-    d = g.derivative()
+def _squarefree_part(coeffs) -> list[Fraction]:
+    """The squarefree part, by sympy, as ascending Fractions."""
+    part = _sympy_poly(coeffs).sqf_part()
+    return [Fraction(int(c.p), int(c.q)) for c in reversed(part.all_coeffs())]
+
+
+def _derivative(g: list[Fraction]) -> list[Fraction]:
+    return [i * c for i, c in enumerate(g)][1:]
+
+
+def _value(g: list[Fraction], x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(g):
+        acc = acc * x + c
+    return acc
+
+
+def _cauchy_bound(g: list[Fraction]) -> Fraction:
+    return Fraction(1) + max((abs(c) / abs(g[-1]) for c in g[:-1]), default=Fraction(0))
+
+
+def _lipschitz(g: list[Fraction], radius: Fraction) -> Fraction:
     r = max(Fraction(1), radius)
-    return sum((abs(c) * r**i for i, c in enumerate(d.coeffs)), Fraction(0)) + 1
+    return sum((abs(c) * r**i for i, c in enumerate(_derivative(g))), Fraction(0)) + 1
 
 
-def _separating_points(g: QPoly) -> list[Fraction]:
+def _separating_points(g: list[Fraction]) -> list[Fraction]:
     """Sample points with g ≠ 0 certified, at most one root of g between
     consecutive ones. One representative per critical point, plus ±bound."""
     m = _cauchy_bound(g)
-    if g.degree == 1:
+    if len(g) == 2:
         return [-m, m]
-    deriv = squarefree_part(g.derivative())
-    crit = _isolating_intervals(deriv) if deriv.degree >= 1 else []
+    deriv = _squarefree_part(_derivative(g))
+    crit = _isolating_intervals(deriv) if len(deriv) >= 2 else []
     reps = []
     for lo, hi in crit:
         radius = max(m, abs(lo), abs(hi))
         lip = _lipschitz(g, radius)
-        dlo = deriv(lo)
+        dlo = _value(deriv, lo)
         while True:
             mid = (lo + hi) / 2
-            if deriv(mid) == 0:
+            if _value(deriv, mid) == 0:
                 reps.append(mid)  # the critical point itself; g(mid) != 0
                 break
-            if abs(g(mid)) > lip * (hi - lo):
+            if abs(_value(g, mid)) > lip * (hi - lo):
                 reps.append(mid)
                 break
-            if dlo * deriv(mid) < 0:
+            if dlo * _value(deriv, mid) < 0:
                 hi = mid
             else:
-                lo, dlo = mid, deriv(mid)
-        assert g(reps[-1]) != 0
+                lo, dlo = mid, _value(deriv, mid)
+        assert _value(g, reps[-1]) != 0
     bound = max([m] + [abs(r) + 1 for r in reps])
     return sorted([-bound] + reps + [bound])
 
 
 def oracle_count_real_roots(f: QPoly) -> int:
     """Distinct real roots by monotone bisection between critical points."""
-    g = squarefree_part(f)
-    if g.degree <= 0:
+    g = _squarefree_part(f.coeffs)
+    if len(g) <= 1:
         return 0
     pts = _separating_points(g)
     signs = []
     for x in pts:
-        v = g(x)
+        v = _value(g, x)
         assert v != 0, "oracle sampled a root"
         signs.append(1 if v > 0 else -1)
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _isolating_intervals(g: QPoly) -> list[tuple[Fraction, Fraction]]:
-    g = squarefree_part(g)
-    if g.degree <= 0:
+def _isolating_intervals(g: list[Fraction]) -> list[tuple[Fraction, Fraction]]:
+    g = _squarefree_part(g)
+    if len(g) <= 1:
         return []
     pts = _separating_points(g)
     out = []
     for a, b in zip(pts, pts[1:]):
-        if (g(a) > 0) != (g(b) > 0):
+        if (_value(g, a) > 0) != (_value(g, b) > 0):
             out.append((a, b))
     return out
 
 
 def oracle_isolate_real_roots(f: QPoly) -> list[tuple[Fraction, Fraction]]:
-    return _isolating_intervals(f)
+    return _isolating_intervals(f.coeffs)
 
 
 def vector(entries) -> tuple[Fraction, ...]:
@@ -459,7 +480,7 @@ def oracle_dumps(obj) -> str:
 def oracle_divides(d: QPoly, f: QPoly) -> bool:
     if d.is_zero():
         return f.is_zero()
-    return f.divmod(d)[1].is_zero()
+    return _sympy_poly(f.coeffs).rem(_sympy_poly(d.coeffs)).is_zero
 
 
 def oracle_fp_irreducible(g: FpPoly, p: int) -> bool:
@@ -569,7 +590,7 @@ def oracle_automorphisms(e, coord_bound: int):
             continue
         acc = [0] * n
         for j, c in enumerate(reversed(e.factors[0].coeffs)):
-            acc = [a + int(c) * den**j * o for a, o in zip(mul(acc, v), one)]
+            acc = [a + c * den**j * o for a, o in zip(mul(acc, v), one)]
         if any(acc):
             continue
         powers = [one]

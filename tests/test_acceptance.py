@@ -32,7 +32,7 @@ from ampletori.polynomials import (
     factor_mod_p,
     fp_mul,
     is_prime,
-    poly_gcd,
+    squarefree_root,
 )
 from ampletori.torus import (
     SL,
@@ -200,14 +200,17 @@ def test_criterion_5_property_suite():
             assert norm == Fraction(*e.norm(a)) * Fraction(*e.norm(b))
             cases += 1
 
-    # gcd divisibility oracle
+    # squarefree roots: a squarefree s is the root of s^k, and any root
+    # found of f·h is squarefree and gives f·h back
     for _ in range(60):
         f = QPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] + [1])
         g = QPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] + [1])
         h = QPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] + [1])
-        d = poly_gcd(f * h, g * h)
-        assert (d % h.monic()).is_zero()
-        assert (f * h % d).is_zero() and (g * h % d).is_zero()
+        s = f * g
+        if discriminant(s):
+            assert all(squarefree_root(s**k) == (s, k) for k in (1, 2, 3))
+        root = squarefree_root(f * h)
+        assert root is None or (root[0] ** root[1] == f * h and discriminant(root[0]))
         cases += 1
 
     # discriminant vs repeated factors mod p, and factor re-multiplication
@@ -231,7 +234,7 @@ def test_criterion_5_property_suite():
     while done < 60:
         deg = rng.randint(1, 6)
         f = QPoly([rng.randint(-9, 9) for _ in range(deg)] + [1])
-        if poly_gcd(f, f.derivative()).degree > 0:
+        if not discriminant(f):  # monic: squarefree exactly when disc f ≠ 0
             continue
         assert signature(f).r1 == oracle_count_real_roots(f)
         done += 1

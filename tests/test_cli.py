@@ -193,6 +193,13 @@ PINNED_REQUESTS = {
     "x^4-5x^2+5 GL": _construct_request(["5", "0", "-5", "0", "1"], "GL"),
     # i = 3i/3 lies in Z[3i][1/3]: the torsion of O[1/S] has order 4
     "Z[3i] GL at inf,3,5": _construct_request(["1", "0", "1"], "GL", "inf,3,5", basis=Z3I_BASIS),
+    # SL norm-one subgroups at two or more finite primes whose generators
+    # depend on the kernel routine: an HNF kernel in place of the SNF one
+    # changes each (for x²−x−7, 16−5θ in place of (2144−637θ)/625)
+    "x^2-x-7 SL at inf,3,5": _construct_request(["-7", "-1", "1"], places="inf,3,5", bound=6),
+    "x^2-x-13 SL at inf,2,5,7": _construct_request(["-13", "-1", "1"], places="inf,2,5,7", bound=6),
+    "x^2-x-3 SL at inf,2,3,5": _construct_request(["-3", "-1", "1"], places="inf,2,3,5", bound=6),
+    "x^2-3 SL at inf,5,11,13": _construct_request(["-3", "0", "1"], places="inf,5,11,13", bound=6),
 }
 
 # sha256 of the --json output: verify-paper, construct on each golden's
@@ -214,6 +221,10 @@ PINNED_DIGESTS = {
     "x^4-5x^2+5 SL": "9a17267a44a88d83071dbad1312e325f32e9655f1cd6453ce946b65e75cabdbe",
     "x^4-5x^2+5 GL": "a8a86fb5b68d6441b8ec88983e915a8276cac0bcdd259c01d523c33169fa4875",
     "Z[3i] GL at inf,3,5": "ca8abc275b85605386de90d717648b87787e2d9e1435ecf62f133e8728896dcf",
+    "x^2-x-7 SL at inf,3,5": "8cd57cf16784c65fcc7d001d722e8a8f735d23204d3a005bf80a3970e4763a42",
+    "x^2-x-13 SL at inf,2,5,7": "244012ead743cd00b376a4d6cc20d965b17aee0989d55266ee2a63035f41b47b",
+    "x^2-x-3 SL at inf,2,3,5": "a9f963c3b3f1879073f62a5ce531a6f4e21ed042f6aa836ec0f9ad22cb545f41",
+    "x^2-3 SL at inf,5,11,13": "e959a22be528b6395b7eb1b24f23d25bdffed35f596a400919b11c685aca9c83",
 }
 
 
@@ -373,6 +384,41 @@ def test_factors_past_degree_four_are_refused_before_the_algebra_is_built(factor
     assert proc.returncode == 1 and "Traceback" not in proc.stderr
     err = json.loads(proc.stdout)["error"]
     assert (err["module"], err["message"]) == ("ampletori", "factors of degree > 4 are not supported")
+
+
+@pytest.mark.parametrize(
+    "spellings",
+    [
+        [["-3", "0", "1"], ["-6/2", "0", "1"], [-3, 0, 1], [" -3 ", "0/7", "1.0", "0"]],
+        [["-2", "0", "1"], ["-4/2", "0", "1"], [-2, "0", 1], ["-2.0", "-0", "+2/2"]],
+    ],
+    ids=["x^2-3", "x^2-2"],
+)
+def test_integer_spellings_of_a_coefficient_share_one_algebra_and_report(
+    spellings, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(serialize, "_ALGEBRAS", units._PolynomialLRU())
+    reqfile, reports = tmp_path / "request.json", []
+    for factor in spellings:
+        reqfile.write_text(json.dumps(_construct_request(factor, "GL")))
+        assert main(["--json", "construct", str(reqfile)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert len(set(reports)) == 1
+    (key, algebra), = serialize._ALGEBRAS.items()
+    assert key == ((tuple(int(c) for c in spellings[0]),), None)
+    assert algebra.factors[0].coeffs == key[0][0]
+
+
+def test_a_non_integer_coefficient_is_an_input_error_at_the_algebra(tmp_path, capsys):
+    reqfile = tmp_path / "request.json"
+    reqfile.write_text(json.dumps(_construct_request(["1/2", "0", "1"])))
+    assert main(["--json", "construct", str(reqfile)]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"message": "coefficient 1/2 is not an integer", "module": "cli", "path": "request.algebra"}
+    # the degree is checked first, as before any coefficient is read as an int
+    reqfile.write_text(json.dumps(_construct_request(["1/2", "0", "0", "0", "0", "1"])))
+    assert main(["--json", "construct", str(reqfile)]) == 1
+    assert json.loads(capsys.readouterr().out)["error"]["message"] == "factors of degree > 4 are not supported"
 
 
 def _refuse(*args, **kwargs):

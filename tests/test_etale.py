@@ -103,6 +103,12 @@ def test_charpoly_of_generator_is_defining_polynomial(algebra):
     assert algebra.charpoly(algebra.generator(0)) == algebra.factors[0]
 
 
+def test_charpoly_of_a_non_integral_element_is_refused():
+    with pytest.raises(ValueError, match="not integral"):
+        GAUSS.charpoly(element([Fraction(3, 5), Fraction(4, 5)]))  # (3 + 4i)/5, of norm 1
+    assert GAUSS.charpoly(element([3, 4])) == QPoly([25, -6, 1])
+
+
 def test_basis_change_conjugates_inside_glnz():
     # same order, new Z-basis U·B: representations conjugate by one
     # unimodular matrix for every element simultaneously
@@ -121,12 +127,22 @@ def test_basis_change_conjugates_inside_glnz():
 
 
 def test_product_algebra_structure():
+    import sympy
+
     assert PRODUCT.n == 4
-    # norm is the product of the factor norms
+    # norm is the product of the factor norms, each Res(f_k, a_k) by sympy
+    x = sympy.Symbol("x")
     a = PRODUCT.from_power(element([1, 2, 3, 1]))
-    n1 = PRODUCT.factor_norm(a, 0)
-    n2 = PRODUCT.factor_norm(a, 1)
-    assert _rational(PRODUCT.norm(a)) == n1 * n2
+    ints, den = PRODUCT.to_power(a)
+    norms = [
+        sympy.resultant(
+            sympy.Poly(f.coeffs[::-1], x),
+            sympy.Poly([sympy.Rational(c, den) for c in ints[off : off + d]][::-1], x),
+        )
+        for f, off, d in zip(PRODUCT.factors, PRODUCT.offsets, PRODUCT.degrees)
+    ]
+    assert norms == [5, 7]  # N(1 + 2i), N(3 + √2)
+    assert _rational(PRODUCT.norm(a)) == norms[0] * norms[1]
 
 
 def test_inverse_round_trip():

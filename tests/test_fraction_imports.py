@@ -1,10 +1,10 @@
 """The layers that run on integers alone do not import `fractions`.
 
-The certified logs (intervals), the Galois data (places), the
-S-ampleness decision (torus), the generator sets and their sanity checks
-(matgroups) and the conjugator search (conjugacy) hold every value as an
-int; an import of `fractions` there is the first step of a Fraction
-slipping back in.
+The polynomials (polynomials), the root disks (realsplit), the certified
+logs (intervals), the Galois data (places), the S-ampleness decision
+(torus), the generator sets and their sanity checks (matgroups) and the
+conjugator search (conjugacy) hold every value as an int; an import of
+`fractions` there is the first step of a Fraction slipping back in.
 """
 
 import ast
@@ -26,7 +26,16 @@ def _imported_modules(tree: ast.AST) -> set[str]:
 
 
 @pytest.mark.parametrize(
-    "name", ["intervals.py", "places.py", "torus.py", "matgroups.py", "conjugacy.py"]
+    "name",
+    [
+        "polynomials.py",
+        "realsplit.py",
+        "intervals.py",
+        "places.py",
+        "torus.py",
+        "matgroups.py",
+        "conjugacy.py",
+    ],
 )
 def test_integer_layers_do_not_import_fractions(name):
     tree = ast.parse((PACKAGE / name).read_text())

@@ -137,6 +137,8 @@ def test_charpoly_matches_sympy(a):
     expected = [_q(c) for c in reversed(_sym(a).charpoly().all_coeffs())]
     assert coeffs == expected
     assert all(isinstance(c, Fraction) for c in coeffs)
+    integral = all(c.denominator == 1 for c in expected)
+    assert linalg.integral_charpoly(linalg.matrix(a)) == (expected if integral else None)
 
 
 @pytest.mark.parametrize("a", _cases(SQUARE + TALL + WIDE, 14) + EMPTY)

@@ -17,7 +17,6 @@ from ampletori.pipeline import (
     run_pipeline,
     verify_paper_examples,
 )
-from ampletori.polynomials import QPoly
 
 CUBIC_REQ = {
     "algebra": {"factors": [["-1", "1", "0", "1"]]},
@@ -289,20 +288,21 @@ def test_ex52_conjugator_is_pinned():
 def test_conjugator_candidates_are_the_order_elements_with_the_charpoly():
     z2i = PipelineRequest.from_json({**GAUSS_REQ, "algebra": Z2I}).algebra
     rotation = linalg.matrix([[0, -1], [1, 0]])  # charpoly x² + 1: ±i, not in Z[2i]
-    assert order_elements_with_charpoly(z2i, QPoly(linalg.charpoly(rotation))) == []
+    assert order_elements_with_charpoly(z2i, rotation) == []
     two_i = z2i.regular_rep(((0, 1), 1))  # charpoly x² + 4
-    assert order_elements_with_charpoly(z2i, QPoly(linalg.charpoly(two_i))) == [
+    assert order_elements_with_charpoly(z2i, two_i) == [
         ((0, -1), 1), ((0, 1), 1)
     ]
-    half_two = linalg.matrix([[Fraction(1, 2), 0], [0, 2]])
-    assert order_elements_with_charpoly(z2i, QPoly(linalg.charpoly(half_two))) == []
+    half_two = linalg.matrix([[Fraction(1, 2), 0], [0, 2]])  # charpoly x² − 5x/2 + 1
+    assert order_elements_with_charpoly(z2i, half_two) == []
+    assert find_simultaneous_conjugator(z2i, [half_two], []) is None
 
 
 def test_conjugator_is_none_when_the_first_charpoly_is_not_squarefree():
     # 2·I has charpoly (x − 2)²: its one candidate, 2, is not primitive
     gauss = PipelineRequest.from_json(GAUSS_REQ).algebra
     two = linalg.matrix([[2, 0], [0, 2]])
-    assert order_elements_with_charpoly(gauss, QPoly(linalg.charpoly(two))) == [((2, 0), 1)]
+    assert order_elements_with_charpoly(gauss, two) == [((2, 0), 1)]
     assert find_simultaneous_conjugator(gauss, [two], []) is None
     assert find_simultaneous_conjugator(gauss, [two, gauss.regular_rep(((0, 1), 1))], []) is None
 

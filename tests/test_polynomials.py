@@ -3,22 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from ampletori import polynomials
-from ampletori.errors import (
-    CompositeModulusError,
-    NonMonicError,
-    ZeroPolynomialError,
-)
+from ampletori import polynomials, units
+from ampletori.errors import CompositeModulusError, NonMonicError
+from ampletori.etale import EtaleAlgebra, element
 from ampletori.polynomials import (
     QPoly,
+    _integer_roots,
     discriminant,
     factor_mod_p,
     fp_mul,
     is_irreducible_q,
     is_square_integer,
-    poly_gcd,
-    rational_roots,
-    squarefree_part,
+    squarefree_root,
 )
 from ampletori.places import signature
 
@@ -30,27 +26,13 @@ QUARTIC = QPoly([1, -16, 20, -8, 1])  # x^4 - 8x^3 + 20x^2 - 16x + 1
 GAUSS = QPoly([1, 0, 1])  # x^2 + 1
 
 
-def test_gcd_with_zero_is_monic():
-    assert poly_gcd(2 * CUBIC, QPoly([])) == CUBIC
-
-
-def test_gcd_explicit_factor():
-    assert poly_gcd(QPoly([-1, 0, 1]), QPoly([-1, 1])) == QPoly([-1, 1])
-
-
-def test_gcd_cubic_with_derivative_is_one():
-    # Euclid by hand: f squarefree, so gcd(f, f') = 1
-    assert poly_gcd(CUBIC, CUBIC.derivative()) == QPoly([1])
-
-
-def test_gcd_common_factor_property():
-    rng = random.Random(7)
-    for _ in range(60):
-        f = QPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] + [1])
-        g = QPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] + [1])
-        h = QPoly([rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] + [1])
-        d = poly_gcd(f * h, g * h)
-        assert (d % h.monic()).is_zero()
+def test_qpoly_holds_integer_coefficients():
+    assert QPoly([Fraction(6, 2), 0, 1, 0]).coeffs == (3, 0, 1)
+    assert all(type(c) is int for c in QPoly([Fraction(-4, 2), 1]).coeffs)
+    assert repr(QPoly([-2, 0, -1, 1])) == "QPoly(-2 + -1*x^2 + x^3)"
+    for bad in (Fraction(1, 2), 0.5, "3"):
+        with pytest.raises(ValueError):
+            QPoly([bad, 1])
 
 
 def test_discriminant_quadratics():
@@ -82,7 +64,7 @@ def test_signature_agrees_with_bisection_oracle():
         deg = rng.randint(1, 6)
         bound = rng.choice([9, 10**6])
         f = QPoly([rng.randint(-bound, bound) for _ in range(deg)] + [1])
-        if squarefree_part(f).degree < deg:
+        if not discriminant(f):
             continue  # root disks need simple roots
         assert signature(f).r1 == oracle_count_real_roots(f), f
         done += 1
@@ -179,43 +161,82 @@ def test_is_square_integer():
     assert is_square_integer(0)
 
 
-def test_rational_roots():
-    assert rational_roots(QPoly([2, 1, 0, 0, 1]) * QPoly([-3, 2])) == [Fraction(3, 2)]
-    assert rational_roots(QPoly([6, -5, 1])) == [2, 3]
-    with pytest.raises(ZeroPolynomialError):
-        rational_roots(QPoly([]))
-
-
-def test_rational_roots_with_huge_coefficients_need_no_divisors():
+def test_integer_roots_with_huge_coefficients_need_no_divisors():
     # trial division up to sqrt(2e16) took seconds here; the root search
     # works from p-adic lifts instead
     big = 20477502388745870
-    assert rational_roots(QPoly([0, big, 1])) == [-big, 0]
-    p, q = 1000000007, 998244353  # (x - p)(3x - q)
-    assert rational_roots(QPoly([p * q, -q - 3 * p, 3])) == [Fraction(q, 3), p]
+    assert _integer_roots(QPoly([0, big, 1])) == [-big, 0]
+    p, q = 1000000007, 998244353
+    assert _integer_roots(QPoly([p * q, -q - p, 1])) == [q, p]
     assert not is_irreducible_q(QPoly([0, big, 1]))
     assert is_irreducible_q(QPoly([big, 0, 1]))
     # a root modulo every prime, yet no rational root
-    assert rational_roots(QPoly([-2, 0, 1]) * QPoly([-3, 0, 1]) * QPoly([-6, 0, 1])) == []
+    assert _integer_roots(QPoly([-2, 0, 1]) * QPoly([-3, 0, 1]) * QPoly([-6, 0, 1])) == []
 
 
-def _sympy_rational_roots(coeffs):
+def test_integer_roots_match_sympy():
     import sympy
 
     x = sympy.Symbol("x")
-    poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(coeffs)], x)
-    return sorted(Fraction(int(r.p), int(r.q)) for r in sympy.roots(poly, filter="Q"))
-
-
-def test_rational_roots_match_sympy():
     rng = random.Random(20261018)
-    for _ in range(150):
-        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(rng.randint(1, 4))]
-        coeffs.append(Fraction(rng.choice([-3, -1, 1, 2, 6])))
-        for _ in range(rng.randint(0, 2)):  # times (x - r): a rational root, maybe repeated
-            r = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
-            coeffs = [a - r * b for a, b in zip([Fraction(0)] + coeffs, coeffs + [Fraction(0)])]
-        assert rational_roots(QPoly(coeffs)) == _sympy_rational_roots(coeffs), coeffs
+    done = 0
+    while done < 150:
+        coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 4))] + [1]
+        for _ in range(rng.randint(0, 2)):  # times (x - r): an integer root
+            r = rng.randint(-6, 6)
+            coeffs = [a - r * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        f = QPoly(coeffs)
+        if not discriminant(f):
+            continue  # the root search needs a squarefree f
+        expected = sorted(int(r) for r in sympy.roots(sympy.Poly(coeffs[::-1], x), filter="Z"))
+        assert _integer_roots(f) == expected, coeffs
+        done += 1
+
+
+def _sympy_squarefree_root(g: QPoly):
+    """(g₀, m) with g = g₀^m for g₀ sympy's squarefree part of g, or None."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    poly = sympy.Poly(g.coeffs[::-1], x)
+    part = poly.sqf_part()
+    m, rem = divmod(poly.degree(), part.degree())
+    if rem or part**m != poly:
+        return None
+    return QPoly([int(c) for c in reversed(part.all_coeffs())]), m
+
+
+# quartics with their subfield generators, as power-basis coordinates
+SUBFIELDS = [
+    ((1, 0, 0, 0, 1), [(0, 0, 1, 0), (0, 1, 0, -1)]),  # V4: i = x², √2 = x − x³
+    ((-2, 0, 0, 0, 1), [(0, 0, 1, 0)]),  # D4: √2 = x²
+    ((5, 0, -5, 0, 1), [(0, 0, 1, 0)]),  # C4: Q(√5) = Q(x²)
+]
+
+
+def test_squarefree_root_matches_sympy_sqf_part():
+    rng = random.Random("squarefree_root")
+    charpolys = []
+    for coeffs, subfield in SUBFIELDS:
+        e = EtaleAlgebra([QPoly(coeffs)])
+        for _ in range(10):
+            a = rng.randint(-5, 5)
+            charpolys.append(e.charpoly(element([a, 0, 0, 0])))  # (x − a)⁴
+            beta = [a, 0, 0, 0]
+            for s in subfield:
+                b = rng.randint(-5, 5)
+                beta = [u + b * v for u, v in zip(beta, s)]
+            charpolys.append(e.charpoly(element(beta)))  # g₀², or (x − a)⁴
+            charpolys.append(e.charpoly(element([rng.randint(-5, 5) for _ in range(4)])))
+    charpolys += [QPoly(phi) ** k for phi in units.CYCLOTOMIC.values() for k in (1, 2, 3)]
+    non_power = QPoly([-1, 1]) ** 3 * QPoly([-2, 1])  # (x − 1)³(x − 2)
+    charpolys.append(non_power)
+    roots = [squarefree_root(g) for g in charpolys]
+    assert roots == [_sympy_squarefree_root(g) for g in charpolys]
+    assert {1, 2, 3, 4, None} <= {r and r[1] for r in roots}
+    assert sum(1 for r in roots if r and r[1] == 2 and r[0].degree == 2) >= 15
+    assert roots[-1] is None
+    assert EtaleAlgebra([QPoly([1, 0, 0, 0, 1])]).elements_with_charpoly(non_power) == []
 
 
 def test_irreducibility_degree_four():

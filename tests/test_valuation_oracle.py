@@ -24,7 +24,7 @@ from sympy.polys.numberfields.primes import prime_decomp
 
 from ampletori.etale import element
 from ampletori.pipeline import corpus_dir
-from ampletori.polynomials import QPoly, discriminant, fp_mod, is_prime, resultant
+from ampletori.polynomials import QPoly, discriminant, fp_mod, fp_strip, is_prime
 from ampletori.units import PrimePlaces, strip_primes
 
 X = sympy.Symbol("x")
@@ -50,15 +50,27 @@ CASES = [
 ]
 
 
-def _elements(f: QPoly, pp: PrimePlaces, rng: random.Random) -> list[QPoly]:
-    """Integral elements: a random one, and g_i(x)^3 times a random one for
-    each place i, so ord ≥ 3 there (p³ times a random one when p is inert)."""
-    def small():
-        return QPoly([rng.randint(-30, 30) for _ in range(f.degree)])
+def _sympy_poly(coeffs) -> sympy.Poly:
+    """sympy's polynomial of ascending coefficients."""
+    return sympy.Poly(list(reversed(coeffs)), X, domain=QQ)
 
-    cubes = [QPoly(g) ** 3 for g in pp.factors] if pp.count > 1 else [QPoly([pp.p**3])]
-    out = [small()] + [(c * small()) % f for c in cubes]
-    return [a for a in out if not a.is_zero()]
+
+def _elements(t: sympy.Poly, pp: PrimePlaces, rng: random.Random) -> list[list[int]]:
+    """The power-basis coordinates of integral elements: a random one, and
+    g_i(x)^3 times a random one for each place i, so ord ≥ 3 there (p³
+    times a random one when p is inert)."""
+    n = t.degree()
+
+    def small():
+        return _sympy_poly([rng.randint(-30, 30) for _ in range(n)])
+
+    cubes = [_sympy_poly(g) ** 3 for g in pp.factors] if pp.count > 1 else [_sympy_poly([pp.p**3])]
+    out = [small()] + [(c * small()).rem(t) for c in cubes]
+    return [
+        [int(c) for c in reversed(a.all_coeffs())] + [0] * (n - 1 - a.degree())
+        for a in out
+        if not a.is_zero
+    ]
 
 
 def _v_p(n: int, p: int) -> int:
@@ -94,16 +106,15 @@ def test_valuations_match_sympy_prime_ideals(coeffs, p):
     match = []
     for P in primes:
         numerator = reversed(P.alpha.poly().all_coeffs())
-        alpha = QPoly([Fraction(int(c), int(P.alpha.denom)) for c in numerator])
-        hits = [i for i, g in enumerate(pp.factors) if not fp_mod(alpha.reduce_mod(p), g, p)]
+        alpha = fp_strip([int(c) * pow(int(P.alpha.denom), -1, p) % p for c in numerator])
+        hits = [i for i, g in enumerate(pp.factors) if not fp_mod(alpha, g, p)]
         assert len(hits) == 1 or pp.count == 1
         match.append(hits[0])
     assert sorted(match) == list(range(pp.count))
     prime_powers = [[P.as_submodule()] for P in primes]
     rng = random.Random(f"{coeffs}:{p}")
     deepest = 0
-    for a in _elements(f, pp, rng):
-        ints = [int(c) for c in a.coeffs] + [0] * (f.degree - len(a.coeffs))
+    for ints in _elements(t, pp, rng):
         want = [_sympy_order(powers, ints) for powers in prime_powers]
         deepest = max(deepest, *want)
         # a denominator p^k·m lowers every valuation by k
@@ -111,8 +122,8 @@ def test_valuations_match_sympy_prime_ideals(coeffs, p):
         k = _v_p(den, p)
         coords = tuple(Fraction(c, den) for c in ints)
         power = element(coords)
-        assert [pp.valuation(i, power) for i in match] == [w - k for w in want], (a, den)
-        norm = resultant(f, QPoly(coords))
+        assert [pp.valuation(i, power) for i in match] == [w - k for w in want], (ints, den)
+        norm = Fraction(str(t.resultant(_sympy_poly(coords))))
         v_norm = _v_p(norm.numerator, p) - _v_p(norm.denominator, p)
         ords = [pp.valuation(i, power) for i in range(pp.count)]
         assert sum(fi * v for fi, v in zip(pp.residue_degrees, ords)) == v_norm
