@@ -10,7 +10,7 @@ form, (integer coordinates, common denominator); `element` and
 
 from fractions import Fraction
 
-from ampletori import EtaleAlgebra, QPoly
+from ampletori import EtaleAlgebra, QPoly, linalg
 from ampletori.etale import coordinates, element
 from ampletori.serialize import matrix_to_json
 
@@ -37,8 +37,8 @@ print("  norm:", Fraction(*gauss.norm(g)), " integral:", gauss.element_is_integr
 
 print("\norder verification with witnesses:")
 print("  power basis of the cubic:", cubic.is_order())
-bad = EtaleAlgebra([QPoly([1, 0, 1])], [[1, 0], [0, Fraction(1, 2)]])
+bad = EtaleAlgebra([QPoly([1, 0, 1])], linalg.matrix([[1, 0], [0, Fraction(1, 2)]]))
 ok, witness = bad.is_order()
 print("  basis (1, i/2):", ok, "->", witness["reason"], "value", witness["value"])
-z2i = EtaleAlgebra([QPoly([1, 0, 1])], [[1, 0], [0, 2]])
+z2i = EtaleAlgebra([QPoly([1, 0, 1])], linalg.matrix([[1, 0], [0, 2]]))
 print("  basis (1, 2i):", z2i.is_order(), "(Z[2i] is a genuine non-maximal order)")

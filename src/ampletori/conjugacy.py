@@ -117,12 +117,20 @@ def find_simultaneous_conjugator(
     if chi is None or not discriminant(QPoly(chi)):
         return None
     candidates = order_elements_with_charpoly(e, unit_targets[0])
+    # the automorphisms with each automorphism target's charpoly, shared too:
+    # an automorphism of O lies in GL_n(Z), so its charpoly is integral, and a
+    # target whose charpoly is not (None) matches none of them
+    auto_cps = [linalg.integral_charpoly(a) for a in autos]
+    matches = []
+    for t in auto_targets:
+        chi_t = linalg.integral_charpoly(t)
+        matches.append([a for a, cp in zip(autos, auto_cps) if cp == chi_t])
     for transposed in (False, True):
         tgt_units = [
             linalg.transpose(t) if transposed else t for t in unit_targets
         ]
         tgt_autos = [linalg.transpose(t) if transposed else t for t in auto_targets]
-        result = _search_one_convention(e, tgt_units, tgt_autos, autos, candidates)
+        result = _search_one_convention(e, tgt_units, tgt_autos, matches, candidates)
         if result is not None:
             p, pinv, units = result
             basis = _discovered_basis(e, pinv)
@@ -130,17 +138,14 @@ def find_simultaneous_conjugator(
     return None
 
 
-def _search_one_convention(e, units, tgt_autos, autos, candidates):
+def _search_one_convention(e, units, tgt_autos, matches, candidates):
     n = e.n
-    # assign our automorphisms to the automorphism targets by charpoly, each
+    # each automorphism target's possible automorphisms, by charpoly, each
     # assignment with its condition rows, which do not depend on u0
-    cps = [linalg.charpoly(a) for a in autos]
-    assignments = []
-    for t in tgt_autos:
-        chi_t = linalg.charpoly(t)
-        assignments.append(
-            [(a, t, _condition_rows(a, t, n)) for a, cp in zip(autos, cps) if cp == chi_t]
-        )
+    assignments = [
+        [(a, t, _condition_rows(a, t, n)) for a in same_cp]
+        for t, same_cp in zip(tgt_autos, matches)
+    ]
     for u0 in candidates:
         # u0 primitive: P·π(u0) = T_0·P gives P·π(g(u0)) = g(T_0)·P for every
         # polynomial g, so this one condition fixes the algebra map

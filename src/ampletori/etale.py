@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 from . import linalg
 from .errors import NotAnOrderError, SingularMatrixError, UnsupportedError
-from .linalg import IntMat, IntVec, _int_vec
+from .linalg import IntMat, IntVec, _int_vec, _ratio_str
 from .polynomials import (
     QPoly,
     _linear_product,
@@ -62,7 +62,9 @@ def sorted_elements(elements, key: Callable = tuple) -> list[Coords]:
 class EtaleAlgebra:
     """Product of number fields with an order given by a Z-basis.
 
-    Elements are `Coords` (ints, den) in the order basis. The structure
+    The order basis is an IntMat whose rows are the basis in the power
+    bases (linalg.matrix makes one from rational rows), the identity when
+    None. Elements are `Coords` (ints, den) in the order basis. The structure
     constants are built once, when the algebra is made, in integers over
     their common denominator D: `_table[i][j]` holds the sparse (k, D·c_k)
     pairs of b_i·b_j = Σ c_k·b_k, and `_traces[i]` is D·Tr(b_i). D is 1
@@ -72,7 +74,7 @@ class EtaleAlgebra:
     def __init__(
         self,
         factors: Sequence[QPoly | Sequence],
-        order_basis: Sequence[Sequence] | None = None,
+        order_basis: IntMat | None = None,
     ):
         self.factors: tuple[QPoly, ...] = tuple(
             f if isinstance(f, QPoly) else QPoly(f) for f in factors
@@ -91,13 +93,10 @@ class EtaleAlgebra:
         for d in self.degrees:
             self.offsets.append(off)
             off += d
-        if order_basis is None:
-            self.order_basis: IntMat = linalg.identity(n)
-        else:
-            self.order_basis = linalg.matrix(order_basis)
-            rows = self.order_basis[0]
-            if len(rows) != n or len(rows[0]) != n:
-                raise ValueError("order basis must be n x n")
+        self.order_basis: IntMat = linalg.identity(n) if order_basis is None else order_basis
+        rows = self.order_basis[0]
+        if len(rows) != n or len(rows[0]) != n:
+            raise ValueError("order basis must be n x n")
         # coordinates are rows, so to_power and from_power apply the transposes
         self._basis_int = linalg.transpose(self.order_basis)
         # the per-algebra cache key: the factors' coefficients and the basis's IntMat
@@ -273,12 +272,12 @@ class EtaleAlgebra:
         """Check 1 ∈ Z-span(basis) and closure of the basis under products.
 
         Returns (True, None) or (False, witness) where the witness names the
-        offending pair and its non-integral coordinate.
+        offending pair and its non-integral coordinate, its value "p/q" text.
         """
         ints, one_den = self._one
         for k, c in enumerate(ints):
             if c % one_den:
-                value, reason = Fraction(c, one_den), "1 not in Z-span"
+                value, reason = _ratio_str(c, one_den), "1 not in Z-span"
                 return False, {"pair": None, "coordinate": k, "value": value, "reason": reason}
         den = self._den
         if den == 1:
@@ -290,7 +289,7 @@ class EtaleAlgebra:
                         return False, {
                             "pair": (i, j),
                             "coordinate": k,
-                            "value": Fraction(c, den),
+                            "value": _ratio_str(c, den),
                             "reason": f"b_{i}*b_{j} has non-integral coordinate",
                         }
         return True, None

@@ -4,8 +4,9 @@ Everything here is exact; no floating point is ever used. Every matrix in
 the package has one form, the `IntMat` (rows, den): integer rows over one
 positive common denominator, gcd(den, entries) = 1, so equal matrices have
 equal forms; an `IntVec` (ints, den) is the same form for a vector.
-`matrix` makes one from rational entries, where a matrix enters the
-package; `_int_mul`, `_int_mat_vec`, `_int_inv` and `charpoly` work on
+`matrix` makes one from int or Fraction entries, as serialize reads them
+where a matrix enters the package; no module here imports `fractions`.
+`_int_mul`, `_int_mat_vec`, `_int_inv` and `integral_charpoly` work on
 them, and `_mul_rows` multiplies the integer rows alone, for checks that do
 not depend on scale.
 
@@ -17,7 +18,6 @@ IntMat's rows."""
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from operator import mul
 from typing import Sequence
 
@@ -28,14 +28,13 @@ IntVec = tuple[tuple[int, ...], int]  # (ints, den)
 
 
 def matrix(rows: Sequence[Sequence]) -> IntMat:
-    """The IntMat of a rational matrix, its entries ints, Fractions or
-    anything Fraction() reads: den is the lcm of their denominators."""
-    m = [[x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row] for row in rows]
-    if m and any(len(row) != len(m[0]) for row in m):
+    """The IntMat of a rational matrix, its entries ints or Fractions (any
+    value with .numerator and .denominator): den is the lcm of their denominators."""
+    if rows and any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("ragged matrix")
-    flat, den = _integer_form([x for row in m for x in row])
-    n = len(m[0]) if m else 0
-    return tuple(tuple(flat[i * n : i * n + n]) for i in range(len(m))), den
+    flat, den = _integer_form([x for row in rows for x in row])
+    n = len(rows[0]) if rows else 0
+    return tuple(tuple(flat[i * n : i * n + n]) for i in range(len(rows))), den
 
 
 def identity(n: int) -> IntMat:
@@ -199,14 +198,6 @@ class _Span(list):
 
     def __contains__(self, v) -> bool:
         return not any(self._reduce(v))
-
-
-def charpoly(a: IntMat) -> list[Fraction]:
-    """Characteristic polynomial det(tI − a), ascending coefficients, monic:
-    the coefficient of t^k of _berkowitz(rows) divided by den^(n−k)."""
-    rows, d = a
-    n = len(rows)
-    return [Fraction(c, d ** (n - k)) for k, c in enumerate(_berkowitz(rows))]
 
 
 def integral_charpoly(a: IntMat) -> list[int] | None:

@@ -17,7 +17,6 @@ way, as diag(m, det(m)^{-1}).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -101,18 +100,6 @@ class PipelineRequest(NamedTuple):
         cap = data.get("precision_cap", DEFAULT_PRECISION_CAP)
         cap = positive_int(cap, f"{path}.precision_cap")
         return PipelineRequest(algebra, ambient, places, block, unit_source, cap)
-
-    def to_json(self) -> dict:
-        out = {
-            "schema": serialize.SCHEMA,
-            "algebra": serialize.algebra_to_json(self.algebra),
-            "ambient": self.ambient,
-            "places": str(self.places),
-            "unit_source": self.unit_source,
-        }
-        if self.unipotent_block is not None:
-            out["unipotent_block"] = self.unipotent_block
-        return out
 
 
 def _as_int(value, path: str) -> int:
@@ -349,7 +336,7 @@ def _load_golden(directory: Path, name: str) -> dict:
 
 
 def _matrices_equal(actual: list[IntMat], expected_json: list) -> tuple[bool, str]:
-    expected = [linalg.matrix(serialize.matrix_from_json(m)) for m in expected_json]
+    expected = [serialize.matrix_from_json(m) for m in expected_json]
     if actual == expected:
         return True, ""
     return False, (
@@ -413,7 +400,7 @@ def _check_imported(req, report, imported: dict, problems: list, caveats: list) 
     """
     e = req.algebra
     units, torsion, autos = (
-        [linalg.matrix(serialize.matrix_from_json(m)) for m in imported[kind]]
+        [serialize.matrix_from_json(m) for m in imported[kind]]
         for kind in ("torus", "torsion", "normalizer")
     )
     provenance = {"torsion:0": {"order": report.unit_system.torsion_order}}
@@ -437,8 +424,7 @@ def _check_imported(req, report, imported: dict, problems: list, caveats: list) 
             if not conjugacy.order_elements_with_charpoly(e, t):
                 problems.append("an imported matrix has a charpoly matching no order unit")
         return "weaker certificate"
-    rows, den = found.discovered_basis
-    basis_algebra = EtaleAlgebra(e.factors, [[Fraction(x, den) for x in row] for row in rows])
+    basis_algebra = EtaleAlgebra(e.factors, found.discovered_basis)
     if not basis_algebra.is_order()[0]:
         problems.append("discovered basis is not an order basis")
     for w in autos:

@@ -5,6 +5,12 @@ polynomials as arrays of coefficient strings in ascending degree, matrices
 row-major. Serialization is canonical: json.dumps with sorted keys and fixed
 separators, so identical inputs produce byte-identical reports.
 
+Apart from etale.coordinates, this is where a rational value exists:
+`parse_frac` is the one reader of a JSON number, an int, or a Fraction only
+when the value is not an integer, and the readers build the package's
+integer forms from its values at once (an IntMat by linalg.matrix, an
+element by etale.element).
+
 The *_to_json functions make their trees JSON-ready (str keys, lists,
 strings and ints), so dumps hands a tree to json's C encoder as it is; a
 Fraction left in one reaches frac_str as the encoder's default. Sanity
@@ -17,6 +23,7 @@ import json
 import re
 from fractions import Fraction
 
+from . import linalg
 from .errors import InputError
 from .etale import Coords, EtaleAlgebra, element
 from .linalg import IntMat, _ratio_str
@@ -25,15 +32,10 @@ from .torus import AmpleCertificate, SubmoduleWitness, require_supported_degrees
 from .units import UnitSystem, _PolynomialLRU
 
 SCHEMA = "cma/1"
-# (the factors' coefficients from poly_from_json, the order basis's _int_key)
-# -> the EtaleAlgebra built from them, which nothing edits once made
+# (the factors' coefficients from poly_from_json, the order basis's IntMat or
+# None) -> the EtaleAlgebra built from them, which nothing edits once made
 _ALGEBRAS = _PolynomialLRU()
 _INTEGER = re.compile(r"\s*[+-]?\d+\s*")  # a spelling int() and Fraction() read alike
-
-
-def _int_key(rows) -> tuple:
-    """Numerators and denominators of rational rows: a key that hashes ints."""
-    return tuple(tuple(x for c in row for x in (c.numerator, c.denominator)) for row in rows)
 
 
 def frac_str(x: Fraction) -> str:
@@ -41,25 +43,17 @@ def frac_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
-def parse_frac(s, path="") -> Fraction:
+def parse_frac(s, path="") -> int | Fraction:
+    """A JSON number's value: an int for "3" or 3 without a Fraction made,
+    Fraction(str(s))'s for any other spelling, as an int when it is one ("6/2")."""
+    if type(s) is int:
+        return s
+    if isinstance(s, str) and _INTEGER.fullmatch(s):
+        return int(s)
     try:
-        return Fraction(str(s))
+        x = Fraction(str(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational {s!r}: {exc}", path)
-
-
-def poly_to_json(coeffs) -> list[str]:
-    return [frac_str(c) for c in coeffs]
-
-
-def _coefficient(c, path):
-    """A coefficient's value: an int for "3" or 3 without a Fraction made,
-    parse_frac's for any other spelling, as an int when it is one ("6/2")."""
-    if type(c) is int:
-        return c
-    if isinstance(c, str) and _INTEGER.fullmatch(c):
-        return int(c)
-    x = parse_frac(c, path)
     return x.numerator if x.denominator == 1 else x
 
 
@@ -68,7 +62,7 @@ def poly_from_json(data, path="") -> tuple:
     each one that is not an integer, which QPoly refuses."""
     if not isinstance(data, list):
         raise InputError("polynomial must be an array of coefficient strings", path)
-    coeffs = [_coefficient(c, f"{path}[{i}]") for i, c in enumerate(data)]
+    coeffs = [parse_frac(c, f"{path}[{i}]") for i, c in enumerate(data)]
     while coeffs and not coeffs[-1]:
         coeffs.pop()
     return tuple(coeffs)
@@ -82,13 +76,12 @@ def matrix_to_json(m: IntMat) -> list[list[str]]:
     return [[_ratio_str(x, den) for x in row] for row in rows]
 
 
-def matrix_from_json(data, path="") -> tuple[tuple[Fraction, ...], ...]:
-    """The rational rows of a JSON matrix (linalg.matrix makes its IntMat)."""
+def matrix_from_json(data, path="") -> IntMat:
+    """The IntMat of a JSON matrix; linalg.matrix raises ValueError when it is ragged."""
     if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
         raise InputError("matrix must be an array of arrays", path)
-    return tuple(
-        tuple(parse_frac(x, f"{path}[{i}][{j}]") for j, x in enumerate(row))
-        for i, row in enumerate(data)
+    return linalg.matrix(
+        [[parse_frac(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)] for i, row in enumerate(data)]
     )
 
 
@@ -100,13 +93,6 @@ def vector_from_json(data, path="") -> Coords:
     return element([parse_frac(x, f"{path}[{i}]") for i, x in enumerate(data)])
 
 
-def algebra_to_json(e: EtaleAlgebra) -> dict:
-    return {
-        "factors": [poly_to_json(f.coeffs) for f in e.factors],
-        "order_basis": matrix_to_json(e.order_basis),
-    }
-
-
 def algebra_from_json(data, path="algebra") -> EtaleAlgebra:
     if not isinstance(data, dict) or "factors" not in data:
         raise InputError("algebra needs a 'factors' array", path)
@@ -116,10 +102,13 @@ def algebra_from_json(data, path="algebra") -> EtaleAlgebra:
         poly_from_json(f, f"{path}.factors[{i}]") for i, f in enumerate(data["factors"])
     )
     require_supported_degrees(len(f) - 1 for f in factors)
-    basis = None
-    if data.get("order_basis") is not None:
-        basis = matrix_from_json(data["order_basis"], f"{path}.order_basis")
-    key = (factors, None if basis is None else _int_key(basis))
+    basis = data.get("order_basis")
+    if basis is not None:
+        try:
+            basis = matrix_from_json(basis, f"{path}.order_basis")
+        except ValueError as exc:  # a ragged basis, reported at the algebra
+            raise InputError(str(exc), path)
+    key = (factors, basis)
     algebra = _ALGEBRAS.get(key)
     if algebra is None:
         try:  # QPoly refuses a non-integer coefficient

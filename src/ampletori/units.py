@@ -16,7 +16,6 @@ import functools
 import itertools
 import math
 import operator
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
@@ -487,7 +486,7 @@ def search_units(
     1-norm, then lexicographic). The budget caps the candidate count. The
     basis must be an order (else NotAnOrderError): its structure constants
     are integers, so the walk runs in plain ints, and a non-integer target
-    matches nothing. N(Σ x_i b_i) = det π(Σ x_i b_i) is homogeneous of
+    (an int or a Fraction, as serialize.parse_frac reads it) matches nothing. N(Σ x_i b_i) = det π(Σ x_i b_i) is homogeneous of
     degree n, so it is tabulated by forward differences from its values at
     the simplex corner −B + j, j ∈ [0, m)^n with Σj ≤ n, m = min(n+1, 2B+1):
     the only norms taken. They are turned once into the corner's mixed
@@ -523,9 +522,7 @@ def search_units(
         )
     if norm_targets is None:
         norm_targets = default_norm_targets(s_primes)
-    int_targets = {
-        int(t) for t in norm_targets if isinstance(t, int) or Fraction(t).denominator == 1
-    }
+    int_targets = {t.numerator for t in norm_targets if t.denominator == 1}
 
     side = 2 * coord_bound + 1
     m = min(n + 1, side)
@@ -976,7 +973,7 @@ def _norm_sign_and_exponents(
     num_rest, num_exp = strip_primes(num, s_primes)
     den_rest, den_exp = strip_primes(den, s_primes)
     if num_rest != 1 or den_rest != 1:
-        raise ValueError(f"norm {Fraction(num, den)} is not a unit of Z[1/S]")
+        raise ValueError(f"norm {linalg._ratio_str(num, den)} is not a unit of Z[1/S]")
     return sign, [num_exp[p] - den_exp[p] for p in s_primes]
 
 

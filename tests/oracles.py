@@ -22,6 +22,7 @@ from ampletori.polynomials import (
     fp_divmod,
     fp_strip,
 )
+from ampletori.serialize import matrix_to_json
 
 
 def _sympy_poly(coeffs):
@@ -475,6 +476,19 @@ def oracle_dumps(obj) -> str:
     """Canonical JSON by a recursive rebuild into plain JSON values first:
     the serialize.dumps of before it handed trees to the C encoder as they are."""
     return json.dumps(_oracle_jsonable(obj), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def poly_to_json(coeffs) -> list[str]:
+    """A polynomial's JSON: its integer coefficients as strings, ascending."""
+    return [str(c) for c in coeffs]
+
+
+def algebra_to_json(e) -> dict:
+    """An algebra's JSON, which serialize.algebra_from_json reads back."""
+    return {
+        "factors": [poly_to_json(f.coeffs) for f in e.factors],
+        "order_basis": matrix_to_json(e.order_basis),
+    }
 
 
 def oracle_divides(d: QPoly, f: QPoly) -> bool:

@@ -421,6 +421,37 @@ def test_a_non_integer_coefficient_is_an_input_error_at_the_algebra(tmp_path, ca
     assert json.loads(capsys.readouterr().out)["error"]["message"] == "factors of degree > 4 are not supported"
 
 
+# a malformed order basis: (message, path, module) of the error, path None
+# for an error raised past the request reader
+MALFORMED_BASES = [
+    ([[1, 0], [0]], "ragged matrix", "request.algebra", "cli"),
+    ([[1, 0]], "order basis must be n x n", "request.algebra", "cli"),
+    ([[1, 0], [2, 0]], "order basis matrix is singular", "request.algebra", "cli"),
+    (
+        [["x", "0"], ["0", "1"]],
+        "bad rational 'x': Invalid literal for Fraction: 'x'",
+        "request.algebra.order_basis[0][0]",
+        "cli",
+    ),
+    ([["1/0", "0"], ["0", "1"]], "bad rational '1/0': Fraction(1, 0)", "request.algebra.order_basis[0][0]", "cli"),
+    ([["1", "0"], ["0", "1/2"]], "basis is not an order: b_1*b_1 has non-integral coordinate", None, "etale"),
+    ([], "order basis must be n x n", "request.algebra", "cli"),
+    ([[]], "order basis must be n x n", "request.algebra", "cli"),
+    ("id", "matrix must be an array of arrays", "request.algebra.order_basis", "cli"),
+]
+
+
+@pytest.mark.parametrize("basis, message, path, module", MALFORMED_BASES, ids=range(len(MALFORMED_BASES)))
+def test_a_malformed_order_basis_is_an_error_with_its_path(basis, message, path, module, tmp_path, capsys):
+    reqfile = tmp_path / "request.json"
+    reqfile.write_text(json.dumps(_construct_request(["1", "0", "1"], basis=basis)))
+    assert main(["--json", "construct", str(reqfile)]) == 1
+    want = {"message": message, "module": module}
+    if path is not None:
+        want["path"] = path
+    assert json.loads(capsys.readouterr().out)["error"] == want
+
+
 def _refuse(*args, **kwargs):
     raise AssertionError("a rejected input must not reach the computation")
 

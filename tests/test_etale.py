@@ -46,11 +46,11 @@ def test_norm_trace_examples():
 
 def test_is_order_witnesses():
     assert CUBIC.is_order() == (True, None)
-    bad = EtaleAlgebra([QPoly([1, 0, 1])], [[1, 0], [0, Fraction(1, 2)]])
+    bad = EtaleAlgebra([QPoly([1, 0, 1])], linalg.matrix([[1, 0], [0, Fraction(1, 2)]]))
     ok, witness = bad.is_order()
     assert not ok
-    assert witness["pair"] == (1, 1) and witness["value"] == Fraction(-1, 4)
-    z2i = EtaleAlgebra([QPoly([1, 0, 1])], [[1, 0], [0, 2]])
+    assert witness["pair"] == (1, 1) and witness["value"] == "-1/4"
+    z2i = EtaleAlgebra([QPoly([1, 0, 1])], linalg.matrix([[1, 0], [0, 2]]))
     assert z2i.is_order() == (True, None)
 
 
@@ -115,7 +115,7 @@ def test_basis_change_conjugates_inside_glnz():
     rng = random.Random(31)
     e = CUBIC
     u = fraction_matrix([[1, 2, 0], [0, 1, -3], [0, 0, 1]])  # unimodular
-    e2 = EtaleAlgebra(e.factors, oracle_mat_mul(u, as_fractions(e.order_basis)))
+    e2 = EtaleAlgebra(e.factors, linalg.matrix(oracle_mat_mul(u, as_fractions(e.order_basis))))
     conj = tuple(zip(*oracle_mat_inv(u)))
     conj_inv = oracle_mat_inv(conj)
     for _ in range(25):
@@ -160,7 +160,7 @@ def test_rejects_singular_basis():
     from ampletori.errors import SingularMatrixError
 
     with pytest.raises(SingularMatrixError):
-        EtaleAlgebra([QPoly([1, 0, 1])], [[1, 0], [2, 0]])
+        EtaleAlgebra([QPoly([1, 0, 1])], linalg.matrix([[1, 0], [2, 0]]))
 
 
 def test_elements_with_charpoly_examples():
@@ -172,7 +172,7 @@ def test_elements_with_charpoly_examples():
     assert GAUSS.elements_with_charpoly(QPoly([2, -3, 1])) == []
     # x² + 3 splits in Q(√−3), not in Q(i)
     assert GAUSS.elements_with_charpoly(QPoly([3, 0, 1])) == []
-    z2i = EtaleAlgebra([QPoly([1, 0, 1])], [[1, 0], [0, 2]])
+    z2i = EtaleAlgebra([QPoly([1, 0, 1])], linalg.matrix([[1, 0], [0, 2]]))
     # ±i = ±(1/2)·2i lie outside the order: sorted as rationals
     assert z2i.elements_with_charpoly(QPoly([1, 0, 1])) == [
         element([0, Fraction(-1, 2)]),
@@ -197,7 +197,7 @@ def test_elements_with_charpoly_rejects_bad_input():
         ([1, -16, 20, -8, 1], None),  # V4
         ([-2, 0, 0, 0, 1], None),  # D4
         ([1, -1, 1, 0, 1], None),  # S4
-        ([1, 0, 1], [[1, 0], [0, 2]]),  # Z[2i]
+        ([1, 0, 1], linalg.matrix([[1, 0], [0, 2]])),  # Z[2i]
     ],
 )
 def test_elements_with_charpoly_find_every_box_element(coeffs, basis):

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import pytest
 
+from ampletori import linalg
 from ampletori.errors import SingularMatrixError
 from ampletori.etale import EtaleAlgebra, coordinates, element
 from ampletori.polynomials import QPoly
@@ -28,23 +29,23 @@ from oracles import as_fractions, oracle_det, oracle_mat_inv, oracle_mat_trace, 
 ALGEBRAS = {
     "linear": EtaleAlgebra([QPoly([-3, 1])]),
     "gauss": EtaleAlgebra([QPoly([1, 0, 1])]),
-    "sqrt2-shifted": EtaleAlgebra([QPoly([-2, 0, 1])], [[1, 5], [0, 1]]),
-    "z[2i]": EtaleAlgebra([QPoly([1, 0, 1])], [[1, 0], [0, 2]]),
-    "gauss-non-order": EtaleAlgebra([QPoly([1, 0, 1])], [[1, 0], [0, Fraction(1, 2)]]),
+    "sqrt2-shifted": EtaleAlgebra([QPoly([-2, 0, 1])], linalg.matrix([[1, 5], [0, 1]])),
+    "z[2i]": EtaleAlgebra([QPoly([1, 0, 1])], linalg.matrix([[1, 0], [0, 2]])),
+    "gauss-non-order": EtaleAlgebra([QPoly([1, 0, 1])], linalg.matrix([[1, 0], [0, Fraction(1, 2)]])),
     "cubic": EtaleAlgebra([QPoly([-1, 1, 0, 1])]),
-    "cubic-sublattice": EtaleAlgebra([QPoly([-1, 1, 0, 1])], [[1, 0, 0], [0, 3, 0], [1, 1, 3]]),
+    "cubic-sublattice": EtaleAlgebra([QPoly([-1, 1, 0, 1])], linalg.matrix([[1, 0, 0], [0, 3, 0], [1, 1, 3]])),
     "cubic-non-order": EtaleAlgebra(
-        [QPoly([-1, 1, 0, 1])], [[1, 0, 0], [0, Fraction(1, 3), 0], [0, 0, Fraction(2, 5)]]
+        [QPoly([-1, 1, 0, 1])], linalg.matrix([[1, 0, 0], [0, Fraction(1, 3), 0], [0, 0, Fraction(2, 5)]])
     ),
     "quartic": EtaleAlgebra([QPoly([1, -16, 20, -8, 1])]),
     "cyclotomic-8": EtaleAlgebra(
-        [QPoly([1, 0, 0, 0, 1])], [[1, 0, 0, 0], [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]]
+        [QPoly([1, 0, 0, 0, 1])], linalg.matrix([[1, 0, 0, 0], [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]])
     ),
     "linear-x-quadratic": EtaleAlgebra([QPoly([-2, 1]), QPoly([1, 1, 1])]),
     "gauss-x-sqrt2": EtaleAlgebra([QPoly([1, 0, 1]), QPoly([-2, 0, 1])]),
     "gauss-x-sqrt2-mixed": EtaleAlgebra(
         [QPoly([1, 0, 1]), QPoly([-2, 0, 1])],
-        [[1, 0, 1, 0], [1, 0, -1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
+        linalg.matrix([[1, 0, 1, 0], [1, 0, -1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]),
     ),
 }
 

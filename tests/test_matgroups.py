@@ -83,7 +83,7 @@ def test_enumerate_automorphisms():
         ([-2, 0, 0, 0, 1], None),  # D4
         ([12, 8, 0, 0, 1], None),  # A4
         ([1, -1, 1, 0, 1], None),  # S4
-        ([1, 0, 1], [[1, 0], [0, 2]]),  # Z[2i]: x is not in the order
+        ([1, 0, 1], linalg.matrix([[1, 0], [0, 2]])),  # Z[2i]: x is not in the order
     ],
 )
 def test_automorphisms_match_the_box_oracle(coeffs, basis):
@@ -94,7 +94,7 @@ def test_automorphisms_match_the_box_oracle(coeffs, basis):
 
 def test_z2i_automorphisms_include_conjugation():
     # x = i is not in the order Z[2i], but x ↦ −x maps the basis {1, 2i} to {1, −2i}
-    e = EtaleAlgebra([QPoly([1, 0, 1])], [[1, 0], [0, 2]])
+    e = EtaleAlgebra([QPoly([1, 0, 1])], linalg.matrix([[1, 0], [0, 2]]))
     assert enumerate_automorphisms(e) == [
         linalg.matrix([[1, 0], [0, -1]]),
         linalg.identity(2),
@@ -283,7 +283,7 @@ def test_normalization_holds_for_torus_elements():
 
 def test_automorphism_search_requires_an_order(monkeypatch):
     monkeypatch.setattr(matgroups, "_AUTOMORPHISM_CACHE", units._PolynomialLRU())
-    half = EtaleAlgebra([QPoly([1, 0, 1])], [[1, 0], [0, Fraction(1, 2)]])
+    half = EtaleAlgebra([QPoly([1, 0, 1])], linalg.matrix([[1, 0], [0, Fraction(1, 2)]]))
     with pytest.raises(NotAnOrderError):
         enumerate_automorphisms(half)
 

@@ -9,6 +9,7 @@ import pytest
 
 from ampletori import linalg, matgroups, pipeline, serialize, units
 from ampletori.errors import IndependenceUndecidedError, InputError, UnsupportedError
+from ampletori.cli import main
 from ampletori.conjugacy import find_simultaneous_conjugator, order_elements_with_charpoly
 from ampletori.matgroups import group_sanity
 from ampletori.pipeline import (
@@ -258,6 +259,20 @@ def test_a_singular_imported_normalizer_fails_its_row_by_sanity(tmp_path):
     )
 
 
+def test_a_ragged_imported_matrix_fails_its_row_without_a_traceback(tmp_path, capsys):
+    def ragged(imported):
+        imported["torus"][0][1] = imported["torus"][0][1][:3]
+
+    rows = _corpus_with_ex52(tmp_path, ragged)
+    assert [e for e, r in rows.items() if not r["pass"]] == ["5.2"]
+    assert rows["5.2"]["detail"] == "ValueError: ragged matrix"
+    assert main(["--json", "verify-paper", "--corpus", str(tmp_path)]) == 1
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    row = next(r for r in json.loads(out)["rows"] if r["example"] == "5.2")
+    assert row["detail"] == "ValueError: ragged matrix"
+
+
 def test_without_a_conjugator_the_caveat_names_its_stage_and_bound(monkeypatch):
     monkeypatch.setattr("ampletori.conjugacy.find_simultaneous_conjugator", lambda *a: None)
     row = next(r for r in verify_paper_examples() if r["example"] == "5.2")
@@ -272,8 +287,8 @@ def test_without_a_conjugator_the_caveat_names_its_stage_and_bound(monkeypatch):
 
 def test_ex52_conjugator_is_pinned():
     golden = json.loads((corpus_dir() / "ex52.json").read_text())
-    units = [linalg.matrix(serialize.matrix_from_json(m)) for m in golden["imported"]["torus"]]
-    autos = [linalg.matrix(serialize.matrix_from_json(m)) for m in golden["imported"]["normalizer"]]
+    units = [serialize.matrix_from_json(m) for m in golden["imported"]["torus"]]
+    autos = [serialize.matrix_from_json(m) for m in golden["imported"]["normalizer"]]
     e = PipelineRequest.from_json(golden["request"]).algebra
     found = find_simultaneous_conjugator(e, units, autos)
     assert found.transposed

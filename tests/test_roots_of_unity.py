@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from ampletori import pipeline, units
+from ampletori import linalg, pipeline, units
 from ampletori.errors import InvalidUnitSystemError
 from ampletori.etale import EtaleAlgebra, element
 from ampletori.pipeline import PipelineRequest, run_pipeline
@@ -76,7 +76,7 @@ CASES = list(_cases())
 
 @pytest.mark.parametrize("coeffs, basis", CASES, ids=str)
 def test_roots_of_unity_match_the_powering_oracle(coeffs, basis):
-    e = EtaleAlgebra([QPoly(coeffs)], basis)
+    e = EtaleAlgebra([QPoly(coeffs)], linalg.matrix(basis))
     expected = _oracle_roots(coeffs, basis)
     mu = roots_of_unity(e)
     assert len(mu) == len(expected) == FIELDS[coeffs]
@@ -105,7 +105,7 @@ def test_skewed_gaussian_basis_reports_order_four(monkeypatch):
 
 
 def test_torsion_units_of_a_skewed_basis_finds_i():
-    e = EtaleAlgebra([QPoly([1, 0, 1])], [[9, 2], [4, 1]])
+    e = EtaleAlgebra([QPoly([1, 0, 1])], linalg.matrix([[9, 2], [4, 1]]))
     gen, order = torsion_units(e)
     assert order == 4 and e.power(gen, 2) != e.one() == e.power(gen, 4)
 
@@ -122,7 +122,7 @@ def test_verification_rejects_torsion_that_misses_i():
     i_unit = minus_one._replace(torsion_generator=element([0, 1]), torsion_order=4)
     assert verify_unit_system(i_unit).rank == 1
     # μ(Z[3i]) = ±1, but i = 3i/3 lies in Z[3i][1/3]: the order named is O[1/S]
-    z3i = EtaleAlgebra([QPoly([1, 0, 1])], [[1, 0], [0, 3]])
+    z3i = EtaleAlgebra([QPoly([1, 0, 1])], linalg.matrix([[1, 0], [0, 3]]))
     assert len(roots_of_unity(z3i, ())) == 2
     minus_one = UnitSystem(z3i, element([-1, 0]), 2, [element([3, 0])], (3,))
     with pytest.raises(
@@ -166,7 +166,7 @@ def test_roots_of_unity_of_o_s_match_the_powering_oracle(coeffs, k):
     # O[1/S] exactly when its coordinates' denominator is an S-number
     n = len(coeffs) - 1
     basis = [[k if i == j and i else int(i == j) for j in range(n)] for i in range(n)]
-    e = EtaleAlgebra([QPoly(coeffs)], basis)
+    e = EtaleAlgebra([QPoly(coeffs)], linalg.matrix(basis))
     every_root = _oracle_roots(coeffs, basis)
     for s_primes in ((), (k,), (5,), (k, 5)):
         expected = {z: m for z, m in every_root.items() if _s_number(z[1], s_primes)}
@@ -195,7 +195,7 @@ def test_a_new_s_reuses_the_cached_roots(monkeypatch):
         raise AssertionError("the roots of unity of K are cached per order")
 
     monkeypatch.setattr(units, "_ROOTS_OF_UNITY", units._PolynomialLRU())
-    z3i = EtaleAlgebra([QPoly([1, 0, 1])], [[1, 0], [0, 3]])
+    z3i = EtaleAlgebra([QPoly([1, 0, 1])], linalg.matrix([[1, 0], [0, 3]]))
     assert torsion_units(z3i) == (element([-1, 0]), 2)
     monkeypatch.setattr(EtaleAlgebra, "elements_with_charpoly", refuse)
     assert torsion_units(z3i, (3,)) == (element([0, Fraction(1, 3)]), 4)
@@ -204,7 +204,7 @@ def test_a_new_s_reuses_the_cached_roots(monkeypatch):
 
 
 def test_z3i_unit_system_with_three_inverted_holds_i():
-    z3i = EtaleAlgebra([QPoly([1, 0, 1])], [[1, 0], [0, 3]])
+    z3i = EtaleAlgebra([QPoly([1, 0, 1])], linalg.matrix([[1, 0], [0, 3]]))
     system = units.assemble_unit_system(z3i, (3,), 3)
     assert (system.torsion_generator, system.torsion_order) == (element([0, Fraction(1, 3)]), 4)
     assert verify_unit_system(system).rank == system.rank == 1

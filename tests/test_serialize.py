@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from ampletori import serialize
+from ampletori import linalg, serialize
 from ampletori.errors import InputError
 from ampletori.etale import EtaleAlgebra
 from ampletori.polynomials import QPoly
 from ampletori.units import UnitSystem
+
+from oracles import algebra_to_json, poly_to_json
 
 
 def test_fraction_round_trip():
@@ -15,19 +17,28 @@ def test_fraction_round_trip():
         assert serialize.parse_frac(serialize.frac_str(x)) == x
     assert serialize.frac_str(Fraction(-3, 5)) == "-3/5"
     assert serialize.frac_str(Fraction(7)) == "7"
+    # an integer value reads as an int, without a Fraction made
+    values = [serialize.parse_frac(s) for s in (3, "3", " -2 ", "6/2", "3.0")]
+    assert values == [3, 3, -2, 3, 3] and all(type(v) is int for v in values)
 
 
 def test_polynomial_round_trip():
     f = QPoly([-1, 1, 0, 1])
-    assert serialize.poly_to_json(f.coeffs) == ["-1", "1", "0", "1"]
+    assert poly_to_json(f.coeffs) == ["-1", "1", "0", "1"]
     assert QPoly(serialize.poly_from_json(["-1", "1", "0", "1"])) == f
 
 
 def test_algebra_round_trip():
-    e = EtaleAlgebra([QPoly([1, 0, 1])], [[1, 0], [0, 2]])
-    data = serialize.algebra_to_json(e)
+    e = EtaleAlgebra([QPoly([1, 0, 1])], linalg.matrix([[1, 0], [0, 2]]))
+    data = algebra_to_json(e)
     e2 = serialize.algebra_from_json(data)
     assert e2.factors == e.factors and e2.order_basis == e.order_basis
+
+
+def test_matrix_entries_read_like_coefficients():
+    # "1/2", "6/2", 3, " -2 " and the JSON number 0.5, over one denominator
+    m = serialize.matrix_from_json(json.loads('[["1/2", "6/2"], [3, " -2 "], [0.5, "0"]]'))
+    assert m == (((1, 6), (6, -4), (1, 0)), 2)
 
 
 def test_unit_system_round_trip():

@@ -66,11 +66,10 @@ def test_norm_targets_are_ints_and_a_fraction_target_still_matches(monkeypatch):
     assert search_units(GAUSS, 3, (13,), {Fraction(13, 2), Fraction(1, 13)}) == []
     pool = search_units(GAUSS, 3, (13,), targets)
 
-    def no_fraction(*args):
-        raise AssertionError("a Fraction was made for an integer target")
-
-    monkeypatch.setattr(units, "Fraction", no_fraction)
+    made, new = [], Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k: made.append(a) or new(cls, *a, **k))
     assert search_units(GAUSS, 3, (13,), targets) == pool
+    assert made == [], "a Fraction was made for an integer target"
 
 
 def test_search_units_gaussian():
@@ -347,7 +346,7 @@ TORSION_FIELDS = [
     EtaleAlgebra([QPoly(c)])
     for c in ([1, 0, 1], [1, 1, 1], [1, 0, 0, 0, 1], [1, 1, 1, 1, 1], [1, 0, -1, 0, 1], [-1, 1, 0, 1])
 ]
-NON_ORDER = EtaleAlgebra([QPoly([1, 0, 1])], [[1, 0], [0, Fraction(1, 2)]])
+NON_ORDER = EtaleAlgebra([QPoly([1, 0, 1])], linalg.matrix([[1, 0], [0, Fraction(1, 2)]]))
 
 
 @pytest.mark.parametrize("e", TORSION_FIELDS + [SQRT2, QUARTIC], ids=repr)
@@ -559,7 +558,7 @@ def test_prime_places_are_built_once_per_polynomial_and_prime(monkeypatch):
 SEARCH_ALGEBRAS = [
     EtaleAlgebra([QPoly([-3, 1])]),
     GAUSS,
-    EtaleAlgebra([QPoly([1, 0, 1])], [[1, 0], [0, 2]]),
+    EtaleAlgebra([QPoly([1, 0, 1])], linalg.matrix([[1, 0], [0, 2]])),
     CUBIC,
     QUARTIC,
     EtaleAlgebra([QPoly([1, 0, 0, 0, 1])]),
@@ -611,7 +610,7 @@ def test_search_units_takes_one_determinant_per_corner_point(e, bound, monkeypat
 # x^2 + 1, and the two-factor algebras
 LANE_ALGEBRAS = [
     EtaleAlgebra([QPoly([-1, -1000, 0, 1])]),
-    EtaleAlgebra([QPoly([1, 0, 1])], [[1, 0], [0, 37]]),
+    EtaleAlgebra([QPoly([1, 0, 1])], linalg.matrix([[1, 0], [0, 37]])),
     SEARCH_ALGEBRAS[6],
     SEARCH_ALGEBRAS[7],
 ]
@@ -700,7 +699,7 @@ def test_split_gaussian_s_units_certify_in_polynomial_time():
     assert time.process_time() - start < 2
 
 
-SHIFTED_SQRT2 =EtaleAlgebra([QPoly([-2, 0, 1])], [[1, 5], [0, 1]])  # 1 = (1, -5)
+SHIFTED_SQRT2 =EtaleAlgebra([QPoly([-2, 0, 1])], linalg.matrix([[1, 5], [0, 1]]))  # 1 = (1, -5)
 
 
 def test_torsion_of_a_shifted_order_needs_no_box():
