@@ -10,7 +10,7 @@ they hold.
 
 from ampletori import EtaleAlgebra, QPoly
 from ampletori.places import INF
-from ampletori.serialize import certificate_to_json, dumps
+from ampletori.serialize import certificate_to_json, dumps, replay_certificate
 from ampletori.torus import (
     PlaceSet,
     build_torus,
@@ -18,7 +18,6 @@ from ampletori.torus import (
     global_rank,
     is_s_ample,
     local_rank,
-    replay_certificate,
 )
 
 gauss = EtaleAlgebra([QPoly([1, 0, 1])])

@@ -44,6 +44,7 @@ from .polynomials import (
     factor_mod_p,
     is_square_integer,
 )
+from .serialize import replay_certificate
 from .torus import (
     AmpleCertificate,
     PlaceSet,
@@ -53,7 +54,6 @@ from .torus import (
     global_rank,
     is_s_ample,
     local_rank,
-    replay_certificate,
     replay_certificate_json,
 )
 from .units import (

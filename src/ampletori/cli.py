@@ -27,6 +27,7 @@ from .torus import (
 )
 from .units import (
     DEFAULT_PRECISION_CAP,
+    MAX_PRECISION_CAP,
     DependenceWitness,
     search_units,
     verify_unit_system,
@@ -55,10 +56,10 @@ def _load_algebra(path: str):
 
 
 def _precision_cap(args) -> int:
-    """--precision-cap, else the default; at least 1."""
+    """--precision-cap, else the default; from 1 to MAX_PRECISION_CAP."""
     if args.precision_cap is None:
         return DEFAULT_PRECISION_CAP
-    return positive_int(args.precision_cap, "--precision-cap")
+    return positive_int(args.precision_cap, "--precision-cap", MAX_PRECISION_CAP)
 
 
 def _emit(payload, as_json: bool, text_lines) -> None:

@@ -68,7 +68,8 @@ class EtaleAlgebra:
     constants are built once, when the algebra is made, in integers over
     their common denominator D: `_table[i][j]` holds the sparse (k, D·c_k)
     pairs of b_i·b_j = Σ c_k·b_k, and `_traces[i]` is D·Tr(b_i). D is 1
-    exactly when the basis products are integral.
+    exactly when the basis products are integral. Algebras with the same
+    factors and basis are equal and hash alike, so memos key on them.
     """
 
     def __init__(
@@ -99,7 +100,7 @@ class EtaleAlgebra:
             raise ValueError("order basis must be n x n")
         # coordinates are rows, so to_power and from_power apply the transposes
         self._basis_int = linalg.transpose(self.order_basis)
-        # the per-algebra cache key: the factors' coefficients and the basis's IntMat
+        # what == and hash compare: the factors' coefficients and the basis's IntMat
         self._key = (tuple(f.coeffs for f in self.factors), self._basis_int)
         try:
             self._inv_int = linalg._int_inv(self._basis_int)
@@ -302,6 +303,12 @@ class EtaleAlgebra:
     @property
     def num_factors(self) -> int:
         return len(self.factors)
+
+    def __eq__(self, other):
+        return isinstance(other, EtaleAlgebra) and self._key == other._key
+
+    def __hash__(self):
+        return hash(self._key)
 
     def __repr__(self):
         return f"EtaleAlgebra(factors={list(self.factors)!r}, n={self.n})"

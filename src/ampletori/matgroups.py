@@ -26,7 +26,7 @@ from .errors import SingularMatrixError, UnsupportedError
 from .etale import EtaleAlgebra
 from .linalg import IntMat
 from .places import automorphism_count, galois_group_small
-from .units import _PolynomialLRU, is_s_number, strip_primes
+from .polynomials import MEMO_SIZE, is_s_number, strip_primes
 
 
 class GeneratorSet(NamedTuple):
@@ -78,10 +78,6 @@ def _check_automorphism(e: EtaleAlgebra, mat: IntMat):
     return True, None
 
 
-# EtaleAlgebra._key -> automorphism matrices; bounded like the per-polynomial caches
-_AUTOMORPHISM_CACHE = _PolynomialLRU()
-
-
 def enumerate_automorphisms(e: EtaleAlgebra) -> list[IntMat]:
     """The matrices of all automorphisms of the order of a field factor.
 
@@ -95,14 +91,16 @@ def enumerate_automorphisms(e: EtaleAlgebra) -> list[IntMat]:
     gives |Aut(K)| = 1 (places.automorphism_count), as for every S3 cubic
     and A4 or S4 quartic, x is the only root. Sorted by the images
     σ(b_0), σ(b_1), …. Single-factor only; the basis must be an order (else
-    NotAnOrderError). Results are cached per (factors, basis); every call
+    NotAnOrderError). Results are memoized per (factors, basis); every call
     gets a new list.
     """
     if e.num_factors != 1:
         raise UnsupportedError("automorphism enumeration needs a single field factor")
-    cache_key = e._key
-    if cache_key in _AUTOMORPHISM_CACHE:
-        return list(_AUTOMORPHISM_CACHE.store(cache_key, _AUTOMORPHISM_CACHE[cache_key]))
+    return list(_automorphisms(e))
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _automorphisms(e: EtaleAlgebra) -> tuple[IntMat, ...]:
     e.require_order()
     f = e.factors[0]
     trivial = f.degree <= 4 and automorphism_count(galois_group_small(f)) == 1
@@ -116,9 +114,14 @@ def enumerate_automorphisms(e: EtaleAlgebra) -> list[IntMat]:
         mat = linalg._int_mul(cols, e._basis_int)
         if _check_automorphism(e, mat)[0]:
             out.append(mat)
-    out.sort(key=lambda m: linalg.transpose(m)[0])  # each den is 1
-    _AUTOMORPHISM_CACHE.store(cache_key, list(out))
-    return out
+    return tuple(sorted(out, key=lambda m: linalg.transpose(m)[0]))  # each den is 1
+
+
+def __getattr__(name: str):
+    # the benchmark's tracer reads len(_AUTOMORPHISM_CACHE) as the automorphism memo's size
+    if name == "_AUTOMORPHISM_CACHE":
+        return range(_automorphisms.cache_info().currsize)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def verify_normalization(e: EtaleAlgebra, m: IntMat):

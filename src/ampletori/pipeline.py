@@ -17,6 +17,7 @@ way, as diag(m, det(m)^{-1}).
 
 from __future__ import annotations
 
+import functools
 from math import lcm
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -33,6 +34,7 @@ from .matgroups import (
     verify_normalization,
 )
 from .places import galois_group_small, signature
+from .polynomials import MEMO_SIZE
 from .torus import (
     GL,
     SL,
@@ -43,10 +45,10 @@ from .torus import (
 )
 from .units import (
     DEFAULT_PRECISION_CAP,
+    MAX_PRECISION_CAP,
     DependenceWitness,
     UnitCertificate,
     UnitSystem,
-    _PolynomialLRU,
     assemble_unit_system,
     norm_one_subgroup,
     verify_unit_system,
@@ -98,7 +100,7 @@ class PipelineRequest(NamedTuple):
         unit_source = data.get("unit_source", {"search": {"coord_bound": 3}})
         _check_unit_source(unit_source, f"{path}.unit_source")
         cap = data.get("precision_cap", DEFAULT_PRECISION_CAP)
-        cap = positive_int(cap, f"{path}.precision_cap")
+        cap = positive_int(cap, f"{path}.precision_cap", MAX_PRECISION_CAP)
         return PipelineRequest(algebra, ambient, places, block, unit_source, cap)
 
 
@@ -110,11 +112,13 @@ def _as_int(value, path: str) -> int:
         raise InputError(f"expected an integer, got {value!r}", path) from None
 
 
-def positive_int(value, path: str) -> int:
-    """An integer ≥ 1 (a precision cap or a box bound), else an InputError."""
+def positive_int(value, path: str, top: int | None = None) -> int:
+    """An integer ≥ 1 (a box bound), at most top (a precision cap), else an InputError."""
     n = _as_int(value, path)
     if n < 1:
         raise InputError(f"expected an integer >= 1, got {n}", path)
+    if top is not None and n > top:
+        raise InputError(f"precision cap {n} exceeds the maximum of {top} bits", path)
     return n
 
 
@@ -169,9 +173,13 @@ def _certify(system: UnitSystem, precision_cap: int) -> tuple[UnitSystem, UnitCe
     return system, ucert
 
 
-# (EtaleAlgebra._key, S-primes, coord_bound, precision cap) ->
-# (searched UnitSystem, its UnitCertificate): both are functions of the key
-_UNIT_GROUPS = _PolynomialLRU()
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def _searched_units(
+    e: EtaleAlgebra, s_primes: tuple[int, ...], coord_bound: int, cap: int
+) -> tuple[UnitSystem, UnitCertificate]:
+    """The searched unit system and its certificate, both functions of the
+    arguments (an EtaleAlgebra hashes as its factors and basis)."""
+    return _certify(assemble_unit_system(e, s_primes, coord_bound, cap), cap)
 
 
 def _verified_units(req: PipelineRequest) -> tuple[UnitSystem, UnitCertificate]:
@@ -187,11 +195,7 @@ def _verified_units(req: PipelineRequest) -> tuple[UnitSystem, UnitCertificate]:
         return _certify(serialize.unit_system_from_json(e, src["provided"], path), cap)
     s_primes = req.places.finite_primes
     coord_bound = int(src.get("search", {}).get("coord_bound", 3))
-    key = (e._key, s_primes, coord_bound, cap)
-    group = _UNIT_GROUPS.get(key)
-    if group is None:
-        group = _certify(assemble_unit_system(e, s_primes, coord_bound, cap), cap)
-    system, ucert = _UNIT_GROUPS.store(key, group)
+    system, ucert = _searched_units(e, s_primes, coord_bound, cap)
     return (
         system._replace(algebra=e, free_generators=list(system.free_generators)),
         ucert._replace(caveats=list(ucert.caveats)),

@@ -16,13 +16,18 @@ from typing import NamedTuple
 
 from .errors import NoSuchElementError, RamifiedPlaceError, UnsupportedError
 from .polynomials import (
+    MEMO_SIZE,
     QPoly,
     _integer_roots,
+    _mul_mod_monic,
     discriminant,
     factor_mod_p,
+    fp_mod,
+    fp_strip,
     is_irreducible_q,
     is_prime,
     is_square_integer,
+    strip_primes,
 )
 from .realsplit import root_disks
 
@@ -293,7 +298,7 @@ STANDARD_TAGS = {
 }
 
 
-@functools.cache
+@functools.lru_cache(maxsize=len(STANDARD_TAGS))
 def standard_tag(name: str) -> GaloisTag:
     """The tag of one of the nine groups, built once per process: an immutable
     GaloisTag of tuples, a function of its name alone."""
@@ -322,40 +327,82 @@ class PlaceProfile(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=256)
 def signature(f: QPoly) -> Signature:
     """(r1, r2) of the field Q[x]/(f) for monic integral squarefree f.
 
     r1 counts the certified root disks centred on the real axis, each of
-    which holds exactly one real root (realsplit.root_disks). Cached per
-    polynomial (QPoly hashes its coefficients); a Signature is immutable.
+    which holds exactly one real root (realsplit.root_disks, memoized).
     """
     r1 = sum(1 for disk in root_disks(f, 1) if disk.im == 0)
     return Signature(r1, (f.degree - r1) // 2)
 
 
-def check_unramified(f: QPoly, p: int):
-    if not is_prime(p):
-        raise UnsupportedError(f"{p} is not prime")
-    disc = discriminant(f)
-    if disc % p == 0:
-        raise RamifiedPlaceError(p, disc)
+class PrimePlaces:
+    """The places of Q[x]/(f) over an unramified prime p.
+
+    Place i is the ideal P_i = (p, g_i(x)) for the i-th irreducible factor
+    g_i of f mod p. As p ∤ disc(f), Z[x]/(f) is p-maximal and pO = ∏ P_j, so
+    p is a uniformizer at every P_i. β_i = ∏_{j≠i} g_j(x) lies in every
+    other P_j and outside P_i: for γ in P_i, γ·β_i lies in pO, and γ·β_i/p
+    is integral with ord_{P_i} one lower.
+    """
+
+    def __init__(self, f: QPoly, p: int):
+        if not is_prime(p):
+            raise UnsupportedError(f"{p} is not prime")
+        if discriminant(f) % p == 0:
+            raise RamifiedPlaceError(p, discriminant(f))
+        self._f = f.coeffs  # ascending
+        self.p = p
+        self.factors = tuple(g for g, _ in factor_mod_p(f, p))
+        self.residue_degrees = tuple(len(g) - 1 for g in self.factors)
+        self.count = len(self.factors)
+        self._betas = [  # integer coefficients, ascending
+            functools.reduce(lambda a, g: _mul_mod_monic(a, g, self._f), others, [1])
+            for others in (self.factors[:i] + self.factors[i + 1 :] for i in range(self.count))
+        ]
+
+    def valuation(self, i: int, power: tuple[tuple[int, ...], int]) -> int:
+        """ord at place i of the nonzero element with power coordinates ints/den.
+
+        ord_P(u/m) = ord_P(u) − v_p(m) for rational m since p is unramified
+        and ord_P vanishes on prime-to-p rationals. Each step γ ← γ·β_i/p
+        while g_i divides γ mod p lowers ord_{P_i}(γ) by exactly one.
+        """
+        ints, den = power
+        if not any(ints):
+            raise ValueError("valuation of zero")
+        p, g = self.p, self.factors[i]
+        _, exps = strip_primes(den, (p,))
+        gamma, m = list(ints), 0
+        while not fp_mod(fp_strip([c % p for c in gamma]), g, p):
+            gamma = _mul_mod_monic(gamma, self._betas[i], self._f)
+            assert all(c % p == 0 for c in gamma)
+            gamma = [c // p for c in gamma]
+            m += 1
+        return m - exps[p]
+
+
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def prime_places(f: QPoly, p: int) -> PrimePlaces:
+    """The places over p of Q[x]/(f), built once per (f, p): the Galois data
+    and the log embedding share one factorization of f mod p. Nothing edits
+    a PrimePlaces once made; a ramified p raises before anything is stored."""
+    return PrimePlaces(f, p)
 
 
 def places_over_p(f: QPoly, p: int) -> int:
     """Number of places of Q[x]/(f) over an unramified prime p."""
-    return len(frobenius_cycle_type(f, p))
+    return prime_places(f, p).count
 
 
-@functools.lru_cache(maxsize=256)
 def frobenius_cycle_type(f: QPoly, p: int) -> tuple[int, ...]:
-    """The sorted degrees of the factors of f mod p, for unramified p: the
-    cycle type of Frobenius, one cycle per place. Cached per (f, p)."""
-    check_unramified(f, p)
-    return tuple(sorted(len(g) - 1 for g, _ in factor_mod_p(f, p)))
+    """The degrees of the factors of f mod p, for unramified p, sorted as
+    factor_mod_p sorts them: the cycle type of Frobenius, one cycle per place."""
+    return prime_places(f, p).residue_degrees
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def galois_group_small(f: QPoly) -> GaloisTag:
     """Galois group of the splitting field for monic irreducible f, deg ≤ 4.
 

@@ -25,6 +25,7 @@ from . import linalg
 from .errors import CompositeModulusError, NonMonicError, ZeroPolynomialError
 
 Coeffs = tuple[int, ...]
+MEMO_SIZE = 256  # the bound of every module memo: the most recently used values kept
 
 
 def _integer(c) -> int:
@@ -110,7 +111,7 @@ class QPoly:
         return fp_strip([c % p for c in self.coeffs])
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def discriminant(f: QPoly) -> int:
     """disc(f) = (−1)^{n(n−1)/2}·Res(f, f′) for monic f of degree n ≥ 1.
 
@@ -186,6 +187,22 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def strip_primes(n: int, primes: tuple[int, ...]) -> tuple[int, dict[int, int]]:
+    """Divide out the given primes; returns (cofactor, exponents)."""
+    n = abs(n)
+    exps = {p: 0 for p in primes}
+    for p in primes:
+        while n and n % p == 0:
+            n //= p
+            exps[p] += 1
+    return n, exps
+
+
+def is_s_number(n: int, s_primes: tuple[int, ...]) -> bool:
+    """True iff n = ±∏ p^{a_p} over the S-primes (a unit of Z[1/S] in Z)."""
+    return n != 0 and strip_primes(n, s_primes)[0] == 1
 
 
 def fp_strip(a: Sequence[int]) -> FpPoly:
@@ -424,7 +441,7 @@ def is_square_integer(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def split_prime(f: QPoly, avoid: int = 1) -> int:
     """The smallest prime p ∤ disc(f)·avoid modulo which f splits into linear factors.
 
@@ -515,7 +532,7 @@ def _integer_roots(f: QPoly) -> list[int]:
     return sorted(r for r in roots if not sum(a * r**k for k, a in enumerate(c)))
 
 
-@functools.lru_cache(maxsize=256)
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def is_irreducible_q(f: QPoly) -> bool:
     """Decide irreducibility over Q for monic integral f, in every degree.
 

@@ -20,12 +20,13 @@ Everything is integer arithmetic.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
 from .errors import AmpleToriError, NonMonicError
 from .linalg import IntVec, _int_vec
-from .polynomials import QPoly, cauchy_bound
+from .polynomials import MEMO_SIZE, QPoly, cauchy_bound
 
 DOUBLINGS = 6  # working-precision doublings before root_disks gives up
 STEPS = 100  # Weierstrass sweeps per working precision at most
@@ -87,7 +88,7 @@ def _weierstrass(coeffs: list[int], zs: list[tuple[int, int]], p: int) -> None:
             return
 
 
-def _certify(coeffs, zs, r1: int, p: int, bits: int) -> list[RootDisk] | None:
+def _certify(coeffs, zs, r1: int, p: int, bits: int) -> tuple[RootDisk, ...] | None:
     """Smith disks on zs made conjugation-closed, if each radius is ≤ 2^-bits
     and all n are pairwise disjoint; else None."""
     n = len(zs)
@@ -124,10 +125,11 @@ def _certify(coeffs, zs, r1: int, p: int, bits: int) -> list[RootDisk] | None:
             (x, y), (u, v) = centres[i], centres[j]
             if (x - u) ** 2 + (y - v) ** 2 <= (radii[i] + radii[j]) ** 2:
                 return None
-    return [RootDisk(x, y, r, p) for (x, y), r in zip(centres, radii[: r1 + len(upper)])]
+    return tuple(RootDisk(x, y, r, p) for (x, y), r in zip(centres, radii[: r1 + len(upper)]))
 
 
-def root_disks(f: QPoly, bits: int) -> list[RootDisk]:
+@functools.lru_cache(maxsize=MEMO_SIZE)
+def root_disks(f: QPoly, bits: int) -> tuple[RootDisk, ...]:
     """One certified disk of radius ≤ 2^-bits per archimedean place of f.
 
     f is monic integral and squarefree. The disks centred on the real axis
@@ -139,7 +141,9 @@ def root_disks(f: QPoly, bits: int) -> list[RootDisk]:
     real-centred disk's root is real and an upper disk's is not. The start
     points are R·((4 + 9i)/10)^k with R the Cauchy bound of f. When the
     disks do not certify, the working precision doubles, up to DOUBLINGS
-    times; then RealSplitError names f and the precision.
+    times; then RealSplitError names f and the precision. Memoized per
+    (f, bits): the disks are deterministic in them (fixed start points,
+    exact integer iteration), and a tuple of NamedTuples cannot be edited.
     """
     if not f.is_monic():
         raise NonMonicError(f"root disks need a monic integral polynomial, not {f!r}")

@@ -19,6 +19,7 @@ details alone go through _jsonable first.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from fractions import Fraction
@@ -28,13 +29,20 @@ from .errors import InputError
 from .etale import Coords, EtaleAlgebra, element
 from .linalg import IntMat, _ratio_str
 from .matgroups import GeneratorSet
-from .torus import AmpleCertificate, SubmoduleWitness, require_supported_degrees
-from .units import UnitSystem, _PolynomialLRU
+from .polynomials import MEMO_SIZE
+from .torus import (
+    AmpleCertificate,
+    SubmoduleWitness,
+    replay_certificate_json,
+    require_supported_degrees,
+)
+from .units import UnitSystem
 
 SCHEMA = "cma/1"
 # (the factors' coefficients from poly_from_json, the order basis's IntMat or
-# None) -> the EtaleAlgebra built from them, which nothing edits once made
-_ALGEBRAS = _PolynomialLRU()
+# None) -> the EtaleAlgebra built from them, which nothing edits once made; a
+# failed build raises and is not stored
+_algebra = functools.lru_cache(maxsize=MEMO_SIZE)(EtaleAlgebra)
 _INTEGER = re.compile(r"\s*[+-]?\d+\s*")  # a spelling int() and Fraction() read alike
 
 
@@ -108,14 +116,10 @@ def algebra_from_json(data, path="algebra") -> EtaleAlgebra:
             basis = matrix_from_json(basis, f"{path}.order_basis")
         except ValueError as exc:  # a ragged basis, reported at the algebra
             raise InputError(str(exc), path)
-    key = (factors, basis)
-    algebra = _ALGEBRAS.get(key)
-    if algebra is None:
-        try:  # QPoly refuses a non-integer coefficient
-            algebra = EtaleAlgebra(factors, basis)
-        except Exception as exc:
-            raise InputError(str(exc), path)
-    return _ALGEBRAS.store(key, algebra)
+    try:  # QPoly refuses a non-integer coefficient
+        return _algebra(factors, basis)
+    except Exception as exc:
+        raise InputError(str(exc), path)
 
 
 def unit_system_to_json(sys: UnitSystem) -> dict:
@@ -179,6 +183,12 @@ def certificate_to_json(cert: AmpleCertificate) -> dict:
         "submodules": [submodule_to_json(w) for w in cert.submodules],
         "notes": [],
     }
+
+
+def replay_certificate(cert: AmpleCertificate) -> str:
+    """Recompute the verdict from the certificate's own stored witnesses, as
+    read back from its JSON form."""
+    return replay_certificate_json(certificate_to_json(cert))
 
 
 def generator_set_to_json(gens: GeneratorSet) -> dict:

@@ -373,27 +373,6 @@ def is_s_ample(t: TorusDatum, s: PlaceSet) -> AmpleCertificate:
     )
 
 
-def replay_certificate(cert: AmpleCertificate) -> str:
-    """Recompute the verdict from the certificate's own stored witnesses."""
-    submodules = [
-        {
-            "local_ranks": {k: list(v) for k, v in w.local_ranks.items()},
-            "witness_place": w.witness_place,
-            "sub_rank_at_witness": w.sub_rank_at_witness,
-            "torus_rank_at_witness": w.torus_rank_at_witness,
-        }
-        for w in cert.submodules
-    ]
-    return replay_certificate_json(
-        {
-            "condition_i": cert.condition_i,
-            "condition_iii": cert.condition_iii,
-            "local_ranks": cert.local_ranks,
-            "submodules": submodules,
-        }
-    )
-
-
 def replay_certificate_json(data: dict) -> str:
     """Replay a serialized certificate: only stored dim comparisons are used,
     so any consumer can re-check the verdict without this library's internals."""

@@ -27,12 +27,13 @@ from .errors import (
 )
 from .etale import Coords, EtaleAlgebra, sorted_elements
 from .intervals import log_grid
-from .places import Signature, check_unramified, galois_group_small, signature
-from .polynomials import QPoly, _mul_mod_monic, factor_mod_p, fp_mod, fp_strip, split_prime
-from .realsplit import RootDisk, abs_square_on_disk, root_disks
+from .places import Signature, galois_group_small, places_over_p, prime_places, signature
+from .polynomials import MEMO_SIZE, QPoly, is_s_number, split_prime, strip_primes
+from .realsplit import abs_square_on_disk, root_disks
 
 PRECISION_LADDER = (64, 128, 256)
 DEFAULT_PRECISION_CAP = 256
+MAX_PRECISION_CAP = 4096  # a request short of rank climbs straight to its cap
 MAX_DENOMINATOR = 16  # largest d in the relations u^d = t^k·∏ g_i^(a_i) tried
 KMAX = 2  # largest exponent k of an S-prime in the default norm targets ±∏ p^k
 # Φ_m, ascending coefficients, for the m > 2 with φ(m) ≤ 4
@@ -43,7 +44,6 @@ CYCLOTOMIC = {3: (1, 1, 1), 4: (1, 0, 1), 6: (1, -1, 1), 5: (1, 1, 1, 1, 1),
 # S4 quartics lack; φ(m) = 4 needs K = Q(ζ_m), of group C4 (m = 5, 10) or V4
 CYCLOTOMIC_ORDERS = {"C2": (6, 4, 3), "C4": (10, 6, 5, 4, 3),
                      "V4": (12, 8, 6, 4, 3), "D4": (6, 4, 3)}
-CACHED_POLYNOMIALS = 256  # bound of every _PolynomialLRU
 
 
 # ---------------------------------------------------------------------------
@@ -58,86 +58,12 @@ def dirichlet_rank(sig: Signature, places_over_s: tuple[int, ...] = ()) -> int:
 
 def s_unit_rank(e: EtaleAlgebra, s_primes: tuple[int, ...]) -> int:
     """Free rank of the S-unit group of the whole algebra (sum over factors)."""
-    from .places import places_over_p
-
     total = 0
     for f in e.factors:
         sig = signature(f)
         counts = tuple(places_over_p(f, p) for p in s_primes)
         total += dirichlet_rank(sig, counts)
     return total
-
-
-# ---------------------------------------------------------------------------
-# S-integrality helpers
-# ---------------------------------------------------------------------------
-
-
-def strip_primes(n: int, primes: tuple[int, ...]) -> tuple[int, dict[int, int]]:
-    """Divide out the given primes; returns (cofactor, exponents)."""
-    n = abs(n)
-    exps = {p: 0 for p in primes}
-    for p in primes:
-        while n and n % p == 0:
-            n //= p
-            exps[p] += 1
-    return n, exps
-
-
-def is_s_number(n: int, s_primes: tuple[int, ...]) -> bool:
-    """True iff n = ±∏ p^{a_p} over the S-primes (a unit of Z[1/S] in Z)."""
-    return n != 0 and strip_primes(n, s_primes)[0] == 1
-
-
-# ---------------------------------------------------------------------------
-# prime-ideal valuations (unramified p, computed in the equation order)
-# ---------------------------------------------------------------------------
-
-
-class PrimePlaces:
-    """The places of Q[x]/(f) over an unramified prime p.
-
-    Place i is the ideal P_i = (p, g_i(x)) for the i-th irreducible factor
-    g_i of f mod p. As p ∤ disc(f), Z[x]/(f) is p-maximal and pO = ∏ P_j, so
-    p is a uniformizer at every P_i. β_i = ∏_{j≠i} g_j(x) lies in every
-    other P_j and outside P_i: for γ in P_i, γ·β_i lies in pO, and γ·β_i/p
-    is integral with ord_{P_i} one lower.
-    """
-
-    def __init__(self, f: QPoly, p: int):
-        check_unramified(f, p)
-        self._f = f.coeffs  # ascending
-        self.p = p
-        self.factors = [g for g, _ in factor_mod_p(f, p)]
-        self.residue_degrees = [len(g) - 1 for g in self.factors]
-        self._betas = [  # integer coefficients, ascending
-            functools.reduce(lambda a, g: _mul_mod_monic(a, g, self._f), others, [1])
-            for others in (self.factors[:i] + self.factors[i + 1 :] for i in range(self.count))
-        ]
-
-    def valuation(self, i: int, power: Coords) -> int:
-        """ord at place i of the nonzero element with power coordinates ints/den.
-
-        ord_P(u/m) = ord_P(u) − v_p(m) for rational m since p is unramified
-        and ord_P vanishes on prime-to-p rationals. Each step γ ← γ·β_i/p
-        while g_i divides γ mod p lowers ord_{P_i}(γ) by exactly one.
-        """
-        ints, den = power
-        if not any(ints):
-            raise ValueError("valuation of zero")
-        p, g = self.p, self.factors[i]
-        _, exps = strip_primes(den, (p,))
-        gamma, m = list(ints), 0
-        while not fp_mod(fp_strip([c % p for c in gamma]), g, p):
-            gamma = _mul_mod_monic(gamma, self._betas[i], self._f)
-            assert all(c % p == 0 for c in gamma)
-            gamma = [c // p for c in gamma]
-            m += 1
-        return m - exps[p]
-
-    @property
-    def count(self) -> int:
-        return len(self.factors)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +96,7 @@ class LogEmbedding(NamedTuple):
     the doubled value 2·log|σ(u)|, both from |A(α)|² enclosed on a
     certified root disk of the factor's polynomial (realsplit.root_disks);
     finite columns hold −f_v·ord_v(u)·log p with ord_v counted in
-    uniformizer steps (PrimePlaces). Full rows of a unit have |Σ m| ≤ Σ r.
+    uniformizer steps (places.PrimePlaces). Full rows of a unit have |Σ m| ≤ Σ r.
     """
 
     columns: list[LogColumn]
@@ -179,28 +105,6 @@ class LogEmbedding(NamedTuple):
 
     def subset(self, row_indices) -> "LogEmbedding":
         return LogEmbedding(self.columns, [self.rows[i] for i in row_indices], self.precision)
-
-
-class _PolynomialLRU(dict):
-    """Per-polynomial values, keeping the CACHED_POLYNOMIALS most recently used."""
-
-    def store(self, key, value):
-        self.pop(key, None)
-        self[key] = value
-        while len(self) > CACHED_POLYNOMIALS:
-            del self[next(iter(self))]
-        return value
-
-
-# (factor coefficients, p) -> PrimePlaces, which nothing edits once made
-_PRIME_PLACES = _PolynomialLRU()
-# (factor coefficients, bits) -> root_disks(f, bits) as a tuple of immutable disks
-_ROOT_DISKS = _PolynomialLRU()
-
-
-def _root_disks(f: QPoly, bits: int) -> tuple[RootDisk, ...]:
-    key = (f.coeffs, bits)
-    return _ROOT_DISKS.store(key, _ROOT_DISKS.get(key) or tuple(root_disks(f, bits)))
 
 
 def _log_ball(lo: int, hi: int, w: int) -> Ball:
@@ -243,11 +147,9 @@ def build_log_embedding(
             columns.append(LogColumn("real", k, j))
         for j in range(sig.r2):
             columns.append(LogColumn("complex", k, j))
-    places_by_key: dict[tuple[int, int], PrimePlaces] = {}
     for p in s_primes:
         for k, f in enumerate(e.factors):
-            pp = _PRIME_PLACES.get((f.coeffs, p)) or PrimePlaces(f, p)
-            places_by_key[(k, p)] = _PRIME_PLACES.store((f.coeffs, p), pp)
+            pp = prime_places(f, p)
             for j in range(pp.count):
                 columns.append(
                     LogColumn("finite", k, j, prime=p, residue_degree=pp.residue_degrees[j])
@@ -261,12 +163,9 @@ def build_log_embedding(
                 col = next(c for c in columns if c.factor == k)
                 raise InvalidUnitSystemError(f"element {i} is zero at {col.label()}: it has no log")
 
-    # each factor's root disks at each precision, looked up once in this call
-    disks = functools.cache(lambda k, b: _root_disks(e.factors[k], b))
-
     def disk_at(col):
         offset = 0 if col.kind == "real" else sigs[col.factor].r1
-        return lambda b: disks(col.factor, b)[offset + col.index]
+        return lambda b: root_disks(e.factors[col.factor], b)[offset + col.index]
 
     log_p = {p: _log_ball(*log_grid(p, 1, bits), 1) for p in s_primes}
     rows: list[list[Ball]] = []
@@ -278,7 +177,7 @@ def build_log_embedding(
             if col.kind != "finite":
                 row.append(_archimedean_log(col, disk_at(col), comp, bits))
                 continue
-            pp = places_by_key[(col.factor, col.prime)]
+            pp = prime_places(e.factors[col.factor], col.prime)
             w = -2 * col.residue_degree * pp.valuation(col.index, comp)
             m, r = log_p[col.prime]
             row.append((w * m, abs(w) * r))
@@ -640,10 +539,7 @@ def _require_one_field(e: EtaleAlgebra) -> None:
         raise UnsupportedError("torsion generator is computed for a single field factor")
 
 
-# EtaleAlgebra._key -> μ(K) as _field_roots_of_unity gives it, a tuple nothing edits
-_ROOTS_OF_UNITY = _PolynomialLRU()
-
-
+@functools.lru_cache(maxsize=MEMO_SIZE)
 def _field_roots_of_unity(e: EtaleAlgebra) -> tuple[Coords, ...]:
     """μ(K), the roots of unity of the field, as ζ^k at index k, k below
     the order w of μ(K), in order-basis coordinates (which need not be
@@ -656,7 +552,8 @@ def _field_roots_of_unity(e: EtaleAlgebra) -> tuple[Coords, ...]:
     w = 2 when none has. Proven gates skip each m with ζ_m ∉ K: a real place
     or odd n leaves ±1 (φ(m) is even for m > 2), CYCLOTOMIC_ORDERS reads the
     Galois tag, and m | p − 1 at p = split_prime(f), which splits completely
-    in K ⊇ Q(ζ_m).
+    in K ⊇ Q(ζ_m). Memoized per order (an EtaleAlgebra hashes as its
+    factors and basis); the value is a tuple nobody can edit.
     """
     e.require_order()
     f, n, (one, den) = e.factors[0], e.n, e.one()
@@ -686,10 +583,7 @@ def roots_of_unity(e: EtaleAlgebra, s_primes: tuple[int, ...] = ()) -> tuple[Coo
     is μ(O). One field factor and an order (else NotAnOrderError).
     """
     _require_one_field(e)
-    mu = _ROOTS_OF_UNITY.get(e._key)
-    if mu is None:
-        mu = _field_roots_of_unity(e)
-    _ROOTS_OF_UNITY.store(e._key, mu)
+    mu = _field_roots_of_unity(e)
     w = len(mu)
     d = sum(1 for _, den in mu if is_s_number(den, s_primes))
     step = w // d
@@ -850,6 +744,23 @@ def _enlarge_basis(
     return new_basis
 
 
+def _missing_rank(e: EtaleAlgebra, found: list[Coords], s_primes: tuple[int, ...]) -> str:
+    """Where independent S-units fall short of the rank: the exact rank ρ of
+    their valuations at the places above S (one row per place) counts what
+    they cover there, and the other len(found) − ρ lie in the unit group,
+    of rank r1 + r2 − 1."""
+    f, powers, rows = e.factors[0], list(map(e.to_power, found)), []
+    for p in s_primes:
+        pp = prime_places(f, p)
+        for j in range(pp.count):
+            rows.append([pp.valuation(j, power) for power in powers])
+    rho = len(linalg._echelon(rows, len(found))[0])
+    text = f"missing {dirichlet_rank(signature(f)) - len(found) + rho} archimedean"
+    if s_primes:
+        text += f", {len(rows) - rho} at the places above {','.join(map(str, s_primes))}"
+    return text
+
+
 def assemble_unit_system(
     e: EtaleAlgebra,
     s_primes: tuple[int, ...] = (),
@@ -908,13 +819,14 @@ def assemble_unit_system(
         basis_idx, _ = _greedy_prefix(pool_emb(bits), target_rank)
         if len(basis_idx) == target_rank:
             break
-    if len(basis_idx) != target_rank:
+    basis = [free_pool[i] for i in basis_idx]
+    if len(basis) != target_rank:
         raise IndependenceUndecidedError(
-            f"found {len(basis_idx)} independent units in the box of sup-norm "
-            f"<= {coord_bound} with norm exponents <= kmax={KMAX}, expected rank {target_rank}",
+            f"found {len(basis)} independent units in the box of sup-norm <= {coord_bound} "
+            f"with norm exponents <= kmax={KMAX}, expected rank {target_rank} "
+            f"({_missing_rank(e, basis, s_primes)})",
             precision_cap,
         )
-    basis = [free_pool[i] for i in basis_idx]
 
     # each enlargement multiplies the basis's index in the unit lattice by
     # its d ≥ 2, and that index is finite, so the rounds end

@@ -34,6 +34,7 @@ from ampletori.polynomials import (
     is_prime,
     squarefree_root,
 )
+from ampletori.serialize import replay_certificate
 from ampletori.torus import (
     SL,
     PlaceSet,
@@ -42,7 +43,6 @@ from ampletori.torus import (
     global_rank,
     is_s_ample,
     local_rank,
-    replay_certificate,
 )
 from ampletori.units import (
     assemble_unit_system,

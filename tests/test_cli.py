@@ -12,6 +12,7 @@ import ampletori
 from ampletori import pipeline, serialize, units
 from ampletori.cli import main
 from oracles import oracle_dumps
+from test_memos import fresh_memos
 
 GAUSS_ALGEBRA = {"factors": [["1", "0", "1"]], "order_basis": None}
 CUBIC_ALGEBRA = {"factors": [["-1", "1", "0", "1"]], "order_basis": None}
@@ -397,16 +398,18 @@ def test_factors_past_degree_four_are_refused_before_the_algebra_is_built(factor
 def test_integer_spellings_of_a_coefficient_share_one_algebra_and_report(
     spellings, tmp_path, monkeypatch, capsys
 ):
-    monkeypatch.setattr(serialize, "_ALGEBRAS", units._PolynomialLRU())
+    fresh_memos(monkeypatch, serialize._algebra)
     reqfile, reports = tmp_path / "request.json", []
     for factor in spellings:
         reqfile.write_text(json.dumps(_construct_request(factor, "GL")))
         assert main(["--json", "construct", str(reqfile)]) == 0
         reports.append(capsys.readouterr().out)
     assert len(set(reports)) == 1
-    (key, algebra), = serialize._ALGEBRAS.items()
-    assert key == ((tuple(int(c) for c in spellings[0]),), None)
-    assert algebra.factors[0].coeffs == key[0][0]
+    # one build: every later spelling hits the entry keyed by the int coefficients
+    ints = tuple(int(c) for c in spellings[0])
+    assert serialize._algebra.cache_info()[1:] == (1, 256, 1)
+    assert serialize._algebra((ints,), None).factors[0].coeffs == ints
+    assert serialize._algebra.cache_info()[1:] == (1, 256, 1)
 
 
 def test_a_non_integer_coefficient_is_an_input_error_at_the_algebra(tmp_path, capsys):
@@ -490,6 +493,38 @@ def test_units_verify_precision_cap_below_one_is_input_error(
     ])
     assert code == 1
     assert json.loads(capsys.readouterr().out)["error"]["path"] == path
+
+
+def test_a_precision_cap_above_the_maximum_is_refused_before_any_search(
+    gauss_file, tmp_path, monkeypatch, capsys
+):
+    # a request short of rank climbs straight to its cap, so a huge cap
+    # would run for hours; the maximum itself is accepted
+    top = units.MAX_PRECISION_CAP
+    assert top == 16 * units.DEFAULT_PRECISION_CAP
+    message = f"precision cap {top + 1} exceeds the maximum of {top} bits"
+    request = {"algebra": CUBIC_ALGEBRA, "places": "inf"}
+    capped_request = pipeline.PipelineRequest.from_json({**request, "precision_cap": top})
+    assert capped_request.precision_cap == top
+    reqfile, capped = tmp_path / "request.json", tmp_path / "capped.json"
+    reqfile.write_text(json.dumps(request))
+    capped.write_text(json.dumps({**request, "precision_cap": top + 1}))
+    assert main(["--json", "construct", str(reqfile), "--precision-cap", str(top)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr("ampletori.cli.run_pipeline", _refuse)
+    monkeypatch.setattr("ampletori.cli.verify_unit_system", _refuse)
+    sysfile = tmp_path / "system.json"
+    sysfile.write_text(json.dumps({"torsion": {"element": ["0", "1"], "order": 4}, "free": []}))
+    for argv, path in [
+        (["construct", str(capped)], "request.precision_cap"),
+        (["construct", str(reqfile), "--precision-cap", str(top + 1)], "--precision-cap"),
+        (["units", "verify", "--algebra", gauss_file, "--system", str(sysfile),
+          "--precision-cap", str(top + 1)], "--precision-cap"),
+    ]:
+        assert main(["--json", *argv]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "message": message, "module": "cli", "path": path,
+        }
 
 
 def test_precision_cap_does_not_read_the_environment(tmp_path, monkeypatch, capsys):
@@ -601,22 +636,22 @@ def test_construct_is_byte_identical_after_unrelated_runs(tmp_path, monkeypatch,
     ]
     fresh = _run_cli_in_fresh_process("--json", "construct", target)
     assert fresh.returncode == 0, fresh.stderr
-    # with the per-polynomial caches, the unit-group memo and the algebra
-    # cache bounded at one entry, each unrelated run evicts what the target
-    # run cached, and the rerun misses; at the full bound the rerun takes its
-    # unit group from the memo and its algebra from the algebra cache
-    for bound in (units.CACHED_POLYNOMIALS, 1):
-        monkeypatch.setattr(units, "CACHED_POLYNOMIALS", bound)
+    # with every module memo bounded at one entry, each unrelated run evicts
+    # what the target run stored, and the rerun misses; at their own bounds
+    # the rerun takes its unit group and its algebra from the memos
+    def hits():
+        return [memo.cache_info().hits for memo in (pipeline._searched_units, serialize._algebra)]
+
+    for bound in (None, 1):
+        fresh_memos(monkeypatch, maxsize=bound)
         main(["--json", "construct", target])
-        target_units = next(reversed(pipeline._UNIT_GROUPS))
-        target_algebra = next(reversed(serialize._ALGEBRAS))
         for path in unrelated:
             main(["--json", "construct", path])
-        assert (target_units in pipeline._UNIT_GROUPS) == (bound > 1)
-        assert (target_algebra in serialize._ALGEBRAS) == (bound > 1)
+        before = hits()
         capsys.readouterr()
         main(["--json", "construct", target])
         assert capsys.readouterr().out == fresh.stdout
+        assert [h - b for h, b in zip(hits(), before)] == ([1, 1] if bound is None else [0, 0])
 
 
 def test_construct_from_the_unit_group_memo_matches_fresh_processes(
@@ -636,11 +671,11 @@ def test_construct_from_the_unit_group_memo_matches_fresh_processes(
         fresh[ambient] = proc.stdout
     assemblies = []
     assemble = pipeline.assemble_unit_system
-    monkeypatch.setattr(pipeline, "_UNIT_GROUPS", units._PolynomialLRU())
+    fresh_memos(monkeypatch, pipeline._searched_units)
     monkeypatch.setattr(
         pipeline, "assemble_unit_system", lambda *a, **k: assemblies.append(a) or assemble(*a, **k)
     )
     for ambient in ("SL", "GL", "SL"):
         main(["--json", "construct", str(paths[ambient])])
         assert capsys.readouterr().out == fresh[ambient]
-    assert len(assemblies) == 1 == len(pipeline._UNIT_GROUPS)
+    assert len(assemblies) == 1 == pipeline._searched_units.cache_info().currsize

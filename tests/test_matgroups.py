@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ampletori import linalg, matgroups, pipeline, polynomials, units
+from ampletori import linalg, matgroups, pipeline, polynomials
 from ampletori.errors import NotAnOrderError
 from ampletori.etale import EtaleAlgebra
 from ampletori.matgroups import (
@@ -18,7 +18,7 @@ from ampletori.matgroups import (
     verify_normalization,
     verify_semidirect,
 )
-from ampletori.polynomials import QPoly
+from ampletori.polynomials import QPoly, is_s_number
 from oracles import (
     as_fractions,
     oracle_automorphisms,
@@ -33,6 +33,7 @@ from oracles import (
     oracle_s_integral_both_ways,
     oracle_semidirect,
 )
+from test_memos import fresh_memos
 
 CUBIC = EtaleAlgebra([QPoly([-1, 1, 0, 1])])
 GAUSS = EtaleAlgebra([QPoly([1, 0, 1])])
@@ -109,7 +110,7 @@ def test_a_trivial_automorphism_group_needs_no_root(monkeypatch):
     def refuse(*args):
         raise AssertionError("the Galois tag already fixes Aut(K)")
 
-    monkeypatch.setattr(matgroups, "_AUTOMORPHISM_CACHE", units._PolynomialLRU())
+    fresh_memos(monkeypatch, matgroups._automorphisms)
     monkeypatch.setattr(polynomials, "split_prime", refuse)
     monkeypatch.setattr(EtaleAlgebra, "elements_with_charpoly", refuse)
     for e in algebras:
@@ -117,14 +118,18 @@ def test_a_trivial_automorphism_group_needs_no_root(monkeypatch):
 
 
 def test_automorphism_cache_is_bounded_and_history_free(monkeypatch):
-    monkeypatch.setattr(units, "CACHED_POLYNOMIALS", 1)
-    monkeypatch.setattr(matgroups, "_AUTOMORPHISM_CACHE", units._PolynomialLRU())
+    fresh_memos(monkeypatch, matgroups._automorphisms, maxsize=1)
     first = {e: enumerate_automorphisms(e) for e in (GAUSS, CUBIC)}
-    assert len(matgroups._AUTOMORPHISM_CACHE) == 1  # CUBIC evicted GAUSS
+    # CUBIC evicted GAUSS; len() of _AUTOMORPHISM_CACHE is the memo's size
+    assert len(matgroups._AUTOMORPHISM_CACHE) == 1 == matgroups._automorphisms.cache_info().currsize
     for e in (GAUSS, CUBIC, GAUSS):
-        assert enumerate_automorphisms(e) == first[e]
+        mats = enumerate_automorphisms(e)  # a miss: the other algebra was held
+        assert mats == first[e]
+        mats.clear()  # a caller's edit does not reach the memo
+        hits = matgroups._automorphisms.cache_info().hits
+        assert enumerate_automorphisms(e) == first[e]  # e is the one entry held
+        assert matgroups._automorphisms.cache_info().hits == hits + 1
         assert len(matgroups._AUTOMORPHISM_CACHE) == 1
-        assert list(matgroups._AUTOMORPHISM_CACHE)[0][0] == tuple(f.coeffs for f in e.factors)
 
 
 def test_automorphism_functoriality_v4():
@@ -282,7 +287,7 @@ def test_normalization_holds_for_torus_elements():
 
 
 def test_automorphism_search_requires_an_order(monkeypatch):
-    monkeypatch.setattr(matgroups, "_AUTOMORPHISM_CACHE", units._PolynomialLRU())
+    fresh_memos(monkeypatch, matgroups._automorphisms)
     half = EtaleAlgebra([QPoly([1, 0, 1])], linalg.matrix([[1, 0], [0, Fraction(1, 2)]]))
     with pytest.raises(NotAnOrderError):
         enumerate_automorphisms(half)
@@ -332,7 +337,7 @@ def test_s_integrality_read_off_the_determinant_matches_the_inverse():
             det = oracle_det(as_fractions(m))
             entries_ok = oracle_matrix_is_s_integral(as_fractions(m), s)
             kinds["singular" if not det else "verdict " + str(expected)] += 1
-            if det and entries_ok and not units.is_s_number(det.numerator * det.denominator, s):
+            if det and entries_ok and not is_s_number(det.numerator * det.denominator, s):
                 kinds["det not an S-unit"] += 1
             kinds["entries not S-integral"] += not entries_ok
     assert min(kinds.values()) >= 10, kinds

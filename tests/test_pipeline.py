@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ampletori import linalg, matgroups, pipeline, serialize, units
+from ampletori import linalg, matgroups, pipeline, serialize
 from ampletori.errors import IndependenceUndecidedError, InputError, UnsupportedError
 from ampletori.cli import main
 from ampletori.conjugacy import find_simultaneous_conjugator, order_elements_with_charpoly
@@ -18,6 +18,8 @@ from ampletori.pipeline import (
     run_pipeline,
     verify_paper_examples,
 )
+
+from test_memos import fresh_memos
 
 CUBIC_REQ = {
     "algebra": {"factors": [["-1", "1", "0", "1"]]},
@@ -119,6 +121,7 @@ def test_malformed_inputs_carry_json_paths():
         ("unit_source", [1], "request.unit_source"),
         ("precision_cap", -5, "request.precision_cap"),
         ("precision_cap", 0, "request.precision_cap"),
+        ("precision_cap", 4097, "request.precision_cap"),
         ("unit_source", {"search": {"coord_bound": 0}}, "request.unit_source.search.coord_bound"),
         ("unit_source", {"search": {"coord_bound": -2}}, "request.unit_source.search.coord_bound"),
     ],
@@ -184,7 +187,7 @@ def test_z2i_conjugation_is_a_normalizer_generator_in_gl():
 def test_each_automorphism_is_checked_once_when_it_is_found(monkeypatch):
     # x⁴ − 5x² + 5 has Galois group C4: four roots, four automorphisms, each
     # checked when enumerated and never again, by the pipeline or on a repeat
-    monkeypatch.setattr(matgroups, "_AUTOMORPHISM_CACHE", units._PolynomialLRU())
+    fresh_memos(monkeypatch, matgroups._automorphisms)
     checked = []
     check = matgroups._check_automorphism
 
@@ -327,8 +330,8 @@ GAUSS_GL_REQ = {**GAUSS_REQ, "ambient": "GL"}
 
 @pytest.fixture
 def fresh_unit_memo(monkeypatch):
-    monkeypatch.setattr(pipeline, "_UNIT_GROUPS", units._PolynomialLRU())
-    return pipeline._UNIT_GROUPS
+    fresh_memos(monkeypatch, pipeline._searched_units)
+    return lambda: pipeline._searched_units.cache_info().currsize
 
 
 def test_editing_a_report_leaves_the_unit_memo_intact(fresh_unit_memo):
@@ -345,7 +348,7 @@ def test_editing_a_report_leaves_the_unit_memo_intact(fresh_unit_memo):
         # bound to the request's algebra, which the algebra cache shares
         assert again.unit_system.algebra is request.algebra
     assert serialize.dumps(again.to_json()) == expected
-    assert len(fresh_unit_memo) == 1
+    assert fresh_unit_memo() == 1
 
 
 def test_provided_units_and_errors_are_not_memoized(fresh_unit_memo):
@@ -373,7 +376,7 @@ def test_provided_units_and_errors_are_not_memoized(fresh_unit_memo):
     for _ in range(2):
         with pytest.raises(IndependenceUndecidedError, match="sup-norm <= 3"):
             run_pipeline(PipelineRequest.from_json(no_units))
-    assert len(fresh_unit_memo) == 1
+    assert fresh_unit_memo() == 1
 
 
 def _session_warm_ops():
@@ -388,11 +391,12 @@ def _session_warm_ops():
 def test_no_op_edits_a_cached_algebra(monkeypatch):
     # requests on the same (factors, order basis) share one EtaleAlgebra, so
     # no op may change one: its fields are the same after all 24 ops
-    monkeypatch.setattr(serialize, "_ALGEBRAS", units._PolynomialLRU())
+    fresh_memos(monkeypatch, serialize._algebra)
     ops = _session_warm_ops()
     requests = [op["request"] for op in ops]
     algebras = [PipelineRequest.from_json(req).algebra for req in requests]
-    assert len(ops) == 24 and len(serialize._ALGEBRAS) == len({id(e) for e in algebras}) < 24
+    assert len(ops) == 24
+    assert serialize._algebra.cache_info().currsize == len({id(e) for e in algebras}) < 24
     before = {id(e): copy.deepcopy(vars(e)) for e in algebras}
     for req in requests:
         run_pipeline(PipelineRequest.from_json(req))
@@ -403,9 +407,9 @@ def test_no_op_edits_a_cached_algebra(monkeypatch):
 
 
 def test_a_failed_algebra_build_is_not_cached(monkeypatch):
-    monkeypatch.setattr(serialize, "_ALGEBRAS", units._PolynomialLRU())
+    fresh_memos(monkeypatch, serialize._algebra)
     reducible = {"factors": [["-1", "0", "1"]], "order_basis": None}
     for _ in range(2):
         with pytest.raises(InputError, match="reducible"):
             serialize.algebra_from_json(reducible)
-    assert len(serialize._ALGEBRAS) == 0
+    assert serialize._algebra.cache_info().currsize == 0

@@ -23,9 +23,10 @@ from pathlib import Path
 import pytest
 import sympy
 
-from ampletori import places, polynomials, units
+from ampletori import places, polynomials, realsplit, units
 from ampletori.etale import EtaleAlgebra, element
 from ampletori.pipeline import PipelineRequest, corpus_dir
+from ampletori.places import PrimePlaces
 from ampletori.polynomials import (
     QPoly,
     discriminant,
@@ -36,7 +37,9 @@ from ampletori.polynomials import (
     split_prime,
 )
 from ampletori.torus import build_torus, is_s_ample
-from ampletori.units import PrimePlaces, build_log_embedding
+from ampletori.units import build_log_embedding
+
+from test_memos import fresh_memos
 
 X = sympy.Symbol("x")
 WORKLOADS = Path(__file__).resolve().parent.parent / "ampbench" / "workloads.py"
@@ -267,26 +270,24 @@ def test_invariant_caches_are_bounded_and_history_free(monkeypatch):
         for f, p in fields:
             emb = build_log_embedding(EtaleAlgebra([f]), [element([2] + [1] * (f.degree - 1))], (p,))
             out.append((polynomials.discriminant(f), places.places_over_p(f, p),
-                        places.frobenius_cycle_type(f, p), units._root_disks(f, 64), emb.rows))
+                        places.frobenius_cycle_type(f, p), realsplit.root_disks(f, 64), emb.rows))
         return out
 
     first = answers()
-    polynomials.discriminant.cache_clear()
-    places.frobenius_cycle_type.cache_clear()
-    monkeypatch.setattr(units, "_ROOT_DISKS", units._PolynomialLRU())
+
+    def memos():
+        return polynomials.discriminant, places.prime_places, realsplit.root_disks
+
+    fresh_memos(monkeypatch, *memos())
     assert answers() == first
     # at bound 1 every new key evicts the last one
-    monkeypatch.setattr(units, "CACHED_POLYNOMIALS", 1)
-    for name, module in (("discriminant", polynomials), ("frobenius_cycle_type", places)):
-        monkeypatch.setattr(module, name, functools.lru_cache(1)(getattr(module, name).__wrapped__))
+    fresh_memos(monkeypatch, *memos(), maxsize=1)
     for _ in range(2):
         assert answers() == first
-        assert polynomials.discriminant.cache_info().currsize == 1
-        assert places.frobenius_cycle_type.cache_info().currsize == 1
-        assert len(units._ROOT_DISKS) == 1
+        assert [memo.cache_info().currsize for memo in memos()] == [1, 1, 1]
     # a caller gets the cached tuple of immutable disks, which it cannot edit
-    disks = units._root_disks(fields[-1][0], 64)
-    assert disks is units._root_disks(fields[-1][0], 64)
+    disks = realsplit.root_disks(fields[-1][0], 64)
+    assert disks is realsplit.root_disks(fields[-1][0], 64)
     with pytest.raises(TypeError):
         disks[0] = disks[1]
     with pytest.raises(AttributeError):

@@ -17,6 +17,8 @@ from ampletori.polynomials import QPoly
 from ampletori.realsplit import root_disks
 from ampletori.torus import GL, SL, PlaceSet, TorusDatum, build_torus, decompose_module, is_s_ample
 
+from test_memos import fresh_memos
+
 GAUSS = EtaleAlgebra([QPoly([1, 0, 1])])
 QUARTIC = EtaleAlgebra([QPoly([1, 0, 0, 0, 1])])  # x^4 + 1, Galois group V4
 GAUSS_REQ = {"algebra": {"factors": [["1", "0", "1"]]}, "ambient": "SL", "places": "inf,5"}
@@ -73,7 +75,7 @@ def _assert_disjoint(a, b):
 
 @pytest.fixture
 def fresh_unit_memo(monkeypatch):
-    monkeypatch.setattr(pipeline, "_UNIT_GROUPS", units._PolynomialLRU())
+    fresh_memos(monkeypatch, pipeline._searched_units)
 
 
 def test_two_reports_share_no_list_or_dict(fresh_unit_memo):

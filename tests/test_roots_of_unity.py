@@ -24,6 +24,7 @@ from ampletori.polynomials import QPoly
 from ampletori.units import UnitSystem, roots_of_unity, torsion_units, verify_unit_system
 
 from oracles import oracle_torsion_order
+from test_memos import fresh_memos
 
 # Z[i], Z[ζ₃], Z[ζ₈], Z[ζ₅], x⁴−x²+1 (ζ₁₂), x³−x−1, Z[√2], the D4 field
 # x⁴+2, the V4 field x⁴+3x²+1 (which holds i) and the C4 order x⁴+5x²+5
@@ -91,7 +92,7 @@ def test_roots_of_unity_match_the_powering_oracle(coeffs, basis):
 
 def test_skewed_gaussian_basis_reports_order_four(monkeypatch):
     # the basis [[-5, -3], [2, 1]] puts i outside the box of sup-norm 3
-    monkeypatch.setattr(pipeline, "_UNIT_GROUPS", units._PolynomialLRU())
+    fresh_memos(monkeypatch, pipeline._searched_units)
     request = {
         "algebra": {"factors": [["1", "0", "1"]], "order_basis": [["-5", "-3"], ["2", "1"]]},
         "ambient": "SL",
@@ -142,7 +143,7 @@ def test_the_gates_skip_the_split_prime(monkeypatch):
     algebras = [EtaleAlgebra([QPoly(c)]) for c in fields]  # x⁴−x³+x²+1: S4, x⁴+8x+12: A4
     monkeypatch.setattr(units, "split_prime", refuse)
     monkeypatch.setattr(EtaleAlgebra, "elements_with_charpoly", refuse)
-    monkeypatch.setattr(units, "_ROOTS_OF_UNITY", units._PolynomialLRU())
+    fresh_memos(monkeypatch, units._field_roots_of_unity)
     for e in algebras:
         assert torsion_units(e) == ((tuple(-c for c in e.one()[0]), 1), 2)
 
@@ -194,13 +195,13 @@ def test_a_new_s_reuses_the_cached_roots(monkeypatch):
     def refuse(*args):
         raise AssertionError("the roots of unity of K are cached per order")
 
-    monkeypatch.setattr(units, "_ROOTS_OF_UNITY", units._PolynomialLRU())
+    fresh_memos(monkeypatch, units._field_roots_of_unity)
     z3i = EtaleAlgebra([QPoly([1, 0, 1])], linalg.matrix([[1, 0], [0, 3]]))
     assert torsion_units(z3i) == (element([-1, 0]), 2)
     monkeypatch.setattr(EtaleAlgebra, "elements_with_charpoly", refuse)
     assert torsion_units(z3i, (3,)) == (element([0, Fraction(1, 3)]), 4)
     assert torsion_units(z3i, (5,)) == (element([-1, 0]), 2)
-    assert len(units._ROOTS_OF_UNITY) == 1
+    assert units._field_roots_of_unity.cache_info().currsize == 1
 
 
 def test_z3i_unit_system_with_three_inverted_holds_i():

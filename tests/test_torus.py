@@ -10,6 +10,7 @@ from ampletori.errors import InputError, RamifiedPlaceError, UnsupportedError
 from ampletori.etale import EtaleAlgebra
 from ampletori.places import INF, STANDARD_TAGS, PlaceProfile, orbits_of, standard_tag
 from ampletori.polynomials import QPoly, discriminant, is_prime
+from ampletori.serialize import replay_certificate
 from ampletori.torus import (
     GL,
     SL,
@@ -25,7 +26,6 @@ from ampletori.torus import (
     is_s_ample,
     local_rank,
     place_profiles,
-    replay_certificate,
 )
 
 from oracles import (

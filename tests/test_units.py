@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ampletori import linalg, pipeline, units
+from ampletori import linalg, pipeline, places, units
 from ampletori.errors import (
     BudgetExceededError,
     IndependenceUndecidedError,
@@ -14,11 +14,10 @@ from ampletori.errors import (
     UnsupportedError,
 )
 from ampletori.etale import EtaleAlgebra, element
-from ampletori.places import signature
+from ampletori.places import PrimePlaces, signature
 from ampletori.polynomials import QPoly
 from ampletori.units import (
     DependenceWitness,
-    PrimePlaces,
     UnitSystem,
     assemble_unit_system,
     build_log_embedding,
@@ -43,6 +42,7 @@ from oracles import (
     oracle_unit_search,
     oracle_walk_difference_max,
 )
+from test_memos import fresh_memos
 
 CUBIC = EtaleAlgebra([QPoly([-1, 1, 0, 1])])
 GAUSS = EtaleAlgebra([QPoly([1, 0, 1])])
@@ -541,7 +541,7 @@ def test_non_integer_norm_target_matches_nothing():
 
 
 def test_prime_places_are_built_once_per_polynomial_and_prime(monkeypatch):
-    monkeypatch.setattr(units, "_PRIME_PLACES", units._PolynomialLRU())
+    fresh_memos(monkeypatch, places.prime_places)
     built = []
     init = PrimePlaces.__init__
     monkeypatch.setattr(
@@ -715,7 +715,7 @@ def test_an_undecided_unit_system_names_its_box(monkeypatch):
     with pytest.raises(
         IndependenceUndecidedError,
         match=r"^found 0 independent units in the box of sup-norm <= 3 with norm exponents "
-        r"<= kmax=2, expected rank 1$",
+        r"<= kmax=2, expected rank 1 \(missing 1 archimedean\)$",
     ):
         assemble_unit_system(EtaleAlgebra([QPoly([-7, 0, 1])]), (), 3)
     monkeypatch.setattr(units, "_express_from_rows", lambda *args: None)
@@ -727,13 +727,32 @@ def test_an_undecided_unit_system_names_its_box(monkeypatch):
         assemble_unit_system(SQRT2, (), 2)
 
 
+@pytest.mark.parametrize(
+    "coeffs, places, missing",
+    [
+        # Q(√−23) has no unit of infinite order, and 2 splits: the box finds
+        # one of the two directions at the places above 2
+        (["6", "1", "1"], "inf,2", "found 1 independent units .* expected rank 2 "
+         r"\(missing 0 archimedean, 1 at the places above 2\)$"),
+        # the fundamental unit of Z[√94] lies far outside the box
+        (["-94", "0", "1"], "inf",
+         r"found 0 independent .* expected rank 1 \(missing 1 archimedean\)$"),
+    ],
+)
+def test_an_undecided_unit_system_says_which_rank_is_missing(coeffs, places, missing):
+    request = {"algebra": {"factors": [coeffs]}, "ambient": "GL", "places": places,
+               "unit_source": {"search": {"coord_bound": 3}}}
+    with pytest.raises(IndependenceUndecidedError, match=missing):
+        pipeline.run_pipeline(pipeline.PipelineRequest.from_json(request))
+
+
 def test_a_box_without_units_names_its_bound():
     # ±1 = ±(1, -5) lie outside the box of sup-norm 3, and so does every unit
     # of infinite order; the torsion is found without the box
     with pytest.raises(
         IndependenceUndecidedError,
         match=r"^found 0 independent units in the box of sup-norm <= 3 with norm exponents "
-        r"<= kmax=2, expected rank 1$",
+        r"<= kmax=2, expected rank 1 \(missing 1 archimedean\)$",
     ):
         assemble_unit_system(SHIFTED_SQRT2, (), 3)
     assert torsion_units(SHIFTED_SQRT2) == (element([-1, 5]), 2)

@@ -24,8 +24,8 @@ from sympy.polys.numberfields.primes import prime_decomp
 
 from ampletori.etale import element
 from ampletori.pipeline import corpus_dir
-from ampletori.polynomials import QPoly, discriminant, fp_mod, fp_strip, is_prime
-from ampletori.units import PrimePlaces, strip_primes
+from ampletori.places import PrimePlaces
+from ampletori.polynomials import QPoly, discriminant, fp_mod, fp_strip, is_prime, strip_primes
 
 X = sympy.Symbol("x")
 WORKLOADS = Path(__file__).resolve().parent.parent / "ampbench" / "workloads.py"
