@@ -15,7 +15,6 @@ from pathlib import Path
 from . import serialize
 from .errors import AmpleToriError, InputError
 from .pipeline import PipelineRequest, positive_int, run_pipeline, verify_paper_examples
-from .places import INF
 from .torus import (
     VERDICT_AMPLE,
     VERDICT_NOT_AMPLE,
@@ -24,6 +23,7 @@ from .torus import (
     finite_place,
     is_s_ample,
     local_rank,
+    parse_place,
 )
 from .units import (
     DEFAULT_PRECISION_CAP,
@@ -101,25 +101,15 @@ def _cmd_check_ample(args) -> int:
 def _cmd_local_rank(args) -> int:
     e = _load_algebra(args.algebra)
     torus = build_torus(e, args.ambient)
-    if args.place in ("inf", "infty", "oo"):
-        place = INF
-    else:
-        try:
-            place = int(args.place)
-        except ValueError:
-            raise InputError(f"bad place {args.place!r}", "place") from None
-    rank = local_rank(torus, place)
+    rank = local_rank(torus, parse_place(args.place, "place"))
     _emit({"place": args.place, "rank": rank}, args.json, [str(rank)])
     return EXIT_OK
 
 
 def _cmd_units(args) -> int:
     e = _load_algebra(args.algebra)
-    s_primes = tuple(
-        finite_place(positive_int(p, "--s-primes"), "--s-primes")
-        for p in args.s_primes.split(",")
-        if p.strip()
-    )
+    tokens = (args.s_primes or "").split(",")
+    s_primes = tuple(sorted({finite_place(p, "--s-primes") for p in tokens if p.strip()}))
     if args.action == "search":
         bound = positive_int(args.bound, "--bound")
         targets = None
@@ -133,6 +123,11 @@ def _cmd_units(args) -> int:
         raise InputError("units verify needs --system <file>", "system")
     data = _load_json(args.system)
     sys_ = serialize.unit_system_from_json(e, data, args.system)
+    if args.s_primes is not None and s_primes != sys_.s_primes:
+        raise InputError(
+            f"--s-primes {list(s_primes)} differ from the system's s_primes {list(sys_.s_primes)}",
+            "--s-primes",
+        )
     result = verify_unit_system(sys_, _precision_cap(args))
     if isinstance(result, DependenceWitness):
         payload = {"verified": False, "witness": result.describe()}
@@ -193,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("action", choices=["search", "verify"])
     p.add_argument("--algebra", required=True)
     p.add_argument("--bound", type=int, default=3)
-    p.add_argument("--s-primes", default="")
+    p.add_argument("--s-primes", help="comma-separated primes; verify: must match the system's")
     p.add_argument("--norms", default="", help="comma-separated norm targets")
     p.add_argument("--system", help="unit system JSON (verify)")
     p.add_argument("--precision-cap", type=int)

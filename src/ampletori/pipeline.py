@@ -22,7 +22,7 @@ from math import lcm
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import conjugacy, linalg, serialize
-from .errors import AmpleToriError, InputError, UnsupportedError
+from .errors import AmpleToriError, InputError, InvalidUnitSystemError, UnsupportedError
 from .etale import EtaleAlgebra
 from .linalg import IntMat
 from .matgroups import (
@@ -41,6 +41,7 @@ from .torus import (
     VERDICT_AMPLE,
     PlaceSet,
     build_torus,
+    finite_place,
     is_s_ample,
 )
 from .units import (
@@ -51,6 +52,7 @@ from .units import (
     UnitSystem,
     assemble_unit_system,
     norm_one_subgroup,
+    s_unit_rank,
     verify_unit_system,
 )
 
@@ -85,7 +87,7 @@ class PipelineRequest(NamedTuple):
                 raise InputError("primes must be an array", f"{path}.places.primes")
             places = PlaceSet(
                 bool(places_data.get("infty", True)),
-                tuple(_as_int(p, f"{path}.places.primes[{i}]") for i, p in enumerate(primes)),
+                tuple(finite_place(p, f"{path}.places.primes[{i}]") for i, p in enumerate(primes)),
             )
         else:
             raise InputError("places must be a string or object", f"{path}.places")
@@ -189,13 +191,23 @@ def _verified_units(req: PipelineRequest) -> tuple[UnitSystem, UnitCertificate]:
     report leaves it intact. A provided system is never memoized, nor is a
     dependent system or an error, which propagate.
     """
-    e, src, cap = req.algebra, req.unit_source, req.precision_cap
+    e, src, s_primes = req.algebra, req.unit_source, req.places.finite_primes
     if "provided" in src:
         path = "request.unit_source.provided"
-        return _certify(serialize.unit_system_from_json(e, src["provided"], path), cap)
-    s_primes = req.places.finite_primes
+        system = serialize.unit_system_from_json(e, src["provided"], path)
+        if system.s_primes != s_primes:
+            raise InputError(
+                f"s_primes {list(system.s_primes)} differ from the request's finite "
+                f"places {list(s_primes)}",
+                f"{path}.s_primes",
+            )
+        if system.rank < (rank := s_unit_rank(e, s_primes)):
+            raise InvalidUnitSystemError(
+                f"unit system has rank {system.rank}, but the S-unit group has rank {rank}"
+            )
+        return _certify(system, req.precision_cap)
     coord_bound = int(src.get("search", {}).get("coord_bound", 3))
-    system, ucert = _searched_units(e, s_primes, coord_bound, cap)
+    system, ucert = _searched_units(e, s_primes, coord_bound, req.precision_cap)
     return (
         system._replace(algebra=e, free_generators=list(system.free_generators)),
         ucert._replace(caveats=list(ucert.caveats)),

@@ -33,6 +33,7 @@ from .polynomials import MEMO_SIZE
 from .torus import (
     AmpleCertificate,
     SubmoduleWitness,
+    finite_place,
     replay_certificate_json,
     require_supported_degrees,
 )
@@ -141,6 +142,14 @@ def int_from_json(value) -> int:
 
 
 def unit_system_from_json(e: EtaleAlgebra, data, path="units") -> UnitSystem:
+    """A unit system; each of its s_primes is a prime (finite_place), and
+    they are kept sorted and distinct, as in a PlaceSet."""
+    if not isinstance(data, dict):
+        raise InputError("unit system must be an object with 'torsion' and 'free'", path)
+    primes = data.get("s_primes", [])
+    if not isinstance(primes, list):
+        raise InputError("s_primes must be an array", f"{path}.s_primes")
+    s_primes = {finite_place(p, f"{path}.s_primes[{i}]") for i, p in enumerate(primes)}
     try:
         torsion = data["torsion"]
         return UnitSystem(
@@ -151,7 +160,7 @@ def unit_system_from_json(e: EtaleAlgebra, data, path="units") -> UnitSystem:
                 vector_from_json(g, f"{path}.free[{i}]")
                 for i, g in enumerate(data["free"])
             ],
-            tuple(int_from_json(p) for p in data.get("s_primes", [])),
+            tuple(sorted(s_primes)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad unit system: {exc}", path)

@@ -51,11 +51,20 @@ VERDICT_NOT_AMPLE = "not-S-ample"
 _SINGLE_FACTOR_ONLY = "submodule decomposition is implemented for single-factor algebras"
 
 
-def finite_place(p: int, path: str) -> int:
-    """p itself when it is a prime, else an InputError at path."""
+def finite_place(value: int | str, path: str) -> int:
+    """The prime that value, an int or an int's text, names, else an InputError at path."""
+    try:
+        p = int(value) if isinstance(value, (int, str)) and not isinstance(value, bool) else 0
+    except ValueError:
+        p = 0
     if not is_prime(p):
-        raise InputError(f"finite place {p} is not a prime", path)
+        raise InputError(f"finite place {value} is not a prime", path)
     return p
+
+
+def parse_place(token: str, path: str) -> Place:
+    """INF for "inf", "infty" or "oo", else the prime token names (finite_place)."""
+    return INF if token in ("inf", "infty", "oo") else finite_place(token, path)
 
 
 class _PlaceSet(NamedTuple):
@@ -74,35 +83,18 @@ class PlaceSet(_PlaceSet):
 
     def __new__(cls, include_infty: bool, finite_primes: tuple[int, ...]):
         if not include_infty:
-            raise UnsupportedError(
-                "S must contain the real place for SL_n/GL_n over Q"
-            )
-        for p in finite_primes:
-            finite_place(p, "places")
-        return super().__new__(cls, include_infty, tuple(sorted(set(finite_primes))))
+            raise UnsupportedError("S must contain the real place for SL_n/GL_n over Q")
+        primes = {finite_place(p, "places") for p in finite_primes}
+        return super().__new__(cls, include_infty, tuple(sorted(primes)))
 
     def places(self) -> list[Place]:
         return [INF] + list(self.finite_primes)
 
     @staticmethod
     def parse(text: str) -> "PlaceSet":
-        """Parse "inf,5,7"-style place lists."""
-        inf = False
-        primes = []
-        for token in text.split(","):
-            token = token.strip()
-            if not token:
-                continue
-            if token in ("inf", "infty", "oo"):
-                inf = True
-            else:
-                try:
-                    primes.append(int(token))
-                except ValueError:
-                    raise InputError(
-                        f"bad place {token!r}: expected 'inf' or a prime", "places"
-                    ) from None
-        return PlaceSet(inf, tuple(primes))
+        """Parse "inf,5,7"-style place lists (parse_place)."""
+        places = [parse_place(t.strip(), "places") for t in text.split(",") if t.strip()]
+        return PlaceSet(INF in places, tuple(p for p in places if p != INF))
 
     def __str__(self):
         return ",".join(["inf"] + [str(p) for p in self.finite_primes])

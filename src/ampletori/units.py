@@ -201,22 +201,32 @@ def _det_radius(mids: list[list[int]], rads: list[list[int]]) -> int:
     return math.prod(map(operator.add, norms, errs)) - math.prod(norms)
 
 
-def find_certified_minor(emb: LogEmbedding) -> tuple[int, ...] | None:
-    """The first column set, in lexicographic order, whose square minor is
-    certified nonsingular, or None.
+def find_certified_minor(emb: LogEmbedding, limit: int | None = None):
+    """(rows, columns): the rows taken in order, up to limit, each when the
+    certified minor of the rows before it extends by one column, the lowest
+    that certifies, and the minor's columns, ascending.
 
     A minor of balls is certified when one integer determinant, that of its
     midpoint matrix M, exceeds _det_radius in absolute value: then no
-    matrix inside the balls is singular.
+    matrix inside the balls is singular. An independent row adds exactly
+    one pivot column to the row space, so in exact arithmetic the columns
+    are the pivot columns of the rows taken, their lexicographically first
+    nonsingular minor, found in at most rows × columns determinants.
     """
-    r = len(emb.rows)
-    for cols in itertools.combinations(range(len(emb.columns)), r):
-        mids = [[row[j][0] for j in cols] for row in emb.rows]
-        rads = [[row[j][1] for j in cols] for row in emb.rows]
-        bound = _det_radius(mids, rads)
-        if abs(linalg._det(mids)) > bound:  # _det consumes mids
-            return cols
-    return None
+    taken: list[int] = []
+    cols: tuple[int, ...] = ()
+    for idx in range(len(emb.rows)):
+        if len(taken) == limit:
+            break
+        rows = [emb.rows[i] for i in taken + [idx]]
+        for j in (j for j in range(len(emb.columns)) if j not in cols):
+            grown = tuple(sorted((*cols, j)))
+            mids = [[row[k][0] for k in grown] for row in rows]
+            bound = _det_radius(mids, [[row[k][1] for k in grown] for row in rows])
+            if abs(linalg._det(mids)) > bound:  # _det consumes mids
+                taken, cols = taken + [idx], grown
+                break
+    return taken, cols
 
 
 # ---------------------------------------------------------------------------
@@ -277,20 +287,6 @@ def _precision_ladder(precision_cap: int) -> list[int]:
     return ladder
 
 
-def _greedy_prefix(emb: LogEmbedding, limit: int):
-    """Rows taken in order, up to limit, each when it extends a certified
-    minor; returns them with their minor's columns."""
-    prefix: list[int] = []
-    cols: tuple[int, ...] = ()
-    for idx in range(len(emb.rows)):
-        if len(prefix) == limit:
-            break
-        found = find_certified_minor(emb.subset(prefix + [idx]))
-        if found is not None:
-            prefix, cols = prefix + [idx], found
-    return prefix, cols
-
-
 def verify_unit_system(
     sys: UnitSystem, precision_cap: int = DEFAULT_PRECISION_CAP
 ) -> UnitCertificate | DependenceWitness:
@@ -299,9 +295,9 @@ def verify_unit_system(
     The torsion generator must generate μ(O[1/S]), the roots of unity of
     the order with the system's S-primes inverted (roots_of_unity), with
     the stated order. Returns a UnitCertificate
-    when a full minor of the log rows certifies.
-    Otherwise, at the same precision, each generator outside the greedy
-    certified prefix is reduced against that prefix (_express_from_rows):
+    when find_certified_minor takes every log row.
+    Otherwise, at the same precision, each generator outside the rows it
+    takes is reduced against them (_express_from_rows):
     u^d = t^k·∏ g_i^(a_i), confirmed by exact multiplication, is returned as
     a DependenceWitness. IndependenceUndecidedError is raised when neither
     succeeds at the precision cap (distinct from a disproof).
@@ -323,23 +319,19 @@ def verify_unit_system(
             f"but the roots of unity of O[1/S] have order {mu_order}"
         )
 
-    ladder = _precision_ladder(precision_cap)
     caveats = [
         "independence certified at the stated rank; fundamentality "
         "(that the generators span the full unit group) is not proven"
     ]
-    if sys.rank == 0:
-        return UnitCertificate(True, True, 0, (), ladder[0], caveats)
     gens = list(sys.free_generators)
     torsion = {e.power(sys.torsion_generator, k): k for k in range(sys.torsion_order)}
     inverses = None  # the generators' inverses, taken once a relation is sought
-    for bits in ladder:
+    for bits in _precision_ladder(precision_cap):
         emb = build_log_embedding(e, gens, s, bits)
-        cols = find_certified_minor(emb)
-        if cols is not None:
+        prefix, cols = find_certified_minor(emb)
+        if len(prefix) == sys.rank:
             labels = tuple(emb.columns[j].label() for j in cols)
             return UnitCertificate(True, True, sys.rank, labels, bits, caveats)
-        prefix, cols = _greedy_prefix(emb, sys.rank)
         minv = _minor_inverse([emb.rows[i] for i in prefix], cols)
         inverses = inverses or [e.inverse(g) for g in gens]
         basis = [(gens[i], inverses[i]) for i in prefix]
@@ -364,11 +356,12 @@ def verify_unit_system(
 # ---------------------------------------------------------------------------
 
 
-def default_norm_targets(s_primes: tuple[int, ...], kmax: int = KMAX):
-    """±∏ p^k with 0 ≤ k ≤ kmax per S-prime (just ±1 when S is empty)."""
+def default_norm_targets(s_primes: tuple[int, ...], bound: int):
+    """±∏ p^k with 0 ≤ k ≤ KMAX per S-prime, up to bound in absolute value
+    (just ±1 when S is empty); a product past the bound is never extended."""
     vals = {1}
     for p in s_primes:
-        vals = {v * p**k for v in vals for k in range(kmax + 1)}
+        vals = {v * p**k for v in vals for k in range(KMAX + 1) if v * p**k <= bound}
     return {s * v for v in vals for s in (1, -1)}
 
 
@@ -419,8 +412,9 @@ def search_units(
         raise BudgetExceededError(
             f"box ({2 * coord_bound + 1})^{n} = {total} exceeds budget {budget}"
         )
+    norm_bound = _hadamard_bound(e, coord_bound)  # no norm in the box is larger
     if norm_targets is None:
-        norm_targets = default_norm_targets(s_primes)
+        norm_targets = default_norm_targets(s_primes, norm_bound)
     int_targets = {t.numerator for t in norm_targets if t.denominator == 1}
 
     side = 2 * coord_bound + 1
@@ -471,7 +465,6 @@ def search_units(
         for i in range(0, len(corner), block)
     ]
 
-    norm_bound = _hadamard_bound(e, coord_bound)  # no norm in the box is larger
     hittable = [t for t in int_targets if abs(t) <= norm_bound]
     patterns = [(bias + t).to_bytes(width, "little") for t in hittable]
     sign = (-1) ** n  # N(−x) = sign·N(x)
@@ -789,7 +782,7 @@ def assemble_unit_system(
     precision, so the same minor and inverse.
     """
     _require_one_field(e)
-    pool = search_units(e, coord_bound, s_primes, default_norm_targets(s_primes), budget)
+    pool = search_units(e, coord_bound, s_primes, budget=budget)
     if s_primes:
         # saturate by pairwise ratios, each an S-unit: a box element a is
         # integral with an S-number norm N, so a⁻¹ = adj π(a)/N is in O[1/S]
@@ -814,9 +807,8 @@ def assemble_unit_system(
     ladder = _precision_ladder(precision_cap)
     # the free pool's log rows, built once per precision step of this call
     pool_emb = functools.cache(lambda bits: build_log_embedding(e, free_pool, s_primes, bits))
-    basis_idx: list[int] | None = []  # the basis's pool rows; None once enlarged
-    for bits in ladder:
-        basis_idx, _ = _greedy_prefix(pool_emb(bits), target_rank)
+    for bits in ladder:  # basis_idx: the basis's pool rows, None once enlarged
+        basis_idx, _ = find_certified_minor(pool_emb(bits), target_rank)
         if len(basis_idx) == target_rank:
             break
     basis = [free_pool[i] for i in basis_idx]
@@ -839,8 +831,8 @@ def assemble_unit_system(
                 basis_emb = build_log_embedding(e, basis, s_primes, bits)
             else:
                 basis_emb = pool_emb(bits).subset(basis_idx)
-            cols = find_certified_minor(basis_emb)
-            if cols is None:
+            taken, cols = find_certified_minor(basis_emb)
+            if len(taken) < len(basis):
                 continue
             minv = _minor_inverse(basis_emb.rows, cols)
             pending = False

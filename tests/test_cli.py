@@ -77,6 +77,57 @@ def test_units_verify_cli(gauss_file, tmp_path, capsys):
     assert data["verified"] and data["rank"] == 1
 
 
+@pytest.mark.parametrize("place", ["4", "0", "1", "-5", "xyz", "5.0"])
+def test_local_rank_place_reads_like_a_request_place(place, cubic_file, capsys):
+    # the flag goes through the reader of a request's places: 4 was an
+    # UnsupportedError with no path
+    assert main(["--json", "local-rank", "--algebra", cubic_file, "--place", place]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["message"] == f"finite place {place} is not a prime"
+    assert (err["module"], err["path"]) == ("cli", "place")
+
+
+@pytest.mark.parametrize("place", ["inf", "infty", "oo"])
+def test_local_rank_reads_every_spelling_of_the_real_place(place, cubic_file, capsys):
+    assert main(["local-rank", "--algebra", cubic_file, "--place", place]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+
+
+@pytest.mark.parametrize(
+    "flags, code",
+    [([], 0), (["--s-primes", "5"], 0), (["--s-primes", "5,5"], 0), (["--s-primes", "13"], 1),
+     (["--s-primes", "5,13"], 1), (["--s-primes", ""], 1)],
+)
+def test_units_verify_s_primes_must_match_the_system(flags, code, gauss_file, tmp_path, capsys):
+    sysfile = tmp_path / "system.json"
+    sysfile.write_text(json.dumps({
+        "torsion": {"element": ["0", "1"], "order": 4},
+        "free": [["4/5", "3/5"]],
+        "s_primes": [5],
+    }))
+    argv = ["--json", "units", "verify", "--algebra", gauss_file, "--system", str(sysfile)]
+    assert main(argv + flags) == code
+    out = json.loads(capsys.readouterr().out)
+    if code:
+        assert out["error"]["path"] == "--s-primes"
+        assert out["error"]["message"].endswith("differ from the system's s_primes [5]")
+    else:
+        assert out["verified"] and out["rank"] == 1
+
+
+def test_units_verify_s_prime_of_one_is_an_input_error(gauss_file, tmp_path, capsys):
+    # [5, 1] looped forever in strip_primes
+    sysfile = tmp_path / "system.json"
+    sysfile.write_text(json.dumps({
+        "torsion": {"element": ["0", "1"], "order": 4}, "free": [], "s_primes": [5, 1],
+    }))
+    argv = ["--json", "units", "verify", "--algebra", gauss_file, "--system", str(sysfile)]
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["message"] == "finite place 1 is not a prime"
+    assert err["path"] == f"{sysfile}.s_primes[1]"
+
+
 def test_construct_cli(tmp_path, cubic_file, capsys):
     reqfile = tmp_path / "request.json"
     reqfile.write_text(json.dumps({

@@ -8,7 +8,12 @@ from pathlib import Path
 import pytest
 
 from ampletori import linalg, matgroups, pipeline, serialize
-from ampletori.errors import IndependenceUndecidedError, InputError, UnsupportedError
+from ampletori.errors import (
+    IndependenceUndecidedError,
+    InputError,
+    InvalidUnitSystemError,
+    UnsupportedError,
+)
 from ampletori.cli import main
 from ampletori.conjugacy import find_simultaneous_conjugator, order_elements_with_charpoly
 from ampletori.matgroups import group_sanity
@@ -124,6 +129,7 @@ def test_malformed_inputs_carry_json_paths():
         ("precision_cap", 4097, "request.precision_cap"),
         ("unit_source", {"search": {"coord_bound": 0}}, "request.unit_source.search.coord_bound"),
         ("unit_source", {"search": {"coord_bound": -2}}, "request.unit_source.search.coord_bound"),
+        ("places", {"primes": [5, 4]}, "request.places.primes[1]"),
     ],
 )
 def test_malformed_request_fields_are_input_errors(field, value, path):
@@ -144,6 +150,46 @@ def test_provided_unit_system_errors_carry_the_request_path(provided):
     with pytest.raises(InputError, match="bad unit system") as err:
         run_pipeline(req)
     assert err.value.path == "request.unit_source.provided"
+
+
+def _provided(req, free, s_primes):
+    torsion = {"element": ["0", "1"], "order": 4}
+    unit_source = {"provided": {"torsion": torsion, "free": free, "s_primes": s_primes}}
+    return PipelineRequest.from_json({**req, "unit_source": unit_source})
+
+
+@pytest.mark.parametrize(
+    "ambient, places, free, s_primes",
+    [
+        # one torus generator where the searched system has four
+        ("GL", "inf,5,13", [["2", "1"]], [5]),
+        # no torus generator, though (4+3i)/5 lies in the norm-one group
+        ("SL", "inf,5", [], []),
+        ("SL", "inf,5", [["2", "1"], ["2", "-1"]], [5, 13]),
+    ],
+)
+def test_provided_s_primes_must_be_the_requests_finite_places(ambient, places, free, s_primes):
+    req = _provided({**GAUSS_REQ, "ambient": ambient, "places": places}, free, s_primes)
+    with pytest.raises(InputError, match=r"^s_primes \[.*\] differ from the request's") as err:
+        run_pipeline(req)
+    assert err.value.path == "request.unit_source.provided.s_primes"
+
+
+def test_provided_unit_system_below_the_s_unit_rank_is_refused():
+    # 2+i alone is independent, but the S-units of Z[i][1/5] have rank 2
+    req = _provided(GAUSS_REQ, [["2", "1"]], [5])
+    with pytest.raises(InvalidUnitSystemError, match="has rank 1, but the S-unit group has rank 2"):
+        run_pipeline(req)
+    report = run_pipeline(_provided(GAUSS_REQ, [["2", "1"], ["2", "-1"]], [5]))
+    assert report.unit_certificate.rank == 2
+
+
+def test_provided_s_prime_of_one_is_an_input_error_not_a_hang():
+    # [5, 1] looped forever in strip_primes; [5, 0] divided by zero
+    for s_primes in ([5, 1], [5, 0]):
+        with pytest.raises(InputError, match="is not a prime") as err:
+            run_pipeline(_provided(GAUSS_REQ, [["2", "1"], ["2", "-1"]], s_primes))
+        assert err.value.path == "request.unit_source.provided.s_primes[1]"
 
 
 @pytest.mark.parametrize("d", [2, 3])

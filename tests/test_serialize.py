@@ -57,7 +57,7 @@ def test_unit_system_round_trip():
 
 @pytest.mark.parametrize(
     "order, s_primes",
-    [("x", []), (2, ["a"]), (2.5, []), (True, []), (2.0, []), (2, [5.5]), ({"n": 2}, [])],
+    [("x", []), (2.5, []), (True, []), (2.0, []), ({"n": 2}, [])],
 )
 def test_unit_system_with_a_non_integer_field_is_an_input_error(order, s_primes):
     e = EtaleAlgebra([QPoly([-2, 0, 1])])
@@ -65,6 +65,45 @@ def test_unit_system_with_a_non_integer_field_is_an_input_error(order, s_primes)
     with pytest.raises(InputError, match="bad unit system") as err:
         serialize.unit_system_from_json(e, data, "units")
     assert err.value.path == "units"
+
+
+@pytest.mark.parametrize(
+    "s_primes, at",
+    [(["a"], 0), ([5.5], 0), ([5, 1], 1), ([5, 0], 1), ([5, -5], 1), ([4], 0), ([True], 0)],
+)
+def test_unit_system_s_primes_are_primes_at_their_path(s_primes, at):
+    # an entry of 1 looped forever in strip_primes, and 0 divided by zero
+    e = EtaleAlgebra([QPoly([1, 0, 1])])
+    data = {"torsion": {"element": ["0", "1"], "order": 4}, "free": [], "s_primes": s_primes}
+    with pytest.raises(InputError, match="is not a prime") as err:
+        serialize.unit_system_from_json(e, data, "units")
+    assert err.value.path == f"units.s_primes[{at}]"
+
+
+def test_unit_system_s_primes_are_sorted_and_distinct():
+    e = EtaleAlgebra([QPoly([1, 0, 1])])
+    data = {"torsion": {"element": ["0", "1"], "order": 4}, "free": [], "s_primes": [13, 5, 13]}
+    back = serialize.unit_system_from_json(e, data)
+    assert back.s_primes == (5, 13)
+    assert serialize.unit_system_to_json(back)["s_primes"] == [5, 13]
+
+
+@pytest.mark.parametrize("data", [5, None, [], "torsion"])
+def test_unit_system_that_is_not_an_object_names_its_fields(data):
+    # 5 was "'int' object is not subscriptable"
+    e = EtaleAlgebra([QPoly([1, 0, 1])])
+    message = "^unit system must be an object with 'torsion' and 'free'$"
+    with pytest.raises(InputError, match=message) as err:
+        serialize.unit_system_from_json(e, data, "units")
+    assert err.value.path == "units"
+
+
+def test_unit_system_s_primes_must_be_an_array():
+    e = EtaleAlgebra([QPoly([1, 0, 1])])
+    data = {"torsion": {"element": ["0", "1"], "order": 4}, "free": [], "s_primes": "5"}
+    with pytest.raises(InputError, match="^s_primes must be an array$") as err:
+        serialize.unit_system_from_json(e, data, "units")
+    assert err.value.path == "units.s_primes"
 
 
 def test_unit_system_reads_integer_strings():

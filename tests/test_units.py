@@ -1,4 +1,5 @@
 import itertools
+import math
 import sys
 import time
 import types
@@ -58,8 +59,9 @@ def test_dirichlet_rank_examples():
 
 
 def test_norm_targets_are_ints_and_a_fraction_target_still_matches(monkeypatch):
-    targets = default_norm_targets((13,))
+    targets = default_norm_targets((13,), 169)
     assert targets == {1, -1, 13, -13, 169, -169} and all(type(t) is int for t in targets)
+    assert default_norm_targets((13,), 168) == {1, -1, 13, -13}
     found = search_units(GAUSS, 3, (13,), {13})
     assert found and all(GAUSS.norm(u) == (13, 1) for u in found)
     assert search_units(GAUSS, 3, (13,), {Fraction(13)}) == found
@@ -70,6 +72,20 @@ def test_norm_targets_are_ints_and_a_fraction_target_still_matches(monkeypatch):
     monkeypatch.setattr(Fraction, "__new__", lambda cls, *a, **k: made.append(a) or new(cls, *a, **k))
     assert search_units(GAUSS, 3, (13,), targets) == pool
     assert made == [], "a Fraction was made for an integer target"
+
+
+def test_default_norm_targets_stop_at_the_box_norm_bound():
+    # only the ±∏ p^k up to the box's largest norm are built, so the search
+    # finds what all 2·3^|S| targets find
+    primes = (5, 13, 17, 29, 37)
+    every = {
+        sign * math.prod(p**k for p, k in zip(primes, ks))
+        for ks in itertools.product(range(units.KMAX + 1), repeat=len(primes))
+        for sign in (1, -1)
+    }
+    bound = units._hadamard_bound(GAUSS, 3)
+    assert default_norm_targets(primes, bound) == {t for t in every if abs(t) <= bound}
+    assert search_units(GAUSS, 3, primes) == search_units(GAUSS, 3, primes, every)
 
 
 def test_search_units_gaussian():
@@ -262,8 +278,8 @@ def test_log_embedding_product_formula():
     for row in emb.rows:
         assert all(r >= 0 for _, r in row)
         assert abs(sum(m for m, _ in row)) <= sum(r for _, r in row)
-    found = find_certified_minor(emb)
-    assert found is not None
+    rows, cols = find_certified_minor(emb)
+    assert rows == [0, 1] and len(cols) == 2
 
 
 def test_assemble_cubic_reproduces_fundamental_unit():
@@ -352,7 +368,7 @@ NON_ORDER = EtaleAlgebra([QPoly([1, 0, 1])], linalg.matrix([[1, 0], [0, Fraction
 @pytest.mark.parametrize("e", TORSION_FIELDS + [SQRT2, QUARTIC], ids=repr)
 def test_is_torsion_matches_powering_oracle(e):
     # every pool element of an S-unit search, non-units of norm ±5, ±25 included
-    pool = search_units(e, 2, (), default_norm_targets((5,)))
+    pool = search_units(e, 2, (), default_norm_targets((5,), 25))
     assert pool
     for u in pool:
         assert _is_torsion(e, u) == oracle_torsion_order(e, u)
@@ -509,19 +525,51 @@ def test_assembly_embeds_the_basis_only_after_an_enlargement(monkeypatch):
 
 def test_assembly_climbs_to_the_precision_cap(monkeypatch):
     # with certification blocked below 100 bits, a cap of 100 must still be
-    # tried: assembly and verification share one ladder, [64, 100]
+    # tried: the greedy choice, saturation and verification share one
+    # ladder, [64, 100]; below 100 bits the routine takes no row
     minor = units.find_certified_minor
-    tried = set()
+    tried = []
 
-    def late_minor(emb):
-        tried.add(emb.precision)
-        return minor(emb) if emb.precision >= 100 else None
+    def late_minor(emb, limit=None):
+        tried.append((emb.precision, limit))
+        return minor(emb, limit) if emb.precision >= 100 else ([], ())
 
     monkeypatch.setattr(units, "find_certified_minor", late_minor)
     system = assemble_unit_system(SQRT2, (), 3, precision_cap=100)
     assert system.free_generators == [element([1, 1])]
-    assert tried == {64, 100}
+    # the greedy choice at 64 and 100 bits, then one saturation round
+    assert tried == [(64, 1), (100, 1), (64, None), (100, None)]
+    tried.clear()
     assert verify_unit_system(system, 100).precision_bits == 100
+    assert tried == [(64, None), (100, None)]
+
+
+def test_certified_rank_tries_at_most_rows_times_columns_minors(monkeypatch):
+    # Z[i] with eight split primes: the box holds 4 independent units of
+    # the 16 the S-unit rank asks for. Each row tries each column at most
+    # once, so the minors grow as rows × columns, not as C(columns, rows)
+    primes = (5, 13, 17, 29, 37, 41, 53, 61)
+    radius, minor, calls = units._det_radius, units.find_certified_minor, []
+
+    def counted_radius(mids, rads):
+        calls[-1][2] += 1
+        return radius(mids, rads)
+
+    def counted_minor(emb, limit=None):
+        calls.append([len(emb.rows), len(emb.columns), 0])
+        return minor(emb, limit)
+
+    monkeypatch.setattr(units, "_det_radius", counted_radius)
+    monkeypatch.setattr(units, "find_certified_minor", counted_minor)
+    with pytest.raises(
+        IndependenceUndecidedError,
+        match=r"^found 4 independent units in the box of sup-norm <= 3 with norm exponents "
+        r"<= kmax=2, expected rank 16 \(missing 0 archimedean, 12 at the places above "
+        r"5,13,17,29,37,41,53,61\)$",
+    ):
+        assemble_unit_system(GAUSS, primes, 3)
+    assert calls and all(minors <= rows * cols for rows, cols, minors in calls)
+    assert sum(minors for _, _, minors in calls) <= 255
 
 
 def test_searches_require_an_order():
@@ -573,7 +621,7 @@ def test_search_units_matches_full_box_oracle(e, bound):
     # the corner is the whole box (2B+1 ≤ n+1) at bound 1 for n ≥ 2 and at
     # bound 2 for n = 4; targets are the S-unit norms for S = {5} and 0,
     # the norm of the zero divisors
-    targets = default_norm_targets((5,)) | {Fraction(0)}
+    targets = default_norm_targets((5,), 25) | {Fraction(0)}
     found = search_units(e, bound, (5,), targets)
     assert sorted(found) == oracle_unit_search(e, bound, targets)
 

@@ -3,7 +3,9 @@
 A log row is a list of integer balls (m, r), the reals within r of m. A
 minor is certified when the integer determinant of its midpoints exceeds
 `units._det_radius`, and `units._ball_solve` encloses the solution of
-x·A = u for every minor A and row u inside the balls. Matrices and vectors
+x·A = u for every minor A and row u inside the balls. On zero-radius balls,
+`units.find_certified_minor` takes the exact greedy independent rows and
+their pivot columns (`linalg._int_rref`). Matrices and vectors
 are drawn inside seeded balls, at corners (where the bounds are nearly met)
 and inside; sympy is the exact reference (the `test` extra in
 pyproject.toml; the library never imports it).
@@ -16,7 +18,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from ampletori import units
+from ampletori import linalg, units
 
 
 def _inside(rng, m, r):
@@ -66,14 +68,58 @@ def _emb(rows):
 
 
 def test_a_certified_minor_has_no_singular_matrix_in_its_balls():
-    # the balls of the first minor hold the singular [[0, 0], [0, 100]]
-    assert units.find_certified_minor(_emb([[(100, 100), (0, 0)], [(0, 0), (100, 0)]])) is None
-    assert units.find_certified_minor(_emb([[(100, 0), (100, 0)], [(100, 0), (100, 0)]])) is None
-    assert units.find_certified_minor(_emb([[(100, 0), (0, 0)], [(0, 0), (100, 0)]])) == (0, 1)
+    def minor(rows, limit=None):
+        return units.find_certified_minor(_emb(rows), limit)
+
+    # the ball of row 0 at column 0 holds 0, and row 0 is 0 at column 1:
+    # row 0 is not taken, and row 1 is, at column 1
+    assert minor([[(100, 100), (0, 0)], [(0, 0), (100, 0)]]) == ([1], (1,))
+    # row 1 repeats row 0, so it extends no minor
+    assert minor([[(100, 0), (100, 0)], [(100, 0), (100, 0)]]) == ([0], (0,))
+    assert minor([[(100, 0), (0, 0)], [(0, 0), (100, 0)]]) == ([0, 1], (0, 1))
     # the first certified column pair, in lexicographic order
     rows = [[(0, 0), (500, 1), (0, 0)], [(0, 0), (0, 0), (500, 1)]]
-    assert units.find_certified_minor(_emb(rows)) == (1, 2)
-    assert units.find_certified_minor(_emb([])) == ()
+    assert minor(rows) == ([0, 1], (1, 2))
+    assert minor(rows, 1) == ([0], (1,))
+    assert minor([]) == ([], ())
+
+
+def _low_rank_rows(rng):
+    """Seeded integer rows, some of them combinations of earlier ones and
+    some columns zero, so that rows drop out and pivots skip columns."""
+    nrows, ncols = rng.randint(1, 6), rng.randint(1, 7)
+    zero = {j for j in range(ncols) if rng.random() < 0.25}
+    rows = []
+    for _ in range(nrows):
+        if rows and rng.random() < 0.4:
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        else:
+            rows.append([0 if j in zero else rng.randint(-3, 3) for j in range(ncols)])
+    return rows
+
+
+def test_certified_minor_is_the_exact_greedy_rows_and_pivot_columns():
+    # zero-radius balls on a fine grid: every nonzero determinant certifies,
+    # so the routine is exact, and its columns are the pivot columns of the
+    # rows' reduced echelon form (the rows taken span the same space)
+    rng = random.Random(20261019)
+    scale = 1 << 64
+    for _ in range(400):
+        rows = _low_rank_rows(rng)
+        ncols = len(rows[0])
+        emb = units.LogEmbedding(
+            [units.LogColumn("real", 0, j) for j in range(ncols)],
+            [[(scale * x, 0) for x in row] for row in rows],
+            64,
+        )
+        greedy = []
+        for i, row in enumerate(rows):
+            if sympy.Matrix([rows[k] for k in greedy] + [row]).rank() > len(greedy):
+                greedy.append(i)
+        _, pivots, _ = linalg._int_rref([list(row) for row in rows], ncols)
+        assert units.find_certified_minor(emb) == (greedy, tuple(pivots)), rows
 
 
 def _solve_cases():
