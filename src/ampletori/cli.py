@@ -2,7 +2,7 @@
 
 Subcommands: construct (full pipeline from a request file), check-ample,
 units (search/verify), local-rank, verify-paper. Exit codes: 0 success or
-S-ample, 2 not-S-ample, 1 error. --json emits the
+S-ample, 2 not-S-ample, 1 error (a usage error included). --json emits the
 machine-readable report; identical inputs produce byte-identical output.
 """
 
@@ -158,8 +158,16 @@ def _cmd_verify_paper(args) -> int:
     return EXIT_OK if ok else EXIT_ERROR
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is an InputError at "argv", so it exits 1 like any
+    other malformed input (argparse would exit 2, the not-S-ample code)."""
+
+    def error(self, message):
+        raise InputError(message, "argv")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ampletori",
         description="S-ample tori and integer-matrix generators of "
         "commensurably maximal amenable subgroups",
@@ -169,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="run the full pipeline from a request file")
     p.add_argument("request")
-    p.add_argument("--precision-cap", type=int)
+    p.add_argument("--precision-cap")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("check-ample", help="decide S-ampleness for an algebra")
@@ -187,11 +195,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("units", help="search or verify unit systems")
     p.add_argument("action", choices=["search", "verify"])
     p.add_argument("--algebra", required=True)
-    p.add_argument("--bound", type=int, default=3)
+    p.add_argument("--bound", default=3)
     p.add_argument("--s-primes", help="comma-separated primes; verify: must match the system's")
     p.add_argument("--norms", default="", help="comma-separated norm targets")
     p.add_argument("--system", help="unit system JSON (verify)")
-    p.add_argument("--precision-cap", type=int)
+    p.add_argument("--precision-cap")
     p.set_defaults(func=_cmd_units)
 
     p = sub.add_parser("verify-paper", help="reproduce the canned examples")
@@ -202,13 +210,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    as_json = "--json" in argv  # until the parser has read it
     try:
+        args = build_parser().parse_args(argv)
+        as_json = args.json
         return args.func(args)
     except InputError as exc:
         payload = {"error": {"message": str(exc), "path": exc.path, "module": exc.module}}
-        if args.json:
+        if as_json:
             sys.stdout.write(serialize.dumps(payload))
         else:
             print(f"error at {exc.path}: {exc}", file=sys.stderr)
@@ -219,7 +229,7 @@ def main(argv=None) -> int:
         else:
             module, message = "internal", f"{type(exc).__name__}: {exc}"
         payload = {"error": {"message": message, "module": module}}
-        if args.json:
+        if as_json:
             sys.stdout.write(serialize.dumps(payload))
         else:
             print(f"error [{module}]: {message}", file=sys.stderr)

@@ -2,16 +2,17 @@
 
 A field Q[x]/(f) comes with the transitive action of the Galois group of its
 splitting field on the deg(f) embeddings. The nine groups that occur through
-degree 4 are stored with their full element lists and rational character
-tables (the characters drive the module decomposition in the torus layer).
-Decomposition groups are cyclic here: generated by complex conjugation at the
-real place and by Frobenius at an unramified prime, both known through their
-cycle type. Ramified primes are a hard error — the artifact never guesses.
+degree 4 are one table, STANDARD_TAGS: rational characters on rational
+classes, which standard_tag expands to per-element values for the torus
+layer's module decomposition. Decomposition groups are cyclic here:
+complex conjugation at ∞ and Frobenius at an unramified prime, both known
+through their cycle type. Ramified primes are a hard error, never a guess.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from typing import NamedTuple
 
 from .errors import NoSuchElementError, RamifiedPlaceError, UnsupportedError
@@ -126,175 +127,86 @@ class GaloisTag(NamedTuple):
         )
 
 
-def _closure(generators: list[Perm], n: int) -> list[Perm]:
+def _closure(generators: tuple[Perm, ...], n: int) -> list[Perm]:
+    """The group the generators generate: the identity, then the rest sorted."""
     ident = tuple(range(n))
-    elements = {ident}
-    frontier = [ident]
+    elements = frontier = {ident}
     while frontier:
-        nxt = []
-        for e in frontier:
-            for g in generators:
-                h = perm_compose(g, e)
-                if h not in elements:
-                    elements.add(h)
-                    nxt.append(h)
-        frontier = nxt
+        frontier = {perm_compose(g, e) for e in frontier for g in generators} - elements
+        elements = elements | frontier
     return [ident] + sorted(elements - {ident})
 
 
-def _chars_by_cycle_type(elements, table: dict[tuple[int, ...], dict[str, int]], dims):
-    chars = []
-    for name, dim in dims:
-        values = tuple(table[cycle_type(g)][name] for g in elements)
-        chars.append(RationalCharacter(name, dim, values))
-    return tuple(chars)
+def _class_columns(elements: list[Perm], classes: tuple[Perm, ...]) -> dict[Perm, int]:
+    """Each element's rational class, as an index into ``classes``, which
+    names each class by one member g: the class holds every x·g^k·x⁻¹ with k
+    prime to the order of g, the h for which ⟨h⟩ is conjugate to ⟨g⟩. Each
+    class is marked once, conjugating the generators of ⟨g⟩ by every x."""
+    inverses = [tuple(map(x.index, range(len(x)))) for x in elements]
+    column: dict[Perm, int] = {}
+    for c, g in enumerate(classes):
+        powers = [g]
+        while powers[-1] != elements[0]:
+            powers.append(perm_compose(g, powers[-1]))
+        for k, gk in enumerate(powers, 1):
+            if math.gcd(k, len(powers)) == 1:
+                for x, x_inverse in zip(elements, inverses):
+                    column[tuple([x[gk[i]] for i in x_inverse])] = c
+    return column
 
 
-def _build_c1() -> GaloisTag:
-    e = ((0,),)
-    return GaloisTag("C1", e, (RationalCharacter("triv", 1, (1,)),))
-
-
-def _build_c2() -> GaloisTag:
-    els = ((0, 1), (1, 0))
-    return GaloisTag(
-        "C2",
-        els,
-        (
-            RationalCharacter("triv", 1, (1, 1)),
-            RationalCharacter("sgn", 1, (1, -1)),
-        ),
-    )
-
-
-def _build_c3() -> GaloisTag:
-    r = (1, 2, 0)
-    els = (tuple(range(3)), r, perm_compose(r, r))
-    return GaloisTag(
-        "C3",
-        els,
-        (
-            RationalCharacter("triv", 1, (1, 1, 1)),
-            RationalCharacter("omega-pair", 2, (2, -1, -1)),
-        ),
-    )
-
-
-def _build_s3() -> GaloisTag:
-    els = tuple(_closure([(1, 0, 2), (1, 2, 0)], 3))
-    table = {
-        (1, 1, 1): {"triv": 1, "sgn": 1, "std": 2},
-        (1, 2): {"triv": 1, "sgn": -1, "std": 0},
-        (3,): {"triv": 1, "sgn": 1, "std": -1},
-    }
-    return GaloisTag(
-        "S3", els, _chars_by_cycle_type(els, table, [("triv", 1), ("sgn", 1), ("std", 2)])
-    )
-
-
-def _build_c4() -> GaloisTag:
-    r = (1, 2, 3, 0)
-    els = (tuple(range(4)), r, perm_compose(r, r), perm_compose(r, perm_compose(r, r)))
-    table = {
-        (1, 1, 1, 1): {"triv": 1, "sgn": 1, "i-pair": 2},
-        (4,): {"triv": 1, "sgn": -1, "i-pair": 0},
-        (2, 2): {"triv": 1, "sgn": 1, "i-pair": -2},
-    }
-    return GaloisTag(
-        "C4", els, _chars_by_cycle_type(els, table, [("triv", 1), ("sgn", 1), ("i-pair", 2)])
-    )
-
-
-def _build_v4() -> GaloisTag:
-    e = (0, 1, 2, 3)
-    a = (1, 0, 3, 2)
-    b = (2, 3, 0, 1)
-    ab = perm_compose(a, b)
-    els = (e, a, b, ab)
-    signs = {"triv": (1, 1), "chi1": (1, -1), "chi2": (-1, 1), "chi3": (-1, -1)}
-    chars = []
-    for name, (sa, sb) in signs.items():
-        vals = (1, sa, sb, sa * sb)
-        chars.append(RationalCharacter(name, 1, vals))
-    return GaloisTag("V4", els, tuple(chars))
-
-
-def _build_d4() -> GaloisTag:
-    r = (1, 2, 3, 0)
-    s = (0, 3, 2, 1)  # reflection fixing 0 and 2
-    els = []
-    words = []
-    g = tuple(range(4))
-    for a_exp in range(4):
-        els.append(g)
-        words.append((a_exp, 0))
-        g = perm_compose(r, g)
-    g = s
-    for a_exp in range(4):
-        els.append(g)
-        words.append((a_exp, 1))
-        g = perm_compose(r, g)
-    chars = []
-    for name, (alpha, beta) in {
-        "triv": (1, 1),
-        "chi-r": (1, -1),
-        "chi-s": (-1, 1),
-        "chi-rs": (-1, -1),
-    }.items():
-        vals = tuple(alpha**a * beta**b for a, b in words)
-        chars.append(RationalCharacter(name, 1, vals))
-    twodim = {0: 2, 1: 0, 2: -2, 3: 0}
-    vals = tuple(twodim[a] if b == 0 else 0 for a, b in words)
-    chars.append(RationalCharacter("std2", 2, vals))
-    return GaloisTag("D4", tuple(els), tuple(chars))
-
-
-def _build_a4() -> GaloisTag:
-    els = tuple(_closure([(1, 0, 3, 2), (1, 2, 0, 3)], 4))
-    assert len(els) == 12
-    table = {
-        (1, 1, 1, 1): {"triv": 1, "omega-pair": 2, "std": 3},
-        (2, 2): {"triv": 1, "omega-pair": 2, "std": -1},
-        (1, 3): {"triv": 1, "omega-pair": -1, "std": 0},
-    }
-    return GaloisTag(
-        "A4",
-        els,
-        _chars_by_cycle_type(els, table, [("triv", 1), ("omega-pair", 2), ("std", 3)]),
-    )
-
-
-def _build_s4() -> GaloisTag:
-    els = tuple(_closure([(1, 0, 2, 3), (1, 2, 3, 0)], 4))
-    assert len(els) == 24
-    table = {
-        (1, 1, 1, 1): {"triv": 1, "sgn": 1, "two": 2, "std": 3, "stdsgn": 3},
-        (1, 1, 2): {"triv": 1, "sgn": -1, "two": 0, "std": 1, "stdsgn": -1},
-        (2, 2): {"triv": 1, "sgn": 1, "two": 2, "std": -1, "stdsgn": -1},
-        (1, 3): {"triv": 1, "sgn": 1, "two": -1, "std": 0, "stdsgn": 0},
-        (4,): {"triv": 1, "sgn": -1, "two": 0, "std": -1, "stdsgn": 1},
-    }
-    return GaloisTag(
-        "S4",
-        els,
-        _chars_by_cycle_type(
-            els,
-            table,
-            [("triv", 1), ("sgn", 1), ("two", 2), ("std", 3), ("stdsgn", 3)],
-        ),
-    )
-
-
-STANDARD_TAGS = {
-    "C1": _build_c1,
-    "C2": _build_c2,
-    "C3": _build_c3,
-    "S3": _build_s3,
-    "C4": _build_c4,
-    "V4": _build_v4,
-    "D4": _build_d4,
-    "A4": _build_a4,
-    "S4": _build_s4,
+# Each group: its rational classes, named by their least elements, and its
+# rational characters by name, with their values on those classes; the
+# first class is the identity, where a character's value is its degree. A
+# Q-valued character is constant on rational classes, and there are as many
+# Q-irreducible characters as classes (Serre, Linear Representations of
+# Finite Groups, §13.1), so each table is square. The classes also generate
+# the group: no proper subgroup meets every conjugacy class (Jordan).
+STANDARD_TAGS: dict[str, tuple] = {
+    "C1": (((0,),), {"triv": (1,)}),
+    "C2": (((0, 1), (1, 0)), {"triv": (1, 1), "sgn": (1, -1)}),
+    "C3": (((0, 1, 2), (1, 2, 0)), {"triv": (1, 1), "omega-pair": (2, -1)}),
+    "S3": (
+        ((0, 1, 2), (0, 2, 1), (1, 2, 0)),
+        {"triv": (1, 1, 1), "sgn": (1, -1, 1), "std": (2, 0, -1)},
+    ),
+    "C4": (
+        ((0, 1, 2, 3), (1, 2, 3, 0), (2, 3, 0, 1)),
+        {"triv": (1, 1, 1), "sgn": (1, -1, 1), "i-pair": (2, 0, -2)},
+    ),
+    "V4": (  # one class for each involution, as for each quadratic subfield
+        ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)),
+        {
+            "triv": (1, 1, 1, 1),
+            "chi1": (1, 1, -1, -1),
+            "chi2": (1, -1, 1, -1),
+            "chi3": (1, -1, -1, 1),
+        },
+    ),
+    "D4": (  # r = (0123), s = (13); classes e, s, rs, r, r²
+        ((0, 1, 2, 3), (0, 3, 2, 1), (1, 0, 3, 2), (1, 2, 3, 0), (2, 3, 0, 1)),
+        {
+            "triv": (1, 1, 1, 1, 1),
+            "chi-r": (1, -1, -1, 1, 1),
+            "chi-s": (1, 1, -1, -1, 1),
+            "chi-rs": (1, -1, 1, -1, 1),
+            "std2": (2, 0, 0, 0, -2),
+        },
+    ),
+    "A4": (  # classes e, the 3-cycles, the double transpositions
+        ((0, 1, 2, 3), (0, 2, 3, 1), (1, 0, 3, 2)),
+        {"triv": (1, 1, 1), "omega-pair": (2, -1, 2), "std": (3, 0, -1)},
+    ),
+    "S4": (  # classes e, (23), (123), (01)(23), (0123)
+        ((0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 3, 1), (1, 0, 3, 2), (1, 2, 3, 0)),
+        {
+            "triv": (1, 1, 1, 1, 1),
+            "sgn": (1, -1, 1, 1, -1),
+            "two": (2, 0, -1, 2, 0),
+            "std": (3, 1, 0, -1, -1),
+            "stdsgn": (3, -1, 0, -1, 1),
+        },
+    ),
 }
 
 
@@ -304,7 +216,14 @@ def standard_tag(name: str) -> GaloisTag:
     GaloisTag of tuples, a function of its name alone."""
     if name not in STANDARD_TAGS:
         raise UnsupportedError(f"unknown Galois tag {name!r}")
-    return STANDARD_TAGS[name]()
+    classes, characters = STANDARD_TAGS[name]
+    elements = _closure(classes, len(classes[0]))
+    column = _class_columns(elements, classes)
+    chars = tuple(
+        RationalCharacter(char, values[0], tuple(values[column[g]] for g in elements))
+        for char, values in characters.items()
+    )
+    return GaloisTag(name, tuple(elements), chars)
 
 
 class PlaceProfile(NamedTuple):
@@ -431,16 +350,10 @@ def galois_group_small(f: QPoly) -> GaloisTag:
         return standard_tag("A4" if is_square_integer(disc) else "S4")
     if len(roots) == 3:
         return standard_tag("V4")
-    beta = roots[0]
-
-    def square_in_q_sqrt_disc(q: int) -> bool:
-        return is_square_integer(q) or is_square_integer(q * disc)
-
-    if square_in_q_sqrt_disc(a * a - 4 * (b - beta)) and square_in_q_sqrt_disc(
-        beta * beta - 4 * dd
-    ):
-        return standard_tag("C4")
-    return standard_tag("D4")
+    beta = roots[0]  # C4 when both of these are squares in Q(√disc), else D4
+    quadratics = (a * a - 4 * (b - beta), beta * beta - 4 * dd)
+    c4 = all(is_square_integer(q) or is_square_integer(q * disc) for q in quadratics)
+    return standard_tag("C4" if c4 else "D4")
 
 
 def automorphism_count(tag: GaloisTag) -> int:
@@ -457,17 +370,16 @@ def decomposition_profile(f: QPoly, tag: GaloisTag, place: Place) -> PlaceProfil
     the field is totally real); at an unramified p it is the first element
     whose cycle type matches the mod-p factorization degrees. Whole-module
     ranks only use the orbit count. Submodule ranks are character means
-    over the generator's powers, so they depend on its conjugacy class,
-    which the cycle type fixes except for type (2,2) in V4 and D4: there
-    the element chosen need not be the true decomposition generator.
+    over the generator's powers, so they depend on its rational class, which
+    the cycle type fixes except for type (2,2) in V4 and D4 (separate classes
+    in STANDARD_TAGS): there the element chosen need not be the true one.
     """
     if tag.degree != f.degree:
         raise ValueError("tag action degree does not match deg f")
     if place == INF:
         sig = signature(f)
         target = tuple(sorted([1] * sig.r1 + [2] * sig.r2))
-        gen = tag.find_by_cycle_type(target)
     else:
         target = frobenius_cycle_type(f, int(place))
-        gen = tag.find_by_cycle_type(target)
+    gen = tag.find_by_cycle_type(target)
     return PlaceProfile(place, orbits_of([gen], tag.degree), gen)

@@ -98,7 +98,10 @@ def vector_to_json(v: Coords) -> list[str]:
     return matrix_to_json(((v[0],), v[1]))[0]
 
 
-def vector_from_json(data, path="") -> Coords:
+def vector_from_json(data, n: int, path="") -> Coords:
+    """The element whose coordinates are an array of exactly n numbers."""
+    if not isinstance(data, list) or len(data) != n:
+        raise InputError(f"expected an array of {n} coordinates, got {data!r}", path)
     return element([parse_frac(x, f"{path}[{i}]") for i, x in enumerate(data)])
 
 
@@ -154,12 +157,9 @@ def unit_system_from_json(e: EtaleAlgebra, data, path="units") -> UnitSystem:
         torsion = data["torsion"]
         return UnitSystem(
             e,
-            vector_from_json(torsion["element"], f"{path}.torsion.element"),
+            vector_from_json(torsion["element"], e.n, f"{path}.torsion.element"),
             int_from_json(torsion["order"]),
-            [
-                vector_from_json(g, f"{path}.free[{i}]")
-                for i, g in enumerate(data["free"])
-            ],
+            [vector_from_json(g, e.n, f"{path}.free[{i}]") for i, g in enumerate(data["free"])],
             tuple(sorted(s_primes)),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -128,6 +128,103 @@ def test_units_verify_s_prime_of_one_is_an_input_error(gauss_file, tmp_path, cap
     assert err["path"] == f"{sysfile}.s_primes[1]"
 
 
+@pytest.mark.parametrize(
+    "system, path",
+    [
+        ({"free": [["2", "1", "7"]]}, "free[0]"),  # was verified, the 7 dropped
+        ({"free": ["21"]}, "free[0]"),  # was read digit by digit as 2+i
+        ({"free": [["2", "1"], ["2"]]}, "free[1]"),
+        ({"free": [5]}, "free[0]"),
+        ({"free": [{"0": "2", "1": "1"}]}, "free[0]"),
+        ({"torsion": {"element": ["0", "1", "0"], "order": 4}}, "torsion.element"),
+        ({"torsion": {"element": "01", "order": 4}}, "torsion.element"),
+        ({"torsion": {"element": [], "order": 4}}, "torsion.element"),
+    ],
+)
+def test_units_verify_refuses_a_generator_that_is_not_n_coordinates(
+    system, path, gauss_file, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr("ampletori.cli.verify_unit_system", _refuse)
+    data = {"torsion": {"element": ["0", "1"], "order": 4}, "free": [["2", "1"]], "s_primes": [5]}
+    sysfile = tmp_path / "system.json"
+    sysfile.write_text(json.dumps({**data, **system}))
+    argv = ["--json", "units", "verify", "--algebra", gauss_file, "--system", str(sysfile)]
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    bad = system["free"][int(path[-2])] if "free" in system else system["torsion"]["element"]
+    assert err == {
+        "message": f"expected an array of 2 coordinates, got {bad!r}",
+        "module": "cli",
+        "path": f"{sysfile}.{path}",
+    }
+
+
+@pytest.mark.parametrize(
+    "free, path",
+    [([["2", "1", "9"], ["2", "-1"]], "free[0]"), ([["2", "1"], "2-1"], "free[1]")],
+)
+def test_construct_refuses_a_provided_generator_that_is_not_n_coordinates(
+    free, path, tmp_path, monkeypatch, capsys
+):
+    # the first one exited 0 with a report, its 9 dropped
+    monkeypatch.setattr("ampletori.pipeline._certify", _refuse)
+    torsion = {"element": ["0", "1"], "order": 4}
+    reqfile = tmp_path / "request.json"
+    reqfile.write_text(json.dumps({
+        "algebra": GAUSS_ALGEBRA, "ambient": "GL", "places": "inf,5",
+        "unit_source": {"provided": {"torsion": torsion, "free": free, "s_primes": [5]}},
+    }))
+    assert main(["--json", "construct", str(reqfile)]) == 1
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["path"] == f"request.unit_source.provided.{path}"
+    assert err["message"].startswith("expected an array of 2 coordinates, got ")
+
+
+USAGE_ERRORS = [
+    (["units", "search", "--algebra", "{g}", "--bound", "x"], "--bound",
+     "expected an integer, got 'x'"),
+    (["units", "search", "--algebra", "{g}", "--bound", "2.5"], "--bound",
+     "expected an integer, got '2.5'"),
+    (["units", "verify", "--algebra", "{g}", "--system", "{s}", "--precision-cap", "x"],
+     "--precision-cap", "expected an integer, got 'x'"),
+    (["construct"], "argv", "the following arguments are required: request"),
+    (["construct", "{r}", "--precision-cap", "x"], "--precision-cap",
+     "expected an integer, got 'x'"),
+    ([], "argv", "the following arguments are required: command"),
+    (["check-ample", "--algebra", "{g}", "--places", "inf", "--ambient", "SO"], "argv",
+     "argument --ambient: invalid choice: 'SO' (choose from 'SL', 'GL')"),
+    (["verify-paper", "--frobnicate"], "argv", "unrecognized arguments: --frobnicate"),
+]
+
+
+@pytest.mark.parametrize("argv, path, message", USAGE_ERRORS)
+def test_usage_errors_exit_one_with_their_path(
+    argv, path, message, gauss_file, tmp_path, monkeypatch, capsys
+):
+    # argparse ended these with exit 2, the not-S-ample code, and no JSON
+    for name in ("run_pipeline", "search_units", "verify_unit_system", "verify_paper_examples"):
+        monkeypatch.setattr(f"ampletori.cli.{name}", _refuse)
+    system, request = tmp_path / "system.json", tmp_path / "request.json"
+    system.write_text(json.dumps({"torsion": {"element": ["0", "1"], "order": 4}, "free": []}))
+    request.write_text(json.dumps({"algebra": CUBIC_ALGEBRA, "places": "inf"}))
+    files = {"{g}": gauss_file, "{s}": str(system), "{r}": str(request)}
+    argv = [files.get(a, a) for a in argv]
+    assert main(["--json", *argv]) == 1
+    out = capsys.readouterr()
+    assert json.loads(out.out)["error"] == {"message": message, "module": "cli", "path": path}
+    assert main(argv) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error at {path}: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["construct", "--help"], ["--json", "units", "-h"]])
+def test_help_still_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ampletori")
+
+
 def test_construct_cli(tmp_path, cubic_file, capsys):
     reqfile = tmp_path / "request.json"
     reqfile.write_text(json.dumps({

@@ -1,3 +1,5 @@
+import hashlib
+import math
 import random
 
 import pytest
@@ -190,3 +192,88 @@ def test_regular_action_is_faithful_and_transitive():
     tag = regular_action(standard_tag("S3"))
     assert tag.degree == 6 and tag.order == 6
     assert orbits_of(list(tag.elements), 6) == (tuple(range(6)),)
+
+
+# sha256 of each standard tag's character names and degrees, in order, and of
+# its map from element to character values, read in sorted element order
+TAG_DIGESTS = {
+    "C1": "64f3bc32ab707ca093be7ce1046d5036edd3c0f3e0d4516c808da65e42af7a08",
+    "C2": "5717b787ad6ee959fbd3b7bde8db21fab045a23b0d888215033afdc807af59f5",
+    "C3": "264d063285717eb79a93bb487e877ed418695ad25bdc3a151b9b59d29d37b48c",
+    "S3": "367dcb05120b0164e2781dbc2f35dfc0574bc6d4e7f58c609a3aeaad4493281a",
+    "C4": "4800527aace65ed188728fe0a21502e510644c1e3288f8bdf6b9906f32857b17",
+    "V4": "fef4a7e337e2647cf8176b4af784994a0f8ac7341dd1d833f604e1271233a969",
+    "D4": "dd6947890f2adc69c3bfdfa2f6f7e0ba47af3191ae9843ce3293bdbdf008d97f",
+    "A4": "07ffe4dfc61b0fff2ae052be2cc4bf29fe5b687fed8d5c34372b39c78d5f1753",
+    "S4": "44bc765d3d34a20effe5d9fbaa64dfdc6630e4a038387d96e1566e324b59e2e8",
+}
+
+
+def tag_digest(tag):
+    head = [(c.name, c.dim) for c in tag.characters]
+    table = sorted(zip(tag.elements, zip(*(c.values for c in tag.characters))))
+    return hashlib.sha256(repr((tag.group, head, table)).encode()).hexdigest()
+
+
+def test_every_standard_tag_is_pinned():
+    assert set(TAG_DIGESTS) == set(STANDARD_TAGS)
+
+
+@pytest.mark.parametrize("name", sorted(TAG_DIGESTS))
+def test_standard_tag_characters_are_pinned_per_element(name):
+    tag = standard_tag(name)
+    assert tag.elements[0] == tuple(range(tag.degree))
+    assert tag_digest(tag) == TAG_DIGESTS[name]
+
+
+GROUP_ORDERS = {"C1": 1, "C2": 2, "C3": 3, "S3": 6, "C4": 4, "V4": 4, "D4": 8, "A4": 12, "S4": 24}
+
+
+def generated_group(generators):
+    n = len(generators[0])
+    group = {tuple(range(n))}
+    while True:
+        grown = group | {tuple(g[h[i]] for i in range(n)) for g in generators for h in group}
+        if grown == group:
+            return group
+        group = grown
+
+
+def rational_class_minima(group):
+    """The least element of each rational class, by brute force: h is in the
+    class of g when h = x·g^k·x⁻¹ for some x and some k prime to ord(g)."""
+    n = len(next(iter(group)))
+    ident = tuple(range(n))
+
+    def compose(a, b):
+        return tuple(a[b[i]] for i in range(n))
+
+    minima = set()
+    for g in group:
+        powers = [g]
+        while powers[-1] != ident:
+            powers.append(compose(g, powers[-1]))
+        inverse = {x: next(y for y in group if compose(x, y) == ident) for x in group}
+        members = {
+            compose(compose(x, gk), inverse[x])
+            for k, gk in enumerate(powers, 1)
+            if math.gcd(k, len(powers)) == 1
+            for x in group
+        }
+        minima.add(min(members))
+    return sorted(minima)
+
+
+@pytest.mark.parametrize("name", sorted(STANDARD_TAGS))
+def test_each_table_lists_the_rational_classes_of_its_group(name):
+    # the group is the one the listed classes generate, of the group's order;
+    # the table is square, and each character's first value is its degree
+    classes, characters = STANDARD_TAGS[name]
+    group = generated_group(classes)
+    assert len(group) == GROUP_ORDERS[name]
+    assert list(classes) == rational_class_minima(group)
+    assert len(characters) == len(classes)
+    assert all(len(values) == len(classes) for values in characters.values())
+    tag = standard_tag(name)
+    assert sorted(tag.elements) == sorted(group)
+    assert [(c.name, c.dim) for c in tag.characters] == [(k, v[0]) for k, v in characters.items()]

@@ -229,8 +229,8 @@ def test_without_an_algebra_is_s_ample_raises():
 REGULAR_CASES = [
     ("S3", (1, 3), VERDICT_AMPLE),  # a transposition and a 3-cycle
     ("S3", (3, 4), VERDICT_NOT_AMPLE),  # 3-cycles: std has no invariants
-    ("D4", (2, 4), VERDICT_AMPLE),  # r² and a reflection
-    ("D4", (2, 1), VERDICT_NOT_AMPLE),  # r² and r
+    ("D4", (5, 1), VERDICT_AMPLE),  # r² and a reflection
+    ("D4", (5, 3), VERDICT_NOT_AMPLE),  # r² and r
 ]
 
 
