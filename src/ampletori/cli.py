@@ -25,13 +25,7 @@ from .torus import (
     local_rank,
     parse_place,
 )
-from .units import (
-    DEFAULT_PRECISION_CAP,
-    MAX_PRECISION_CAP,
-    DependenceWitness,
-    search_units,
-    verify_unit_system,
-)
+from .units import DependenceWitness, search_units, verify_unit_system
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -55,13 +49,6 @@ def _load_algebra(path: str):
     return serialize.algebra_from_json(_load_json(path), path)
 
 
-def _precision_cap(args) -> int:
-    """--precision-cap, else the default; from 1 to MAX_PRECISION_CAP."""
-    if args.precision_cap is None:
-        return DEFAULT_PRECISION_CAP
-    return positive_int(args.precision_cap, "--precision-cap", MAX_PRECISION_CAP)
-
-
 def _emit(payload, as_json: bool, text_lines) -> None:
     if as_json:
         sys.stdout.write(serialize.dumps(payload))
@@ -71,11 +58,7 @@ def _emit(payload, as_json: bool, text_lines) -> None:
 
 
 def _cmd_construct(args) -> int:
-    data = _load_json(args.request)
-    req = PipelineRequest.from_json(data)
-    if args.precision_cap is not None:
-        req = req._replace(precision_cap=_precision_cap(args))
-    report = run_pipeline(req)
+    report = run_pipeline(PipelineRequest.from_json(_load_json(args.request)))
     lines = [f"verdict: {report.verdict}"]
     if report.generators is not None:
         gens = report.generators
@@ -128,7 +111,7 @@ def _cmd_units(args) -> int:
             f"--s-primes {list(s_primes)} differ from the system's s_primes {list(sys_.s_primes)}",
             "--s-primes",
         )
-    result = verify_unit_system(sys_, _precision_cap(args))
+    result = verify_unit_system(sys_)
     if isinstance(result, DependenceWitness):
         payload = {"verified": False, "witness": result.describe()}
         _emit(payload, args.json, [payload["witness"]])
@@ -177,7 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="run the full pipeline from a request file")
     p.add_argument("request")
-    p.add_argument("--precision-cap")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("check-ample", help="decide S-ampleness for an algebra")
@@ -199,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s-primes", help="comma-separated primes; verify: must match the system's")
     p.add_argument("--norms", default="", help="comma-separated norm targets")
     p.add_argument("--system", help="unit system JSON (verify)")
-    p.add_argument("--precision-cap")
     p.set_defaults(func=_cmd_units)
 
     p = sub.add_parser("verify-paper", help="reproduce the canned examples")

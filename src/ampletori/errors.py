@@ -74,16 +74,12 @@ class BudgetExceededError(AmpleToriError):
 
 
 class IndependenceUndecidedError(AmpleToriError):
-    """Interval precision cap reached without certifying independence.
+    """The top of the precision ladder reached without certifying independence.
 
     Distinct from a disproof: no multiplicative relation was found either.
     """
 
     module = "units"
-
-    def __init__(self, message, precision_cap):
-        super().__init__(message)
-        self.precision_cap = precision_cap
 
 
 class InvalidUnitSystemError(AmpleToriError):

@@ -45,8 +45,6 @@ from .torus import (
     is_s_ample,
 )
 from .units import (
-    DEFAULT_PRECISION_CAP,
-    MAX_PRECISION_CAP,
     DependenceWitness,
     UnitCertificate,
     UnitSystem,
@@ -60,6 +58,7 @@ if TYPE_CHECKING:
     from pathlib import Path
 
 LAST_COLUMN = "last-column"
+REQUEST_KEYS = ("schema", "algebra", "ambient", "places", "unipotent_block", "unit_source")
 
 
 class PipelineRequest(NamedTuple):
@@ -68,12 +67,20 @@ class PipelineRequest(NamedTuple):
     places: PlaceSet
     unipotent_block: dict | None  # {"n": n', "pattern": "last-column"}
     unit_source: dict  # {"search": {"coord_bound": k}} or {"provided": ...}
-    precision_cap: int = DEFAULT_PRECISION_CAP
 
     @staticmethod
     def from_json(data, path="request") -> "PipelineRequest":
         if not isinstance(data, dict):
             raise InputError("request must be a JSON object", path)
+        unknown = sorted(data.keys() - set(REQUEST_KEYS))
+        if unknown:  # refused, not ignored: a retired field fails by name
+            raise InputError(
+                f"unknown request field {unknown[0]!r}; the fields are {', '.join(REQUEST_KEYS)}",
+                f"{path}.{unknown[0]}",
+            )
+        schema = data.get("schema", serialize.SCHEMA)
+        if schema != serialize.SCHEMA:
+            raise InputError(f"schema must be {serialize.SCHEMA!r}, got {schema!r}", f"{path}.schema")
         algebra = serialize.algebra_from_json(data.get("algebra"), f"{path}.algebra")
         ambient = data.get("ambient", SL)
         if ambient not in (SL, GL):
@@ -85,8 +92,11 @@ class PipelineRequest(NamedTuple):
             primes = places_data.get("primes", [])
             if not isinstance(primes, list):
                 raise InputError("primes must be an array", f"{path}.places.primes")
+            infty = places_data.get("infty", True)
+            if not isinstance(infty, bool):
+                raise InputError(f"infty must be true or false, got {infty!r}", f"{path}.places.infty")
             places = PlaceSet(
-                bool(places_data.get("infty", True)),
+                infty,
                 tuple(finite_place(p, f"{path}.places.primes[{i}]") for i, p in enumerate(primes)),
             )
         else:
@@ -101,9 +111,7 @@ class PipelineRequest(NamedTuple):
             }
         unit_source = data.get("unit_source", {"search": {"coord_bound": 3}})
         _check_unit_source(unit_source, f"{path}.unit_source")
-        cap = data.get("precision_cap", DEFAULT_PRECISION_CAP)
-        cap = positive_int(cap, f"{path}.precision_cap", MAX_PRECISION_CAP)
-        return PipelineRequest(algebra, ambient, places, block, unit_source, cap)
+        return PipelineRequest(algebra, ambient, places, block, unit_source)
 
 
 def _as_int(value, path: str) -> int:
@@ -114,13 +122,11 @@ def _as_int(value, path: str) -> int:
         raise InputError(f"expected an integer, got {value!r}", path) from None
 
 
-def positive_int(value, path: str, top: int | None = None) -> int:
-    """An integer ≥ 1 (a box bound), at most top (a precision cap), else an InputError."""
+def positive_int(value, path: str) -> int:
+    """An integer ≥ 1 (a box bound), else an InputError."""
     n = _as_int(value, path)
     if n < 1:
         raise InputError(f"expected an integer >= 1, got {n}", path)
-    if top is not None and n > top:
-        raise InputError(f"precision cap {n} exceeds the maximum of {top} bits", path)
     return n
 
 
@@ -128,6 +134,8 @@ def _check_unit_source(src, path: str):
     """{"provided": ...} (checked when read) or {"search": {"coord_bound": k}}."""
     if not isinstance(src, dict):
         raise InputError("unit_source must be an object", path)
+    if "provided" in src and "search" in src:
+        raise InputError("the request has two unit sources, 'search' and 'provided'", path)
     if "provided" in src:
         return
     params = src.get("search", {})
@@ -168,8 +176,8 @@ class CmaReport(NamedTuple):
         return out
 
 
-def _certify(system: UnitSystem, precision_cap: int) -> tuple[UnitSystem, UnitCertificate]:
-    ucert = verify_unit_system(system, precision_cap)
+def _certify(system: UnitSystem) -> tuple[UnitSystem, UnitCertificate]:
+    ucert = verify_unit_system(system)
     if isinstance(ucert, DependenceWitness):
         raise AmpleToriError(f"unit system is dependent: {ucert.describe()}")
     return system, ucert
@@ -177,11 +185,11 @@ def _certify(system: UnitSystem, precision_cap: int) -> tuple[UnitSystem, UnitCe
 
 @functools.lru_cache(maxsize=MEMO_SIZE)
 def _searched_units(
-    e: EtaleAlgebra, s_primes: tuple[int, ...], coord_bound: int, cap: int
+    e: EtaleAlgebra, s_primes: tuple[int, ...], coord_bound: int
 ) -> tuple[UnitSystem, UnitCertificate]:
     """The searched unit system and its certificate, both functions of the
     arguments (an EtaleAlgebra hashes as its factors and basis)."""
-    return _certify(assemble_unit_system(e, s_primes, coord_bound, cap), cap)
+    return _certify(assemble_unit_system(e, s_primes, coord_bound))
 
 
 def _verified_units(req: PipelineRequest) -> tuple[UnitSystem, UnitCertificate]:
@@ -205,9 +213,9 @@ def _verified_units(req: PipelineRequest) -> tuple[UnitSystem, UnitCertificate]:
             raise InvalidUnitSystemError(
                 f"unit system has rank {system.rank}, but the S-unit group has rank {rank}"
             )
-        return _certify(system, req.precision_cap)
+        return _certify(system)
     coord_bound = int(src.get("search", {}).get("coord_bound", 3))
-    system, ucert = _searched_units(e, s_primes, coord_bound, req.precision_cap)
+    system, ucert = _searched_units(e, s_primes, coord_bound)
     return (
         system._replace(algebra=e, free_generators=list(system.free_generators)),
         ucert._replace(caveats=list(ucert.caveats)),

@@ -6,8 +6,9 @@ multiplicative independence through integer balls enclosing the log embedding.
 Every archimedean place reads |σ(u)|² off one certified root disk of its
 factor's polynomial (Smith's theorem, in realsplit); every finite place
 counts exact uniformizer steps γ ← γ·β/p in the equation order. A verdict
-of independence is a certificate; failure to certify at the precision cap
-is surfaced as IndependenceUndecided, which is distinct from a disproof.
+of independence is a certificate; failure to certify at the top of the
+precision ladder is surfaced as IndependenceUndecided, which is distinct
+from a disproof.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ from .places import Signature, galois_group_small, places_over_p, prime_places, 
 from .polynomials import MEMO_SIZE, QPoly, is_s_number, split_prime, strip_primes
 from .realsplit import abs_square_on_disk, root_disks
 
-PRECISION_LADDER = (64, 128, 256)
-DEFAULT_PRECISION_CAP = 256
-MAX_PRECISION_CAP = 4096  # a request short of rank climbs straight to its cap
+PRECISION_LADDER = (64, 128, 256)  # bits of every log embedding, tried in turn
+BOX_BUDGET = 10**6  # most points a unit box search walks
 MAX_DENOMINATOR = 16  # largest d in the relations u^d = t^k·∏ g_i^(a_i) tried
 KMAX = 2  # largest exponent k of an S-prime in the default norm targets ±∏ p^k
 # Φ_m, ascending coefficients, for the m > 2 with φ(m) ≤ 4
@@ -129,7 +129,7 @@ def _archimedean_log(col: LogColumn, disk_at, comp: Coords, bits: int) -> Ball:
             return _log_ball(log_grid(lo, scale, bits)[0], log_grid(hi, scale, bits)[1], w)
         if 2 * attempt_bits > 64 * max(bits, 64):
             raise IndependenceUndecidedError(
-                f"cannot separate {col.label()} from zero at {attempt_bits} bits", bits
+                f"cannot separate {col.label()} from zero at {attempt_bits} bits"
             )
         attempt_bits *= 2
 
@@ -279,17 +279,7 @@ def _is_torsion(e: EtaleAlgebra, u: Coords, s_primes: tuple[int, ...] = ()) -> i
     return len(mu) // math.gcd(len(mu), mu.index(u)) if u in mu else None
 
 
-def _precision_ladder(precision_cap: int) -> list[int]:
-    """The PRECISION_LADDER steps below the cap, then the cap itself."""
-    ladder = [b for b in PRECISION_LADDER if b <= precision_cap]
-    if not ladder or ladder[-1] != precision_cap:
-        ladder.append(precision_cap)
-    return ladder
-
-
-def verify_unit_system(
-    sys: UnitSystem, precision_cap: int = DEFAULT_PRECISION_CAP
-) -> UnitCertificate | DependenceWitness:
+def verify_unit_system(sys: UnitSystem) -> UnitCertificate | DependenceWitness:
     """Certify an S-unit system: integrality, torsion, independence.
 
     The torsion generator must generate μ(O[1/S]), the roots of unity of
@@ -300,7 +290,7 @@ def verify_unit_system(
     takes is reduced against them (_express_from_rows):
     u^d = t^k·∏ g_i^(a_i), confirmed by exact multiplication, is returned as
     a DependenceWitness. IndependenceUndecidedError is raised when neither
-    succeeds at the precision cap (distinct from a disproof).
+    succeeds at the top of PRECISION_LADDER (distinct from a disproof).
     """
     e = sys.algebra
     s = sys.s_primes
@@ -326,7 +316,7 @@ def verify_unit_system(
     gens = list(sys.free_generators)
     torsion = {e.power(sys.torsion_generator, k): k for k in range(sys.torsion_order)}
     inverses = None  # the generators' inverses, taken once a relation is sought
-    for bits in _precision_ladder(precision_cap):
+    for bits in PRECISION_LADDER:
         emb = build_log_embedding(e, gens, s, bits)
         prefix, cols = find_certified_minor(emb)
         if len(prefix) == sys.rank:
@@ -345,9 +335,8 @@ def verify_unit_system(
                 exponents[idx] = d
                 return DependenceWitness(tuple(exponents), k)
     raise IndependenceUndecidedError(
-        f"could not certify independence at {precision_cap} bits, nor find a "
-        f"relation u^d = t^k·∏ g_i^(a_i) with d ≤ {MAX_DENOMINATOR}",
-        precision_cap,
+        f"could not certify independence at {PRECISION_LADDER[-1]} bits, nor find a "
+        f"relation u^d = t^k·∏ g_i^(a_i) with d ≤ {MAX_DENOMINATOR}"
     )
 
 
@@ -370,12 +359,11 @@ def search_units(
     coord_bound: int,
     s_primes: tuple[int, ...] = (),
     norm_targets=None,
-    budget: int = 10**6,
 ) -> list[Coords]:
     """All elements with integer coordinates in the box whose norm is a target.
 
     Exhaustive within [−B, B]^n; results are sorted canonically (coordinate
-    1-norm, then lexicographic). The budget caps the candidate count. The
+    1-norm, then lexicographic). BOX_BUDGET caps the candidate count. The
     basis must be an order (else NotAnOrderError): its structure constants
     are integers, so the walk runs in plain ints, and a non-integer target
     (an int or a Fraction, as serialize.parse_frac reads it) matches nothing. N(Σ x_i b_i) = det π(Σ x_i b_i) is homogeneous of
@@ -408,9 +396,9 @@ def search_units(
     e.require_order()
     n = e.n
     total = (2 * coord_bound + 1) ** n
-    if total > budget:
+    if total > BOX_BUDGET:
         raise BudgetExceededError(
-            f"box ({2 * coord_bound + 1})^{n} = {total} exceeds budget {budget}"
+            f"box ({2 * coord_bound + 1})^{n} = {total} exceeds budget {BOX_BUDGET}"
         )
     norm_bound = _hadamard_bound(e, coord_bound)  # no norm in the box is larger
     if norm_targets is None:
@@ -758,8 +746,6 @@ def assemble_unit_system(
     e: EtaleAlgebra,
     s_primes: tuple[int, ...] = (),
     coord_bound: int = 3,
-    precision_cap: int = DEFAULT_PRECISION_CAP,
-    budget: int = 10**6,
 ) -> UnitSystem:
     """Search the box once, pick a certified independent system, saturate it.
 
@@ -782,7 +768,7 @@ def assemble_unit_system(
     precision, so the same minor and inverse.
     """
     _require_one_field(e)
-    pool = search_units(e, coord_bound, s_primes, budget=budget)
+    pool = search_units(e, coord_bound, s_primes)
     if s_primes:
         # saturate by pairwise ratios, each an S-unit: a box element a is
         # integral with an S-number norm N, so a⁻¹ = adj π(a)/N is in O[1/S]
@@ -804,10 +790,9 @@ def assemble_unit_system(
             covered.update(e.mul(z, w) for w in (u, e.inverse(u)) for z in torsion)
     target_rank = s_unit_rank(e, s_primes)
 
-    ladder = _precision_ladder(precision_cap)
     # the free pool's log rows, built once per precision step of this call
     pool_emb = functools.cache(lambda bits: build_log_embedding(e, free_pool, s_primes, bits))
-    for bits in ladder:  # basis_idx: the basis's pool rows, None once enlarged
+    for bits in PRECISION_LADDER:  # basis_idx: the basis's pool rows, None once enlarged
         basis_idx, _ = find_certified_minor(pool_emb(bits), target_rank)
         if len(basis_idx) == target_rank:
             break
@@ -816,8 +801,7 @@ def assemble_unit_system(
         raise IndependenceUndecidedError(
             f"found {len(basis)} independent units in the box of sup-norm <= {coord_bound} "
             f"with norm exponents <= kmax={KMAX}, expected rank {target_rank} "
-            f"({_missing_rank(e, basis, s_primes)})",
-            precision_cap,
+            f"({_missing_rank(e, basis, s_primes)})"
         )
 
     # each enlargement multiplies the basis's index in the unit lattice by
@@ -826,7 +810,7 @@ def assemble_unit_system(
     while changed:
         changed = False
         with_inverses = [(g, e.inverse(g)) for g in basis]
-        for bits in ladder:
+        for bits in PRECISION_LADDER:
             if basis_idx is None:
                 basis_emb = build_log_embedding(e, basis, s_primes, bits)
             else:
@@ -855,8 +839,7 @@ def assemble_unit_system(
         else:
             raise IndependenceUndecidedError(
                 f"unit in the box of sup-norm <= {coord_bound} with norm exponents "
-                f"<= kmax={KMAX} does not reduce against the basis",
-                precision_cap,
+                f"<= kmax={KMAX} does not reduce against the basis"
             )
 
     basis = [canonical_unit(e, g, torsion_gen, torsion_order) for g in basis]

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ampletori
-from ampletori import pipeline, serialize, units
+from ampletori import pipeline, serialize
 from ampletori.cli import main
 from oracles import oracle_dumps
 from test_memos import fresh_memos
@@ -185,11 +185,7 @@ USAGE_ERRORS = [
      "expected an integer, got 'x'"),
     (["units", "search", "--algebra", "{g}", "--bound", "2.5"], "--bound",
      "expected an integer, got '2.5'"),
-    (["units", "verify", "--algebra", "{g}", "--system", "{s}", "--precision-cap", "x"],
-     "--precision-cap", "expected an integer, got 'x'"),
     (["construct"], "argv", "the following arguments are required: request"),
-    (["construct", "{r}", "--precision-cap", "x"], "--precision-cap",
-     "expected an integer, got 'x'"),
     ([], "argv", "the following arguments are required: command"),
     (["check-ample", "--algebra", "{g}", "--places", "inf", "--ambient", "SO"], "argv",
      "argument --ambient: invalid choice: 'SO' (choose from 'SL', 'GL')"),
@@ -607,88 +603,29 @@ def _refuse(*args, **kwargs):
     raise AssertionError("a rejected input must not reach the computation")
 
 
-CAPS_BELOW_ONE = [
-    (["--precision-cap", "-5"], "--precision-cap"),
-    (["--precision-cap", "0"], "--precision-cap"),
-]
-
-
-@pytest.mark.parametrize("flags, path", CAPS_BELOW_ONE)
-def test_construct_precision_cap_below_one_is_input_error(
-    flags, path, tmp_path, monkeypatch, capsys
-):
+def test_a_precision_cap_is_refused_by_name(gauss_file, tmp_path, monkeypatch, capsys):
+    # the ladder is fixed at 64 → 128 → 256 bits: an old request or command
+    # line that still sets a cap fails at the cap instead of running without it
     monkeypatch.setattr("ampletori.cli.run_pipeline", _refuse)
-    reqfile = tmp_path / "request.json"
-    reqfile.write_text(json.dumps({"algebra": CUBIC_ALGEBRA, "places": "inf"}))
-    assert main(["--json", "construct", str(reqfile), *flags]) == 1
-    assert json.loads(capsys.readouterr().out)["error"]["path"] == path
-
-
-@pytest.mark.parametrize("flags, path", CAPS_BELOW_ONE)
-def test_units_verify_precision_cap_below_one_is_input_error(
-    flags, path, gauss_file, tmp_path, monkeypatch, capsys
-):
     monkeypatch.setattr("ampletori.cli.verify_unit_system", _refuse)
-    sysfile = tmp_path / "system.json"
-    sysfile.write_text(json.dumps({
-        "torsion": {"element": ["0", "1"], "order": 4},
-        "free": [["4/5", "3/5"]],
-        "s_primes": [5],
-    }))
-    code = main([
-        "--json", "units", "verify", "--algebra", gauss_file,
-        "--system", str(sysfile), "--s-primes", "5", *flags,
-    ])
-    assert code == 1
-    assert json.loads(capsys.readouterr().out)["error"]["path"] == path
-
-
-def test_a_precision_cap_above_the_maximum_is_refused_before_any_search(
-    gauss_file, tmp_path, monkeypatch, capsys
-):
-    # a request short of rank climbs straight to its cap, so a huge cap
-    # would run for hours; the maximum itself is accepted
-    top = units.MAX_PRECISION_CAP
-    assert top == 16 * units.DEFAULT_PRECISION_CAP
-    message = f"precision cap {top + 1} exceeds the maximum of {top} bits"
     request = {"algebra": CUBIC_ALGEBRA, "places": "inf"}
-    capped_request = pipeline.PipelineRequest.from_json({**request, "precision_cap": top})
-    assert capped_request.precision_cap == top
-    reqfile, capped = tmp_path / "request.json", tmp_path / "capped.json"
+    reqfile, capped, sysfile = (tmp_path / f"{n}.json" for n in ("request", "capped", "system"))
     reqfile.write_text(json.dumps(request))
-    capped.write_text(json.dumps({**request, "precision_cap": top + 1}))
-    assert main(["--json", "construct", str(reqfile), "--precision-cap", str(top)]) == 0
-    capsys.readouterr()
-    monkeypatch.setattr("ampletori.cli.run_pipeline", _refuse)
-    monkeypatch.setattr("ampletori.cli.verify_unit_system", _refuse)
-    sysfile = tmp_path / "system.json"
+    capped.write_text(json.dumps({**request, "precision_cap": 256}))
     sysfile.write_text(json.dumps({"torsion": {"element": ["0", "1"], "order": 4}, "free": []}))
-    for argv, path in [
-        (["construct", str(capped)], "request.precision_cap"),
-        (["construct", str(reqfile), "--precision-cap", str(top + 1)], "--precision-cap"),
+    fields = "schema, algebra, ambient, places, unipotent_block, unit_source"
+    for argv, path, message in [
+        (["construct", str(capped)], "request.precision_cap",
+         f"unknown request field 'precision_cap'; the fields are {fields}"),
+        (["construct", str(reqfile), "--precision-cap", "256"], "argv",
+         "unrecognized arguments: --precision-cap 256"),
         (["units", "verify", "--algebra", gauss_file, "--system", str(sysfile),
-          "--precision-cap", str(top + 1)], "--precision-cap"),
+          "--precision-cap", "256"], "argv", "unrecognized arguments: --precision-cap 256"),
     ]:
         assert main(["--json", *argv]) == 1
         assert json.loads(capsys.readouterr().out)["error"] == {
             "message": message, "module": "cli", "path": path,
         }
-
-
-def test_precision_cap_does_not_read_the_environment(tmp_path, monkeypatch, capsys):
-    # the cap comes from the request or --precision-cap alone: a cap of 1 in
-    # the environment changes neither the parsed request nor the report bytes
-    request = {"algebra": CUBIC_ALGEBRA, "places": "inf"}
-    reqfile = tmp_path / "request.json"
-    reqfile.write_text(json.dumps(request))
-    assert main(["--json", "construct", str(reqfile)]) == 0
-    before = capsys.readouterr().out
-    monkeypatch.setenv("CMA_PRECISION_CAP", "1")
-    req = pipeline.PipelineRequest.from_json(request)
-    assert req.precision_cap == units.DEFAULT_PRECISION_CAP
-    assert pipeline.PipelineRequest.from_json({**request, "precision_cap": 64}).precision_cap == 64
-    assert main(["--json", "construct", str(reqfile)]) == 0
-    assert capsys.readouterr().out == before
 
 
 @pytest.mark.parametrize(

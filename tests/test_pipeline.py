@@ -121,12 +121,8 @@ def test_malformed_inputs_carry_json_paths():
             {"search": {"coord_bound": "abc"}},
             "request.unit_source.search.coord_bound",
         ),
-        ("precision_cap", "hi", "request.precision_cap"),
         ("unipotent_block", {"n": "x"}, "request.unipotent_block.n"),
         ("unit_source", [1], "request.unit_source"),
-        ("precision_cap", -5, "request.precision_cap"),
-        ("precision_cap", 0, "request.precision_cap"),
-        ("precision_cap", 4097, "request.precision_cap"),
         ("unit_source", {"search": {"coord_bound": 0}}, "request.unit_source.search.coord_bound"),
         ("unit_source", {"search": {"coord_bound": -2}}, "request.unit_source.search.coord_bound"),
         ("places", {"primes": [5, 4]}, "request.places.primes[1]"),
@@ -136,6 +132,41 @@ def test_malformed_request_fields_are_input_errors(field, value, path):
     with pytest.raises(InputError) as err:
         PipelineRequest.from_json({**CUBIC_REQ, field: value})
     assert err.value.path == path
+
+
+GAUSS_SYSTEM = {"torsion": {"element": ["0", "1"], "order": 4}, "free": [["2", "1"]], "s_primes": [5]}
+
+
+@pytest.mark.parametrize(
+    "field, value, path, message",
+    [
+        ("places", {"infty": "no", "primes": [5]}, "request.places.infty",
+         "infty must be true or false, got 'no'"),
+        ("places", {"infty": 1}, "request.places.infty", "infty must be true or false, got 1"),
+        ("schema", "cma/2", "request.schema", "schema must be 'cma/1', got 'cma/2'"),
+        ("schema", None, "request.schema", "schema must be 'cma/1', got None"),
+        ("unit_source", {"search": {"coord_bound": 3}, "provided": GAUSS_SYSTEM},
+         "request.unit_source", "the request has two unit sources, 'search' and 'provided'"),
+        ("coord_bound", 3, "request.coord_bound",
+         "unknown request field 'coord_bound'; the fields are "
+         "schema, algebra, ambient, places, unipotent_block, unit_source"),
+    ],
+)
+def test_the_request_is_read_strictly(field, value, path, message):
+    # "no" read as true, "cma/2" and a second unit source were accepted,
+    # and an unknown field was ignored
+    with pytest.raises(InputError) as err:
+        PipelineRequest.from_json({**GAUSS_REQ, field: value})
+    assert (err.value.path, str(err.value)) == (path, message)
+
+
+def test_the_strict_reads_accept_a_well_formed_request():
+    req = PipelineRequest.from_json({**GAUSS_REQ, "schema": "cma/1", "places": {"infty": True}})
+    assert req.places.finite_primes == ()
+    provided = {**GAUSS_REQ, "unit_source": {"provided": GAUSS_SYSTEM}}
+    assert PipelineRequest.from_json(provided).unit_source == {"provided": GAUSS_SYSTEM}
+    with pytest.raises(UnsupportedError):
+        PipelineRequest.from_json({**GAUSS_REQ, "places": {"infty": False, "primes": [5]}})
 
 
 @pytest.mark.parametrize(

@@ -97,7 +97,6 @@ def test_two_requests_without_a_unit_source_share_no_dict():
     _assert_disjoint(a, b)
     a.unit_source["search"]["coord_bound"] = 5
     assert b.unit_source == {"search": {"coord_bound": 3}}
-    assert a._replace(precision_cap=64).precision_cap == 64 != a.precision_cap
 
 
 def test_submodule_witnesses_share_no_dict():

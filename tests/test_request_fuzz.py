@@ -91,7 +91,6 @@ REQUEST = mostly(
                 )
             ),
             "unit_source": UNIT_SOURCE,
-            "precision_cap": mostly(st.sampled_from([1, 64, 256])),
         },
     )
 )

@@ -109,9 +109,11 @@ def test_search_units_cubic_contains_generator():
     assert element([0, 1, 0]) in found
 
 
-def test_search_units_budget():
-    with pytest.raises(BudgetExceededError):
-        search_units(QUARTIC, 50, (), {Fraction(1)}, budget=10**4)
+def test_search_units_budget(monkeypatch):
+    monkeypatch.setattr(units, "BOX_BUDGET", 10**4)
+    with pytest.raises(BudgetExceededError, match=r"^box \(15\)\^4 = 50625 exceeds budget 10000$"):
+        search_units(QUARTIC, 7, (), {Fraction(1)})
+    assert search_units(QUARTIC, 4, (), {Fraction(1)})  # 9^4 = 6561 points
 
 
 def test_search_units_symmetry():
@@ -352,7 +354,7 @@ def test_dirichlet_consistency_with_certified_rank():
         (QUARTIC, (), 3),
     ]:
         bound = 9 if e is QUARTIC else 3
-        sysx = assemble_unit_system(e, s, bound, budget=2 * 10**5)
+        sysx = assemble_unit_system(e, s, bound)
         cert = verify_unit_system(sysx)
         assert cert.rank == expected == s_unit_rank(e, s)
 
@@ -523,25 +525,26 @@ def test_assembly_embeds_the_basis_only_after_an_enlargement(monkeypatch):
     assert [ev[1] for ev in events if ev[0] == "inverse"] == _rounds(events)
 
 
-def test_assembly_climbs_to_the_precision_cap(monkeypatch):
-    # with certification blocked below 100 bits, a cap of 100 must still be
+def test_assembly_climbs_the_precision_ladder(monkeypatch):
+    # with certification blocked below 256 bits, the top rung must still be
     # tried: the greedy choice, saturation and verification share one
-    # ladder, [64, 100]; below 100 bits the routine takes no row
+    # ladder, 64 → 128 → 256; below 256 bits the routine takes no row
+    assert units.PRECISION_LADDER == (64, 128, 256)
     minor = units.find_certified_minor
     tried = []
 
     def late_minor(emb, limit=None):
         tried.append((emb.precision, limit))
-        return minor(emb, limit) if emb.precision >= 100 else ([], ())
+        return minor(emb, limit) if emb.precision >= 256 else ([], ())
 
     monkeypatch.setattr(units, "find_certified_minor", late_minor)
-    system = assemble_unit_system(SQRT2, (), 3, precision_cap=100)
+    system = assemble_unit_system(SQRT2, (), 3)
     assert system.free_generators == [element([1, 1])]
-    # the greedy choice at 64 and 100 bits, then one saturation round
-    assert tried == [(64, 1), (100, 1), (64, None), (100, None)]
+    # the greedy choice at each rung, then one saturation round
+    assert tried == [(64, 1), (128, 1), (256, 1), (64, None), (128, None), (256, None)]
     tried.clear()
-    assert verify_unit_system(system, 100).precision_bits == 100
-    assert tried == [(64, None), (100, None)]
+    assert verify_unit_system(system).precision_bits == 256
+    assert tried == [(64, None), (128, None), (256, None)]
 
 
 def test_certified_rank_tries_at_most_rows_times_columns_minors(monkeypatch):
