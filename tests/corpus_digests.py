@@ -55,19 +55,19 @@ def _is_square(n: int) -> bool:
     return n >= 0 and math.isqrt(n) ** 2 == n
 
 
-def _biquadratic_group(b: int, d: int) -> str | None:
-    """V4 or D4 for an irreducible x⁴+bx²+d of that Galois group, else None.
+def _v4_or_d4(b: int, d: int) -> bool:
+    """Whether x⁴+bx²+d is irreducible of Galois group V4 or D4.
 
     It is reducible when b²−4d is a square (a quadratic in x²) or when
     d = c² with ±2c − b a square (x⁴+bx²+c² = (x²+c)² − (2c−b)x²); else its
     group is V4 when d is a square, C4 when d(b²−4d) is, and D4 otherwise.
     """
     if d == 0 or _is_square(b * b - 4 * d):
-        return None
+        return False
     if _is_square(d):
         c = math.isqrt(d)
-        return None if _is_square(2 * c - b) or _is_square(-2 * c - b) else "V4"
-    return None if _is_square(d * (b * b - 4 * d)) else "D4"
+        return not (_is_square(2 * c - b) or _is_square(-2 * c - b))
+    return not _is_square(d * (b * b - 4 * d))
 
 
 def _check_ample(coeffs, ambient: str, primes) -> dict:
@@ -88,7 +88,7 @@ def draw_entries(seed: int = SEED) -> list[dict]:
     drawn = 0
     while drawn < BIQUADRATIC_DRAWS:
         b, d = rng.randint(-12, 12), rng.randint(-30, 30)
-        if _biquadratic_group(b, d) is None:
+        if not _v4_or_d4(b, d):
             continue
         primes = sorted(rng.sample(SMALL_ODD_PRIMES + (17, 19), 1 + drawn % 2))
         runs.append(_check_ample((d, 0, b, 0, 1), rng.choice(["SL", "GL"]), primes))

@@ -604,8 +604,8 @@ def _refuse(*args, **kwargs):
 
 
 def test_a_precision_cap_is_refused_by_name(gauss_file, tmp_path, monkeypatch, capsys):
-    # the ladder is fixed at 64 → 128 → 256 bits: an old request or command
-    # line that still sets a cap fails at the cap instead of running without it
+    # the ladder is fixed at 64 → 128 → 256 bits: a request or command line
+    # that sets a cap fails by name instead of running at another precision
     monkeypatch.setattr("ampletori.cli.run_pipeline", _refuse)
     monkeypatch.setattr("ampletori.cli.verify_unit_system", _refuse)
     request = {"algebra": CUBIC_ALGEBRA, "places": "inf"}

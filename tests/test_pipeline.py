@@ -153,8 +153,6 @@ GAUSS_SYSTEM = {"torsion": {"element": ["0", "1"], "order": 4}, "free": [["2", "
     ],
 )
 def test_the_request_is_read_strictly(field, value, path, message):
-    # "no" read as true, "cma/2" and a second unit source were accepted,
-    # and an unknown field was ignored
     with pytest.raises(InputError) as err:
         PipelineRequest.from_json({**GAUSS_REQ, field: value})
     assert (err.value.path, str(err.value)) == (path, message)
