@@ -2,7 +2,8 @@
 
 `log_grid(a, b, bits)` encloses ln(a/b) between two integers lo ≤ hi ≤
 lo + 2 read on the grid 2^-bits. The log embedding (units) reads it at
-each S-prime and at the integer enclosures of |A(α)|² (realsplit). The
+each S-prime and at the lower end of each integer enclosure of |A(α)|²
+(realsplit). The
 logs come from an atanh series summed in fixed point on Python integers,
 with a proven error bound; ln 2 is one such series, cached per grid. No
 floating point and no Fraction is made anywhere.

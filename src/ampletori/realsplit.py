@@ -29,7 +29,7 @@ from .linalg import IntVec, _int_vec
 from .polynomials import MEMO_SIZE, QPoly, cauchy_bound
 
 DOUBLINGS = 6  # working-precision doublings before root_disks gives up
-STEPS = 100  # Weierstrass sweeps per working precision at most
+STEPS = 100  # Weierstrass sweeps per working precision, plus n per coefficient bit
 
 
 class RealSplitError(AmpleToriError):
@@ -58,13 +58,13 @@ def _horner_exact(coeffs: list[int], x: int, y: int, p: int) -> tuple[int, int]:
     return ax, ay
 
 
-def _weierstrass(coeffs: list[int], zs: list[tuple[int, int]], p: int) -> None:
+def _weierstrass(coeffs: list[int], zs: list[tuple[int, int]], p: int, steps: int) -> None:
     """Gauss–Seidel Weierstrass sweeps on the centres zs, in units of 2^-p.
 
-    Stops once no correction exceeds 16 units, or after STEPS sweeps.
+    Stops once no correction exceeds 16 units, or after `steps` sweeps.
     """
     n, one = len(zs), 1 << p
-    for _ in range(STEPS):
+    for _ in range(steps):
         largest = 0
         for i, (x, y) in enumerate(zs):
             fx, fy = one, 0
@@ -138,32 +138,43 @@ def root_disks(f: QPoly, bits: int) -> tuple[RootDisk, ...]:
     |z|². Each holds exactly one root of f, and no two meet (nor does an
     upper disk meet a mirror image). The real-root count r1 is not given:
     every r1 ≡ n (mod 2) is tried, and a wrong one never certifies, since a
-    real-centred disk's root is real and an upper disk's is not. The start
-    points are R·((4 + 9i)/10)^k with R the Cauchy bound of f. When the
-    disks do not certify, the working precision doubles, up to DOUBLINGS
-    times; then RealSplitError names f and the precision. Memoized per
-    (f, bits): the disks are deterministic in them (fixed start points,
-    exact integer iteration), and a tuple of NamedTuples cannot be edited.
+    real-centred disk's root is real and an upper disk's is not. The 1-bit
+    start points are R·((4 + 9i)/10)^k with R the Cauchy bound of f; finer
+    disks start at the 1-bit centres and their mirrors. A precision takes
+    at most STEPS sweeps plus n per bit of the largest coefficient, as the
+    sweeps in from R grow with its bit length. When the disks do not
+    certify, the working precision doubles, up to DOUBLINGS times; then
+    RealSplitError names the degree, the coefficient size and the precision.
+    Memoized per (f, bits): the disks are deterministic in them (fixed start
+    points, exact integer iteration), and a tuple of NamedTuples cannot be
+    edited.
     """
     if not f.is_monic():
         raise NonMonicError(f"root disks need a monic integral polynomial, not {f!r}")
     coeffs = f.coeffs
     n = len(coeffs) - 1
     p = bits + 2 * n + 16
-    bound = cauchy_bound(f)
-    zs, gx, gy = [], 1, 0
-    for k in range(n):
-        zs.append(((bound * gx << p) // 10**k, (bound * gy << p) // 10**k))
-        gx, gy = 4 * gx - 9 * gy, 9 * gx + 4 * gy
+    size = max(map(abs, coeffs)).bit_length()
+    if bits > 1:  # on the grid 2^-p, a right shift if the 1-bit disks doubled past it
+        coarse = root_disks(f, 1)
+        zs = [(d.re, d.im) for d in coarse] + [(d.re, -d.im) for d in coarse if d.im]
+        zs = [(x << p >> coarse[0].shift, y << p >> coarse[0].shift) for x, y in zs]
+    else:
+        bound = cauchy_bound(f)
+        zs, gx, gy = [], 1, 0
+        for k in range(n):
+            zs.append(((bound * gx << p) // 10**k, (bound * gy << p) // 10**k))
+            gx, gy = 4 * gx - 9 * gy, 9 * gx + 4 * gy
     for _ in range(DOUBLINGS):
-        _weierstrass(coeffs, zs, p)
+        _weierstrass(coeffs, zs, p, STEPS + n * size)
         for r1 in range(n % 2, n + 1, 2):
             disks = _certify(coeffs, zs, r1, p, bits)
             if disks is not None:
                 return disks
         zs = [(x << p, y << p) for x, y in zs]
         p *= 2
-    raise RealSplitError(f"could not certify root disks of {f!r} at {p // 2} bits")
+    named = f"a degree-{n} polynomial with {size}-bit coefficients"
+    raise RealSplitError(f"could not certify root disks of {named} at {p // 2} bits")
 
 
 def abs_square_on_disk(a: IntVec, disk: RootDisk) -> tuple[int, int, int]:

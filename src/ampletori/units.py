@@ -94,7 +94,8 @@ class LogEmbedding(NamedTuple):
     interval of the log, whose endpoints lie on the grid 2^-(precision+1),
     with nothing rounded. Real columns hold log|σ(u)| and complex columns
     the doubled value 2·log|σ(u)|, both from |A(α)|² enclosed on a
-    certified root disk of the factor's polynomial (realsplit.root_disks);
+    certified root disk of the factor's polynomial (realsplit.root_disks),
+    by one log series at the lower end (_archimedean_log);
     finite columns hold −f_v·ord_v(u)·log p with ord_v counted in
     uniformizer steps (places.PrimePlaces). Full rows of a unit have |Σ m| ≤ Σ r.
     """
@@ -119,14 +120,17 @@ def _archimedean_log(col: LogColumn, disk_at, comp: Coords, bits: int) -> Ball:
 
     disk_at(b) is the column's root disk of radius ≤ 2^-b. The radius
     shrinks by doubling b until |A(α)|² is certified positive, up to
-    b = 64·max(bits, 64).
+    b = 64·max(bits, 64). One log series encloses ln(lo/scale), and the
+    upper end adds ⌈(hi − lo)·2^bits/lo⌉ ≥ ln(hi/lo)·2^bits grid steps: as
+    hi/lo is that close to 1, a step or two more than a second series.
     """
     attempt_bits = bits
     while True:
         lo, hi, scale = abs_square_on_disk(comp, disk_at(attempt_bits))
         if lo > 0:
             w = 1 if col.kind == "real" else 2
-            return _log_ball(log_grid(lo, scale, bits)[0], log_grid(hi, scale, bits)[1], w)
+            low, high = log_grid(lo, scale, bits)  # ln x ≤ x − 1 at x = hi/lo
+            return _log_ball(low, high - (-((hi - lo) << bits) // lo), w)
         if 2 * attempt_bits > 64 * max(bits, 64):
             raise IndependenceUndecidedError(
                 f"cannot separate {col.label()} from zero at {attempt_bits} bits"
@@ -315,7 +319,6 @@ def verify_unit_system(sys: UnitSystem) -> UnitCertificate | DependenceWitness:
     ]
     gens = list(sys.free_generators)
     torsion = {e.power(sys.torsion_generator, k): k for k in range(sys.torsion_order)}
-    inverses = None  # the generators' inverses, taken once a relation is sought
     for bits in PRECISION_LADDER:
         emb = build_log_embedding(e, gens, s, bits)
         prefix, cols = find_certified_minor(emb)
@@ -323,10 +326,9 @@ def verify_unit_system(sys: UnitSystem) -> UnitCertificate | DependenceWitness:
             labels = tuple(emb.columns[j].label() for j in cols)
             return UnitCertificate(True, True, sys.rank, labels, bits, caveats)
         minv = _minor_inverse([emb.rows[i] for i in prefix], cols)
-        inverses = inverses or [e.inverse(g) for g in gens]
-        basis = [(gens[i], inverses[i]) for i in prefix]
+        powers = _basis_powers(e, [gens[i] for i in prefix])
         for idx in (i for i in range(sys.rank) if i not in prefix):
-            got = _express_from_rows(e, basis, cols, minv, gens[idx], emb.rows[idx], torsion)
+            got = _express_from_rows(e, powers, cols, minv, gens[idx], emb.rows[idx], torsion)
             if got is not None:
                 nums, d, k = got
                 exponents = [0] * sys.rank
@@ -370,7 +372,8 @@ def search_units(
     degree n, so it is tabulated by forward differences from its values at
     the simplex corner −B + j, j ∈ [0, m)^n with Σj ≤ n, m = min(n+1, 2B+1):
     the only norms taken. They are turned once into the corner's mixed
-    forward differences along every axis (those of order past n are 0).
+    forward differences along every axis, over the simplex entries only
+    (their lower neighbours lie on it too; past it the differences are 0).
 
     The last L = min(2, n − 1) axes (L = 1 at n = 1) are packed into lanes
     of w bits: one int P = Σ_p v_p·2^(w·p) holds a difference at every
@@ -408,20 +411,19 @@ def search_units(
     side = 2 * coord_bound + 1
     m = min(n + 1, side)
     span = range(-coord_bound, coord_bound + 1)
-    simplex = [sum(j) <= n for j in itertools.product(range(m), repeat=n)]
-    corner = [  # an order's norms of integer points are integers
-        e.norm((tuple(c - coord_bound for c in j), 1))[0] if small else 0
-        for j, small in zip(itertools.product(range(m), repeat=n), simplex)
-    ]
+    corner, simplex = [0] * m**n, []
+    for t, j in enumerate(itertools.product(range(m), repeat=n)):
+        if sum(j) <= n:  # an order's norms of integer points are integers
+            corner[t] = e.norm((tuple(c - coord_bound for c in j), 1))[0]
+            simplex.append(t)
     # mixed forward differences along every axis, taken once: entry j becomes
     # Δ_0^{j_0} ⋯ Δ_{n-1}^{j_{n-1}} N at the corner origin, read off the corner
-    # points below j, so right on the simplex; past it, it is 0 (degree n)
+    # points below j, which lie on the simplex too; past it, it is 0 (degree n)
     for stride in (m**a for a in range(n)):
         for k in range(1, m):
-            for t in reversed(range(len(corner))):  # so corner[t − stride] is still old
+            for t in reversed(simplex):  # so corner[t − stride] is still old
                 if t // stride % m >= k:
                     corner[t] -= corner[t - stride]
-    corner = [v if small else 0 for v, small in zip(corner, simplex)]
 
     lanes = max(min(2, n - 1), 1)
     outer = n - lanes
@@ -658,16 +660,23 @@ def _word(e: EtaleAlgebra, gens: list[Coords], exponents) -> Coords:
     return functools.reduce(e.mul, (e.power(g, k) for g, k in zip(gens, exponents) if k), e.one())
 
 
+def _basis_powers(e: EtaleAlgebra, basis: list[Coords]):
+    """(i, a) ↦ g_i^(−a) for the basis g_i and a ≠ 0: the inverses taken
+    now, each power once, when first asked for."""
+    pairs = [(g, e.inverse(g)) for g in basis]
+    return functools.cache(lambda i, a: e.power(pairs[i][a > 0], abs(a)))
+
+
 def _express_from_rows(
     e: EtaleAlgebra,
-    basis: list[tuple[Coords, Coords]],
+    powers,
     cols: tuple[int, ...],
     minv,
     u: Coords,
     u_row,
     torsion: dict[Coords, int],
 ):
-    """Try u = t^k · (∏ g_i^{a_i})^{1/d}, basis the pairs (g_i, g_i⁻¹);
+    """Try u = t^k · (∏ g_i^{a_i})^{1/d}, powers the basis's _basis_powers;
     returns (a, d, k) verified.
 
     Candidate exponents come from the enclosure of the solution of
@@ -678,23 +687,23 @@ def _express_from_rows(
     multiplication, so ball error can only cause a miss (caller escalates
     precision), never a wrong answer. torsion maps each power t^k of the
     torsion generator, k below its order, to k; u^d·∏ g_i^(−a_i), a product
-    of powers of u and the pairs, is looked up in it.
+    of powers of u and of the basis, is looked up in it.
     """
     solved = _ball_solve(minv, u_row, cols)
     if solved is None:
         return None
     xs, den, dn, dd = solved  # x_i = xs_i/den, within dn/dd
-    power, dp = e.one(), 0  # u^dp, stepped up to each d that is tried
+    power, dp = u, 1  # u^dp, stepped up to each d that is tried
     for d in range(1, MAX_DENOMINATOR + 1):
         nums = [-((den - 2 * d * x) // (2 * den)) for x in xs]
         if any(abs(a * den - d * x) * dd > d * dn * den for a, x in zip(nums, xs)):
             continue
         if d > 1 and all(a % d == 0 for a in nums):
             continue  # already covered by a smaller denominator
-        factors = [g_inv if a > 0 else g for (g, g_inv), a in zip(basis, nums)]
         while dp < d:
             power, dp = e.mul(power, u), dp + 1
-        k = torsion.get(e.mul(power, _word(e, factors, map(abs, nums))))
+        terms = (powers(i, a) for i, a in enumerate(nums) if a)
+        k = torsion.get(functools.reduce(e.mul, terms, power))
         if k is not None:
             return tuple(nums), d, k
     return None
@@ -759,8 +768,9 @@ def assemble_unit_system(
     whenever the representative does; canonical_unit already works modulo
     torsion and inversion. Dropping it changes no emitted generator.
     Saturation reduces every pool unit against the basis through one
-    certified minor inverse per round and step, and the basis inverses once
-    per round (exponents from certified logs, confirmed exactly); a unit
+    certified minor inverse per round and step, and the basis inverses and
+    each power g_i^a once per round (exponents from certified logs,
+    confirmed exactly); a unit
     generating a strictly larger lattice enlarges the basis by an exact
     Hermite-form step, so the final system with t generates every unit in
     the pool, class members included. The basis's log rows are the pool's
@@ -809,7 +819,7 @@ def assemble_unit_system(
     changed = True
     while changed:
         changed = False
-        with_inverses = [(g, e.inverse(g)) for g in basis]
+        powers = _basis_powers(e, basis)  # one power per (index, exponent) a round
         for bits in PRECISION_LADDER:
             if basis_idx is None:
                 basis_emb = build_log_embedding(e, basis, s_primes, bits)
@@ -821,7 +831,7 @@ def assemble_unit_system(
             minv = _minor_inverse(basis_emb.rows, cols)
             pending = False
             for u, u_row in zip(free_pool, pool_emb(bits).rows):
-                got = _express_from_rows(e, with_inverses, cols, minv, u, u_row, torsion_index)
+                got = _express_from_rows(e, powers, cols, minv, u, u_row, torsion_index)
                 if got is None:
                     pending = True
                     continue

@@ -8,7 +8,7 @@ import mpmath
 import numpy
 import pytest
 
-from ampletori import units
+from ampletori import realsplit, units
 from ampletori.errors import AmpleToriError, InvalidUnitSystemError, NonMonicError
 from ampletori.etale import EtaleAlgebra
 from ampletori.polynomials import QPoly, discriminant
@@ -16,6 +16,7 @@ from ampletori.realsplit import RealSplitError, RootDisk, _certify, abs_square_o
 from ampletori.units import assemble_unit_system, build_log_embedding, verify_unit_system
 
 from oracles import oracle_count_real_roots
+from test_memos import fresh_memos
 
 SPECIAL = [
     (1, 1, 1, 1, 1),  # zeta5
@@ -194,8 +195,81 @@ def test_a_wrong_real_root_count_never_certifies():
                     assert _certify(coeffs, zs, wrong, shift, 64) is None, (coeffs, wrong)
 
 
+# x⁴ − 2(2^20·x − 1)²: a Mignotte polynomial, two real roots about 2^-58
+# apart, so its 1-bit disks certify only after doublings, on a finer grid
+# than its 64-bit ones
+MIGNOTTE = (-2, 1 << 22, -(1 << 41), 0, 1)
+
+
+def _mp_polyroots(coeffs):
+    return mpmath.polyroots(list(reversed(coeffs)), maxsteps=400, extraprec=2 * MP_PREC)
+
+
+def test_root_disks_do_not_depend_on_a_memoized_coarse_entry(monkeypatch, mp_roots):
+    # at more bits the start points are the 1-bit centres: the same disks
+    # whether (f, 1) was memoized first or is computed on the way
+    cases = SPECIAL + POLYNOMIALS[::10] + [MIGNOTTE]
+    fresh_memos(monkeypatch, realsplit.root_disks)
+    cold = {c: realsplit.root_disks(QPoly(c), 64) for c in cases}
+    fresh_memos(monkeypatch, realsplit.root_disks)
+    coarse = {c: realsplit.root_disks(QPoly(c), 1) for c in cases}
+    assert {c: realsplit.root_disks(QPoly(c), 64) for c in cases} == cold
+    assert coarse[MIGNOTTE][0].shift > cold[MIGNOTTE][0].shift  # shifted right
+    with mpmath.workprec(MP_PREC):
+        for c in cases:
+            r1 = oracle_count_real_roots(QPoly(c))
+            roots = _mp_polyroots(c) if c == MIGNOTTE else mp_roots[c]
+            for disk in _all_disks(cold[c], r1):
+                assert sum(_holds(disk, root) for root in roots) == 1, (c, disk)
+
+
+def test_large_coefficients_certify_within_the_sweep_bound():
+    # x³ + x − (10³⁰⁰ + 3): the starts come in from the Cauchy bound over
+    # more than STEPS sweeps, about n per bit of the largest coefficient
+    coeffs = (-(10**300 + 3), 1, 0, 1)
+    disks = root_disks(QPoly(coeffs), 64)
+    assert [d.im == 0 for d in disks] == [True, False]
+    with mpmath.workprec(MP_PREC):
+        for disk in _all_disks(disks, 1):
+            assert sum(_holds(disk, root) for root in _mp_polyroots(coeffs)) == 1
+
+
+# the degree 2–4 fields of the benchmark's families and of examples 5.1–5.4
+LOG_FIELDS = [
+    (-3, 0, 1), (-13, -1, 1), (1, 0, 1), (1, 1, 1),
+    (-1, 1, 0, 1), (-1, -1, 0, 1), (1, -3, -1, 1), (1, -4, 0, 1),
+    (2, 1, -4, -1, 1), (5, 0, -5, 0, 1), (1, -16, 20, -8, 1),
+    (1, -1, 1, 0, 1), (1, 1, 2, 0, 1), (1, 0, 1, -1, 1),
+]
+
+
+@pytest.mark.parametrize("bits", units.PRECISION_LADDER)
+def test_archimedean_log_balls_hold_the_log_at_the_root(bits):
+    # a real column holds log|σ(u)|, a complex one 2·log|σ(u)|, on the grid
+    # 2^-(bits+2); the root is the one in the column's disk
+    rng = random.Random(bits)
+    with mpmath.workprec(MP_PREC):
+        for coeffs in LOG_FIELDS:
+            e, roots = EtaleAlgebra([QPoly(coeffs)]), _oracle_roots(coeffs)
+            elements = [(tuple(rng.randint(-6, 6) for _ in range(e.n)), 1) for _ in range(5)]
+            elements = [u for u in elements if any(u[0])]
+            emb = build_log_embedding(e, elements, (), bits)
+            disks = root_disks(QPoly(coeffs), bits)
+            r1 = sum(col.kind == "real" for col in emb.columns)
+            unit = mpmath.mpf(2) ** -(bits + 2)
+            for u, row in zip(elements, emb.rows):
+                ints, den = e.to_power(u)
+                for col, (m, r) in zip(emb.columns, row):
+                    disk = disks[col.index + (0 if col.kind == "real" else r1)]
+                    root = next(z for z in roots if _holds(disk, z))
+                    value = mpmath.log(abs(sum(c * root**k for k, c in enumerate(ints))) / den)
+                    value *= 1 if col.kind == "real" else 2
+                    assert abs(value - m * unit) <= r * unit + ORACLE_ERROR, (coeffs, u, col)
+
+
 def test_a_repeated_root_names_the_polynomial_and_precision():
-    with pytest.raises(RealSplitError, match=r"QPoly\(1 \+ 2\*x\^2 \+ x\^4\) at \d+ bits") as info:
+    named = r"degree-4 polynomial with 2-bit coefficients at \d+ bits"
+    with pytest.raises(RealSplitError, match=named) as info:
         root_disks(QPoly([1, 0, 2, 0, 1]), 64)
     assert isinstance(info.value, AmpleToriError) and info.value.module == "realsplit"
 

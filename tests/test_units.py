@@ -734,6 +734,62 @@ def test_paper_unit_certificates_keep_their_minor_and_precision(name):
     assert (cert.minor_columns, cert.precision_bits) == PAPER_UNIT_CERTIFICATES[name]
 
 
+def _ex52_request():
+    golden = pipeline._load_golden(pipeline.corpus_dir(), "ex52.json")
+    return pipeline.PipelineRequest.from_json(golden["request"])
+
+
+def test_log_embedding_sums_one_log_series_per_entry(monkeypatch):
+    # one log_grid call per archimedean entry, at the lower end of |A(α)|²,
+    # and one per S-prime; the upper end is closed without a second series
+    calls = []
+    log_grid = units.log_grid
+
+    def counting_log_grid(a, b, bits):
+        calls.append((a, b))
+        return log_grid(a, b, bits)
+
+    monkeypatch.setattr(units, "log_grid", counting_log_grid)
+    ex52 = pipeline._verified_units(_ex52_request())[0]
+    gauss = assemble_unit_system(GAUSS, (13, 17), 6)
+    for system, archimedean in ((ex52, 4), (gauss, 1)):
+        for bits in units.PRECISION_LADDER:
+            calls.clear()
+            build_log_embedding(system.algebra, system.free_generators, system.s_primes, bits)
+            assert len(calls) == system.rank * archimedean + len(system.s_primes)
+
+
+def test_saturation_takes_each_basis_power_once_a_round(monkeypatch):
+    # ex 5.2 saturates in two rounds: the basis is enlarged once. Within a
+    # round, every g_i^a the reductions ask for is multiplied out once.
+    fresh_memos(monkeypatch)
+    rounds, inside = [[]], []
+    power, express, enlarge = EtaleAlgebra.power, units._express_from_rows, units._enlarge_basis
+
+    def counting_power(self, a, k):
+        if inside:
+            rounds[-1].append((a, k))
+        return power(self, a, k)
+
+    def marked_express(*args):
+        inside.append(True)
+        try:
+            return express(*args)
+        finally:
+            inside.pop()
+
+    def next_round(*args):
+        rounds.append([])
+        return enlarge(*args)
+
+    monkeypatch.setattr(EtaleAlgebra, "power", counting_power)
+    monkeypatch.setattr(units, "_express_from_rows", marked_express)
+    monkeypatch.setattr(units, "_enlarge_basis", next_round)
+    pipeline._verified_units(_ex52_request())
+    assert [len(set(taken)) for taken in rounds] == [len(taken) for taken in rounds]
+    assert list(map(len, rounds)) == [9, 21]
+
+
 def test_split_gaussian_s_units_certify_in_polynomial_time():
     # x² + 1 with four and five split primes: S-unit ranks 8 and 10. Each
     # minor is one integer determinant against a ball bound, where a Laplace
