@@ -84,9 +84,9 @@ class EtaleAlgebra:
             raise ValueError("an etale algebra needs at least one factor")
         for f in self.factors:
             if f.degree < 1 or not f.is_monic():
-                raise ValueError(f"factor {f!r} must be monic integral of degree >= 1")
+                raise ValueError(f"factor {list(f.coeffs)} must be monic integral of degree >= 1")
             if not is_irreducible_q(f):
-                raise ValueError(f"factor {f!r} is reducible over Q")
+                raise ValueError(f"factor {list(f.coeffs)} is reducible over Q")
         self.degrees = tuple(f.degree for f in self.factors)
         self.n = n = sum(self.degrees)
         self.offsets = []

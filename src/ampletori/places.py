@@ -334,7 +334,7 @@ def galois_group_small(f: QPoly) -> GaloisTag:
     if f.degree > 4:
         raise UnsupportedError("Galois groups are only computed through degree 4")
     if not is_irreducible_q(f):
-        raise ValueError(f"{f!r} is not irreducible over Q")
+        raise ValueError(f"{list(f.coeffs)} is not irreducible over Q")
     d = f.degree
     if d == 1:
         return standard_tag("C1")

@@ -152,7 +152,8 @@ def test_inverse_round_trip():
 
 
 def test_rejects_reducible_factor():
-    with pytest.raises(ValueError):
+    # the factor is named by its ascending coefficients, not a Python repr
+    with pytest.raises(ValueError, match=r"^factor \[1, 2, 1\] is reducible over Q$"):
         EtaleAlgebra([QPoly([1, 2, 1])])
 
 

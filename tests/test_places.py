@@ -48,6 +48,11 @@ def test_galois_small_examples():
     assert galois_group_small(QUARTIC).group == "V4"
 
 
+def test_galois_refuses_a_reducible_polynomial_by_its_coefficients():
+    with pytest.raises(ValueError, match=r"^\[0, -1, 1\] is not irreducible over Q$"):
+        galois_group_small(QPoly([0, -1, 1]))
+
+
 def test_galois_known_quartics_and_cubics():
     assert galois_group_small(QPoly([1, 1, 1, 1, 1])).group == "C4"  # Phi_5
     assert galois_group_small(QPoly([-2, 0, 0, 0, 1])).group == "D4"  # x^4 - 2
