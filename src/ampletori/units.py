@@ -819,7 +819,7 @@ def assemble_unit_system(
     changed = True
     while changed:
         changed = False
-        powers = _basis_powers(e, basis)  # one power per (index, exponent) a round
+        powers = _basis_powers(e, basis)
         for bits in PRECISION_LADDER:
             if basis_idx is None:
                 basis_emb = build_log_embedding(e, basis, s_primes, bits)

@@ -267,6 +267,21 @@ def test_archimedean_log_balls_hold_the_log_at_the_root(bits):
                     assert abs(value - m * unit) <= r * unit + ORACLE_ERROR, (coeffs, u, col)
 
 
+def test_archimedean_log_closes_the_upper_end_of_a_wide_enclosure():
+    # A = x on the disk |z − 3/2| ≤ 1/4: |A|² is enclosed in [lo, hi]/scale
+    # with hi/lo near 2, so the upper end must reach past ln(lo/scale) by
+    # more than the one series at the lower end holds
+    disk, col = RootDisk(3 << 20, 0, 1 << 19, 21), units.LogColumn("real", 0, 0)
+    lo, hi, scale = abs_square_on_disk(((0, 1), 1), disk)
+    assert 2 * hi > 3 * lo > 0
+    for bits in units.PRECISION_LADDER:
+        m, r = units._archimedean_log(col, lambda b: disk, ((0, 1), 1), bits)
+        unit = mpmath.mpf(2) ** -(bits + 2)
+        with mpmath.workprec(MP_PREC):
+            assert (m - r) * unit <= mpmath.log(mpmath.mpf(lo) / scale) / 2
+            assert (m + r) * unit >= mpmath.log(mpmath.mpf(hi) / scale) / 2
+
+
 def test_a_repeated_root_names_the_polynomial_and_precision():
     named = r"degree-4 polynomial with 2-bit coefficients at \d+ bits"
     with pytest.raises(RealSplitError, match=named) as info:
